@@ -150,6 +150,35 @@ fn bench_consensus() {
     }
 }
 
+/// What a sim run does *around* its event loop, at the `elect-wide` size:
+/// build the system, checkpoint the counters, diff two checkpoints, and
+/// assemble the per-process and footprint parts of an `Outcome`.
+fn bench_accounting() {
+    use std::hint::black_box;
+
+    let n = 128;
+    bench("accounting", &format!("variant_build_and_drop/{n}"), || {
+        black_box(omega_core::OmegaVariant::Alg1.build(n));
+    });
+
+    // Cost here depends on the register count, not on the counts held.
+    let sys = omega_core::OmegaVariant::Alg1.build(n);
+    bench("accounting", &format!("space_stats/{n}"), || {
+        black_box(sys.space.stats());
+    });
+    let (earlier, later) = (sys.space.stats(), sys.space.stats());
+    let (earlier_fp, later_fp) = (sys.space.footprint(), sys.space.footprint());
+    bench("accounting", &format!("snapshot_delta_since/{n}"), || {
+        black_box(later.delta_since(&earlier));
+    });
+    bench("accounting", &format!("per_process_totals/{n}"), || {
+        black_box(later.per_process_totals());
+    });
+    bench("accounting", &format!("footprint_grown_since/{n}"), || {
+        black_box(later_fp.grown_since(&earlier_fp));
+    });
+}
+
 fn main() {
     bench_registers();
     bench_leader_query();
@@ -157,4 +186,5 @@ fn main() {
     bench_election_rule();
     bench_simulator_throughput();
     bench_consensus();
+    bench_accounting();
 }

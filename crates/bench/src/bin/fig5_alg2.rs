@@ -71,7 +71,7 @@ fn main() {
             continue;
         }
         let writers: Vec<String> = ProcessId::all(n)
-            .filter(|p| row.writes[p.index()] > 0)
+            .filter(|p| row.writes_by(*p) > 0)
             .map(|p| p.to_string())
             .collect();
         t.row(&[

@@ -122,11 +122,10 @@ impl OmegaVariant {
     /// and one boxed simulator actor per process.
     ///
     /// Because simulator actors run on one thread, the space uses
-    /// [`Instrumentation::Deferred`] — access counters accumulate in
-    /// unsynchronized scratch and flush at every `stats()`/`footprint()`
-    /// call, so snapshots are exact and the per-access cost is a plain
-    /// load/store instead of an atomic read-modify-write. Use
-    /// [`build_with`](Self::build_with) to override.
+    /// [`Instrumentation::Deferred`] — access counters are bumped with a
+    /// plain load/add/store instead of an atomic read-modify-write, which
+    /// on one thread is exact, so `stats()`/`footprint()` snapshots are
+    /// too. Use [`build_with`](Self::build_with) to override.
     #[must_use]
     pub fn build(&self, n: usize) -> BuiltSystem {
         self.build_with(n, Instrumentation::Deferred)

@@ -11,21 +11,27 @@
 //!
 //! Counting has a cost, and it is paid on *every* shared access — at
 //! n = 256 a single simulated run performs close to a billion attributed
-//! reads. Two modes trade synchronization for speed:
+//! reads. Both modes update the *same* counter block (each count is stored
+//! once); they differ only in how a cell is bumped:
 //!
 //! * [`Instrumentation::Eager`] (default) — every access does an atomic
-//!   read-modify-write on the shared counters. Safe under arbitrary
-//!   concurrency; this is what the thread runtime uses.
-//! * [`Instrumentation::Deferred`] — accesses accumulate in per-process
-//!   *scratch blocks* using unsynchronized (plain load/store, no lock
-//!   prefix, no fences) updates, and are folded into the shared atomics
-//!   only at snapshot boundaries ([`MemorySpace::stats`](crate::MemorySpace::stats)
-//!   / [`MemorySpace::footprint`](crate::MemorySpace::footprint) flush
-//!   first). Built for the single-threaded simulation driver, where the
-//!   relaxed read-add-write sequence is exact. If deferred registers are
+//!   read-modify-write. Safe under arbitrary concurrency; this is what the
+//!   thread runtime uses.
+//! * [`Instrumentation::Deferred`] — every access does a plain load, add
+//!   and store (no lock prefix, no fences), the same trick as
+//!   [`ScanCounters::new_unsync`](crate::ScanCounters::new_unsync). Built
+//!   for the single-threaded simulation driver, where that sequence is
+//!   exact, so [`MemorySpace::stats`](crate::MemorySpace::stats) is exact
+//!   at any instant with no flush step. If deferred registers are
 //!   (mis)used from several threads concurrently, increments may be lost —
 //!   counters under-report — but there is no undefined behavior and no
 //!   torn value: every cell is still an `AtomicU64`.
+//!
+//! # Width
+//!
+//! Reads are counted per process (n cells). Writes need n cells only on
+//! nWnR registers: a 1WnR register rejects every writer but its owner
+//! *before* the write is counted, so it keeps a single write cell.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,90 +56,71 @@ pub enum Instrumentation {
     /// (the thread-runtime mode).
     #[default]
     Eager,
-    /// Unsynchronized scratch accumulation, flushed to the shared counters
-    /// at snapshot boundaries: exact for single-threaded drivers (the
-    /// simulator), lossy-but-sound if misused concurrently.
+    /// Unsynchronized load/add/store per access: exact for single-threaded
+    /// drivers (the simulator), lossy-but-sound if misused concurrently.
     Deferred,
-}
-
-/// Unsynchronized per-process scratch for one register's counters.
-///
-/// Updated with `load(Relaxed)` / `store(Relaxed)` pairs — plain machine
-/// loads and stores, no RMW — which is what makes the deferred mode cheap.
-#[derive(Debug)]
-struct Scratch {
-    reads: Box<[AtomicU64]>,
-    writes: Box<[AtomicU64]>,
-    hwm_bits: AtomicU64,
-}
-
-#[inline]
-fn bump(cell: &AtomicU64, delta: u64) {
-    // Single-threaded read-add-write; deliberately NOT fetch_add.
-    cell.store(cell.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
-}
-
-/// Drains `from` into `into` (attributed counters) with one RMW per
-/// non-zero cell.
-fn drain(from: &[AtomicU64], into: &[AtomicU64]) {
-    for (scratch, shared) in from.iter().zip(into) {
-        let pending = scratch.load(Ordering::Relaxed);
-        if pending != 0 {
-            scratch.store(0, Ordering::Relaxed);
-            shared.fetch_add(pending, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Cumulative access counters for one register.
 #[derive(Debug)]
 pub(crate) struct Counters {
-    reads: Box<[AtomicU64]>,
-    writes: Box<[AtomicU64]>,
+    /// One allocation: `n_processes` read cells, then the write cells —
+    /// one when `owned`, `n_processes` otherwise.
+    cells: Box<[AtomicU64]>,
+    n_processes: usize,
+    owned: bool,
+    unsync: bool,
     hwm_bits: AtomicU64,
-    /// Deferred-mode scratch; `None` in eager mode.
-    scratch: Option<Scratch>,
 }
 
 impl Counters {
-    pub(crate) fn new(n_processes: usize, mode: Instrumentation) -> Self {
-        let zeroed = |len: usize| (0..len).map(|_| AtomicU64::new(0)).collect();
+    /// Counters for a register of an `n_processes` system; `owned` is
+    /// whether it is 1WnR (ownership is enforced by the register, before
+    /// [`note_write`](Self::note_write) is reached).
+    pub(crate) fn new(n_processes: usize, owned: bool, mode: Instrumentation) -> Self {
+        let write_cells = if owned { 1 } else { n_processes };
         Counters {
-            reads: zeroed(n_processes),
-            writes: zeroed(n_processes),
+            cells: (0..n_processes + write_cells)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            n_processes,
+            owned,
+            unsync: mode == Instrumentation::Deferred,
             hwm_bits: AtomicU64::new(0),
-            scratch: match mode {
-                Instrumentation::Eager => None,
-                Instrumentation::Deferred => Some(Scratch {
-                    reads: zeroed(n_processes),
-                    writes: zeroed(n_processes),
-                    hwm_bits: AtomicU64::new(0),
-                }),
-            },
         }
+    }
+
+    #[inline]
+    fn bump(&self, cell: &AtomicU64) {
+        if self.unsync {
+            // Single-threaded read-add-write; deliberately NOT fetch_add.
+            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        } else {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn reads(&self) -> &[AtomicU64] {
+        &self.cells[..self.n_processes]
+    }
+
+    fn writes(&self) -> &[AtomicU64] {
+        &self.cells[self.n_processes..]
     }
 
     pub(crate) fn note_read(&self, reader: ProcessId) {
-        match &self.scratch {
-            Some(s) => bump(&s.reads[reader.index()], 1),
-            None => {
-                self.reads[reader.index()].fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.bump(&self.reads()[reader.index()]);
     }
 
     pub(crate) fn note_write(&self, writer: ProcessId, bits: u64) {
-        match &self.scratch {
-            Some(s) => {
-                bump(&s.writes[writer.index()], 1);
-                if bits > s.hwm_bits.load(Ordering::Relaxed) {
-                    s.hwm_bits.store(bits, Ordering::Relaxed);
-                }
+        let slot = if self.owned { 0 } else { writer.index() };
+        self.bump(&self.writes()[slot]);
+        if self.unsync {
+            if bits > self.hwm_bits.load(Ordering::Relaxed) {
+                self.hwm_bits.store(bits, Ordering::Relaxed);
             }
-            None => {
-                self.writes[writer.index()].fetch_add(1, Ordering::Relaxed);
-                self.hwm_bits.fetch_max(bits, Ordering::Relaxed);
-            }
+        } else {
+            self.hwm_bits.fetch_max(bits, Ordering::Relaxed);
         }
     }
 
@@ -142,61 +129,17 @@ impl Counters {
         self.hwm_bits.fetch_max(bits, Ordering::Relaxed);
     }
 
-    /// Folds any deferred scratch into the shared counters (no-op in eager
-    /// mode). Must run before the counters are read for a snapshot.
-    pub(crate) fn flush(&self) {
-        let Some(s) = &self.scratch else { return };
-        drain(&s.reads, &self.reads);
-        drain(&s.writes, &self.writes);
-        self.flush_hwm();
-    }
-
-    /// Folds only the deferred high-water mark (the footprint fast path —
-    /// footprints don't read the per-process counters, so flushing the
-    /// whole scratch block there would be wasted work).
-    pub(crate) fn flush_hwm(&self) {
-        let Some(s) = &self.scratch else { return };
-        let hwm = s.hwm_bits.load(Ordering::Relaxed);
-        if hwm != 0 {
-            s.hwm_bits.store(0, Ordering::Relaxed);
-            self.hwm_bits.fetch_max(hwm, Ordering::Relaxed);
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn reads_by(&self, pid: ProcessId) -> u64 {
-        self.reads[pid.index()].load(Ordering::Relaxed)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn writes_by(&self, pid: ProcessId) -> u64 {
-        self.writes[pid.index()].load(Ordering::Relaxed)
-    }
-
-    /// Copies the per-process read/write counters into flat slices (the
-    /// snapshot fast path; avoids 2n indexed calls per register).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices are not exactly `n_processes` long.
-    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64]) {
-        assert_eq!(reads.len(), self.reads.len());
-        assert_eq!(writes.len(), self.writes.len());
-        for (out, cell) in reads.iter_mut().zip(self.reads.iter()) {
-            *out = cell.load(Ordering::Relaxed);
-        }
-        for (out, cell) in writes.iter_mut().zip(self.writes.iter()) {
-            *out = cell.load(Ordering::Relaxed);
-        }
+    /// Copies the counters onto the end of a snapshot's flat buffers: the
+    /// read cells (one per process) onto `reads`, the write cells (one if
+    /// owned, else one per process) onto `writes`.
+    pub(crate) fn copy_into(&self, reads: &mut Vec<u64>, writes: &mut Vec<u64>) {
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        reads.extend(self.reads().iter().map(load));
+        writes.extend(self.writes().iter().map(load));
     }
 
     pub(crate) fn hwm_bits(&self) -> u64 {
         self.hwm_bits.load(Ordering::Relaxed)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn n_processes(&self) -> usize {
-        self.reads.len()
     }
 }
 
@@ -216,74 +159,77 @@ pub(crate) trait RegisterMeta: Send + Sync {
 mod tests {
     use super::*;
 
+    const MODES: [Instrumentation; 2] = [Instrumentation::Eager, Instrumentation::Deferred];
+
+    fn copied(c: &Counters) -> (Vec<u64>, Vec<u64>) {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        c.copy_into(&mut reads, &mut writes);
+        (reads, writes)
+    }
+
     #[test]
     fn counters_accumulate_per_process() {
-        let c = Counters::new(3, Instrumentation::Eager);
-        let p0 = ProcessId::new(0);
-        let p2 = ProcessId::new(2);
-        c.note_read(p0);
-        c.note_read(p0);
-        c.note_write(p2, 5);
-        c.note_write(p2, 3);
-        assert_eq!(c.reads_by(p0), 2);
-        assert_eq!(c.reads_by(p2), 0);
-        assert_eq!(c.writes_by(p2), 2);
-        assert_eq!(c.hwm_bits(), 5, "high-water mark keeps the max footprint");
-        assert_eq!(c.n_processes(), 3);
+        for mode in MODES {
+            let c = Counters::new(3, false, mode);
+            let p0 = ProcessId::new(0);
+            let p2 = ProcessId::new(2);
+            c.note_read(p0);
+            c.note_read(p0);
+            c.note_write(p2, 5);
+            c.note_write(p2, 3);
+            assert_eq!(copied(&c), (vec![2, 0, 0], vec![0, 0, 2]), "{mode:?}");
+            assert_eq!(c.hwm_bits(), 5, "high-water mark keeps the max footprint");
+        }
+    }
+
+    #[test]
+    fn owned_register_keeps_one_write_cell() {
+        for mode in MODES {
+            let c = Counters::new(3, true, mode);
+            c.note_write(ProcessId::new(2), 1);
+            c.note_write(ProcessId::new(2), 1);
+            c.note_read(ProcessId::new(1));
+            assert_eq!(copied(&c), (vec![0, 1, 0], vec![2]), "{mode:?}");
+        }
     }
 
     #[test]
     fn initial_footprint_counts_no_write() {
-        let c = Counters::new(1, Instrumentation::Eager);
+        let c = Counters::new(1, true, Instrumentation::Eager);
         c.note_initial(17);
         assert_eq!(c.hwm_bits(), 17);
-        assert_eq!(c.writes_by(ProcessId::new(0)), 0);
+        assert_eq!(copied(&c).1, vec![0]);
     }
 
     #[test]
-    fn deferred_counters_are_invisible_until_flushed() {
-        let c = Counters::new(2, Instrumentation::Deferred);
+    fn deferred_counters_are_exact_with_no_flush_step() {
+        let c = Counters::new(2, false, Instrumentation::Deferred);
         let p0 = ProcessId::new(0);
         let p1 = ProcessId::new(1);
+        c.note_initial(4);
         c.note_read(p0);
         c.note_read(p0);
         c.note_write(p1, 9);
-        assert_eq!(c.reads_by(p0), 0, "scratch not flushed yet");
-        assert_eq!(c.writes_by(p1), 0);
-        c.flush();
-        assert_eq!(c.reads_by(p0), 2);
-        assert_eq!(c.writes_by(p1), 1);
-        assert_eq!(c.hwm_bits(), 9, "hwm flushed from scratch");
-        // Flush drains: a second flush adds nothing.
-        c.flush();
-        assert_eq!(c.reads_by(p0), 2);
-        assert_eq!(c.writes_by(p1), 1);
-    }
-
-    #[test]
-    fn deferred_accumulates_across_flushes() {
-        let c = Counters::new(1, Instrumentation::Deferred);
-        let p0 = ProcessId::new(0);
-        c.note_write(p0, 1);
-        c.flush();
-        c.note_write(p0, 21);
-        c.flush();
-        c.note_write(p0, 3);
-        c.flush();
-        assert_eq!(c.writes_by(p0), 3);
-        assert_eq!(c.hwm_bits(), 21, "hwm keeps the max across flushes");
+        assert_eq!(copied(&c), (vec![2, 0], vec![0, 1]), "visible immediately");
+        assert_eq!(c.hwm_bits(), 9);
+        c.note_write(p1, 3);
+        assert_eq!(
+            copied(&c).1,
+            vec![0, 2],
+            "reading the counters drains nothing"
+        );
+        assert_eq!(c.hwm_bits(), 9, "hwm keeps the max");
     }
 
     #[test]
     fn copy_into_matches_indexed_reads() {
-        let c = Counters::new(3, Instrumentation::Eager);
+        let c = Counters::new(3, false, Instrumentation::Eager);
         c.note_read(ProcessId::new(1));
         c.note_write(ProcessId::new(2), 1);
-        let mut reads = [0u64; 3];
-        let mut writes = [0u64; 3];
+        let (mut reads, mut writes) = (vec![7], vec![7]);
         c.copy_into(&mut reads, &mut writes);
-        assert_eq!(reads, [0, 1, 0]);
-        assert_eq!(writes, [0, 0, 1]);
+        assert_eq!(reads, [7, 0, 1, 0], "appended after what was there");
+        assert_eq!(writes, [7, 0, 0, 1]);
     }
 
     #[test]

@@ -101,9 +101,9 @@ impl MemorySpace {
 
     /// Creates an empty memory space with an explicit [`Instrumentation`]
     /// mode. [`Instrumentation::Deferred`] is for single-threaded drivers
-    /// (the simulator): counters accumulate in unsynchronized scratch and
-    /// flush at [`stats`](Self::stats) / [`footprint`](Self::footprint)
-    /// boundaries — see the mode's documentation for the exact contract.
+    /// (the simulator): counters are bumped with unsynchronized
+    /// load/add/store instead of atomic read-modify-writes — see the mode's
+    /// documentation for the exact contract.
     ///
     /// # Panics
     ///
@@ -628,19 +628,18 @@ impl MemorySpace {
                 return Arc::clone(&cached);
             }
         }
-        let rebuilt = Arc::new(SnapshotLayout {
-            names: regs.iter().map(|m| Arc::clone(m.name())).collect(),
-            owners: regs.iter().map(|m| m.owner()).collect(),
-        });
+        let rebuilt = Arc::new(SnapshotLayout::new(
+            self.inner.n_processes,
+            regs.iter().map(|m| (Arc::clone(m.name()), m.owner())),
+        ));
         *self.inner.layout.write() = Arc::clone(&rebuilt);
         rebuilt
     }
 
-    /// Takes a snapshot of all cumulative access counters.
-    ///
-    /// In [`Instrumentation::Deferred`] mode this is a flush boundary: all
-    /// scratch counters are folded into the shared atomics first, so the
-    /// snapshot is exact.
+    /// Takes a snapshot of all cumulative access counters. Exact at any
+    /// instant in both [`Instrumentation`] modes (under the single-threaded
+    /// use [`Instrumentation::Deferred`] is for): each count is stored
+    /// once, so there is nothing to flush first.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = StatsSnapshot::default();
@@ -649,47 +648,35 @@ impl MemorySpace {
     }
 
     /// Like [`stats`](Self::stats), but reuses `snap`'s counter buffers —
-    /// the checkpoint fast path for large spaces, where reallocating two
-    /// `registers × n` slabs per snapshot would dominate.
+    /// the checkpoint fast path for large spaces, where reallocating the
+    /// `registers × n` read slab per snapshot would dominate.
     pub fn stats_into(&self, snap: &mut StatsSnapshot) {
         let regs = self.inner.regs.read();
         let n = self.inner.n_processes;
-        let len = regs.len() * n;
         snap.n_processes = n;
         snap.layout = self.layout_for(&regs);
         snap.reads.clear();
-        snap.reads.resize(len, 0);
+        snap.reads.reserve(regs.len() * n);
         snap.writes.clear();
-        snap.writes.resize(len, 0);
-        for (r, meta) in regs.iter().enumerate() {
-            let counters = meta.counters();
-            counters.flush();
-            counters.copy_into(
-                &mut snap.reads[r * n..(r + 1) * n],
-                &mut snap.writes[r * n..(r + 1) * n],
-            );
+        snap.writes.reserve(snap.layout.write_cells());
+        for meta in regs.iter() {
+            meta.counters().copy_into(&mut snap.reads, &mut snap.writes);
         }
         snap.scan = self.inner.scan.snapshot();
     }
 
     /// Reports the bit-footprint of every register: current size and
-    /// high-water mark since creation. A flush boundary in deferred mode
-    /// (high-water marks accumulate in scratch too; only the mark is
-    /// flushed here — access counts flush at [`stats`](Self::stats)).
+    /// high-water mark since creation.
     #[must_use]
     pub fn footprint(&self) -> FootprintReport {
         let regs = self.inner.regs.read();
         let rows = regs
             .iter()
-            .map(|meta| {
-                let counters = meta.counters();
-                counters.flush_hwm();
-                FootprintRow {
-                    name: Arc::clone(meta.name()),
-                    owner: meta.owner(),
-                    hwm_bits: counters.hwm_bits(),
-                    current_bits: meta.current_bits(),
-                }
+            .map(|meta| FootprintRow {
+                name: Arc::clone(meta.name()),
+                owner: meta.owner(),
+                hwm_bits: meta.counters().hwm_bits(),
+                current_bits: meta.current_bits(),
             })
             .collect();
         FootprintReport::new(rows)

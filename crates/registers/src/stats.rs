@@ -17,13 +17,16 @@
 //!
 //! # Storage layout
 //!
-//! A snapshot is two flat `registers × processes` counter arrays plus a
-//! shared, immutable description of the register layout (interned names
-//! and owners, one [`Arc`] per space, reused by every snapshot). The flat
-//! form exists for speed: at n = 256 the Figure-2 layout is ~66 000
-//! registers, and the per-row `Vec`s this module used to allocate made one
-//! checkpoint cost ~130 000 heap allocations and a name clone each. Now a
-//! checkpoint is two slab allocations and an `Arc` bump, and
+//! A snapshot is two flat counter arrays plus a shared, immutable
+//! description of the register layout (interned names, owners and write
+//! offsets, one [`Arc`] per space, reused by every snapshot). Reads are a
+//! dense `registers × processes` slab. Writes are *owner-compact*: a 1WnR
+//! register has exactly one legal writer, so it contributes one cell; only
+//! nWnR registers contribute one cell per process. The flat form exists for
+//! speed: at n = 256 the Figure-2 layout is ~66 000 registers, and the
+//! per-row `Vec`s this module used to allocate made one checkpoint cost
+//! ~130 000 heap allocations and a name clone each. Now a checkpoint is two
+//! allocations and an `Arc` bump, and
 //! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into) can reuse
 //! even those across checkpoints.
 
@@ -33,15 +36,55 @@ use std::sync::Arc;
 use crate::{ProcessId, ProcessSet, ScanStats};
 
 /// Immutable description of a space's registers at some point in its
-/// creation order: interned names and owners, indexed by register id.
+/// creation order: interned names, owners and write offsets, indexed by
+/// register id.
 ///
 /// Built once per register-set size by the space and shared by every
 /// snapshot taken at that size (append-only: a layout for `k` registers is
 /// a prefix of any later layout of the same space).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SnapshotLayout {
     pub(crate) names: Vec<Arc<str>>,
     pub(crate) owners: Vec<Option<ProcessId>>,
+    /// Register `r`'s write cells are
+    /// `writes[write_offsets[r]..write_offsets[r + 1]]` — one cell when
+    /// owned, one per process otherwise. Always one entry more than there
+    /// are registers.
+    write_offsets: Vec<usize>,
+}
+
+impl Default for SnapshotLayout {
+    fn default() -> Self {
+        SnapshotLayout::new(0, std::iter::empty())
+    }
+}
+
+impl SnapshotLayout {
+    /// Lays out `registers` (name, owner — in creation order) of an
+    /// `n_processes` system.
+    pub(crate) fn new(
+        n_processes: usize,
+        registers: impl Iterator<Item = (Arc<str>, Option<ProcessId>)>,
+    ) -> Self {
+        let (mut names, mut owners, mut write_offsets) = (Vec::new(), Vec::new(), vec![0]);
+        let mut cells = 0;
+        for (name, owner) in registers {
+            cells += if owner.is_some() { 1 } else { n_processes };
+            names.push(name);
+            owners.push(owner);
+            write_offsets.push(cells);
+        }
+        SnapshotLayout {
+            names,
+            owners,
+            write_offsets,
+        }
+    }
+
+    /// Total write cells of a snapshot with this layout.
+    pub(crate) fn write_cells(&self) -> usize {
+        self.write_offsets[self.names.len()]
+    }
 }
 
 /// One register's counters within a snapshot — a borrowed view into the
@@ -54,8 +97,9 @@ pub struct RegisterRow<'a> {
     pub owner: Option<ProcessId>,
     /// Reads performed by each process (indexed by process).
     pub reads: &'a [u64],
-    /// Writes performed by each process (indexed by process).
-    pub writes: &'a [u64],
+    /// The owner's writes (one cell) for 1WnR registers, writes indexed by
+    /// process for nWnR registers.
+    writes: &'a [u64],
 }
 
 impl RegisterRow<'_> {
@@ -70,6 +114,27 @@ impl RegisterRow<'_> {
     pub fn total_writes(&self) -> u64 {
         self.writes.iter().sum()
     }
+
+    /// Writes to this register by `pid` — zero for everyone but the owner
+    /// of a 1WnR register.
+    #[must_use]
+    pub fn writes_by(&self, pid: ProcessId) -> u64 {
+        match self.owner {
+            Some(owner) if owner == pid => self.writes[0],
+            Some(_) => 0,
+            None => self.writes[pid.index()],
+        }
+    }
+}
+
+/// Reads and writes of every process summed over all registers, indexed by
+/// process ([`StatsSnapshot::per_process_totals`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProcessTotals {
+    /// `reads[p]` is what [`StatsSnapshot::reads_of`]`(p)` returns.
+    pub reads: Vec<u64>,
+    /// `writes[p]` is what [`StatsSnapshot::writes_of`]`(p)` returns.
+    pub writes: Vec<u64>,
 }
 
 /// A snapshot of every register's cumulative access counters.
@@ -95,7 +160,7 @@ pub struct StatsSnapshot {
     pub(crate) layout: Arc<SnapshotLayout>,
     /// `reads[reg * n_processes + pid]`, register-major.
     pub(crate) reads: Vec<u64>,
-    /// Same shape as `reads`.
+    /// Owner-compact, at the layout's write offsets.
     pub(crate) writes: Vec<u64>,
     pub(crate) scan: ScanStats,
 }
@@ -135,11 +200,12 @@ impl StatsSnapshot {
     /// Per-register rows, in register-creation order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = RegisterRow<'_>> + '_ {
         let n = self.n_processes;
+        let offsets = &self.layout.write_offsets;
         (0..self.register_count()).map(move |r| RegisterRow {
             name: &self.layout.names[r],
             owner: self.layout.owners[r],
             reads: &self.reads[r * n..(r + 1) * n],
-            writes: &self.writes[r * n..(r + 1) * n],
+            writes: &self.writes[offsets[r]..offsets[r + 1]],
         })
     }
 
@@ -155,29 +221,61 @@ impl StatsSnapshot {
         self.writes.iter().sum()
     }
 
-    fn strided_sum(flat: &[u64], n: usize, pid: ProcessId) -> u64 {
-        flat.iter().skip(pid.index()).step_by(n.max(1)).sum()
-    }
-
     /// Reads performed by `pid` across all registers.
     #[must_use]
     pub fn reads_of(&self, pid: ProcessId) -> u64 {
-        Self::strided_sum(&self.reads, self.n_processes, pid)
+        let n = self.n_processes.max(1);
+        self.reads.iter().skip(pid.index()).step_by(n).sum()
     }
 
     /// Writes performed by `pid` across all registers.
     #[must_use]
     pub fn writes_of(&self, pid: ProcessId) -> u64 {
-        Self::strided_sum(&self.writes, self.n_processes, pid)
+        self.rows().map(|row| row.writes_by(pid)).sum()
     }
 
-    fn active_set(&self, flat: &[u64]) -> ProcessSet {
-        let mut set = ProcessSet::new(self.n_processes);
-        for row in flat.chunks_exact(self.n_processes.max(1)) {
-            for (i, &count) in row.iter().enumerate() {
-                if count > 0 {
-                    set.insert(ProcessId::new(i));
+    fn read_totals(&self) -> Vec<u64> {
+        let mut totals = vec![0; self.n_processes];
+        for row in self.reads.chunks_exact(self.n_processes.max(1)) {
+            for (total, count) in totals.iter_mut().zip(row) {
+                *total += count;
+            }
+        }
+        totals
+    }
+
+    fn write_totals(&self) -> Vec<u64> {
+        let mut totals = vec![0; self.n_processes];
+        for row in self.rows() {
+            match row.owner {
+                Some(owner) => totals[owner.index()] += row.writes[0],
+                None => {
+                    for (total, count) in totals.iter_mut().zip(row.writes) {
+                        *total += count;
+                    }
                 }
+            }
+        }
+        totals
+    }
+
+    /// Every process's [`reads_of`](Self::reads_of) and
+    /// [`writes_of`](Self::writes_of) at once, in one sequential pass over
+    /// the counters — asking per process instead walks the whole read slab
+    /// once per process, with a stride that defeats the cache.
+    #[must_use]
+    pub fn per_process_totals(&self) -> ProcessTotals {
+        ProcessTotals {
+            reads: self.read_totals(),
+            writes: self.write_totals(),
+        }
+    }
+
+    fn active_set(totals: &[u64]) -> ProcessSet {
+        let mut set = ProcessSet::new(totals.len());
+        for (i, &count) in totals.iter().enumerate() {
+            if count > 0 {
+                set.insert(ProcessId::new(i));
             }
         }
         set
@@ -186,13 +284,13 @@ impl StatsSnapshot {
     /// The set of processes that performed at least one write.
     #[must_use]
     pub fn writer_set(&self) -> ProcessSet {
-        self.active_set(&self.writes)
+        Self::active_set(&self.write_totals())
     }
 
     /// The set of processes that performed at least one read.
     #[must_use]
     pub fn reader_set(&self) -> ProcessSet {
-        self.active_set(&self.reads)
+        Self::active_set(&self.read_totals())
     }
 
     /// Names of registers written at least once, in creation order.
@@ -213,8 +311,8 @@ impl StatsSnapshot {
     /// # Panics
     ///
     /// Panics if `earlier` has more registers than `self` or the shared
-    /// prefix of registers does not match by name (snapshots from different
-    /// spaces).
+    /// prefix of registers does not match by name and owner (snapshots from
+    /// different spaces).
     #[must_use]
     pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         assert!(
@@ -222,13 +320,15 @@ impl StatsSnapshot {
             "earlier snapshot has more registers than later one"
         );
         if !Arc::ptr_eq(&self.layout, &earlier.layout) {
-            // Different layout generations: verify the shared name prefix.
-            for (a, b) in self.layout.names.iter().zip(&earlier.layout.names) {
-                assert!(
-                    Arc::ptr_eq(a, b) || a == b,
-                    "snapshots from different spaces"
-                );
-            }
+            // Different layout generations: verify the shared prefix (the
+            // owners too — they fix where each register's writes sit).
+            let (mine, theirs) = (&self.layout, &earlier.layout);
+            let same_names =
+                (mine.names.iter().zip(&theirs.names)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
+            assert!(
+                same_names && mine.owners[..theirs.owners.len()] == theirs.owners[..],
+                "snapshots from different spaces"
+            );
         }
         let mut out = self.clone();
         for (a, b) in out.reads.iter_mut().zip(&earlier.reads) {
@@ -251,7 +351,7 @@ impl fmt::Display for StatsSnapshot {
         )?;
         for row in self.rows() {
             let writers: Vec<String> = ProcessId::all(self.n_processes)
-                .filter(|p| row.writes[p.index()] > 0)
+                .filter(|p| row.writes_by(*p) > 0)
                 .map(|p| p.to_string())
                 .collect();
             writeln!(
@@ -341,6 +441,88 @@ mod tests {
         let _ = s1.nat_register("A", p(0), 0);
         let _ = s2.nat_register("B", p(0), 0);
         let _ = s2.stats().delta_since(&s1.stats());
+    }
+
+    #[test]
+    #[should_panic(expected = "different spaces")]
+    fn delta_rejects_same_names_under_other_owners() {
+        // Owners fix where a register's write cells sit, so a name match
+        // alone does not make two snapshots comparable.
+        let s1 = MemorySpace::new(2);
+        let s2 = MemorySpace::new(2);
+        let _ = s1.nat_register("A", p(0), 0);
+        let _ = s2.mwmr::<u64>("A", 0);
+        let _ = s2.stats().delta_since(&s1.stats());
+    }
+
+    /// Owned and nWnR registers interleaved, a foreign-process reader, and
+    /// one register created after the first snapshot.
+    fn mixed_space() -> (MemorySpace, StatsSnapshot) {
+        let s = MemorySpace::new(3);
+        let a = s.nat_register("A", p(2), 0);
+        let m = s.mwmr::<u64>("M", 0);
+        let b = s.nat_register("B", p(0), 0);
+        a.write(p(2), 1);
+        m.write(p(1), 1);
+        m.write(p(2), 2);
+        b.write(p(0), 1);
+        b.read(p(1));
+        let early = s.stats();
+        let late_reg = s.mwmr::<u64>("N", 0);
+        late_reg.write(p(0), 9);
+        m.write(p(1), 3);
+        a.write(p(2), 2);
+        a.read(p(0));
+        (s, early)
+    }
+
+    #[test]
+    fn write_rows_are_owner_compact() {
+        let (s, _) = mixed_space();
+        let snap = s.stats();
+        let widths: Vec<usize> = snap.rows().map(|r| r.writes.len()).collect();
+        assert_eq!(widths, [1, 3, 1, 3], "one cell when owned, n otherwise");
+        assert_eq!(snap.writes.len(), 8);
+        let by: Vec<Vec<u64>> = snap
+            .rows()
+            .map(|r| ProcessId::all(3).map(|q| r.writes_by(q)).collect())
+            .collect();
+        assert_eq!(
+            by,
+            [[0, 0, 2], [0, 2, 1], [1, 0, 0], [1, 0, 0]],
+            "A by p2, M by p1 and p2, B by p0, N by p0"
+        );
+        assert_eq!(snap.total_writes(), 7);
+        assert_eq!(snap.written_registers(), ["A", "M", "B", "N"]);
+    }
+
+    #[test]
+    fn per_process_totals_match_per_process_queries() {
+        let (s, early) = mixed_space();
+        let late = s.stats();
+        for snap in [&early, &late, &late.delta_since(&early)] {
+            let totals = snap.per_process_totals();
+            for q in ProcessId::all(3) {
+                assert_eq!(totals.reads[q.index()], snap.reads_of(q), "reads of {q}");
+                assert_eq!(totals.writes[q.index()], snap.writes_of(q), "writes of {q}");
+            }
+            assert_eq!(totals.reads.iter().sum::<u64>(), snap.total_reads());
+            assert_eq!(totals.writes.iter().sum::<u64>(), snap.total_writes());
+        }
+        assert_eq!(late.per_process_totals().writes, [2, 2, 3]);
+        assert_eq!(late.per_process_totals().reads, [1, 1, 0]);
+    }
+
+    #[test]
+    fn delta_subtracts_ragged_rows_and_keeps_later_registers() {
+        let (s, early) = mixed_space();
+        let delta = s.stats().delta_since(&early);
+        assert_eq!(delta.per_process_totals().writes, [1, 1, 1]);
+        assert_eq!(delta.written_registers(), ["A", "M", "N"]);
+        let writers: Vec<_> = delta.writer_set().iter().collect();
+        assert_eq!(writers, [p(0), p(1), p(2)]);
+        let readers: Vec<_> = delta.reader_set().iter().collect();
+        assert_eq!(readers, [p(0)]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl<T: RegisterValue, C: SharedCell<T>> RegCore<T, C> {
         block: Option<BlockSlot>,
         mask: Arc<PartitionMask>,
     ) -> Arc<Self> {
-        let counters = Counters::new(n_processes, mode);
+        let counters = Counters::new(n_processes, owner.is_some(), mode);
         counters.note_initial(initial.footprint_bits());
         if let Some(slot) = &block {
             // Fresh blocks read as zero; only a non-zero initial value needs
@@ -390,6 +390,26 @@ mod tests {
             r.read(ProcessId::new(0)),
             "failed write must not change value"
         );
+    }
+
+    #[test]
+    fn rejected_write_counts_nothing_in_either_mode() {
+        use crate::Instrumentation::{Deferred, Eager};
+        for mode in [Eager, Deferred] {
+            let s = MemorySpace::with_instrumentation(3, mode);
+            let r = s.nat_register("X", ProcessId::new(1), 4);
+            assert!(r.try_write(ProcessId::new(0), 1 << 40).is_err());
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.write(ProcessId::new(2), 1 << 40);
+            }));
+            assert!(panicked.is_err(), "{mode:?}: foreign write must panic");
+            let snap = s.stats();
+            assert_eq!(snap.total_writes(), 0, "{mode:?}");
+            assert_eq!(snap.per_process_totals().writes, [0, 0, 0], "{mode:?}");
+            assert!(snap.writer_set().is_empty(), "{mode:?}");
+            assert_eq!(s.footprint().total_hwm_bits(), 3, "{mode:?}: initial only");
+            assert_eq!(r.peek(), 4, "{mode:?}: value untouched");
+        }
     }
 
     #[test]

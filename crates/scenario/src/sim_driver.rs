@@ -89,6 +89,7 @@ impl Driver for SimDriver {
 fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> Outcome {
     let stabilization = report.stabilization();
     let stats = space.stats();
+    let totals = stats.per_process_totals();
     let n = scenario.n;
     let chaos = scenario.campaign.as_ref().map(|_| {
         let c = report.chaos;
@@ -153,12 +154,8 @@ fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> O
         estimate_changes: omega_registers::ProcessId::all(n)
             .map(|p| report.timeline.changes_of(p))
             .collect(),
-        reads: omega_registers::ProcessId::all(n)
-            .map(|p| stats.reads_of(p))
-            .collect(),
-        writes: omega_registers::ProcessId::all(n)
-            .map(|p| stats.writes_of(p))
-            .collect(),
+        reads: totals.reads,
+        writes: totals.writes,
         reads_skipped: stats.scan().reads_skipped,
         shard_passes: stats.scan().shard_passes,
         elapsed_ms: report.wall.elapsed_ms(),

@@ -158,13 +158,19 @@ pub enum CrashSpec {
 /// larger scenarios belong on the cooperative backend.
 pub const THREAD_MAX_N: usize = 16;
 
-/// Largest system the deterministic simulator admits. The literal
-/// realization keeps a per-process `SuspicionCache`-style mirror of the
-/// whole `n × n` suspicion matrix — `O(n³)` words across the system — and
-/// pre-stabilization scans cost `O(n²)` per tick, so n = 512 already runs
-/// minutes and tens of gigabytes where n = 256 takes seconds. Larger
-/// systems are exactly what the sharded cooperative pool exists for, so
-/// the sim refuses them loudly instead of thrashing.
+/// Largest system the deterministic simulator admits. Three structures
+/// of the literal realization are `O(n³)` words: the per-process read
+/// counters of the `n² + 2n` registers, every retained statistics
+/// checkpoint (a dense copy of those counters — a run keeps its
+/// `stats_checkpoints` plus four), and the per-process
+/// `SuspicionCache` mirrors of the `n × n` suspicion matrix. At n = 256
+/// each is ≈ 135 MB and `n-scaling-256` peaks at 1.3 GB, four fifths of
+/// it checkpoints; n = 512 is eight times that, and pre-stabilization
+/// scans cost `O(n²)` per tick besides. (The mirrors alone were blamed
+/// until PR 13 measured them at 17 MB of 387 at n = 128 — ROADMAP open
+/// item 3 has the breakdown.) Larger systems are exactly what the sharded
+/// cooperative pool exists for, so the sim refuses them loudly instead of
+/// thrashing.
 pub const SIM_MAX_N: usize = 256;
 
 /// Largest system the cooperative wall-clock backend records *on a small

@@ -280,7 +280,7 @@ impl WallPacing {
             None => (None, Vec::new()),
         };
 
-        let stats = cluster.space().stats();
+        let totals = cluster.space().stats().per_process_totals();
         // One snapshot for both fields, so they describe the same instant.
         let scan = cluster.scan_stats();
         // Injection here is wall-timed, so tick accounting is the planned
@@ -321,8 +321,8 @@ impl WallPacing {
             correct: cluster.correct(),
             steps: cluster.steps(),
             estimate_changes,
-            reads: ProcessId::all(n).map(|p| stats.reads_of(p)).collect(),
-            writes: ProcessId::all(n).map(|p| stats.writes_of(p)).collect(),
+            reads: totals.reads,
+            writes: totals.writes,
             reads_skipped: scan.reads_skipped,
             shard_passes: scan.shard_passes,
             elapsed_ms,

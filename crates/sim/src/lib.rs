@@ -35,12 +35,12 @@
 //!   [`MemorySpace`](omega_registers::MemorySpace) counts register
 //!   accesses either *eagerly* (an atomic read-modify-write per access;
 //!   correct under any concurrency, used by the OS-thread runtime) or
-//!   *deferred* (`omega_registers::Instrumentation::Deferred`: plain
-//!   unsynchronized scratch updates, flushed into the shared counters at
-//!   every `stats()`/`footprint()` snapshot). The simulation loop is
-//!   single-threaded, so the deferred mode is exact here — checkpointed
-//!   snapshots are equal tick-for-tick to eager ones (asserted by the
-//!   `deferred_instrumentation` parity tests) — and
+//!   *deferred* (`omega_registers::Instrumentation::Deferred`: a plain
+//!   unsynchronized load/add/store on the same counters, so there is
+//!   nothing to flush before a `stats()`/`footprint()` snapshot). The
+//!   simulation loop is single-threaded, so the deferred mode is exact
+//!   here — checkpointed snapshots are equal tick-for-tick to eager ones
+//!   (asserted by the `deferred_instrumentation` parity tests) — and
 //!   `OmegaVariant::build` therefore defaults to it for simulator actors,
 //!   while `build_processes` (the thread-runtime path) stays eager.
 
