@@ -22,8 +22,9 @@
 //!
 //! # Scaling past n ≈ 32
 //!
-//! Two further read-avoidance layers keep `leader()` and `T3` cheap when
-//! `n` reaches the hundreds, without changing what is elected:
+//! Two read-avoidance layers keep `leader()` and `T3` cheap when `n`
+//! reaches the hundreds, without changing what is elected, and a third
+//! makes the reads that remain cheap:
 //!
 //! * **Epoch-validated suspicion cache** — the `SUSPICIONS` matrix is an
 //!   [`EpochedNatMatrix`]: every suspicion write bumps its row's epoch, and
@@ -38,6 +39,28 @@
 //!   slows by the (constant) shard count — the eventual-leadership argument
 //!   is unaffected. Systems with `n ≤ ` [`T3_SHARD_SIZE`] scan exactly as
 //!   in Figure 2.
+//! * **Range reads over register banks** — Lemma 6 says the reads of a
+//!   slice pass can never go away (every correct non-leader reads shared
+//!   memory forever), so after stabilization a run's work *is* this scan.
+//!   `PROGRESS`, `STOP` and each `SUSPICIONS` row are one
+//!   [bank](omega_registers::SwmrArray) apiece — adjacent value cells,
+//!   reader-major read counters — and a pass reads `STOP[slice]` and then
+//!   `PROGRESS[slice]` as two range reads (seven cache lines for 16
+//!   processes, against on the order of a hundred when every register was
+//!   its own allocation), with the same per-(reader, register) counts as
+//!   reading slot by slot. The own slot is mirrored locally (§3.2) and must
+//!   be neither read nor counted, so the slice is split around it.
+//!
+//!   Reading all of `STOP[slice]` *before* any of `PROGRESS[slice]` keeps
+//!   the one ordering Figure 2 depends on: each `STOP[k]` (line 15) is read
+//!   before its `PROGRESS[k]` (line 16). A new leader executes line 8
+//!   (`PROGRESS[k]++`) and then line 9 (`STOP[k] ← false`); a scanner that
+//!   sees `STOP[k] = false` therefore reads `PROGRESS[k]` after the
+//!   increment that preceded the flag and finds it fresh. Read the other
+//!   way round, a wall-clock scanner could take `PROGRESS[k]` before line
+//!   8 and `STOP[k]` after line 9 — stale progress with the flag already
+//!   low — and suspect a leader that had just started heartbeating. (In
+//!   the simulator a pass is one atomic step and no order is observable.)
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -171,6 +194,48 @@ impl ShardCursor {
         let end = (start + self.shard).min(self.n);
         self.next = if end >= self.n { 0 } else { end };
         start..end
+    }
+}
+
+/// Lines 15–16 for every `k ≠ reader` in `shard`, shared by
+/// [`Alg1Process`] and [`MwmrProcess`](crate::MwmrProcess) (their
+/// `STOP`/`PROGRESS` arrays are the same layout): range-reads `STOP` and
+/// then `PROGRESS` on behalf of `reader` — in that order: every `STOP[k]`
+/// is read before its `PROGRESS[k]` (module docs) — and hands
+/// `(k, STOP[k], PROGRESS[k])` to `visit`. The shard is split around the
+/// reader's own slot, which is neither read nor counted (a range read
+/// counts every slot it covers). Values pass through the stack,
+/// [`T3_SHARD_SIZE`] at a time, so a wider-than-default shard costs no
+/// per-process scratch.
+pub(crate) fn scan_heartbeats(
+    stop: &FlagArray,
+    progress: &NatArray,
+    reader: ProcessId,
+    shard: std::ops::Range<usize>,
+    mut visit: impl FnMut(ProcessId, bool, u64),
+) {
+    let own = reader.index();
+    let parts = if shard.contains(&own) {
+        [shard.start..own, own + 1..shard.end]
+    } else {
+        [shard, 0..0]
+    };
+    let (mut stop_buf, mut progress_buf) = ([false; T3_SHARD_SIZE], [0; T3_SHARD_SIZE]);
+    for part in parts {
+        let mut start = part.start;
+        while start < part.end {
+            let chunk = start..part.end.min(start + T3_SHARD_SIZE);
+            let (stop_buf, progress_buf) = (
+                &mut stop_buf[..chunk.len()],
+                &mut progress_buf[..chunk.len()],
+            );
+            stop.read_range_into(reader, chunk.clone(), stop_buf);
+            progress.read_range_into(reader, chunk.clone(), progress_buf);
+            for ((k, &stop_k), &progress_k) in chunk.clone().zip(&*stop_buf).zip(&*progress_buf) {
+                visit(ProcessId::new(k), stop_k, progress_k);
+            }
+            start = chunk.end;
+        }
     }
 }
 
@@ -470,32 +535,33 @@ impl OmegaProcess for Alg1Process {
         // The scan below may change `candidates` and the own suspicion row
         // — both election inputs.
         self.election.set(None);
-        for idx in self.t3_cursor.advance() {
-            let k = ProcessId::new(idx);
-            if k == self.pid {
-                continue;
-            }
-            // Lines 15–16.
-            let stop_k = self.mem.stop.get(k).read(self.pid);
-            let progress_k = self.mem.progress.get(k).read(self.pid);
-            let fresh = !self.last_valid[k.index()] || progress_k != self.last[k.index()];
-            if fresh {
-                // Lines 17–19: k made progress — it is a live candidate.
-                self.candidates.insert(k);
-                self.last[k.index()] = progress_k;
-                self.last_valid[k.index()] = true;
-            } else if stop_k {
-                // Lines 20–21: k resigned voluntarily.
-                self.candidates.remove(k);
-            } else if self.candidates.contains(k) {
-                // Lines 22–24: suspect k.
-                let bumped = self.my_suspicions[k.index()] + 1;
-                self.my_suspicions[k.index()] = bumped;
-                self.my_suspicions_max = self.my_suspicions_max.max(bumped);
-                self.mem.suspicions.write(self.pid, k, self.pid, bumped);
-                self.candidates.remove(k);
-            }
-        }
+        let (mem, shard) = (&*self.mem, self.t3_cursor.advance());
+        // Lines 15–16, for every k of the shard but this process.
+        scan_heartbeats(
+            &mem.stop,
+            &mem.progress,
+            self.pid,
+            shard,
+            |k, stop_k, progress_k| {
+                let fresh = !self.last_valid[k.index()] || progress_k != self.last[k.index()];
+                if fresh {
+                    // Lines 17–19: k made progress — it is a live candidate.
+                    self.candidates.insert(k);
+                    self.last[k.index()] = progress_k;
+                    self.last_valid[k.index()] = true;
+                } else if stop_k {
+                    // Lines 20–21: k resigned voluntarily.
+                    self.candidates.remove(k);
+                } else if self.candidates.contains(k) {
+                    // Lines 22–24: suspect k.
+                    let bumped = self.my_suspicions[k.index()] + 1;
+                    self.my_suspicions[k.index()] = bumped;
+                    self.my_suspicions_max = self.my_suspicions_max.max(bumped);
+                    mem.suspicions.write(self.pid, k, self.pid, bumped);
+                    self.candidates.remove(k);
+                }
+            },
+        );
         self.mem.suspicions.counters().note_shard_pass();
         // Line 27 — computed entirely from owned (mirrored) registers.
         self.my_suspicions_max + self.timeout_slack
@@ -709,6 +775,122 @@ mod tests {
         let _ = proc.on_timer_expire(); // silent + STOP low → suspicion 42
         assert_eq!(mem.peek_suspicions(p(0), p(1)), 42);
         assert_eq!(proc.initial_timeout(), 43);
+    }
+
+    #[test]
+    fn a_pass_neither_reads_nor_counts_its_own_slots() {
+        // n = 4 fits one shard, so every pass covers the own slot; n = 40
+        // puts it at the edge of, inside and outside the pass's shard as
+        // the cursor rotates.
+        for (n, pid, passes) in [(4, 1, 3), (40, 16, 6), (40, 21, 6), (40, 39, 6)] {
+            let (space, _mem, mut procs) = system(n);
+            for _ in 0..passes {
+                let _ = procs[pid].on_timer_expire();
+            }
+            let rotations = (passes / n.div_ceil(T3_SHARD_SIZE)) as u64;
+            let stats = space.stats();
+            for row in stats.rows() {
+                let scanned = row.name.starts_with("STOP[") || row.name.starts_with("PROGRESS[");
+                let expected = match row.owner {
+                    Some(owner) if scanned && owner != p(pid) => rotations,
+                    _ => 0,
+                };
+                assert_eq!(
+                    row.reads[pid], expected,
+                    "n={n}: p{pid} reading {}",
+                    row.name
+                );
+            }
+        }
+    }
+
+    /// An instant block device that runs a hook just before serving its
+    /// `fire_at`-th attributed read — the probe that lets a test execute
+    /// another process's step *between* two reads of one `T3` pass.
+    #[derive(Default)]
+    struct ProbeDevice {
+        blocks: omega_registers::sync::Mutex<std::collections::HashMap<u64, u64>>,
+        reads: std::sync::atomic::AtomicUsize,
+        fire_at: std::sync::atomic::AtomicUsize,
+        hook: omega_registers::sync::Mutex<Option<Box<dyn FnMut() + Send>>>,
+    }
+
+    impl std::fmt::Debug for ProbeDevice {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("ProbeDevice")
+        }
+    }
+
+    impl omega_registers::BlockDevice for ProbeDevice {
+        fn read_block(&self, addr: u64) -> u64 {
+            use std::sync::atomic::Ordering::SeqCst;
+            if self.reads.fetch_add(1, SeqCst) + 1 == self.fire_at.load(SeqCst) {
+                // Taken out first: the hook's own register accesses come
+                // back through this device.
+                let hook = self.hook.lock().take();
+                if let Some(mut hook) = hook {
+                    hook();
+                }
+            }
+            self.peek_block(addr)
+        }
+
+        fn write_block(&self, addr: u64, value: u64) {
+            self.poke_block(addr, value);
+        }
+
+        fn peek_block(&self, addr: u64) -> u64 {
+            *self.blocks.lock().get(&addr).unwrap_or(&0)
+        }
+
+        fn poke_block(&self, addr: u64, value: u64) {
+            self.blocks.lock().insert(addr, value);
+        }
+    }
+
+    #[test]
+    fn a_pass_racing_lines_8_and_9_does_not_suspect_the_new_leader() {
+        use std::sync::atomic::Ordering::SeqCst;
+        // p2 scans {p0, p1}: STOP[0], STOP[1], then PROGRESS[0],
+        // PROGRESS[1]. `fire_at` places p0's lines 8–9 (`PROGRESS[0]++`,
+        // then `STOP[0] ← false`) before the pass's k-th read.
+        for fire_at in 1..=4 {
+            let device = Arc::new(ProbeDevice::default());
+            let space = MemorySpace::with_block_device(3, Arc::clone(&device) as _);
+            let mem = Alg1Memory::new(&space);
+            let mut leader = Alg1Process::new(Arc::clone(&mem), p(0));
+            let mut scanner = Alg1Process::new(Arc::clone(&mem), p(2));
+            // First pass: p2 records PROGRESS[0] = 0 as seen; p0 has not
+            // started (STOP[0] is still raised).
+            let _ = scanner.on_timer_expire();
+            assert!(scanner.candidates().contains(p(0)));
+
+            *device.hook.lock() = Some(Box::new(move || leader.t2_step()));
+            device
+                .fire_at
+                .store(device.reads.load(SeqCst) + fire_at, SeqCst);
+            let _ = scanner.on_timer_expire();
+            assert!(
+                device.hook.lock().is_none(),
+                "fire_at={fire_at}: the race ran"
+            );
+            assert_eq!((mem.peek_progress(p(0)), mem.peek_stop(p(0))), (1, false));
+            // Whatever the pass saw of STOP[0] — raised (the writes landed
+            // after its read) or lowered — it must not have suspected p0:
+            // a lowered flag is only ever read before the progress that
+            // preceded it.
+            assert_eq!(
+                mem.peek_suspicions(p(2), p(0)),
+                0,
+                "fire_at={fire_at}: spurious suspicion of a leader that just heartbeat"
+            );
+            // Not vacuous: once p0 really goes silent with its flag
+            // lowered, at most two further passes suspect it (the first
+            // may still be catching up with the heartbeat).
+            let _ = scanner.on_timer_expire();
+            let _ = scanner.on_timer_expire();
+            assert_eq!(mem.peek_suspicions(p(2), p(0)), 1, "fire_at={fire_at}");
+        }
     }
 
     #[test]

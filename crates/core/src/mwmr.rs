@@ -15,7 +15,7 @@ use omega_registers::{
     EpochedMwmrNatArray, FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet,
 };
 
-use crate::alg1::{ShardCursor, T3_SHARD_SIZE};
+use crate::alg1::{scan_heartbeats, ShardCursor, T3_SHARD_SIZE};
 use crate::candidates::{elect_least_suspected, CandidateInit};
 use crate::OmegaProcess;
 
@@ -238,28 +238,32 @@ impl OmegaProcess for MwmrProcess {
         // The scan below may change `candidates` and the shared counters —
         // election inputs.
         self.election.set(None);
-        for idx in self.t3_cursor.advance() {
-            let k = ProcessId::new(idx);
-            if k == self.pid {
-                continue;
-            }
-            let stop_k = self.mem.stop.get(k).read(self.pid);
-            let progress_k = self.mem.progress.get(k).read(self.pid);
-            let fresh = !self.last_valid[k.index()] || progress_k != self.last[k.index()];
-            if fresh {
-                self.candidates.insert(k);
-                self.last[k.index()] = progress_k;
-                self.last_valid[k.index()] = true;
-            } else if stop_k {
-                self.candidates.remove(k);
-            } else if self.candidates.contains(k) {
-                // Read-increment-write on the shared counter; increments may
-                // race and be lost, which the variant tolerates.
-                let bumped = self.mem.suspicions.get(k.index()).read(self.pid) + 1;
-                self.mem.suspicions.write(k.index(), self.pid, bumped);
-                self.candidates.remove(k);
-            }
-        }
+        let (mem, shard) = (&*self.mem, self.t3_cursor.advance());
+        // `STOP[shard]` then `PROGRESS[shard]` around the own slot, as in
+        // [`Alg1Process`](crate::Alg1Process) (see its module docs for why
+        // in that order).
+        scan_heartbeats(
+            &mem.stop,
+            &mem.progress,
+            self.pid,
+            shard,
+            |k, stop_k, progress_k| {
+                let fresh = !self.last_valid[k.index()] || progress_k != self.last[k.index()];
+                if fresh {
+                    self.candidates.insert(k);
+                    self.last[k.index()] = progress_k;
+                    self.last_valid[k.index()] = true;
+                } else if stop_k {
+                    self.candidates.remove(k);
+                } else if self.candidates.contains(k) {
+                    // Read-increment-write on the shared counter; increments
+                    // may race and be lost, which the variant tolerates.
+                    let bumped = mem.suspicions.get(k.index()).read(self.pid) + 1;
+                    mem.suspicions.write(k.index(), self.pid, bumped);
+                    self.candidates.remove(k);
+                }
+            },
+        );
         self.mem.suspicions.counters().note_shard_pass();
         // Line 27 analogue: the timeout tracks the largest suspicion count
         // this process can observe — from the epoch-validated cache, so
@@ -342,6 +346,17 @@ mod tests {
         mem.suspicions.poke(0, 50);
         mem.suspicions.poke(1, 10);
         assert_eq!(procs[2].leader(), p(2), "cache must see the poked counters");
+    }
+
+    #[test]
+    fn a_pass_neither_reads_nor_counts_its_own_slots() {
+        let (space, _m, mut procs) = system(5);
+        let _ = procs[3].on_timer_expire();
+        let stats = space.stats();
+        for row in stats.rows().filter(|row| row.owner.is_some()) {
+            let own = row.owner == Some(p(3));
+            assert_eq!(row.reads[3], u64::from(!own), "p3 reading {}", row.name);
+        }
     }
 
     #[test]

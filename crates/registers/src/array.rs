@@ -1,9 +1,23 @@
-//! Register arrays: one register per process.
+//! Register arrays: one register per process, one bank per array.
+//!
+//! An array is a single [bank](crate::swmr) — contiguous value cells,
+//! reader-major read counters — plus one `(bank, slot)` handle per slot
+//! for register-at-a-time access ([`SwmrArray::get`]). Scans should not
+//! walk the handles: [`SwmrArray::read_range_into`] performs the same
+//! attributed reads (same values, same per-(reader, register) counts, on
+//! SAN the same `read_block` per slot in slot order) as calling
+//! [`read`](SwmrRegister::read) on each slot of the range, but resolves
+//! the partition mask once and walks adjacent memory. A scan that must
+//! not read its own slot splits the range around it — a range read counts
+//! every slot it covers.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::cell::{LockCell, SharedCell};
-use crate::swmr::{MwmrRegister, SwmrRegister};
+use crate::meta::BankMeta;
+use crate::swmr::{Bank, MwmrRegister, SwmrRegister};
 use crate::value::RegisterValue;
 use crate::ProcessId;
 
@@ -26,12 +40,19 @@ use crate::ProcessId;
 /// assert!(stop.get(ProcessId::new(2)).read(p1));
 /// ```
 pub struct SwmrArray<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    bank: Arc<Bank<T, C>>,
     regs: Vec<SwmrRegister<T, C>>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
-    pub(crate) fn from_regs(regs: Vec<SwmrRegister<T, C>>) -> Self {
-        SwmrArray { regs }
+    /// Views every slot of a 1WnR `bank`. Also the row type of
+    /// [`OwnedMatrix`](crate::OwnedMatrix), where who owns slot `i` is the
+    /// bank's business, not necessarily `p_i`.
+    pub(crate) fn over(bank: Arc<Bank<T, C>>) -> Self {
+        let regs = (0..bank.counters().len())
+            .map(|slot| SwmrRegister::view(&bank, slot))
+            .collect();
+        SwmrArray { bank, regs }
     }
 
     /// The register owned by process `pid`.
@@ -64,8 +85,20 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
             .map(|(i, r)| (ProcessId::new(i), r))
     }
 
-    /// Batch-reads every slot into `out` on behalf of `reader` — one
-    /// attributed read per slot, in identity order.
+    /// Batch-reads the slots in `range` into `out` on behalf of `reader` —
+    /// one attributed read per slot, in identity order, exactly as if
+    /// [`read`](SwmrRegister::read) were called on each (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` leaves the array or `out.len() != range.len()`.
+    #[inline]
+    pub fn read_range_into(&self, reader: ProcessId, range: Range<usize>, out: &mut [T]) {
+        self.bank.read_range_into(reader, range, out);
+    }
+
+    /// Batch-reads every slot into `out` on behalf of `reader` — the
+    /// full-array [`read_range_into`](Self::read_range_into).
     ///
     /// # Panics
     ///
@@ -76,15 +109,14 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
             self.regs.len(),
             "snapshot buffer must hold every slot"
         );
-        for (slot, reg) in out.iter_mut().zip(&self.regs) {
-            *slot = reg.read(reader);
-        }
+        self.read_range_into(reader, 0..self.regs.len(), out);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrArray<T, C> {
     fn clone(&self) -> Self {
         SwmrArray {
+            bank: Arc::clone(&self.bank),
             regs: self.regs.clone(),
         }
     }
@@ -101,12 +133,17 @@ impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrArray<T, C> {
 /// Used by the Section 3.5 variant where each `SUSPICIONS[·][k]` column
 /// becomes a single multi-writer register `SUSPICIONS[k]`.
 pub struct MwmrArray<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    bank: Arc<Bank<T, C>>,
     regs: Vec<MwmrRegister<T, C>>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
-    pub(crate) fn from_regs(regs: Vec<MwmrRegister<T, C>>) -> Self {
-        MwmrArray { regs }
+    /// Views every slot of an nWnR `bank`.
+    pub(crate) fn over(bank: Arc<Bank<T, C>>) -> Self {
+        let regs = (0..bank.counters().len())
+            .map(|slot| MwmrRegister::view(&bank, slot))
+            .collect();
+        MwmrArray { bank, regs }
     }
 
     /// The register at position `index`.
@@ -136,6 +173,17 @@ impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
         self.regs.iter()
     }
 
+    /// Batch-reads the registers in `range` into `out` on behalf of
+    /// `reader` (see [`SwmrArray::read_range_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` leaves the array or `out.len() != range.len()`.
+    #[inline]
+    pub fn read_range_into(&self, reader: ProcessId, range: Range<usize>, out: &mut [T]) {
+        self.bank.read_range_into(reader, range, out);
+    }
+
     /// Batch-reads every register into `out` on behalf of `reader`.
     ///
     /// # Panics
@@ -147,15 +195,14 @@ impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
             self.regs.len(),
             "snapshot buffer must hold every slot"
         );
-        for (slot, reg) in out.iter_mut().zip(&self.regs) {
-            *slot = reg.read(reader);
-        }
+        self.read_range_into(reader, 0..self.regs.len(), out);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for MwmrArray<T, C> {
     fn clone(&self) -> Self {
         MwmrArray {
+            bank: Arc::clone(&self.bank),
             regs: self.regs.clone(),
         }
     }

@@ -71,10 +71,12 @@ impl SharedCell<u64> for AtomicNatCell {
         AtomicNatCell(AtomicU64::new(initial))
     }
 
+    #[inline]
     fn load(&self) -> u64 {
         self.0.load(Ordering::SeqCst)
     }
 
+    #[inline]
     fn store(&self, value: u64) {
         self.0.store(value, Ordering::SeqCst);
     }
@@ -89,10 +91,12 @@ impl SharedCell<bool> for AtomicFlagCell {
         AtomicFlagCell(AtomicBool::new(initial))
     }
 
+    #[inline]
     fn load(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
 
+    #[inline]
     fn store(&self, value: bool) {
         self.0.store(value, Ordering::SeqCst);
     }

@@ -1,7 +1,18 @@
 //! The `SUSPICIONS`-style register matrix: row `i` owned by process `p_i`.
+//!
+//! A matrix is `n` [banks](crate::swmr), one per row: row `r`'s `n` value
+//! cells are adjacent and its read counters are one reader-major block, so
+//! [`OwnedMatrix::read_row_into`] — what every `SUSPICIONS` cache refresh
+//! is made of — is one range read over adjacent memory. The row is the
+//! bank because the row is what gets scanned; a column read
+//! (`PROGRESS[k][i]` for all `k` in Figure 5) visits one slot in each of
+//! `n` banks, as it visited `n` registers before. Per-row banks also keep
+//! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into)'s transpose
+//! working on an `n × n` tile at a time.
 
 use std::fmt;
 
+use crate::array::SwmrArray;
 use crate::cell::{LockCell, SharedCell};
 use crate::swmr::SwmrRegister;
 use crate::value::RegisterValue;
@@ -30,8 +41,9 @@ use crate::ProcessId;
 /// assert_eq!(susp.get(p0, p1).read(p1), 3);
 /// ```
 pub struct OwnedMatrix<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
-    /// `regs[row][col]`.
-    regs: Vec<Vec<SwmrRegister<T, C>>>,
+    /// `rows[row]` views the row's bank; who owns `[row][col]` is the
+    /// bank's business (`p_row` or `p_col`, per [`OwnerAxis`]).
+    rows: Vec<SwmrArray<T, C>>,
 }
 
 /// Which index of a matrix entry `M[r][c]` names the owning process.
@@ -45,8 +57,8 @@ pub enum OwnerAxis {
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
-    pub(crate) fn from_regs(regs: Vec<Vec<SwmrRegister<T, C>>>) -> Self {
-        OwnedMatrix { regs }
+    pub(crate) fn from_rows(rows: Vec<SwmrArray<T, C>>) -> Self {
+        OwnedMatrix { rows }
     }
 
     /// The register at `[row][col]`.
@@ -56,58 +68,53 @@ impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn get(&self, row: ProcessId, col: ProcessId) -> &SwmrRegister<T, C> {
-        &self.regs[row.index()][col.index()]
+        self.rows[row.index()].get(col)
     }
 
     /// Matrix dimension `n`.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.regs.len()
+        self.rows.len()
     }
 
     /// Iterates over `(row, col, register)` in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessId, &SwmrRegister<T, C>)> {
-        self.regs.iter().enumerate().flat_map(|(r, row)| {
-            row.iter()
-                .enumerate()
-                .map(move |(c, reg)| (ProcessId::new(r), ProcessId::new(c), reg))
-        })
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(r, row)| row.iter().map(move |(c, reg)| (ProcessId::new(r), c, reg)))
     }
 
     /// Iterates over the registers of one row.
     pub fn row(&self, row: ProcessId) -> impl Iterator<Item = (ProcessId, &SwmrRegister<T, C>)> {
-        self.regs[row.index()]
-            .iter()
-            .enumerate()
-            .map(|(c, reg)| (ProcessId::new(c), reg))
+        self.rows[row.index()].iter()
     }
 
     /// Iterates over the registers of one column.
     pub fn column(&self, col: ProcessId) -> impl Iterator<Item = (ProcessId, &SwmrRegister<T, C>)> {
-        self.regs
+        self.rows
             .iter()
             .enumerate()
-            .map(move |(r, row)| (ProcessId::new(r), &row[col.index()]))
+            .map(move |(r, row)| (ProcessId::new(r), row.get(col)))
     }
 
     /// Batch-reads the whole `row` into `out` on behalf of `reader` — one
-    /// attributed read per column.
+    /// attributed read per column, as one range read of the row's bank
+    /// (see [`SwmrArray::read_range_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != n()` or `row` is out of range.
     pub fn read_row_into(&self, row: ProcessId, reader: ProcessId, out: &mut [T]) {
         assert_eq!(out.len(), self.n(), "snapshot buffer must hold a full row");
-        for (slot, reg) in out.iter_mut().zip(&self.regs[row.index()]) {
-            *slot = reg.read(reader);
-        }
+        self.rows[row.index()].read_range_into(reader, 0..out.len(), out);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for OwnedMatrix<T, C> {
     fn clone(&self) -> Self {
         OwnedMatrix {
-            regs: self.regs.clone(),
+            rows: self.rows.clone(),
         }
     }
 }
@@ -115,9 +122,9 @@ impl<T: RegisterValue, C: SharedCell<T>> Clone for OwnedMatrix<T, C> {
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for OwnedMatrix<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "OwnedMatrix(n={})", self.n())?;
-        for (r, row) in self.regs.iter().enumerate() {
+        for (r, row) in self.rows.iter().enumerate() {
             write!(f, "  row {r}: [")?;
-            for reg in row {
+            for (_, reg) in row.iter() {
                 write!(f, " {:?}", reg.peek())?;
             }
             writeln!(f, " ]")?;

@@ -29,12 +29,14 @@ impl ProcessId {
     ///
     /// Panics if `index` does not fit in `u32`.
     #[must_use]
+    #[inline]
     pub fn new(index: usize) -> Self {
         ProcessId(u32::try_from(index).expect("process index exceeds u32"))
     }
 
     /// Zero-based index of this process, usable for array indexing.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -140,6 +142,7 @@ impl ProcessSet {
     /// # Panics
     ///
     /// Panics if `pid.index() >= capacity`.
+    #[inline]
     pub fn insert(&mut self, pid: ProcessId) -> bool {
         let i = pid.index();
         assert!(
@@ -154,6 +157,7 @@ impl ProcessSet {
     }
 
     /// Removes `pid`; returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, pid: ProcessId) -> bool {
         let i = pid.index();
         if i >= self.capacity {
@@ -161,12 +165,19 @@ impl ProcessSet {
         }
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         let was = self.bits[word] & bit != 0;
-        self.bits[word] &= !bit;
+        if was {
+            // Only a real removal stores: a `T3` pass removes the same
+            // resigned processes again every time, and fifteen
+            // read-modify-writes of one word form a chain through memory
+            // where fifteen loads of it do not.
+            self.bits[word] &= !bit;
+        }
         was
     }
 
     /// Whether `pid` is in the set.
     #[must_use]
+    #[inline]
     pub fn contains(&self, pid: ProcessId) -> bool {
         let i = pid.index();
         i < self.capacity && self.bits[i / 64] & (1u64 << (i % 64)) != 0
@@ -186,9 +197,15 @@ impl ProcessSet {
 
     /// Iterates over the members in increasing identity order.
     pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        (0..self.capacity)
-            .filter(|&i| self.bits[i / 64] & (1u64 << (i % 64)) != 0)
-            .map(ProcessId::new)
+        // Word by word, lowest set bit first: the cost follows the members,
+        // not the capacity (a stabilized candidate set holds two).
+        self.bits.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| ProcessId::new(w * 64 + rest.trailing_zeros() as usize))
+        })
     }
 
     /// The smallest member, if any.

@@ -89,17 +89,20 @@ impl ScanCounters {
     }
 
     /// Records that a clean row/slot spared `reads` shared reads.
+    #[inline]
     pub fn note_skipped(&self, rows: u64, reads: u64) {
         self.add(&self.rows_skipped, rows);
         self.add(&self.reads_skipped, reads);
     }
 
     /// Records one batched row/array snapshot.
+    #[inline]
     pub fn note_snapshot(&self) {
         self.add(&self.snapshot_batches, 1);
     }
 
     /// Records one sharded `T3` scan pass.
+    #[inline]
     pub fn note_shard_pass(&self) {
         self.add(&self.shard_passes, 1);
     }
@@ -165,6 +168,7 @@ impl Epochs {
         }
     }
 
+    #[inline]
     fn bump(&self, index: usize) {
         self.versions[index].fetch_add(1, Ordering::Release);
         self.global.fetch_add(1, Ordering::Release);
@@ -185,10 +189,12 @@ impl Epochs {
             .fetch_add(self.versions.len() as u64, Ordering::Release);
     }
 
+    #[inline]
     fn load(&self, index: usize) -> u64 {
         self.versions[index].load(Ordering::Acquire)
     }
 
+    #[inline]
     fn load_global(&self) -> u64 {
         self.global.load(Ordering::Acquire)
     }

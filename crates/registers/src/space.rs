@@ -1,6 +1,5 @@
 //! The shared memory space: register factory, registry, and reporting root.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::sync::RwLock;
@@ -11,10 +10,10 @@ use crate::cell::{AtomicFlagCell, AtomicNatCell, LockCell, SharedCell};
 use crate::chaos::PartitionMask;
 use crate::footprint::{FootprintReport, FootprintRow};
 use crate::matrix::OwnedMatrix;
-use crate::meta::{Instrumentation, RegisterId, RegisterMeta};
+use crate::meta::{BankMeta, Instrumentation};
 use crate::shard::{EpochedArray, EpochedMatrix, ScanCounters};
 use crate::stats::{SnapshotLayout, StatsSnapshot};
-use crate::swmr::{BlockSlot, MwmrRegister, RegCore, SwmrRegister};
+use crate::swmr::{Bank, BankSpec, BlockSlots, MwmrRegister, Owners, SwmrRegister};
 use crate::value::RegisterValue;
 use crate::ProcessId;
 
@@ -37,20 +36,28 @@ pub type EpochedNatMatrix = EpochedMatrix<u64, AtomicNatCell>;
 /// Epoch-tracked lock-free nWnR natural-number array (§3.5 suspicions).
 pub type EpochedMwmrNatArray = EpochedArray<u64, AtomicNatCell>;
 
+/// Every bank created so far, in creation order — which is register order
+/// too: a bank's slots are consecutive registers.
+#[derive(Default)]
+struct Registry {
+    banks: Vec<Arc<dyn BankMeta>>,
+    /// Registers in `banks` (the next bank's first [`RegisterId`](crate::RegisterId)).
+    registers: usize,
+}
+
 struct SpaceInner {
     n_processes: usize,
     mode: Instrumentation,
-    regs: RwLock<Vec<Arc<dyn RegisterMeta>>>,
+    registry: RwLock<Registry>,
     /// Interned register names/owners shared by every snapshot; rebuilt
     /// (append-only) when registers were created since the last snapshot.
     layout: RwLock<Arc<SnapshotLayout>>,
-    next_id: AtomicUsize,
     scan: Arc<ScanCounters>,
     /// When set, registers live on disk blocks of this device instead of
     /// local cells, laid out by `block_map`.
     backing: Option<Arc<dyn BlockDevice>>,
     block_map: Arc<BlockMap>,
-    /// The chaos-campaign partition mask shared by every register.
+    /// The chaos-campaign partition mask shared by every bank.
     chaos: Arc<PartitionMask>,
     /// Epoch tables of every epoched structure created in this space.
     /// Partition install/heal bumps them all: a visibility cut changes
@@ -141,16 +148,15 @@ impl MemorySpace {
             inner: Arc::new(SpaceInner {
                 n_processes,
                 mode,
-                regs: RwLock::new(Vec::new()),
+                registry: RwLock::new(Registry::default()),
                 layout: RwLock::new(Arc::new(SnapshotLayout::default())),
-                next_id: AtomicUsize::new(0),
                 scan: Arc::new(match mode {
                     Instrumentation::Eager => ScanCounters::new(),
                     Instrumentation::Deferred => ScanCounters::new_unsync(),
                 }),
                 backing,
                 block_map: Arc::new(BlockMap::new()),
-                chaos: Arc::new(PartitionMask::new()),
+                chaos: Arc::new(PartitionMask::new(n_processes)),
                 epochs: RwLock::new(Vec::new()),
             }),
         }
@@ -166,29 +172,74 @@ impl MemorySpace {
             .map(|_| Arc::clone(&self.inner.block_map))
     }
 
-    /// Binds the next block for register `name` on the backing device, if
-    /// this space is disk-backed.
+    /// Binds the next blocks, one per name in order, on the backing
+    /// device, if this space is disk-backed.
     ///
     /// # Panics
     ///
     /// Panics if the space is disk-backed and `T` cannot be block-encoded:
     /// silently keeping such a register in memory would corrupt the disk
     /// accounting the SAN experiments measure.
-    fn bind_block<T: RegisterValue>(
+    fn bind_blocks<T: RegisterValue>(
         &self,
-        name: &str,
-        owner: Option<ProcessId>,
-    ) -> Option<BlockSlot> {
+        names: &[impl AsRef<str>],
+        owners: Owners,
+    ) -> Option<BlockSlots> {
         let device = self.inner.backing.as_ref()?;
         assert!(
             T::BLOCK_ENCODABLE,
-            "register {name}: value type {} cannot live on a disk block",
+            "register {}: value type {} cannot live on a disk block",
+            names.first().map_or("", AsRef::as_ref),
             std::any::type_name::<T>()
         );
-        Some(BlockSlot {
+        let bind = |(slot, name): (usize, &_)| {
+            (self.inner.block_map).bind(AsRef::as_ref(name), owners.of(slot))
+        };
+        Some(BlockSlots {
             device: Arc::clone(device),
-            addr: self.inner.block_map.bind(name, owner),
+            addrs: names.iter().enumerate().map(bind).collect(),
         })
+    }
+
+    /// Creates and registers the bank holding `initial`, slot `i` named
+    /// `names[i]` and owned per `owners`.
+    fn bank<T, C>(
+        &self,
+        names: &[impl AsRef<str>],
+        owners: Owners,
+        initial: &[T],
+    ) -> Arc<Bank<T, C>>
+    where
+        T: RegisterValue,
+        C: SharedCell<T>,
+    {
+        let n = self.inner.n_processes;
+        match owners {
+            Owners::Shared => {}
+            Owners::Uniform(owner) => {
+                assert!(owner.index() < n, "owner {owner} out of range for n={n}")
+            }
+            Owners::Identity => assert!(initial.len() <= n, "a slot per process, at most"),
+        }
+        // Under the registry lock from id to push, so that ids are registry
+        // positions whatever other threads create meanwhile. No caller's
+        // code runs in here: `initial` is already evaluated.
+        let mut registry = self.inner.registry.write();
+        let bank = Bank::<T, C>::new(
+            BankSpec {
+                first_id: registry.registers,
+                owners,
+                n_processes: n,
+                mode: self.inner.mode,
+                block: self.bind_blocks::<T>(names, owners),
+                mask: Arc::clone(&self.inner.chaos),
+            },
+            names,
+            initial,
+        );
+        registry.registers += initial.len();
+        registry.banks.push(bank.clone());
+        bank
     }
 
     /// Number of processes `n` of the system this memory serves.
@@ -206,15 +257,7 @@ impl MemorySpace {
     /// Number of registers created so far.
     #[must_use]
     pub fn register_count(&self) -> usize {
-        self.inner.regs.read().len()
-    }
-
-    fn next_id(&self) -> RegisterId {
-        RegisterId(self.inner.next_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn register(&self, meta: Arc<dyn RegisterMeta>) {
-        self.inner.regs.write().push(meta);
+        self.inner.registry.read().registers
     }
 
     /// Creates a 1WnR register with an explicit storage cell type.
@@ -223,24 +266,12 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        assert!(
-            owner.index() < self.inner.n_processes,
-            "owner {owner} out of range for n={}",
-            self.inner.n_processes
+        let bank = self.bank(
+            &[name],
+            Owners::Uniform(owner),
+            std::slice::from_ref(&initial),
         );
-        let core = RegCore::<T, C>::new(
-            name.to_string(),
-            self.next_id(),
-            Some(owner),
-            self.inner.n_processes,
-            self.inner.mode,
-            initial,
-            self.bind_block::<T>(name, Some(owner)),
-            Arc::clone(&self.inner.chaos),
-        );
-        let reg = SwmrRegister::from_core(core);
-        self.register(reg.meta());
-        reg
+        SwmrRegister::view(&bank, 0)
     }
 
     /// Creates a 1WnR register owned by `owner` (lock-backed storage).
@@ -259,19 +290,8 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let core = RegCore::<T, C>::new(
-            name.to_string(),
-            self.next_id(),
-            None,
-            self.inner.n_processes,
-            self.inner.mode,
-            initial,
-            self.bind_block::<T>(name, None),
-            Arc::clone(&self.inner.chaos),
-        );
-        let reg = MwmrRegister::from_core(core);
-        self.register(reg.meta());
-        reg
+        let bank = self.bank(&[name], Owners::Shared, std::slice::from_ref(&initial));
+        MwmrRegister::view(&bank, 0)
     }
 
     /// Creates an nWnR register (lock-backed storage).
@@ -280,20 +300,20 @@ impl MemorySpace {
     }
 
     /// Creates an array `NAME[0..n]` of 1WnR registers, slot `i` owned by
-    /// `p_i` and initialized to `init(p_i)`.
+    /// `p_i` and initialized to `init(p_i)` — one bank.
     pub fn swmr_array_cell<T, C>(
         &self,
         name: &str,
-        mut init: impl FnMut(ProcessId) -> T,
+        init: impl FnMut(ProcessId) -> T,
     ) -> SwmrArray<T, C>
     where
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let regs = ProcessId::all(self.inner.n_processes)
-            .map(|pid| self.swmr_cell::<T, C>(&format!("{name}[{}]", pid.index()), pid, init(pid)))
-            .collect();
-        SwmrArray::from_regs(regs)
+        let n = self.inner.n_processes;
+        let names: Vec<String> = (0..n).map(|i| format!("{name}[{i}]")).collect();
+        let initial: Vec<T> = ProcessId::all(n).map(init).collect();
+        SwmrArray::over(self.bank(&names, Owners::Identity, &initial))
     }
 
     /// Lock-backed convenience form of [`swmr_array_cell`](Self::swmr_array_cell).
@@ -305,21 +325,21 @@ impl MemorySpace {
         self.swmr_array_cell::<T, LockCell<T>>(name, init)
     }
 
-    /// Creates an nWnR array `NAME[0..len]` initialized to `init(i)`.
+    /// Creates an nWnR array `NAME[0..len]` initialized to `init(i)` —
+    /// one bank.
     pub fn mwmr_array_cell<T, C>(
         &self,
         name: &str,
         len: usize,
-        mut init: impl FnMut(usize) -> T,
+        init: impl FnMut(usize) -> T,
     ) -> MwmrArray<T, C>
     where
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let regs = (0..len)
-            .map(|i| self.mwmr_cell::<T, C>(&format!("{name}[{i}]"), init(i)))
-            .collect();
-        MwmrArray::from_regs(regs)
+        let names: Vec<String> = (0..len).map(|i| format!("{name}[{i}]")).collect();
+        let initial: Vec<T> = (0..len).map(init).collect();
+        MwmrArray::over(self.bank(&names, Owners::Shared, &initial))
     }
 
     /// Lock-backed convenience form of [`mwmr_array_cell`](Self::mwmr_array_cell).
@@ -332,11 +352,12 @@ impl MemorySpace {
         self.mwmr_array_cell::<T, LockCell<T>>(name, len, init)
     }
 
-    /// Creates an `n × n` matrix `NAME[r][c]` where entry `[r][c]` is owned
-    /// by the **row** process `p_r` (the `SUSPICIONS` layout).
-    pub fn row_matrix_cell<T, C>(
+    /// Creates the `n × n` matrix `NAME[r][c]`, one bank per row, row `r`
+    /// owned per `owners(r)`.
+    fn matrix_cell<T, C>(
         &self,
         name: &str,
+        owners: impl Fn(usize) -> Owners,
         mut init: impl FnMut(usize, usize) -> T,
     ) -> OwnedMatrix<T, C>
     where
@@ -344,20 +365,26 @@ impl MemorySpace {
         C: SharedCell<T>,
     {
         let n = self.inner.n_processes;
-        let regs = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|c| {
-                        self.swmr_cell::<T, C>(
-                            &format!("{name}[{r}][{c}]"),
-                            ProcessId::new(r),
-                            init(r, c),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        OwnedMatrix::from_regs(regs)
+        let row = |r| {
+            let names: Vec<String> = (0..n).map(|c| format!("{name}[{r}][{c}]")).collect();
+            let initial: Vec<T> = (0..n).map(|c| init(r, c)).collect();
+            SwmrArray::over(self.bank(&names, owners(r), &initial))
+        };
+        OwnedMatrix::from_rows((0..n).map(row).collect())
+    }
+
+    /// Creates an `n × n` matrix `NAME[r][c]` where entry `[r][c]` is owned
+    /// by the **row** process `p_r` (the `SUSPICIONS` layout).
+    pub fn row_matrix_cell<T, C>(
+        &self,
+        name: &str,
+        init: impl FnMut(usize, usize) -> T,
+    ) -> OwnedMatrix<T, C>
+    where
+        T: RegisterValue,
+        C: SharedCell<T>,
+    {
+        self.matrix_cell(name, |r| Owners::Uniform(ProcessId::new(r)), init)
     }
 
     /// Lock-backed convenience form of [`row_matrix_cell`](Self::row_matrix_cell).
@@ -375,27 +402,13 @@ impl MemorySpace {
     pub fn column_matrix_cell<T, C>(
         &self,
         name: &str,
-        mut init: impl FnMut(usize, usize) -> T,
+        init: impl FnMut(usize, usize) -> T,
     ) -> OwnedMatrix<T, C>
     where
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let n = self.inner.n_processes;
-        let regs = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|c| {
-                        self.swmr_cell::<T, C>(
-                            &format!("{name}[{r}][{c}]"),
-                            ProcessId::new(c),
-                            init(r, c),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        OwnedMatrix::from_regs(regs)
+        self.matrix_cell(name, |_| Owners::Identity, init)
     }
 
     /// Lock-backed convenience form of [`column_matrix_cell`](Self::column_matrix_cell).
@@ -534,10 +547,10 @@ impl MemorySpace {
         }
         // Freeze before activating, so severed readers observe a snapshot
         // no older than the cut.
-        for meta in self.inner.regs.read().iter() {
-            meta.freeze();
+        for bank in &self.inner.registry.read().banks {
+            bank.freeze();
         }
-        self.inner.chaos.install(table);
+        self.inner.chaos.install(&table);
         self.invalidate_epoch_caches();
     }
 
@@ -577,10 +590,10 @@ impl MemorySpace {
         }
         // Freeze before activating, so severed readers observe a snapshot
         // no older than the cut.
-        for meta in self.inner.regs.read().iter() {
-            meta.freeze();
+        for bank in &self.inner.registry.read().banks {
+            bank.freeze();
         }
-        self.inner.chaos.install_directed(table);
+        self.inner.chaos.install_directed(&table);
         self.invalidate_epoch_caches();
     }
 
@@ -618,20 +631,21 @@ impl MemorySpace {
     // Reporting.
     // ------------------------------------------------------------------
 
-    /// The interned layout (names, owners) covering the first `count`
-    /// registers, rebuilding the cached one if registers were created
+    /// The interned layout (names, owners) covering the registers of
+    /// `registry`, rebuilding the cached one if registers were created
     /// since. Call with the registry lock held.
-    fn layout_for(&self, regs: &[Arc<dyn RegisterMeta>]) -> Arc<SnapshotLayout> {
+    fn layout_for(&self, registry: &Registry) -> Arc<SnapshotLayout> {
         {
             let cached = self.inner.layout.read();
-            if cached.names.len() == regs.len() {
+            if cached.names.len() == registry.registers {
                 return Arc::clone(&cached);
             }
         }
-        let rebuilt = Arc::new(SnapshotLayout::new(
-            self.inner.n_processes,
-            regs.iter().map(|m| (Arc::clone(m.name()), m.owner())),
-        ));
+        let slots = registry.banks.iter().flat_map(|bank| {
+            (0..bank.counters().len())
+                .map(move |slot| (Arc::clone(bank.name(slot)), bank.owner(slot)))
+        });
+        let rebuilt = Arc::new(SnapshotLayout::new(self.inner.n_processes, slots));
         *self.inner.layout.write() = Arc::clone(&rebuilt);
         rebuilt
     }
@@ -650,17 +664,35 @@ impl MemorySpace {
     /// Like [`stats`](Self::stats), but reuses `snap`'s counter buffers —
     /// the checkpoint fast path for large spaces, where reallocating the
     /// `registers × n` read slab per snapshot would dominate.
+    ///
+    /// The snapshot is register-major while the banks count reader-major,
+    /// so each bank's read block is transposed on the way out — one
+    /// `n × len` tile at a time, small enough to stay cache-resident
+    /// between its row-wise loads and its column-wise stores.
     pub fn stats_into(&self, snap: &mut StatsSnapshot) {
-        let regs = self.inner.regs.read();
+        let registry = self.inner.registry.read();
         let n = self.inner.n_processes;
         snap.n_processes = n;
-        snap.layout = self.layout_for(&regs);
-        snap.reads.clear();
-        snap.reads.reserve(regs.len() * n);
-        snap.writes.clear();
-        snap.writes.reserve(snap.layout.write_cells());
-        for meta in regs.iter() {
-            meta.counters().copy_into(&mut snap.reads, &mut snap.writes);
+        snap.layout = self.layout_for(&registry);
+        // Every cell is overwritten below, so a reused buffer of the right
+        // size is not even cleared, and a fresh one comes zeroed from the
+        // allocator (`vec!`) instead of being zero-filled a second time.
+        let overwritable = |buf: &mut Vec<u64>, len: usize| {
+            if buf.capacity() < len {
+                *buf = vec![0; len];
+            } else {
+                buf.resize(len, 0);
+            }
+        };
+        overwritable(&mut snap.reads, registry.registers * n);
+        overwritable(&mut snap.writes, snap.layout.write_cells());
+        let (mut reads, mut writes) = (&mut snap.reads[..], &mut snap.writes[..]);
+        for bank in &registry.banks {
+            let counters = bank.counters();
+            let (bank_reads, later_reads) = reads.split_at_mut(counters.len() * n);
+            let (bank_writes, later_writes) = writes.split_at_mut(counters.write_cells());
+            counters.copy_into(bank_reads, bank_writes);
+            (reads, writes) = (later_reads, later_writes);
         }
         snap.scan = self.inner.scan.snapshot();
     }
@@ -669,16 +701,17 @@ impl MemorySpace {
     /// high-water mark since creation.
     #[must_use]
     pub fn footprint(&self) -> FootprintReport {
-        let regs = self.inner.regs.read();
-        let rows = regs
-            .iter()
-            .map(|meta| FootprintRow {
-                name: Arc::clone(meta.name()),
-                owner: meta.owner(),
-                hwm_bits: meta.counters().hwm_bits(),
-                current_bits: meta.current_bits(),
-            })
-            .collect();
+        let registry = self.inner.registry.read();
+        let mut rows = Vec::with_capacity(registry.registers);
+        for bank in &registry.banks {
+            let counters = bank.counters();
+            rows.extend((0..counters.len()).map(|slot| FootprintRow {
+                name: Arc::clone(bank.name(slot)),
+                owner: bank.owner(slot),
+                hwm_bits: counters.hwm_bits(slot),
+                current_bits: bank.current_bits(slot),
+            }));
+        }
         FootprintReport::new(rows)
     }
 }

@@ -1,144 +1,340 @@
-//! One-writer/multi-reader and multi-writer/multi-reader atomic registers.
+//! One-writer/multi-reader and multi-writer/multi-reader atomic registers,
+//! and the *banks* that store them.
+//!
+//! # Banks
+//!
+//! Registers are not allocated one at a time. A [`Bank`] is the storage of
+//! one array (`PROGRESS`, `STOP`, an nWnR array) or one matrix row: `len`
+//! slots whose live value cells are contiguous, whose frozen cells are
+//! contiguous, and whose counters are one block with the read cells
+//! reader-major (see [`crate::meta`]). A scalar register is the length-1
+//! bank (stored inline, so it costs no allocation a lone register would
+//! not). [`SwmrRegister`] and [`MwmrRegister`] are `(bank, slot)` views:
+//! cloning one clones an `Arc`, and every view of a slot shares its cell.
+//!
+//! The layout is chosen for the access pattern Lemma 6 makes permanent:
+//! every correct non-leader reads shared memory forever, and what it reads
+//! is a *range* of one array per pass (`STOP[shard]`, `PROGRESS[shard]`, a
+//! `SUSPICIONS` row). With one allocation per register such a pass chases
+//! a pointer per slot — handle, cell, counter block, mask — and touches
+//! on the order of a hundred scattered cache lines for 16 slots; over a
+//! bank it touches the 16 adjacent value cells and the reader's 16
+//! adjacent read cells.
+//!
+//! # One read routine
+//!
+//! Every attributed read — a single [`SwmrRegister::read`], an array
+//! range, a matrix row snapshot — is [`Bank::read_range`]; a single read
+//! is the length-1 range. The routine bumps the reader's contiguous
+//! counter slice, resolves the partition mask **once** (the reader's
+//! group; per-slot owner-group compares only while a mask is installed),
+//! then loads the values in slot order, in runs of slots that agree on
+//! being severed — one run, outside a chaos phase. On a block-backed
+//! (SAN) bank each slot is still one `read_block`, issued in slot order,
+//! so device accounting cannot tell a range read from the same reads
+//! issued singly.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::block::BlockDevice;
 use crate::cell::{LockCell, SharedCell};
 use crate::chaos::PartitionMask;
 use crate::error::OwnershipError;
-use crate::meta::{Counters, RegisterId, RegisterMeta};
+use crate::meta::{BankMeta, Counters, RegisterId};
 use crate::value::RegisterValue;
-use crate::ProcessId;
+use crate::{Instrumentation, ProcessId};
 
-/// Where a disk-backed register lives: which device, which block.
-pub(crate) struct BlockSlot {
+/// Where a disk-backed bank lives: which device, which block per slot.
+pub(crate) struct BlockSlots {
     pub(crate) device: Arc<dyn BlockDevice>,
-    pub(crate) addr: u64,
+    pub(crate) addrs: Box<[u64]>,
 }
 
-/// Shared core of a register handle: cell + metadata + counters.
-///
-/// The name is interned (`Arc<str>`) so statistics and footprint snapshots
-/// share it instead of cloning a `String` per register per checkpoint.
+/// Who may write each slot of a bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Owners {
+    /// nWnR: anyone writes, no reader is ever severed.
+    Shared,
+    /// Every slot is owned by one process — a row of a row-owned matrix,
+    /// or a scalar 1WnR register.
+    Uniform(ProcessId),
+    /// Slot `i` is owned by `p_i` — `PROGRESS`/`STOP`-style arrays and the
+    /// rows of a column-owned matrix.
+    Identity,
+}
+
+impl Owners {
+    #[inline]
+    pub(crate) fn of(self, slot: usize) -> Option<ProcessId> {
+        match self {
+            Owners::Shared => None,
+            Owners::Uniform(owner) => Some(owner),
+            Owners::Identity => Some(ProcessId::new(slot)),
+        }
+    }
+}
+
+/// Per-slot storage of a bank: inline for the length-1 bank, so a scalar
+/// register pays for no allocation (and no byte) beyond what a lone
+/// register needs — the consensus log creates them by the ten thousand —
+/// and one boxed run per kind of cell otherwise.
+enum Slots<C> {
+    One {
+        live: C,
+        frozen: C,
+        name: Arc<str>,
+    },
+    Many {
+        live: Box<[C]>,
+        frozen: Box<[C]>,
+        names: Box<[Arc<str>]>,
+    },
+}
+
+impl<C> Slots<C> {
+    fn new<T: Clone>(initial: &[T], names: &[impl AsRef<str>]) -> Self
+    where
+        C: SharedCell<T>,
+    {
+        let cell = |value: &T| C::with_value(value.clone());
+        let name = |name: &_| Arc::from(AsRef::as_ref(name));
+        match (initial, names) {
+            ([value], [only]) => Slots::One {
+                live: cell(value),
+                frozen: cell(value),
+                name: name(only),
+            },
+            _ => Slots::Many {
+                live: initial.iter().map(cell).collect(),
+                frozen: initial.iter().map(cell).collect(),
+                names: names.iter().map(name).collect(),
+            },
+        }
+    }
+
+    /// The live value cells, adjacent, in slot order.
+    #[inline]
+    fn live(&self) -> &[C] {
+        match self {
+            Slots::One { live, .. } => std::slice::from_ref(live),
+            Slots::Many { live, .. } => live,
+        }
+    }
+
+    /// The snapshots served to severed readers while a partition is
+    /// installed; refreshed by [`BankMeta::freeze`] at each cut. A second
+    /// run of typed cells (not encoded bits) because not every value type
+    /// is block-encodable.
+    #[inline]
+    fn frozen(&self) -> &[C] {
+        match self {
+            Slots::One { frozen, .. } => std::slice::from_ref(frozen),
+            Slots::Many { frozen, .. } => frozen,
+        }
+    }
+
+    /// Names are interned (`Arc<str>`) so statistics and footprint
+    /// snapshots share them instead of cloning a `String` per register per
+    /// checkpoint.
+    fn names(&self) -> &[Arc<str>] {
+        match self {
+            Slots::One { name, .. } => std::slice::from_ref(name),
+            Slots::Many { names, .. } => names,
+        }
+    }
+}
+
+/// Storage of `len` registers created together: cells + metadata +
+/// counters (module docs).
 ///
 /// When `block` is bound (disk-backed spaces) the device serves the
-/// authoritative value and the local cell is unused; everything else —
+/// authoritative values and the live cells are unused; everything else —
 /// ownership, attribution, footprint accounting — is identical, which is
 /// what makes SAN outcomes directly comparable to in-memory ones.
-pub(crate) struct RegCore<T, C> {
-    cell: C,
-    block: Option<BlockSlot>,
-    /// Snapshot served to severed readers while a partition is installed;
-    /// refreshed by [`RegisterMeta::freeze`] at each cut. A second typed
-    /// cell (not encoded bits) because not every `T` is block-encodable.
-    frozen: C,
+pub(crate) struct Bank<T, C> {
+    slots: Slots<C>,
+    /// Boxed: one word on the in-memory banks that never bind one.
+    block: Option<Box<BlockSlots>>,
     mask: Arc<PartitionMask>,
-    name: Arc<str>,
-    id: RegisterId,
-    owner: Option<ProcessId>,
+    /// Slot `i` is register `first_id + i` of its space.
+    first_id: usize,
+    owners: Owners,
     counters: Counters,
     _marker: std::marker::PhantomData<fn() -> T>,
 }
 
-impl<T: RegisterValue, C: SharedCell<T>> RegCore<T, C> {
-    // One argument per construction-time fact; only `MemorySpace::build`
-    // calls this, so a builder would be ceremony without a second caller.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        name: String,
-        id: RegisterId,
-        owner: Option<ProcessId>,
-        n_processes: usize,
-        mode: crate::Instrumentation,
-        initial: T,
-        block: Option<BlockSlot>,
-        mask: Arc<PartitionMask>,
-    ) -> Arc<Self> {
-        let counters = Counters::new(n_processes, owner.is_some(), mode);
-        counters.note_initial(initial.footprint_bits());
-        if let Some(slot) = &block {
-            // Fresh blocks read as zero; only a non-zero initial value needs
-            // seeding, and seeding is harness-side (no latency, no counts).
-            let encoded = initial.to_block();
-            if encoded != 0 {
-                slot.device.poke_block(slot.addr, encoded);
+/// The construction-time facts of a bank that do not depend on its value
+/// type; only `MemorySpace` builds one.
+pub(crate) struct BankSpec {
+    pub(crate) first_id: usize,
+    pub(crate) owners: Owners,
+    pub(crate) n_processes: usize,
+    pub(crate) mode: Instrumentation,
+    pub(crate) block: Option<BlockSlots>,
+    pub(crate) mask: Arc<PartitionMask>,
+}
+
+impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
+    /// A bank of `initial.len()` registers, slot `i` named `names[i]` and
+    /// holding `initial[i]`.
+    pub(crate) fn new(spec: BankSpec, names: &[impl AsRef<str>], initial: &[T]) -> Arc<Self> {
+        let len = initial.len();
+        assert_eq!(names.len(), len, "one name per slot");
+        let owned = spec.owners != Owners::Shared;
+        let counters = Counters::new(len, spec.n_processes, owned, spec.mode);
+        for (slot, value) in initial.iter().enumerate() {
+            counters.note_initial(slot, value.footprint_bits());
+            if let Some(block) = &spec.block {
+                // Fresh blocks read as zero; only a non-zero initial value
+                // needs seeding, and seeding is harness-side (no latency,
+                // no counts).
+                let encoded = value.to_block();
+                if encoded != 0 {
+                    block.device.poke_block(block.addrs[slot], encoded);
+                }
             }
         }
-        Arc::new(RegCore {
-            cell: C::with_value(initial.clone()),
-            block,
-            frozen: C::with_value(initial),
-            mask,
-            name: name.into(),
-            id,
-            owner,
+        Arc::new(Bank {
+            slots: Slots::new(initial, names),
+            block: spec.block.map(Box::new),
+            mask: spec.mask,
+            first_id: spec.first_id,
+            owners: spec.owners,
             counters,
             _marker: std::marker::PhantomData,
         })
     }
 
-    fn read(&self, reader: ProcessId) -> T {
-        self.counters.note_read(reader);
-        // A severed read still counts (the process performed it) but sees
-        // the owner's row as it was at the cut, not the live value.
-        if let Some(owner) = self.owner {
-            if owner != reader && self.mask.severed(reader, owner) {
-                return self.frozen.load();
-            }
-        }
-        match &self.block {
-            Some(slot) => T::from_block(slot.device.read_block(slot.addr)),
-            None => self.cell.load(),
+    /// The one attributed read path: counts one read of every slot in
+    /// `slots` for `reader`, then hands each slot's value to `sink` in
+    /// slot order — the frozen value where the installed partition severs
+    /// `reader` from the slot's owner (a severed read still counts: the
+    /// process performed it), the live one otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` leaves the bank or `reader` is not a process of
+    /// the system.
+    #[inline]
+    pub(crate) fn read_range(
+        &self,
+        reader: ProcessId,
+        slots: Range<usize>,
+        mut sink: impl FnMut(T),
+    ) {
+        self.counters.note_reads(reader, slots.clone());
+        let Some(view) = self.mask.view_of(reader) else {
+            // No mask, or none that concerns this reader: one live run.
+            return self.read_run(slots, false, &mut sink);
+        };
+        let severed = |slot| match self.owners {
+            Owners::Shared => false,
+            Owners::Uniform(owner) => view.severs(owner.index()),
+            Owners::Identity => view.severs(slot),
+        };
+        // Serve the range in runs of slots that agree on being severed —
+        // one run when the bank has one owner, and rarely more than two
+        // otherwise (groups are mostly contiguous) — so that each run is a
+        // loop over adjacent cells and nothing else.
+        let mut run = slots.start;
+        while run < slots.end {
+            let cut = severed(run);
+            let end = (run + 1..slots.end)
+                .find(|&slot| severed(slot) != cut)
+                .unwrap_or(slots.end);
+            self.read_run(run..end, cut, &mut sink);
+            run = end;
         }
     }
 
-    fn write_unchecked(&self, writer: ProcessId, value: T) {
+    /// Hands `sink` the values of `run`, every slot of which is severed
+    /// from the reader (`cut`: the frozen cells) or none is (the device's
+    /// blocks, one `read_block` each, or the live cells).
+    #[inline]
+    fn read_run(&self, run: Range<usize>, cut: bool, sink: &mut impl FnMut(T)) {
+        if cut {
+            (self.slots.frozen()[run].iter()).for_each(|cell| sink(cell.load()));
+        } else if let Some(block) = &self.block {
+            (block.addrs[run].iter())
+                .for_each(|&addr| sink(T::from_block(block.device.read_block(addr))));
+        } else {
+            (self.slots.live()[run].iter()).for_each(|cell| sink(cell.load()));
+        }
+    }
+
+    /// [`read_range`](Self::read_range) into a buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != slots.len()`, besides the above.
+    #[inline]
+    pub(crate) fn read_range_into(&self, reader: ProcessId, slots: Range<usize>, out: &mut [T]) {
+        assert_eq!(out.len(), slots.len(), "buffer must hold the range");
+        let mut out = out.iter_mut();
+        self.read_range(reader, slots, |value| {
+            *out.next().expect("one value per slot of the range") = value;
+        });
+    }
+
+    #[inline]
+    fn read(&self, reader: ProcessId, slot: usize) -> T {
+        let mut read = None;
+        self.read_range(reader, slot..slot + 1, |value| read = Some(value));
+        read.expect("a one-slot range yields one value")
+    }
+
+    fn write_unchecked(&self, slot: usize, writer: ProcessId, value: T) {
         let bits = value.footprint_bits();
         match &self.block {
-            Some(slot) => slot.device.write_block(slot.addr, value.to_block()),
-            None => self.cell.store(value),
+            Some(block) => block
+                .device
+                .write_block(block.addrs[slot], value.to_block()),
+            None => self.slots.live()[slot].store(value),
         }
-        self.counters.note_write(writer, bits);
+        self.counters.note_write(slot, writer, bits);
     }
 
-    fn peek(&self) -> T {
+    fn peek(&self, slot: usize) -> T {
         match &self.block {
-            Some(slot) => T::from_block(slot.device.peek_block(slot.addr)),
-            None => self.cell.load(),
+            Some(block) => T::from_block(block.device.peek_block(block.addrs[slot])),
+            None => self.slots.live()[slot].load(),
         }
     }
 
     /// Replaces the stored value without attributing the write to any
     /// process or updating high-water marks. Used by test harnesses to model
     /// arbitrary initial register contents (the paper's footnote 7).
-    fn poke(&self, value: T) {
+    fn poke(&self, slot: usize, value: T) {
         match &self.block {
-            Some(slot) => slot.device.poke_block(slot.addr, value.to_block()),
-            None => self.cell.store(value),
+            Some(block) => block.device.poke_block(block.addrs[slot], value.to_block()),
+            None => self.slots.live()[slot].store(value),
         }
     }
 }
 
-impl<T: RegisterValue, C: SharedCell<T>> RegisterMeta for RegCore<T, C> {
-    fn name(&self) -> &Arc<str> {
-        &self.name
+impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
+    fn name(&self, slot: usize) -> &Arc<str> {
+        &self.slots.names()[slot]
     }
 
-    fn owner(&self) -> Option<ProcessId> {
-        self.owner
+    fn owner(&self, slot: usize) -> Option<ProcessId> {
+        self.owners.of(slot)
     }
 
     fn counters(&self) -> &Counters {
         &self.counters
     }
 
-    fn current_bits(&self) -> u64 {
-        self.peek().footprint_bits()
+    fn current_bits(&self, slot: usize) -> u64 {
+        self.peek(slot).footprint_bits()
     }
 
     fn freeze(&self) {
-        self.frozen.store(self.peek());
+        for (slot, frozen) in self.slots.frozen().iter().enumerate() {
+            frozen.store(self.peek(slot));
+        }
     }
 }
 
@@ -146,8 +342,8 @@ impl<T: RegisterValue, C: SharedCell<T>> RegisterMeta for RegCore<T, C> {
 ///
 /// This is the communication primitive of the paper's model `AS_n[∅]`: a
 /// single *owner* process may write it, every process may read it, and each
-/// operation is linearizable. Handles are cheap to clone and share the same
-/// underlying cell.
+/// operation is linearizable. A handle is a `(bank, slot)` view (module
+/// docs): cheap to clone, and every clone shares the same underlying cell.
 ///
 /// Reads and writes are *attributed*: callers pass the identity of the
 /// acting process, which feeds the instrumentation used to verify the
@@ -165,36 +361,44 @@ impl<T: RegisterValue, C: SharedCell<T>> RegisterMeta for RegCore<T, C> {
 /// assert_eq!(reg.read(ProcessId::new(0)), 42);
 /// ```
 pub struct SwmrRegister<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
-    core: Arc<RegCore<T, C>>,
+    bank: Arc<Bank<T, C>>,
+    slot: usize,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
-    pub(crate) fn from_core(core: Arc<RegCore<T, C>>) -> Self {
-        debug_assert!(core.owner.is_some(), "SWMR register requires an owner");
-        SwmrRegister { core }
+    pub(crate) fn view(bank: &Arc<Bank<T, C>>, slot: usize) -> Self {
+        debug_assert!(slot < bank.counters.len(), "slot within the bank");
+        debug_assert!(
+            bank.owners != Owners::Shared,
+            "1WnR register requires an owner"
+        );
+        SwmrRegister {
+            bank: Arc::clone(bank),
+            slot,
+        }
     }
 
     /// The only process allowed to write this register.
     #[must_use]
     pub fn owner(&self) -> ProcessId {
-        self.core.owner.expect("SWMR register always has an owner")
+        (self.bank.owners.of(self.slot)).expect("SWMR register always has an owner")
     }
 
     /// Name of the register within its memory space (e.g. `STOP\[2\]`).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.core.name
+        &self.bank.slots.names()[self.slot]
     }
 
     /// Identity of the register within its memory space.
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        self.core.id
+        RegisterId(self.bank.first_id + self.slot)
     }
 
     /// Atomically reads the register on behalf of `reader`.
     pub fn read(&self, reader: ProcessId) -> T {
-        self.core.read(reader)
+        self.bank.read(reader, self.slot)
     }
 
     /// Atomically writes `value` on behalf of `writer`.
@@ -219,13 +423,9 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     pub fn try_write(&self, writer: ProcessId, value: T) -> Result<(), OwnershipError> {
         let owner = self.owner();
         if writer != owner {
-            return Err(OwnershipError::new(
-                self.core.name.to_string(),
-                owner,
-                writer,
-            ));
+            return Err(OwnershipError::new(self.name().to_string(), owner, writer));
         }
-        self.core.write_unchecked(writer, value);
+        self.bank.write_unchecked(self.slot, writer, value);
         Ok(())
     }
 
@@ -236,7 +436,7 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// rely on.
     #[must_use]
     pub fn peek(&self) -> T {
-        self.core.peek()
+        self.bank.peek(self.slot)
     }
 
     /// Overwrites the register without attribution or footprint tracking.
@@ -245,28 +445,22 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// harnesses use this to corrupt state before a run to exercise
     /// self-stabilization. Not for algorithm use.
     pub fn poke(&self, value: T) {
-        self.core.poke(value);
-    }
-
-    pub(crate) fn meta(&self) -> Arc<dyn RegisterMeta> {
-        Arc::clone(&self.core) as Arc<dyn RegisterMeta>
+        self.bank.poke(self.slot, value);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrRegister<T, C> {
     fn clone(&self) -> Self {
-        SwmrRegister {
-            core: Arc::clone(&self.core),
-        }
+        SwmrRegister::view(&self.bank, self.slot)
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrRegister<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SwmrRegister")
-            .field("name", &self.core.name)
-            .field("owner", &self.core.owner)
-            .field("value", &self.core.peek())
+            .field("name", &self.name())
+            .field("owner", &self.owner())
+            .field("value", &self.bank.peek(self.slot))
             .finish()
     }
 }
@@ -289,65 +483,64 @@ impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrRegister<T, C> {
 /// assert_eq!(reg.read(ProcessId::new(0)), 2);
 /// ```
 pub struct MwmrRegister<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
-    core: Arc<RegCore<T, C>>,
+    bank: Arc<Bank<T, C>>,
+    slot: usize,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> MwmrRegister<T, C> {
-    pub(crate) fn from_core(core: Arc<RegCore<T, C>>) -> Self {
-        MwmrRegister { core }
+    pub(crate) fn view(bank: &Arc<Bank<T, C>>, slot: usize) -> Self {
+        debug_assert!(slot < bank.counters.len(), "slot within the bank");
+        MwmrRegister {
+            bank: Arc::clone(bank),
+            slot,
+        }
     }
 
     /// Name of the register within its memory space.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.core.name
+        &self.bank.slots.names()[self.slot]
     }
 
     /// Identity of the register within its memory space.
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        self.core.id
+        RegisterId(self.bank.first_id + self.slot)
     }
 
     /// Atomically reads the register on behalf of `reader`.
     pub fn read(&self, reader: ProcessId) -> T {
-        self.core.read(reader)
+        self.bank.read(reader, self.slot)
     }
 
     /// Atomically writes `value` on behalf of `writer`.
     pub fn write(&self, writer: ProcessId, value: T) {
-        self.core.write_unchecked(writer, value);
+        self.bank.write_unchecked(self.slot, writer, value);
     }
 
     /// Unattributed read for harness-side inspection.
     #[must_use]
     pub fn peek(&self) -> T {
-        self.core.peek()
+        self.bank.peek(self.slot)
     }
 
     /// Unattributed overwrite for state-corruption harnesses.
     pub fn poke(&self, value: T) {
-        self.core.poke(value);
-    }
-
-    pub(crate) fn meta(&self) -> Arc<dyn RegisterMeta> {
-        Arc::clone(&self.core) as Arc<dyn RegisterMeta>
+        self.bank.poke(self.slot, value);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for MwmrRegister<T, C> {
     fn clone(&self) -> Self {
-        MwmrRegister {
-            core: Arc::clone(&self.core),
-        }
+        MwmrRegister::view(&self.bank, self.slot)
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for MwmrRegister<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MwmrRegister")
-            .field("name", &self.core.name)
-            .field("value", &self.core.peek())
+            .field("name", &self.name())
+            .field("value", &self.bank.peek(self.slot))
             .finish()
     }
 }
