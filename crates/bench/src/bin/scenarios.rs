@@ -64,7 +64,7 @@ use std::fmt::Write as _;
 
 use omega_bench::table::Table;
 use omega_scenario::{
-    registry, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
+    registry, Backend, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
 };
 
 /// Allowed relative growth of `stabilization_ticks` before the gate fails.
@@ -76,70 +76,24 @@ const MAX_WRITE_REGRESSION: f64 = 0.15;
 /// `--strict-timing` promotes these warnings to gate failures.
 const TIMING_REPORT_THRESHOLD: f64 = 0.50;
 
-/// The backend axis of the suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Sim,
-    Threads,
-    San,
-    Coop,
+fn run(backend: Backend, scenario: &Scenario, workers: usize) -> Outcome {
+    match backend {
+        Backend::Sim => SimDriver.run(scenario),
+        Backend::Threads => ThreadDriver::default().run(scenario),
+        Backend::San => SanDriver::instant().run(scenario),
+        Backend::Coop => CoopDriver {
+            workers,
+            ..CoopDriver::default()
+        }
+        .run(scenario),
+    }
 }
 
-impl Backend {
-    fn parse(name: &str) -> Option<Backend> {
-        match name {
-            "sim" => Some(Backend::Sim),
-            "threads" => Some(Backend::Threads),
-            "san" => Some(Backend::San),
-            "coop" => Some(Backend::Coop),
-            _ => None,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Threads => "threads",
-            Backend::San => "san",
-            Backend::Coop => "coop",
-        }
-    }
-
-    fn run(self, scenario: &Scenario, workers: usize) -> Outcome {
-        match self {
-            Backend::Sim => SimDriver.run(scenario),
-            Backend::Threads => ThreadDriver::default().run(scenario),
-            Backend::San => SanDriver::instant().run(scenario),
-            Backend::Coop => CoopDriver {
-                workers,
-                ..CoopDriver::default()
-            }
-            .run(scenario),
-        }
-    }
-
-    /// Whether the backend's gate compares the deterministic model
-    /// counters (stabilization ticks, write totals). Only the simulator's
-    /// counters are reproducible; wall-clock backends gate on timing only.
-    fn gates_model_counters(self) -> bool {
-        self == Backend::Sim
-    }
-
-    /// Whether this backend can honor the scenario's contract — a
-    /// straight read of the scenario crate's
-    /// [`eligible_drivers_at`](Scenario::eligible_drivers_at), the single
-    /// source of truth for the driver axis (see ROADMAP.md's table). The
-    /// pool size only moves the coop column: its cap is
-    /// `coop_max_n(workers)`.
-    fn admits(self, scenario: &Scenario, workers: usize) -> bool {
-        let eligible = scenario.eligible_drivers_at(workers);
-        match self {
-            Backend::Sim => eligible.sim,
-            Backend::Threads => eligible.threads,
-            Backend::San => eligible.san,
-            Backend::Coop => eligible.coop,
-        }
-    }
+/// Whether the backend's gate compares the deterministic model counters
+/// (stabilization ticks, write totals). Only the simulator's counters are
+/// reproducible; wall-clock backends gate on timing only.
+fn gates_model_counters(backend: Backend) -> bool {
+    backend == Backend::Sim
 }
 
 fn json_str(s: &str) -> String {
@@ -548,49 +502,6 @@ fn should_write_artifact(checking: bool, filtered: bool, explicit_out: bool) -> 
     explicit_out || (!checking && !filtered)
 }
 
-/// Why `backend` refuses `scenario` — the loud half of the admission
-/// matrix. Campaign clauses a wall clock cannot honor are named
-/// explicitly (a silent drop would record an outcome for a scenario the
-/// driver never actually realized), and the coop size cap states the
-/// worker-dependent rule it actually enforces, including the pool that
-/// would admit the scenario.
-fn refusal_rule(backend: Backend, scenario: &Scenario, workers: usize) -> String {
-    debug_assert!(!backend.admits(scenario, workers));
-    if !scenario.expect_stabilization && backend != Backend::Sim {
-        return "non-electing scenarios are certified by the simulator's literal adversary \
-                and witness; a wall clock cannot defend the negative"
-            .into();
-    }
-    if let Some(campaign) = &scenario.campaign {
-        if campaign.has_recovery() && backend != Backend::Sim {
-            return "campaign recovery waves are sim-only: a parked wall-clock thread cannot be resurrected".into();
-        }
-        if campaign.has_storm() && matches!(backend, Backend::Threads | Backend::Coop) {
-            return "campaign latency storms need a simulated medium (sim, or the SAN block device)"
-                .into();
-        }
-    }
-    match backend {
-        Backend::Sim => format!(
-            "the simulator's literal realization is memory-cubic in n, so it runs n <= {}; \
-             larger systems belong on the sharded coop pool",
-            omega_scenario::SIM_MAX_N,
-        ),
-        Backend::Threads | Backend::San => {
-            "per-node-thread backends run stabilizing scenarios at n <= 16".into()
-        }
-        Backend::Coop => {
-            let needed = scenario.n.div_ceil(omega_scenario::COOP_NODES_PER_WORKER);
-            format!(
-                "coop at {workers} worker(s) runs stabilizing scenarios at n <= {}; \
-                 --workers {needed} would admit n = {}",
-                omega_scenario::coop_max_n(workers),
-                scenario.n,
-            )
-        }
-    }
-}
-
 /// The pool sizes of the `coop/workers=` sweep: `n-scaling-128` once per
 /// size, recorded under the sweep's own scenario names so the committed
 /// coop baseline shows the scaling knee.
@@ -634,16 +545,11 @@ fn run_suite(backend: Backend, only: Option<&str>, workers: usize) -> (Table, Ve
         if !admits(only, &scenario.name) {
             continue;
         }
-        if !backend.admits(&scenario, workers) {
-            println!(
-                "skipping {} on {} ({})",
-                scenario.name,
-                backend.name(),
-                refusal_rule(backend, &scenario, workers)
-            );
+        if let Some(why) = scenario.refusal(backend, workers) {
+            println!("skipping {} on {} ({why})", scenario.name, backend.name());
             continue;
         }
-        let outcome = backend.run(&scenario, workers);
+        let outcome = run(backend, &scenario, workers);
         if scenario.expect_stabilization {
             outcome.assert_election();
         } else {
@@ -789,7 +695,7 @@ fn main() {
             backend.name()
         );
     }
-    if check_path.is_some() && !backend.gates_model_counters() {
+    if check_path.is_some() && !gates_model_counters(backend) {
         println!(
             "note: {} outcomes are schedule-dependent — model counters are reported only, the gate compares timing{}",
             backend.name(),
@@ -845,7 +751,7 @@ fn main() {
             baseline.len()
         );
         let policy = CheckPolicy {
-            gate_model: backend.gates_model_counters(),
+            gate_model: gates_model_counters(backend),
             strict_timing,
         };
         let violations = check_against_baseline(&baseline, &outcomes, only.as_deref(), policy);
@@ -995,133 +901,6 @@ mod tests {
         assert!(!sim_record.contains("san_"), "{sim_record}");
         let sim_parsed = parse_baseline(&format!("[\n  {sim_record}\n]\n")).unwrap();
         assert_eq!(sim_parsed[0].san_block_accesses, None);
-    }
-
-    #[test]
-    fn backend_parsing_and_admission() {
-        assert_eq!(Backend::parse("sim"), Some(Backend::Sim));
-        assert_eq!(Backend::parse("threads"), Some(Backend::Threads));
-        assert_eq!(Backend::parse("san"), Some(Backend::San));
-        assert_eq!(Backend::parse("coop"), Some(Backend::Coop));
-        assert_eq!(Backend::parse("tokio"), None);
-
-        let small = omega_scenario::registry::fault_free();
-        let big = omega_scenario::registry::n_scaling(&[32]).pop().unwrap();
-        let staller = omega_scenario::registry::no_awb_staller();
-        for backend in [Backend::Threads, Backend::San] {
-            assert!(backend.admits(&small, 1));
-            assert!(
-                !backend.admits(&big, 1),
-                "n > 16 stays off per-node-thread backends"
-            );
-            assert!(
-                !backend.admits(&big, 16),
-                "the pool size only moves the coop column"
-            );
-            assert!(
-                !backend.admits(&staller, 1),
-                "no literal adversary on threads"
-            );
-        }
-        assert!(Backend::Sim.admits(&big, 1) && Backend::Sim.admits(&staller, 1));
-
-        // The cooperative backend is the whole point of the scaling
-        // probes on a wall clock: it admits everything up to the
-        // worker-dependent cap coop_max_n(workers).
-        assert!(Backend::Coop.admits(&small, 1));
-        assert!(Backend::Coop.admits(&big, 1), "coop runs n = 32 for real");
-        let n64 = omega_scenario::registry::n_scaling(&[64]).pop().unwrap();
-        let n128 = omega_scenario::registry::n_scaling(&[128]).pop().unwrap();
-        let n256 = omega_scenario::registry::n_scaling(&[256]).pop().unwrap();
-        assert!(Backend::Coop.admits(&n64, 1) && Backend::Coop.admits(&n128, 1));
-        assert!(
-            !Backend::Coop.admits(&n256, 1),
-            "n = 256 needs a sharded pool: one worker cannot retire its load inside a 100 µs-tick horizon"
-        );
-        assert!(
-            Backend::Coop.admits(&n256, 4),
-            "four sharded workers admit n = 256"
-        );
-        let refusal = refusal_rule(Backend::Coop, &n256, 1);
-        assert!(
-            refusal.contains("1 worker(s)") && refusal.contains("n <= 128"),
-            "the skip line states the worker-dependent cap: {refusal}"
-        );
-        assert!(
-            refusal.contains("--workers 4"),
-            "…and the pool that would lift it: {refusal}"
-        );
-        let n512 = omega_scenario::registry::n_scaling(&[512]).pop().unwrap();
-        let n1024 = omega_scenario::registry::n_scaling(&[1024]).pop().unwrap();
-        assert!(!Backend::Coop.admits(&n512, 4) && Backend::Coop.admits(&n512, 8));
-        assert!(!Backend::Coop.admits(&n1024, 8) && Backend::Coop.admits(&n1024, 16));
-        // Past SIM_MAX_N the coop pool is the only backend: the sim's
-        // literal realization is memory-cubic in n and refuses loudly.
-        assert!(Backend::Sim.admits(&n256, 1));
-        assert!(!Backend::Sim.admits(&n512, 1) && !Backend::Sim.admits(&n1024, 16));
-        let sim_refusal = refusal_rule(Backend::Sim, &n512, 1);
-        assert!(
-            sim_refusal.contains("n <= 256") && sim_refusal.contains("coop"),
-            "the sim skip line names its cap and the backend that scales: {sim_refusal}"
-        );
-        assert!(
-            !Backend::Coop.admits(&staller, 16),
-            "coop is still a wall clock at any pool size"
-        );
-        let contended = omega_scenario::registry::contention_sweep(&[(32, 4)])
-            .pop()
-            .unwrap();
-        assert!(
-            Backend::Coop.admits(&contended, 1) && !Backend::Threads.admits(&contended, 1),
-            "the contention sweep's large members are coop-only among wall clocks"
-        );
-    }
-
-    #[test]
-    fn chaos_admission_matrix_matches_list_output() {
-        // The `--list` column for each chaos registry scenario is
-        // `eligible_drivers().names()`; the suite dispatch reads the same
-        // table through `Backend::admits`. Pin both views per clause.
-        let by_name = |name: &str| {
-            omega_scenario::registry::all()
-                .into_iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("registry scenario {name} missing"))
-        };
-
-        // Partitions, crash waves and heals: realizable on every backend.
-        let partition = by_name("chaos/partition-heal");
-        assert_eq!(
-            partition.eligible_drivers().names(),
-            ["sim", "threads", "san", "coop"]
-        );
-        for backend in [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop] {
-            assert!(backend.admits(&partition, 1));
-        }
-
-        // Latency storms: only media with a stretchable clock — the
-        // simulator, and the SAN's simulated block device.
-        let storm = by_name("chaos/latency-storm");
-        assert_eq!(storm.eligible_drivers().names(), ["sim", "san"]);
-        assert!(Backend::San.admits(&storm, 1));
-        for backend in [Backend::Threads, Backend::Coop] {
-            assert!(!backend.admits(&storm, 1));
-            assert!(
-                refusal_rule(backend, &storm, 1).contains("storm"),
-                "the refusal must name the clause"
-            );
-        }
-
-        // Recovery waves: sim-only.
-        let wave = by_name("chaos/wave-recover");
-        assert_eq!(wave.eligible_drivers().names(), ["sim"]);
-        for backend in [Backend::Threads, Backend::San, Backend::Coop] {
-            assert!(!backend.admits(&wave, 1));
-            assert!(
-                refusal_rule(backend, &wave, 1).contains("recovery"),
-                "the refusal must name the clause"
-            );
-        }
     }
 
     #[test]

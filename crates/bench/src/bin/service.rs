@@ -25,6 +25,7 @@
 use std::fmt::Write as _;
 
 use omega_bench::table::Table;
+use omega_scenario::Backend;
 use omega_service::{
     registry, ServiceCoopDriver, ServiceOutcome, ServiceSimDriver, ServiceThreadDriver,
 };
@@ -49,59 +50,33 @@ const MAX_WRITE_REGRESSION: f64 = 0.15;
 /// only under `--strict-timing`).
 const TIMING_REPORT_THRESHOLD: f64 = 0.50;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Sim,
-    Coop,
-    Threads,
+/// `--driver` names this suite accepts: every backend but the SAN (there
+/// is no disk substrate for the KV).
+fn parse_driver(name: &str) -> Option<Backend> {
+    Backend::parse(name).filter(|&backend| backend != Backend::San)
 }
 
-impl Backend {
-    fn parse(name: &str) -> Option<Backend> {
-        match name {
-            "sim" => Some(Backend::Sim),
-            "coop" => Some(Backend::Coop),
-            "threads" => Some(Backend::Threads),
-            _ => None,
+fn run(
+    backend: Backend,
+    scenario: &omega_service::ServiceScenario,
+    workers: usize,
+) -> ServiceOutcome {
+    match backend {
+        Backend::Sim => ServiceSimDriver.run(scenario),
+        Backend::Coop => ServiceCoopDriver {
+            workers,
+            ..ServiceCoopDriver::default()
         }
+        .run(scenario),
+        Backend::Threads => ServiceThreadDriver::default().run(scenario),
+        Backend::San => unreachable!("parse_driver admits no SAN"),
     }
+}
 
-    fn name(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Coop => "coop",
-            Backend::Threads => "threads",
-        }
-    }
-
-    fn run(self, scenario: &omega_service::ServiceScenario, workers: usize) -> ServiceOutcome {
-        match self {
-            Backend::Sim => ServiceSimDriver.run(scenario),
-            Backend::Coop => ServiceCoopDriver {
-                workers,
-                ..ServiceCoopDriver::default()
-            }
-            .run(scenario),
-            Backend::Threads => ServiceThreadDriver::default().run(scenario),
-        }
-    }
-
-    /// Only the simulator's records are deterministic enough to gate on
-    /// request counts and unavailability ticks.
-    fn gates_model_counters(self) -> bool {
-        self == Backend::Sim
-    }
-
-    /// Whether the backend admits the scenario — a read of the election
-    /// spec's driver-eligibility table.
-    fn admits(self, scenario: &omega_service::ServiceScenario) -> bool {
-        let eligible = scenario.election.eligible_drivers();
-        match self {
-            Backend::Sim => eligible.sim,
-            Backend::Coop => eligible.coop,
-            Backend::Threads => eligible.threads,
-        }
-    }
+/// Only the simulator's records are deterministic enough to gate on
+/// request counts and unavailability ticks.
+fn gates_model_counters(backend: Backend) -> bool {
+    backend == Backend::Sim
 }
 
 /// The baseline fields the service gate compares. Unknown JSON fields are
@@ -381,11 +356,11 @@ fn run_suite(backend: Backend, only: Option<&str>, workers: usize) -> (Table, Ve
         if !admits_filter(only, &scenario.name) {
             continue;
         }
-        if !backend.admits(&scenario) {
-            println!("skipping {} on {}", scenario.name, backend.name());
+        if let Some(why) = scenario.election.refusal(backend, workers) {
+            println!("skipping {} on {} ({why})", scenario.name, backend.name());
             continue;
         }
-        let outcome = backend.run(&scenario, workers);
+        let outcome = run(backend, &scenario, workers);
         table.row(&[
             outcome.scenario.clone(),
             outcome.variant.name().to_string(),
@@ -431,7 +406,7 @@ fn main() {
                 Some(filter) => only = Some(filter),
                 None => usage(),
             },
-            "--driver" => match args.next().as_deref().and_then(Backend::parse) {
+            "--driver" => match args.next().as_deref().and_then(parse_driver) {
                 Some(parsed) => backend = parsed,
                 None => usage(),
             },
@@ -465,7 +440,7 @@ fn main() {
             _ => usage(),
         }
     }
-    if check_path.is_some() && !backend.gates_model_counters() {
+    if check_path.is_some() && !gates_model_counters(backend) {
         println!(
             "note: {} outcomes are schedule-dependent — counters are reported only, the gate compares timing{}",
             backend.name(),
@@ -546,7 +521,7 @@ fn main() {
             baseline.len()
         );
         let policy = CheckPolicy {
-            gate_model: backend.gates_model_counters(),
+            gate_model: gates_model_counters(backend),
             strict_timing,
         };
         let violations = check_against_baseline(&baseline, &outcomes, only.as_deref(), policy);
@@ -807,17 +782,18 @@ mod tests {
     #[test]
     fn every_backend_name_parses_back() {
         for backend in [Backend::Sim, Backend::Coop, Backend::Threads] {
-            assert_eq!(Backend::parse(backend.name()), Some(backend));
+            assert_eq!(parse_driver(backend.name()), Some(backend));
         }
-        assert_eq!(Backend::parse("san"), None, "no disk substrate for the KV");
+        assert_eq!(parse_driver("san"), None, "no disk substrate for the KV");
     }
 
     #[test]
     fn registry_scenarios_all_admit_sim_and_coop() {
         for scenario in registry::all() {
-            assert!(Backend::Sim.admits(&scenario));
-            assert!(Backend::Coop.admits(&scenario), "{}", scenario.name);
-            assert!(Backend::Threads.admits(&scenario), "{}", scenario.name);
+            for backend in [Backend::Sim, Backend::Coop, Backend::Threads] {
+                let refusal = scenario.election.refusal(backend, 1);
+                assert_eq!(refusal, None, "{} on {}", scenario.name, backend.name());
+            }
         }
     }
 }

@@ -69,7 +69,7 @@ pub use error::OwnershipError;
 pub use footprint::{FootprintReport, FootprintRow};
 pub use matrix::{OwnedMatrix, OwnerAxis};
 pub use meta::{Instrumentation, RegisterId};
-pub use pid::{ProcessId, ProcessSet};
+pub use pid::{plurality, ProcessId, ProcessSet};
 pub use shard::{EpochedArray, EpochedMatrix, ScanCounters, ScanStats};
 pub use space::{
     EpochedMwmrNatArray, EpochedNatMatrix, FlagArray, FlagMatrix, FlagRegister, MemorySpace,

@@ -74,6 +74,30 @@ impl From<ProcessId> for usize {
     }
 }
 
+/// The identity most often reported as leader among `estimates` (`None`
+/// entries — crashed or not-yet-stepped processes — abstain), ties broken
+/// towards the smaller identity; `None` when nobody reports one.
+///
+/// This is the one "whom does the system currently trust" vote: the
+/// simulator's leader-relative crash directives and leader-stalling
+/// adversary, the wall-clock cluster's `crash_current_leader`, and the
+/// service router all aim at it, so a scripted leader crash hits the same
+/// process on every backend.
+#[must_use]
+pub fn plurality(estimates: impl IntoIterator<Item = Option<ProcessId>>) -> Option<ProcessId> {
+    let mut counts: Vec<(ProcessId, usize)> = Vec::new();
+    for leader in estimates.into_iter().flatten() {
+        match counts.iter_mut().find(|(p, _)| *p == leader) {
+            Some((_, c)) => *c += 1,
+            None => counts.push((leader, 1)),
+        }
+    }
+    counts
+        .into_iter()
+        .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
+        .map(|(p, _)| p)
+}
+
 /// A set of process identities with fixed capacity `n`, backed by a bitset.
 ///
 /// Used for the `candidates_i` sets of the election algorithms and for
@@ -246,6 +270,14 @@ impl Extend<ProcessId> for ProcessSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn plurality_prefers_smaller_id_on_ties() {
+        let p = |i| Some(ProcessId::new(i));
+        assert_eq!(plurality([p(2), p(1)]), Some(ProcessId::new(1)));
+        assert_eq!(plurality([p(2), p(2), p(1)]), Some(ProcessId::new(2)));
+        assert_eq!(plurality([None, None]), None);
+    }
 
     #[test]
     fn pid_ordering_and_display() {

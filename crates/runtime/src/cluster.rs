@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use omega_core::OmegaVariant;
-use omega_registers::{MemorySpace, ProcessId, ProcessSet};
+use omega_registers::{plurality, MemorySpace, ProcessId, ProcessSet};
 
 use crate::coop::{CoopConfig, CoopRuntime, CoopTask};
 use crate::node::{LeaderProbe, Node, NodeConfig, NodeCore};
@@ -238,17 +238,7 @@ impl Cluster {
     /// Crashes the process the (plurality of) live nodes currently trust,
     /// returning its identity, or `None` when no estimate exists yet.
     pub fn crash_current_leader(&self) -> Option<ProcessId> {
-        let mut counts: Vec<(ProcessId, usize)> = Vec::new();
-        for leader in self.leaders().into_iter().flatten() {
-            match counts.iter_mut().find(|(p, _)| *p == leader) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((leader, 1)),
-            }
-        }
-        let target = counts
-            .into_iter()
-            .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-            .map(|(p, _)| p)?;
+        let target = plurality(self.nodes.iter().map(Node::cached_leader))?;
         self.crash(target);
         Some(target)
     }

@@ -48,7 +48,9 @@
 //!   falling further behind. Keys stay in `SLOT_US` units throughout,
 //!   so stretched and unstretched deadlines remain globally comparable,
 //!   and rounding still only ever moves a deadline *later*. The stretch
-//!   decays once dispatch runs on time again.
+//!   decays once dispatch runs on time again — on time for the stretched
+//!   slot, since the batch a wide slot gathers cannot all pop in its
+//!   first 64 µs.
 //!
 //! Under overload the pool therefore degrades into round-robin over the
 //! overdue tasks instead of starving anyone — a *different* fairness
@@ -283,8 +285,14 @@ impl TickStretch {
     }
 
     /// Records the dispatch lag of one pop (slots between deadline and
-    /// dispatch) and adapts the stretch. Mild lag — above zero but within
-    /// [`STRETCH_LAG_SLOTS`] — is scheduling jitter and moves neither
+    /// dispatch) and adapts the stretch. A pop is on time when it comes
+    /// within the *effective* slot its key was rounded up to: under stretch
+    /// `2^shift` base slots share one key, so all of such a batch but its
+    /// head is late in base slots by construction. Asking for zero of those
+    /// would let the batching starve its own decay: one transient (the
+    /// cold-start burst, a descheduled worker) would latch the wheel at the
+    /// widest slot for the rest of the runtime's life. Lag beyond that but
+    /// within [`STRETCH_LAG_SLOTS`] is scheduling jitter and moves neither
     /// streak.
     fn observe(&self, lag_slots: u64) {
         if lag_slots > STRETCH_LAG_SLOTS {
@@ -297,7 +305,7 @@ impl TickStretch {
                         (s < STRETCH_MAX_SHIFT).then_some(s + 1)
                     });
             }
-        } else if lag_slots == 0 {
+        } else if lag_slots >> self.shift() == 0 {
             self.overdue_streak.store(0, Ordering::Relaxed);
             if self.ontime_streak.fetch_add(1, Ordering::Relaxed) + 1 >= STRETCH_DOWN_STREAK {
                 self.ontime_streak.store(0, Ordering::Relaxed);
@@ -1024,6 +1032,42 @@ mod tests {
             stretch.observe(0);
         }
         assert_eq!(stretch.shift(), 0, "full decay back to the base slot");
+    }
+
+    /// The latch behind `coop-failover`'s two modes: at shift 4 every task
+    /// re-arms onto a 1 ms boundary, the batch pops a few base slots late
+    /// by construction, and a decay that wanted `lag == 0` never came.
+    #[test]
+    fn tick_stretch_decays_when_batches_pop_within_their_stretched_slot() {
+        let stretch = TickStretch::new();
+        for _ in 0..STRETCH_MAX_SHIFT * STRETCH_UP_STREAK {
+            stretch.observe(STRETCH_LAG_SLOTS + 1);
+        }
+        assert_eq!(stretch.shift(), STRETCH_MAX_SHIFT);
+        // The widest slot spans more base slots than the lag budget: every
+        // pop the budget admits is inside it.
+        for _ in 0..STRETCH_DOWN_STREAK {
+            stretch.observe(STRETCH_LAG_SLOTS);
+        }
+        assert_eq!(stretch.shift(), STRETCH_MAX_SHIFT - 1);
+        // Below that, a pop is on time up to the last base slot of the
+        // stretched one; the next slot over is jitter and moves nothing.
+        while stretch.shift() > 0 {
+            let (shift, width) = (stretch.shift(), 1u64 << stretch.shift());
+            for _ in 0..10 * STRETCH_DOWN_STREAK {
+                stretch.observe(width);
+            }
+            assert_eq!(stretch.shift(), shift, "lag {width} at shift {shift}");
+            for _ in 0..STRETCH_DOWN_STREAK {
+                stretch.observe(width - 1);
+            }
+            assert_eq!(
+                stretch.shift(),
+                shift - 1,
+                "lag {} at shift {shift}",
+                width - 1
+            );
+        }
     }
 
     /// A counting external task: polls bump a shared counter, re-arming at

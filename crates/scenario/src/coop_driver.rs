@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use omega_runtime::{Cluster, CoopConfig, NodeConfig};
+use omega_runtime::{Cluster, CoopConfig};
 
 use crate::wall::WallPacing;
 use crate::{Driver, Outcome, Scenario};
@@ -64,21 +64,11 @@ impl Default for CoopDriver {
 }
 
 impl CoopDriver {
-    fn coop_config(&self) -> CoopConfig {
-        CoopConfig {
-            node: NodeConfig {
-                step_interval: self.step_interval,
-                tick: self.tick,
-            },
-            workers: self.workers,
-        }
-    }
-
     fn pacing(&self) -> WallPacing {
         WallPacing {
             tick: self.tick,
+            step_interval: self.step_interval,
             window: self.window,
-            tail_sample: self.tail_sample,
         }
     }
 
@@ -88,7 +78,11 @@ impl CoopDriver {
     /// [`ThreadDriver::launch`](crate::ThreadDriver::launch).
     #[must_use]
     pub fn launch(&self, scenario: &Scenario) -> Cluster {
-        Cluster::start_coop(scenario.variant, scenario.n, self.coop_config())
+        let config = CoopConfig {
+            node: self.pacing().node_config(),
+            workers: self.workers,
+        };
+        Cluster::start_coop(scenario.variant, scenario.n, config)
     }
 }
 
@@ -99,9 +93,13 @@ impl Driver for CoopDriver {
 
     fn run(&self, scenario: &Scenario) -> Outcome {
         let cluster = self.launch(scenario);
-        let outcome = self
-            .pacing()
-            .run(scenario, &cluster, "coop", Some(self.workers));
+        let outcome = self.pacing().run(
+            scenario,
+            &cluster,
+            self.tail_sample,
+            "coop",
+            Some(self.workers),
+        );
         cluster.shutdown();
         outcome
     }

@@ -96,7 +96,8 @@ pub use outcome::{ChaosOutcome, NonElectionWitness, Outcome, SanFootprint, TailA
 pub use san_driver::SanDriver;
 pub use sim_driver::SimDriver;
 pub use spec::{
-    coop_max_n, AdversarySpec, AwbSpec, CrashSpec, DriverEligibility, Scenario, TimerSpec,
+    coop_max_n, AdversarySpec, AwbSpec, Backend, CrashSpec, DriverEligibility, Scenario, TimerSpec,
     COOP_MAX_N, COOP_NODES_PER_WORKER, SIM_MAX_N, THREAD_MAX_N,
 };
 pub use thread_driver::ThreadDriver;
+pub use wall::{Script, WallPacing};

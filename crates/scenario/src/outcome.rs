@@ -2,6 +2,7 @@
 
 use omega_core::OmegaVariant;
 use omega_registers::{ProcessId, ProcessSet};
+use omega_sim::chaos::ChaosStats;
 use omega_sim::metrics::TimelineSample;
 
 /// Shared-memory activity over the trailing window of a run — the
@@ -59,6 +60,27 @@ pub struct ChaosOutcome {
     /// re-election window the chaos suite gates on. `None` when nothing
     /// healed, the run never stabilized, or it stabilized before the heal.
     pub heal_to_stable_ticks: Option<u64>,
+}
+
+impl ChaosOutcome {
+    /// The outcome of a run whose campaign accounting is `stats` (the
+    /// simulator's measured tally, or a wall-clock driver's
+    /// [`planned_stats`](omega_sim::chaos::Campaign::planned_stats)) and
+    /// which stabilized at tick `stable_from`, if it did.
+    #[must_use]
+    pub fn new(stats: ChaosStats, stable_from: Option<u64>) -> Self {
+        ChaosOutcome {
+            partitions: stats.partitions,
+            partition_ticks: stats.partition_ticks,
+            storm_ticks: stats.storm_ticks,
+            wave_crashes: stats.wave_crashes,
+            wave_recoveries: stats.wave_recoveries,
+            heal_to_stable_ticks: match (stats.last_heal_at, stable_from) {
+                (Some(heal), Some(stable)) if stable >= heal => Some(stable - heal),
+                _ => None,
+            },
+        }
+    }
 }
 
 /// Evidence that a hostile window produced **non-election** — the other

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use omega_runtime::san::{SanDisk, SanLatency};
 use omega_runtime::{Cluster, NodeConfig};
-use omega_sim::chaos::ChaosPhase;
+use omega_sim::chaos::ChaosAction;
 
 use crate::wall::WallPacing;
 use crate::{Driver, Outcome, SanFootprint, Scenario};
@@ -97,40 +97,32 @@ impl SanDriver {
         }
     }
 
-    /// The latency model and pacing a specific scenario runs under: the
-    /// scenario's pinned model (with re-derived pacing) when present, this
-    /// driver's defaults otherwise.
-    fn plan(&self, scenario: &Scenario) -> (SanLatency, NodeConfig, WallPacing) {
-        match scenario.san_latency {
-            Some(latency) => {
-                let config = NodeConfig::san_paced(latency);
-                let (window, tail_sample) = observation_windows(latency);
-                (
-                    latency,
-                    config,
-                    WallPacing {
-                        tick: config.tick,
-                        window,
-                        tail_sample,
-                    },
-                )
-            }
-            None => (
-                self.latency,
-                self.config,
-                WallPacing {
-                    tick: self.config.tick,
-                    window: self.window,
-                    tail_sample: self.tail_sample,
-                },
+    /// The latency model, pacing and tail sample a specific scenario runs
+    /// under: the scenario's pinned model (with re-derived pacing) when
+    /// present, this driver's defaults otherwise.
+    fn plan(&self, scenario: &Scenario) -> (SanLatency, WallPacing, Duration) {
+        let (latency, config, (window, tail_sample)) = match scenario.san_latency {
+            Some(latency) => (
+                latency,
+                NodeConfig::san_paced(latency),
+                observation_windows(latency),
             ),
-        }
+            None => (self.latency, self.config, (self.window, self.tail_sample)),
+        };
+        let pacing = WallPacing {
+            tick: config.tick,
+            step_interval: config.step_interval,
+            window,
+        };
+        (latency, pacing, tail_sample)
     }
 }
 
 /// Wall-timed realization of a campaign's latency storms: a controller
 /// thread flips the disk's [`storm factor`](SanDisk::set_storm_factor) at
-/// each storm phase's wall-clock boundaries. The SAN is the only wall
+/// the storm boundaries of the campaign's
+/// [`schedule`](omega_sim::chaos::Campaign::schedule) — the entries the
+/// cluster-side [`Script`](crate::Script) skips. The SAN is the only wall
 /// backend admitted with storms precisely because its substrate has this
 /// knob — the election processes stay untouched, every disk access just
 /// pays the stretched service time while a storm is active.
@@ -140,33 +132,22 @@ struct StormController {
 }
 
 impl StormController {
-    /// Spawns a controller for the scenario's storm phases, or `None` when
-    /// the campaign has none. Boundaries at or beyond the horizon never
-    /// fire, matching the wall loop's convention for every other clause.
+    /// Spawns a controller for the scenario's storm boundaries, or `None`
+    /// when the campaign has none.
     fn spawn(disk: &Arc<SanDisk>, scenario: &Scenario, pacing: &WallPacing) -> Option<Self> {
-        let mut events: Vec<(Duration, u64)> = Vec::new();
-        if let Some(campaign) = &scenario.campaign {
-            for phase in &campaign.phases {
-                if let ChaosPhase::Storm {
-                    factor,
-                    from,
-                    until,
-                    ..
-                } = phase
-                {
-                    if *from < scenario.horizon {
-                        events.push((pacing.wall(*from), *factor));
-                    }
-                    if *until < scenario.horizon {
-                        events.push((pacing.wall(*until), 1));
-                    }
-                }
-            }
-        }
+        let events: Vec<(Duration, u64)> = scenario
+            .campaign
+            .iter()
+            .flat_map(|campaign| campaign.schedule(scenario.horizon))
+            .filter_map(|due| match due.action {
+                ChaosAction::StormOn { factor, .. } => Some((pacing.wall(due.tick), factor)),
+                ChaosAction::StormOff => Some((pacing.wall(due.tick), 1)),
+                _ => None,
+            })
+            .collect();
         if events.is_empty() {
             return None;
         }
-        events.sort_by_key(|&(due, _)| due);
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let shared = Arc::clone(&stop);
         let disk = Arc::clone(disk);
@@ -235,12 +216,12 @@ impl Driver for SanDriver {
     }
 
     fn run(&self, scenario: &Scenario) -> Outcome {
-        let (latency, config, pacing) = self.plan(scenario);
+        let (latency, pacing, tail_sample) = self.plan(scenario);
         let disk = SanDisk::new(latency, scenario.seed);
         let space = disk.memory_space(scenario.n);
-        let cluster = Cluster::start_in(scenario.variant, &space, config);
+        let cluster = Cluster::start_in(scenario.variant, &space, pacing.node_config());
         let storm = StormController::spawn(&disk, scenario, &pacing);
-        let mut outcome = pacing.run(scenario, &cluster, "san", None);
+        let mut outcome = pacing.run(scenario, &cluster, tail_sample, "san", None);
         if let Some(storm) = storm {
             storm.finish(&disk);
         }

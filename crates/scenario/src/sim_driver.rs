@@ -91,22 +91,10 @@ fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> O
     let stats = space.stats();
     let totals = stats.per_process_totals();
     let n = scenario.n;
-    let chaos = scenario.campaign.as_ref().map(|_| {
-        let c = report.chaos;
-        ChaosOutcome {
-            partitions: c.partitions,
-            partition_ticks: c.partition_ticks,
-            storm_ticks: c.storm_ticks,
-            wave_crashes: c.wave_crashes,
-            wave_recoveries: c.wave_recoveries,
-            heal_to_stable_ticks: match (c.last_heal_at, stabilization) {
-                (Some(heal), Some(s)) if s.stable_from.ticks() >= heal => {
-                    Some(s.stable_from.ticks() - heal)
-                }
-                _ => None,
-            },
-        }
-    });
+    let chaos = scenario
+        .campaign
+        .as_ref()
+        .map(|_| ChaosOutcome::new(report.chaos, stabilization.map(|s| s.stable_from.ticks())));
     let tail = report.windowed.tail(0.25).map(|w| TailActivity {
         writers: w.stats.writer_set(),
         readers: w.stats.reader_set(),
@@ -283,6 +271,107 @@ mod tests {
             "re-election took {window} ticks"
         );
         assert!(outcome.fingerprint().contains("|chaos:"));
+    }
+
+    /// Whether every wave of `s` flips every process it lists — crashes
+    /// only live ones, recovers only crashed ones — so that the planned
+    /// (listed) and the simulated (effective) wave counts must agree.
+    /// Conservative: beside a wave, a leader-relative crash (whose victim
+    /// is not known in advance) disqualifies the spec.
+    fn waves_flip_every_listed_pid(s: &Scenario) -> bool {
+        use omega_sim::chaos::ChaosAction;
+        let campaign = s.campaign.as_ref().expect("campaign-carrying");
+        let mut pending: Vec<(u64, ProcessId)> = Vec::new();
+        let mut leader_relative = false;
+        for c in &s.crashes {
+            match *c {
+                crate::CrashSpec::At { tick, pid } => pending.push((tick, pid)),
+                crate::CrashSpec::LeaderAt { .. } => leader_relative = true,
+            }
+        }
+        let mut crashed = vec![false; s.n];
+        for due in campaign.schedule(s.horizon) {
+            let ChaosAction::Wave { crash, recover } = due.action else {
+                continue;
+            };
+            if leader_relative {
+                return false;
+            }
+            // Scripted crashes due by now have fired (a tie goes to them).
+            pending.retain(|&(tick, pid)| {
+                let fired = tick <= due.tick;
+                crashed[pid.index()] |= fired;
+                !fired
+            });
+            for &pid in crash {
+                if std::mem::replace(&mut crashed[pid.index()], true) {
+                    return false;
+                }
+            }
+            for &pid in recover {
+                if !std::mem::replace(&mut crashed[pid.index()], false) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    #[test]
+    fn sim_chaos_accounting_equals_the_planned_fold() {
+        // The simulator books its live campaign events through the same
+        // tally `planned_stats` folds over the schedule, so the two agree
+        // wherever waves flip everyone they list: on every campaign in the
+        // registry and on 200 fuzzed ones.
+        let check = |s: &Scenario, actors: Vec<Box<dyn Actor>>, space: MemorySpace| {
+            let report = s.sim_builder(actors).memory(space).run();
+            let campaign = s.campaign.as_ref().expect("campaign-carrying");
+            assert_eq!(
+                report.chaos,
+                campaign.planned_stats(s.horizon),
+                "{}\n{}",
+                s.name,
+                crate::spec_text::to_spec_text(s)
+            );
+        };
+        let mut registry_campaigns = 0;
+        for s in crate::registry::all() {
+            if s.campaign.is_some() {
+                assert!(waves_flip_every_listed_pid(&s), "{}", s.name);
+                let sys = s.variant.build(s.n);
+                check(&s, sys.actors, sys.space);
+                registry_campaigns += 1;
+            }
+        }
+        assert_eq!(registry_campaigns, 7, "the chaos/ and hostile/ families");
+
+        // The accounting never looks at what the actors do, so the fuzzed
+        // environments (schedule, crash script, campaign, horizon) run over
+        // idle actors — two orders of magnitude cheaper than an election.
+        struct Idle;
+        impl Actor for Idle {
+            fn on_step(&mut self, _ctx: omega_sim::StepCtx) {}
+            fn on_timer(&mut self, _ctx: omega_sim::StepCtx) -> u64 {
+                1_000
+            }
+            fn current_leader(&self) -> Option<ProcessId> {
+                Some(ProcessId::new(0))
+            }
+        }
+        let mut rng = omega_sim::rng::SmallRng::seed_from_u64(20);
+        let mut fuzzed = 0;
+        while fuzzed < 200 {
+            let s = if fuzzed % 4 == 3 {
+                crate::fuzz::generate_hostile(&mut rng)
+            } else {
+                crate::fuzz::generate(&mut rng)
+            };
+            if s.campaign.is_some() && waves_flip_every_listed_pid(&s) {
+                let actors = (0..s.n).map(|_| Box::new(Idle) as Box<dyn Actor>).collect();
+                check(&s, actors, MemorySpace::new(s.n));
+                fuzzed += 1;
+            }
+        }
     }
 
     #[test]

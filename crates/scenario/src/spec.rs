@@ -1,4 +1,6 @@
-//! The declarative scenario specification — backend-free.
+//! The declarative scenario specification — backend-free — and the one
+//! admission rule that says which [`Backend`] can honor it
+//! ([`Scenario::refusal`]).
 
 use omega_core::OmegaVariant;
 use omega_registers::ProcessId;
@@ -151,8 +153,16 @@ pub enum CrashSpec {
     },
 }
 
-/// A complete, backend-free description of one election experiment.
-///
+impl CrashSpec {
+    /// The tick the directive is due.
+    #[must_use]
+    pub fn tick(&self) -> u64 {
+        match *self {
+            CrashSpec::At { tick, .. } | CrashSpec::LeaderAt { tick } => tick,
+        }
+    }
+}
+
 /// Largest system the per-node-thread wall-clock backends (threads, SAN)
 /// admit: `2n` dedicated OS threads thrash the scheduler past this, so
 /// larger scenarios belong on the cooperative backend.
@@ -195,18 +205,44 @@ pub fn coop_max_n(workers: usize) -> usize {
     COOP_MAX_N.max(COOP_NODES_PER_WORKER * workers)
 }
 
-/// Which drivers can honor a scenario's contract — the driver axis of the
-/// suite, one flag per backend (see the driver-axis table in ROADMAP.md).
-///
-/// The simulator runs every *regime* (it is the only backend that can
-/// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — its literal
-/// realization is memory-cubic in `n`. No wall-clock backend can realize
-/// an AWB-violating literal adversary (real time *is* the fair schedule),
-/// so the wall backends admit only scenarios whose spec promises
-/// stabilization; the per-node-thread backends additionally refuse
-/// `n >` [`THREAD_MAX_N`] and the cooperative backend refuses `n` beyond
-/// its worker-dependent cap [`coop_max_n`] (128 single-worker) — the only
-/// backend that reaches past the sim's cap, given enough workers.
+/// The backend axis of the suite: one variant per [`Driver`](crate::Driver)
+/// (see the driver-axis table in ROADMAP.md). Which backend admits which
+/// scenario is [`Scenario::refusal`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The deterministic simulator (`SimDriver`).
+    Sim,
+    /// Dedicated OS threads (`ThreadDriver`).
+    Threads,
+    /// Dedicated OS threads over SAN block registers (`SanDriver`).
+    San,
+    /// The cooperative deadline-wheel runtime (`CoopDriver`).
+    Coop,
+}
+
+impl Backend {
+    /// Every backend, in the suite's canonical order.
+    pub const ALL: [Backend; 4] = [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop];
+
+    /// The backend called `name` on the command line and in JSON records.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<Backend> {
+        Backend::ALL.into_iter().find(|b| b.name() == name)
+    }
+
+    /// The backend's name (`"sim"`, `"threads"`, `"san"`, `"coop"`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Sim => "sim",
+            Backend::Threads => "threads",
+            Backend::San => "san",
+            Backend::Coop => "coop",
+        }
+    }
+}
+
+/// [`Scenario::refusal`]`(..).is_none()`, one flag per [`Backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriverEligibility {
     /// The deterministic simulator (`SimDriver`).
@@ -223,20 +259,11 @@ impl DriverEligibility {
     /// The admitting drivers' names, in the suite's canonical order.
     #[must_use]
     pub fn names(&self) -> Vec<&'static str> {
-        let mut names = Vec::new();
-        if self.sim {
-            names.push("sim");
-        }
-        if self.threads {
-            names.push("threads");
-        }
-        if self.san {
-            names.push("san");
-        }
-        if self.coop {
-            names.push("coop");
-        }
-        names
+        [self.sim, self.threads, self.san, self.coop]
+            .into_iter()
+            .zip(Backend::ALL)
+            .filter_map(|(admitted, backend)| admitted.then_some(backend.name()))
+            .collect()
     }
 }
 
@@ -297,8 +324,7 @@ pub struct Scenario {
     /// heals. The simulator realizes it literally; wall-clock drivers
     /// realize partitions, crash waves and heals best-effort at wall due
     /// times and *refuse* clauses they cannot honor (storms everywhere but
-    /// SAN, recovery everywhere but sim) — see
-    /// [`eligible_drivers`](Self::eligible_drivers).
+    /// SAN, recovery everywhere but sim) — see [`refusal`](Self::refusal).
     pub campaign: Option<Campaign>,
 }
 
@@ -343,9 +369,79 @@ impl Scenario {
         }
     }
 
+    /// Why `backend` (with a coop pool of `workers` threads) cannot honor
+    /// this scenario — the first clause it fails, worded for the suite's
+    /// skip line — or `None` when it admits it. The single admission rule:
+    /// `--driver` dispatch, `--list` and [`eligible_drivers`] all read it.
+    ///
+    /// The simulator runs every *regime* (it is the only backend that can
+    /// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — its
+    /// literal realization is memory-cubic in `n`. A wall clock cannot
+    /// defend a negative (real time *is* the fair schedule, and a cluster
+    /// detects stability, not its absence), so the wall backends refuse
+    /// non-electing scenarios. Campaign clauses are refused by name rather
+    /// than silently dropped: recovery waves everywhere but sim (a parked
+    /// thread is gone for good), latency storms everywhere but sim and the
+    /// SAN (whose block device serves a literal slowdown) — partitions,
+    /// directed cuts, flaps, crash waves and heals act through the register
+    /// space and the crash machinery and run everywhere. Last comes size:
+    /// `n >` [`THREAD_MAX_N`] on the per-node-thread backends, `n >`
+    /// [`coop_max_n`]`(workers)` on coop — the only backend that reaches
+    /// past the sim's cap, and the only one the pool size moves.
+    ///
+    /// [`eligible_drivers`]: Self::eligible_drivers
+    #[must_use]
+    pub fn refusal(&self, backend: Backend, workers: usize) -> Option<String> {
+        if backend == Backend::Sim {
+            return (self.n > SIM_MAX_N).then(|| {
+                format!(
+                    "the simulator's literal realization is memory-cubic in n, so it runs \
+                     n <= {SIM_MAX_N}; larger systems belong on the sharded coop pool"
+                )
+            });
+        }
+        if !self.expect_stabilization {
+            return Some(
+                "non-electing scenarios are certified by the simulator's literal adversary \
+                 and witness; a wall clock cannot defend the negative"
+                    .into(),
+            );
+        }
+        if let Some(campaign) = &self.campaign {
+            if campaign.has_recovery() {
+                return Some(
+                    "campaign recovery waves are sim-only: a parked wall-clock thread cannot \
+                     be resurrected"
+                        .into(),
+                );
+            }
+            if campaign.has_storm() && backend != Backend::San {
+                return Some(
+                    "campaign latency storms need a simulated medium (sim, or the SAN block \
+                     device)"
+                        .into(),
+                );
+            }
+        }
+        if backend == Backend::Coop {
+            let cap = coop_max_n(workers);
+            (self.n > cap).then(|| {
+                format!(
+                    "coop at {workers} worker(s) runs stabilizing scenarios at n <= {cap}; \
+                     --workers {} would admit n = {}",
+                    self.n.div_ceil(COOP_NODES_PER_WORKER),
+                    self.n,
+                )
+            })
+        } else {
+            (self.n > THREAD_MAX_N).then(|| {
+                format!("per-node-thread backends run stabilizing scenarios at n <= {THREAD_MAX_N}")
+            })
+        }
+    }
+
     /// Which drivers admit this scenario at the default single-worker coop
-    /// pool — the single source of truth the bench binaries' `--driver`
-    /// dispatch and `--list` output both read. Pass a pool size through
+    /// pool. Pass a pool size through
     /// [`eligible_drivers_at`](Self::eligible_drivers_at) to see the
     /// worker-dependent coop cap.
     #[must_use]
@@ -354,33 +450,16 @@ impl Scenario {
     }
 
     /// [`eligible_drivers`](Self::eligible_drivers) for a coop pool of
-    /// `workers` threads: the coop cap is [`coop_max_n`]`(workers)`, so a
-    /// scenario refused single-worker may be admitted on a larger pool
-    /// (n = 256 needs workers ≥ 4). The other backends ignore the pool
-    /// size.
+    /// `workers` threads (n = 256 needs workers ≥ 4; the other backends
+    /// ignore the pool size).
     #[must_use]
     pub fn eligible_drivers_at(&self, workers: usize) -> DriverEligibility {
-        let wall = self.expect_stabilization;
-        // Campaign admission, clause by clause: wall-clock clusters can
-        // cut/heal the register space (symmetric partitions, directed
-        // cuts, and flap oscillations all act through the space's
-        // visibility mask) and crash nodes at wall due times, but cannot
-        // stretch service time (no simulated clock to stretch — except
-        // the SAN block device, which serves a literal storm) and cannot
-        // resurrect a crashed node (parked threads are gone for good).
-        // Rather than silently dropping such clauses, the driver is ruled
-        // ineligible and the suite skips it loudly. Non-electing
-        // (`expect_stabilization = false`) scenarios are sim-only on top
-        // of this: wall clusters detect stability, not its absence, and
-        // the non-election witness needs the sampled timeline.
-        let campaign = self.campaign.as_ref();
-        let wall_campaign_ok = campaign.is_none_or(|c| !c.has_storm() && !c.has_recovery());
-        let san_campaign_ok = campaign.is_none_or(|c| !c.has_recovery());
+        let admits = |backend| self.refusal(backend, workers).is_none();
         DriverEligibility {
-            sim: self.n <= SIM_MAX_N,
-            threads: wall && self.n <= THREAD_MAX_N && wall_campaign_ok,
-            san: wall && self.n <= THREAD_MAX_N && san_campaign_ok,
-            coop: wall && self.n <= coop_max_n(workers) && wall_campaign_ok,
+            sim: admits(Backend::Sim),
+            threads: admits(Backend::Threads),
+            san: admits(Backend::San),
+            coop: admits(Backend::Coop),
         }
     }
 
@@ -797,6 +876,166 @@ mod tests {
                 .sim,
             "the sim cap does not scale with the coop pool"
         );
+    }
+
+    fn admits(backend: Backend, scenario: &Scenario, workers: usize) -> bool {
+        scenario.refusal(backend, workers).is_none()
+    }
+
+    fn refusal_of(backend: Backend, scenario: &Scenario, workers: usize) -> String {
+        scenario
+            .refusal(backend, workers)
+            .unwrap_or_else(|| panic!("{} admits {}", backend.name(), scenario.name))
+    }
+
+    #[test]
+    fn backend_parsing_and_admission() {
+        assert_eq!(Backend::parse("sim"), Some(Backend::Sim));
+        assert_eq!(Backend::parse("threads"), Some(Backend::Threads));
+        assert_eq!(Backend::parse("san"), Some(Backend::San));
+        assert_eq!(Backend::parse("coop"), Some(Backend::Coop));
+        assert_eq!(Backend::parse("tokio"), None);
+
+        let small = crate::registry::fault_free();
+        let big = crate::registry::n_scaling(&[32]).pop().unwrap();
+        let staller = crate::registry::no_awb_staller();
+        for backend in [Backend::Threads, Backend::San] {
+            assert!(admits(backend, &small, 1));
+            assert!(
+                !admits(backend, &big, 1),
+                "n > 16 stays off per-node-thread backends"
+            );
+            assert!(
+                !admits(backend, &big, 16),
+                "the pool size only moves the coop column"
+            );
+            assert!(
+                !admits(backend, &staller, 1),
+                "no literal adversary on threads"
+            );
+        }
+        assert!(admits(Backend::Sim, &big, 1) && admits(Backend::Sim, &staller, 1));
+
+        // The cooperative backend is the whole point of the scaling
+        // probes on a wall clock: it admits everything up to the
+        // worker-dependent cap coop_max_n(workers).
+        assert!(admits(Backend::Coop, &small, 1));
+        assert!(admits(Backend::Coop, &big, 1), "coop runs n = 32 for real");
+        let n64 = crate::registry::n_scaling(&[64]).pop().unwrap();
+        let n128 = crate::registry::n_scaling(&[128]).pop().unwrap();
+        let n256 = crate::registry::n_scaling(&[256]).pop().unwrap();
+        assert!(admits(Backend::Coop, &n64, 1) && admits(Backend::Coop, &n128, 1));
+        assert!(
+            !admits(Backend::Coop, &n256, 1),
+            "n = 256 needs a sharded pool: one worker cannot retire its load inside a 100 µs-tick horizon"
+        );
+        assert!(
+            admits(Backend::Coop, &n256, 4),
+            "four sharded workers admit n = 256"
+        );
+        let refusal = refusal_of(Backend::Coop, &n256, 1);
+        assert!(
+            refusal.contains("1 worker(s)") && refusal.contains("n <= 128"),
+            "the skip line states the worker-dependent cap: {refusal}"
+        );
+        assert!(
+            refusal.contains("--workers 4"),
+            "…and the pool that would lift it: {refusal}"
+        );
+        let n512 = crate::registry::n_scaling(&[512]).pop().unwrap();
+        let n1024 = crate::registry::n_scaling(&[1024]).pop().unwrap();
+        assert!(!admits(Backend::Coop, &n512, 4) && admits(Backend::Coop, &n512, 8));
+        assert!(!admits(Backend::Coop, &n1024, 8) && admits(Backend::Coop, &n1024, 16));
+        // Past SIM_MAX_N the coop pool is the only backend: the sim's
+        // literal realization is memory-cubic in n and refuses loudly.
+        assert!(admits(Backend::Sim, &n256, 1));
+        assert!(!admits(Backend::Sim, &n512, 1) && !admits(Backend::Sim, &n1024, 16));
+        let sim_refusal = refusal_of(Backend::Sim, &n512, 1);
+        assert!(
+            sim_refusal.contains("n <= 256") && sim_refusal.contains("coop"),
+            "the sim skip line names its cap and the backend that scales: {sim_refusal}"
+        );
+        assert!(
+            !admits(Backend::Coop, &staller, 16),
+            "coop is still a wall clock at any pool size"
+        );
+        let contended = crate::registry::contention_sweep(&[(32, 4)]).pop().unwrap();
+        assert!(
+            admits(Backend::Coop, &contended, 1) && !admits(Backend::Threads, &contended, 1),
+            "the contention sweep's large members are coop-only among wall clocks"
+        );
+    }
+
+    #[test]
+    fn chaos_admission_matrix_matches_list_output() {
+        // The `--list` column for each chaos registry scenario is
+        // `eligible_drivers().names()`; the suite dispatch reads the same
+        // rule through `Scenario::refusal`. Pin both views per clause.
+        // First the whole matrix: for every registry scenario, backend
+        // and pool size, "no refusal" is the eligibility flag is the name
+        // in the `--list` column, and a refusal names a clause.
+        for scenario in crate::registry::all() {
+            for workers in [1, 4, 8, 16] {
+                let eligible = scenario.eligible_drivers_at(workers);
+                let flags = [eligible.sim, eligible.threads, eligible.san, eligible.coop];
+                for (backend, flag) in Backend::ALL.into_iter().zip(flags) {
+                    let refusal = scenario.refusal(backend, workers);
+                    let context = format!("{} on {} at {workers}", scenario.name, backend.name());
+                    assert_eq!(refusal.is_none(), flag, "{context}");
+                    assert_eq!(
+                        eligible.names().contains(&backend.name()),
+                        flag,
+                        "{context}"
+                    );
+                    let clauses = ["non-electing", "recovery", "storm", "n <= "];
+                    assert!(
+                        refusal.is_none_or(|why| clauses.iter().any(|c| why.contains(c))),
+                        "{context}"
+                    );
+                }
+            }
+        }
+
+        let by_name = |name: &str| {
+            crate::registry::all()
+                .into_iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("registry scenario {name} missing"))
+        };
+
+        // Partitions, crash waves and heals: realizable on every backend.
+        let partition = by_name("chaos/partition-heal");
+        assert_eq!(
+            partition.eligible_drivers().names(),
+            ["sim", "threads", "san", "coop"]
+        );
+        for backend in [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop] {
+            assert!(admits(backend, &partition, 1));
+        }
+
+        // Latency storms: only media with a stretchable clock — the
+        // simulator, and the SAN's simulated block device.
+        let storm = by_name("chaos/latency-storm");
+        assert_eq!(storm.eligible_drivers().names(), ["sim", "san"]);
+        assert!(admits(Backend::San, &storm, 1));
+        for backend in [Backend::Threads, Backend::Coop] {
+            assert!(!admits(backend, &storm, 1));
+            assert!(
+                refusal_of(backend, &storm, 1).contains("storm"),
+                "the refusal must name the clause"
+            );
+        }
+
+        // Recovery waves: sim-only.
+        let wave = by_name("chaos/wave-recover");
+        assert_eq!(wave.eligible_drivers().names(), ["sim"]);
+        for backend in [Backend::Threads, Backend::San, Backend::Coop] {
+            assert!(!admits(backend, &wave, 1));
+            assert!(
+                refusal_of(backend, &wave, 1).contains("recovery"),
+                "the refusal must name the clause"
+            );
+        }
     }
 
     #[test]

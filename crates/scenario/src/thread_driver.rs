@@ -37,11 +37,13 @@ pub struct ThreadDriver {
 }
 
 impl Default for ThreadDriver {
+    /// [`WallPacing::default`] plus a 120 ms tail observation.
     fn default() -> Self {
+        let pacing = WallPacing::default();
         ThreadDriver {
-            tick: Duration::from_micros(100),
-            step_interval: Duration::from_micros(150),
-            window: Duration::from_millis(40),
+            tick: pacing.tick,
+            step_interval: pacing.step_interval,
+            window: pacing.window,
             tail_sample: Duration::from_millis(120),
         }
     }
@@ -69,18 +71,11 @@ impl ThreadDriver {
         }
     }
 
-    fn node_config(&self) -> NodeConfig {
-        NodeConfig {
-            step_interval: self.step_interval,
-            tick: self.tick,
-        }
-    }
-
     fn pacing(&self) -> WallPacing {
         WallPacing {
             tick: self.tick,
+            step_interval: self.step_interval,
             window: self.window,
-            tail_sample: self.tail_sample,
         }
     }
 
@@ -89,7 +84,7 @@ impl ThreadDriver {
     /// application traffic) on a scenario-described system.
     #[must_use]
     pub fn launch(&self, scenario: &Scenario) -> Cluster {
-        Cluster::start(scenario.variant, scenario.n, self.node_config())
+        Cluster::start(scenario.variant, scenario.n, self.pacing().node_config())
     }
 }
 
@@ -100,7 +95,9 @@ impl Driver for ThreadDriver {
 
     fn run(&self, scenario: &Scenario) -> Outcome {
         let cluster = self.launch(scenario);
-        let outcome = self.pacing().run(scenario, &cluster, "threads", None);
+        let outcome = self
+            .pacing()
+            .run(scenario, &cluster, self.tail_sample, "threads", None);
         cluster.shutdown();
         outcome
     }

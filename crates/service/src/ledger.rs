@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use omega_registers::sync::Mutex;
-use omega_registers::ProcessId;
+use omega_registers::{plurality, ProcessId};
 
 use crate::workload::RequestMeta;
 
@@ -118,21 +118,10 @@ impl Ledger {
     /// nodes' flipped estimates eventually outvote the stale slot.
     #[must_use]
     pub fn route_target(&self) -> Option<ProcessId> {
-        let mut counts: Vec<(i64, usize)> = Vec::new();
-        for slot in &self.estimates {
+        plurality(self.estimates.iter().map(|slot| {
             let estimate = slot.load(Ordering::Relaxed);
-            if estimate < 0 {
-                continue;
-            }
-            match counts.iter_mut().find(|(p, _)| *p == estimate) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((estimate, 1)),
-            }
-        }
-        counts
-            .into_iter()
-            .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-            .map(|(p, _)| ProcessId::new(p as usize))
+            (estimate >= 0).then(|| ProcessId::new(estimate as usize))
+        }))
     }
 
     /// Issues request `id`: routes it to the believed leader's inbox, or

@@ -56,5 +56,5 @@ pub use node::ServiceNode;
 pub use outcome::{ServiceOutcome, UnavailWindow};
 pub use sim_driver::ServiceSimDriver;
 pub use spec::ServiceScenario;
-pub use wall::{ServiceCoopDriver, ServiceThreadDriver, WallPacing};
+pub use wall::{ServiceCoopDriver, ServiceThreadDriver};
 pub use workload::{RequestKind, RequestMeta, WorkloadSpec};

@@ -75,9 +75,9 @@ pub struct ServiceOutcome {
     /// One window per scripted crash, in crash order.
     pub windows: Vec<UnavailWindow>,
     /// Requests refused while a campaign split was installed — their
-    /// rejection tick fell inside the `[from, until)` span of a
-    /// partition, a directed cut, or one of a flap's install windows —
-    /// the service-layer attribution of chaos-induced unavailability.
+    /// rejection tick fell inside one of the campaign's
+    /// [`installed_intervals`](omega_sim::chaos::Campaign::installed_intervals)
+    /// — the service-layer attribution of chaos-induced unavailability.
     /// Zero when the scenario has no campaign.
     pub in_partition_rejected: u64,
     /// Requests that outlived the workload's fail-fast stall bound: ended
@@ -101,7 +101,7 @@ pub struct ServiceOutcome {
 
 impl ServiceOutcome {
     /// Builds the outcome from a finished run's raw parts: the ledger's
-    /// final states, the scripted crash ticks (in script order), and the
+    /// final states, the ticks at which scripted crashes fired, and the
     /// backend's counters.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
@@ -173,31 +173,17 @@ impl ServiceOutcome {
             }
         }
 
-        // Campaign attribution: a rejection whose tick fell inside an
-        // installed split is chaos-induced, not crash-induced — split
-        // leader estimates across the cut misroute requests even though
-        // every node is alive. Partitions and directed cuts contribute
-        // their whole span; a flap contributes only its install windows
-        // (the healed half-cycles are the service's to recover in).
-        let partition_spans: Vec<(u64, u64)> = scenario
+        // Campaign attribution: a rejection whose tick fell while a split
+        // was installed is chaos-induced, not crash-induced — split leader
+        // estimates across the cut misroute requests even though every
+        // node is alive. "Installed" is the schedule's word: from a
+        // partition, cut or flap install to whichever heal ends it (the
+        // healed half-cycles of a flap are the service's to recover in).
+        let partition_spans = scenario
             .election
             .campaign
-            .iter()
-            .flat_map(|c| &c.phases)
-            .flat_map(|phase| match phase {
-                omega_sim::chaos::ChaosPhase::Partition { from, until, .. }
-                | omega_sim::chaos::ChaosPhase::Cut { from, until, .. } => {
-                    vec![(*from, *until)]
-                }
-                omega_sim::chaos::ChaosPhase::Flap {
-                    period,
-                    from,
-                    until,
-                    ..
-                } => omega_sim::chaos::flap_spans(*period, *from, *until),
-                _ => Vec::new(),
-            })
-            .collect();
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.installed_intervals(horizon));
         let in_partition_rejected = states
             .iter()
             .filter(|state| match **state {
@@ -413,6 +399,37 @@ mod tests {
             outcome.unavail_ticks(),
             sc.election.horizon - 30_000,
             "never-healed windows run to the horizon"
+        );
+    }
+
+    #[test]
+    fn partition_attribution_ends_at_the_heal_that_ended_the_cut() {
+        use omega_sim::chaos::{Campaign, ChaosPhase};
+        let p = ProcessId::new;
+        let election = omega_scenario::Scenario::fault_free(OmegaVariant::Alg1, 3)
+            .campaign(
+                Campaign::new()
+                    .phase(ChaosPhase::Partition {
+                        groups: vec![vec![p(0)], vec![p(1), p(2)]],
+                        from: 2_000,
+                        until: 9_000,
+                    })
+                    .phase(ChaosPhase::Heal { at: 4_000 }),
+            )
+            .horizon(12_000);
+        let sc = ServiceScenario::new("test/healed-early", election, scenario().workload);
+        let ledger = Ledger::new(
+            vec![request(1_000), request(3_000), request(6_000)],
+            sc.election.n,
+        );
+        ledger.reject(0, 1_000); // before the cut
+        ledger.reject(1, 3_000); // while it is installed
+        ledger.reject(2, 6_000); // after the explicit heal, before `until`
+        let outcome = ServiceOutcome::assemble("sim", &sc, &ledger, &[], true, 0, 0, 1.0);
+        assert_eq!(outcome.rejected, 3);
+        assert_eq!(
+            outcome.in_partition_rejected, 1,
+            "only the rejection inside [2 000, 4 000) is the partition's"
         );
     }
 

@@ -139,13 +139,7 @@ impl ServiceSimDriver {
         // fell inside the horizon is a stall the pump may not have seen.
         ledger.sweep(election.horizon);
 
-        let crash_ticks: Vec<u64> = election
-            .crashes
-            .iter()
-            .map(|c| match *c {
-                CrashSpec::At { tick, .. } | CrashSpec::LeaderAt { tick } => tick,
-            })
-            .collect();
+        let crash_ticks: Vec<u64> = election.crashes.iter().map(CrashSpec::tick).collect();
 
         ServiceOutcome::assemble(
             "sim",
@@ -205,6 +199,33 @@ mod tests {
             "the connected majority keeps serving through the cut"
         );
         assert!(outcome.json_record().contains("\"in_partition_rejected\":"));
+    }
+
+    #[test]
+    fn registry_campaigns_account_as_planned() {
+        // The service registry's half of the scenario crate's
+        // `sim_chaos_accounting_equals_the_planned_fold`: each campaign's
+        // election environment, run on the simulator, books exactly the
+        // stats its schedule plans (no service scenario carries a wave).
+        let mut campaigns = 0;
+        for sc in registry::all() {
+            let Some(campaign) = &sc.election.campaign else {
+                continue;
+            };
+            let sys = sc.election.variant.build(sc.election.n);
+            let report = sc.election.sim_builder(sys.actors).memory(sys.space).run();
+            assert_eq!(
+                report.chaos,
+                campaign.planned_stats(sc.election.horizon),
+                "{}",
+                sc.name
+            );
+            campaigns += 1;
+        }
+        assert_eq!(
+            campaigns, 2,
+            "chaos/partition-heal and hostile/flap-service"
+        );
     }
 
     #[test]

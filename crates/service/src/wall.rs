@@ -2,8 +2,11 @@
 //! per-node-thread.
 //!
 //! Both map scenario ticks onto real time exactly as the election drivers
-//! do — one tick is `tick` of wall clock, nodes poll every
-//! `step_interval` — and replay the crash script off the wall clock. The
+//! do — the same [`WallPacing`]: one tick is `tick` of wall clock, nodes
+//! poll every `step_interval` — and fire the same [`Script`] (crash
+//! directives plus the campaign's schedule) off the wall clock; only the
+//! loop around it differs, because a service run lasts to the horizon
+//! whatever the election does. The
 //! cooperative backend multiplexes the service loops and the workload
 //! pump onto the *same* deadline wheel as the election's `2n` task loops,
 //! so service work competes with election steps for the same workers;
@@ -18,27 +21,20 @@ use std::time::{Duration, Instant};
 
 use omega_consensus::{KvCommand, LogShared};
 use omega_registers::ProcessId;
-use omega_runtime::{Cluster, CoopConfig, CoopTask, LeaderProbe, NodeConfig};
-use omega_scenario::CrashSpec;
-use omega_sim::chaos::ChaosPhase;
+use omega_runtime::{Cluster, CoopConfig, CoopTask, LeaderProbe};
+use omega_scenario::{Script, WallPacing};
 
 use crate::ledger::Ledger;
 use crate::node::ServiceNode;
 use crate::outcome::ServiceOutcome;
 use crate::spec::ServiceScenario;
 
-/// Wall-clock ticks elapsed since `epoch` under a `tick`-sized tick.
-fn ticks_since(epoch: Instant, tick: Duration) -> u64 {
-    (epoch.elapsed().as_micros() / tick.as_micros().max(1)) as u64
-}
-
 /// One service replica's cooperative loop.
 struct ServiceNodeTask {
     node: ServiceNode,
     probe: LeaderProbe,
     epoch: Instant,
-    tick: Duration,
-    step: Duration,
+    pacing: WallPacing,
     stop: Arc<AtomicBool>,
 }
 
@@ -51,9 +47,9 @@ impl CoopTask for ServiceNodeTask {
             // the simulator.
             return None;
         }
-        let now = ticks_since(self.epoch, self.tick);
+        let now = self.pacing.ticks_since(self.epoch);
         self.node.poll(self.probe.leader(), now);
-        Some(Instant::now() + self.step)
+        Some(Instant::now() + self.pacing.step_interval)
     }
 }
 
@@ -63,7 +59,7 @@ struct PumpTask {
     ledger: Arc<Ledger>,
     next: usize,
     epoch: Instant,
-    tick: Duration,
+    pacing: WallPacing,
     cadence: Duration,
     stop: Arc<AtomicBool>,
 }
@@ -86,145 +82,30 @@ impl CoopTask for PumpTask {
         if self.stop.load(Ordering::Relaxed) {
             return None;
         }
-        let now = ticks_since(self.epoch, self.tick);
+        let now = self.pacing.ticks_since(self.epoch);
         self.pump(now);
         Some(Instant::now() + self.cadence)
     }
 }
 
-/// Shared pacing of the wall-clock service drivers.
-#[derive(Debug, Clone, Copy)]
-pub struct WallPacing {
-    /// Real-time length of one scenario tick.
-    pub tick: Duration,
-    /// Pause between a node's consecutive polls (election and service).
-    pub step_interval: Duration,
-    /// Stability window for the post-run leader check.
-    pub window: Duration,
-    /// Workload-pump cadence.
-    pub pump_cadence: Duration,
-}
+/// Default workload-pump cadence of both wall drivers.
+const PUMP_CADENCE: Duration = Duration::from_micros(500);
 
-impl Default for WallPacing {
-    fn default() -> Self {
-        WallPacing {
-            tick: Duration::from_micros(100),
-            step_interval: Duration::from_micros(150),
-            window: Duration::from_millis(40),
-            pump_cadence: Duration::from_micros(500),
-        }
-    }
-}
-
-impl WallPacing {
-    fn node_config(&self) -> NodeConfig {
-        NodeConfig {
-            step_interval: self.step_interval,
-            tick: self.tick,
-        }
-    }
-}
-
-/// One wall-timed campaign injection (the service twin of the election
-/// wall loop's realization): partitions and heals act on the cluster's
-/// register space, wave crashes act through the crash machinery. Storms
-/// are absent — no service wall backend is admitted with one.
-enum ChaosAction {
-    Partition(Vec<Vec<ProcessId>>),
-    Cut(Vec<ProcessId>, Vec<ProcessId>),
-    Heal,
-    Crash(ProcessId),
-}
-
-/// Drives the crash script off the wall clock, then waits out the horizon.
-/// Returns the scripted crash ticks and whether a stable leader emerged.
+/// Fires the scenario's [`Script`] off the wall clock until the horizon.
+/// Returns the ticks at which scripted crashes fired and whether a stable
+/// leader emerged.
 fn run_script(
     cluster: &Cluster,
     scenario: &ServiceScenario,
     pacing: &WallPacing,
 ) -> (Vec<u64>, bool) {
     let epoch = Instant::now();
-    let election = &scenario.election;
-    let mut script: Vec<CrashSpec> = election.crashes.clone();
-    script.sort_by_key(|c| match *c {
-        CrashSpec::At { tick, .. } | CrashSpec::LeaderAt { tick } => tick,
-    });
-    // Campaign phases, flattened under the simulator's convention: actions
-    // at or beyond the horizon never fire, an unhealed partition stays
-    // installed to the end.
-    let mut chaos_actions: Vec<(u64, ChaosAction)> = Vec::new();
-    if let Some(campaign) = &election.campaign {
-        for phase in &campaign.phases {
-            match phase {
-                ChaosPhase::Partition {
-                    groups,
-                    from,
-                    until,
-                } => {
-                    chaos_actions.push((*from, ChaosAction::Partition(groups.clone())));
-                    chaos_actions.push((*until, ChaosAction::Heal));
-                }
-                ChaosPhase::Wave { crash, at, .. } => {
-                    chaos_actions.extend(crash.iter().map(|&pid| (*at, ChaosAction::Crash(pid))));
-                }
-                ChaosPhase::Heal { at } => chaos_actions.push((*at, ChaosAction::Heal)),
-                ChaosPhase::Storm { .. } => {}
-                ChaosPhase::Cut {
-                    blinded,
-                    hidden,
-                    from,
-                    until,
-                } => {
-                    chaos_actions.push((*from, ChaosAction::Cut(blinded.clone(), hidden.clone())));
-                    chaos_actions.push((*until, ChaosAction::Heal));
-                }
-                ChaosPhase::Flap {
-                    groups,
-                    period,
-                    from,
-                    until,
-                } => {
-                    for (install, heal) in omega_sim::chaos::flap_spans(*period, *from, *until) {
-                        chaos_actions.push((install, ChaosAction::Partition(groups.clone())));
-                        chaos_actions.push((heal, ChaosAction::Heal));
-                    }
-                }
-            }
-        }
-        chaos_actions.retain(|(tick, _)| *tick < election.horizon);
-        chaos_actions.sort_by_key(|&(tick, _)| tick);
-    }
-    let mut next_action = 0;
-    let mut crash_ticks = Vec::with_capacity(script.len());
-    let mut pending = script.into_iter().peekable();
+    let mut script = Script::new(&scenario.election);
+    let mut crash_ticks = Vec::new();
     loop {
-        let now = ticks_since(epoch, pacing.tick);
-        while let Some(&next) = pending.peek() {
-            let due = match next {
-                CrashSpec::At { tick, .. } | CrashSpec::LeaderAt { tick } => tick,
-            };
-            if due > now {
-                break;
-            }
-            match next {
-                CrashSpec::At { pid, .. } => cluster.crash(pid),
-                CrashSpec::LeaderAt { .. } => {
-                    let _ = cluster.crash_current_leader();
-                }
-            }
-            crash_ticks.push(due);
-            pending.next();
-        }
-        while next_action < chaos_actions.len() && chaos_actions[next_action].0 <= now {
-            match &chaos_actions[next_action].1 {
-                ChaosAction::Partition(groups) => cluster.space().install_partition(groups),
-                ChaosAction::Cut(blinded, hidden) => cluster.space().install_cut(blinded, hidden),
-                ChaosAction::Heal => cluster.space().heal_partition(),
-                ChaosAction::Crash(pid) => cluster.crash(*pid),
-            }
-            next_action += 1;
-        }
-        if now >= election.horizon {
+        let now = pacing.ticks_since(epoch);
+        crash_ticks.extend(script.fire_due(cluster, now));
+        if now >= scenario.election.horizon {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
@@ -244,6 +125,8 @@ fn run_script(
 pub struct ServiceCoopDriver {
     /// Tick/step/window pacing.
     pub pacing: WallPacing,
+    /// Workload-pump cadence.
+    pub pump_cadence: Duration,
     /// Worker threads multiplexing the whole task set.
     pub workers: usize,
 }
@@ -252,6 +135,7 @@ impl Default for ServiceCoopDriver {
     fn default() -> Self {
         ServiceCoopDriver {
             pacing: WallPacing::default(),
+            pump_cadence: PUMP_CADENCE,
             workers: 1,
         }
     }
@@ -288,8 +172,7 @@ impl ServiceCoopDriver {
                         ),
                         probe: probe.clone(),
                         epoch,
-                        tick: pacing.tick,
-                        step: pacing.step_interval,
+                        pacing,
                         stop: Arc::clone(&stop),
                     }) as Box<dyn CoopTask>
                 })
@@ -298,8 +181,8 @@ impl ServiceCoopDriver {
                 ledger: Arc::clone(&ledger),
                 next: 0,
                 epoch,
-                tick: pacing.tick,
-                cadence: pacing.pump_cadence,
+                pacing,
+                cadence: self.pump_cadence,
                 stop: Arc::clone(&stop),
             }));
             tasks
@@ -328,10 +211,21 @@ impl ServiceCoopDriver {
 
 /// Realizes a [`ServiceScenario`] with dedicated OS threads: each node's
 /// two election loops plus one service loop, and one pump thread.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServiceThreadDriver {
     /// Tick/step/window pacing.
     pub pacing: WallPacing,
+    /// Workload-pump cadence.
+    pub pump_cadence: Duration,
+}
+
+impl Default for ServiceThreadDriver {
+    fn default() -> Self {
+        ServiceThreadDriver {
+            pacing: WallPacing::default(),
+            pump_cadence: PUMP_CADENCE,
+        }
+    }
 }
 
 impl ServiceThreadDriver {
@@ -350,28 +244,27 @@ impl ServiceThreadDriver {
         let shared = LogShared::<KvCommand>::new(cluster.space().clone());
 
         let mut workers = Vec::with_capacity(n + 1);
-        for pid in omega_registers::ProcessId::all(n) {
+        for pid in ProcessId::all(n) {
             let probe = cluster.node(pid).probe();
             let mut node = ServiceNode::new(pid, Arc::clone(&ledger), Arc::clone(&shared));
             let stop = Arc::clone(&stop);
-            let (tick, step) = (pacing.tick, pacing.step_interval);
             workers.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) && !probe.is_crashed() {
-                    node.poll(probe.leader(), ticks_since(epoch, tick));
-                    std::thread::sleep(step);
+                    node.poll(probe.leader(), pacing.ticks_since(epoch));
+                    std::thread::sleep(pacing.step_interval);
                 }
             }));
         }
         {
             let ledger = Arc::clone(&ledger);
             let stop = Arc::clone(&stop);
-            let (tick, cadence) = (pacing.tick, pacing.pump_cadence);
+            let cadence = self.pump_cadence;
             workers.push(std::thread::spawn(move || {
                 let mut pump = PumpTask {
                     ledger,
                     next: 0,
                     epoch,
-                    tick,
+                    pacing,
                     cadence,
                     stop,
                 };
@@ -411,6 +304,7 @@ mod tests {
     use crate::workload::WorkloadSpec;
     use omega_core::OmegaVariant;
     use omega_scenario::Scenario;
+    use omega_sim::chaos::ChaosPhase;
 
     /// A scenario small and short enough for a unit test: ~1 s of wall
     /// clock, one leader crash halfway.

@@ -12,7 +12,7 @@
 //! assumption holds" from "runs where it does not" (experiment E13).
 
 use crate::rng::SmallRng;
-use omega_registers::{ProcessId, ProcessSet};
+use omega_registers::{plurality, ProcessId, ProcessSet};
 
 use crate::time::SimTime;
 
@@ -428,18 +428,7 @@ impl Adversary for LeaderStaller {
     }
 
     fn observe(&mut self, view: &RunView<'_>) {
-        // Plurality vote among alive processes' estimates.
-        let mut counts: Vec<(ProcessId, usize)> = Vec::new();
-        for leader in view.leaders.iter().flatten() {
-            match counts.iter_mut().find(|(p, _)| p == leader) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((*leader, 1)),
-            }
-        }
-        self.target = counts
-            .into_iter()
-            .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-            .map(|(p, _)| p);
+        self.target = plurality(view.leaders.iter().copied());
     }
 }
 

@@ -1,23 +1,37 @@
 //! Chaos campaigns: declarative, deterministic fault schedules.
 //!
 //! A [`Campaign`] is an ordered list of [`ChaosPhase`]s — register-space
-//! partitions, latency storms, crash/recovery waves, and heals — pinned to
-//! virtual ticks. The simulator realizes each phase *literally*: partitions
-//! sever cross-group reads via the memory space's visibility mask, storms
+//! partitions, directed cuts, flaps, latency storms, crash/recovery waves,
+//! and heals — pinned to virtual ticks. This module is the only place that
+//! knows how a campaign becomes timed actions, so every backend injects the
+//! same thing at the same tick:
+//!
+//! * [`Campaign::schedule`] flattens the phases into [`Scheduled`]
+//!   [`ChaosAction`]s — flaps expanded through [`flap_spans`], sorted by
+//!   `(tick, declaration order)`, boundaries past the horizon dropped
+//!   (`tick <= horizon` fires, as the simulator's event loop retires
+//!   events).
+//! * [`ChaosTally`] is the one accounting of what fired: it owns the open
+//!   cut / open storm, the last heal, the installed intervals and the
+//!   close-at-the-horizon rule. [`Campaign::planned_stats`] and
+//!   [`Campaign::installed_intervals`] are that tally folded over the
+//!   schedule; the simulator books its live events through the same type.
+//!
+//! The simulator realizes each action *literally*: partitions sever
+//! cross-group reads via the memory space's visibility mask, storms
 //! stretch simulated step service time, waves reuse the crash machinery
-//! (and undo it, for recovery). Phase boundaries are ordinary simulator
-//! events ([`EventKind::ChaosStart`] / [`EventKind::ChaosEnd`]), so they
-//! land in recorded traces and campaigns replay byte-identically.
-//!
-//! Wall-clock drivers realize a subset best-effort (see the scenario
-//! crate's admission rules); the phase predicates here —
-//! [`Campaign::has_storm`], [`Campaign::has_recovery`] — are what admission
-//! decisions are made from.
-//!
-//! [`EventKind::ChaosStart`]: crate::event::EventKind::ChaosStart
-//! [`EventKind::ChaosEnd`]: crate::event::EventKind::ChaosEnd
+//! (and undo it, for recovery). Boundaries are ordinary simulator events
+//! ([`EventKind::ChaosStart`] / [`EventKind::ChaosEnd`], carried by each
+//! [`Scheduled`] entry), so they land in recorded traces and campaigns
+//! replay byte-identically. Wall-clock drivers fire the same schedule off
+//! the wall clock (the scenario crate's `Script`) and refuse the clauses
+//! their substrate cannot honor; the phase predicates here —
+//! [`Campaign::has_storm`], [`Campaign::has_recovery`] — are what those
+//! admission decisions are made from.
 
 use omega_registers::ProcessId;
+
+use crate::event::EventKind;
 
 /// One phase of a chaos campaign, pinned to virtual ticks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,11 +126,8 @@ pub enum ChaosPhase {
 /// over `[from, until)` produces: partitioned during even half-cycles,
 /// healed during odd ones, with the final cut clamped to heal at `until`.
 ///
-/// This is the single source of truth for flap boundaries — the simulator
-/// schedules its [`ChaosStart`](crate::event::EventKind::ChaosStart) /
-/// [`ChaosEnd`](crate::event::EventKind::ChaosEnd) events from it,
-/// [`Campaign::planned_stats`] mirrors it, and wall-clock drivers expand
-/// their install/heal actions from it, so all three stay consistent.
+/// [`Campaign::schedule`] is its only caller in the drivers' path: every
+/// backend sees a flap as these install/heal pairs and nothing else.
 #[must_use]
 pub fn flap_spans(period: u64, from: u64, until: u64) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
@@ -156,6 +167,82 @@ impl ChaosPhase {
             ChaosPhase::Wave { .. } | ChaosPhase::Heal { .. } => None,
         }
     }
+
+    /// What happens when the phase begins to act (for a flap: at every
+    /// install).
+    fn on_start(&self) -> ChaosAction<'_> {
+        match self {
+            ChaosPhase::Partition { groups, .. } | ChaosPhase::Flap { groups, .. } => {
+                ChaosAction::InstallPartition(groups)
+            }
+            ChaosPhase::Cut {
+                blinded, hidden, ..
+            } => ChaosAction::InstallCut { blinded, hidden },
+            ChaosPhase::Storm { factor, jitter, .. } => ChaosAction::StormOn {
+                factor: *factor,
+                jitter: *jitter,
+            },
+            ChaosPhase::Wave { crash, recover, .. } => ChaosAction::Wave { crash, recover },
+            ChaosPhase::Heal { .. } => ChaosAction::Heal,
+        }
+    }
+
+    /// What happens when the phase stops acting on its own (`None` for
+    /// instantaneous phases).
+    fn on_end(&self) -> Option<ChaosAction<'_>> {
+        match self {
+            ChaosPhase::Partition { .. } | ChaosPhase::Cut { .. } | ChaosPhase::Flap { .. } => {
+                Some(ChaosAction::Heal)
+            }
+            ChaosPhase::Storm { .. } => Some(ChaosAction::StormOff),
+            ChaosPhase::Wave { .. } | ChaosPhase::Heal { .. } => None,
+        }
+    }
+}
+
+/// What a driver does at one campaign boundary — the whole vocabulary
+/// every backend realizes, borrowed from the phase that declared it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosAction<'a> {
+    /// Sever cross-group register visibility between these groups.
+    InstallPartition(&'a [Vec<ProcessId>]),
+    /// Sever the `blinded` processes' reads of the `hidden` ones, one way.
+    InstallCut {
+        /// Processes whose reads are severed.
+        blinded: &'a [ProcessId],
+        /// Processes they stop seeing.
+        hidden: &'a [ProcessId],
+    },
+    /// Heal whatever cut is installed (nothing to do when none is).
+    Heal,
+    /// Start stretching service time by `factor`, smeared by `0..=jitter`.
+    StormOn {
+        /// Multiplier applied to service time (≥ 1).
+        factor: u64,
+        /// Bound of the deterministic per-step jitter, in ticks.
+        jitter: u64,
+    },
+    /// Stop stretching service time.
+    StormOff,
+    /// Crash `crash` and resurrect `recover`.
+    Wave {
+        /// Processes that crash.
+        crash: &'a [ProcessId],
+        /// Processes that recover.
+        recover: &'a [ProcessId],
+    },
+}
+
+/// One entry of a campaign's flattened [`schedule`](Campaign::schedule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scheduled<'a> {
+    /// The tick the action is due.
+    pub tick: u64,
+    /// The simulator event that carries it: `ChaosStart(i)` /
+    /// `ChaosEnd(i)` of the declaring phase `i` (what traces record).
+    pub event: EventKind,
+    /// What to do.
+    pub action: ChaosAction<'a>,
 }
 
 /// A declarative fault schedule: ordered phases over virtual ticks.
@@ -239,98 +326,95 @@ impl Campaign {
         window
     }
 
+    /// The campaign as timed actions on a run of `horizon` ticks: every
+    /// phase boundary (a flap contributes one install/heal pair per
+    /// [`flap_spans`] entry) sorted by `(tick, declaration order)`.
+    ///
+    /// One horizon convention for every backend — the simulator's: a
+    /// boundary fires iff `tick <= horizon`, so an `until` past the
+    /// horizon yields no heal and the phase stays active to the end.
+    #[must_use]
+    pub fn schedule(&self, horizon: u64) -> Vec<Scheduled<'_>> {
+        let mut schedule = Vec::new();
+        for (i, phase) in self.phases.iter().enumerate() {
+            let i = u32::try_from(i).expect("phase count fits u32");
+            let spans = match *phase {
+                ChaosPhase::Flap {
+                    period,
+                    from,
+                    until,
+                    ..
+                } => flap_spans(period, from, until)
+                    .into_iter()
+                    .map(|(install, heal)| (install, Some(heal)))
+                    .collect(),
+                _ => vec![(phase.start(), phase.end())],
+            };
+            for (start, end) in spans {
+                schedule.push(Scheduled {
+                    tick: start,
+                    event: EventKind::ChaosStart(i),
+                    action: phase.on_start(),
+                });
+                if let (Some(end), Some(action)) = (end, phase.on_end()) {
+                    schedule.push(Scheduled {
+                        tick: end,
+                        event: EventKind::ChaosEnd(i),
+                        action,
+                    });
+                }
+            }
+        }
+        schedule.retain(|s| s.tick <= horizon);
+        // Stable: simultaneous boundaries keep declaration order.
+        schedule.sort_by_key(|s| s.tick);
+        schedule
+    }
+
+    /// The action a recorded boundary event stands for (`None` for
+    /// non-campaign events) — the inverse of [`Scheduled::event`], which
+    /// is how a replayed trace finds its actions again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event names a phase this campaign does not have.
+    #[must_use]
+    pub fn action_of(&self, event: EventKind) -> Option<ChaosAction<'_>> {
+        match event {
+            EventKind::ChaosStart(i) => Some(self.phases[i as usize].on_start()),
+            EventKind::ChaosEnd(i) => self.phases[i as usize].on_end(),
+            _ => None,
+        }
+    }
+
+    /// The [`ChaosTally`] of the whole schedule, closed at `horizon`.
+    fn planned(&self, horizon: u64) -> ChaosTally {
+        let mut tally = ChaosTally::default();
+        for s in self.schedule(horizon) {
+            tally.book(s.tick, s.action);
+        }
+        tally.close(horizon);
+        tally
+    }
+
     /// The stats this schedule yields by construction on a run of `horizon`
-    /// ticks, mirroring the simulator's accounting exactly (phase events
-    /// fire at `tick <= horizon`, in `(tick, declaration order)`; phases
-    /// still active at the horizon are closed there without counting as
-    /// healed).
+    /// ticks (waves count every listed process; the simulator counts the
+    /// ones a wave actually flipped).
     ///
     /// Wall-clock drivers inject phases on the wall clock and cannot
     /// measure ticks, so they report this planned view instead.
     #[must_use]
     pub fn planned_stats(&self, horizon: u64) -> ChaosStats {
-        enum Action {
-            PartitionStart,
-            StormStart,
-            Wave(u32, u32),
-            Heal,
-        }
-        let mut actions: Vec<(u64, usize, Action)> = Vec::new();
-        for (seq, phase) in self.phases.iter().enumerate() {
-            // A flap is a schedule of install/heal pairs, not one span.
-            if let ChaosPhase::Flap {
-                period,
-                from,
-                until,
-                ..
-            } = *phase
-            {
-                for (install, heal) in flap_spans(period, from, until) {
-                    if install <= horizon {
-                        actions.push((install, seq, Action::PartitionStart));
-                    }
-                    if heal <= horizon {
-                        actions.push((heal, seq, Action::Heal));
-                    }
-                }
-                continue;
-            }
-            let (start, end) = (phase.start(), phase.end());
-            let act = match phase {
-                ChaosPhase::Partition { .. } | ChaosPhase::Cut { .. } => Action::PartitionStart,
-                ChaosPhase::Storm { .. } => Action::StormStart,
-                ChaosPhase::Wave { crash, recover, .. } => {
-                    Action::Wave(crash.len() as u32, recover.len() as u32)
-                }
-                ChaosPhase::Heal { .. } => Action::Heal,
-                ChaosPhase::Flap { .. } => unreachable!("handled above"),
-            };
-            if start <= horizon {
-                actions.push((start, seq, act));
-            }
-            if let Some(end) = end.filter(|&end| end <= horizon) {
-                actions.push((end, seq, Action::Heal));
-            }
-        }
-        actions.sort_by_key(|&(tick, seq, _)| (tick, seq));
+        self.planned(horizon).stats
+    }
 
-        let mut stats = ChaosStats::default();
-        let mut partition_since: Option<u64> = None;
-        let mut storm_since: Option<u64> = None;
-        for (now, seq, action) in actions {
-            match action {
-                Action::PartitionStart => {
-                    stats.partitions += 1;
-                    partition_since = Some(now);
-                }
-                Action::StormStart => {
-                    storm_since = Some(now);
-                }
-                Action::Wave(crashes, recoveries) => {
-                    stats.wave_crashes += crashes;
-                    stats.wave_recoveries += recoveries;
-                }
-                Action::Heal => {
-                    // A Storm's own end clears the storm; every other heal
-                    // (explicit or a Partition's `until`) clears the cut.
-                    if matches!(self.phases[seq], ChaosPhase::Storm { .. }) {
-                        if let Some(since) = storm_since.take() {
-                            stats.storm_ticks += now - since;
-                        }
-                    } else if let Some(since) = partition_since.take() {
-                        stats.partition_ticks += now - since;
-                        stats.last_heal_at = Some(now);
-                    }
-                }
-            }
-        }
-        if let Some(since) = partition_since {
-            stats.partition_ticks += horizon - since;
-        }
-        if let Some(since) = storm_since {
-            stats.storm_ticks += horizon - since;
-        }
-        stats
+    /// The `[from, until)` tick intervals during which some cut is
+    /// installed on a run of `horizon` ticks: opened by a partition, cut
+    /// or flap install, closed by whichever heal comes first (the phase's
+    /// own `until`, an explicit [`ChaosPhase::Heal`], or the horizon).
+    #[must_use]
+    pub fn installed_intervals(&self, horizon: u64) -> Vec<(u64, u64)> {
+        self.planned(horizon).installed
     }
 
     /// Checks the campaign is well-formed for an `n`-process system.
@@ -462,6 +546,75 @@ impl ChaosStats {
     }
 }
 
+/// The one accounting of campaign actions as they fire: fold
+/// [`book`](Self::book) over actions in firing order, then
+/// [`close`](Self::close) at the horizon.
+#[derive(Debug, Clone, Default)]
+pub struct ChaosTally {
+    /// The counters so far.
+    pub stats: ChaosStats,
+    /// The `[from, until)` intervals during which a cut was installed.
+    pub installed: Vec<(u64, u64)>,
+    partition_since: Option<u64>,
+    storm_since: Option<u64>,
+}
+
+impl ChaosTally {
+    /// Whether a cut is installed right now — a heal only acts (and only
+    /// counts) when one is.
+    #[must_use]
+    pub fn cut_installed(&self) -> bool {
+        self.partition_since.is_some()
+    }
+
+    /// Books `action` firing at tick `now`. A wave books every process it
+    /// lists; a caller that knows how many it actually flipped books those
+    /// through [`book_wave`](Self::book_wave) instead.
+    pub fn book(&mut self, now: u64, action: ChaosAction<'_>) {
+        match action {
+            ChaosAction::InstallPartition(_) | ChaosAction::InstallCut { .. } => {
+                self.stats.partitions += 1;
+                self.partition_since = Some(now);
+            }
+            ChaosAction::Heal => {
+                if let Some(since) = self.partition_since.take() {
+                    self.stats.partition_ticks += now - since;
+                    self.stats.last_heal_at = Some(now);
+                    self.installed.push((since, now));
+                }
+            }
+            ChaosAction::StormOn { .. } => self.storm_since = Some(now),
+            ChaosAction::StormOff => {
+                if let Some(since) = self.storm_since.take() {
+                    self.stats.storm_ticks += now - since;
+                }
+            }
+            ChaosAction::Wave { crash, recover } => {
+                self.book_wave(crash.len() as u32, recover.len() as u32);
+            }
+        }
+    }
+
+    /// Books a wave that crashed `crashes` and resurrected `recoveries`
+    /// processes.
+    pub fn book_wave(&mut self, crashes: u32, recoveries: u32) {
+        self.stats.wave_crashes += crashes;
+        self.stats.wave_recoveries += recoveries;
+    }
+
+    /// Closes the accounting of whatever is still active at `horizon`: its
+    /// ticks count up to there, but it never healed.
+    pub fn close(&mut self, horizon: u64) {
+        if let Some(since) = self.partition_since.take() {
+            self.stats.partition_ticks += horizon - since;
+            self.installed.push((since, horizon));
+        }
+        if let Some(since) = self.storm_since.take() {
+            self.stats.storm_ticks += horizon - since;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,6 +728,74 @@ mod tests {
         assert_eq!(cut_short.partition_ticks, 600);
         assert_eq!(cut_short.storm_ticks, 1_000);
         assert_eq!(cut_short.wave_crashes, 0);
+
+        // The schedule those stats are folded over: every boundary, by
+        // tick, carrying the simulator event of its declaring phase.
+        let boundaries = |c: &Campaign, horizon| -> Vec<(u64, EventKind)> {
+            c.schedule(horizon)
+                .iter()
+                .map(|s| (s.tick, s.event))
+                .collect()
+        };
+        assert_eq!(
+            boundaries(&campaign, 10_000),
+            [
+                (100, EventKind::ChaosStart(0)),
+                (700, EventKind::ChaosEnd(0)),
+                (1_000, EventKind::ChaosStart(1)),
+                (4_000, EventKind::ChaosEnd(1)),
+                (5_000, EventKind::ChaosStart(2)),
+            ]
+        );
+        assert_eq!(
+            campaign.schedule(10_000)[3].action,
+            ChaosAction::StormOff,
+            "a storm's end clears the storm, not the cut"
+        );
+        // An `until` past the horizon yields no boundary at all; one
+        // exactly at the horizon still fires, as the simulator retires it.
+        assert_eq!(boundaries(&campaign, 2_000).len(), 3);
+        assert_eq!(boundaries(&campaign, 4_000).len(), 4);
+        assert_eq!(campaign.installed_intervals(10_000), [(100, 700)]);
+        assert_eq!(campaign.installed_intervals(500), [(100, 500)]);
+
+        // Equal ticks fire in declaration order: a heal declared before an
+        // install at its tick finds nothing to heal; declared after, it
+        // heals that install on the spot.
+        let install = ChaosPhase::Partition {
+            groups: vec![vec![p(0)], vec![p(1)]],
+            from: 700,
+            until: 900,
+        };
+        let heal = ChaosPhase::Heal { at: 700 };
+        let heal_first = Campaign::new().phase(heal.clone()).phase(install.clone());
+        assert_eq!(heal_first.installed_intervals(10_000), [(700, 900)]);
+        assert_eq!(heal_first.planned_stats(10_000).last_heal_at, Some(900));
+        let install_first = Campaign::new().phase(install).phase(heal);
+        assert_eq!(
+            boundaries(&install_first, 10_000),
+            [
+                (700, EventKind::ChaosStart(0)),
+                (700, EventKind::ChaosStart(1)),
+                (900, EventKind::ChaosEnd(0)),
+            ]
+        );
+        assert_eq!(install_first.installed_intervals(10_000), [(700, 700)]);
+        assert_eq!(install_first.planned_stats(10_000).partition_ticks, 0);
+
+        // An explicit heal ends the installed interval early; the phase's
+        // own `until` then has nothing left to heal.
+        let healed_early = Campaign::new()
+            .phase(ChaosPhase::Partition {
+                groups: vec![vec![p(0)], vec![p(1)]],
+                from: 2_000,
+                until: 9_000,
+            })
+            .phase(ChaosPhase::Heal { at: 4_000 });
+        assert_eq!(healed_early.installed_intervals(60_000), [(2_000, 4_000)]);
+        let stats = healed_early.planned_stats(60_000);
+        assert_eq!(stats.partition_ticks, 2_000);
+        assert_eq!(stats.last_heal_at, Some(4_000));
     }
 
     #[test]
@@ -656,6 +877,24 @@ mod tests {
         assert_eq!(cut_short.partitions, 2);
         assert_eq!(cut_short.partition_ticks, 150 + 50);
         assert_eq!(cut_short.last_heal_at, Some(250));
+        // The expansion is `flap_spans`, pair for pair: one phase's
+        // start/end events alternating, and the same installed intervals.
+        let spans = flap_spans(150, 100, 700);
+        let schedule = campaign.schedule(10_000);
+        assert_eq!(schedule.len(), 2 * spans.len());
+        for (pair, &(install, heal)) in schedule.chunks(2).zip(&spans) {
+            assert_eq!(
+                (pair[0].tick, pair[0].event),
+                (install, EventKind::ChaosStart(0))
+            );
+            assert_eq!(
+                (pair[1].tick, pair[1].event),
+                (heal, EventKind::ChaosEnd(0))
+            );
+            assert_eq!(pair[1].action, ChaosAction::Heal);
+        }
+        assert_eq!(campaign.installed_intervals(10_000), spans);
+        assert_eq!(campaign.installed_intervals(450), [(100, 250), (400, 450)]);
     }
 
     #[test]

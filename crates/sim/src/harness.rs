@@ -1,10 +1,10 @@
 //! The simulation harness: wires actors, adversary, timers and crashes
 //! together and runs the event loop to a horizon.
 
-use omega_registers::{FootprintReport, MemorySpace, ProcessId, ProcessSet};
+use omega_registers::{plurality, FootprintReport, MemorySpace, ProcessId, ProcessSet};
 
 use crate::adversary::{Adversary, RunView, Synchronous};
-use crate::chaos::{flap_spans, Campaign, ChaosPhase, ChaosStats};
+use crate::chaos::{Campaign, ChaosAction, ChaosStats, ChaosTally};
 use crate::crash::{CrashDirective, CrashPlan};
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::{LeaderTimeline, StabilizationReport, WindowedStats};
@@ -239,8 +239,8 @@ pub struct Simulation {
     /// Active storm envelope `(factor, jitter)`; stretches live-scheduled
     /// step delays.
     storm: Option<(u64, u64)>,
-    partition_since: Option<SimTime>,
-    storm_since: Option<SimTime>,
+    /// Accounting of the campaign actions applied so far.
+    chaos: ChaosTally,
     report: RunReport,
 }
 
@@ -280,8 +280,7 @@ impl Simulation {
             pending_leader_crashes,
             campaign: b.campaign,
             storm: None,
-            partition_since: None,
-            storm_since: None,
+            chaos: ChaosTally::default(),
             report: RunReport::new(n, b.horizon),
             actors: b.actors,
             adversary: b.adversary,
@@ -330,7 +329,7 @@ impl Simulation {
         let mut resolved = Vec::new();
         for (i, &when) in self.pending_leader_crashes.iter().enumerate() {
             if now >= when {
-                if let Some(target) = plurality(&leaders) {
+                if let Some(target) = plurality(leaders.iter().copied()) {
                     resolved.push((i, target));
                 }
             }
@@ -374,36 +373,12 @@ impl Simulation {
         for (time, pid) in self.crash_plan.fixed_crashes() {
             self.queue.schedule(time, EventKind::Crash(pid));
         }
-        // Chaos-campaign phase boundaries. An `until` beyond the horizon
-        // simply never fires: the phase stays active to the end and
-        // `finish` closes its accounting.
+        // Chaos-campaign boundaries, in schedule order: the queue breaks
+        // equal-tick ties by insertion, so they fire after scripted crashes,
+        // before samples, and among themselves by declaration.
         if let Some(campaign) = &self.campaign {
-            for (i, phase) in campaign.phases.iter().enumerate() {
-                let i = u32::try_from(i).expect("phase count fits u32");
-                // A flap is one phase realized as many install/heal pairs:
-                // the same ChaosStart/ChaosEnd events fire once per
-                // half-cycle, so traces record and replay it natively.
-                if let ChaosPhase::Flap {
-                    period,
-                    from,
-                    until,
-                    ..
-                } = *phase
-                {
-                    for (install, heal) in flap_spans(period, from, until) {
-                        self.queue
-                            .schedule(SimTime::from_ticks(install), EventKind::ChaosStart(i));
-                        self.queue
-                            .schedule(SimTime::from_ticks(heal), EventKind::ChaosEnd(i));
-                    }
-                    continue;
-                }
-                self.queue
-                    .schedule(SimTime::from_ticks(phase.start()), EventKind::ChaosStart(i));
-                if let Some(end) = phase.end() {
-                    self.queue
-                        .schedule(SimTime::from_ticks(end), EventKind::ChaosEnd(i));
-                }
+            for s in campaign.schedule(self.horizon.ticks()) {
+                self.queue.schedule(SimTime::from_ticks(s.tick), s.event);
             }
         }
         // Sampling cadence.
@@ -532,11 +507,8 @@ impl Simulation {
             EventKind::Sample => {
                 self.sample(now);
             }
-            EventKind::ChaosStart(i) => {
-                self.chaos_start(i as usize, now, live);
-            }
-            EventKind::ChaosEnd(i) => {
-                self.chaos_end(i as usize, now);
+            EventKind::ChaosStart(_) | EventKind::ChaosEnd(_) => {
+                self.chaos_event(kind, now, live);
             }
         }
     }
@@ -547,35 +519,49 @@ impl Simulation {
             .expect("campaign partitions require an attached memory space")
     }
 
-    /// Begins phase `i` of the campaign. Mutates simulator state the same
-    /// way live and on replay; only the *scheduling* of a recovered
-    /// process's next step/timer is live-only (replay already carries those
-    /// events in the trace).
-    fn chaos_start(&mut self, i: usize, now: SimTime, live: bool) {
-        let phase = self
+    /// Realizes the campaign action a boundary event stands for and books
+    /// it. Mutates simulator state the same way live and on replay; only
+    /// the *scheduling* of a recovered process's next step/timer is
+    /// live-only (replay already carries those events in the trace).
+    /// Out of line: a run retires a few dozen of these among millions of
+    /// steps, and `apply_event` is the loop body.
+    #[cold]
+    fn chaos_event(&mut self, kind: EventKind, now: SimTime, live: bool) {
+        let campaign = self
             .campaign
-            .as_ref()
-            .expect("chaos event without a campaign")
-            .phases[i]
-            .clone();
-        match phase {
-            ChaosPhase::Partition { groups, .. } => {
-                self.chaos_memory().install_partition(&groups);
-                self.report.chaos.partitions += 1;
-                self.partition_since = Some(now);
+            .take()
+            .expect("chaos event without a campaign");
+        if let Some(action) = campaign.action_of(kind) {
+            self.apply_chaos(action, now, live);
+        }
+        self.campaign = Some(campaign);
+    }
+
+    fn apply_chaos(&mut self, action: ChaosAction<'_>, now: SimTime, live: bool) {
+        match action {
+            ChaosAction::InstallPartition(groups) => {
+                self.chaos_memory().install_partition(groups);
             }
-            ChaosPhase::Storm { factor, jitter, .. } => {
-                self.storm = Some((factor, jitter));
-                self.storm_since = Some(now);
+            ChaosAction::InstallCut { blinded, hidden } => {
+                self.chaos_memory().install_cut(blinded, hidden);
             }
-            ChaosPhase::Wave { crash, recover, .. } => {
-                for pid in crash {
+            ChaosAction::Heal => {
+                if self.chaos.cut_installed() {
+                    self.chaos_memory().heal_partition();
+                }
+            }
+            ChaosAction::StormOn { factor, jitter } => self.storm = Some((factor, jitter)),
+            ChaosAction::StormOff => self.storm = None,
+            ChaosAction::Wave { crash, recover } => {
+                // Only processes the wave actually flips are booked.
+                let (mut crashes, mut recoveries) = (0, 0);
+                for &pid in crash {
                     if !self.crashed.contains(pid) {
                         self.crash(pid);
-                        self.report.chaos.wave_crashes += 1;
+                        crashes += 1;
                     }
                 }
-                for pid in recover {
+                for &pid in recover {
                     if !self.crashed.contains(pid) {
                         continue;
                     }
@@ -583,7 +569,7 @@ impl Simulation {
                     // Invalidate any stale pre-crash timer still in flight.
                     let epoch = self.timer_epochs[pid.index()] + 1;
                     self.timer_epochs[pid.index()] = epoch;
-                    self.report.chaos.wave_recoveries += 1;
+                    recoveries += 1;
                     if live {
                         let delay = self.adversary.next_step_delay(pid, now).max(1);
                         self.queue.schedule(now + delay, EventKind::Step(pid));
@@ -593,65 +579,19 @@ impl Simulation {
                             .schedule(now + d, EventKind::TimerExpire(pid, epoch));
                     }
                 }
-            }
-            ChaosPhase::Heal { .. } => {
-                self.heal_partition(now);
-            }
-            ChaosPhase::Cut {
-                blinded, hidden, ..
-            } => {
-                self.chaos_memory().install_cut(&blinded, &hidden);
-                self.report.chaos.partitions += 1;
-                self.partition_since = Some(now);
-            }
-            ChaosPhase::Flap { groups, .. } => {
-                // Fires once per cut half-cycle (see `run_to_horizon`).
-                self.chaos_memory().install_partition(&groups);
-                self.report.chaos.partitions += 1;
-                self.partition_since = Some(now);
+                self.chaos.book_wave(crashes, recoveries);
+                return;
             }
         }
-    }
-
-    /// Ends phase `i` (partition heals, storm clears).
-    fn chaos_end(&mut self, i: usize, now: SimTime) {
-        let phase = &self
-            .campaign
-            .as_ref()
-            .expect("chaos event without a campaign")
-            .phases[i];
-        match phase {
-            ChaosPhase::Partition { .. } | ChaosPhase::Cut { .. } | ChaosPhase::Flap { .. } => {
-                self.heal_partition(now);
-            }
-            ChaosPhase::Storm { .. } => {
-                self.storm = None;
-                if let Some(since) = self.storm_since.take() {
-                    self.report.chaos.storm_ticks += now.since(since);
-                }
-            }
-            ChaosPhase::Wave { .. } | ChaosPhase::Heal { .. } => {}
-        }
-    }
-
-    fn heal_partition(&mut self, now: SimTime) {
-        if let Some(since) = self.partition_since.take() {
-            self.chaos_memory().heal_partition();
-            self.report.chaos.partition_ticks += now.since(since);
-            self.report.chaos.last_heal_at = Some(now.ticks());
-        }
+        self.chaos.book(now.ticks(), action);
     }
 
     fn finish(mut self, started: std::time::Instant) -> RunReport {
         let n = self.n();
-        // Close the accounting of phases still active at the horizon (the
-        // partition itself stays installed: the run is over).
-        if let Some(since) = self.partition_since.take() {
-            self.report.chaos.partition_ticks += self.horizon.since(since);
-        }
-        if let Some(since) = self.storm_since.take() {
-            self.report.chaos.storm_ticks += self.horizon.since(since);
-        }
+        // Phases still active at the horizon close there (the partition
+        // itself stays installed: the run is over).
+        self.chaos.close(self.horizon.ticks());
+        self.report.chaos = self.chaos.stats;
         self.checkpoint(self.horizon);
         self.report.wall.elapsed = started.elapsed();
         self.report.trace = self.trace.take();
@@ -664,22 +604,6 @@ impl Simulation {
         self.report.correct = correct;
         self.report
     }
-}
-
-/// The identity most frequently reported as leader, ties broken towards the
-/// smaller identity.
-fn plurality(leaders: &[Option<ProcessId>]) -> Option<ProcessId> {
-    let mut counts: Vec<(ProcessId, usize)> = Vec::new();
-    for leader in leaders.iter().flatten() {
-        match counts.iter_mut().find(|(p, _)| p == leader) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((*leader, 1)),
-        }
-    }
-    counts
-        .into_iter()
-        .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-        .map(|(p, _)| p)
 }
 
 /// Everything measured during one simulated run.
@@ -833,6 +757,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::adversary::SeededRandom;
+    use crate::chaos::ChaosPhase;
     use crate::timers::AffineTimer;
 
     /// Actor that elects the smallest non-crashed id it has "heard from";
@@ -1301,13 +1226,5 @@ mod tests {
             .iter()
             .zip(&report.steps_taken)
             .all(|(s, total)| s <= total));
-    }
-
-    #[test]
-    fn plurality_prefers_smaller_id_on_ties() {
-        let p = |i| Some(ProcessId::new(i));
-        assert_eq!(plurality(&[p(2), p(1)]), Some(ProcessId::new(1)));
-        assert_eq!(plurality(&[p(2), p(2), p(1)]), Some(ProcessId::new(2)));
-        assert_eq!(plurality(&[None, None]), None);
     }
 }
