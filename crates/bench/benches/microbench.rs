@@ -3,7 +3,9 @@
 //! These complement the figure/table binaries (which regenerate the paper's
 //! shapes) with raw operation costs: register access, the `leader()` query
 //! (task `T1`) as a function of `n`, one `T2`/`T3` step of each algorithm,
-//! and a full single-leader consensus decision.
+//! a full single-leader consensus decision, and the two things the
+//! replicated log does per slot and per poll (allocate an instance; step a
+//! follower over an undecided slot).
 //!
 //! Dependency-free harness (`harness = false`): each benchmark is run in
 //! batches until ~50 ms of samples accumulate, then the per-iteration
@@ -15,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use omega_consensus::{ConsensusInstance, ConsensusProcess};
+use omega_consensus::{ConsensusInstance, ConsensusProcess, KvCommand, LogHandle, LogShared};
 use omega_core::{
     elect_least_suspected, Alg1Memory, Alg1Process, Alg2Memory, Alg2Process, OmegaProcess,
 };
@@ -243,6 +245,28 @@ fn bench_consensus() {
                 .expect("sole leader decides");
         });
     }
+
+    // The service's shape: n = 5, `KvCommand` values.
+    let n = 5;
+    // What a follower does on all but a few percent of its polls (590 k
+    // times in one rung of `serve-writes`): scan the held slot's `DEC`
+    // bank, find nothing, and — not being the leader — stop.
+    let shared = LogShared::<KvCommand>::new(MemorySpace::new(n));
+    let mut follower = LogHandle::new(shared, p(1));
+    bench("consensus", "log_step_idle", || follower.step(p(0)));
+
+    // A rung's registry holds some 10 k slots; start a fresh space before
+    // this one outgrows that (its drop is part of a slot's cost too).
+    let mut space = MemorySpace::new(n);
+    let mut slots = 0;
+    bench("consensus", "instance_new", || {
+        if slots == 10_000 {
+            space = MemorySpace::new(n);
+            slots = 0;
+        }
+        slots += 1;
+        std::hint::black_box(ConsensusInstance::<KvCommand>::new(&space, "LOG[0]"));
+    });
 }
 
 /// What a sim run does *around* its event loop, at the `elect-wide` size:

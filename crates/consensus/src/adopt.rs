@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use omega_registers::{MemorySpace, ProcessId, RegisterValue, SwmrRegister};
+use omega_registers::{MemorySpace, ProcessId, RegisterValue, SwmrArray};
 
 /// The outcome of an adopt-commit proposal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,60 +63,51 @@ impl<V> AdoptCommitOutcome<V> {
 /// ```
 #[derive(Debug)]
 pub struct AdoptCommit<V: RegisterValue> {
-    n: usize,
     /// Phase-1 proposals: `A[i]`.
-    proposals: Vec<SwmrRegister<Option<V>>>,
+    proposals: SwmrArray<Option<V>>,
     /// Phase-2 reports: `B[i] = (value, saw_single)`.
-    reports: Vec<SwmrRegister<Option<(V, bool)>>>,
+    reports: SwmrArray<Option<(V, bool)>>,
 }
 
 impl<V: RegisterValue + PartialEq> AdoptCommit<V> {
     /// Allocates the object's registers in `space` under `name`.
     #[must_use]
     pub fn new(space: &MemorySpace, name: &str) -> Arc<Self> {
-        let n = space.n_processes();
-        let proposals = ProcessId::all(n)
-            .map(|pid| space.swmr::<Option<V>>(&format!("{name}.A[{}]", pid.index()), pid, None))
-            .collect();
-        let reports = ProcessId::all(n)
-            .map(|pid| {
-                space.swmr::<Option<(V, bool)>>(&format!("{name}.B[{}]", pid.index()), pid, None)
-            })
-            .collect();
         Arc::new(AdoptCommit {
-            n,
-            proposals,
-            reports,
+            proposals: space.swmr_array(&format!("{name}.A"), |_| None),
+            reports: space.swmr_array(&format!("{name}.B"), |_| None),
         })
     }
 
     /// Number of processes.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.proposals.len()
     }
 
     /// Proposes `value` on behalf of `pid` (call at most once per process).
     pub fn propose(&self, pid: ProcessId, value: V) -> AdoptCommitOutcome<V> {
         // Phase 1: publish, then scan proposals.
-        self.proposals[pid.index()].write(pid, Some(value.clone()));
+        self.proposals.get(pid).write(pid, Some(value.clone()));
         let mut saw_other = false;
-        for j in ProcessId::all(self.n) {
-            if let Some(v) = self.proposals[j.index()].read(pid) {
+        for (_, proposal) in self.proposals.iter() {
+            if let Some(v) = proposal.read(pid) {
                 if v != value {
                     saw_other = true;
                 }
             }
         }
         let single = !saw_other;
-        self.reports[pid.index()].write(pid, Some((value.clone(), single)));
+        self.reports
+            .get(pid)
+            .write(pid, Some((value.clone(), single)));
 
         // Phase 2: scan reports.
         let mut all_single = true;
         let mut any_single: Option<V> = None;
         let mut saw_any = false;
-        for j in ProcessId::all(self.n) {
-            if let Some((v, s)) = self.reports[j.index()].read(pid) {
+        for (_, report) in self.reports.iter() {
+            if let Some((v, s)) = report.read(pid) {
                 saw_any = true;
                 if s {
                     any_single = Some(v);

@@ -5,6 +5,15 @@
 //! by consensus instance `k`; every replica applies the decided prefix in
 //! order. Ω drives liveness exactly as for single-shot consensus — the
 //! stable leader commits its queue of commands slot by slot.
+//!
+//! Instances are allocated lazily, by whichever replica first looks at a
+//! slot, in the [`LogShared`] table; a [`LogHandle`] looks once per slot —
+//! it holds the instance of its first undecided slot from the poll that
+//! fetched it until the slot is absorbed — so a poll that learns nothing
+//! (nearly all of them: a replica polls far more often than slots decide)
+//! is one `DEC` scan of an instance already in hand, with no table lock
+//! and no allocation. Only the catch-up slot is ever allocated ahead of
+//! the decided prefix.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -97,8 +106,14 @@ pub struct LogHandle<V: RegisterValue> {
     shared: Arc<LogShared<V>>,
     committed: Vec<V>,
     pending: VecDeque<V>,
+    /// The instance of slot `committed.len()`, once fetched: held from
+    /// the first poll of the slot until [`absorb`](Self::absorb) moves past
+    /// it, so the shared table is consulted once per slot, not per poll.
+    current: Option<Arc<ConsensusInstance<V>>>,
     /// Proposer for the slot `committed.len()`, if one is running.
     active: Option<ConsensusProcess<V>>,
+    /// Buffer of the learner's `DEC` scan, kept between polls.
+    scan: Vec<Option<V>>,
     /// Commit/reject events since the last drain; only recorded once a
     /// consumer opted in (otherwise absorbing would leak per slot).
     events: Vec<LogEvent>,
@@ -114,7 +129,9 @@ impl<V: RegisterValue + PartialEq> LogHandle<V> {
             shared,
             committed: Vec::new(),
             pending: VecDeque::new(),
+            current: None,
             active: None,
+            scan: Vec::new(),
             events: Vec::new(),
             record_events: false,
         }
@@ -172,6 +189,7 @@ impl<V: RegisterValue + PartialEq> LogHandle<V> {
             self.events.push(LogEvent::Committed { slot, ours });
         }
         self.committed.push(value);
+        self.current = None;
         self.active = None;
     }
 
@@ -180,15 +198,12 @@ impl<V: RegisterValue + PartialEq> LogHandle<V> {
     pub fn step(&mut self, leader: ProcessId) {
         // Catch up on slots decided by others (reads, not peeks: learning
         // is part of the protocol).
-        loop {
-            let slot = self.committed.len();
-            if self.active.is_some() {
-                break;
-            }
-            let inst = self.shared.instance(slot);
-            let decided =
-                ProcessId::all(inst.n()).find_map(|j| inst.decision_reg(j).read(self.pid));
-            match decided {
+        while self.active.is_none() {
+            // Fetched (and allocated, if this replica is first there) on
+            // the first poll after each absorbed slot.
+            let inst =
+                (self.current).get_or_insert_with(|| self.shared.instance(self.committed.len()));
+            match inst.read_decision(self.pid, &mut self.scan) {
                 Some(v) => self.absorb(v),
                 None => break,
             }
@@ -203,8 +218,8 @@ impl<V: RegisterValue + PartialEq> LogHandle<V> {
         }
         if leader == self.pid {
             if let Some(command) = self.pending.front().cloned() {
-                let slot = self.committed.len();
-                let inst = self.shared.instance(slot);
+                let inst = (self.current.clone())
+                    .expect("the catch-up loop above holds the free slot's instance");
                 let mut proposer = ConsensusProcess::new(inst, self.pid, command);
                 if let ProposerStatus::Decided(v) = proposer.step(leader) {
                     self.absorb(v);
@@ -257,6 +272,78 @@ mod tests {
         let b = shared.instance(3);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(shared.allocated_slots(), 4, "slots 0..=3 allocated");
+    }
+
+    #[test]
+    fn each_slot_registers_two_banks_of_n() {
+        let n = 3;
+        let space = MemorySpace::new(n);
+        let shared = LogShared::<u64>::new(space.clone());
+        for k in 1..=4 {
+            let _ = shared.instance(k - 1);
+            assert_eq!(space.register_count(), 2 * n * k, "after {k} slots");
+        }
+        let _ = shared.instance(1);
+        assert_eq!(
+            space.register_count(),
+            2 * n * 4,
+            "a lookup allocates nothing"
+        );
+    }
+
+    #[test]
+    fn statistics_rows_of_a_two_slot_log_are_where_they_always_were() {
+        let space = MemorySpace::new(2);
+        let shared = LogShared::<u64>::new(space.clone());
+        let _ = shared.instance(1);
+        let golden = [
+            ("LOG[0].RR[0]", 0),
+            ("LOG[0].RR[1]", 1),
+            ("LOG[0].DEC[0]", 0),
+            ("LOG[0].DEC[1]", 1),
+            ("LOG[1].RR[0]", 0),
+            ("LOG[1].RR[1]", 1),
+            ("LOG[1].DEC[0]", 0),
+            ("LOG[1].DEC[1]", 1),
+        ]
+        .map(|(name, owner)| (name.to_string(), Some(p(owner))));
+        let stats = space.stats();
+        let stats_rows: Vec<_> = (stats.rows())
+            .map(|row| (row.name.to_string(), row.owner))
+            .collect();
+        assert_eq!(stats_rows, golden);
+        let footprint = space.footprint();
+        let footprint_rows: Vec<_> = (footprint.rows().iter())
+            .map(|row| (row.name.to_string(), row.owner))
+            .collect();
+        assert_eq!(footprint_rows, golden);
+    }
+
+    #[test]
+    fn held_instance_is_dropped_when_a_slot_is_absorbed() {
+        let (shared, mut handles) = setup(2);
+        let holds = |h: &LogHandle<u64>, slot| {
+            let held = h.current.as_ref().expect("an instance is held");
+            Arc::ptr_eq(held, &shared.instance(slot))
+        };
+        // The decide path: p0 commits two commands, moving on each time.
+        handles[0].submit(7);
+        handles[0].submit(8);
+        assert!(handles[0].step_until_committed(p(0), 2, 500));
+        assert_eq!(handles[0].committed(), &[7, 8]);
+        assert!(handles[0].current.is_none(), "slot 1's instance was let go");
+        assert_eq!(shared.allocated_slots(), 2, "nobody has looked at slot 2");
+        // The learn path: one poll takes p1 through both decided slots and
+        // leaves it holding the first undecided one.
+        handles[1].step(p(0));
+        assert_eq!(handles[1].committed(), &[7, 8]);
+        assert_eq!(shared.allocated_slots(), 3);
+        assert!(holds(&handles[1], 2));
+        // p0's next poll fetches that same instance, and keeps it.
+        handles[0].step(p(0));
+        handles[0].step(p(0));
+        assert!(holds(&handles[0], 2));
+        assert_eq!(shared.allocated_slots(), 3);
     }
 
     #[test]
@@ -358,5 +445,6 @@ mod tests {
         }
         assert_eq!(handles[1].committed().len(), 0);
         assert_eq!(shared.allocated_slots(), 1, "only the catch-up slot exists");
+        assert_eq!(shared.space.register_count(), 4, "and its 2n registers");
     }
 }

@@ -68,6 +68,8 @@ pub struct ConsensusProcess<V: RegisterValue> {
     phase: Phase<V>,
     decided: Option<V>,
     attempts: u64,
+    /// Buffer of the idle phase's `DEC` scan.
+    scan: Vec<Option<V>>,
 }
 
 impl<V: RegisterValue + PartialEq> ConsensusProcess<V> {
@@ -88,6 +90,7 @@ impl<V: RegisterValue + PartialEq> ConsensusProcess<V> {
             phase: Phase::Idle,
             decided: None,
             attempts: 0,
+            scan: Vec::new(),
             inst,
         }
     }
@@ -140,10 +143,8 @@ impl<V: RegisterValue + PartialEq> ConsensusProcess<V> {
         match std::mem::replace(&mut self.phase, Phase::Idle) {
             Phase::Idle => {
                 // Learn decisions published by others.
-                for j in ProcessId::all(self.inst.n()) {
-                    if let Some(v) = self.inst.decision_reg(j).read(self.pid) {
-                        return self.learn(v);
-                    }
+                if let Some(v) = self.inst.read_decision(self.pid, &mut self.scan) {
+                    return self.learn(v);
                 }
                 if leader != self.pid {
                     return ProposerStatus::Deciding;

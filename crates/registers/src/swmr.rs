@@ -78,8 +78,8 @@ impl Owners {
 
 /// Per-slot storage of a bank: inline for the length-1 bank, so a scalar
 /// register pays for no allocation (and no byte) beyond what a lone
-/// register needs — the consensus log creates them by the ten thousand —
-/// and one boxed run per kind of cell otherwise.
+/// register needs — Ω's scalars and every `MemorySpace::swmr` caller are
+/// such banks — and one boxed run per kind of cell otherwise.
 enum Slots<C> {
     One {
         live: C,

@@ -3,6 +3,7 @@
 //! is checked across a few hundred randomized cases per run, every failure
 //! reproducible from the case number.
 
+use omega_registers::cell::{AtomicNatCell, OptionCell, SharedCell};
 use omega_registers::lincheck::{is_linearizable, CompletedOp, History, HistoryRecorder, RegOp};
 use omega_registers::{MemorySpace, ProcessId, ProcessSet, RegisterValue};
 
@@ -230,29 +231,29 @@ fn sequential_histories_linearize() {
     }
 }
 
-/// Concurrent stress: many threads hammer a lock-free register while the
-/// recorder captures the history; the result must linearize.
-#[test]
-fn concurrent_stress_linearizes() {
+/// Eight rounds of one writer storing `value(1..=25)` against three
+/// readers, on a 1WnR register over cell `C` starting at `initial`; each
+/// round's recorded history must linearize.
+fn stress_linearizes<T, C>(what: &str, initial: T, value: impl Fn(u64) -> T + Sync)
+where
+    T: RegisterValue + Eq + std::hash::Hash,
+    C: SharedCell<T>,
+{
     for round in 0..8 {
         let space = MemorySpace::new(4);
         let owner = pid(0);
-        let reg = space.nat_register("R", owner, 0);
-        let rec = std::sync::Arc::new(HistoryRecorder::new());
+        let reg = space.swmr_cell::<T, C>("R", owner, initial.clone());
+        let rec = HistoryRecorder::new();
 
         std::thread::scope(|s| {
-            {
-                let reg = reg.clone();
-                let rec = rec.clone();
-                s.spawn(move || {
-                    for v in 1..=25u64 {
-                        rec.write(owner, v + round, || reg.write(owner, v + round));
-                    }
-                });
-            }
+            s.spawn(|| {
+                for v in 1..=25u64 {
+                    let value = value(v + round);
+                    rec.write(owner, value.clone(), || reg.write(owner, value));
+                }
+            });
             for r in 1..4 {
-                let reg = reg.clone();
-                let rec = rec.clone();
+                let (reg, rec) = (&reg, &rec);
                 s.spawn(move || {
                     for _ in 0..25 {
                         rec.read(pid(r), || reg.read(pid(r)));
@@ -261,13 +262,26 @@ fn concurrent_stress_linearizes() {
             }
         });
 
-        let history = std::sync::Arc::into_inner(rec).unwrap().finish();
+        let history = rec.finish();
         assert_eq!(history.len(), 100);
         assert!(
-            is_linearizable(&history, 0),
-            "round {round}: lock-free register produced a non-linearizable history"
+            is_linearizable(&history, initial.clone()),
+            "round {round}: {what} register produced a non-linearizable history"
         );
     }
+}
+
+/// Concurrent stress: many threads hammer a register while the recorder
+/// captures the history; the result must linearize — for the lock-free
+/// cell, and for the optional-value cell whose loads skip the lock while
+/// nothing is stored (its writer alternates `Some(k)` / `None`, so both
+/// load paths and both flag flips are in every history).
+#[test]
+fn concurrent_stress_linearizes() {
+    stress_linearizes::<u64, AtomicNatCell>("lock-free", 0, |v| v);
+    stress_linearizes::<Option<u64>, OptionCell<u64>>("optional-value", None, |v| {
+        (v % 2 == 1).then_some(v)
+    });
 }
 
 /// The deliberately torn cell must produce a rejected history when a torn

@@ -25,7 +25,7 @@ use omega_consensus::{KvCommand, LogShared};
 use omega_core::OmegaProcess;
 use omega_registers::{Instrumentation, MemorySpace, ProcessId};
 use omega_scenario::CrashSpec;
-use omega_sim::{Actor, StepCtx};
+use omega_sim::{Actor, RunReport, StepCtx};
 
 use crate::ledger::Ledger;
 use crate::node::ServiceNode;
@@ -103,55 +103,70 @@ impl ServiceSimDriver {
     /// Runs the scenario to its horizon and assembles the outcome.
     #[must_use]
     pub fn run(&self, scenario: &ServiceScenario) -> ServiceOutcome {
-        let election = &scenario.election;
-        let n = election.n;
-
-        // Deferred instrumentation is exact single-threaded — the
-        // simulator's mode.
-        let space = MemorySpace::with_instrumentation(n, Instrumentation::Deferred);
-        let omegas = election.variant.build_processes_in(&space);
-        let shared = LogShared::<KvCommand>::new(space.clone());
-        let ledger = Ledger::new(scenario.requests(), n);
-
-        let mut actors: Vec<Box<dyn Actor>> = omegas
-            .into_iter()
-            .map(|omega| {
-                let pid = omega.pid();
-                Box::new(ServiceNodeActor {
-                    omega,
-                    node: ServiceNode::new(pid, Arc::clone(&ledger), Arc::clone(&shared)),
-                }) as Box<dyn Actor>
-            })
-            .collect();
-        actors.push(Box::new(WorkloadActor {
-            ledger: Arc::clone(&ledger),
-            next: 0,
-        }));
-
-        // The environment spec is the election's, widened by one process
-        // slot for the workload actor (which touches no shared registers,
-        // so the election's schedule semantics are unchanged).
-        let mut env = election.clone();
-        env.n = n + 1;
-        let report = env.sim_builder(actors).memory(space.clone()).run();
-
-        // Final deadline sweep: anything still unresolved whose deadline
-        // fell inside the horizon is a stall the pump may not have seen.
-        ledger.sweep(election.horizon);
-
-        let crash_ticks: Vec<u64> = election.crashes.iter().map(CrashSpec::tick).collect();
-
-        ServiceOutcome::assemble(
-            "sim",
-            scenario,
-            &ledger,
-            &crash_ticks,
-            report.stabilization().is_some(),
-            space.stats().total_writes(),
-            shared.allocated_slots() as u64,
-            report.wall.elapsed_ms(),
-        )
+        let (_space, outcome, _report) = simulate(scenario);
+        outcome
     }
+}
+
+/// [`ServiceSimDriver::run`], also handing back the memory space and the
+/// simulator's report, which the driver keeps to itself.
+fn simulate(scenario: &ServiceScenario) -> (MemorySpace, ServiceOutcome, RunReport) {
+    let election = &scenario.election;
+    let n = election.n;
+
+    // Deferred instrumentation is exact single-threaded — the
+    // simulator's mode.
+    let space = MemorySpace::with_instrumentation(n, Instrumentation::Deferred);
+    let omegas = election.variant.build_processes_in(&space);
+    let shared = LogShared::<KvCommand>::new(space.clone());
+    let ledger = Ledger::new(scenario.requests(), n);
+
+    let mut actors: Vec<Box<dyn Actor>> = omegas
+        .into_iter()
+        .map(|omega| {
+            let pid = omega.pid();
+            Box::new(ServiceNodeActor {
+                omega,
+                node: ServiceNode::new(pid, Arc::clone(&ledger), Arc::clone(&shared)),
+            }) as Box<dyn Actor>
+        })
+        .collect();
+    actors.push(Box::new(WorkloadActor {
+        ledger: Arc::clone(&ledger),
+        next: 0,
+    }));
+
+    // The environment spec is the election's, widened by one process
+    // slot for the workload actor (which touches no shared registers,
+    // so the election's schedule semantics are unchanged).
+    let mut env = election.clone();
+    env.n = n + 1;
+    let report = env.sim_builder(actors).memory(space.clone()).run();
+
+    // Final deadline sweep: anything still unresolved whose deadline
+    // fell inside the horizon is a stall the pump may not have seen.
+    ledger.sweep(election.horizon);
+
+    let crash_ticks: Vec<u64> = election.crashes.iter().map(CrashSpec::tick).collect();
+
+    // The simulator snapshots the registers at the horizon and nothing
+    // writes one afterwards (the sweep above touches the ledger only), so
+    // that snapshot's total is the run's: no second walk of a registry
+    // that holds 2n registers per log slot.
+    let (_, at_horizon) = (report.windowed.snapshots().last())
+        .expect("a run with a memory space attached ends on a checkpoint");
+
+    let outcome = ServiceOutcome::assemble(
+        "sim",
+        scenario,
+        &ledger,
+        &crash_ticks,
+        report.stabilization().is_some(),
+        at_horizon.total_writes(),
+        shared.allocated_slots() as u64,
+        report.wall.elapsed_ms(),
+    );
+    (space, outcome, report)
 }
 
 #[cfg(test)]
@@ -175,6 +190,40 @@ mod tests {
         assert!(outcome.log_slots > 0, "puts must replicate through the log");
         assert!(outcome.commit_p50 <= outcome.commit_p95);
         assert!(outcome.commit_p95 <= outcome.commit_max);
+    }
+
+    #[test]
+    fn total_writes_is_read_off_the_horizon_checkpoint() {
+        let sc = registry::by_name("steady/alg1").unwrap();
+        let (space, outcome, report) = simulate(&sc);
+        let snapshots = report.windowed.snapshots();
+        assert_eq!(
+            snapshots.iter().map(|(t, _)| t.ticks()).collect::<Vec<_>>(),
+            [0, sc.election.horizon],
+            "a service run checkpoints at tick 0 and at the horizon only"
+        );
+        assert_eq!(report.footprints.len(), 2);
+        assert!(outcome.total_writes > 0);
+        assert_eq!(
+            outcome.total_writes,
+            space.stats().total_writes(),
+            "nothing writes a register after the horizon checkpoint"
+        );
+    }
+
+    #[test]
+    fn dropping_the_checkpoints_changes_no_record() {
+        for sc in registry::all() {
+            assert_eq!(sc.election.stats_checkpoints, 0, "{}", sc.name);
+            let mut windowed = sc.clone();
+            windowed.election.stats_checkpoints = 16;
+            let (_, mut with, report) = simulate(&windowed);
+            assert!(report.windowed.snapshots().len() >= 16, "{}", sc.name);
+            let mut without = ServiceSimDriver.run(&sc);
+            with.elapsed_ms = 0.0;
+            without.elapsed_ms = 0.0;
+            assert_eq!(with.json_record(), without.json_record(), "{}", sc.name);
+        }
     }
 
     #[test]
