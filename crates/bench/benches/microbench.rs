@@ -27,6 +27,25 @@ fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
+/// Alg1 at `n` over deferred counters (as the simulator builds it), run to
+/// the stable state: p0 leads and heartbeats, everyone else has resigned,
+/// so a `T3` pass is reads and compares only — and every process has read
+/// every register at least once on the way there.
+fn stabilized_alg1(n: usize) -> (MemorySpace, Vec<Alg1Process>) {
+    let space = MemorySpace::with_instrumentation(n, omega_registers::Instrumentation::Deferred);
+    let mem = Alg1Memory::new(&space);
+    let mut procs: Vec<Alg1Process> = ProcessId::all(n)
+        .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
+        .collect();
+    for _ in 0..2 * n {
+        procs.iter_mut().for_each(|q| q.t2_step());
+        procs.iter_mut().for_each(|q| {
+            std::hint::black_box(q.on_timer_expire());
+        });
+    }
+    (space, procs)
+}
+
 /// Runs `op` in growing batches until ~50 ms of samples exist; reports the
 /// median per-iteration cost.
 fn bench(group: &str, name: &str, op: impl FnMut()) {
@@ -152,19 +171,7 @@ fn bench_in_situ() {
 
     for n in [48usize, 128] {
         for partitioned in [false, true] {
-            let space = MemorySpace::with_instrumentation(n, Instrumentation::Deferred);
-            let mem = Alg1Memory::new(&space);
-            let mut procs: Vec<Alg1Process> = ProcessId::all(n)
-                .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
-                .collect();
-            // Stabilize: p0 leads and heartbeats, everyone else has
-            // resigned, so a pass is reads and compares only.
-            for _ in 0..2 * n {
-                procs.iter_mut().for_each(|q| q.t2_step());
-                procs.iter_mut().for_each(|q| {
-                    black_box(q.on_timer_expire());
-                });
-            }
+            let (space, mut procs) = stabilized_alg1(n);
             let name = if partitioned {
                 let (left, right) = (ProcessId::all(n / 2), (n / 2..n).map(p));
                 space.install_partition(&[left.collect(), right.collect()]);
@@ -280,13 +287,34 @@ fn bench_accounting() {
         black_box(omega_core::OmegaVariant::Alg1.build(n));
     });
 
-    // Cost here depends on the register count, not on the counts held.
-    let sys = omega_core::OmegaVariant::Alg1.build(n);
+    // A snapshot allocates only the tiles somebody read, so the space is a
+    // stabilized one: every counter block is non-zero, as by a run's second
+    // checkpoint.
+    let (space, mut procs) = stabilized_alg1(n);
+    let mut t3_round = move || {
+        for q in &mut procs {
+            black_box(q.on_timer_expire());
+        }
+    };
     bench("accounting", &format!("space_stats/{n}"), || {
-        black_box(sys.space.stats());
+        black_box(space.stats());
     });
-    let (earlier, later) = (sys.space.stats(), sys.space.stats());
-    let (earlier_fp, later_fp) = (sys.space.footprint(), sys.space.footprint());
+    // A checkpoint of a quiescent run: between two of them only `STOP` and
+    // `PROGRESS` were read — 2 of 130 banks — so the rest of the previous
+    // snapshot is kept. (The row includes the `T3` round that moves them,
+    // n × `in_situ/alg1_t3_round`.)
+    let mut previous = space.stats();
+    bench("accounting", &format!("checkpoint_quiescent/{n}"), || {
+        t3_round();
+        let mut next = previous.clone();
+        space.stats_into(&mut next);
+        previous = next;
+    });
+    let earlier = space.stats();
+    t3_round();
+    let mut later = earlier.clone();
+    space.stats_into(&mut later);
+    let (earlier_fp, later_fp) = (space.footprint(), space.footprint());
     bench("accounting", &format!("snapshot_delta_since/{n}"), || {
         black_box(later.delta_since(&earlier));
     });
@@ -298,6 +326,27 @@ fn bench_accounting() {
     });
 }
 
+/// The event wheel as a wide run drives it: 2n entries in flight (a step
+/// and a timer per process), each popped and pushed back a few keys ahead,
+/// so the cursor sweeps all 4096 slots and every pop finds its slot cold —
+/// the case a push-then-pop at one key never sees.
+fn bench_wheel() {
+    use omega_sim::rng::SmallRng;
+    use omega_sim::wheel::TimerWheel;
+
+    for n in [5usize, 128] {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut rng = SmallRng::seed_from_u64(7);
+        for i in 0..2 * n {
+            wheel.push(rng.gen_range(1..=6), i as u32);
+        }
+        bench("sim", &format!("wheel_cycle/{n}"), || {
+            let (key, _, payload) = wheel.pop().expect("the depth is constant");
+            wheel.push(key + rng.gen_range(1..=6), payload);
+        });
+    }
+}
+
 fn main() {
     bench_registers();
     bench_leader_query();
@@ -307,4 +356,5 @@ fn main() {
     bench_simulator_throughput();
     bench_consensus();
     bench_accounting();
+    bench_wheel();
 }

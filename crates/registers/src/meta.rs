@@ -51,9 +51,10 @@
 //! one the common case (under eager instrumentation every follower bumps
 //! its cell of the leader's `PROGRESS` line).
 //! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into) transposes
-//! each bank's `n × len` tile back into the register-major
+//! each bank's `n × len` block back into a register-major tile of the
 //! [`StatsSnapshot`](crate::StatsSnapshot), a cache line of slots at a
-//! time ([`Counters::copy_into`]).
+//! time ([`Counters::copy_reads_into`]) — but only the banks some process
+//! read since the previous snapshot ([`Counters::read_sum`]).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,17 +197,23 @@ impl Counters {
         self.hwm()[slot].fetch_max(bits, Ordering::Relaxed);
     }
 
-    /// Copies the counters into a snapshot's flat buffers: `reads` receives
-    /// the bank's registers in slot order, each with its read cells indexed
-    /// by process (the transpose of the reader-major block); `writes`
-    /// receives each register's write cells (one if owned, else one per
-    /// process) in slot order.
+    /// Sum of every read cell. Counts only grow, so the sum moved if and
+    /// only if some process read some slot since it was last taken — the
+    /// snapshot's test for "this bank's tile is still good".
+    pub(crate) fn read_sum(&self) -> u64 {
+        (self.reads().iter())
+            .map(|cell| cell.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Copies the read counters into a snapshot tile: `reads` receives the
+    /// bank's registers in slot order, each with its read cells indexed by
+    /// process (the transpose of the reader-major block).
     ///
     /// # Panics
     ///
-    /// Panics if `reads` is not `len × n_processes` cells or `writes` is
-    /// not [`write_cells`](Self::write_cells) long.
-    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64]) {
+    /// Panics if `reads` is not `len × n_processes` cells.
+    pub(crate) fn copy_reads_into(&self, reads: &mut [u64]) {
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         let (len, n) = (self.len(), self.n());
         let block = self.reads();
@@ -237,17 +244,27 @@ impl Counters {
                 }
             }
         }
+    }
+
+    /// Copies each register's write cells (one if owned, else one per
+    /// process), in slot order, into a snapshot's flat write buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writes` is not [`write_cells`](Self::write_cells) long.
+    pub(crate) fn copy_writes_into(&self, writes: &mut [u64]) {
         assert_eq!(
             writes.len(),
             self.write_cells(),
             "owner-compact write cells"
         );
         for (out, cell) in writes.iter_mut().zip(self.writes()) {
-            *out = load(cell);
+            *out = cell.load(Ordering::Relaxed);
         }
     }
 
-    /// Number of write cells [`copy_into`](Self::copy_into) fills.
+    /// Number of write cells [`copy_writes_into`](Self::copy_writes_into)
+    /// fills.
     pub(crate) fn write_cells(&self) -> usize {
         self.writes().len()
     }
@@ -278,7 +295,9 @@ mod tests {
     fn copied(c: &Counters) -> (Vec<u64>, Vec<u64>) {
         let mut reads = vec![7; c.reads().len()];
         let mut writes = vec![7; c.write_cells()];
-        c.copy_into(&mut reads, &mut writes);
+        c.copy_reads_into(&mut reads);
+        c.copy_writes_into(&mut writes);
+        assert_eq!(c.read_sum(), reads.iter().sum::<u64>());
         (reads, writes)
     }
 

@@ -641,11 +641,11 @@ impl MemorySpace {
                 return Arc::clone(&cached);
             }
         }
-        let slots = registry.banks.iter().flat_map(|bank| {
+        let banks = registry.banks.iter().map(|bank| {
             (0..bank.counters().len())
                 .map(move |slot| (Arc::clone(bank.name(slot)), bank.owner(slot)))
         });
-        let rebuilt = Arc::new(SnapshotLayout::new(self.inner.n_processes, slots));
+        let rebuilt = Arc::new(SnapshotLayout::new(self.inner.n_processes, banks));
         *self.inner.layout.write() = Arc::clone(&rebuilt);
         rebuilt
     }
@@ -661,38 +661,64 @@ impl MemorySpace {
         snap
     }
 
-    /// Like [`stats`](Self::stats), but reuses `snap`'s counter buffers —
-    /// the checkpoint fast path for large spaces, where reallocating the
-    /// `registers × n` read slab per snapshot would dominate.
+    /// Like [`stats`](Self::stats), but starting from `snap` — an earlier
+    /// snapshot of this space, or any snapshot to be used as a buffer — and
+    /// replacing only what moved. The read counts of a space are
+    /// `registers × n` cells, of which a run between two checkpoints
+    /// touches few: every tile (see [`StatsSnapshot`]'s module docs) whose
+    /// counters stand where `snap` recorded them is kept as it is, shared
+    /// with whatever clone of `snap` the caller holds, and a tile that did
+    /// move is overwritten in place if `snap` is its only holder. Counts
+    /// only grow, so "stands where it was" is one sum per tile; the
+    /// registers pay nothing for it on their read and write paths.
     ///
-    /// The snapshot is register-major while the banks count reader-major,
-    /// so each bank's read block is transposed on the way out — one
-    /// `n × len` tile at a time, small enough to stay cache-resident
-    /// between its row-wise loads and its column-wise stores.
+    /// The tiles are register-major while the banks count reader-major, so
+    /// each bank's read block is transposed on the way out — one `n × len`
+    /// block at a time, small enough to stay cache-resident between its
+    /// row-wise loads and its column-wise stores.
     pub fn stats_into(&self, snap: &mut StatsSnapshot) {
         let registry = self.inner.registry.read();
         let n = self.inner.n_processes;
+        let layout = self.layout_for(&registry);
+        let before = std::mem::replace(&mut snap.layout, Arc::clone(&layout));
+        if !layout.grew_from(&before) {
+            // Another space's snapshot: equal sums would mean nothing.
+            snap.tiles.clear();
+        }
         snap.n_processes = n;
-        snap.layout = self.layout_for(&registry);
-        // Every cell is overwritten below, so a reused buffer of the right
-        // size is not even cleared, and a fresh one comes zeroed from the
-        // allocator (`vec!`) instead of being zero-filled a second time.
-        let overwritable = |buf: &mut Vec<u64>, len: usize| {
-            if buf.capacity() < len {
-                *buf = vec![0; len];
-            } else {
-                buf.resize(len, 0);
+        snap.tiles.resize_with(layout.tiles.len(), Default::default);
+        // Every write cell is overwritten below, so a reused buffer of the
+        // right size is not even cleared, and a fresh one comes zeroed from
+        // the allocator (`vec!`) instead of being zero-filled a second time.
+        if snap.writes.capacity() < layout.write_cells() {
+            snap.writes = vec![0; layout.write_cells()];
+        } else {
+            snap.writes.resize(layout.write_cells(), 0);
+        }
+        let mut writes = &mut snap.writes[..];
+        for (i, (span, tile)) in layout.tiles.iter().zip(&mut snap.tiles).enumerate() {
+            let banks = &registry.banks[span.banks.clone()];
+            let mut sum = 0;
+            for bank in banks {
+                let counters = bank.counters();
+                let (bank_writes, later) = writes.split_at_mut(counters.write_cells());
+                counters.copy_writes_into(bank_writes);
+                writes = later;
+                sum += counters.read_sum();
             }
-        };
-        overwritable(&mut snap.reads, registry.registers * n);
-        overwritable(&mut snap.writes, snap.layout.write_cells());
-        let (mut reads, mut writes) = (&mut snap.reads[..], &mut snap.writes[..]);
-        for bank in &registry.banks {
-            let counters = bank.counters();
-            let (bank_reads, later_reads) = reads.split_at_mut(counters.len() * n);
-            let (bank_writes, later_writes) = writes.split_at_mut(counters.write_cells());
-            counters.copy_into(bank_reads, bank_writes);
-            (reads, writes) = (later_reads, later_writes);
+            // The tile that was last when `snap` was taken may have gained
+            // registers since, all unread.
+            if sum == tile.sum && (sum == 0 || before.tiles.get(i) == Some(span)) {
+                continue;
+            }
+            tile.refill(span.registers.len() * n, |mut reads| {
+                for bank in banks {
+                    let counters = bank.counters();
+                    let (bank_reads, later) = reads.split_at_mut(counters.len() * n);
+                    counters.copy_reads_into(bank_reads);
+                    reads = later;
+                }
+            });
         }
         snap.scan = self.inner.scan.snapshot();
     }

@@ -17,32 +17,58 @@
 //!
 //! # Storage layout
 //!
-//! A snapshot is two flat counter arrays plus a shared, immutable
-//! description of the register layout (interned names, owners and write
-//! offsets, one [`Arc`] per space, reused by every snapshot). Reads are a
-//! dense `registers × processes` slab. Writes are *owner-compact*: a 1WnR
-//! register has exactly one legal writer, so it contributes one cell; only
-//! nWnR registers contribute one cell per process. The flat form exists for
-//! speed: at n = 256 the Figure-2 layout is ~66 000 registers, and the
-//! per-row `Vec`s this module used to allocate made one checkpoint cost
-//! ~130 000 heap allocations and a name clone each. Now a checkpoint is two
-//! allocations and an `Arc` bump, and
-//! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into) can reuse
-//! even those across checkpoints.
+//! A snapshot is a list of read *tiles*, one flat write array, and a shared,
+//! immutable description of the register layout (interned names, owners,
+//! write offsets and tile boundaries, one [`Arc`] per space, reused by every
+//! snapshot). A tile holds the read counts of a run of whole registers,
+//! register-major (`cells[register · n + process]`), behind an [`Arc`]:
+//! a bank of a tile's worth of cells or more is a tile of its own, smaller
+//! banks share one. Writes are *owner-compact*: a 1WnR register has exactly
+//! one legal writer, so it contributes one cell; only nWnR registers
+//! contribute one cell per process.
+//!
+//! Tiles are what makes a *series* of snapshots cheap. The read cells are
+//! `registers × processes` — cubic in n for the election layouts — but
+//! between two checkpoints of a run almost none of them move (after
+//! stabilization every process reads `STOP` and `PROGRESS` and nothing
+//! else), so [`MemorySpace::stats_into`](crate::MemorySpace::stats_into)
+//! keeps the tile of every region that was not read since the snapshot it
+//! is handed was taken, an all-zero tile is never allocated, and
+//! [`StatsSnapshot::delta_since`] of a tile both snapshots share is zero
+//! without a copy. A run's checkpoints cost one dense copy plus what
+//! changed, not one dense copy each.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{ProcessId, ProcessSet, ScanStats};
 
+/// Read cells a tile holds at least, unless the registers run out first:
+/// a tile closes at the first bank boundary that gives it this many. Large
+/// enough that a space of many tiny banks (a replicated log adds two
+/// `n`-slot banks per log slot) does not pay an allocation per bank per
+/// snapshot, small enough that every bank of an election layout past
+/// n = 45 is a tile of its own.
+const TILE_CELLS: usize = 2048;
+
+/// The registers and banks one read tile covers, as index ranges into the
+/// space's creation order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TileSpan {
+    pub(crate) registers: Range<usize>,
+    pub(crate) banks: Range<usize>,
+}
+
 /// Immutable description of a space's registers at some point in its
 /// creation order: interned names, owners and write offsets, indexed by
-/// register id.
+/// register id, and where the read tiles begin and end.
 ///
 /// Built once per register-set size by the space and shared by every
 /// snapshot taken at that size (append-only: a layout for `k` registers is
-/// a prefix of any later layout of the same space).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// a prefix of any later layout of the same space, except that the last
+/// tile, if it closed for want of registers, grows first).
+#[derive(Debug, Clone)]
 pub(crate) struct SnapshotLayout {
     pub(crate) names: Vec<Arc<str>>,
     pub(crate) owners: Vec<Option<ProcessId>>,
@@ -51,39 +77,157 @@ pub(crate) struct SnapshotLayout {
     /// owned, one per process otherwise. Always one entry more than there
     /// are registers.
     write_offsets: Vec<usize>,
+    /// The read tiles, in register order; together they cover every
+    /// register once.
+    pub(crate) tiles: Vec<TileSpan>,
+    /// What an unmaterialized tile shows for each of its registers: one
+    /// zero per process.
+    zero_row: Box<[u64]>,
 }
+
+/// By value over what the snapshots' *counters* mean — names, owners and
+/// hence write offsets. The tiling is storage: two spaces that bank the
+/// same registers differently still produce comparable snapshots.
+impl PartialEq for SnapshotLayout {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+            && self.owners == other.owners
+            && self.write_offsets == other.write_offsets
+    }
+}
+
+impl Eq for SnapshotLayout {}
 
 impl Default for SnapshotLayout {
     fn default() -> Self {
-        SnapshotLayout::new(0, std::iter::empty())
+        SnapshotLayout::new(0, std::iter::empty::<std::iter::Empty<_>>())
     }
 }
 
 impl SnapshotLayout {
-    /// Lays out `registers` (name, owner — in creation order) of an
-    /// `n_processes` system.
-    pub(crate) fn new(
-        n_processes: usize,
-        registers: impl Iterator<Item = (Arc<str>, Option<ProcessId>)>,
-    ) -> Self {
+    /// Lays out the registers of `banks` — each bank its slots' (name,
+    /// owner), banks and slots in creation order — for an `n_processes`
+    /// system.
+    pub(crate) fn new<B>(n_processes: usize, banks: impl Iterator<Item = B>) -> Self
+    where
+        B: Iterator<Item = (Arc<str>, Option<ProcessId>)>,
+    {
         let (mut names, mut owners, mut write_offsets) = (Vec::new(), Vec::new(), vec![0]);
+        let mut tiles = Vec::new();
+        let mut open = TileSpan {
+            registers: 0..0,
+            banks: 0..0,
+        };
         let mut cells = 0;
-        for (name, owner) in registers {
-            cells += if owner.is_some() { 1 } else { n_processes };
-            names.push(name);
-            owners.push(owner);
-            write_offsets.push(cells);
+        for bank in banks {
+            for (name, owner) in bank {
+                cells += if owner.is_some() { 1 } else { n_processes };
+                names.push(name);
+                owners.push(owner);
+                write_offsets.push(cells);
+            }
+            open.registers.end = names.len();
+            open.banks.end += 1;
+            if open.registers.len() * n_processes >= TILE_CELLS {
+                let next = TileSpan {
+                    registers: names.len()..names.len(),
+                    banks: open.banks.end..open.banks.end,
+                };
+                tiles.push(std::mem::replace(&mut open, next));
+            }
+        }
+        if !open.registers.is_empty() {
+            tiles.push(open);
         }
         SnapshotLayout {
             names,
             owners,
             write_offsets,
+            tiles,
+            zero_row: vec![0; n_processes].into(),
         }
     }
 
     /// Total write cells of a snapshot with this layout.
     pub(crate) fn write_cells(&self) -> usize {
         self.write_offsets[self.names.len()]
+    }
+
+    /// Whether `earlier` is a layout the same space had before (or has
+    /// now): its first register is this one's, not merely named like it.
+    /// Names are interned per bank, so the allocation identifies the space.
+    pub(crate) fn grew_from(&self, earlier: &SnapshotLayout) -> bool {
+        match (self.names.first(), earlier.names.first()) {
+            (Some(mine), Some(theirs)) => {
+                Arc::ptr_eq(mine, theirs) && earlier.names.len() <= self.names.len()
+            }
+            _ => false,
+        }
+    }
+
+    /// Whether `earlier`'s tiles line up with this layout's: the same
+    /// spans, except that its last one may end sooner. Always so between
+    /// two layouts of one space.
+    fn tiles_extend(&self, earlier: &SnapshotLayout) -> bool {
+        let Some((last, closed)) = earlier.tiles.split_last() else {
+            return true;
+        };
+        closed.len() < self.tiles.len()
+            && closed == &self.tiles[..closed.len()]
+            && last.registers.start == self.tiles[closed.len()].registers.start
+            && last.registers.end <= self.tiles[closed.len()].registers.end
+    }
+}
+
+/// The read counts of one tile's registers. Equal by value (`Arc`'s
+/// comparison tries the pointers first).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Tile {
+    /// Sum of `cells`. Cumulative counts only grow, so between two
+    /// snapshots of one space an equal sum means equal cells.
+    pub(crate) sum: u64,
+    /// `cells[register · n_processes + process]`; `None` (never an
+    /// allocation of zeros) while nothing in the tile was read.
+    cells: Option<Arc<[u64]>>,
+}
+
+impl Tile {
+    /// Overwrites the tile with `len` cells written by `fill` (which is
+    /// handed zeros or stale counts and must store every cell), in place
+    /// when no other snapshot shares the allocation.
+    pub(crate) fn refill(&mut self, len: usize, fill: impl FnOnce(&mut [u64])) {
+        let reusable = matches!(
+            self.cells.as_mut().and_then(Arc::get_mut),
+            Some(cells) if cells.len() == len
+        );
+        if !reusable {
+            self.cells = Some(std::iter::repeat_n(0, len).collect());
+        }
+        let cells = Arc::get_mut(self.cells.as_mut().expect("present or just allocated"))
+            .expect("unshared: checked or just allocated");
+        fill(cells);
+        self.sum = cells.iter().sum();
+        if self.sum == 0 {
+            self.cells = None;
+        }
+    }
+
+    /// This tile's counts minus `earlier`'s (which may cover fewer
+    /// registers: the tile that was last when it was taken).
+    fn delta_since(&self, earlier: &Tile) -> Tile {
+        let sum = self.sum - earlier.sum;
+        let cells = match (&self.cells, &earlier.cells) {
+            // One shared allocation, or nothing moved: zero without a copy.
+            _ if sum == 0 => None,
+            (Some(mine), None) => Some(Arc::clone(mine)),
+            (Some(mine), Some(theirs)) => {
+                let (both, later) = mine.split_at(theirs.len());
+                let both = both.iter().zip(theirs.iter()).map(|(a, b)| a - b);
+                Some(both.chain(later.iter().copied()).collect())
+            }
+            (None, _) => unreachable!("a positive sum has cells"),
+        };
+        Tile { sum, cells }
     }
 }
 
@@ -158,8 +302,8 @@ pub struct ProcessTotals {
 pub struct StatsSnapshot {
     pub(crate) n_processes: usize,
     pub(crate) layout: Arc<SnapshotLayout>,
-    /// `reads[reg * n_processes + pid]`, register-major.
-    pub(crate) reads: Vec<u64>,
+    /// The read counts, one tile per span of the layout.
+    pub(crate) tiles: Vec<Tile>,
     /// Owner-compact, at the layout's write offsets.
     pub(crate) writes: Vec<u64>,
     pub(crate) scan: ScanStats,
@@ -169,9 +313,14 @@ impl PartialEq for StatsSnapshot {
     fn eq(&self, other: &Self) -> bool {
         self.n_processes == other.n_processes
             && self.scan == other.scan
-            && self.reads == other.reads
             && self.writes == other.writes
             && (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout)
+            && if self.layout.tiles == other.layout.tiles {
+                self.tiles == other.tiles
+            } else {
+                // Same registers, banked differently.
+                self.read_rows().eq(other.read_rows())
+            }
     }
 }
 
@@ -197,22 +346,61 @@ impl StatsSnapshot {
         self.scan
     }
 
+    /// Every register's read counts indexed by process, in
+    /// register-creation order.
+    fn read_rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        let n = self.n_processes;
+        // Registers are asked for in ascending order, so the tile is a
+        // cursor that only moves forward.
+        let mut at = 0;
+        (0..self.register_count()).map(move |r| {
+            while self.layout.tiles[at].registers.end <= r {
+                at += 1;
+            }
+            match &self.tiles[at].cells {
+                Some(cells) => &cells[(r - self.layout.tiles[at].registers.start) * n..][..n],
+                None => &self.layout.zero_row[..],
+            }
+        })
+    }
+
     /// Per-register rows, in register-creation order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = RegisterRow<'_>> + '_ {
-        let n = self.n_processes;
         let offsets = &self.layout.write_offsets;
-        (0..self.register_count()).map(move |r| RegisterRow {
-            name: &self.layout.names[r],
-            owner: self.layout.owners[r],
-            reads: &self.reads[r * n..(r + 1) * n],
-            writes: &self.writes[offsets[r]..offsets[r + 1]],
-        })
+        self.read_rows()
+            .enumerate()
+            .map(move |(r, reads)| RegisterRow {
+                name: &self.layout.names[r],
+                owner: self.layout.owners[r],
+                reads,
+                writes: &self.writes[offsets[r]..offsets[r + 1]],
+            })
+    }
+
+    /// The materialized tiles' cells.
+    fn read_cells(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        self.tiles.iter().filter_map(|tile| tile.cells.as_deref())
+    }
+
+    /// How many read tiles this snapshot and `other` hold in one shared
+    /// allocation — regions no process read between the two, when one was
+    /// derived from the other by
+    /// [`MemorySpace::stats_into`](crate::MemorySpace::stats_into). Tiles
+    /// in which nothing was ever read are not allocated and not counted; a
+    /// snapshot shares all its allocated tiles with itself.
+    #[must_use]
+    pub fn shared_tiles(&self, other: &StatsSnapshot) -> usize {
+        (self.tiles.iter().zip(&other.tiles))
+            .filter(
+                |(a, b)| matches!((&a.cells, &b.cells), (Some(a), Some(b)) if Arc::ptr_eq(a, b)),
+            )
+            .count()
     }
 
     /// Total reads across all registers and processes.
     #[must_use]
     pub fn total_reads(&self) -> u64 {
-        self.reads.iter().sum()
+        self.tiles.iter().map(|tile| tile.sum).sum()
     }
 
     /// Total writes across all registers and processes.
@@ -225,7 +413,9 @@ impl StatsSnapshot {
     #[must_use]
     pub fn reads_of(&self, pid: ProcessId) -> u64 {
         let n = self.n_processes.max(1);
-        self.reads.iter().skip(pid.index()).step_by(n).sum()
+        self.read_cells()
+            .flat_map(|cells| cells.iter().skip(pid.index()).step_by(n))
+            .sum()
     }
 
     /// Writes performed by `pid` across all registers.
@@ -236,9 +426,11 @@ impl StatsSnapshot {
 
     fn read_totals(&self) -> Vec<u64> {
         let mut totals = vec![0; self.n_processes];
-        for row in self.reads.chunks_exact(self.n_processes.max(1)) {
-            for (total, count) in totals.iter_mut().zip(row) {
-                *total += count;
+        for cells in self.read_cells() {
+            for row in cells.chunks_exact(self.n_processes) {
+                for (total, count) in totals.iter_mut().zip(row) {
+                    *total += count;
+                }
             }
         }
         totals
@@ -321,24 +513,33 @@ impl StatsSnapshot {
         );
         if !Arc::ptr_eq(&self.layout, &earlier.layout) {
             // Different layout generations: verify the shared prefix (the
-            // owners too — they fix where each register's writes sit).
+            // owners too — they fix where each register's writes sit — and
+            // the banking, which fixes the tiles).
             let (mine, theirs) = (&self.layout, &earlier.layout);
             let same_names =
                 (mine.names.iter().zip(&theirs.names)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
             assert!(
-                same_names && mine.owners[..theirs.owners.len()] == theirs.owners[..],
+                same_names
+                    && mine.owners[..theirs.owners.len()] == theirs.owners[..]
+                    && mine.tiles_extend(theirs),
                 "snapshots from different spaces"
             );
         }
-        let mut out = self.clone();
-        for (a, b) in out.reads.iter_mut().zip(&earlier.reads) {
+        let nothing = Tile::default();
+        let tiles = (self.tiles.iter().enumerate())
+            .map(|(i, tile)| tile.delta_since(earlier.tiles.get(i).unwrap_or(&nothing)))
+            .collect();
+        let mut writes = self.writes.clone();
+        for (a, b) in writes.iter_mut().zip(&earlier.writes) {
             *a -= b;
         }
-        for (a, b) in out.writes.iter_mut().zip(&earlier.writes) {
-            *a -= b;
+        StatsSnapshot {
+            n_processes: self.n_processes,
+            layout: Arc::clone(&self.layout),
+            tiles,
+            writes,
+            scan: self.scan.delta_since(&earlier.scan),
         }
-        out.scan = self.scan.delta_since(&earlier.scan);
-        out
     }
 }
 
@@ -562,6 +763,62 @@ mod tests {
             "same register set, same interned layout"
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn stats_into_rewrites_in_place_only_what_nobody_else_holds() {
+        let s = MemorySpace::new(2);
+        let x = s.nat_register("X", p(0), 0);
+        let cells_of = |snap: &StatsSnapshot| Arc::as_ptr(snap.tiles[0].cells.as_ref().unwrap());
+        let mut snap = s.stats();
+        assert!(snap.tiles[0].cells.is_none(), "nothing read, nothing held");
+        x.read(p(1));
+        s.stats_into(&mut snap);
+        let first = cells_of(&snap);
+        x.read(p(1));
+        s.stats_into(&mut snap);
+        assert_eq!(cells_of(&snap), first, "sole holder: overwritten in place");
+        assert_eq!(snap.reads_of(p(1)), 2);
+
+        let kept = snap.clone();
+        s.stats_into(&mut snap);
+        assert_eq!(snap.shared_tiles(&kept), 1, "nothing moved: still shared");
+        x.read(p(0));
+        s.stats_into(&mut snap);
+        assert_eq!(snap.shared_tiles(&kept), 0, "moved: a tile of its own");
+        assert_eq!((kept.reads_of(p(0)), snap.reads_of(p(0))), (0, 1));
+        assert_eq!(snap, s.stats());
+    }
+
+    #[test]
+    fn stats_into_keeps_nothing_of_another_spaces_snapshot() {
+        // Twin spaces whose counters sum alike but differ cell for cell.
+        let (a, b) = (MemorySpace::new(2), MemorySpace::new(2));
+        a.nat_register("X", p(0), 0).read(p(0));
+        b.nat_register("X", p(0), 0).read(p(1));
+        let mut snap = a.stats();
+        b.stats_into(&mut snap);
+        assert_eq!(snap, b.stats());
+        assert_eq!((snap.reads_of(p(0)), snap.reads_of(p(1))), (0, 1));
+    }
+
+    #[test]
+    fn equality_ignores_how_the_registers_are_banked() {
+        // One array bank against three scalars of the same names, wide
+        // enough that the array closes a tile the scalars leave open.
+        let n = 64;
+        let (banked, single) = (MemorySpace::new(n), MemorySpace::new(n));
+        let array = banked.nat_array("A", |_| 0);
+        let scalars: Vec<_> = ProcessId::all(n)
+            .map(|q| single.nat_register(&format!("A[{}]", q.index()), q, 0))
+            .collect();
+        let _ = (banked.mwmr::<u64>("M", 0), single.mwmr::<u64>("M", 0));
+        assert_ne!(banked.stats().layout.tiles, single.stats().layout.tiles);
+        assert_eq!(banked.stats(), single.stats());
+        array.get(p(3)).read(p(7));
+        assert_ne!(banked.stats(), single.stats());
+        scalars[3].read(p(7));
+        assert_eq!(banked.stats(), single.stats());
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use omega_registers::cell::{AtomicNatCell, OptionCell, SharedCell};
 use omega_registers::lincheck::{is_linearizable, CompletedOp, History, HistoryRecorder, RegOp};
-use omega_registers::{MemorySpace, ProcessId, ProcessSet, RegisterValue};
+use omega_registers::{
+    Instrumentation, MemorySpace, MwmrNatArray, MwmrRegister, NatArray, NatRegister, ProcessId,
+    ProcessSet, RegisterValue,
+};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -161,6 +164,160 @@ fn stats_delta_exact() {
         let expect_reads = post.len() as u64 - expect_writes;
         assert_eq!(delta.total_writes(), expect_writes, "case {case}");
         assert_eq!(delta.total_reads(), expect_reads, "case {case}");
+    }
+}
+
+/// Whatever kind of register a random access can land on.
+enum AnyRegister {
+    Scalar(NatRegister),
+    Shared(MwmrRegister<u64>),
+    Array(NatArray),
+    SharedArray(MwmrNatArray),
+}
+
+impl AnyRegister {
+    /// Creates the `k`-th register of a space, of a kind picked by `g`.
+    fn create(space: &MemorySpace, k: usize, g: &mut Gen) -> Self {
+        let n = space.n_processes();
+        match g.below(4) {
+            0 => AnyRegister::Scalar(space.nat_register(
+                &format!("S{k}"),
+                pid(g.below(n as u64) as usize),
+                0,
+            )),
+            1 => AnyRegister::Shared(space.mwmr(&format!("M{k}"), 0)),
+            2 => AnyRegister::Array(space.nat_array(&format!("A{k}"), |_| 0)),
+            _ => AnyRegister::SharedArray(space.nat_mwmr_array(
+                &format!("W{k}"),
+                1 + g.below(2 * n as u64) as usize,
+                |_| 0,
+            )),
+        }
+    }
+
+    /// One attributed read, range read or write by a random process.
+    fn access(&self, n: usize, g: &mut Gen) {
+        let p = pid(g.below(n as u64) as usize);
+        let write = g.below(3) == 0;
+        let range = |len: usize, g: &mut Gen| {
+            let from = g.below(len as u64) as usize;
+            from..from + 1 + g.below((len - from) as u64) as usize
+        };
+        match self {
+            AnyRegister::Scalar(r) if write => r.write(r.owner(), g.next()),
+            AnyRegister::Scalar(r) => drop(r.read(p)),
+            AnyRegister::Shared(r) if write => r.write(p, g.next()),
+            AnyRegister::Shared(r) => drop(r.read(p)),
+            AnyRegister::Array(a) if write => a.get(p).write(p, g.next()),
+            AnyRegister::Array(a) => {
+                let range = range(a.len(), g);
+                a.read_range_into(p, range.clone(), &mut vec![0; range.len()]);
+            }
+            AnyRegister::SharedArray(a) if write => {
+                a.get(g.below(a.len() as u64) as usize).write(p, g.next());
+            }
+            AnyRegister::SharedArray(a) => {
+                let range = range(a.len(), g);
+                a.read_range_into(p, range.clone(), &mut vec![0; range.len()]);
+            }
+        }
+    }
+}
+
+/// A chain of snapshots, each built by `stats_into` on a clone of its
+/// predecessor, is indistinguishable from snapshots taken fresh at the same
+/// instants — rows, totals, `==`, and every pairwise delta — while holding
+/// one copy of what did not move: a step without reads shares every
+/// allocated tile, registers nobody read are never allocated, and registers
+/// created between snapshots (a new layout generation, possibly inside the
+/// tile that was last) change none of it. Small systems put everything in
+/// one growing tile; the wide ones close a tile per array.
+#[test]
+fn chained_snapshots_equal_fresh_ones() {
+    let mut g = Gen::new(23);
+    for case in 0..48 {
+        let n = [2, 5, 48, 64][case % 4];
+        let mode = [Instrumentation::Eager, Instrumentation::Deferred][case / 4 % 2];
+        let space = MemorySpace::with_instrumentation(n, mode);
+        let untouched = space.nat_array("UNTOUCHED", |_| 0);
+        let mut registers: Vec<AnyRegister> = (0..3)
+            .map(|k| AnyRegister::create(&space, k, &mut g))
+            .collect();
+        let mut chain = vec![space.stats()];
+        let mut fresh = vec![space.stats()];
+        for step in 0..8 {
+            let label = format!("case {case} (n = {n}, {mode:?}) step {step}");
+            let grows = g.below(3) == 0;
+            if grows {
+                registers.push(AnyRegister::create(&space, registers.len(), &mut g));
+            }
+            let accesses = [0, 0, 1, 40][g.below(4) as usize];
+            for _ in 0..accesses {
+                registers[g.below(registers.len() as u64) as usize].access(n, &mut g);
+            }
+
+            let previous = chain.last().unwrap();
+            let mut next = previous.clone();
+            space.stats_into(&mut next);
+            let direct = space.stats();
+            assert_eq!(next, direct, "{label}");
+            assert_eq!(next.rows().len(), space.register_count(), "{label}");
+            for (a, b) in next.rows().zip(direct.rows()) {
+                assert_eq!((a.name, a.owner, a.reads), (b.name, b.owner, b.reads));
+                for q in ProcessId::all(n) {
+                    assert_eq!(a.writes_by(q), b.writes_by(q), "{label}: {}", a.name);
+                }
+            }
+            assert_eq!(next.per_process_totals(), direct.per_process_totals());
+            assert_eq!(next.total_reads(), direct.total_reads(), "{label}");
+
+            let allocated = next.shared_tiles(&next);
+            if accesses == 0 && !grows {
+                assert_eq!(next.shared_tiles(previous), allocated, "{label}: quiescent");
+            }
+            assert_eq!(direct.shared_tiles(previous), 0, "{label}: a fresh one");
+            let untouched_rows = next
+                .rows()
+                .filter(|row| row.name.starts_with("UNTOUCHED"))
+                .inspect(|row| assert_eq!(row.total_reads(), 0))
+                .count();
+            assert_eq!(untouched_rows, untouched.len(), "{label}");
+            if n >= 48 {
+                // Its own tile, and all zeros: never allocated.
+                assert!(allocated < registers.len() + 1, "{label}");
+            }
+
+            // Deltas against every earlier snapshot: shared tiles (the
+            // chain against itself), unshared ones (against the fresh
+            // series), zero ones, and tiles that gained registers.
+            for (j, (chained, taken)) in chain.iter().zip(&fresh).enumerate() {
+                let delta = next.delta_since(chained);
+                assert_eq!(delta, direct.delta_since(taken), "{label} − {j}");
+                assert_eq!(delta, next.delta_since(taken), "{label} − {j}");
+                let mut earlier = taken.rows();
+                for (now, moved) in direct.rows().zip(delta.rows()) {
+                    let zeros = vec![0; n];
+                    let then = earlier.next();
+                    let was = then.map_or(&zeros[..], |row| row.reads);
+                    let expected: Vec<u64> =
+                        now.reads.iter().zip(was).map(|(a, b)| a - b).collect();
+                    assert_eq!(moved.reads, expected, "{label} − {j}: {}", now.name);
+                    assert_eq!(
+                        moved.total_writes(),
+                        now.total_writes() - then.map_or(0, |row| row.total_writes()),
+                        "{label} − {j}: {}",
+                        now.name
+                    );
+                }
+                assert_eq!(
+                    delta.total_reads(),
+                    direct.total_reads() - taken.total_reads(),
+                    "{label} − {j}"
+                );
+            }
+            chain.push(next);
+            fresh.push(direct);
+        }
     }
 }
 

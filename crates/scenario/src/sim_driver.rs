@@ -1,5 +1,7 @@
 //! The deterministic-simulator backend.
 
+use std::borrow::Cow;
+
 use omega_registers::MemorySpace;
 use omega_sim::{Actor, RunReport, Trace};
 
@@ -88,7 +90,16 @@ impl Driver for SimDriver {
 
 fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> Outcome {
     let stabilization = report.stabilization();
-    let stats = space.stats();
+    // `Simulation::finish` checkpointed both at the horizon; only a report
+    // of a run without an attached memory has to ask the space.
+    let stats = match report.windowed.snapshots().last() {
+        Some((_, at_horizon)) => Cow::Borrowed(at_horizon),
+        None => Cow::Owned(space.stats()),
+    };
+    let footprint = match report.footprints.last() {
+        Some((_, at_horizon)) => Cow::Borrowed(at_horizon),
+        None => Cow::Owned(space.footprint()),
+    };
     let totals = stats.per_process_totals();
     let n = scenario.n;
     let chaos = scenario
@@ -149,7 +160,7 @@ fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> O
         elapsed_ms: report.wall.elapsed_ms(),
         events_per_sec: report.events_per_sec(),
         register_count: space.register_count(),
-        hwm_bits: space.footprint().total_hwm_bits(),
+        hwm_bits: footprint.total_hwm_bits(),
         grown_in_tail,
         tail,
         san: None,

@@ -170,17 +170,17 @@ pub const THREAD_MAX_N: usize = 16;
 
 /// Largest system the deterministic simulator admits. Three structures
 /// of the literal realization are `O(n³)` words: the per-process read
-/// counters of the `n² + 2n` registers, every retained statistics
-/// checkpoint (a dense copy of those counters — a run keeps its
-/// `stats_checkpoints` plus four), and the per-process
-/// `SuspicionCache` mirrors of the `n × n` suspicion matrix. At n = 256
-/// each is ≈ 135 MB and `n-scaling-256` peaks at 1.3 GB, four fifths of
-/// it checkpoints; n = 512 is eight times that, and pre-stabilization
-/// scans cost `O(n²)` per tick besides. (The mirrors alone were blamed
-/// until PR 13 measured them at 17 MB of 387 at n = 128 — ROADMAP open
-/// item 3 has the breakdown.) Larger systems are exactly what the sharded
-/// cooperative pool exists for, so the sim refuses them loudly instead of
-/// thrashing.
+/// counters of the `n² + 2n` registers, the statistics checkpoints (a
+/// run's series holds one dense copy of those counters — every register
+/// is read by everyone before the first window closes — plus the tiles
+/// that moved between checkpoints, two banks' worth once the run is
+/// quiescent), and the per-process `SuspicionCache` mirrors of the `n × n`
+/// suspicion matrix. At n = 256 each is ≈ 135 MB and `n-scaling-256` peaks
+/// at 431 MB; n = 512 is eight times that, and pre-stabilization scans
+/// cost `O(n²)` per tick besides. (ROADMAP open item 3 has the breakdown,
+/// and what the counters and the mirrors still need before this moves.)
+/// Larger systems are exactly what the sharded cooperative pool exists
+/// for, so the sim refuses them loudly instead of thrashing.
 pub const SIM_MAX_N: usize = 256;
 
 /// Largest system the cooperative wall-clock backend records *on a small

@@ -349,10 +349,42 @@ impl Simulation {
             .push_with_steps(now, leaders, self.report.steps_taken.clone());
     }
 
+    /// Takes a statistics and footprint checkpoint. Each snapshot starts
+    /// as a clone of the previous one, so the series holds one copy of
+    /// every region of counters that did not move in between.
     fn checkpoint(&mut self, now: SimTime) {
         if let Some(space) = &self.memory {
-            self.report.windowed.push(now, space.stats());
+            let mut snapshot = (self.report.windowed.snapshots().last())
+                .map_or_else(Default::default, |(_, previous)| previous.clone());
+            space.stats_into(&mut snapshot);
+            self.report.windowed.push(now, snapshot);
             self.report.footprints.push((now, space.footprint()));
+        }
+    }
+
+    /// The event loop, live and replayed: applies the events `next` yields,
+    /// in order, and takes the windowed checkpoints on the way — one at
+    /// tick zero, ahead of the first event, then one before the first event
+    /// at or past each multiple of `horizon / stats_checkpoints`.
+    /// ([`finish`](Self::finish) adds the one at the horizon.)
+    fn apply_all(
+        &mut self,
+        live: bool,
+        mut next: impl FnMut(&mut Self) -> Option<(SimTime, EventKind)>,
+    ) {
+        let checkpoint_every = if self.stats_checkpoints > 0 {
+            (self.horizon.ticks() / self.stats_checkpoints as u64).max(1)
+        } else {
+            0
+        };
+        self.checkpoint(SimTime::ZERO);
+        let mut next_checkpoint = checkpoint_every;
+        while let Some((now, kind)) = next(self) {
+            if checkpoint_every > 0 && now.ticks() >= next_checkpoint {
+                self.checkpoint(now);
+                next_checkpoint += checkpoint_every;
+            }
+            self.apply_event(now, kind, live);
         }
     }
 
@@ -388,28 +420,10 @@ impl Simulation {
             t += self.sample_every;
         }
 
-        // Stats checkpoints (cheap enough to interleave with samples).
-        let checkpoint_every = if self.stats_checkpoints > 0 {
-            (self.horizon.ticks() / self.stats_checkpoints as u64).max(1)
-        } else {
-            0
-        };
-
-        self.checkpoint(SimTime::ZERO);
-        let mut next_checkpoint = checkpoint_every;
-
-        while let Some(event) = self.queue.pop() {
-            if event.time > self.horizon {
-                break;
-            }
-            let now = event.time;
-            if checkpoint_every > 0 && now.ticks() >= next_checkpoint {
-                self.checkpoint(now);
-                next_checkpoint += checkpoint_every;
-            }
-            self.apply_event(now, event.kind, true);
-        }
-
+        self.apply_all(true, |sim| {
+            let event = sim.queue.pop().filter(|e| e.time <= sim.horizon)?;
+            Some((event.time, event.kind))
+        });
         self.finish(started)
     }
 
@@ -433,21 +447,8 @@ impl Simulation {
             trace.horizon,
             self.horizon.ticks()
         );
-        let checkpoint_every = if self.stats_checkpoints > 0 {
-            (self.horizon.ticks() / self.stats_checkpoints as u64).max(1)
-        } else {
-            0
-        };
-        self.checkpoint(SimTime::ZERO);
-        let mut next_checkpoint = checkpoint_every;
-        for entry in trace.events() {
-            let now = entry.time;
-            if checkpoint_every > 0 && now.ticks() >= next_checkpoint {
-                self.checkpoint(now);
-                next_checkpoint += checkpoint_every;
-            }
-            self.apply_event(now, entry.kind, false);
-        }
+        let mut recorded = trace.events().iter();
+        self.apply_all(false, |_| recorded.next().map(|e| (e.time, e.kind)));
         self.finish(started)
     }
 

@@ -156,8 +156,14 @@ impl Window {
     }
 }
 
-/// Cumulative statistics snapshots taken on the sampling cadence, sliceable
-/// into per-window deltas.
+/// Cumulative statistics snapshots taken on the checkpoint cadence,
+/// sliceable into per-window deltas.
+///
+/// The simulator derives each snapshot from the previous one
+/// ([`MemorySpace::stats_into`](omega_registers::MemorySpace::stats_into)),
+/// so the series holds one copy of every region of counters that did not
+/// move between two checkpoints, and a window's delta over such a region
+/// is zero without being computed.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedStats {
     snapshots: Vec<(SimTime, StatsSnapshot)>,

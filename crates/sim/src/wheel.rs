@@ -17,7 +17,7 @@
 //! in `omega-runtime`) pin that equivalence.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Number of wheel slots: one per key of the near-horizon window. Must be
 /// a power of two (the slot index is `key & (WHEEL_SLOTS - 1)`). 4096
@@ -25,7 +25,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// produces; anything longer takes the heap fallback.
 pub const WHEEL_SLOTS: usize = 4096;
 
-/// One queued entry: a payload due at `key`, tie-broken by push order.
+/// One far or overdue entry: a payload due at `key`, tie-broken by push
+/// order.
 struct Entry<T> {
     key: u64,
     seq: u64,
@@ -54,6 +55,9 @@ impl<T> PartialOrd for Entry<T> {
     }
 }
 
+/// "No link": the end of a slot's chain or of the free list.
+const NIL: u32 = u32::MAX;
+
 /// Priority queue of payloads ordered by `(key, seq)`: O(1) push and pop
 /// for keys inside the near-horizon window, heap fallback beyond it.
 ///
@@ -80,9 +84,37 @@ impl<T> PartialOrd for Entry<T> {
 ///   into the wheel whenever `cursor` advances, **before** any later push
 ///   could target their slot directly, so same-key entries keep their
 ///   global `seq` order across the two structures.
+///
+/// # Memory
+///
+/// Every wheel entry is a node of one slab, a slot is the chain of its
+/// nodes in push order, and a popped node goes onto a free list that the
+/// next push takes from. The slab therefore grows to the peak number of
+/// entries *live at once* — about two per process in a simulation — and
+/// the slot tables are 32 KB however bursty a tick gets. (A growable ring
+/// per slot instead keeps, in each of the 4096 slots, room for the busiest
+/// tick that ever hit it, and the cursor walks all of them.)
+///
+/// The chains are kept in one array of links: `links[s]`, `s <
+/// WHEEL_SLOTS`, is the first node of slot `s`; `links[i]` beyond that is
+/// the successor of node `i`. A slot's head is thereby just the link before
+/// its first node, and appending is "store into the chain's last link"
+/// whether or not the chain is empty. (Whether a slot is empty is a coin
+/// toss at n = 5, ten entries over six keys, and no branch predictor wins
+/// it: a `(head, tail)` pair per slot with an `if tail == NIL` on every
+/// push ran `elect-small` 7 % slower.)
 pub struct TimerWheel<T> {
-    /// Near-horizon buckets; slot `k & (WHEEL_SLOTS-1)` holds key `k`.
-    slots: Box<[VecDeque<Entry<T>>]>,
+    /// Slot heads, then node successors (in a chain or on the free list).
+    links: Vec<u32>,
+    /// Per slot, which link ends its chain: its own head while it is empty,
+    /// else its last node's.
+    tails: Box<[u32]>,
+    /// `(seq, payload)` of node `i` at `i - WHEEL_SLOTS`; the payload is
+    /// `None` while the node is free. It carries no key: a slot holds one
+    /// key at a time and the cursor names it.
+    entries: Vec<(u64, Option<T>)>,
+    /// First node of the free list.
+    free: u32,
     /// Lower bound of the wheel window; every wheel entry has `key ≥
     /// cursor`, every far-heap entry has `key ≥ cursor + WHEEL_SLOTS`
     /// (or is overdue).
@@ -116,7 +148,10 @@ impl<T> TimerWheel<T> {
     #[must_use]
     pub fn new() -> Self {
         TimerWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            links: vec![NIL; WHEEL_SLOTS],
+            tails: (0..WHEEL_SLOTS as u32).collect(),
+            entries: Vec::new(),
+            free: NIL,
             cursor: 0,
             wheel_len: 0,
             far: BinaryHeap::new(),
@@ -129,18 +164,43 @@ impl<T> TimerWheel<T> {
         (key as usize) & (WHEEL_SLOTS - 1)
     }
 
+    /// Appends an entry to the chain of `key`'s slot, in a node off the
+    /// free list if there is one. `key` must lie in the wheel window.
+    #[inline]
+    fn link(&mut self, key: u64, seq: u64, payload: T) {
+        let entry = (seq, Some(payload));
+        let at = match self.free {
+            NIL => {
+                let at = u32::try_from(self.links.len())
+                    .ok()
+                    .filter(|&at| at != NIL)
+                    .expect("fewer than 2^32 entries in the wheel at once");
+                self.links.push(NIL);
+                self.entries.push(entry);
+                at
+            }
+            at => {
+                self.free = std::mem::replace(&mut self.links[at as usize], NIL);
+                self.entries[at as usize - WHEEL_SLOTS] = entry;
+                at
+            }
+        };
+        let tail = &mut self.tails[Self::slot_of(key)];
+        self.links[*tail as usize] = at;
+        *tail = at;
+        self.wheel_len += 1;
+    }
+
     /// Queues `payload` at `key`, returning the assigned tie-break `seq`.
     /// Entries pushed earlier sort first among equal keys, making pop
     /// order fully deterministic.
     pub fn push(&mut self, key: u64, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { key, seq, payload };
         if key >= self.cursor && key - self.cursor < WHEEL_SLOTS as u64 {
-            self.slots[Self::slot_of(key)].push_back(entry);
-            self.wheel_len += 1;
+            self.link(key, seq, payload);
         } else {
-            self.far.push(entry);
+            self.far.push(Entry { key, seq, payload });
         }
         seq
     }
@@ -158,8 +218,7 @@ impl<T> TimerWheel<T> {
                 break;
             }
             let entry = self.far.pop().expect("peeked");
-            self.slots[Self::slot_of(entry.key)].push_back(entry);
-            self.wheel_len += 1;
+            self.link(entry.key, entry.seq, entry.payload);
         }
     }
 
@@ -180,11 +239,20 @@ impl<T> TimerWheel<T> {
             self.migrate();
         }
         loop {
-            let slot = &mut self.slots[Self::slot_of(self.cursor)];
-            if let Some(entry) = slot.pop_front() {
-                debug_assert_eq!(entry.key, self.cursor);
+            let slot = Self::slot_of(self.cursor);
+            let at = self.links[slot];
+            if at != NIL {
+                // Unchain the node and put it first on the free list.
+                let after = std::mem::replace(&mut self.links[at as usize], self.free);
+                self.free = at;
+                self.links[slot] = after;
+                if after == NIL {
+                    self.tails[slot] = slot as u32;
+                }
                 self.wheel_len -= 1;
-                return Some((entry.key, entry.seq, entry.payload));
+                let (seq, payload) = &mut self.entries[at as usize - WHEEL_SLOTS];
+                let payload = payload.take().expect("chained nodes are live");
+                return Some((self.cursor, *seq, payload));
             }
             // Slot drained: advance the window one key and let any far
             // entry that just became near claim its slot before anyone can
@@ -204,13 +272,12 @@ impl<T> TimerWheel<T> {
             }
         }
         if self.wheel_len > 0 {
-            for offset in 0..WHEEL_SLOTS as u64 {
-                let k = self.cursor.saturating_add(offset);
-                if let Some(entry) = self.slots[Self::slot_of(k)].front() {
-                    if entry.key == k {
-                        return Some(k);
-                    }
-                }
+            // The first occupied slot from the cursor on; its offset is its
+            // key's (a key past `u64::MAX` cannot have been pushed).
+            let occupied =
+                |offset: &u64| self.links[Self::slot_of(self.cursor.wrapping_add(*offset))] != NIL;
+            if let Some(offset) = (0..WHEEL_SLOTS as u64).find(occupied) {
+                return Some(self.cursor + offset);
             }
         }
         far
@@ -256,5 +323,29 @@ mod tests {
         assert_eq!(wheel.len(), 2);
         assert_eq!(wheel.pop().unwrap().0, 3);
         assert_eq!(wheel.pop().unwrap().0, WHEEL_SLOTS as u64 * 2);
+    }
+
+    #[test]
+    fn slab_is_bounded_by_live_entries_not_by_slots_visited() {
+        // 300 entries kept in flight, in same-key bursts, while the cursor
+        // sweeps the whole slot table more than twice: the slab never
+        // outgrows what was live at once.
+        let mut wheel = TimerWheel::new();
+        let mut rng = crate::rng::SmallRng::seed_from_u64(23);
+        for i in 0..300_u32 {
+            wheel.push(rng.gen_range(0..=7), i);
+        }
+        let mut slots_seen = vec![false; WHEEL_SLOTS];
+        let mut last = None;
+        for _ in 0..1_000_000 {
+            let (key, seq, payload) = wheel.pop().expect("300 stay in flight");
+            assert!(Some((key, seq)) > last, "ascending (key, seq)");
+            last = Some((key, seq));
+            slots_seen[TimerWheel::<u32>::slot_of(key)] = true;
+            wheel.push(key + rng.gen_range(1..=6), payload);
+        }
+        assert!(slots_seen.iter().all(|&seen| seen), "every slot was used");
+        assert_eq!(wheel.len(), 300);
+        assert!(wheel.entries.len() <= 512, "{} nodes", wheel.entries.len());
     }
 }
