@@ -19,7 +19,8 @@ use std::time::{Duration, Instant};
 
 use omega_consensus::{ConsensusInstance, ConsensusProcess, KvCommand, LogHandle, LogShared};
 use omega_core::{
-    elect_least_suspected, Alg1Memory, Alg1Process, Alg2Memory, Alg2Process, OmegaProcess,
+    elect_least_suspected, Alg1Memory, Alg1Process, Alg2Memory, Alg2Process, CandidateInit,
+    OmegaProcess,
 };
 use omega_registers::{MemorySpace, ProcessId, ProcessSet};
 
@@ -203,17 +204,42 @@ fn bench_in_situ() {
     });
 
     for n in [48usize, 128] {
+        // What `leader()` does when one suspicion landed in a row: every
+        // other process re-reads that row, the first into a fresh shared
+        // copy, the rest adopting it. The suspicion is a real one: p1 scans
+        // everyone each pass and suspects p_{n−1}, which trusts only itself
+        // and so heartbeats with its flag low, a candidate again on p1's
+        // next pass. A round is that heartbeat, p1's two passes (4n reads
+        // against the n(n − 1) priced) and the n − 1 `leader()` calls.
         let space = MemorySpace::with_instrumentation(n, Instrumentation::Deferred);
-        let suspicions = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
-        let mut mirrors = vec![vec![0; n]; n];
-        // What `SuspicionCache::refresh` does when one suspicion landed in
-        // p0's row: every other process re-snapshots that row into its
-        // own mirror.
+        let mem = Alg1Memory::new(&space);
+        let mut suspecter = Alg1Process::new(Arc::clone(&mem), p(1)).with_scan_shard(n);
+        let mut readers: Vec<Alg1Process> = (0..n)
+            .filter(|&i| i != 1)
+            .map(|i| {
+                let init = if i == n - 1 {
+                    CandidateInit::SelfOnly
+                } else {
+                    CandidateInit::Full
+                };
+                Alg1Process::with_candidates(Arc::clone(&mem), p(i), init)
+            })
+            .collect();
+        let mut rounds = 0;
         bench_per("in_situ", &format!("refresh_dirty_row/{n}"), n - 1, || {
-            for (reader, mirror) in mirrors.iter_mut().enumerate().skip(1) {
-                black_box(suspicions.snapshot_row_into(p(0), p(reader), mirror));
+            readers.last_mut().expect("n > 2").t2_step();
+            black_box(suspecter.on_timer_expire());
+            black_box(suspecter.on_timer_expire());
+            for q in &readers {
+                black_box(q.leader());
             }
+            rounds += 1;
         });
+        assert_eq!(
+            mem.peek_suspicions(p(1), p(n - 1)),
+            rounds,
+            "one suspicion a round"
+        );
     }
 }
 
@@ -282,11 +308,14 @@ fn bench_consensus() {
 fn bench_accounting() {
     use std::hint::black_box;
 
-    let n = 128;
-    bench("accounting", &format!("variant_build_and_drop/{n}"), || {
-        black_box(omega_core::OmegaVariant::Alg1.build(n));
-    });
+    // The run's `setup_s`: registers, counters and processes.
+    for n in [128usize, 256] {
+        bench("accounting", &format!("variant_build_and_drop/{n}"), || {
+            black_box(omega_core::OmegaVariant::Alg1.build(n));
+        });
+    }
 
+    let n = 128;
     // A snapshot allocates only the tiles somebody read, so the space is a
     // stabilized one: every counter block is non-zero, as by a run's second
     // checkpoint.

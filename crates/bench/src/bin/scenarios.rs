@@ -37,9 +37,10 @@
 //!   per-node-thread backends additionally skip `n > 16` (OS threads at
 //!   `n ≥ 32` thrash instead of measuring), while `coop` runs up to its
 //!   worker-dependent cap `coop_max_n(workers)` — 128 single-worker,
-//!   `n-scaling-256` at `--workers 4`, 512/1024 at 8/16. A full non-sim
-//!   record run writes `BENCH_scenarios.<driver>.json`, never the
-//!   committed sim baseline.
+//!   `n-scaling-256` at `--workers 4`, 512/1024 at 8/16. The sim itself
+//!   runs up to `n-scaling-512` (`SIM_MAX_N`) and skips `n-scaling-1024`.
+//!   A full non-sim record run writes `BENCH_scenarios.<driver>.json`,
+//!   never the committed sim baseline.
 //! * **`--workers N`** — sizes the coop worker pool (default 1; the
 //!   other backends ignore it). Every coop record carries a `workers`
 //!   field, and a full (unfiltered) coop run additionally records the

@@ -28,10 +28,13 @@
 //!
 //! * **Epoch-validated suspicion cache** — the `SUSPICIONS` matrix is an
 //!   [`EpochedNatMatrix`]: every suspicion write bumps its row's epoch, and
-//!   `leader()` keeps a local copy of each foreign row plus an incremental
-//!   per-column aggregate, re-reading a row (via one batched snapshot) only
-//!   when its epoch moved. In a quiescent (stabilized) run every row is
-//!   clean and `leader()` performs *zero* shared reads.
+//!   `leader()` keeps the last value it read of each foreign row plus an
+//!   incremental per-column aggregate, re-reading a row (via one batched
+//!   snapshot) only when its epoch moved. In a quiescent (stabilized) run
+//!   every row is clean and `leader()` performs *zero* shared reads. The
+//!   row copies are immutable and shared between the processes that read
+//!   the same contents, so the system holds about one copy of each row
+//!   instead of one per process: `n²` words, not `n³`.
 //! * **Sharded `T3` scan** — each timer expiry scans one round-robin slice
 //!   of [`T3_SHARD_SIZE`] processes instead of all `n`. A slice pass is the
 //!   paper's lines 13–26 verbatim for the slice members; each process is
@@ -65,6 +68,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use omega_registers::sync::Mutex;
 use omega_registers::{EpochedNatMatrix, FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet};
 
 use crate::candidates::{elect_least_suspected, CandidateInit};
@@ -74,8 +78,93 @@ use crate::OmegaProcess;
 /// below which the scan is unsharded, i.e. exactly the paper's Figure 2).
 pub const T3_SHARD_SIZE: usize = 16;
 
+/// The shared copies of the `SUSPICIONS` rows, one per matrix, from which
+/// every [`SuspicionCache`] of the system takes the rows it holds.
+///
+/// A cache adopts the row published for `j` only when it equals what the
+/// cache itself just read, so sharing never hands a process a value it
+/// did not read: a frozen view under a partition, or a snapshot torn by a
+/// racing write on a wall backend, simply ends up in a row of its own.
+#[derive(Debug)]
+pub(crate) struct SuspicionRows {
+    /// The all-zero row every fresh cache starts from.
+    zero: Arc<[u64]>,
+    /// `published[j]` — the last contents of row `j` some cache read and
+    /// did not find here.
+    published: Vec<Mutex<Arc<[u64]>>>,
+    /// Rows nothing holds any more, rewritten for the next fresh copy of
+    /// any row instead of freed: a run allocates copies up to the most it
+    /// ever needs at once, and no more. (Freeing them and allocating anew
+    /// on suspicion writes, interleaved with a service run's own
+    /// allocations, fragmented the heap enough to add 4 MB to the peak RSS
+    /// of most `serve-failover` benchmark runs.)
+    spares: Mutex<Vec<Arc<[u64]>>>,
+}
+
+impl SuspicionRows {
+    pub(crate) fn new(n: usize) -> Self {
+        let zero: Arc<[u64]> = vec![0; n].into();
+        SuspicionRows {
+            published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
+            spares: Mutex::new(Vec::new()),
+            zero,
+        }
+    }
+
+    /// Replaces `held`, a cache's copy of row `j`, by the copy to keep now
+    /// that the cache has read the row as `read` (`held_matches`: whether
+    /// `held` already equals `read`). The published row when it equals
+    /// `read`; otherwise `held`, rewritten with `read` when it is stale,
+    /// which is then published for the next reader. A lock is held only to
+    /// clone, swap, push or pop an `Arc`, never for a comparison or a copy.
+    fn share(&self, j: ProcessId, held: &mut Arc<[u64]>, read: &[u64], held_matches: bool) {
+        let slot = &self.published[j.index()];
+        let published = Arc::clone(&slot.lock());
+        if held_matches && Arc::ptr_eq(&published, held) {
+            return;
+        }
+        if *published == *read {
+            self.recycle(std::mem::replace(held, published));
+            return;
+        }
+        drop(published);
+        if !held_matches {
+            // A row no one else holds is not published either: rewrite it.
+            if let Some(row) = Arc::get_mut(held) {
+                row.copy_from_slice(read);
+            } else {
+                let spare = self.spares.lock().pop();
+                let fresh = match spare {
+                    Some(mut row) => {
+                        Arc::get_mut(&mut row)
+                            .expect("a spare has no other holder")
+                            .copy_from_slice(read);
+                        row
+                    }
+                    None => Arc::from(read),
+                };
+                self.recycle(std::mem::replace(held, fresh));
+            }
+        }
+        let displaced = std::mem::replace(&mut *slot.lock(), Arc::clone(held));
+        self.recycle(displaced);
+    }
+
+    /// Keeps `row` as a spare when nothing else holds it.
+    fn recycle(&self, mut row: Arc<[u64]>) {
+        if Arc::get_mut(&mut row).is_some() {
+            self.spares.lock().push(row);
+        }
+    }
+}
+
 /// Epoch-validated local view of the foreign rows of a `SUSPICIONS`
 /// matrix, with an incrementally maintained per-column aggregate.
+///
+/// The view of each row is an immutable row shared through the matrix's
+/// [`SuspicionRows`]: in a quiescent run every process holds the same
+/// allocation of row `j`, so a cache costs `n` pointers rather than `n²`
+/// words.
 ///
 /// Shared by [`Alg1Process`] and [`Alg2Process`](crate::Alg2Process) (the
 /// matrix layout is identical in Figures 2 and 5).
@@ -84,7 +173,7 @@ pub(crate) struct SuspicionCache {
     /// Identity of the owning process (its row is mirrored elsewhere).
     pid: ProcessId,
     /// `rows[j]` — last snapshot of `SUSPICIONS[j][·]` (row `pid` unused).
-    rows: Vec<Vec<u64>>,
+    rows: Vec<Arc<[u64]>>,
     /// Row epoch each snapshot was taken at; `u64::MAX` = never read.
     seen: Vec<u64>,
     /// Matrix-global epoch the last full validation pass ran at;
@@ -97,10 +186,11 @@ pub(crate) struct SuspicionCache {
 }
 
 impl SuspicionCache {
-    pub(crate) fn new(n: usize, pid: ProcessId) -> Self {
+    pub(crate) fn new(shared: &SuspicionRows, pid: ProcessId) -> Self {
+        let n = shared.published.len();
         SuspicionCache {
             pid,
-            rows: vec![vec![0; n]; n],
+            rows: vec![Arc::clone(&shared.zero); n],
             seen: vec![u64::MAX; n],
             seen_global: u64::MAX,
             totals: vec![0; n],
@@ -123,8 +213,14 @@ impl SuspicionCache {
     ///   as skipped in one batch (exactly what the per-row walk would
     ///   have credited).
     /// * **Dirty, O(n) validation** — walk the row epochs, re-snapshot the
-    ///   moved ones, batch-credit the clean ones.
-    pub(crate) fn refresh(&mut self, suspicions: &EpochedNatMatrix) -> bool {
+    ///   moved ones, batch-credit the clean ones. A re-read row whose
+    ///   contents did not change leaves the totals alone; either way the
+    ///   cache then holds the copy `shared` offers for what it read.
+    pub(crate) fn refresh(
+        &mut self,
+        suspicions: &EpochedNatMatrix,
+        shared: &SuspicionRows,
+    ) -> bool {
         let n = suspicions.n();
         // Read the global epoch *before* the row walk: a write racing the
         // walk leaves `seen_global` behind the bump it missed, so the next
@@ -148,12 +244,15 @@ impl SuspicionCache {
                 continue;
             }
             let seen = suspicions.snapshot_row_into(j, self.pid, &mut self.buf);
-            let old = &mut self.rows[j.index()];
-            for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
-                // total ≥ old by construction: old is one of its summands.
-                *total = *total - *old + *new;
-                *old = *new;
+            let held = &mut self.rows[j.index()];
+            let held_matches = **held == *self.buf;
+            if !held_matches {
+                for ((total, old), new) in self.totals.iter_mut().zip(held.iter()).zip(&self.buf) {
+                    // total ≥ old by construction: old is one of its summands.
+                    *total = *total - *old + *new;
+                }
             }
+            shared.share(j, held, &self.buf, held_matches);
             self.seen[j.index()] = seen;
             changed = true;
         }
@@ -166,6 +265,69 @@ impl SuspicionCache {
 
     /// Cached `Σ_{j≠pid} SUSPICIONS[j][k]`.
     pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
+        self.totals[k.index()]
+    }
+
+    /// The copy of row `j` this cache holds.
+    #[cfg(test)]
+    fn row(&self, j: ProcessId) -> &Arc<[u64]> {
+        &self.rows[j.index()]
+    }
+
+    /// Whether `totals` is the column sum of the foreign rows held.
+    #[cfg(test)]
+    fn totals_match_rows(&self) -> bool {
+        (0..self.totals.len()).all(|k| {
+            let column: u64 = ProcessId::all(self.rows.len())
+                .filter(|&j| j != self.pid)
+                .map(|j| self.rows[j.index()][k])
+                .sum();
+            column == self.totals[k]
+        })
+    }
+}
+
+/// The dense cache — a private copy of every foreign row in every process —
+/// kept as the reference the shared rows are tested against.
+#[cfg(test)]
+#[derive(Debug)]
+struct DenseSuspicionCache {
+    pid: ProcessId,
+    rows: Vec<Vec<u64>>,
+    seen: Vec<u64>,
+    totals: Vec<u64>,
+    buf: Vec<u64>,
+}
+
+#[cfg(test)]
+impl DenseSuspicionCache {
+    fn new(n: usize, pid: ProcessId) -> Self {
+        DenseSuspicionCache {
+            pid,
+            rows: vec![vec![0; n]; n],
+            seen: vec![u64::MAX; n],
+            totals: vec![0; n],
+            buf: vec![0; n],
+        }
+    }
+
+    /// [`SuspicionCache::refresh`]'s dirty path, into private rows.
+    fn refresh(&mut self, suspicions: &EpochedNatMatrix) {
+        for j in ProcessId::all(suspicions.n()) {
+            if j == self.pid || self.seen[j.index()] == suspicions.row_version(j) {
+                continue;
+            }
+            let seen = suspicions.snapshot_row_into(j, self.pid, &mut self.buf);
+            let old = &mut self.rows[j.index()];
+            for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
+                *total = *total - *old + *new;
+                *old = *new;
+            }
+            self.seen[j.index()] = seen;
+        }
+    }
+
+    fn foreign_total(&self, k: ProcessId) -> u64 {
         self.totals[k.index()]
     }
 }
@@ -249,6 +411,8 @@ pub struct Alg1Memory {
     progress: NatArray,
     stop: FlagArray,
     suspicions: EpochedNatMatrix,
+    /// The processes' shared copies of the `SUSPICIONS` rows.
+    suspicion_rows: SuspicionRows,
 }
 
 impl Alg1Memory {
@@ -262,6 +426,7 @@ impl Alg1Memory {
             progress: space.nat_array("PROGRESS", |_| 0),
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
+            suspicion_rows: SuspicionRows::new(n),
         })
     }
 
@@ -416,7 +581,7 @@ impl Alg1Process {
             my_suspicions_max,
             timeout_slack: 1,
             cached: None,
-            scan: RefCell::new(SuspicionCache::new(n, pid)),
+            scan: RefCell::new(SuspicionCache::new(&mem.suspicion_rows, pid)),
             election: std::cell::Cell::new(None),
             t3_cursor: ShardCursor::new(n, T3_SHARD_SIZE),
             mem,
@@ -472,6 +637,12 @@ impl Alg1Process {
     fn total_suspicions(&self, scan: &SuspicionCache, k: ProcessId) -> u64 {
         scan.foreign_total(k) + self.my_suspicions[k.index()]
     }
+
+    /// The epoch-validated view of the foreign rows, as last refreshed.
+    #[cfg(test)]
+    fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
+        self.scan.borrow()
+    }
 }
 
 impl OmegaProcess for Alg1Process {
@@ -491,7 +662,7 @@ impl OmegaProcess for Alg1Process {
     /// serves the memoized winner without rescanning the candidate set.
     fn leader(&self) -> ProcessId {
         let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions);
+        let changed = scan.refresh(&self.mem.suspicions, &self.mem.suspicion_rows);
         if changed {
             self.election.set(None);
         } else if let Some(winner) = self.election.get() {
@@ -916,5 +1087,282 @@ mod tests {
         assert_eq!(procs[0].leader(), p(0));
         assert_eq!(procs[1].leader(), p(0));
         assert_eq!(procs[0].cached_leader(), Some(p(0)));
+    }
+}
+
+/// The shared rows against the dense reference, and under OS threads.
+#[cfg(test)]
+mod shared_rows_tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    use super::*;
+    use crate::{Alg2Memory, Alg2Process};
+
+    /// What the tests need of a process whose `leader()` reads through a
+    /// [`SuspicionCache`].
+    trait Cached: OmegaProcess {
+        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache>;
+        fn matrix(&self) -> &EpochedNatMatrix;
+        fn candidate_set(&self) -> &ProcessSet;
+    }
+
+    impl Cached for Alg1Process {
+        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
+            self.suspicion_cache()
+        }
+        fn matrix(&self) -> &EpochedNatMatrix {
+            &self.mem.suspicions
+        }
+        fn candidate_set(&self) -> &ProcessSet {
+            self.candidates()
+        }
+    }
+
+    impl Cached for Alg2Process {
+        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
+            self.suspicion_cache()
+        }
+        fn matrix(&self) -> &EpochedNatMatrix {
+            self.suspicion_matrix()
+        }
+        fn candidate_set(&self) -> &ProcessSet {
+            self.candidates()
+        }
+    }
+
+    /// xorshift64*, seeded.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
+        }
+    }
+
+    /// `groups` random disjoint groups; a process drawn into none of them
+    /// stays connected to everyone.
+    fn random_groups(rng: &mut Rng, n: usize, groups: usize) -> Vec<Vec<ProcessId>> {
+        let mut out = vec![Vec::new(); groups];
+        for pid in ProcessId::all(n) {
+            if let Some(group) = out.get_mut(rng.below(groups + 1)) {
+                group.push(pid);
+            }
+        }
+        out
+    }
+
+    /// `proc.leader()` against `dense`, refreshed right after it and so
+    /// over the same view of the registers.
+    fn check_against_dense<P: Cached>(proc: &P, dense: &mut DenseSuspicionCache) {
+        let (pid, leader) = (proc.pid(), proc.leader());
+        let matrix = proc.matrix();
+        dense.refresh(matrix);
+        let cache = proc.cache();
+        for k in ProcessId::all(proc.n()) {
+            assert_eq!(
+                cache.foreign_total(k),
+                dense.foreign_total(k),
+                "{pid}: foreign total of {k}"
+            );
+        }
+        assert!(cache.totals_match_rows(), "{pid}: totals of the rows held");
+        // The own row is mirrored exactly: nobody else writes it.
+        let expected = elect_least_suspected(proc.candidate_set(), |k| {
+            dense.foreign_total(k) + matrix.get(pid, k).peek()
+        });
+        assert_eq!(Some(leader), expected, "{pid}: leader()");
+    }
+
+    /// Random `T2`/`T3` steps and partition, cut and heal transitions,
+    /// each followed by one process's `leader()` checked against its dense
+    /// twin; then a heal and a quiescent round, after which every process
+    /// must hold the same allocation of each foreign row.
+    fn against_dense<P: Cached>(space: &MemorySpace, mut procs: Vec<P>, seed: u64) {
+        let n = procs.len();
+        // Shown only when the test fails: which run to replay.
+        println!("n = {n}, seed = {seed}");
+        let mut rng = Rng::new(seed);
+        let mut dense: Vec<DenseSuspicionCache> = ProcessId::all(n)
+            .map(|pid| DenseSuspicionCache::new(n, pid))
+            .collect();
+        for _ in 0..40 * n {
+            let p = rng.below(n);
+            match rng.below(100) {
+                0..=44 => procs[p].t2_step(),
+                45..=89 => {
+                    let _ = procs[p].on_timer_expire();
+                }
+                90..=93 => {
+                    let groups = 2 + rng.below(2);
+                    space.install_partition(&random_groups(&mut rng, n, groups));
+                }
+                94..=96 => {
+                    let sides = random_groups(&mut rng, n, 2);
+                    space.install_cut(&sides[0], &sides[1]);
+                }
+                _ => space.heal_partition(),
+            }
+            let q = rng.below(n);
+            check_against_dense(&procs[q], &mut dense[q]);
+        }
+        // The heal makes every row dirty for everyone: each process
+        // re-reads every foreign row once, all of them the live contents.
+        space.heal_partition();
+        for (proc, dense) in procs.iter().zip(&mut dense) {
+            check_against_dense(proc, dense);
+        }
+        assert_one_copy_per_row(&procs);
+    }
+
+    /// Every process other than `j` holds the same allocation of row `j`.
+    fn assert_one_copy_per_row<P: Cached>(procs: &[P]) {
+        for j in ProcessId::all(procs[0].n()) {
+            let caches: Vec<_> = procs
+                .iter()
+                .filter(|proc| proc.pid() != j)
+                .map(Cached::cache)
+                .collect();
+            let first = caches[0].row(j);
+            assert!(
+                caches.iter().all(|cache| Arc::ptr_eq(cache.row(j), first)),
+                "row {j} is one allocation"
+            );
+        }
+    }
+
+    const SIZES: [usize; 4] = [3, 5, 17, 40];
+
+    /// Odd seeds start from `corrupt`ed registers.
+    const SEEDS: std::ops::Range<u64> = 1..5;
+
+    #[test]
+    fn alg1_shared_rows_match_the_dense_reference() {
+        for n in SIZES {
+            for seed in SEEDS {
+                let space = MemorySpace::new(n);
+                let mem = Alg1Memory::new(&space);
+                if seed % 2 == 1 {
+                    mem.corrupt(seed);
+                }
+                let procs = ProcessId::all(n)
+                    .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
+                    .collect();
+                against_dense::<Alg1Process>(&space, procs, seed * 1_000 + n as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn alg2_shared_rows_match_the_dense_reference() {
+        for n in SIZES {
+            for seed in SEEDS {
+                let space = MemorySpace::new(n);
+                let mem = Alg2Memory::new(&space);
+                if seed % 2 == 1 {
+                    mem.corrupt(seed);
+                }
+                let procs = ProcessId::all(n)
+                    .map(|pid| Alg2Process::new(Arc::clone(&mem), pid))
+                    .collect();
+                against_dense::<Alg2Process>(&space, procs, seed * 1_000 + n as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn threads_keep_totals_exact_and_share_again_once_writes_stop() {
+        const N: usize = 8;
+        const WRITES: usize = 2_000;
+        // Eager counters, as the wall backends build them.
+        let space = MemorySpace::new(N);
+        let mem = Alg1Memory::new(&space);
+        let writing = Arc::new(AtomicUsize::new(2));
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let (done, finished) = std::sync::mpsc::channel();
+        let mut threads = Vec::new();
+        // Two threads write the rows of p0, p1 and of p2, p3 ...
+        for owners in [[0, 1], [2, 3]] {
+            let (mem, writing) = (Arc::clone(&mem), Arc::clone(&writing));
+            let (start, done) = (Arc::clone(&start), done.clone());
+            threads.push(std::thread::spawn(move || {
+                start.wait();
+                for i in 0..WRITES {
+                    for owner in owners.map(ProcessId::new) {
+                        let k = ProcessId::new((i + owner.index()) % N);
+                        let bumped = mem.suspicions.get(owner, k).peek() + 1;
+                        mem.suspicions.write(owner, k, owner, bumped);
+                    }
+                }
+                writing.fetch_sub(1, Ordering::Release);
+                done.send(()).expect("the test waits");
+                Vec::new()
+            }));
+        }
+        // ... while two more run p4, p5 and p6, p7, querying `leader()`
+        // until a pass has started after the last write.
+        for pids in [[4, 5], [6, 7]] {
+            let procs = pids.map(|i| Alg1Process::new(Arc::clone(&mem), ProcessId::new(i)));
+            let (writing, start, done) = (Arc::clone(&writing), Arc::clone(&start), done.clone());
+            threads.push(std::thread::spawn(move || {
+                start.wait();
+                loop {
+                    let last_pass = writing.load(Ordering::Acquire) == 0;
+                    for proc in &procs {
+                        let _ = proc.leader();
+                        assert!(proc.suspicion_cache().totals_match_rows(), "{}", proc.pid());
+                    }
+                    if last_pass {
+                        break;
+                    }
+                }
+                done.send(()).expect("the test waits");
+                Vec::from(procs)
+            }));
+        }
+        drop(done);
+        for _ in 0..threads.len() {
+            match finished.recv_timeout(Duration::from_secs(120)) {
+                Ok(()) => {}
+                // A thread panicked; its join below says why.
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("deadlocked"),
+            }
+        }
+        let readers: Vec<Alg1Process> = threads
+            .into_iter()
+            .flat_map(|thread| thread.join().expect("no thread panicked"))
+            .collect();
+
+        // The last pass read every row after its last write.
+        for proc in &readers {
+            for j in ProcessId::all(N).filter(|&j| j != proc.pid()) {
+                let live: Vec<u64> = ProcessId::all(N)
+                    .map(|k| mem.peek_suspicions(j, k))
+                    .collect();
+                assert_eq!(
+                    **proc.suspicion_cache().row(j),
+                    *live,
+                    "{} row {j}",
+                    proc.pid()
+                );
+            }
+        }
+        // Two readers racing on one row may each have published a copy.
+        // Once every row is read again with nothing moving, they share.
+        for j in ProcessId::all(N) {
+            mem.suspicions.poke(j, j, mem.peek_suspicions(j, j));
+        }
+        for proc in &readers {
+            let _ = proc.leader();
+        }
+        assert_one_copy_per_row(&readers);
     }
 }

@@ -29,7 +29,7 @@ use omega_registers::{
     EpochedNatMatrix, FlagArray, FlagMatrix, MemorySpace, ProcessId, ProcessSet,
 };
 
-use crate::alg1::{ShardCursor, SuspicionCache, T3_SHARD_SIZE};
+use crate::alg1::{ShardCursor, SuspicionCache, SuspicionRows, T3_SHARD_SIZE};
 use crate::candidates::{elect_least_suspected, CandidateInit};
 use crate::OmegaProcess;
 
@@ -43,6 +43,8 @@ pub struct Alg2Memory {
     last: FlagMatrix,
     stop: FlagArray,
     suspicions: EpochedNatMatrix,
+    /// The processes' shared copies of the `SUSPICIONS` rows.
+    suspicion_rows: SuspicionRows,
 }
 
 impl Alg2Memory {
@@ -57,6 +59,7 @@ impl Alg2Memory {
             last: space.flag_column_matrix("LAST", |_, _| false),
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
+            suspicion_rows: SuspicionRows::new(n),
         })
     }
 
@@ -191,7 +194,7 @@ impl Alg2Process {
             my_suspicions,
             my_suspicions_max,
             cached: None,
-            scan: RefCell::new(SuspicionCache::new(n, pid)),
+            scan: RefCell::new(SuspicionCache::new(&mem.suspicion_rows, pid)),
             election: std::cell::Cell::new(None),
             t3_cursor: ShardCursor::new(n, T3_SHARD_SIZE),
             mem,
@@ -226,6 +229,18 @@ impl Alg2Process {
     fn total_suspicions(&self, scan: &SuspicionCache, k: ProcessId) -> u64 {
         scan.foreign_total(k) + self.my_suspicions[k.index()]
     }
+
+    /// The epoch-validated view of the foreign rows, as last refreshed.
+    #[cfg(test)]
+    pub(crate) fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
+        self.scan.borrow()
+    }
+
+    /// The shared `SUSPICIONS` matrix the cache views.
+    #[cfg(test)]
+    pub(crate) fn suspicion_matrix(&self) -> &EpochedNatMatrix {
+        &self.mem.suspicions
+    }
 }
 
 impl OmegaProcess for Alg2Process {
@@ -242,7 +257,7 @@ impl OmegaProcess for Alg2Process {
     /// and a quiescent query serves the memoized winner).
     fn leader(&self) -> ProcessId {
         let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions);
+        let changed = scan.refresh(&self.mem.suspicions, &self.mem.suspicion_rows);
         if changed {
             self.election.set(None);
         } else if let Some(winner) = self.election.get() {

@@ -168,20 +168,20 @@ impl CrashSpec {
 /// larger scenarios belong on the cooperative backend.
 pub const THREAD_MAX_N: usize = 16;
 
-/// Largest system the deterministic simulator admits. Three structures
-/// of the literal realization are `O(n³)` words: the per-process read
-/// counters of the `n² + 2n` registers, the statistics checkpoints (a
+/// Largest system the deterministic simulator admits. Two structures of
+/// the literal realization are `O(n³)` words: the per-process read
+/// counters of the `n² + 2n` registers, and the statistics checkpoints (a
 /// run's series holds one dense copy of those counters — every register
 /// is read by everyone before the first window closes — plus the tiles
 /// that moved between checkpoints, two banks' worth once the run is
-/// quiescent), and the per-process `SuspicionCache` mirrors of the `n × n`
-/// suspicion matrix. At n = 256 each is ≈ 135 MB and `n-scaling-256` peaks
-/// at 431 MB; n = 512 is eight times that, and pre-stabilization scans
-/// cost `O(n²)` per tick besides. (ROADMAP open item 3 has the breakdown,
-/// and what the counters and the mirrors still need before this moves.)
-/// Larger systems are exactly what the sharded cooperative pool exists
-/// for, so the sim refuses them loudly instead of thrashing.
-pub const SIM_MAX_N: usize = 256;
+/// quiescent). The processes' views of the suspicion matrix share their
+/// rows and are `O(n²)`. At n = 512 each cubic term
+/// is ≈ 1.07 GB and `n-scaling-512` peaks at 2.2 GB; n = 1024 is eight
+/// times that, and pre-stabilization scans cost `O(n²)` per tick besides.
+/// (ROADMAP open item 3 has the breakdown.) Larger systems are exactly
+/// what the sharded cooperative pool exists for, so the sim refuses them
+/// loudly instead of thrashing.
+pub const SIM_MAX_N: usize = 512;
 
 /// Largest system the cooperative wall-clock backend records *on a small
 /// pool*: up to two workers the wall comes from the wall-clock budget a
@@ -868,12 +868,15 @@ mod tests {
         assert!(huge.eligible_drivers_at(16).coop);
         // Past SIM_MAX_N the coop pool is the *only* backend left: the
         // sim's literal realization is memory-cubic in n.
-        assert!(big.eligible_drivers().sim, "n = 256 is the sim's ceiling");
-        assert!(!huge.eligible_drivers().sim);
+        assert!(big.eligible_drivers().sim);
         assert!(
-            !Scenario::fault_free(OmegaVariant::Alg1, 512)
-                .eligible_drivers_at(16)
+            Scenario::fault_free(OmegaVariant::Alg1, 512)
+                .eligible_drivers()
                 .sim,
+            "n = 512 is the sim's ceiling"
+        );
+        assert!(
+            !huge.eligible_drivers_at(16).sim,
             "the sim cap does not scale with the coop pool"
         );
     }
@@ -948,11 +951,11 @@ mod tests {
         assert!(!admits(Backend::Coop, &n1024, 8) && admits(Backend::Coop, &n1024, 16));
         // Past SIM_MAX_N the coop pool is the only backend: the sim's
         // literal realization is memory-cubic in n and refuses loudly.
-        assert!(admits(Backend::Sim, &n256, 1));
-        assert!(!admits(Backend::Sim, &n512, 1) && !admits(Backend::Sim, &n1024, 16));
-        let sim_refusal = refusal_of(Backend::Sim, &n512, 1);
+        assert!(admits(Backend::Sim, &n256, 1) && admits(Backend::Sim, &n512, 1));
+        assert!(!admits(Backend::Sim, &n1024, 1) && !admits(Backend::Sim, &n1024, 16));
+        let sim_refusal = refusal_of(Backend::Sim, &n1024, 1);
         assert!(
-            sim_refusal.contains("n <= 256") && sim_refusal.contains("coop"),
+            sim_refusal.contains("n <= 512") && sim_refusal.contains("coop"),
             "the sim skip line names its cap and the backend that scales: {sim_refusal}"
         );
         assert!(
