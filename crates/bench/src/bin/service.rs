@@ -1,33 +1,28 @@
 //! Service-suite benchmark: the leader-gated replicated KV under open-loop
-//! client load, reporting failover unavailability as the headline SLO.
+//! client load, reporting failover unavailability as the headline SLO
+//! (`BENCH_service.json` on the simulator). Modes, flags, the artifact
+//! rule and the `--check` gate are the suite harness's
+//! ([`omega_bench::suite`]); `--driver` takes `sim`, `threads` or `coop`
+//! (there is no disk substrate for the KV).
 //!
-//! Modes and flags mirror the `scenarios` bin:
-//!
-//! * **Record** (default) — runs every registry service scenario on the
-//!   chosen backend, prints the outcome table, and writes
-//!   `BENCH_service.json` (sim) or `BENCH_service.<driver>.json`
-//!   (wall-clock), honoring `$BENCH_OUT`.
-//! * **Check** (`--check <baseline.json>`) — diffs against the committed
-//!   baseline. On the simulator every gated field is deterministic, so
-//!   the gate fails on: a committed-count drop beyond 5 % + 5 requests, a
-//!   failed-request (rejected + stalled) growth beyond 25 % + 5, an
-//!   unavailability growth beyond 25 % + 500 ticks, or a total-write
-//!   growth beyond 15 %. Wall-clock backends gate on timing only
-//!   (advisory unless `--strict-timing`), exactly like the scenarios bin.
-//! * **`--driver sim|coop|threads`** — picks the backend (default `sim`).
-//!   The cooperative backend multiplexes the service loops and the
-//!   workload pump on the same deadline wheel as the election's task
-//!   loops; `threads` gives every replica loop its own OS thread.
-//! * **`--only <substring>`** — restricts the run; a filtered run never
-//!   overwrites the committed full-suite baseline.
-//! * **`--list`** — prints the service registry and exits.
+//! * **Thresholds.** On the simulator every gated field is deterministic,
+//!   so the gate fails on: a changed request schedule, a committed-count
+//!   drop beyond 5 % + 5 requests, a failed-request (rejected + stalled)
+//!   growth beyond 25 % + 5, an unavailability growth beyond 25 % + 500
+//!   ticks, a total-write growth beyond 15 %, and any request that
+//!   outlived the workload's stall bound (the drain SLO is zero, never a
+//!   trend).
+//! * **Tables.** The outcome table, then one line per failover window:
+//!   crash tick, heal tick, and the requests refused or stalled inside.
 
 use std::fmt::Write as _;
 
+use omega_bench::suite::{Gate, Options, Rule, Suite};
 use omega_bench::table::Table;
 use omega_scenario::Backend;
 use omega_service::{
-    registry, ServiceCoopDriver, ServiceOutcome, ServiceSimDriver, ServiceThreadDriver,
+    registry, ServiceCoopDriver, ServiceOutcome, ServiceScenario, ServiceSimDriver,
+    ServiceThreadDriver,
 };
 
 /// Committed requests may drop by at most this fraction (plus
@@ -46,21 +41,35 @@ const MAX_UNAVAIL_GROWTH: f64 = 0.25;
 const UNAVAIL_SLACK_TICKS: u64 = 500;
 /// Allowed relative growth of `total_writes` before the gate fails.
 const MAX_WRITE_REGRESSION: f64 = 0.15;
-/// Wall-clock delta beyond which a timing warning is collected (failures
-/// only under `--strict-timing`).
-const TIMING_REPORT_THRESHOLD: f64 = 0.50;
 
-/// `--driver` names this suite accepts: every backend but the SAN (there
-/// is no disk substrate for the KV).
-fn parse_driver(name: &str) -> Option<Backend> {
-    Backend::parse(name).filter(|&backend| backend != Backend::San)
-}
+const SUITE: Suite = Suite {
+    name: "service",
+    drivers: &[Backend::Sim, Backend::Threads, Backend::Coop],
+    required: &[
+        "requests",
+        "committed",
+        "rejected+stalled",
+        "unavail_ticks",
+        "total_writes",
+    ],
+    gates: &[
+        Gate("requests", Rule::Exact),
+        Gate("committed", Rule::Drop(MAX_COMMIT_DROP, COUNT_SLACK)),
+        Gate(
+            "rejected+stalled",
+            Rule::Growth(MAX_FAILED_GROWTH, COUNT_SLACK),
+        ),
+        Gate(
+            "unavail_ticks",
+            Rule::Growth(MAX_UNAVAIL_GROWTH, UNAVAIL_SLACK_TICKS),
+        ),
+        Gate("total_writes", Rule::Growth(MAX_WRITE_REGRESSION, 0)),
+        Gate("stall_bound_breaches", Rule::ZeroNow),
+    ],
+    timing: "wall_ms",
+};
 
-fn run(
-    backend: Backend,
-    scenario: &omega_service::ServiceScenario,
-    workers: usize,
-) -> ServiceOutcome {
+fn run(backend: Backend, scenario: &ServiceScenario, workers: usize) -> ServiceOutcome {
     match backend {
         Backend::Sim => ServiceSimDriver.run(scenario),
         Backend::Coop => ServiceCoopDriver {
@@ -69,272 +78,11 @@ fn run(
         }
         .run(scenario),
         Backend::Threads => ServiceThreadDriver::default().run(scenario),
-        Backend::San => unreachable!("parse_driver admits no SAN"),
+        Backend::San => unreachable!("the service suite admits no SAN"),
     }
 }
 
-/// Only the simulator's records are deterministic enough to gate on
-/// request counts and unavailability ticks.
-fn gates_model_counters(backend: Backend) -> bool {
-    backend == Backend::Sim
-}
-
-/// The baseline fields the service gate compares. Unknown JSON fields are
-/// ignored; optional fields parse to `None` (same growth rules as the
-/// scenarios bin's parser).
-#[derive(Debug, Clone, PartialEq)]
-struct BaselineRecord {
-    scenario: String,
-    backend: Option<String>,
-    requests: u64,
-    committed: u64,
-    rejected: u64,
-    stalled: u64,
-    unavail_ticks: u64,
-    total_writes: u64,
-    /// Requests that outlived the workload's fail-fast stall bound;
-    /// `None` for baselines predating the drain SLO. The gate holds the
-    /// *current* run at zero regardless — a breach is never a trend.
-    stall_bound_breaches: Option<u64>,
-    wall_ms: Option<f64>,
-}
-
-fn raw_field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = object.find(&needle)? + needle.len();
-    let rest = &object[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn string_field(object: &str, key: &str) -> Option<String> {
-    let raw = raw_field(object, key)?;
-    let raw = raw.strip_prefix('"')?.strip_suffix('"')?;
-    Some(raw.replace("\\\"", "\"").replace("\\\\", "\\"))
-}
-
-/// Parses the artifact this bin writes: one flat record per line. A line
-/// that looks like a record but does not parse is a hard error — silently
-/// dropping it would exempt its scenario from the gate.
-fn parse_baseline(json: &str) -> Result<Vec<BaselineRecord>, String> {
-    json.lines()
-        .map(str::trim)
-        .filter(|line| line.starts_with('{'))
-        .map(|line| {
-            let parsed = (|| {
-                Some(BaselineRecord {
-                    scenario: string_field(line, "scenario")?,
-                    backend: string_field(line, "backend"),
-                    requests: raw_field(line, "requests")?.parse().ok()?,
-                    committed: raw_field(line, "committed")?.parse().ok()?,
-                    rejected: raw_field(line, "rejected")?.parse().ok()?,
-                    stalled: raw_field(line, "stalled")?.parse().ok()?,
-                    unavail_ticks: raw_field(line, "unavail_ticks")?.parse().ok()?,
-                    total_writes: raw_field(line, "total_writes")?.parse().ok()?,
-                    stall_bound_breaches: raw_field(line, "stall_bound_breaches")
-                        .and_then(|raw| raw.parse().ok()),
-                    wall_ms: raw_field(line, "wall_ms").and_then(|raw| raw.parse().ok()),
-                })
-            })();
-            parsed.ok_or_else(|| format!("unparseable baseline record: {line}"))
-        })
-        .collect()
-}
-
-/// Loads and validates a `--check` baseline. A missing file, an
-/// unparseable record, or an empty baseline all mean the gate cannot
-/// defend anything — each is reported as one summary line so CI logs
-/// show the cause directly instead of a panic backtrace.
-fn load_baseline(path: &str) -> Result<Vec<BaselineRecord>, String> {
-    let json =
-        std::fs::read_to_string(path).map_err(|e| format!("baseline {path} unreadable: {e}"))?;
-    let baseline = parse_baseline(&json).map_err(|e| format!("baseline {path}: {e}"))?;
-    if baseline.is_empty() {
-        return Err(format!("baseline {path} holds no records"));
-    }
-    Ok(baseline)
-}
-
-/// `current` exceeding `baseline` by more than `rel · baseline + abs`.
-fn exceeds(baseline: u64, current: u64, rel: f64, abs: u64) -> bool {
-    current as f64 > baseline as f64 * (1.0 + rel) + abs as f64
-}
-
-/// `current` falling short of `baseline` by more than `rel · baseline + abs`.
-fn falls_short(baseline: u64, current: u64, rel: f64, abs: u64) -> bool {
-    (current as f64) < baseline as f64 * (1.0 - rel) - abs as f64
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CheckPolicy {
-    gate_model: bool,
-    strict_timing: bool,
-}
-
-fn check_against_baseline(
-    baseline: &[BaselineRecord],
-    outcomes: &[ServiceOutcome],
-    only: Option<&str>,
-    policy: CheckPolicy,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let mut timing_warnings = Vec::new();
-    let mut compared = 0usize;
-    for outcome in outcomes {
-        let Some(base) = baseline.iter().find(|b| b.scenario == outcome.scenario) else {
-            println!("  new scenario (no trend yet): {}", outcome.scenario);
-            continue;
-        };
-        if let Some(recorded) = base.backend.as_deref() {
-            if recorded != outcome.backend {
-                violations.push(format!(
-                    "{}: baseline was recorded by the {recorded} backend, this run used {} \
-                     — diff against the matching BENCH_service artifact",
-                    outcome.scenario, outcome.backend
-                ));
-                continue;
-            }
-        }
-        compared += 1;
-        let failed = outcome.rejected + outcome.stalled;
-        println!(
-            "  {}: committed {} -> {}, failed {} -> {}, unavail {} -> {} ticks",
-            outcome.scenario,
-            base.committed,
-            outcome.committed,
-            base.rejected + base.stalled,
-            failed,
-            base.unavail_ticks,
-            outcome.unavail_ticks(),
-        );
-        if let (Some(before), now) = (base.wall_ms, outcome.elapsed_ms) {
-            if before > 0.0 && now > 0.0 {
-                let delta = now / before - 1.0;
-                if delta.abs() > TIMING_REPORT_THRESHOLD {
-                    let direction = if delta > 0.0 { "slower" } else { "faster" };
-                    timing_warnings.push(format!(
-                        "{}: {before:.1} ms -> {now:.1} ms ({:+.0}%, {direction})",
-                        outcome.scenario,
-                        delta * 100.0
-                    ));
-                }
-            }
-        }
-        if !policy.gate_model {
-            continue;
-        }
-        if outcome.requests != base.requests {
-            violations.push(format!(
-                "{}: request schedule changed {} -> {} (the workload is seed-deterministic; \
-                 regenerate the baseline if the spec changed intentionally)",
-                outcome.scenario, base.requests, outcome.requests
-            ));
-        }
-        if falls_short(
-            base.committed,
-            outcome.committed,
-            MAX_COMMIT_DROP,
-            COUNT_SLACK,
-        ) {
-            violations.push(format!(
-                "{}: committed dropped {} -> {} (limit {:.0}% + {COUNT_SLACK})",
-                outcome.scenario,
-                base.committed,
-                outcome.committed,
-                MAX_COMMIT_DROP * 100.0
-            ));
-        }
-        let base_failed = base.rejected + base.stalled;
-        if exceeds(base_failed, failed, MAX_FAILED_GROWTH, COUNT_SLACK) {
-            violations.push(format!(
-                "{}: failed requests grew {base_failed} -> {failed} (limit {:.0}% + {COUNT_SLACK})",
-                outcome.scenario,
-                MAX_FAILED_GROWTH * 100.0
-            ));
-        }
-        if exceeds(
-            base.unavail_ticks,
-            outcome.unavail_ticks(),
-            MAX_UNAVAIL_GROWTH,
-            UNAVAIL_SLACK_TICKS,
-        ) {
-            violations.push(format!(
-                "{}: unavailability grew {} -> {} ticks (limit {:.0}% + {UNAVAIL_SLACK_TICKS})",
-                outcome.scenario,
-                base.unavail_ticks,
-                outcome.unavail_ticks(),
-                MAX_UNAVAIL_GROWTH * 100.0
-            ));
-        }
-        if exceeds(
-            base.total_writes,
-            outcome.total_writes,
-            MAX_WRITE_REGRESSION,
-            0,
-        ) {
-            violations.push(format!(
-                "{}: total writes regressed {} -> {} (limit {:.0}%)",
-                outcome.scenario,
-                base.total_writes,
-                outcome.total_writes,
-                MAX_WRITE_REGRESSION * 100.0
-            ));
-        }
-        // The drain SLO is absolute, not a trend: with a fail-fast bound
-        // configured every request must terminate by `arrival + bound`,
-        // so any breach fails the gate even if the baseline carried one.
-        if outcome.stall_bound_breaches > 0 {
-            violations.push(format!(
-                "{}: {} request(s) outlived the stall bound (the ledger must drain to zero)",
-                outcome.scenario, outcome.stall_bound_breaches
-            ));
-        }
-    }
-    if timing_warnings.is_empty() {
-        println!(
-            "  timing: all {compared} compared scenario(s) within ±{:.0}%",
-            TIMING_REPORT_THRESHOLD * 100.0
-        );
-    } else {
-        println!(
-            "  timing: {} of {compared} compared scenario(s) beyond ±{:.0}%{}:",
-            timing_warnings.len(),
-            TIMING_REPORT_THRESHOLD * 100.0,
-            if policy.strict_timing {
-                " (strict: failing)"
-            } else {
-                " (warning; --strict-timing fails the run)"
-            }
-        );
-        for warning in &timing_warnings {
-            println!("    {warning}");
-        }
-        if policy.strict_timing {
-            violations.extend(
-                timing_warnings
-                    .into_iter()
-                    .map(|w| format!("timing (strict): {w}")),
-            );
-        }
-    }
-    for base in baseline {
-        let filtered_out = only.is_some_and(|f| !base.scenario.contains(f));
-        if !filtered_out && !outcomes.iter().any(|o| o.scenario == base.scenario) {
-            println!("  baseline scenario no longer in suite: {}", base.scenario);
-        }
-    }
-    violations
-}
-
-fn admits_filter(only: Option<&str>, name: &str) -> bool {
-    only.is_none_or(|f| name.contains(f))
-}
-
-fn should_write_artifact(checking: bool, filtered: bool, explicit_out: bool) -> bool {
-    explicit_out || (!checking && !filtered)
-}
-
-fn run_suite(backend: Backend, only: Option<&str>, workers: usize) -> (Table, Vec<ServiceOutcome>) {
+fn run_suite(o: &Options) -> (Table, Vec<ServiceOutcome>) {
     let mut table = Table::new(&[
         "scenario",
         "variant",
@@ -353,14 +101,10 @@ fn run_suite(backend: Backend, only: Option<&str>, workers: usize) -> (Table, Ve
     ]);
     let mut outcomes = Vec::new();
     for scenario in registry::all() {
-        if !admits_filter(only, &scenario.name) {
+        if !o.takes(&scenario.name, &scenario.election, o.workers) {
             continue;
         }
-        if let Some(why) = scenario.election.refusal(backend, workers) {
-            println!("skipping {} on {} ({why})", scenario.name, backend.name());
-            continue;
-        }
-        let outcome = run(backend, &scenario, workers);
+        let outcome = run(o.backend, &scenario, o.workers);
         table.row(&[
             outcome.scenario.clone(),
             outcome.variant.name().to_string(),
@@ -382,97 +126,31 @@ fn run_suite(backend: Backend, only: Option<&str>, workers: usize) -> (Table, Ve
     (table, outcomes)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: service [--driver sim|coop|threads] [--workers N] [--check BASELINE.json] [--strict-timing] [--only SUBSTRING] [--list]"
-    );
-    std::process::exit(2);
+fn list() {
+    let scenarios = registry::all();
+    let width = scenarios.iter().map(|s| s.name.len()).max().unwrap_or(0);
+    for scenario in &scenarios {
+        let drivers: Vec<&str> = (SUITE.drivers.iter())
+            .filter(|&&backend| scenario.election.refusal(backend, 1).is_none())
+            .map(|backend| backend.name())
+            .collect();
+        println!(
+            "{:width$}  [{}]  {} clients, {} crash(es)",
+            scenario.name,
+            drivers.join(" "),
+            scenario.workload.clients,
+            scenario.election.crashes.len(),
+        );
+    }
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut check_path: Option<String> = None;
-    let mut only: Option<String> = None;
-    let mut backend = Backend::Sim;
-    let mut workers = 1usize;
-    let mut strict_timing = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => match args.next() {
-                Some(path) => check_path = Some(path),
-                None => usage(),
-            },
-            "--only" => match args.next() {
-                Some(filter) => only = Some(filter),
-                None => usage(),
-            },
-            "--driver" => match args.next().as_deref().and_then(parse_driver) {
-                Some(parsed) => backend = parsed,
-                None => usage(),
-            },
-            "--workers" => match args.next().and_then(|raw| raw.parse::<usize>().ok()) {
-                Some(parsed) if parsed > 0 => workers = parsed,
-                _ => usage(),
-            },
-            "--strict-timing" => strict_timing = true,
-            "--list" => {
-                let scenarios = registry::all();
-                let width = scenarios.iter().map(|s| s.name.len()).max().unwrap_or(0);
-                for scenario in &scenarios {
-                    let eligible = scenario.election.eligible_drivers();
-                    let mut drivers = vec!["sim"];
-                    if eligible.coop {
-                        drivers.push("coop");
-                    }
-                    if eligible.threads {
-                        drivers.push("threads");
-                    }
-                    println!(
-                        "{:width$}  [{}]  {} clients, {} crash(es)",
-                        scenario.name,
-                        drivers.join(" "),
-                        scenario.workload.clients,
-                        scenario.election.crashes.len(),
-                    );
-                }
-                return;
-            }
-            _ => usage(),
-        }
+    let opts = SUITE.options_from_env();
+    if opts.list {
+        return list();
     }
-    if check_path.is_some() && !gates_model_counters(backend) {
-        println!(
-            "note: {} outcomes are schedule-dependent — counters are reported only, the gate compares timing{}",
-            backend.name(),
-            if strict_timing {
-                ""
-            } else {
-                " (and only warns without --strict-timing)"
-            }
-        );
-    }
-
-    if workers > 1 && backend != Backend::Coop {
-        println!(
-            "note: --workers only affects the coop backend; {} ignores it",
-            backend.name()
-        );
-    }
-
-    let (table, outcomes) = run_suite(backend, only.as_deref(), workers);
-    if outcomes.is_empty() {
-        eprintln!(
-            "no service scenario matches --only {:?} on the {} backend; see --list",
-            only.unwrap_or_default(),
-            backend.name()
-        );
-        std::process::exit(2);
-    }
-    println!(
-        "== service suite ({} scenarios, {} backend) ==",
-        outcomes.len(),
-        backend.name()
-    );
+    let (table, outcomes) = run_suite(&opts);
+    SUITE.announce(&opts, outcomes.len());
     println!("{table}");
 
     let mut failover = String::new();
@@ -497,80 +175,38 @@ fn main() {
         print!("{failover}");
     }
 
-    let out_path = std::env::var("BENCH_OUT").ok();
-    if should_write_artifact(check_path.is_some(), only.is_some(), out_path.is_some()) {
-        let records: Vec<String> = outcomes.iter().map(ServiceOutcome::json_record).collect();
-        let json = format!("[\n  {}\n]\n", records.join(",\n  "));
-        let path = out_path.unwrap_or_else(|| match backend {
-            Backend::Sim => "BENCH_service.json".into(),
-            other => format!("BENCH_service.{}.json", other.name()),
-        });
-        std::fs::write(&path, &json).expect("write service outcomes JSON");
-        println!("wrote {} records to {path}", records.len());
-    } else if only.is_some() && check_path.is_none() {
-        println!("partial run (--only): baseline not written; set BENCH_OUT to export");
-    }
-
-    if let Some(path) = check_path {
-        let baseline = load_baseline(&path).unwrap_or_else(|summary| {
-            eprintln!("gate FAILED: {summary}");
-            std::process::exit(1);
-        });
-        println!(
-            "== regression gate vs {path} ({} records) ==",
-            baseline.len()
-        );
-        let policy = CheckPolicy {
-            gate_model: gates_model_counters(backend),
-            strict_timing,
-        };
-        let violations = check_against_baseline(&baseline, &outcomes, only.as_deref(), policy);
-        if violations.is_empty() {
-            if policy.gate_model {
-                println!(
-                    "gate PASSED: committed within -{:.0}%, failed within +{:.0}%, unavailability within +{:.0}% + {UNAVAIL_SLACK_TICKS} ticks, writes within +{:.0}%",
-                    MAX_COMMIT_DROP * 100.0,
-                    MAX_FAILED_GROWTH * 100.0,
-                    MAX_UNAVAIL_GROWTH * 100.0,
-                    MAX_WRITE_REGRESSION * 100.0,
-                );
-            } else {
-                println!(
-                    "gate PASSED: {} timing within ±{:.0}% of baseline{}",
-                    backend.name(),
-                    TIMING_REPORT_THRESHOLD * 100.0,
-                    if policy.strict_timing {
-                        ""
-                    } else {
-                        " (advisory without --strict-timing)"
-                    }
-                );
-            }
-            return;
-        }
-        eprintln!("gate FAILED:");
-        for violation in &violations {
-            eprintln!("  {violation}");
-        }
-        std::process::exit(1);
-    }
+    let records: Vec<String> = outcomes.iter().map(ServiceOutcome::json_record).collect();
+    SUITE.finish(&opts, &records);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega_bench::suite::should_write_artifact;
+    use omega_scenario::record::{self, Record};
 
     const SAMPLE: &str = r#"[
   {"scenario":"failover/alg1","backend":"sim","variant":"alg1-fig2","n":5,"requests":3200,"committed":3000,"rejected":120,"stalled":80,"inflight":0,"commit_p50":40,"commit_p95":90,"commit_p99":400,"commit_max":5000,"crashes":1,"unavail_ticks":2600,"unavail_rejected":100,"unavail_stalled":80,"stabilized":true,"total_writes":60000,"log_slots":300,"wall_ms":15.250}
 ]
 "#;
 
-    fn base() -> BaselineRecord {
-        parse_baseline(SAMPLE).unwrap().remove(0)
+    /// The options of a suite run with these flags.
+    fn opts(flags: &[&str]) -> Options {
+        SUITE.options(flags.iter().map(|f| f.to_string())).unwrap()
     }
 
-    fn outcome_like(base: &BaselineRecord) -> ServiceOutcome {
-        let scenario = registry::by_name(&base.scenario).unwrap();
+    fn base() -> Record {
+        SUITE.parse_baseline(SAMPLE).unwrap().remove(0)
+    }
+
+    /// The record of `outcome`, read back the way the gate reads it.
+    fn rec(outcome: &ServiceOutcome) -> Record {
+        record::parse(&outcome.json_record()).unwrap()
+    }
+
+    fn outcome_like(base: &Record) -> ServiceOutcome {
+        let count = |key| base.u64(key).unwrap();
+        let scenario = registry::by_name(base.str("scenario").unwrap()).unwrap();
         let ledger = omega_service::Ledger::new(Vec::new(), scenario.election.n);
         let mut outcome = ServiceOutcome::assemble(
             "sim",
@@ -578,31 +214,33 @@ mod tests {
             &ledger,
             &[],
             true,
-            base.total_writes,
+            count("total_writes"),
             0,
             1.0,
         );
-        outcome.requests = base.requests;
-        outcome.committed = base.committed;
-        outcome.rejected = base.rejected;
-        outcome.stalled = base.stalled;
+        outcome.requests = count("requests");
+        outcome.committed = count("committed");
+        outcome.rejected = count("rejected");
+        outcome.stalled = count("stalled");
         outcome
     }
 
     #[test]
     fn parses_own_format() {
         let record = base();
-        assert_eq!(record.scenario, "failover/alg1");
-        assert_eq!(record.backend.as_deref(), Some("sim"));
-        assert_eq!(record.requests, 3200);
-        assert_eq!(record.committed, 3000);
-        assert_eq!(record.unavail_ticks, 2600);
-        assert_eq!(record.wall_ms, Some(15.25));
+        assert_eq!(record.str("scenario"), Some("failover/alg1"));
+        assert_eq!(record.str("backend"), Some("sim"));
+        assert_eq!(record.u64("requests"), Some(3200));
+        assert_eq!(record.u64("committed"), Some(3000));
+        assert_eq!(record.u64("unavail_ticks"), Some(2600));
+        assert_eq!(record.f64("wall_ms"), Some(15.25));
     }
 
     #[test]
     fn load_baseline_reports_each_failure_as_one_summary_line() {
-        let missing = load_baseline("/nonexistent/BENCH_service.json").unwrap_err();
+        let missing = SUITE
+            .load_baseline("/nonexistent/BENCH_service.json")
+            .unwrap_err();
         assert!(missing.contains("unreadable"), "got: {missing}");
         assert!(!missing.contains('\n'), "one line, got: {missing}");
 
@@ -610,17 +248,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let broken = dir.join("broken.json");
         std::fs::write(&broken, "[\n  {\"scenario\":\"a\"}\n]\n").unwrap();
-        let err = load_baseline(broken.to_str().unwrap()).unwrap_err();
+        let err = SUITE.load_baseline(broken.to_str().unwrap()).unwrap_err();
         assert!(err.contains("unparseable"), "got: {err}");
+        assert!(err.contains("line 2: "), "names the line, got: {err}");
 
         let empty = dir.join("empty.json");
         std::fs::write(&empty, "[\n]\n").unwrap();
-        let err = load_baseline(empty.to_str().unwrap()).unwrap_err();
+        let err = SUITE.load_baseline(empty.to_str().unwrap()).unwrap_err();
         assert!(err.contains("no records"), "got: {err}");
 
         let good = dir.join("good.json");
         std::fs::write(&good, SAMPLE).unwrap();
-        assert_eq!(load_baseline(good.to_str().unwrap()).unwrap().len(), 1);
+        assert_eq!(
+            SUITE.load_baseline(good.to_str().unwrap()).unwrap().len(),
+            1
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -628,24 +270,22 @@ mod tests {
     fn real_records_round_trip() {
         let scenario = registry::by_name("steady/alg1").unwrap();
         let outcome = ServiceSimDriver.run(&scenario);
-        let parsed = parse_baseline(&format!("[\n  {}\n]\n", outcome.json_record())).unwrap();
-        assert_eq!(parsed[0].scenario, "steady/alg1");
-        assert_eq!(parsed[0].requests, outcome.requests);
-        assert_eq!(parsed[0].committed, outcome.committed);
-        assert_eq!(parsed[0].total_writes, outcome.total_writes);
-        assert_eq!(parsed[0].stall_bound_breaches, Some(0));
-        assert!(parsed[0].wall_ms.is_some());
+        let line = format!("[\n  {}\n]\n", outcome.json_record());
+        let parsed = SUITE.parse_baseline(&line).unwrap();
+        assert_eq!(parsed[0].str("scenario"), Some("steady/alg1"));
+        assert_eq!(parsed[0].u64("requests"), Some(outcome.requests));
+        assert_eq!(parsed[0].u64("committed"), Some(outcome.committed));
+        assert_eq!(parsed[0].u64("total_writes"), Some(outcome.total_writes));
+        assert_eq!(parsed[0].u64("stall_bound_breaches"), Some(0));
+        assert!(parsed[0].f64("wall_ms").is_some());
+        assert!(SUITE.gate(&parsed, &[rec(&outcome)], &opts(&[])).is_empty());
     }
 
     #[test]
     fn unchanged_run_passes_the_gate() {
         let record = base();
         let outcome = outcome_like(&record);
-        let policy = CheckPolicy {
-            gate_model: true,
-            strict_timing: false,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, policy);
+        let violations = SUITE.gate(&[record], &[rec(&outcome)], &opts(&[]));
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -660,18 +300,14 @@ mod tests {
             rejected: 0,
             stalled: 0,
         }];
-        let policy = CheckPolicy {
-            gate_model: true,
-            strict_timing: false,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, policy);
+        let violations = SUITE.gate(&[record], &[rec(&outcome)], &opts(&[]));
         assert_eq!(violations.len(), 2, "{violations:?}");
         assert!(
-            violations[0].contains("committed dropped"),
+            violations[0].contains("committed dropped 3000 -> 2500, not within -5% - 5"),
             "{violations:?}"
         );
         assert!(
-            violations[1].contains("unavailability grew"),
+            violations[1].contains("unavail_ticks grew 2600 -> 6000"),
             "{violations:?}"
         );
     }
@@ -681,17 +317,13 @@ mod tests {
         // Pre-bound baselines carry no breach field, and it would not
         // matter if they did: the drain SLO is zero, not a trend.
         let record = base();
-        assert_eq!(record.stall_bound_breaches, None);
+        assert_eq!(record.u64("stall_bound_breaches"), None);
         let mut outcome = outcome_like(&record);
         outcome.stall_bound_breaches = 3;
-        let policy = CheckPolicy {
-            gate_model: true,
-            strict_timing: false,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, policy);
+        let violations = SUITE.gate(&[record], &[rec(&outcome)], &opts(&[]));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            violations[0].contains("outlived the stall bound"),
+            violations[0].contains("stall_bound_breaches read 3, must be zero"),
             "{violations:?}"
         );
     }
@@ -701,13 +333,9 @@ mod tests {
         let record = base();
         let mut outcome = outcome_like(&record);
         outcome.requests += 1;
-        let policy = CheckPolicy {
-            gate_model: true,
-            strict_timing: false,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, policy);
+        let violations = SUITE.gate(&[record], &[rec(&outcome)], &opts(&[]));
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("request schedule changed"));
+        assert!(violations[0].contains("requests changed 3200 -> 3201"));
     }
 
     #[test]
@@ -715,59 +343,122 @@ mod tests {
         let record = base();
         let mut outcome = outcome_like(&record);
         outcome.committed = 0; // would fail every model gate
-        outcome.elapsed_ms = record.wall_ms.unwrap() * 10.0;
-        let advisory = CheckPolicy {
-            gate_model: false,
-            strict_timing: false,
-        };
+        outcome.elapsed_ms = record.f64("wall_ms").unwrap() * 10.0;
+        let (record, now) = ([record], [rec(&outcome)]);
+        let advisory = opts(&["--driver", "coop"]);
         assert!(
-            check_against_baseline(
-                std::slice::from_ref(&record),
-                std::slice::from_ref(&outcome),
-                None,
-                advisory
-            )
-            .is_empty(),
+            SUITE.gate(&record, &now, &advisory).is_empty(),
             "wall-clock checks are advisory without --strict-timing"
         );
-        let strict = CheckPolicy {
-            gate_model: false,
-            strict_timing: true,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, strict);
+        let strict = opts(&["--driver", "coop", "--strict-timing"]);
+        let violations = SUITE.gate(&record, &now, &strict);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("timing (strict)"), "{violations:?}");
     }
 
     #[test]
     fn backend_mismatch_is_a_violation() {
-        let mut record = base();
-        record.backend = Some("coop".into());
-        let outcome = outcome_like(&base());
-        let policy = CheckPolicy {
-            gate_model: true,
-            strict_timing: false,
-        };
-        let violations = check_against_baseline(&[record], &[outcome], None, policy);
+        let record = base();
+        let mut outcome = outcome_like(&record);
+        outcome.backend = "coop";
+        let violations = SUITE.gate(&[record], &[rec(&outcome)], &opts(&[]));
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("recorded by the coop backend"));
+        assert!(violations[0].contains("recorded by the sim backend, this run used coop"));
+        assert!(violations[0].contains("BENCH_service artifact"));
     }
 
     #[test]
     fn malformed_record_is_a_hard_error() {
         let broken = "[\n  {\"scenario\":\"a\",\"committed\":oops}\n]\n";
-        assert!(parse_baseline(broken).unwrap_err().contains("unparseable"));
+        let err = SUITE.parse_baseline(broken).unwrap_err();
+        assert!(
+            err.contains("unparseable") && err.starts_with("line 2: "),
+            "{err}"
+        );
     }
 
     #[test]
     fn slack_helpers_cover_both_directions() {
-        assert!(!exceeds(100, 125, 0.25, 0));
-        assert!(exceeds(100, 126, 0.25, 0));
-        assert!(!exceeds(100, 130, 0.25, 5));
-        assert!(!falls_short(100, 95, 0.05, 0));
-        assert!(falls_short(100, 94, 0.05, 0));
-        assert!(!falls_short(100, 90, 0.05, 5));
-        assert!(!exceeds(0, 5, 0.25, 5), "zero baselines keep the slack");
+        let grows = |rel, abs, base, now| Rule::Growth(rel, abs).violation(Some(base), Some(now));
+        let drops = |rel, abs, base, now| Rule::Drop(rel, abs).violation(Some(base), Some(now));
+        assert!(grows(0.25, 0, 100, 125).is_none());
+        assert!(grows(0.25, 0, 100, 126).is_some());
+        assert!(grows(0.25, 5, 100, 130).is_none());
+        assert!(drops(0.05, 0, 100, 95).is_none());
+        assert!(drops(0.05, 0, 100, 94).is_some());
+        assert!(drops(0.05, 5, 100, 90).is_none());
+        assert!(
+            grows(0.25, 5, 0, 5).is_none(),
+            "zero baselines keep the slack"
+        );
+        assert!(grows(0.25, 5, 0, 6).is_some(), "…and only the slack");
+    }
+
+    #[test]
+    fn names_from_any_alphabet_round_trip_and_gate_clean() {
+        // The service twin of the scenarios bin's test: any name comes back
+        // unchanged, passes against its own record, and is compared.
+        let alphabet = [
+            ',', '}', '{', ':', '"', '\\', '\t', '\n', ' ', 'é', '€', '🦀',
+        ];
+        let mut names: Vec<String> = alphabet
+            .iter()
+            .flat_map(|a| alphabet.iter().map(move |b| format!("{a}x{b}")))
+            .collect();
+        names.extend(["a,b", "x}y", "tab\there", "\"committed\":1,"].map(String::from));
+        names.push(alphabet.iter().collect());
+        let template = outcome_like(&base());
+        for name in names {
+            let mut outcome = template.clone();
+            outcome.scenario = name.clone();
+            let line = format!("[\n  {}\n]\n", outcome.json_record());
+            let baseline = SUITE.parse_baseline(&line).unwrap();
+            assert_eq!(baseline[0].str("scenario"), Some(name.as_str()));
+            assert!(
+                SUITE
+                    .gate(&baseline, &[rec(&outcome)], &opts(&[]))
+                    .is_empty(),
+                "{name:?}"
+            );
+            outcome.committed = 0;
+            let violations = SUITE.gate(&baseline, &[rec(&outcome)], &opts(&[]));
+            assert_eq!(violations.len(), 1, "{name:?}: {violations:?}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_the_committed_baseline_is_read_or_refused() {
+        let committed = include_str!("../../../../BENCH_service.json");
+        assert!(SUITE.parse_baseline(committed).unwrap().len() >= 9);
+        for (i, line) in committed.lines().enumerate() {
+            let read_or_refused = |text: &str| {
+                let numbered = format!("{}{text}", "\n".repeat(i));
+                let result = SUITE.parse_baseline(&numbered);
+                if let Err(e) = &result {
+                    let named = [i + 1, i + 2]
+                        .iter()
+                        .any(|n| e.starts_with(&format!("line {n}: ")));
+                    assert!(named && !e.contains('\n'), "{e}");
+                }
+                result.is_ok()
+            };
+            let body = line.trim().trim_end_matches(',');
+            for cut in (0..line.len()).filter(|&k| line.is_char_boundary(k)) {
+                let prefix = &line[..cut];
+                let proper = !prefix.trim().is_empty() && prefix.trim().len() < body.len();
+                assert!(!(read_or_refused(prefix) && proper), "accepted {prefix:?}");
+            }
+            let mut bytes = line.as_bytes().to_vec();
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    if let Ok(text) = std::str::from_utf8(&bytes) {
+                        read_or_refused(text);
+                    }
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+        }
     }
 
     #[test]
@@ -777,20 +468,30 @@ mod tests {
         assert!(!should_write_artifact(true, false, false));
         assert!(should_write_artifact(true, false, true));
         assert!(should_write_artifact(false, true, true));
+        assert_eq!(SUITE.artifact_path(Backend::Sim), "BENCH_service.json");
+        assert_eq!(
+            SUITE.artifact_path(Backend::Coop),
+            "BENCH_service.coop.json"
+        );
     }
 
     #[test]
     fn every_backend_name_parses_back() {
-        for backend in [Backend::Sim, Backend::Coop, Backend::Threads] {
-            assert_eq!(parse_driver(backend.name()), Some(backend));
+        let driver = |name: &str| {
+            SUITE
+                .options(["--driver", name].map(String::from))
+                .map(|o| o.backend)
+        };
+        for &backend in SUITE.drivers {
+            assert_eq!(driver(backend.name()), Some(backend));
         }
-        assert_eq!(parse_driver("san"), None, "no disk substrate for the KV");
+        assert_eq!(driver("san"), None, "no disk substrate for the KV");
     }
 
     #[test]
     fn registry_scenarios_all_admit_sim_and_coop() {
         for scenario in registry::all() {
-            for backend in [Backend::Sim, Backend::Coop, Backend::Threads] {
+            for &backend in SUITE.drivers {
                 let refusal = scenario.election.refusal(backend, 1);
                 assert_eq!(refusal, None, "{} on {}", scenario.name, backend.name());
             }

@@ -149,7 +149,7 @@ mod tests {
         // wall backends); stability is genuinely observed.
         let scenario = crate::registry::named("chaos/partition-heal").expect("registry scenario");
         assert!(
-            scenario.eligible_drivers().coop,
+            scenario.refusal(crate::Backend::Coop, 1).is_none(),
             "partition+heal campaigns admit coop"
         );
         let outcome = CoopDriver::default().run(&scenario);

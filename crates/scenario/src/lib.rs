@@ -58,7 +58,9 @@
 //! `BENCH_OUT=<path>` to also publish the current outcomes from a check
 //! run. The [`Outcome::reads_skipped`] / [`Outcome::shard_passes`]
 //! counters in each record make the sharded-scan savings part of the
-//! defended trend line.
+//! defended trend line. Every record is written by
+//! [`Outcome::json_record`] and read back by the gate through the one
+//! flat-record codec, [`record`].
 //!
 //! # One spec, two backends
 //!
@@ -78,6 +80,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod fuzz;
+pub mod record;
 pub mod registry;
 pub mod spec_text;
 
@@ -96,8 +99,8 @@ pub use outcome::{ChaosOutcome, NonElectionWitness, Outcome, SanFootprint, TailA
 pub use san_driver::SanDriver;
 pub use sim_driver::SimDriver;
 pub use spec::{
-    coop_max_n, AdversarySpec, AwbSpec, Backend, CrashSpec, DriverEligibility, Scenario, TimerSpec,
-    COOP_MAX_N, COOP_NODES_PER_WORKER, SIM_MAX_N, THREAD_MAX_N,
+    coop_max_n, AdversarySpec, AwbSpec, Backend, CrashSpec, Scenario, TimerSpec, COOP_MAX_N,
+    COOP_NODES_PER_WORKER, SIM_MAX_N, THREAD_MAX_N,
 };
 pub use thread_driver::ThreadDriver;
 pub use wall::{Script, WallPacing};

@@ -5,6 +5,8 @@ use omega_registers::{ProcessId, ProcessSet};
 use omega_sim::chaos::ChaosStats;
 use omega_sim::metrics::TimelineSample;
 
+use crate::record::Writer;
+
 /// Shared-memory activity over the trailing window of a run — the
 /// "post-stabilization" view the paper's write-optimality results are
 /// stated over (Theorems 3, 4, 7).
@@ -373,6 +375,61 @@ impl Outcome {
             let _ = write!(out, "|witness:{witness:?}");
         }
         out
+    }
+
+    /// The flat one-line JSON record of the `scenarios` suite artifacts
+    /// (see [`record`](crate::record)). The coop pool, the SAN footprint,
+    /// the chaos accounting and the non-election witness appear only when
+    /// the outcome has them, so a sim record without them never moves.
+    #[must_use]
+    pub fn json_record(&self) -> String {
+        let mut w = Writer::default();
+        w.str("scenario", &self.scenario)
+            .str("backend", self.backend)
+            .str("variant", self.variant.name())
+            .raw("n", self.n)
+            .raw("stabilized", self.stabilized);
+        if let Some(workers) = self.workers {
+            w.raw("workers", workers);
+        }
+        w.opt("stabilization_ticks", self.stabilization_ticks)
+            .raw("horizon_ticks", self.horizon_ticks)
+            .raw("crashed", self.crashed.len())
+            .raw("total_writes", self.total_writes())
+            .raw("total_reads", self.total_reads())
+            .raw("reads_skipped", self.reads_skipped)
+            .raw("shard_passes", self.shard_passes)
+            .raw("hwm_bits", self.hwm_bits)
+            .raw("register_count", self.register_count)
+            .raw("elapsed_ms", format_args!("{:.2}", self.elapsed_ms))
+            .raw("events_per_sec", format_args!("{:.0}", self.events_per_sec));
+        if let Some(san) = &self.san {
+            w.raw("san_blocks_mapped", san.blocks_mapped)
+                .raw("san_blocks_touched", san.blocks_touched)
+                .raw("san_block_accesses", san.block_accesses)
+                .raw("san_service_ms", format_args!("{:.2}", san.service_time_ms));
+        }
+        if let Some(chaos) = &self.chaos {
+            w.raw("partitions", chaos.partitions)
+                .raw("partition_ticks", chaos.partition_ticks)
+                .raw("storm_ticks", chaos.storm_ticks)
+                .raw("wave_crashes", chaos.wave_crashes)
+                .raw("wave_recoveries", chaos.wave_recoveries)
+                .opt("heal_to_stable_ticks", chaos.heal_to_stable_ticks);
+        }
+        if let Some(wit) = &self.witness {
+            let streak = wit.max_stable_streak_ticks;
+            w.raw("witness_window_from", wit.window_from)
+                .raw("witness_window_until", wit.window_until)
+                .raw("witness_demotions", wit.demotions)
+                .raw("witness_max_stable_streak_ticks", streak)
+                .raw("witness_false_stable_ticks", wit.false_stable_ticks);
+        }
+        let tail = self.tail.as_ref();
+        let per_1k = tail.map(|t| format!("{:.2}", t.writes_per_1k));
+        w.opt("tail_writers", tail.map(|t| t.writers.len()))
+            .opt("tail_writes_per_1k", per_1k);
+        w.finish()
     }
 
     /// A one-screen human-readable summary.

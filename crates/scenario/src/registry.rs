@@ -546,6 +546,8 @@ pub fn sigma_sweep(sigmas: &[u64]) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::admitted;
+    use crate::Backend;
 
     #[test]
     fn load_dir_round_trips_a_corpus() {
@@ -588,7 +590,7 @@ mod tests {
 
     #[test]
     fn chaos_suite_spans_the_admission_matrix() {
-        let eligible = |name: &str| named(name).unwrap().eligible_drivers().names();
+        let eligible = |name: &str| admitted(&named(name).unwrap(), 1);
         assert_eq!(
             eligible("chaos/partition-heal"),
             vec!["sim", "threads", "san", "coop"],
@@ -626,7 +628,7 @@ mod tests {
                 "{member} must expect no-elect"
             );
             assert_eq!(
-                scenario.eligible_drivers().names(),
+                admitted(&scenario, 1),
                 vec!["sim"],
                 "{member} is a non-election experiment"
             );
@@ -636,7 +638,7 @@ mod tests {
         let core = named("hostile/asym-core").unwrap();
         assert!(core.expect_stabilization);
         assert_eq!(
-            core.eligible_drivers().names(),
+            admitted(&core, 1),
             vec!["sim", "threads", "san", "coop"],
             "a survivable directed cut runs on every backend"
         );
@@ -775,12 +777,13 @@ mod tests {
         // territory: no single-worker backend admits them, a big enough
         // pool does. The sim runs n = 512 and stops there (memory-cubic
         // realization).
-        assert!(!probes[4].eligible_drivers().coop);
-        assert!(probes[4].eligible_drivers_at(8).coop);
-        assert!(probes[5].eligible_drivers_at(16).coop);
-        assert!(probes[3].eligible_drivers().sim);
-        assert!(probes[4].eligible_drivers().sim);
-        assert!(!probes[5].eligible_drivers().sim);
+        let admits = |probe: &Scenario, backend, workers| probe.refusal(backend, workers).is_none();
+        assert!(!admits(&probes[4], Backend::Coop, 1));
+        assert!(admits(&probes[4], Backend::Coop, 8));
+        assert!(admits(&probes[5], Backend::Coop, 16));
+        assert!(admits(&probes[3], Backend::Sim, 1));
+        assert!(admits(&probes[4], Backend::Sim, 1));
+        assert!(!admits(&probes[5], Backend::Sim, 1));
         for name in [
             "n-scaling-32",
             "n-scaling-64",

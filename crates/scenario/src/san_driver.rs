@@ -304,7 +304,10 @@ mod tests {
         // storm window, the election rides it out, and the outcome carries
         // the (advisory, planned-schedule) chaos accounting.
         let scenario = crate::registry::named("chaos/latency-storm").expect("registry scenario");
-        assert!(scenario.eligible_drivers().san, "storms admit the SAN");
+        assert!(
+            scenario.refusal(crate::Backend::San, 1).is_none(),
+            "storms admit the SAN"
+        );
         let outcome = SanDriver::instant().run(&scenario);
         outcome.assert_election();
         let chaos = outcome.chaos.expect("campaign scenarios report chaos");

@@ -207,10 +207,11 @@ pub fn coop_max_n(workers: usize) -> usize {
 
 /// The backend axis of the suite: one variant per [`Driver`](crate::Driver)
 /// (see the driver-axis table in ROADMAP.md). Which backend admits which
-/// scenario is [`Scenario::refusal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// scenario is [`Scenario::refusal`]. The simulator is the default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The deterministic simulator (`SimDriver`).
+    #[default]
     Sim,
     /// Dedicated OS threads (`ThreadDriver`).
     Threads,
@@ -239,31 +240,6 @@ impl Backend {
             Backend::San => "san",
             Backend::Coop => "coop",
         }
-    }
-}
-
-/// [`Scenario::refusal`]`(..).is_none()`, one flag per [`Backend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriverEligibility {
-    /// The deterministic simulator (`SimDriver`).
-    pub sim: bool,
-    /// Dedicated OS threads (`ThreadDriver`).
-    pub threads: bool,
-    /// Dedicated OS threads over SAN block registers (`SanDriver`).
-    pub san: bool,
-    /// The cooperative deadline-wheel runtime (`CoopDriver`).
-    pub coop: bool,
-}
-
-impl DriverEligibility {
-    /// The admitting drivers' names, in the suite's canonical order.
-    #[must_use]
-    pub fn names(&self) -> Vec<&'static str> {
-        [self.sim, self.threads, self.san, self.coop]
-            .into_iter()
-            .zip(Backend::ALL)
-            .filter_map(|(admitted, backend)| admitted.then_some(backend.name()))
-            .collect()
     }
 }
 
@@ -372,7 +348,8 @@ impl Scenario {
     /// Why `backend` (with a coop pool of `workers` threads) cannot honor
     /// this scenario — the first clause it fails, worded for the suite's
     /// skip line — or `None` when it admits it. The single admission rule:
-    /// `--driver` dispatch, `--list` and [`eligible_drivers`] all read it.
+    /// `--driver` dispatch, `--list` and the tests all read it as
+    /// `refusal(..).is_none()`.
     ///
     /// The simulator runs every *regime* (it is the only backend that can
     /// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — its
@@ -388,8 +365,6 @@ impl Scenario {
     /// `n >` [`THREAD_MAX_N`] on the per-node-thread backends, `n >`
     /// [`coop_max_n`]`(workers)` on coop — the only backend that reaches
     /// past the sim's cap, and the only one the pool size moves.
-    ///
-    /// [`eligible_drivers`]: Self::eligible_drivers
     #[must_use]
     pub fn refusal(&self, backend: Backend, workers: usize) -> Option<String> {
         if backend == Backend::Sim {
@@ -437,29 +412,6 @@ impl Scenario {
             (self.n > THREAD_MAX_N).then(|| {
                 format!("per-node-thread backends run stabilizing scenarios at n <= {THREAD_MAX_N}")
             })
-        }
-    }
-
-    /// Which drivers admit this scenario at the default single-worker coop
-    /// pool. Pass a pool size through
-    /// [`eligible_drivers_at`](Self::eligible_drivers_at) to see the
-    /// worker-dependent coop cap.
-    #[must_use]
-    pub fn eligible_drivers(&self) -> DriverEligibility {
-        self.eligible_drivers_at(1)
-    }
-
-    /// [`eligible_drivers`](Self::eligible_drivers) for a coop pool of
-    /// `workers` threads (n = 256 needs workers ≥ 4; the other backends
-    /// ignore the pool size).
-    #[must_use]
-    pub fn eligible_drivers_at(&self, workers: usize) -> DriverEligibility {
-        let admits = |backend| self.refusal(backend, workers).is_none();
-        DriverEligibility {
-            sim: admits(Backend::Sim),
-            threads: admits(Backend::Threads),
-            san: admits(Backend::San),
-            coop: admits(Backend::Coop),
         }
     }
 
@@ -724,8 +676,18 @@ impl std::fmt::Display for Scenario {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The backends that admit `scenario` at a coop pool of `workers`, in
+    /// canonical order — the `scenarios --list` column.
+    pub(crate) fn admitted(scenario: &Scenario, workers: usize) -> Vec<&'static str> {
+        Backend::ALL
+            .into_iter()
+            .filter(|&backend| scenario.refusal(backend, workers).is_none())
+            .map(Backend::name)
+            .collect()
+    }
 
     #[test]
     fn builder_accumulates() {
@@ -771,10 +733,7 @@ mod tests {
             until: 2_000,
         });
         let base = Scenario::fault_free(OmegaVariant::Alg1, 5);
-        assert_eq!(
-            base.eligible_drivers().names(),
-            vec!["sim", "threads", "san", "coop"]
-        );
+        assert_eq!(admitted(&base, 1), vec!["sim", "threads", "san", "coop"]);
         // Partitions + crash waves + heals: every driver realizes them.
         let cut = base.clone().campaign(
             partition
@@ -786,10 +745,7 @@ mod tests {
                 })
                 .phase(ChaosPhase::Heal { at: 3_000 }),
         );
-        assert_eq!(
-            cut.eligible_drivers().names(),
-            vec!["sim", "threads", "san", "coop"]
-        );
+        assert_eq!(admitted(&cut, 1), vec!["sim", "threads", "san", "coop"]);
         // Storms need a stretchable medium: only sim and the SAN device.
         let stormy = base
             .clone()
@@ -799,14 +755,14 @@ mod tests {
                 from: 100,
                 until: 900,
             }));
-        assert_eq!(stormy.eligible_drivers().names(), vec!["sim", "san"]);
+        assert_eq!(admitted(&stormy, 1), vec!["sim", "san"]);
         // Recovery is sim-only: wall clusters cannot resurrect a node.
         let lazarus = base.clone().campaign(partition.phase(ChaosPhase::Wave {
             crash: vec![],
             recover: vec![ProcessId::new(2)],
             at: 2_500,
         }));
-        assert_eq!(lazarus.eligible_drivers().names(), vec!["sim"]);
+        assert_eq!(admitted(&lazarus, 1), vec!["sim"]);
         // Directed cuts and flaps act through the space's visibility mask:
         // every driver realizes them (the positive-control hostile
         // scenario must still elect on wall backends).
@@ -819,7 +775,7 @@ mod tests {
                 until: 40_000,
             }));
         assert_eq!(
-            directed.eligible_drivers().names(),
+            admitted(&directed, 1),
             vec!["sim", "threads", "san", "coop"]
         );
         let flappy = base.campaign(Campaign::new().phase(ChaosPhase::Flap {
@@ -828,14 +784,11 @@ mod tests {
             from: 1_000,
             until: 9_000,
         }));
-        assert_eq!(
-            flappy.eligible_drivers().names(),
-            vec!["sim", "threads", "san", "coop"]
-        );
+        assert_eq!(admitted(&flappy, 1), vec!["sim", "threads", "san", "coop"]);
         // A non-electing expectation strips every wall driver regardless
         // of the campaign's clauses.
         let hostile = flappy.expect_stabilization(false);
-        assert_eq!(hostile.eligible_drivers().names(), vec!["sim"]);
+        assert_eq!(admitted(&hostile, 1), vec!["sim"]);
     }
 
     #[test]
@@ -848,35 +801,34 @@ mod tests {
 
         let big = Scenario::fault_free(OmegaVariant::Alg1, 256);
         assert!(
-            !big.eligible_drivers().coop,
+            !admits(Backend::Coop, &big, 1),
             "n = 256 stays refused at the single-worker default"
         );
         assert!(
-            !big.eligible_drivers_at(2).coop,
+            !admits(Backend::Coop, &big, 2),
             "two workers do not reach the n = 256 budget"
         );
+        assert!(admits(Backend::Coop, &big, 4), "four workers admit n = 256");
         assert!(
-            big.eligible_drivers_at(4).coop,
-            "four workers admit n = 256"
-        );
-        assert!(
-            !big.eligible_drivers_at(4).threads && !big.eligible_drivers_at(4).san,
+            !admits(Backend::Threads, &big, 4) && !admits(Backend::San, &big, 4),
             "the per-node-thread backends ignore the pool size"
         );
         let huge = Scenario::fault_free(OmegaVariant::Alg1, 1024);
-        assert!(!huge.eligible_drivers_at(8).coop);
-        assert!(huge.eligible_drivers_at(16).coop);
+        assert!(!admits(Backend::Coop, &huge, 8));
+        assert!(admits(Backend::Coop, &huge, 16));
         // Past SIM_MAX_N the coop pool is the *only* backend left: the
         // sim's literal realization is memory-cubic in n.
-        assert!(big.eligible_drivers().sim);
+        assert!(admits(Backend::Sim, &big, 1));
         assert!(
-            Scenario::fault_free(OmegaVariant::Alg1, 512)
-                .eligible_drivers()
-                .sim,
+            admits(
+                Backend::Sim,
+                &Scenario::fault_free(OmegaVariant::Alg1, 512),
+                1
+            ),
             "n = 512 is the sim's ceiling"
         );
         assert!(
-            !huge.eligible_drivers_at(16).sim,
+            !admits(Backend::Sim, &huge, 16),
             "the sim cap does not scale with the coop pool"
         );
     }
@@ -971,23 +923,21 @@ mod tests {
 
     #[test]
     fn chaos_admission_matrix_matches_list_output() {
-        // The `--list` column for each chaos registry scenario is
-        // `eligible_drivers().names()`; the suite dispatch reads the same
-        // rule through `Scenario::refusal`. Pin both views per clause.
-        // First the whole matrix: for every registry scenario, backend
-        // and pool size, "no refusal" is the eligibility flag is the name
-        // in the `--list` column, and a refusal names a clause.
+        // The `--list` column for each chaos registry scenario is the
+        // backends whose `Scenario::refusal` is `None`; the suite dispatch
+        // reads the same rule. Pin both views per clause. First the whole
+        // matrix: for every registry scenario, backend and pool size, "no
+        // refusal" is the name in the `--list` column, and a refusal names
+        // a clause.
         for scenario in crate::registry::all() {
             for workers in [1, 4, 8, 16] {
-                let eligible = scenario.eligible_drivers_at(workers);
-                let flags = [eligible.sim, eligible.threads, eligible.san, eligible.coop];
-                for (backend, flag) in Backend::ALL.into_iter().zip(flags) {
+                let listed = admitted(&scenario, workers);
+                for backend in Backend::ALL {
                     let refusal = scenario.refusal(backend, workers);
                     let context = format!("{} on {} at {workers}", scenario.name, backend.name());
-                    assert_eq!(refusal.is_none(), flag, "{context}");
                     assert_eq!(
-                        eligible.names().contains(&backend.name()),
-                        flag,
+                        listed.contains(&backend.name()),
+                        refusal.is_none(),
                         "{context}"
                     );
                     let clauses = ["non-electing", "recovery", "storm", "n <= "];
@@ -1008,10 +958,7 @@ mod tests {
 
         // Partitions, crash waves and heals: realizable on every backend.
         let partition = by_name("chaos/partition-heal");
-        assert_eq!(
-            partition.eligible_drivers().names(),
-            ["sim", "threads", "san", "coop"]
-        );
+        assert_eq!(admitted(&partition, 1), ["sim", "threads", "san", "coop"]);
         for backend in [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop] {
             assert!(admits(backend, &partition, 1));
         }
@@ -1019,7 +966,7 @@ mod tests {
         // Latency storms: only media with a stretchable clock — the
         // simulator, and the SAN's simulated block device.
         let storm = by_name("chaos/latency-storm");
-        assert_eq!(storm.eligible_drivers().names(), ["sim", "san"]);
+        assert_eq!(admitted(&storm, 1), ["sim", "san"]);
         assert!(admits(Backend::San, &storm, 1));
         for backend in [Backend::Threads, Backend::Coop] {
             assert!(!admits(backend, &storm, 1));
@@ -1031,7 +978,7 @@ mod tests {
 
         // Recovery waves: sim-only.
         let wave = by_name("chaos/wave-recover");
-        assert_eq!(wave.eligible_drivers().names(), ["sim"]);
+        assert_eq!(admitted(&wave, 1), ["sim"]);
         for backend in [Backend::Threads, Backend::San, Backend::Coop] {
             assert!(!admits(backend, &wave, 1));
             assert!(

@@ -7,9 +7,8 @@
 //! election benchmarks lacked — "stabilization ticks" priced in protocol
 //! time, windows price it in failed requests.
 
-use std::fmt::Write as _;
-
 use omega_core::OmegaVariant;
+use omega_scenario::record::Writer;
 
 use crate::histogram::Histogram;
 use crate::ledger::{Ledger, RequestState};
@@ -266,72 +265,41 @@ impl ServiceOutcome {
         self.windows.iter().map(|w| w.stalled).sum()
     }
 
-    /// The flat one-line JSON record the `service` bench bin emits —
-    /// defined here so the determinism test and the bin serialize through
-    /// one code path. Every field except `wall_ms` is a pure function of
-    /// `(scenario, seed)` on the sim backend.
+    /// The flat one-line JSON record the `service` bench bin emits (see
+    /// [`omega_scenario::record`]) — defined here so the determinism test
+    /// and the bin serialize through one code path. Every field except
+    /// `wall_ms` is a pure function of `(scenario, seed)` on the sim backend.
     #[must_use]
     pub fn json_record(&self) -> String {
-        let mut o = String::new();
-        let _ = write!(
-            o,
-            "{{\"scenario\":{},\"backend\":{},\"variant\":{},\"n\":{},",
-            json_str(&self.scenario),
-            json_str(self.backend),
-            json_str(self.variant.name()),
-            self.n,
-        );
+        let mut w = Writer::default();
+        w.str("scenario", &self.scenario)
+            .str("backend", self.backend)
+            .str("variant", self.variant.name())
+            .raw("n", self.n);
         if let Some(workers) = self.workers {
-            let _ = write!(o, "\"workers\":{workers},");
+            w.raw("workers", workers);
         }
-        let _ = write!(
-            o,
-            "\"requests\":{},\"committed\":{},\"rejected\":{},\"stalled\":{},\"inflight\":{},",
-            self.requests, self.committed, self.rejected, self.stalled, self.inflight,
-        );
-        let _ = write!(
-            o,
-            "\"commit_p50\":{},\"commit_p95\":{},\"commit_p99\":{},\"commit_max\":{},",
-            self.commit_p50, self.commit_p95, self.commit_p99, self.commit_max,
-        );
-        let _ = write!(
-            o,
-            "\"crashes\":{},\"unavail_ticks\":{},\"unavail_rejected\":{},\"unavail_stalled\":{},",
-            self.windows.len(),
-            self.unavail_ticks(),
-            self.unavail_rejected(),
-            self.unavail_stalled(),
-        );
-        let _ = write!(
-            o,
-            "\"in_partition_rejected\":{},\"stall_bound_breaches\":{},",
-            self.in_partition_rejected, self.stall_bound_breaches,
-        );
-        let _ = write!(
-            o,
-            "\"stabilized\":{},\"total_writes\":{},\"log_slots\":{},\"wall_ms\":{:.3}}}",
-            self.stabilized, self.total_writes, self.log_slots, self.elapsed_ms,
-        );
-        o
+        w.raw("requests", self.requests)
+            .raw("committed", self.committed)
+            .raw("rejected", self.rejected)
+            .raw("stalled", self.stalled)
+            .raw("inflight", self.inflight)
+            .raw("commit_p50", self.commit_p50)
+            .raw("commit_p95", self.commit_p95)
+            .raw("commit_p99", self.commit_p99)
+            .raw("commit_max", self.commit_max)
+            .raw("crashes", self.windows.len())
+            .raw("unavail_ticks", self.unavail_ticks())
+            .raw("unavail_rejected", self.unavail_rejected())
+            .raw("unavail_stalled", self.unavail_stalled())
+            .raw("in_partition_rejected", self.in_partition_rejected)
+            .raw("stall_bound_breaches", self.stall_bound_breaches)
+            .raw("stabilized", self.stabilized)
+            .raw("total_writes", self.total_writes)
+            .raw("log_slots", self.log_slots)
+            .raw("wall_ms", format_args!("{:.3}", self.elapsed_ms));
+        w.finish()
     }
-}
-
-/// Minimal JSON string escaping (same dialect as the scenarios bin).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

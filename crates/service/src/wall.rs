@@ -303,7 +303,7 @@ mod tests {
     use crate::spec::ServiceScenario;
     use crate::workload::WorkloadSpec;
     use omega_core::OmegaVariant;
-    use omega_scenario::Scenario;
+    use omega_scenario::{Backend, Scenario};
     use omega_sim::chaos::ChaosPhase;
 
     /// A scenario small and short enough for a unit test: ~1 s of wall
@@ -389,8 +389,10 @@ mod tests {
     #[test]
     fn registry_scenarios_admit_the_coop_backend() {
         for sc in registry::all() {
-            let e = sc.election.eligible_drivers();
-            assert!(e.sim && e.coop, "{} must run on sim and coop", sc.name);
+            for backend in [Backend::Sim, Backend::Coop] {
+                let refusal = sc.election.refusal(backend, 1);
+                assert!(refusal.is_none(), "{} must run on sim and coop", sc.name);
+            }
         }
     }
 }

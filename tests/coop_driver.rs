@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use omega_shm::scenario::{registry, CoopDriver, Driver, Scenario, SimDriver};
+use omega_shm::scenario::{registry, Backend, CoopDriver, Driver, Scenario, SimDriver};
 
 #[test]
 fn coop_runs_a_contention_sweep_member_no_thread_backend_can() {
@@ -47,7 +47,7 @@ fn coop_survives_a_directed_cut_with_a_timely_core() {
     // on the cooperative backend, not just on the simulator.
     let scenario = registry::named("hostile/asym-core").expect("registry member");
     assert!(
-        scenario.eligible_drivers().coop,
+        scenario.refusal(Backend::Coop, 1).is_none(),
         "a directed cut acts through the visibility mask"
     );
     let outcome = CoopDriver::default().run(&scenario);

@@ -22,7 +22,7 @@
 use omega_shm::registers::ProcessId;
 use omega_shm::runtime::san::{DiskFlagRegister, DiskNatRegister, SanDisk, SanLatency};
 use omega_shm::scenario::{
-    registry, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
+    registry, Backend, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
 };
 
 /// The registry scenarios every wall-clock backend can realize:
@@ -33,13 +33,11 @@ use omega_shm::scenario::{
 /// (Coop alone also runs n > 16; that headroom is covered in
 /// `tests/coop_driver.rs`.)
 fn eligible(scenario: &Scenario) -> bool {
-    let admitted = scenario.eligible_drivers();
     scenario.expect_stabilization
         && scenario.n <= 16
-        && admitted.sim
-        && admitted.threads
-        && admitted.san
-        && admitted.coop
+        && Backend::ALL
+            .into_iter()
+            .all(|backend| scenario.refusal(backend, 1).is_none())
 }
 
 fn assert_four_way(
