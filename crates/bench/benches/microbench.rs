@@ -316,9 +316,8 @@ fn bench_accounting() {
     }
 
     let n = 128;
-    // A snapshot allocates only the tiles somebody read, so the space is a
-    // stabilized one: every counter block is non-zero, as by a run's second
-    // checkpoint.
+    // A stabilized space: every counter block is non-zero, as by a run's
+    // second checkpoint.
     let (space, mut procs) = stabilized_alg1(n);
     let mut t3_round = move || {
         for q in &mut procs {
@@ -328,21 +327,15 @@ fn bench_accounting() {
     bench("accounting", &format!("space_stats/{n}"), || {
         black_box(space.stats());
     });
-    // A checkpoint of a quiescent run: between two of them only `STOP` and
-    // `PROGRESS` were read — 2 of 130 banks — so the rest of the previous
-    // snapshot is kept. (The row includes the `T3` round that moves them,
-    // n × `in_situ/alg1_t3_round`.)
-    let mut previous = space.stats();
+    // A checkpoint of a quiescent run: a `T3` round (n ×
+    // `in_situ/alg1_t3_round`) moves the counters, then a dense snapshot.
     bench("accounting", &format!("checkpoint_quiescent/{n}"), || {
         t3_round();
-        let mut next = previous.clone();
-        space.stats_into(&mut next);
-        previous = next;
+        black_box(space.stats());
     });
     let earlier = space.stats();
     t3_round();
-    let mut later = earlier.clone();
-    space.stats_into(&mut later);
+    let later = space.stats();
     let (earlier_fp, later_fp) = (space.footprint(), space.footprint());
     bench("accounting", &format!("snapshot_delta_since/{n}"), || {
         black_box(later.delta_since(&earlier));

@@ -66,8 +66,8 @@ impl<V: RegisterValue> ConsensusInstance<V> {
     /// Scans `DEC[0..n]` on behalf of `reader` and returns the first
     /// decision found, if any: one attributed read of every decision
     /// register, in identity order, issued as a single range read (the
-    /// partition mask is resolved once and the reader's n read counters
-    /// are adjacent). `scratch` receives the n values; a caller that polls
+    /// partition mask is resolved once and the reader's tally of the bank
+    /// is bumped once, by n). `scratch` receives the n values; a caller that polls
     /// keeps it between calls so the scan allocates nothing.
     pub fn read_decision(&self, reader: ProcessId, scratch: &mut Vec<Option<V>>) -> Option<V> {
         scratch.resize(self.n(), None);

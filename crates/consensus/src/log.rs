@@ -313,7 +313,7 @@ mod tests {
             .collect();
         assert_eq!(stats_rows, golden);
         let footprint = space.footprint();
-        let footprint_rows: Vec<_> = (footprint.rows().iter())
+        let footprint_rows: Vec<_> = (footprint.rows())
             .map(|row| (row.name.to_string(), row.owner))
             .collect();
         assert_eq!(footprint_rows, golden);

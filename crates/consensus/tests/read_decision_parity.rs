@@ -3,8 +3,9 @@
 //!
 //! Two identical spaces hold the same instance in the same state; one is
 //! scanned through `read_decision`, the other register by register. The
-//! value found must be the one a first-`Some` search finds, every
-//! per-(reader, register) read cell must equal n single reads, and under an
+//! value found must be the one a first-`Some` search finds, each reader's
+//! tally of every bank must equal what n single reads count (n on the `DEC`
+//! bank per scan, nothing elsewhere), and under an
 //! installed partition a severed reader must see the `DEC` bank frozen at
 //! the cut while a connected one sees the decision.
 
@@ -34,12 +35,19 @@ fn read_singly(inst: &ConsensusInstance<u64>, reader: ProcessId) -> Option<u64> 
     seen.into_iter().flatten().next()
 }
 
-/// Every register's name, per-reader read cells and write count.
-fn cells(space: &MemorySpace) -> Vec<(String, Vec<u64>, u64)> {
+/// Every bank's first register name and per-reader read tallies, and every
+/// register's name and write count.
+type Cells = (Vec<(String, Vec<u64>)>, Vec<(String, u64)>);
+
+fn cells(space: &MemorySpace) -> Cells {
     let stats = space.stats();
-    (stats.rows())
-        .map(|row| (row.name.to_string(), row.reads.to_vec(), row.total_writes()))
-        .collect()
+    let reads = (stats.banks())
+        .map(|bank| (bank.names[0].to_string(), bank.reads.to_vec()))
+        .collect();
+    let writes = (stats.rows())
+        .map(|row| (row.name.to_string(), row.total_writes()))
+        .collect();
+    (reads, writes)
 }
 
 /// Applies `prepare` to two fresh instances, scans one each way as every
@@ -56,7 +64,13 @@ fn check(prepare: impl Fn(&MemorySpace, &ConsensusInstance<u64>), expect: [Optio
             assert_eq!(got, read_singly(&singled, reader), "{reader}");
             assert_eq!(got, expect[reader.index()], "{reader}, round {round}");
         }
-        assert_eq!(cells(&range_space), cells(&single_space), "round {round}");
+        let counted = cells(&range_space);
+        assert_eq!(counted, cells(&single_space), "round {round}");
+        let scans = N as u64 * (round + 1);
+        for (bank, tallies) in &counted.0 {
+            let expected = if bank.starts_with("C.DEC[") { scans } else { 0 };
+            assert_eq!(tallies[..], [expected; N], "round {round}: {bank}");
+        }
     }
     let reads = range_space.stats().total_reads();
     assert_eq!(reads, (2 * N * N) as u64, "n reads per scan");

@@ -47,11 +47,11 @@
 //!   memory forever), so after stabilization a run's work *is* this scan.
 //!   `PROGRESS`, `STOP` and each `SUSPICIONS` row are one
 //!   [bank](omega_registers::SwmrArray) apiece — adjacent value cells,
-//!   reader-major read counters — and a pass reads `STOP[slice]` and then
+//!   one read tally per reader — and a pass reads `STOP[slice]` and then
 //!   `PROGRESS[slice]` as two range reads (seven cache lines for 16
 //!   processes, against on the order of a hundred when every register was
-//!   its own allocation), with the same per-(reader, register) counts as
-//!   reading slot by slot. The own slot is mirrored locally (§3.2) and must
+//!   its own allocation), each adding its length to the reader's tally
+//!   of the bank, as reading slot by slot would. The own slot is mirrored locally (§3.2) and must
 //!   be neither read nor counted, so the slice is split around it.
 //!
 //!   Reading all of `STOP[slice]` *before* any of `PROGRESS[slice]` keeps
@@ -958,18 +958,21 @@ mod tests {
             for _ in 0..passes {
                 let _ = procs[pid].on_timer_expire();
             }
+            // Each rotation reads every slot of `STOP` and `PROGRESS` but
+            // the own one: an own-slot read would add one per rotation.
             let rotations = (passes / n.div_ceil(T3_SHARD_SIZE)) as u64;
             let stats = space.stats();
-            for row in stats.rows() {
-                let scanned = row.name.starts_with("STOP[") || row.name.starts_with("PROGRESS[");
-                let expected = match row.owner {
-                    Some(owner) if scanned && owner != p(pid) => rotations,
-                    _ => 0,
+            for bank in stats.banks() {
+                let name = &bank.names[0];
+                let scanned = name.starts_with("STOP[") || name.starts_with("PROGRESS[");
+                let expected = if scanned {
+                    rotations * (n as u64 - 1)
+                } else {
+                    0
                 };
                 assert_eq!(
-                    row.reads[pid], expected,
-                    "n={n}: p{pid} reading {}",
-                    row.name
+                    bank.reads[pid], expected,
+                    "n={n}: p{pid} reading the bank of {name}"
                 );
             }
         }

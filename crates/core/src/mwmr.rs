@@ -352,11 +352,13 @@ mod tests {
     fn a_pass_neither_reads_nor_counts_its_own_slots() {
         let (space, _m, mut procs) = system(5);
         let _ = procs[3].on_timer_expire();
+        // Every slot of the two arrays but its own: four reads of each.
         let stats = space.stats();
-        for row in stats.rows().filter(|row| row.owner.is_some()) {
-            let own = row.owner == Some(p(3));
-            assert_eq!(row.reads[3], u64::from(!own), "p3 reading {}", row.name);
-        }
+        let arrays: Vec<_> = (stats.banks())
+            .filter(|bank| ["PROGRESS[0]", "STOP[0]"].contains(&&*bank.names[0]))
+            .map(|bank| bank.reads[3])
+            .collect();
+        assert_eq!(arrays, [4, 4], "p3's tallies of PROGRESS and STOP");
     }
 
     #[test]

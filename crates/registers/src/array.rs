@@ -1,10 +1,10 @@
 //! Register arrays: one register per process, one bank per array.
 //!
 //! An array is a single [bank](crate::swmr) — contiguous value cells,
-//! reader-major read counters — plus one `(bank, slot)` handle per slot
+//! one read tally per reader — plus one `(bank, slot)` handle per slot
 //! for register-at-a-time access ([`SwmrArray::get`]). Scans should not
 //! walk the handles: [`SwmrArray::read_range_into`] performs the same
-//! attributed reads (same values, same per-(reader, register) counts, on
+//! attributed reads (same values, same per-(reader, bank) counts, on
 //! SAN the same `read_block` per slot in slot order) as calling
 //! [`read`](SwmrRegister::read) on each slot of the range, but resolves
 //! the partition mask once and walks adjacent memory. A scan that must

@@ -11,14 +11,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::stats::SnapshotLayout;
 use crate::ProcessId;
 
-/// Footprint of a single register.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FootprintRow {
-    /// Register name (interned; shared with the register itself), e.g.
-    /// `PROGRESS\[3\]`.
-    pub name: Arc<str>,
+/// Footprint of a single register — a borrowed view into its report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FootprintRow<'a> {
+    /// Register name, e.g. `PROGRESS\[3\]`.
+    pub name: &'a str,
     /// Owner for 1WnR registers, `None` for nWnR registers.
     pub owner: Option<ProcessId>,
     /// Largest footprint (in bits) any stored value has had.
@@ -28,6 +28,10 @@ pub struct FootprintRow {
 }
 
 /// Snapshot of every register's bit footprint.
+///
+/// A report holds two numbers per register; names and owners live in the
+/// space's interned layout, shared with every snapshot and report taken at
+/// the same register count.
 ///
 /// # Examples
 ///
@@ -45,31 +49,40 @@ pub struct FootprintRow {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintReport {
-    rows: Vec<FootprintRow>,
+    layout: Arc<SnapshotLayout>,
+    /// `(hwm_bits, current_bits)` per register, in creation order.
+    bits: Vec<(u64, u64)>,
 }
 
 impl FootprintReport {
-    pub(crate) fn new(rows: Vec<FootprintRow>) -> Self {
-        FootprintReport { rows }
+    pub(crate) fn new(layout: Arc<SnapshotLayout>, bits: Vec<(u64, u64)>) -> Self {
+        assert_eq!(layout.names.len(), bits.len(), "one pair per register");
+        FootprintReport { layout, bits }
     }
 
     /// Per-register rows in register-creation order.
-    #[must_use]
-    pub fn rows(&self) -> &[FootprintRow] {
-        &self.rows
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = FootprintRow<'_>> + '_ {
+        (self.layout.names.iter().zip(&self.layout.owners))
+            .zip(&self.bits)
+            .map(|((name, &owner), &(hwm_bits, current_bits))| FootprintRow {
+                name,
+                owner,
+                hwm_bits,
+                current_bits,
+            })
     }
 
     /// Sum of all high-water marks: an upper bound on the shared-memory bits
     /// the run has ever needed.
     #[must_use]
     pub fn total_hwm_bits(&self) -> u64 {
-        self.rows.iter().map(|r| r.hwm_bits).sum()
+        self.bits.iter().map(|&(hwm, _)| hwm).sum()
     }
 
     /// Sum of all current footprints.
     #[must_use]
     pub fn total_current_bits(&self) -> u64 {
-        self.rows.iter().map(|r| r.current_bits).sum()
+        self.bits.iter().map(|&(_, current)| current).sum()
     }
 
     /// Largest high-water mark among registers whose name satisfies `pred`.
@@ -77,9 +90,8 @@ impl FootprintReport {
     /// Returns 0 if no register matches.
     #[must_use]
     pub fn max_hwm_bits_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.rows
-            .iter()
-            .filter(|r| pred(&r.name))
+        self.rows()
+            .filter(|r| pred(r.name))
             .map(|r| r.hwm_bits)
             .max()
             .unwrap_or(0)
@@ -88,17 +100,16 @@ impl FootprintReport {
     /// Sum of high-water marks among registers whose name satisfies `pred`.
     #[must_use]
     pub fn hwm_bits_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.rows
-            .iter()
-            .filter(|r| pred(&r.name))
+        self.rows()
+            .filter(|r| pred(r.name))
             .map(|r| r.hwm_bits)
             .sum()
     }
 
     /// The row for a register by exact name, if present.
     #[must_use]
-    pub fn row(&self, name: &str) -> Option<&FootprintRow> {
-        self.rows.iter().find(|r| &*r.name == name)
+    pub fn row(&self, name: &str) -> Option<FootprintRow<'_>> {
+        self.rows().find(|r| r.name == name)
     }
 
     /// Registers whose high-water mark grew between `earlier` and `self`.
@@ -109,25 +120,28 @@ impl FootprintReport {
     /// the leader's `PROGRESS` entry should keep growing; with Algorithm 2
     /// the result should eventually be empty.
     ///
-    /// Each register is compared with the row of the same name in `earlier`
-    /// (the first, should a name repeat — what [`row`](Self::row) returns);
-    /// a register `earlier` does not have counts as grown.
+    /// Two reports of one layout (one space, no register created between
+    /// them) are compared register by register. Otherwise each register is
+    /// compared with the row of the same name in `earlier` (the first,
+    /// should a name repeat — what [`row`](Self::row) returns); a register
+    /// `earlier` does not have counts as grown.
     #[must_use]
     pub fn grown_since(&self, earlier: &FootprintReport) -> Vec<&str> {
+        if Arc::ptr_eq(&self.layout, &earlier.layout) {
+            return (self.rows().zip(&earlier.bits))
+                .filter(|(row, &(prev, _))| row.hwm_bits > prev)
+                .map(|(row, _)| row.name)
+                .collect();
+        }
         // One name index over `earlier` rather than a `row()` search per
         // register: 66 000 registers at n = 256 make that 2·10⁹ compares.
-        let mut earlier_hwm: HashMap<&str, u64> = HashMap::with_capacity(earlier.rows.len());
-        for prev in &earlier.rows {
-            earlier_hwm.entry(&prev.name).or_insert(prev.hwm_bits);
+        let mut earlier_hwm: HashMap<&str, u64> = HashMap::with_capacity(earlier.bits.len());
+        for prev in earlier.rows() {
+            earlier_hwm.entry(prev.name).or_insert(prev.hwm_bits);
         }
-        self.rows
-            .iter()
-            .filter(|row| {
-                earlier_hwm
-                    .get(&*row.name)
-                    .is_none_or(|&prev| row.hwm_bits > prev)
-            })
-            .map(|row| &*row.name)
+        self.rows()
+            .filter(|row| (earlier_hwm.get(row.name)).is_none_or(|&prev| row.hwm_bits > prev))
+            .map(|row| row.name)
             .collect()
     }
 }
@@ -139,7 +153,7 @@ impl fmt::Display for FootprintReport {
             "{:<24} {:>9} {:>12}",
             "register", "hwm bits", "current bits"
         )?;
-        for row in &self.rows {
+        for row in self.rows() {
             writeln!(
                 f,
                 "{:<24} {:>9} {:>12}",
@@ -159,35 +173,39 @@ mod tests {
         ProcessId::new(i)
     }
 
-    /// The search-per-row definition of `grown_since` — quadratic, and the
-    /// oracle the indexed version must agree with row for row.
+    /// The search-per-row definition of `grown_since` across layouts —
+    /// quadratic, and the oracle the indexed version must agree with row
+    /// for row.
     fn grown_since_reference<'a>(
         later: &'a FootprintReport,
         earlier: &FootprintReport,
     ) -> Vec<&'a str> {
         later
             .rows()
-            .iter()
             .filter(|row| {
                 earlier
-                    .row(&row.name)
+                    .row(row.name)
                     .is_none_or(|prev| row.hwm_bits > prev.hwm_bits)
             })
-            .map(|row| &*row.name)
+            .map(|row| row.name)
             .collect()
     }
 
+    /// A report of ownerless scalars (each its own bank) with these names
+    /// and high-water marks, over a layout of its own.
     fn report(rows: impl IntoIterator<Item = (String, u64)>) -> FootprintReport {
-        FootprintReport::new(
-            rows.into_iter()
-                .map(|(name, hwm_bits)| FootprintRow {
-                    name: name.into(),
-                    owner: None,
-                    hwm_bits,
-                    current_bits: 0,
-                })
-                .collect(),
-        )
+        let (names, hwm): (Vec<String>, Vec<u64>) = rows.into_iter().unzip();
+        let banks = names
+            .into_iter()
+            .map(|name| std::iter::once((name.into(), None)));
+        let layout = Arc::new(SnapshotLayout::new(1, banks));
+        FootprintReport::new(layout, hwm.into_iter().map(|hwm| (hwm, 0)).collect())
+    }
+
+    /// The same registers as `earlier`, with these high-water marks.
+    fn regrown(earlier: &FootprintReport, hwm: impl IntoIterator<Item = u64>) -> FootprintReport {
+        let bits = hwm.into_iter().map(|hwm| (hwm, 0)).collect();
+        FootprintReport::new(Arc::clone(&earlier.layout), bits)
     }
 
     #[test]
@@ -207,13 +225,24 @@ mod tests {
             let earlier: Vec<(String, u64)> = (0..len)
                 .map(|_| (format!("R[{}]", below(pool)), below(6)))
                 .collect();
-            // Same space later on: same rows in the same order, some grown.
             let mut later: Vec<(String, u64)> = earlier
                 .iter()
                 .map(|(name, hwm)| (name.clone(), hwm + below(3) / 2))
                 .collect();
+            let earlier = report(earlier);
             match case % 4 {
-                0 => {}
+                // Same space later on, no register created: the same rows
+                // of the same layout, some grown — compared by index, so a
+                // repeated name is compared with itself.
+                0 => {
+                    let later = regrown(&earlier, later.iter().map(|&(_, hwm)| hwm));
+                    let by_index: Vec<&str> = (later.rows().zip(earlier.rows()))
+                        .filter(|(now, then)| now.hwm_bits > then.hwm_bits)
+                        .map(|(now, _)| now.name)
+                        .collect();
+                    assert_eq!(later.grown_since(&earlier), by_index, "case {case}");
+                    continue;
+                }
                 // Registers created since.
                 1 => later.extend((0..below(6)).map(|_| (format!("R[{}]", below(pool)), 1))),
                 // Reordered.
@@ -229,7 +258,7 @@ mod tests {
                         .collect();
                 }
             }
-            let (earlier, later) = (report(earlier), report(later));
+            let later = report(later);
             assert_eq!(
                 later.grown_since(&earlier),
                 grown_since_reference(&later, &earlier),
@@ -241,19 +270,24 @@ mod tests {
     #[test]
     fn grown_since_is_linear_at_the_n_256_register_count() {
         // Figure 2 at n = 256: PROGRESS and STOP arrays plus the SUSPICIONS
-        // matrix. A search per row is 2·10⁹ name compares here — 5 s
+        // matrix, the two reports over layouts of their own (the name-index
+        // path). A search per row is 2·10⁹ name compares here — 5 s
         // optimized, 19 s not, against 10 ms and 65 ms indexed — so the
         // bound separates the two by an order of magnitude on any host.
         let n = 256;
-        let names = (0..n)
-            .map(|i| format!("PROGRESS[{i}]"))
-            .chain((0..n).map(|i| format!("STOP[{i}]")))
-            .chain((0..n).flat_map(|i| (0..n).map(move |j| format!("SUSPICIONS[{i}][{j}]"))));
-        let earlier = report(names.map(|name| (name, 1)));
+        let names = || {
+            (0..n)
+                .map(|i| format!("PROGRESS[{i}]"))
+                .chain((0..n).map(|i| format!("STOP[{i}]")))
+                .chain((0..n).flat_map(|i| (0..n).map(move |j| format!("SUSPICIONS[{i}][{j}]"))))
+        };
+        let earlier = report(names().map(|name| (name, 1)));
         assert_eq!(earlier.rows().len(), 66_048);
-        let mut later = earlier.clone();
-        later.rows[7].hwm_bits = 40;
-        later.rows[66_047].hwm_bits = 2;
+        let later = report(names().enumerate().map(|(i, name)| match i {
+            7 => (name, 40),
+            66_047 => (name, 2),
+            _ => (name, 1),
+        }));
         let started = std::time::Instant::now();
         let grown = later.grown_since(&earlier);
         let elapsed = started.elapsed();
@@ -261,6 +295,11 @@ mod tests {
         assert!(
             elapsed < std::time::Duration::from_millis(500),
             "grown_since over 66 048 rows took {elapsed:?}"
+        );
+        assert_eq!(
+            regrown(&later, later.rows().map(|row| row.hwm_bits + 1)).grown_since(&later),
+            names().collect::<Vec<_>>(),
+            "one layout: every register against itself"
         );
     }
 

@@ -75,7 +75,7 @@ pub use space::{
     EpochedMwmrNatArray, EpochedNatMatrix, FlagArray, FlagMatrix, FlagRegister, MemorySpace,
     MwmrNatArray, NatArray, NatMatrix, NatRegister,
 };
-pub use stats::{ProcessTotals, RegisterRow, StatsSnapshot};
+pub use stats::{BankRow, ProcessTotals, RegisterRow, StatsSnapshot};
 pub use swmr::{MwmrRegister, SwmrRegister};
 pub use value::RegisterValue;
 

@@ -1,14 +1,12 @@
 //! The `SUSPICIONS`-style register matrix: row `i` owned by process `p_i`.
 //!
 //! A matrix is `n` [banks](crate::swmr), one per row: row `r`'s `n` value
-//! cells are adjacent and its read counters are one reader-major block, so
+//! cells are adjacent and each reader keeps one read tally for the row, so
 //! [`OwnedMatrix::read_row_into`] — what every `SUSPICIONS` cache refresh
-//! is made of — is one range read over adjacent memory. The row is the
-//! bank because the row is what gets scanned; a column read
-//! (`PROGRESS[k][i]` for all `k` in Figure 5) visits one slot in each of
-//! `n` banks, as it visited `n` registers before. Per-row banks also keep
-//! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into)'s transpose
-//! working on an `n × n` tile at a time.
+//! is made of — is one range read over adjacent memory and one counter
+//! bump. The row is the bank because the row is what gets scanned; a
+//! column read (`PROGRESS[k][i]` for all `k` in Figure 5) visits one slot
+//! in each of `n` banks, as it visited `n` registers before.
 
 use std::fmt;
 

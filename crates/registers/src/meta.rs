@@ -2,8 +2,9 @@
 //!
 //! Every register created through a [`MemorySpace`](crate::MemorySpace)
 //! is a slot of a *bank* (see [`crate::swmr`]), and every bank carries one
-//! [`Counters`] block recording, per process and slot, how many reads and
-//! writes were performed, plus the high-water mark of each slot's bit
+//! [`Counters`] block recording how many reads each process performed on
+//! the bank, how many writes each slot received (and from whom, where
+//! that is not implied), and the high-water mark of each slot's bit
 //! footprint. The election algorithms never see these counters; the
 //! experiment harness reads them to verify the paper's optimality claims
 //! (Theorems 3, 4, 7 and Lemmas 5, 6).
@@ -33,28 +34,27 @@
 //! One allocation per bank of `len` slots in an `n`-process system, in
 //! three runs:
 //!
-//! * `reads[reader · len + slot]` — `n · len` cells, **reader-major**;
+//! * `reads[reader]` — `n` cells: one **tally per reader** of every slot
+//!   it read in the bank;
 //! * `hwm_bits[slot]` — `len` cells;
 //! * `writes` — `len` cells on a 1WnR bank (a 1WnR register rejects every
 //!   writer but its owner *before* the write is counted, so one cell per
 //!   slot suffices), `len · n` slot-major cells (`writes[slot · n +
 //!   writer]`) on an nWnR bank.
 //!
-//! The cell count per register is what a register-at-a-time layout would
-//! need (n read cells + 1 or n write cells + the high-water mark); what
-//! the bank changes is *where* they sit. A scan by one reader over a range
-//! of slots — the `T3` pass, a `SUSPICIONS` row snapshot — bumps one
-//! contiguous slice (16 slots = two cache lines) instead of one cell in
-//! each of 16 separately allocated blocks. On a bank of a cache line of
-//! slots or more (eight), two concurrent readers also bump different
-//! lines, where a register-major `reads[slot][reader]` block makes sharing
-//! one the common case (under eager instrumentation every follower bumps
-//! its cell of the leader's `PROGRESS` line).
-//! [`MemorySpace::stats_into`](crate::MemorySpace::stats_into) transposes
-//! each bank's `n × len` block back into a register-major tile of the
-//! [`StatsSnapshot`](crate::StatsSnapshot), a cache line of slots at a
-//! time ([`Counters::copy_reads_into`]) — but only the banks some process
-//! read since the previous snapshot ([`Counters::read_sum`]).
+//! Reads are kept at bank grain because nothing asks for finer: every read
+//! count the experiments use is a per-process total (Lemma 6: every
+//! correct process reads forever) or the space's total, while writes — the
+//! measure of Theorems 3, 4 and 7 and of the contention lower bounds —
+//! stay per register. A read cell per (reader, register) would make the
+//! election layouts' `n² + 2n` registers cost `n³` cells; a tally per
+//! (reader, bank) costs `n` per bank, `O(n²)` for every layout in the
+//! tree. A scan by one reader over a range of slots — the `T3` pass, a
+//! `SUSPICIONS` row snapshot — adds the range's length to one cell.
+//! Under eager instrumentation up to eight readers' tallies share a cache
+//! line. They are not padded apart: a range read is one atomic add where
+//! it was one per slot, and on the cooperative backend (eager, two
+//! workers, n = 64) that made a failover round cheaper in CPU, not dearer.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,8 +88,8 @@ pub enum Instrumentation {
 /// Cumulative access counters for one bank of registers.
 #[derive(Debug)]
 pub(crate) struct Counters {
-    /// One allocation: the `n_processes × len` reader-major read cells,
-    /// then `len` high-water marks, then the write cells (module docs).
+    /// One allocation: the `n_processes` read tallies, then `len`
+    /// high-water marks, then the write cells (module docs).
     cells: Box<[AtomicU64]>,
     /// Slots and processes as `u32`, like [`ProcessId`]: a scalar's bank
     /// should not outweigh the register it replaced.
@@ -106,7 +106,7 @@ impl Counters {
     pub(crate) fn new(len: usize, n_processes: usize, owned: bool, mode: Instrumentation) -> Self {
         let write_cells = if owned { len } else { len * n_processes };
         Counters {
-            cells: (0..n_processes * len + len + write_cells)
+            cells: (0..n_processes + len + write_cells)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             len: u32::try_from(len).expect("bank length fits u32"),
@@ -117,12 +117,12 @@ impl Counters {
     }
 
     #[inline]
-    fn bump(&self, cell: &AtomicU64) {
+    fn add(&self, cell: &AtomicU64, count: u64) {
         if self.unsync {
             // Single-threaded read-add-write; deliberately NOT fetch_add.
-            cell.store(cell.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            cell.store(cell.load(Ordering::Relaxed) + count, Ordering::Relaxed);
         } else {
-            cell.fetch_add(1, Ordering::Relaxed);
+            cell.fetch_add(count, Ordering::Relaxed);
         }
     }
 
@@ -139,21 +139,21 @@ impl Counters {
 
     #[inline]
     fn reads(&self) -> &[AtomicU64] {
-        &self.cells[..self.n() * self.len()]
+        &self.cells[..self.n()]
     }
 
     #[inline]
     fn hwm(&self) -> &[AtomicU64] {
-        &self.cells[self.n() * self.len()..][..self.len()]
+        &self.cells[self.n()..][..self.len()]
     }
 
     #[inline]
     fn writes(&self) -> &[AtomicU64] {
-        &self.cells[(self.n() + 1) * self.len()..]
+        &self.cells[self.n() + self.len()..]
     }
 
-    /// Counts one read by `reader` of every slot in `slots` — one
-    /// contiguous run of `reader`'s row of the read block.
+    /// Counts one read by `reader` of every slot in `slots`: adds the
+    /// range's length to `reader`'s tally.
     ///
     /// # Panics
     ///
@@ -161,16 +161,13 @@ impl Counters {
     /// the bank.
     #[inline]
     pub(crate) fn note_reads(&self, reader: ProcessId, slots: Range<usize>) {
-        let (len, reader) = (self.len(), reader.index());
-        // Checked here, not left to the slicing below: a reader or slot
-        // past its bound would land in another row, not past the block.
+        // Checked here, not left to the read that follows: a slot past the
+        // bank must not have been counted.
         assert!(
-            reader < self.n() && slots.end <= len,
+            reader.index() < self.n() && slots.start <= slots.end && slots.end <= self.len(),
             "attributed read out of range: no such process, or slots past the bank"
         );
-        for cell in &self.reads()[reader * len..][slots] {
-            self.bump(cell);
-        }
+        self.add(&self.reads()[reader.index()], slots.len() as u64);
     }
 
     #[inline]
@@ -180,7 +177,7 @@ impl Counters {
         } else {
             slot * self.n() + writer.index()
         };
-        self.bump(&self.writes()[cell]);
+        self.add(&self.writes()[cell], 1);
         let hwm = &self.hwm()[slot];
         if self.unsync {
             if bits > hwm.load(Ordering::Relaxed) {
@@ -197,74 +194,24 @@ impl Counters {
         self.hwm()[slot].fetch_max(bits, Ordering::Relaxed);
     }
 
-    /// Sum of every read cell. Counts only grow, so the sum moved if and
-    /// only if some process read some slot since it was last taken — the
-    /// snapshot's test for "this bank's tile is still good".
-    pub(crate) fn read_sum(&self) -> u64 {
-        (self.reads().iter())
-            .map(|cell| cell.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Copies the read counters into a snapshot tile: `reads` receives the
-    /// bank's registers in slot order, each with its read cells indexed by
-    /// process (the transpose of the reader-major block).
+    /// Copies the counts into a snapshot: the read tallies, indexed by
+    /// process, into `reads`, and each register's write cells (one if
+    /// owned, else one per process), in slot order, into `writes`.
     ///
     /// # Panics
     ///
-    /// Panics if `reads` is not `len × n_processes` cells.
-    pub(crate) fn copy_reads_into(&self, reads: &mut [u64]) {
-        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        let (len, n) = (self.len(), self.n());
-        let block = self.reads();
-        assert_eq!(
-            reads.len(),
-            block.len(),
-            "one read cell per slot and process"
-        );
-        if len == 1 {
-            // A scalar's row is already indexed by process — and spaces
-            // that create registers as they run hold little else.
-            for (out, cell) in reads.iter_mut().zip(block) {
-                *out = load(cell);
-            }
-        } else {
-            // Transpose in strips of one cache line of slots: a strip reads
-            // each reader's line of those slots whole, and fills the strip's
-            // `LINE` snapshot rows left to right — sequential streams on
-            // the side that is freshly allocated memory on a first snapshot.
-            const LINE: usize = 8;
-            for (strip, rows) in reads.chunks_mut(LINE * n).enumerate() {
-                let width = rows.len() / n;
-                for reader in 0..n {
-                    let cells = &block[reader * len + strip * LINE..][..width];
-                    for (slot, cell) in cells.iter().enumerate() {
-                        rows[slot * n + reader] = load(cell);
-                    }
-                }
+    /// Panics if `reads` is not `n_processes` cells or `writes` is not
+    /// [`write_cells`](Self::write_cells) long.
+    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64]) {
+        for (out, cells) in [(reads, self.reads()), (writes, self.writes())] {
+            assert_eq!(out.len(), cells.len(), "one snapshot cell per counter");
+            for (out, cell) in out.iter_mut().zip(cells) {
+                *out = cell.load(Ordering::Relaxed);
             }
         }
     }
 
-    /// Copies each register's write cells (one if owned, else one per
-    /// process), in slot order, into a snapshot's flat write buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writes` is not [`write_cells`](Self::write_cells) long.
-    pub(crate) fn copy_writes_into(&self, writes: &mut [u64]) {
-        assert_eq!(
-            writes.len(),
-            self.write_cells(),
-            "owner-compact write cells"
-        );
-        for (out, cell) in writes.iter_mut().zip(self.writes()) {
-            *out = cell.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Number of write cells [`copy_writes_into`](Self::copy_writes_into)
-    /// fills.
+    /// Number of write cells [`copy_into`](Self::copy_into) fills.
     pub(crate) fn write_cells(&self) -> usize {
         self.writes().len()
     }
@@ -293,11 +240,9 @@ mod tests {
     const MODES: [Instrumentation; 2] = [Instrumentation::Eager, Instrumentation::Deferred];
 
     fn copied(c: &Counters) -> (Vec<u64>, Vec<u64>) {
-        let mut reads = vec![7; c.reads().len()];
+        let mut reads = vec![7; c.n()];
         let mut writes = vec![7; c.write_cells()];
-        c.copy_reads_into(&mut reads);
-        c.copy_writes_into(&mut writes);
-        assert_eq!(c.read_sum(), reads.iter().sum::<u64>());
+        c.copy_into(&mut reads, &mut writes);
         (reads, writes)
     }
 
@@ -323,7 +268,7 @@ mod tests {
             c.note_write(1, ProcessId::new(2), 1);
             c.note_write(1, ProcessId::new(2), 1);
             c.note_reads(ProcessId::new(1), 1..2);
-            assert_eq!(copied(&c), (vec![0, 0, 0, 0, 1, 0], vec![0, 2]), "{mode:?}");
+            assert_eq!(copied(&c), (vec![0, 1, 0], vec![0, 2]), "{mode:?}");
         }
     }
 
@@ -357,8 +302,8 @@ mod tests {
 
     #[test]
     fn copy_into_matches_indexed_reads() {
-        // Three slots, two processes, nWnR: the reader-major block comes
-        // out register-major, writes slot-major.
+        // Three slots, two processes, nWnR: reads come out one tally per
+        // reader, writes slot-major.
         for mode in MODES {
             let c = Counters::new(3, 2, false, mode);
             let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -368,9 +313,31 @@ mod tests {
             c.note_write(2, p1, 1);
             c.note_write(0, p0, 6);
             let (reads, writes) = copied(&c);
-            assert_eq!(reads, [0, 1, 0, 2, 1, 1], "{mode:?}: [slot][process]");
+            assert_eq!(reads, [1, 4], "{mode:?}: [process]");
             assert_eq!(writes, [1, 0, 0, 0, 0, 1], "{mode:?}: [slot][writer]");
             assert_eq!((c.hwm_bits(0), c.hwm_bits(1), c.hwm_bits(2)), (6, 0, 1));
+        }
+    }
+
+    #[test]
+    fn a_range_read_adds_its_length_to_the_readers_tally_only() {
+        for mode in MODES {
+            let c = Counters::new(5, 3, true, mode);
+            let mut expected = vec![0; 3];
+            for (reader, slots) in [(1, 0..5), (1, 2..2), (0, 4..5), (2, 1..4), (1, 3..5)] {
+                expected[reader] += slots.len() as u64;
+                c.note_reads(ProcessId::new(reader), slots);
+                assert_eq!(copied(&c).0, expected, "{mode:?}");
+            }
+            // A reader past the system, a range past the bank, a reversed
+            // range: refused, and nothing counted.
+            for (reader, slots) in [(3, 0..1), (0, 4..6), (0, Range { start: 3, end: 2 })] {
+                let refused = std::panic::catch_unwind(|| {
+                    c.note_reads(ProcessId::new(reader), slots.clone());
+                });
+                assert!(refused.is_err(), "{mode:?}: p{reader} reading {slots:?}");
+            }
+            assert_eq!(copied(&c), (expected, vec![0; 5]), "{mode:?}");
         }
     }
 

@@ -8,7 +8,7 @@ use crate::array::{MwmrArray, SwmrArray};
 use crate::block::{BlockDevice, BlockMap};
 use crate::cell::{AtomicFlagCell, AtomicNatCell, LockCell, SharedCell};
 use crate::chaos::PartitionMask;
-use crate::footprint::{FootprintReport, FootprintRow};
+use crate::footprint::FootprintReport;
 use crate::matrix::OwnedMatrix;
 use crate::meta::{BankMeta, Instrumentation};
 use crate::shard::{EpochedArray, EpochedMatrix, ScanCounters};
@@ -49,8 +49,9 @@ struct SpaceInner {
     n_processes: usize,
     mode: Instrumentation,
     registry: RwLock<Registry>,
-    /// Interned register names/owners shared by every snapshot; rebuilt
-    /// (append-only) when registers were created since the last snapshot.
+    /// Interned register names/owners shared by every snapshot and
+    /// footprint report; rebuilt (append-only) when registers were created
+    /// since the last one.
     layout: RwLock<Arc<SnapshotLayout>>,
     scan: Arc<ScanCounters>,
     /// When set, registers live on disk blocks of this device instead of
@@ -661,65 +662,34 @@ impl MemorySpace {
         snap
     }
 
-    /// Like [`stats`](Self::stats), but starting from `snap` — an earlier
-    /// snapshot of this space, or any snapshot to be used as a buffer — and
-    /// replacing only what moved. The read counts of a space are
-    /// `registers × n` cells, of which a run between two checkpoints
-    /// touches few: every tile (see [`StatsSnapshot`]'s module docs) whose
-    /// counters stand where `snap` recorded them is kept as it is, shared
-    /// with whatever clone of `snap` the caller holds, and a tile that did
-    /// move is overwritten in place if `snap` is its only holder. Counts
-    /// only grow, so "stands where it was" is one sum per tile; the
-    /// registers pay nothing for it on their read and write paths.
-    ///
-    /// The tiles are register-major while the banks count reader-major, so
-    /// each bank's read block is transposed on the way out — one `n × len`
-    /// block at a time, small enough to stay cache-resident between its
-    /// row-wise loads and its column-wise stores.
+    /// Like [`stats`](Self::stats), but writing into `snap` — an earlier
+    /// snapshot, or any snapshot to be used as a buffer — whose allocations
+    /// are reused where they are large enough.
     pub fn stats_into(&self, snap: &mut StatsSnapshot) {
         let registry = self.inner.registry.read();
         let n = self.inner.n_processes;
         let layout = self.layout_for(&registry);
-        let before = std::mem::replace(&mut snap.layout, Arc::clone(&layout));
-        if !layout.grew_from(&before) {
-            // Another space's snapshot: equal sums would mean nothing.
-            snap.tiles.clear();
+        // Every cell is overwritten below, so a reused buffer is not even
+        // cleared, and a fresh one comes zeroed from the allocator (`vec!`)
+        // instead of being zero-filled a second time.
+        let fit = |buffer: &mut Vec<u64>, len| {
+            if buffer.capacity() < len {
+                *buffer = vec![0; len];
+            } else {
+                buffer.resize(len, 0);
+            }
+        };
+        fit(&mut snap.reads, registry.banks.len() * n);
+        fit(&mut snap.writes, layout.write_cells());
+        let mut writes = &mut snap.writes[..];
+        for (bank, reads) in registry.banks.iter().zip(snap.reads.chunks_exact_mut(n)) {
+            let counters = bank.counters();
+            let (bank_writes, later) = writes.split_at_mut(counters.write_cells());
+            counters.copy_into(reads, bank_writes);
+            writes = later;
         }
         snap.n_processes = n;
-        snap.tiles.resize_with(layout.tiles.len(), Default::default);
-        // Every write cell is overwritten below, so a reused buffer of the
-        // right size is not even cleared, and a fresh one comes zeroed from
-        // the allocator (`vec!`) instead of being zero-filled a second time.
-        if snap.writes.capacity() < layout.write_cells() {
-            snap.writes = vec![0; layout.write_cells()];
-        } else {
-            snap.writes.resize(layout.write_cells(), 0);
-        }
-        let mut writes = &mut snap.writes[..];
-        for (i, (span, tile)) in layout.tiles.iter().zip(&mut snap.tiles).enumerate() {
-            let banks = &registry.banks[span.banks.clone()];
-            let mut sum = 0;
-            for bank in banks {
-                let counters = bank.counters();
-                let (bank_writes, later) = writes.split_at_mut(counters.write_cells());
-                counters.copy_writes_into(bank_writes);
-                writes = later;
-                sum += counters.read_sum();
-            }
-            // The tile that was last when `snap` was taken may have gained
-            // registers since, all unread.
-            if sum == tile.sum && (sum == 0 || before.tiles.get(i) == Some(span)) {
-                continue;
-            }
-            tile.refill(span.registers.len() * n, |mut reads| {
-                for bank in banks {
-                    let counters = bank.counters();
-                    let (bank_reads, later) = reads.split_at_mut(counters.len() * n);
-                    counters.copy_reads_into(bank_reads);
-                    reads = later;
-                }
-            });
-        }
+        snap.layout = layout;
         snap.scan = self.inner.scan.snapshot();
     }
 
@@ -728,17 +698,14 @@ impl MemorySpace {
     #[must_use]
     pub fn footprint(&self) -> FootprintReport {
         let registry = self.inner.registry.read();
-        let mut rows = Vec::with_capacity(registry.registers);
+        let mut bits = Vec::with_capacity(registry.registers);
         for bank in &registry.banks {
             let counters = bank.counters();
-            rows.extend((0..counters.len()).map(|slot| FootprintRow {
-                name: Arc::clone(bank.name(slot)),
-                owner: bank.owner(slot),
-                hwm_bits: counters.hwm_bits(slot),
-                current_bits: bank.current_bits(slot),
-            }));
+            bits.extend(
+                (0..counters.len()).map(|slot| (counters.hwm_bits(slot), bank.current_bits(slot))),
+            );
         }
-        FootprintReport::new(rows)
+        FootprintReport::new(self.layout_for(&registry), bits)
     }
 }
 
@@ -836,7 +803,7 @@ mod tests {
         r.write(p0, 1 << 20);
         r.write(p0, 1);
         let fp = s.footprint();
-        let row = &fp.rows()[0];
+        let row = fp.rows().next().unwrap();
         assert_eq!(row.hwm_bits, 21);
         assert_eq!(row.current_bits, 1);
     }

@@ -12,63 +12,42 @@
 //!
 //! A [`StatsSnapshot`] captures cumulative counters; subtracting two
 //! snapshots ([`StatsSnapshot::delta_since`]) yields the accesses of a
-//! window, from which writer/reader sets and per-register activity are
-//! derived.
+//! window, from which writer/reader sets and per-register write activity
+//! are derived.
 //!
 //! # Storage layout
 //!
-//! A snapshot is a list of read *tiles*, one flat write array, and a shared,
-//! immutable description of the register layout (interned names, owners,
-//! write offsets and tile boundaries, one [`Arc`] per space, reused by every
-//! snapshot). A tile holds the read counts of a run of whole registers,
-//! register-major (`cells[register · n + process]`), behind an [`Arc`]:
-//! a bank of a tile's worth of cells or more is a tile of its own, smaller
-//! banks share one. Writes are *owner-compact*: a 1WnR register has exactly
-//! one legal writer, so it contributes one cell; only nWnR registers
-//! contribute one cell per process.
+//! A snapshot is two dense arrays beside a shared, immutable description of
+//! the register layout (interned names, owners, write offsets and bank
+//! boundaries — one [`Arc`] per space and register count, reused by every
+//! snapshot and every [`FootprintReport`](crate::FootprintReport) taken at
+//! that size):
 //!
-//! Tiles are what makes a *series* of snapshots cheap. The read cells are
-//! `registers × processes` — cubic in n for the election layouts — but
-//! between two checkpoints of a run almost none of them move (after
-//! stabilization every process reads `STOP` and `PROGRESS` and nothing
-//! else), so [`MemorySpace::stats_into`](crate::MemorySpace::stats_into)
-//! keeps the tile of every region that was not read since the snapshot it
-//! is handed was taken, an all-zero tile is never allocated, and
-//! [`StatsSnapshot::delta_since`] of a tile both snapshots share is zero
-//! without a copy. A run's checkpoints cost one dense copy plus what
-//! changed, not one dense copy each.
+//! * `reads[bank · n + process]` — each process's reads of each bank, the
+//!   per-(reader, bank) tallies the banks keep (the `meta` module docs say
+//!   why reads are not counted per register);
+//! * `writes` — *owner-compact*: a 1WnR register has exactly one legal
+//!   writer, so it contributes one cell; only nWnR registers contribute one
+//!   cell per process.
+//!
+//! Both are `O(n²)` for every layout in the tree — an Algorithm 1 snapshot
+//! at n = 128 is 130 banks × 128 read cells and 16 640 write cells,
+//! ≈ 266 KB — so a run's checkpoints are plain dense copies.
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::{ProcessId, ProcessSet, ScanStats};
 
-/// Read cells a tile holds at least, unless the registers run out first:
-/// a tile closes at the first bank boundary that gives it this many. Large
-/// enough that a space of many tiny banks (a replicated log adds two
-/// `n`-slot banks per log slot) does not pay an allocation per bank per
-/// snapshot, small enough that every bank of an election layout past
-/// n = 45 is a tile of its own.
-const TILE_CELLS: usize = 2048;
-
-/// The registers and banks one read tile covers, as index ranges into the
-/// space's creation order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TileSpan {
-    pub(crate) registers: Range<usize>,
-    pub(crate) banks: Range<usize>,
-}
-
 /// Immutable description of a space's registers at some point in its
 /// creation order: interned names, owners and write offsets, indexed by
-/// register id, and where the read tiles begin and end.
+/// register id, and where each bank begins and ends.
 ///
 /// Built once per register-set size by the space and shared by every
-/// snapshot taken at that size (append-only: a layout for `k` registers is
-/// a prefix of any later layout of the same space, except that the last
-/// tile, if it closed for want of registers, grows first).
-#[derive(Debug, Clone)]
+/// snapshot and footprint report taken at that size (append-only: a layout
+/// for `k` registers is a prefix of any later layout of the same space).
+/// Equal by value, banking included.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SnapshotLayout {
     pub(crate) names: Vec<Arc<str>>,
     pub(crate) owners: Vec<Option<ProcessId>>,
@@ -77,26 +56,10 @@ pub(crate) struct SnapshotLayout {
     /// owned, one per process otherwise. Always one entry more than there
     /// are registers.
     write_offsets: Vec<usize>,
-    /// The read tiles, in register order; together they cover every
-    /// register once.
-    pub(crate) tiles: Vec<TileSpan>,
-    /// What an unmaterialized tile shows for each of its registers: one
-    /// zero per process.
-    zero_row: Box<[u64]>,
+    /// Bank `b` holds registers `bank_starts[b]..bank_starts[b + 1]`.
+    /// Always one entry more than there are banks.
+    bank_starts: Vec<usize>,
 }
-
-/// By value over what the snapshots' *counters* mean — names, owners and
-/// hence write offsets. The tiling is storage: two spaces that bank the
-/// same registers differently still produce comparable snapshots.
-impl PartialEq for SnapshotLayout {
-    fn eq(&self, other: &Self) -> bool {
-        self.names == other.names
-            && self.owners == other.owners
-            && self.write_offsets == other.write_offsets
-    }
-}
-
-impl Eq for SnapshotLayout {}
 
 impl Default for SnapshotLayout {
     fn default() -> Self {
@@ -113,11 +76,7 @@ impl SnapshotLayout {
         B: Iterator<Item = (Arc<str>, Option<ProcessId>)>,
     {
         let (mut names, mut owners, mut write_offsets) = (Vec::new(), Vec::new(), vec![0]);
-        let mut tiles = Vec::new();
-        let mut open = TileSpan {
-            registers: 0..0,
-            banks: 0..0,
-        };
+        let mut bank_starts = vec![0];
         let mut cells = 0;
         for bank in banks {
             for (name, owner) in bank {
@@ -126,25 +85,13 @@ impl SnapshotLayout {
                 owners.push(owner);
                 write_offsets.push(cells);
             }
-            open.registers.end = names.len();
-            open.banks.end += 1;
-            if open.registers.len() * n_processes >= TILE_CELLS {
-                let next = TileSpan {
-                    registers: names.len()..names.len(),
-                    banks: open.banks.end..open.banks.end,
-                };
-                tiles.push(std::mem::replace(&mut open, next));
-            }
-        }
-        if !open.registers.is_empty() {
-            tiles.push(open);
+            bank_starts.push(names.len());
         }
         SnapshotLayout {
             names,
             owners,
             write_offsets,
-            tiles,
-            zero_row: vec![0; n_processes].into(),
+            bank_starts,
         }
     }
 
@@ -153,106 +100,34 @@ impl SnapshotLayout {
         self.write_offsets[self.names.len()]
     }
 
-    /// Whether `earlier` is a layout the same space had before (or has
-    /// now): its first register is this one's, not merely named like it.
-    /// Names are interned per bank, so the allocation identifies the space.
-    pub(crate) fn grew_from(&self, earlier: &SnapshotLayout) -> bool {
-        match (self.names.first(), earlier.names.first()) {
-            (Some(mine), Some(theirs)) => {
-                Arc::ptr_eq(mine, theirs) && earlier.names.len() <= self.names.len()
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether `earlier`'s tiles line up with this layout's: the same
-    /// spans, except that its last one may end sooner. Always so between
-    /// two layouts of one space.
-    fn tiles_extend(&self, earlier: &SnapshotLayout) -> bool {
-        let Some((last, closed)) = earlier.tiles.split_last() else {
-            return true;
-        };
-        closed.len() < self.tiles.len()
-            && closed == &self.tiles[..closed.len()]
-            && last.registers.start == self.tiles[closed.len()].registers.start
-            && last.registers.end <= self.tiles[closed.len()].registers.end
+    /// Whether `earlier` is this layout or a prefix of it: the same
+    /// registers (by name and owner — owners fix where each register's
+    /// writes sit) in the same banks, followed by whatever was created
+    /// since.
+    fn extends(&self, earlier: &SnapshotLayout) -> bool {
+        let prefix = earlier.names.len();
+        prefix <= self.names.len()
+            && (self.names.iter().zip(&earlier.names)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+            && self.owners[..prefix] == earlier.owners[..]
+            && self.bank_starts.starts_with(&earlier.bank_starts)
     }
 }
 
-/// The read counts of one tile's registers. Equal by value (`Arc`'s
-/// comparison tries the pointers first).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Tile {
-    /// Sum of `cells`. Cumulative counts only grow, so between two
-    /// snapshots of one space an equal sum means equal cells.
-    pub(crate) sum: u64,
-    /// `cells[register · n_processes + process]`; `None` (never an
-    /// allocation of zeros) while nothing in the tile was read.
-    cells: Option<Arc<[u64]>>,
-}
-
-impl Tile {
-    /// Overwrites the tile with `len` cells written by `fill` (which is
-    /// handed zeros or stale counts and must store every cell), in place
-    /// when no other snapshot shares the allocation.
-    pub(crate) fn refill(&mut self, len: usize, fill: impl FnOnce(&mut [u64])) {
-        let reusable = matches!(
-            self.cells.as_mut().and_then(Arc::get_mut),
-            Some(cells) if cells.len() == len
-        );
-        if !reusable {
-            self.cells = Some(std::iter::repeat_n(0, len).collect());
-        }
-        let cells = Arc::get_mut(self.cells.as_mut().expect("present or just allocated"))
-            .expect("unshared: checked or just allocated");
-        fill(cells);
-        self.sum = cells.iter().sum();
-        if self.sum == 0 {
-            self.cells = None;
-        }
-    }
-
-    /// This tile's counts minus `earlier`'s (which may cover fewer
-    /// registers: the tile that was last when it was taken).
-    fn delta_since(&self, earlier: &Tile) -> Tile {
-        let sum = self.sum - earlier.sum;
-        let cells = match (&self.cells, &earlier.cells) {
-            // One shared allocation, or nothing moved: zero without a copy.
-            _ if sum == 0 => None,
-            (Some(mine), None) => Some(Arc::clone(mine)),
-            (Some(mine), Some(theirs)) => {
-                let (both, later) = mine.split_at(theirs.len());
-                let both = both.iter().zip(theirs.iter()).map(|(a, b)| a - b);
-                Some(both.chain(later.iter().copied()).collect())
-            }
-            (None, _) => unreachable!("a positive sum has cells"),
-        };
-        Tile { sum, cells }
-    }
-}
-
-/// One register's counters within a snapshot — a borrowed view into the
-/// snapshot's flat storage.
+/// One register's write counters within a snapshot — a borrowed view into
+/// the snapshot's flat storage. (Reads are counted per bank: see
+/// [`BankRow`].)
 #[derive(Debug, Clone, Copy)]
 pub struct RegisterRow<'a> {
     /// Register name, e.g. `SUSPICIONS\[2\]\[5\]`.
     pub name: &'a str,
     /// Owner for 1WnR registers, `None` for nWnR registers.
     pub owner: Option<ProcessId>,
-    /// Reads performed by each process (indexed by process).
-    pub reads: &'a [u64],
     /// The owner's writes (one cell) for 1WnR registers, writes indexed by
     /// process for nWnR registers.
     writes: &'a [u64],
 }
 
 impl RegisterRow<'_> {
-    /// Total reads of this register by all processes.
-    #[must_use]
-    pub fn total_reads(&self) -> u64 {
-        self.reads.iter().sum()
-    }
-
     /// Total writes to this register by all processes.
     #[must_use]
     pub fn total_writes(&self) -> u64 {
@@ -271,6 +146,25 @@ impl RegisterRow<'_> {
     }
 }
 
+/// One bank's read counters within a snapshot: a bank is an array, a
+/// matrix row or a scalar register, created together.
+#[derive(Debug, Clone, Copy)]
+pub struct BankRow<'a> {
+    /// The bank's registers' names, in slot order — one for a scalar.
+    pub names: &'a [Arc<str>],
+    /// Reads of the bank's registers by each process (indexed by process);
+    /// a range read of `k` slots counts `k`.
+    pub reads: &'a [u64],
+}
+
+impl BankRow<'_> {
+    /// Total reads of this bank's registers by all processes.
+    #[must_use]
+    pub fn total_reads(&self) -> u64 {
+        self.reads.iter().sum()
+    }
+}
+
 /// Reads and writes of every process summed over all registers, indexed by
 /// process ([`StatsSnapshot::per_process_totals`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -281,7 +175,11 @@ pub struct ProcessTotals {
     pub writes: Vec<u64>,
 }
 
-/// A snapshot of every register's cumulative access counters.
+/// A snapshot of every bank's read tallies and every register's write
+/// counters, cumulative since the space was created.
+///
+/// Two snapshots are equal when their counters are and their spaces hold
+/// the same registers in the same banks.
 ///
 /// # Examples
 ///
@@ -298,33 +196,16 @@ pub struct ProcessTotals {
 /// assert_eq!(delta.total_writes(), 1);
 /// assert_eq!(delta.writer_set().iter().collect::<Vec<_>>(), vec![p0]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub(crate) n_processes: usize,
     pub(crate) layout: Arc<SnapshotLayout>,
-    /// The read counts, one tile per span of the layout.
-    pub(crate) tiles: Vec<Tile>,
+    /// `reads[bank · n_processes + process]`.
+    pub(crate) reads: Vec<u64>,
     /// Owner-compact, at the layout's write offsets.
     pub(crate) writes: Vec<u64>,
     pub(crate) scan: ScanStats,
 }
-
-impl PartialEq for StatsSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.n_processes == other.n_processes
-            && self.scan == other.scan
-            && self.writes == other.writes
-            && (Arc::ptr_eq(&self.layout, &other.layout) || self.layout == other.layout)
-            && if self.layout.tiles == other.layout.tiles {
-                self.tiles == other.tiles
-            } else {
-                // Same registers, banked differently.
-                self.read_rows().eq(other.read_rows())
-            }
-    }
-}
-
-impl Eq for StatsSnapshot {}
 
 impl StatsSnapshot {
     /// Number of processes in the system.
@@ -346,61 +227,33 @@ impl StatsSnapshot {
         self.scan
     }
 
-    /// Every register's read counts indexed by process, in
-    /// register-creation order.
-    fn read_rows(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
-        let n = self.n_processes;
-        // Registers are asked for in ascending order, so the tile is a
-        // cursor that only moves forward.
-        let mut at = 0;
-        (0..self.register_count()).map(move |r| {
-            while self.layout.tiles[at].registers.end <= r {
-                at += 1;
-            }
-            match &self.tiles[at].cells {
-                Some(cells) => &cells[(r - self.layout.tiles[at].registers.start) * n..][..n],
-                None => &self.layout.zero_row[..],
-            }
-        })
-    }
-
-    /// Per-register rows, in register-creation order.
+    /// Per-register write rows, in register-creation order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = RegisterRow<'_>> + '_ {
-        let offsets = &self.layout.write_offsets;
-        self.read_rows()
-            .enumerate()
-            .map(move |(r, reads)| RegisterRow {
-                name: &self.layout.names[r],
-                owner: self.layout.owners[r],
-                reads,
-                writes: &self.writes[offsets[r]..offsets[r + 1]],
+        let layout = &*self.layout;
+        (layout.names.iter().zip(&layout.owners))
+            .zip(layout.write_offsets.windows(2))
+            .map(|((name, &owner), cells)| RegisterRow {
+                name,
+                owner,
+                writes: &self.writes[cells[0]..cells[1]],
             })
     }
 
-    /// The materialized tiles' cells.
-    fn read_cells(&self) -> impl Iterator<Item = &[u64]> + '_ {
-        self.tiles.iter().filter_map(|tile| tile.cells.as_deref())
-    }
-
-    /// How many read tiles this snapshot and `other` hold in one shared
-    /// allocation — regions no process read between the two, when one was
-    /// derived from the other by
-    /// [`MemorySpace::stats_into`](crate::MemorySpace::stats_into). Tiles
-    /// in which nothing was ever read are not allocated and not counted; a
-    /// snapshot shares all its allocated tiles with itself.
-    #[must_use]
-    pub fn shared_tiles(&self, other: &StatsSnapshot) -> usize {
-        (self.tiles.iter().zip(&other.tiles))
-            .filter(
-                |(a, b)| matches!((&a.cells, &b.cells), (Some(a), Some(b)) if Arc::ptr_eq(a, b)),
-            )
-            .count()
+    /// Per-bank read rows, in creation order.
+    pub fn banks(&self) -> impl ExactSizeIterator<Item = BankRow<'_>> + '_ {
+        let names = &self.layout.names;
+        (self.layout.bank_starts.windows(2))
+            .zip(self.reads.chunks_exact(self.n_processes.max(1)))
+            .map(|(registers, reads)| BankRow {
+                names: &names[registers[0]..registers[1]],
+                reads,
+            })
     }
 
     /// Total reads across all registers and processes.
     #[must_use]
     pub fn total_reads(&self) -> u64 {
-        self.tiles.iter().map(|tile| tile.sum).sum()
+        self.reads.iter().sum()
     }
 
     /// Total writes across all registers and processes.
@@ -412,10 +265,7 @@ impl StatsSnapshot {
     /// Reads performed by `pid` across all registers.
     #[must_use]
     pub fn reads_of(&self, pid: ProcessId) -> u64 {
-        let n = self.n_processes.max(1);
-        self.read_cells()
-            .flat_map(|cells| cells.iter().skip(pid.index()).step_by(n))
-            .sum()
+        (self.banks()).map(|bank| bank.reads[pid.index()]).sum()
     }
 
     /// Writes performed by `pid` across all registers.
@@ -426,11 +276,9 @@ impl StatsSnapshot {
 
     fn read_totals(&self) -> Vec<u64> {
         let mut totals = vec![0; self.n_processes];
-        for cells in self.read_cells() {
-            for row in cells.chunks_exact(self.n_processes) {
-                for (total, count) in totals.iter_mut().zip(row) {
-                    *total += count;
-                }
+        for bank in self.banks() {
+            for (total, count) in totals.iter_mut().zip(bank.reads) {
+                *total += count;
             }
         }
         totals
@@ -453,8 +301,7 @@ impl StatsSnapshot {
 
     /// Every process's [`reads_of`](Self::reads_of) and
     /// [`writes_of`](Self::writes_of) at once, in one sequential pass over
-    /// the counters — asking per process instead walks the whole read slab
-    /// once per process, with a stride that defeats the cache.
+    /// the counters.
     #[must_use]
     pub fn per_process_totals(&self) -> ProcessTotals {
         ProcessTotals {
@@ -496,48 +343,39 @@ impl StatsSnapshot {
 
     /// Counter-wise difference `self − earlier`.
     ///
-    /// Both snapshots must come from the same memory space; registers that
+    /// Both snapshots must come from the same memory space; banks that
     /// were created after `earlier` was taken are kept with their full
     /// counts.
     ///
     /// # Panics
     ///
     /// Panics if `earlier` has more registers than `self` or the shared
-    /// prefix of registers does not match by name and owner (snapshots from
-    /// different spaces).
+    /// prefix of registers does not match by name, owner and bank
+    /// (snapshots from different spaces).
     #[must_use]
     pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         assert!(
             earlier.register_count() <= self.register_count(),
             "earlier snapshot has more registers than later one"
         );
-        if !Arc::ptr_eq(&self.layout, &earlier.layout) {
-            // Different layout generations: verify the shared prefix (the
-            // owners too — they fix where each register's writes sit — and
-            // the banking, which fixes the tiles).
-            let (mine, theirs) = (&self.layout, &earlier.layout);
-            let same_names =
-                (mine.names.iter().zip(&theirs.names)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b);
-            assert!(
-                same_names
-                    && mine.owners[..theirs.owners.len()] == theirs.owners[..]
-                    && mine.tiles_extend(theirs),
-                "snapshots from different spaces"
-            );
-        }
-        let nothing = Tile::default();
-        let tiles = (self.tiles.iter().enumerate())
-            .map(|(i, tile)| tile.delta_since(earlier.tiles.get(i).unwrap_or(&nothing)))
-            .collect();
-        let mut writes = self.writes.clone();
-        for (a, b) in writes.iter_mut().zip(&earlier.writes) {
-            *a -= b;
-        }
+        assert!(
+            self.n_processes == earlier.n_processes
+                && (Arc::ptr_eq(&self.layout, &earlier.layout)
+                    || self.layout.extends(&earlier.layout)),
+            "snapshots from different spaces"
+        );
+        let minus = |later: &[u64], earlier: &[u64]| {
+            let mut delta = later.to_vec();
+            for (a, b) in delta.iter_mut().zip(earlier) {
+                *a -= b;
+            }
+            delta
+        };
         StatsSnapshot {
             n_processes: self.n_processes,
             layout: Arc::clone(&self.layout),
-            tiles,
-            writes,
+            reads: minus(&self.reads, &earlier.reads),
+            writes: minus(&self.writes, &earlier.writes),
             scan: self.scan.delta_since(&earlier.scan),
         }
     }
@@ -545,11 +383,7 @@ impl StatsSnapshot {
 
 impl fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<24} {:>10} {:>10}  writers",
-            "register", "reads", "writes"
-        )?;
+        writeln!(f, "{:<24} {:>10}  writers", "register", "writes")?;
         for row in self.rows() {
             let writers: Vec<String> = ProcessId::all(self.n_processes)
                 .filter(|p| row.writes_by(*p) > 0)
@@ -557,12 +391,20 @@ impl fmt::Display for StatsSnapshot {
                 .collect();
             writeln!(
                 f,
-                "{:<24} {:>10} {:>10}  {}",
+                "{:<24} {:>10}  {}",
                 row.name,
-                row.total_reads(),
                 row.total_writes(),
                 writers.join(",")
             )?;
+        }
+        writeln!(f, "{:<24} {:>10}", "bank", "reads")?;
+        for bank in self.banks() {
+            let name = match bank.names {
+                [only] => only.to_string(),
+                [first, .., last] => format!("{first}–{last}"),
+                [] => String::new(),
+            };
+            writeln!(f, "{:<24} {:>10}", name, bank.total_reads())?;
         }
         if self.scan != ScanStats::default() {
             writeln!(
@@ -727,13 +569,63 @@ mod tests {
     }
 
     #[test]
+    fn banks_tally_each_readers_reads() {
+        let s = MemorySpace::new(3);
+        let arr = s.nat_array("A", |_| 0);
+        let x = s.nat_register("X", p(0), 0);
+        arr.read_range_into(p(1), 0..3, &mut [0; 3]);
+        arr.get(p(2)).read(p(0));
+        let early = s.stats();
+        x.read(p(2));
+        arr.read_range_into(p(1), 1..3, &mut [0; 2]);
+        let late = s.stats();
+        let tallies = |snap: &StatsSnapshot| -> Vec<(Vec<String>, Vec<u64>)> {
+            (snap.banks())
+                .map(|bank| {
+                    let names = bank.names.iter().map(ToString::to_string).collect();
+                    (names, bank.reads.to_vec())
+                })
+                .collect()
+        };
+        let names = |of: &[&str]| of.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let (a, x) = (names(&["A[0]", "A[1]", "A[2]"]), names(&["X"]));
+        assert_eq!(
+            tallies(&early),
+            [(a.clone(), vec![1, 3, 0]), (x.clone(), vec![0, 0, 0])]
+        );
+        assert_eq!(
+            tallies(&late.delta_since(&early)),
+            [(a, vec![0, 2, 0]), (x, vec![0, 0, 1])]
+        );
+        assert_eq!(late.banks().map(|bank| bank.total_reads()).sum::<u64>(), 7);
+    }
+
+    #[test]
     fn display_renders_table() {
         let s = MemorySpace::new(2);
         let arr = s.nat_array("A", |_| 0);
+        let x = s.nat_register("X", p(0), 0);
         arr.get(p(1)).write(p(1), 1);
+        arr.read_range_into(p(0), 0..2, &mut [0; 2]);
+        x.read(p(1));
         let out = s.stats().to_string();
-        assert!(out.contains("A[1]"));
-        assert!(out.contains("p1"));
+        let lines: Vec<Vec<&str>> = out
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                vec!["register", "writes", "writers"],
+                vec!["A[0]", "0"],
+                vec!["A[1]", "1", "p1"],
+                vec!["X", "0"],
+                vec!["bank", "reads"],
+                vec!["A[0]–A[1]", "2"],
+                vec!["X", "1"],
+            ],
+            "{out}"
+        );
     }
 
     #[test]
@@ -748,8 +640,9 @@ mod tests {
         let row = snap.rows().next().unwrap();
         assert_eq!(row.name, "X");
         assert_eq!(row.owner, Some(p(0)));
-        assert_eq!(row.total_reads(), 3);
         assert_eq!(row.total_writes(), 1);
+        let bank = snap.banks().next().unwrap();
+        assert_eq!((bank.reads, bank.total_reads()), (&[1, 2][..], 3));
     }
 
     #[test]
@@ -766,28 +659,22 @@ mod tests {
     }
 
     #[test]
-    fn stats_into_rewrites_in_place_only_what_nobody_else_holds() {
+    fn stats_into_refills_an_earlier_snapshot_in_place() {
         let s = MemorySpace::new(2);
         let x = s.nat_register("X", p(0), 0);
-        let cells_of = |snap: &StatsSnapshot| Arc::as_ptr(snap.tiles[0].cells.as_ref().unwrap());
+        x.read(p(1));
         let mut snap = s.stats();
-        assert!(snap.tiles[0].cells.is_none(), "nothing read, nothing held");
-        x.read(p(1));
-        s.stats_into(&mut snap);
-        let first = cells_of(&snap);
-        x.read(p(1));
-        s.stats_into(&mut snap);
-        assert_eq!(cells_of(&snap), first, "sole holder: overwritten in place");
-        assert_eq!(snap.reads_of(p(1)), 2);
-
         let kept = snap.clone();
-        s.stats_into(&mut snap);
-        assert_eq!(snap.shared_tiles(&kept), 1, "nothing moved: still shared");
+        let _ = s.nat_array("A", |_| 0);
         x.read(p(0));
         s.stats_into(&mut snap);
-        assert_eq!(snap.shared_tiles(&kept), 0, "moved: a tile of its own");
+        assert_eq!(snap, s.stats(), "a register created since, a read since");
         assert_eq!((kept.reads_of(p(0)), snap.reads_of(p(0))), (0, 1));
-        assert_eq!(snap, s.stats());
+        let cells = snap.reads.as_ptr();
+        x.read(p(0));
+        s.stats_into(&mut snap);
+        assert_eq!(snap.reads.as_ptr(), cells, "large enough: overwritten");
+        assert_eq!(snap.reads_of(p(0)), 2);
     }
 
     #[test]
@@ -803,22 +690,24 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_how_the_registers_are_banked() {
-        // One array bank against three scalars of the same names, wide
-        // enough that the array closes a tile the scalars leave open.
-        let n = 64;
+    fn equality_asks_for_the_same_banks() {
+        // One array bank against three scalars of the same names: the same
+        // writes and per-process totals, but reads tallied per bank.
+        let n = 3;
         let (banked, single) = (MemorySpace::new(n), MemorySpace::new(n));
         let array = banked.nat_array("A", |_| 0);
         let scalars: Vec<_> = ProcessId::all(n)
             .map(|q| single.nat_register(&format!("A[{}]", q.index()), q, 0))
             .collect();
-        let _ = (banked.mwmr::<u64>("M", 0), single.mwmr::<u64>("M", 0));
-        assert_ne!(banked.stats().layout.tiles, single.stats().layout.tiles);
-        assert_eq!(banked.stats(), single.stats());
-        array.get(p(3)).read(p(7));
-        assert_ne!(banked.stats(), single.stats());
-        scalars[3].read(p(7));
-        assert_eq!(banked.stats(), single.stats());
+        array.get(p(1)).write(p(1), 4);
+        scalars[1].write(p(1), 4);
+        array.get(p(2)).read(p(0));
+        scalars[2].read(p(0));
+        let (a, b) = (banked.stats(), single.stats());
+        assert_ne!(a, b);
+        assert_eq!(a.per_process_totals(), b.per_process_totals());
+        assert!((a.rows().zip(b.rows())).all(|(a, b)| (a.name, a.owner) == (b.name, b.owner)));
+        assert_eq!((a.banks().len(), b.banks().len()), (1, 3));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Registers are not allocated one at a time. A [`Bank`] is the storage of
 //! one array (`PROGRESS`, `STOP`, an nWnR array) or one matrix row: `len`
 //! slots whose live value cells are contiguous, whose frozen cells are
-//! contiguous, and whose counters are one block with the read cells
-//! reader-major (see [`crate::meta`]). A scalar register is the length-1
+//! contiguous, and whose counters are one block holding a read tally per
+//! reader (see [`crate::meta`]). A scalar register is the length-1
 //! bank (stored inline, so it costs no allocation a lone register would
 //! not). [`SwmrRegister`] and [`MwmrRegister`] are `(bank, slot)` views:
 //! cloning one clones an `Arc`, and every view of a slot shares its cell.
@@ -18,15 +18,15 @@
 //! `SUSPICIONS` row). With one allocation per register such a pass chases
 //! a pointer per slot — handle, cell, counter block, mask — and touches
 //! on the order of a hundred scattered cache lines for 16 slots; over a
-//! bank it touches the 16 adjacent value cells and the reader's 16
-//! adjacent read cells.
+//! bank it touches the 16 adjacent value cells and the reader's one read
+//! tally.
 //!
 //! # One read routine
 //!
 //! Every attributed read — a single [`SwmrRegister::read`], an array
 //! range, a matrix row snapshot — is [`Bank::read_range`]; a single read
-//! is the length-1 range. The routine bumps the reader's contiguous
-//! counter slice, resolves the partition mask **once** (the reader's
+//! is the length-1 range. The routine adds the range's length to the
+//! reader's tally, resolves the partition mask **once** (the reader's
 //! group; per-slot owner-group compares only while a mask is installed),
 //! then loads the values in slot order, in runs of slots that agree on
 //! being severed — one run, outside a chaos phase. On a block-backed

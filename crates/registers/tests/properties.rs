@@ -226,12 +226,9 @@ impl AnyRegister {
 
 /// A chain of snapshots, each built by `stats_into` on a clone of its
 /// predecessor, is indistinguishable from snapshots taken fresh at the same
-/// instants — rows, totals, `==`, and every pairwise delta — while holding
-/// one copy of what did not move: a step without reads shares every
-/// allocated tile, registers nobody read are never allocated, and registers
-/// created between snapshots (a new layout generation, possibly inside the
-/// tile that was last) change none of it. Small systems put everything in
-/// one growing tile; the wide ones close a tile per array.
+/// instants — rows, banks, totals, `==`, and every pairwise delta, which is
+/// the cell-wise difference of read tallies and write cells — including
+/// across registers created between snapshots (a new layout generation).
 #[test]
 fn chained_snapshots_equal_fresh_ones() {
     let mut g = Gen::new(23);
@@ -247,8 +244,7 @@ fn chained_snapshots_equal_fresh_ones() {
         let mut fresh = vec![space.stats()];
         for step in 0..8 {
             let label = format!("case {case} (n = {n}, {mode:?}) step {step}");
-            let grows = g.below(3) == 0;
-            if grows {
+            if g.below(3) == 0 {
                 registers.push(AnyRegister::create(&space, registers.len(), &mut g));
             }
             let accesses = [0, 0, 1, 40][g.below(4) as usize];
@@ -256,55 +252,46 @@ fn chained_snapshots_equal_fresh_ones() {
                 registers[g.below(registers.len() as u64) as usize].access(n, &mut g);
             }
 
-            let previous = chain.last().unwrap();
-            let mut next = previous.clone();
+            let mut next = chain.last().unwrap().clone();
             space.stats_into(&mut next);
             let direct = space.stats();
             assert_eq!(next, direct, "{label}");
             assert_eq!(next.rows().len(), space.register_count(), "{label}");
             for (a, b) in next.rows().zip(direct.rows()) {
-                assert_eq!((a.name, a.owner, a.reads), (b.name, b.owner, b.reads));
+                assert_eq!((a.name, a.owner), (b.name, b.owner));
                 for q in ProcessId::all(n) {
                     assert_eq!(a.writes_by(q), b.writes_by(q), "{label}: {}", a.name);
                 }
             }
+            assert_eq!(next.banks().len(), registers.len() + 1, "{label}");
+            for (a, b) in next.banks().zip(direct.banks()) {
+                assert_eq!((a.names, a.reads), (b.names, b.reads), "{label}");
+            }
             assert_eq!(next.per_process_totals(), direct.per_process_totals());
             assert_eq!(next.total_reads(), direct.total_reads(), "{label}");
+            let untouched_bank = next.banks().next().unwrap();
+            assert_eq!(untouched_bank.names.len(), untouched.len(), "{label}");
+            assert_eq!(untouched_bank.total_reads(), 0, "{label}");
 
-            let allocated = next.shared_tiles(&next);
-            if accesses == 0 && !grows {
-                assert_eq!(next.shared_tiles(previous), allocated, "{label}: quiescent");
-            }
-            assert_eq!(direct.shared_tiles(previous), 0, "{label}: a fresh one");
-            let untouched_rows = next
-                .rows()
-                .filter(|row| row.name.starts_with("UNTOUCHED"))
-                .inspect(|row| assert_eq!(row.total_reads(), 0))
-                .count();
-            assert_eq!(untouched_rows, untouched.len(), "{label}");
-            if n >= 48 {
-                // Its own tile, and all zeros: never allocated.
-                assert!(allocated < registers.len() + 1, "{label}");
-            }
-
-            // Deltas against every earlier snapshot: shared tiles (the
-            // chain against itself), unshared ones (against the fresh
-            // series), zero ones, and tiles that gained registers.
+            // Deltas against every earlier snapshot, chained and fresh,
+            // including ones taken before banks were created.
             for (j, (chained, taken)) in chain.iter().zip(&fresh).enumerate() {
                 let delta = next.delta_since(chained);
                 assert_eq!(delta, direct.delta_since(taken), "{label} − {j}");
                 assert_eq!(delta, next.delta_since(taken), "{label} − {j}");
-                let mut earlier = taken.rows();
-                for (now, moved) in direct.rows().zip(delta.rows()) {
+                let mut earlier = taken.banks();
+                for (now, moved) in direct.banks().zip(delta.banks()) {
                     let zeros = vec![0; n];
-                    let then = earlier.next();
-                    let was = then.map_or(&zeros[..], |row| row.reads);
+                    let was = earlier.next().map_or(&zeros[..], |bank| bank.reads);
                     let expected: Vec<u64> =
                         now.reads.iter().zip(was).map(|(a, b)| a - b).collect();
-                    assert_eq!(moved.reads, expected, "{label} − {j}: {}", now.name);
+                    assert_eq!(moved.reads, expected, "{label} − {j}: {}", now.names[0]);
+                }
+                let mut earlier = taken.rows();
+                for (now, moved) in direct.rows().zip(delta.rows()) {
                     assert_eq!(
                         moved.total_writes(),
-                        now.total_writes() - then.map_or(0, |row| row.total_writes()),
+                        now.total_writes() - earlier.next().map_or(0, |row| row.total_writes()),
                         "{label} − {j}: {}",
                         now.name
                     );

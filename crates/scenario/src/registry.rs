@@ -388,11 +388,11 @@ pub fn stepclock() -> Scenario {
 /// 512/1024 exist for the sharded coop worker pool (admitted at
 /// `workers ≥ 8` / `≥ 16` — see `coop_max_n`). The sim runs 512 too —
 /// its record is the deterministic twin the `--check` gate compares
-/// against — and refuses 1024 (`SIM_MAX_N`: its literal realization is
-/// memory-cubic in `n`); the per-node-thread backends refuse both.
+/// against — and refuses 1024 (`SIM_MAX_N`: its pre-stabilization scans
+/// cost `O(n²)` per tick); the per-node-thread backends refuse both.
 ///
-/// Statistics checkpoints shrink with `n` because one cumulative snapshot
-/// is `O(n³)` counters; the trend line needs totals, not fine windows. The
+/// Statistics checkpoints shrink with `n`: the trend line needs totals,
+/// not fine windows, and one cumulative snapshot is `O(n²)` counters. The
 /// giant probes also shorten the horizon: stabilization lands within the
 /// first few hundred ticks, and a wall run's deadline budget scales with
 /// the horizon — a 100 000-tick allowance at `n ≥ 512` buys nothing but a
@@ -775,8 +775,7 @@ mod tests {
         );
         // On a wall clock the giant probes are the sharded coop pool's
         // territory: no single-worker backend admits them, a big enough
-        // pool does. The sim runs n = 512 and stops there (memory-cubic
-        // realization).
+        // pool does. The sim runs n = 512 and stops there (`SIM_MAX_N`).
         let admits = |probe: &Scenario, backend, workers| probe.refusal(backend, workers).is_none();
         assert!(!admits(&probes[4], Backend::Coop, 1));
         assert!(admits(&probes[4], Backend::Coop, 8));

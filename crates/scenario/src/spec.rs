@@ -168,19 +168,17 @@ impl CrashSpec {
 /// larger scenarios belong on the cooperative backend.
 pub const THREAD_MAX_N: usize = 16;
 
-/// Largest system the deterministic simulator admits. Two structures of
-/// the literal realization are `O(n³)` words: the per-process read
-/// counters of the `n² + 2n` registers, and the statistics checkpoints (a
-/// run's series holds one dense copy of those counters — every register
-/// is read by everyone before the first window closes — plus the tiles
-/// that moved between checkpoints, two banks' worth once the run is
-/// quiescent). The processes' views of the suspicion matrix share their
-/// rows and are `O(n²)`. At n = 512 each cubic term
-/// is ≈ 1.07 GB and `n-scaling-512` peaks at 2.2 GB; n = 1024 is eight
-/// times that, and pre-stabilization scans cost `O(n²)` per tick besides.
-/// (ROADMAP open item 3 has the breakdown.) Larger systems are exactly
-/// what the sharded cooperative pool exists for, so the sim refuses them
-/// loudly instead of thrashing.
+/// Largest system the deterministic simulator admits. No structure of the
+/// literal realization is memory-cubic in n: reads are tallied per
+/// (process, bank) and writes per register, a statistics checkpoint is a
+/// dense copy of those, and the processes share their views of the
+/// suspicion matrix — all `O(n²)` (`n-scaling-512` peaks at ≈ 0.2 GB).
+/// What the cap stands on is time: before stabilization every process
+/// scans every tick, `O(n²)` per tick (`n-scaling-512` runs at 2.45 M
+/// events/s against 7.3 M at n = 256), and a larger system needs its
+/// horizon sized by a measurement first (ROADMAP open item 3 (d)).
+/// Larger systems are exactly what the sharded cooperative pool exists
+/// for, so the sim refuses them loudly.
 pub const SIM_MAX_N: usize = 512;
 
 /// Largest system the cooperative wall-clock backend records *on a small
@@ -353,7 +351,7 @@ impl Scenario {
     ///
     /// The simulator runs every *regime* (it is the only backend that can
     /// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — its
-    /// literal realization is memory-cubic in `n`. A wall clock cannot
+    /// pre-stabilization scans cost `O(n²)` per tick. A wall clock cannot
     /// defend a negative (real time *is* the fair schedule, and a cluster
     /// detects stability, not its absence), so the wall backends refuse
     /// non-electing scenarios. Campaign clauses are refused by name rather
@@ -370,7 +368,7 @@ impl Scenario {
         if backend == Backend::Sim {
             return (self.n > SIM_MAX_N).then(|| {
                 format!(
-                    "the simulator's literal realization is memory-cubic in n, so it runs \
+                    "the simulator's pre-stabilization scans cost O(n^2) per tick, so it runs \
                      n <= {SIM_MAX_N}; larger systems belong on the sharded coop pool"
                 )
             });
@@ -817,7 +815,7 @@ pub(crate) mod tests {
         assert!(!admits(Backend::Coop, &huge, 8));
         assert!(admits(Backend::Coop, &huge, 16));
         // Past SIM_MAX_N the coop pool is the *only* backend left: the
-        // sim's literal realization is memory-cubic in n.
+        // sim's pre-stabilization scans are O(n²) per tick.
         assert!(admits(Backend::Sim, &big, 1));
         assert!(
             admits(
@@ -902,7 +900,7 @@ pub(crate) mod tests {
         assert!(!admits(Backend::Coop, &n512, 4) && admits(Backend::Coop, &n512, 8));
         assert!(!admits(Backend::Coop, &n1024, 8) && admits(Backend::Coop, &n1024, 16));
         // Past SIM_MAX_N the coop pool is the only backend: the sim's
-        // literal realization is memory-cubic in n and refuses loudly.
+        // pre-stabilization scans are O(n²) per tick and it refuses loudly.
         assert!(admits(Backend::Sim, &n256, 1) && admits(Backend::Sim, &n512, 1));
         assert!(!admits(Backend::Sim, &n1024, 1) && !admits(Backend::Sim, &n1024, 16));
         let sim_refusal = refusal_of(Backend::Sim, &n1024, 1);

@@ -349,15 +349,10 @@ impl Simulation {
             .push_with_steps(now, leaders, self.report.steps_taken.clone());
     }
 
-    /// Takes a statistics and footprint checkpoint. Each snapshot starts
-    /// as a clone of the previous one, so the series holds one copy of
-    /// every region of counters that did not move in between.
+    /// Takes a statistics and footprint checkpoint.
     fn checkpoint(&mut self, now: SimTime) {
         if let Some(space) = &self.memory {
-            let mut snapshot = (self.report.windowed.snapshots().last())
-                .map_or_else(Default::default, |(_, previous)| previous.clone());
-            space.stats_into(&mut snapshot);
-            self.report.windowed.push(now, snapshot);
+            self.report.windowed.push(now, space.stats());
             self.report.footprints.push((now, space.footprint()));
         }
     }
@@ -413,12 +408,18 @@ impl Simulation {
                 self.queue.schedule(SimTime::from_ticks(s.tick), s.event);
             }
         }
-        // Sampling cadence.
+        // Sampling cadence. The timeline is sized for it up front: grown by
+        // doubling, its buffer — the run's largest — is reallocated mid-run
+        // wherever the heap has room by then, and peak RSS follows the heap
+        // layout instead of the run.
         let mut t = SimTime::ZERO;
+        let mut samples = 0;
         while t <= self.horizon {
             self.queue.schedule(t, EventKind::Sample);
             t += self.sample_every;
+            samples += 1;
         }
+        self.report.timeline.reserve(samples);
 
         self.apply_all(true, |sim| {
             let event = sim.queue.pop().filter(|e| e.time <= sim.horizon)?;

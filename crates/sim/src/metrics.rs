@@ -51,6 +51,11 @@ impl LeaderTimeline {
         LeaderTimeline::default()
     }
 
+    /// Reserves room for exactly `additional` more samples.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.samples.reserve_exact(additional);
+    }
+
     /// Appends a sample without step counts.
     pub fn push(&mut self, time: SimTime, leaders: Vec<Option<ProcessId>>) {
         self.samples.push(TimelineSample {
@@ -158,12 +163,6 @@ impl Window {
 
 /// Cumulative statistics snapshots taken on the checkpoint cadence,
 /// sliceable into per-window deltas.
-///
-/// The simulator derives each snapshot from the previous one
-/// ([`MemorySpace::stats_into`](omega_registers::MemorySpace::stats_into)),
-/// so the series holds one copy of every region of counters that did not
-/// move between two checkpoints, and a window's delta over such a region
-/// is zero without being computed.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedStats {
     snapshots: Vec<(SimTime, StatsSnapshot)>,

@@ -1,13 +1,13 @@
 //! What a wide simulated run keeps on the heap (ROADMAP open item 3).
 //!
-//! The election layouts are cubic in n where they count reads per
+//! The election layouts were cubic in n while they counted reads per
 //! (register, process), and the simulator once multiplied that by every
 //! statistics checkpoint it retained, parked a ring buffer in each of the
 //! event wheel's 4096 slots on top, and gave every process a private copy
-//! of every suspicion row. This binary holds the line those three were
-//! pushed back to: it owns the process's allocator, so it is a test binary
-//! of its own with a single test — a second test running beside it would
-//! be counted too.
+//! of every suspicion row. Reads are now tallied per (process, bank), and
+//! nothing left is more than quadratic in n. This binary holds that line:
+//! it owns the process's allocator, so it is a test binary of its own with
+//! a single test — a second test running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,14 +73,20 @@ const MB: usize = 1 << 20;
 
 /// The benchmark's `elect-wide` input: Alg1 at n = 128, 99 % quiescent,
 /// four windowed checkpoints (six snapshots with tick zero and the
-/// horizon). Its floor is what exists once — the registers' own read
-/// counters (17.2 MB), one dense copy of them in the checkpoint series
-/// (17 MB, every tile is read in the first window) and six footprint
-/// reports (4.3 MB); the processes' views of the suspicion matrix share
-/// their rows and come to well under 1 MB — and the budget leaves room for
-/// little else: the 17 MB of private per-process mirrors do not fit, nor
-/// a second dense snapshot, nor the 32 MB the per-slot ring buffers grew
-/// to.
+/// horizon). It peaks at 7.1 MB of live heap, every part of it quadratic
+/// in n: the 16 640 registers' values, names, handles and write and
+/// high-water cells, the 130 banks' read tallies, the shared layout
+/// (names, owners, offsets), six snapshots of ≈ 266 KB each and six
+/// footprint reports of 16 B a register, and the processes' shared views
+/// of the suspicion matrix. The budget is that reading + 25 %: a read
+/// cell per (process, register) does not fit (17.2 MB), nor the 17 MB of
+/// private per-process mirrors, nor the 32 MB the per-slot ring buffers
+/// grew to.
+///
+/// Then Alg1 at n = 512, the sim's ceiling (`SIM_MAX_N`), built and
+/// dropped: its construction peaks at 42.7 MB (1 068.6 MB with a read
+/// cell per (process, register)), and its budget is that + 25 % — which
+/// pins that no cubic term comes back at construction.
 #[test]
 fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     let scenario = Scenario::fault_free(OmegaVariant::Alg1, 128)
@@ -100,12 +106,25 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     );
     assert!(before < MB, "the harness itself holds {before} bytes");
     assert!(
-        peak < 50 * MB,
+        peak < 9 * MB,
         "SimDriver.run of elect-wide peaked at {:.1} MB of live heap",
         peak as f64 / MB as f64
     );
     assert!(
         after < MB,
         "an Outcome is per-process totals, not counters: {after} bytes"
+    );
+
+    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+    drop(OmegaVariant::Alg1.build(512));
+    let built = PEAK.load(Ordering::Relaxed) - after;
+    println!(
+        "OmegaVariant::Alg1.build(512): {:.1} MB of live heap at the peak",
+        built as f64 / MB as f64
+    );
+    assert!(
+        built < 54 * MB,
+        "Alg1 at n = 512 peaked at {:.1} MB of live heap to build",
+        built as f64 / MB as f64
     );
 }
