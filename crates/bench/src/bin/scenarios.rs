@@ -20,8 +20,7 @@
 use omega_bench::suite::{Gate, Options, Rule, Suite};
 use omega_bench::table::Table;
 use omega_scenario::{
-    registry, Backend, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
-    COOP_NODES_PER_WORKER,
+    registry, Backend, Driver, Outcome, Scenario, SimDriver, WallDriver, COOP_NODES_PER_WORKER,
 };
 
 /// Allowed relative growth of `stabilization_ticks` before the gate fails.
@@ -50,13 +49,7 @@ const SUITE: Suite = Suite {
 fn run(backend: Backend, scenario: &Scenario, workers: usize) -> Outcome {
     match backend {
         Backend::Sim => SimDriver.run(scenario),
-        Backend::Threads => ThreadDriver::default().run(scenario),
-        Backend::San => SanDriver::instant().run(scenario),
-        Backend::Coop => CoopDriver {
-            workers,
-            ..CoopDriver::default()
-        }
-        .run(scenario),
+        wall => WallDriver::new(wall, workers).run(scenario),
     }
 }
 
@@ -345,7 +338,7 @@ mod tests {
         let scenario = Scenario::fault_free(omega_core::OmegaVariant::Alg1, 2)
             .named("san-sample")
             .horizon(40_000);
-        let outcome = SanDriver::instant().run(&scenario);
+        let outcome = WallDriver::new(Backend::San, 1).run(&scenario);
         let san = outcome.san.expect("san backend reports block footprint");
         let record = outcome.json_record();
         assert!(record.contains("\"san_blocks_mapped\":"), "{record}");
@@ -442,7 +435,7 @@ mod tests {
         let scenario = Scenario::fault_free(omega_core::OmegaVariant::Alg1, 2)
             .named("coop-sample")
             .horizon(60_000);
-        let outcome = CoopDriver::default().run(&scenario);
+        let outcome = WallDriver::new(Backend::Coop, 1).run(&scenario);
         assert_eq!(outcome.backend, "coop");
         assert_eq!(outcome.workers, Some(1), "coop outcomes report the pool");
         let record = outcome.json_record();

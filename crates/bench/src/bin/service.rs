@@ -21,8 +21,7 @@ use omega_bench::suite::{Gate, Options, Rule, Suite};
 use omega_bench::table::Table;
 use omega_scenario::Backend;
 use omega_service::{
-    registry, ServiceCoopDriver, ServiceOutcome, ServiceScenario, ServiceSimDriver,
-    ServiceThreadDriver,
+    registry, ServiceOutcome, ServiceScenario, ServiceSimDriver, ServiceWallDriver,
 };
 
 /// Committed requests may drop by at most this fraction (plus
@@ -72,13 +71,7 @@ const SUITE: Suite = Suite {
 fn run(backend: Backend, scenario: &ServiceScenario, workers: usize) -> ServiceOutcome {
     match backend {
         Backend::Sim => ServiceSimDriver.run(scenario),
-        Backend::Coop => ServiceCoopDriver {
-            workers,
-            ..ServiceCoopDriver::default()
-        }
-        .run(scenario),
-        Backend::Threads => ServiceThreadDriver::default().run(scenario),
-        Backend::San => unreachable!("the service suite admits no SAN"),
+        wall => ServiceWallDriver::new(wall, workers).run(scenario),
     }
 }
 

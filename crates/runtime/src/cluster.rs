@@ -1,5 +1,6 @@
 //! A full election cluster on real threads.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use omega_core::OmegaVariant;
@@ -9,7 +10,8 @@ use crate::coop::{CoopConfig, CoopRuntime, CoopTask};
 use crate::node::{LeaderProbe, Node, NodeConfig, NodeCore};
 
 /// An `n`-process shared-memory system running one of the Ω variants on
-/// operating-system threads.
+/// operating-system threads or on the cooperative scheduler, optionally
+/// hosting application tasks beside the node loops.
 ///
 /// # Examples
 ///
@@ -32,6 +34,10 @@ pub struct Cluster {
     /// Present when the nodes are hosted on the cooperative scheduler
     /// instead of dedicated threads; shut down after the nodes halt.
     coop: Option<CoopRuntime>,
+    /// The application tasks' own wheel, one worker per task, when the
+    /// nodes run on dedicated threads (on the cooperative scheduler the
+    /// tasks share the nodes' wheel).
+    apps: Option<CoopRuntime>,
 }
 
 impl Cluster {
@@ -42,17 +48,9 @@ impl Cluster {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn start(variant: OmegaVariant, n: usize, config: NodeConfig) -> Self {
-        let (space, processes) = variant.build_processes(n);
-        let nodes = processes
-            .into_iter()
-            .map(|p| Node::spawn(p, config))
-            .collect();
-        Cluster {
-            space,
-            nodes,
-            variant,
-            coop: None,
-        }
+        Self::start_in(variant, &MemorySpace::new(n), config, None, |_, _| {
+            Vec::new()
+        })
     }
 
     /// Builds the shared memory for `variant` and hosts `n` nodes on the
@@ -70,16 +68,13 @@ impl Cluster {
     /// Panics if `n == 0` or `config.workers == 0`.
     #[must_use]
     pub fn start_coop(variant: OmegaVariant, n: usize, config: CoopConfig) -> Self {
-        let (space, processes) = variant.build_processes(n);
-        Self::host_coop(variant, space, processes, config)
+        Self::start_coop_with(variant, n, config, |_, _| Vec::new())
     }
 
     /// [`start_coop`](Self::start_coop), plus application tasks on the
-    /// same wheel: `tasks` is called once with the cluster's memory space
-    /// and one [`LeaderProbe`] per node (identity order), and the
-    /// [`CoopTask`]s it returns are multiplexed alongside the `2n` node
-    /// loops — a replicated service's work loops and its client workload
-    /// pump compete with election steps for the same workers.
+    /// same wheel (see [`start_in`](Self::start_in)): a replicated
+    /// service's work loops and its client workload pump compete with
+    /// election steps for the same workers.
     ///
     /// # Panics
     ///
@@ -91,67 +86,92 @@ impl Cluster {
         config: CoopConfig,
         tasks: impl FnOnce(&MemorySpace, &[LeaderProbe]) -> Vec<Box<dyn CoopTask>>,
     ) -> Self {
-        let (space, processes) = variant.build_processes(n);
-        let cores: Vec<_> = processes.into_iter().map(NodeCore::new).collect();
-        let probes: Vec<LeaderProbe> = cores
-            .iter()
-            .map(|core| LeaderProbe::new(std::sync::Arc::clone(core)))
-            .collect();
-        let extras = tasks(&space, &probes);
-        let runtime = CoopRuntime::start_with_tasks(&cores, config, extras);
-        let nodes = cores.into_iter().map(Node::hosted).collect();
-        Cluster {
-            space,
-            nodes,
-            variant,
-            coop: Some(runtime),
-        }
+        let space = MemorySpace::new(n);
+        Self::start_in(variant, &space, config.node, Some(config.workers), tasks)
     }
 
-    /// [`start_coop`](Self::start_coop) over an existing memory space —
-    /// the cooperative counterpart of [`start_in`](Self::start_in), e.g.
-    /// for disk-backed registers.
-    #[must_use]
-    pub fn start_coop_in(variant: OmegaVariant, space: &MemorySpace, config: CoopConfig) -> Self {
-        let processes = variant.build_processes_in(space);
-        Self::host_coop(variant, space.clone(), processes, config)
-    }
-
-    fn host_coop(
-        variant: OmegaVariant,
-        space: MemorySpace,
-        processes: Vec<Box<dyn omega_core::OmegaProcess>>,
-        config: CoopConfig,
-    ) -> Self {
-        let cores: Vec<_> = processes.into_iter().map(NodeCore::new).collect();
-        let runtime = CoopRuntime::start(&cores, config);
-        let nodes = cores.into_iter().map(Node::hosted).collect();
-        Cluster {
-            space,
-            nodes,
-            variant,
-            coop: Some(runtime),
-        }
-    }
-
-    /// Spawns the cluster over an existing memory space — the entry point
-    /// for alternative substrates, e.g. a disk-backed space from
+    /// Hosts `variant` over an existing memory space — the one hosting
+    /// path every constructor takes, and the entry point for alternative
+    /// substrates, e.g. a disk-backed space from
     /// [`SanDisk::memory_space`](crate::san::SanDisk::memory_space) whose
     /// registers live on SAN blocks. The system size is the space's
     /// process count.
+    ///
+    /// `workers` picks the substrate: `None` gives every node its two
+    /// dedicated OS threads, `Some(w)` multiplexes the node loops over a
+    /// cooperative pool of `w` workers (see [`start_coop`](Self::start_coop)).
+    /// `tasks` is called once with the space and one [`LeaderProbe`] per
+    /// node (identity order); the application [`CoopTask`]s it returns run
+    /// beside the node loops — on the pool's wheel, or without a pool on a
+    /// wheel of their own with one worker thread per task — until they
+    /// retire or [`shutdown`](Self::shutdown) stops and joins them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == Some(0)`.
     #[must_use]
-    pub fn start_in(variant: OmegaVariant, space: &MemorySpace, config: NodeConfig) -> Self {
-        let nodes = variant
+    pub fn start_in(
+        variant: OmegaVariant,
+        space: &MemorySpace,
+        config: NodeConfig,
+        workers: Option<usize>,
+        tasks: impl FnOnce(&MemorySpace, &[LeaderProbe]) -> Vec<Box<dyn CoopTask>>,
+    ) -> Self {
+        let cores: Vec<_> = variant
             .build_processes_in(space)
             .into_iter()
-            .map(|p| Node::spawn(p, config))
+            .map(NodeCore::new)
             .collect();
+        let probes: Vec<LeaderProbe> = cores
+            .iter()
+            .map(|core| LeaderProbe::new(Arc::clone(core)))
+            .collect();
+        let tasks = tasks(space, &probes);
+        let (nodes, coop, apps) = match workers {
+            Some(workers) => {
+                let config = CoopConfig {
+                    node: config,
+                    workers,
+                };
+                let runtime = CoopRuntime::start(&cores, config, tasks);
+                let nodes = cores.into_iter().map(Node::hosted).collect();
+                (nodes, Some(runtime), None)
+            }
+            None => {
+                let nodes = cores
+                    .into_iter()
+                    .map(|core| Node::threaded(core, config))
+                    .collect();
+                // A wheel with one worker per task: every task on a thread
+                // of its own, parked until its deadline.
+                let workers = tasks.len();
+                let apps = (workers > 0).then(|| {
+                    CoopRuntime::start(
+                        &[],
+                        CoopConfig {
+                            node: config,
+                            workers,
+                        },
+                        tasks,
+                    )
+                });
+                (nodes, None, apps)
+            }
+        };
         Cluster {
             space: space.clone(),
             nodes,
             variant,
-            coop: None,
+            coop,
+            apps,
         }
+    }
+
+    /// The cooperative pool's worker count, or `None` when every node runs
+    /// on threads of its own.
+    #[must_use]
+    pub fn workers(&self) -> Option<usize> {
+        self.coop.as_ref().map(CoopRuntime::workers)
     }
 
     /// The variant this cluster runs.
@@ -293,13 +313,13 @@ impl Cluster {
         None
     }
 
-    /// Stops every node and joins their threads (and the cooperative
-    /// workers, when the cluster runs on the coop substrate).
+    /// Stops every node and application task and joins their threads
+    /// (dedicated, or the cooperative workers hosting them).
     pub fn shutdown(mut self) {
         for node in &mut self.nodes {
             node.shutdown();
         }
-        if let Some(mut runtime) = self.coop.take() {
+        for mut runtime in [self.apps.take(), self.coop.take()].into_iter().flatten() {
             runtime.shutdown();
         }
     }
@@ -318,6 +338,7 @@ impl std::fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn fast() -> NodeConfig {
         NodeConfig {
@@ -369,7 +390,8 @@ mod tests {
         use crate::san::{SanDisk, SanLatency};
         let disk = SanDisk::new(SanLatency::instant(), 5);
         let space = disk.memory_space(3);
-        let cluster = Cluster::start_in(OmegaVariant::Alg1, &space, fast());
+        let cluster =
+            Cluster::start_in(OmegaVariant::Alg1, &space, fast(), None, |_, _| Vec::new());
         let leader = cluster
             .await_stable_leader(Duration::from_millis(40), Duration::from_secs(10))
             .expect("the election works over disk blocks");
@@ -460,8 +482,9 @@ mod tests {
         use crate::san::{SanDisk, SanLatency};
         let disk = SanDisk::new(SanLatency::instant(), 5);
         let space = disk.memory_space(3);
-        let cluster =
-            Cluster::start_coop_in(OmegaVariant::Alg1, &space, CoopConfig::with_node(fast()));
+        let cluster = Cluster::start_in(OmegaVariant::Alg1, &space, fast(), Some(1), |_, _| {
+            Vec::new()
+        });
         let leader = cluster
             .await_stable_leader(Duration::from_millis(40), Duration::from_secs(10))
             .expect("coop over disk blocks elects");
@@ -473,6 +496,77 @@ mod tests {
             stats.total_reads() + stats.total_writes(),
             "register and block accounting must agree on coop too"
         );
+    }
+
+    /// An application task that counts its polls and retires after
+    /// `retire_after` of them (never, with `None`).
+    struct Counted {
+        polls: Arc<AtomicU64>,
+        retire_after: Option<u64>,
+        cadence: Duration,
+    }
+
+    impl CoopTask for Counted {
+        fn poll(&mut self) -> Option<Instant> {
+            let polled = self.polls.fetch_add(1, Ordering::Relaxed) + 1;
+            (self.retire_after != Some(polled)).then(|| Instant::now() + self.cadence)
+        }
+    }
+
+    /// Waits up to 10 s for `done`.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn application_tasks_under_threads_are_polled_retire_and_are_joined() {
+        let (brief, parked) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let cluster = Cluster::start_in(
+            OmegaVariant::Alg1,
+            &MemorySpace::new(2),
+            fast(),
+            None,
+            |space, probes| {
+                assert_eq!((space.n_processes(), probes.len()), (2, 2));
+                vec![
+                    Box::new(Counted {
+                        polls: Arc::clone(&brief),
+                        retire_after: Some(5),
+                        cadence: Duration::from_millis(1),
+                    }),
+                    Box::new(Counted {
+                        polls: Arc::clone(&parked),
+                        retire_after: None,
+                        cadence: Duration::from_secs(3_600),
+                    }),
+                ]
+            },
+        );
+        assert_eq!(cluster.workers(), None, "threads, not a pool");
+        // A task that returns `None` retires: its host drops it.
+        eventually("the brief task retires", || Arc::strong_count(&brief) == 1);
+        assert_eq!(brief.load(Ordering::Relaxed), 5, "polled until it retired");
+        // The other parks an hour out after its first poll.
+        eventually("the parked task is polled", || {
+            parked.load(Ordering::Relaxed) == 1
+        });
+        assert_eq!(Arc::strong_count(&parked), 2, "still hosted");
+        let start = Instant::now();
+        cluster.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "shutdown wakes a parked task instead of sleeping it out"
+        );
+        assert_eq!(
+            Arc::strong_count(&parked),
+            1,
+            "joined: no worker is left holding its task"
+        );
+        assert_eq!(parked.load(Ordering::Relaxed), 1, "never polled again");
     }
 
     #[test]

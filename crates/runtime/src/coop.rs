@@ -58,7 +58,7 @@
 //! outcomes worth comparing against the thread backend.
 //!
 //! Use [`Cluster::start_coop`](crate::Cluster::start_coop) to run an
-//! election on this substrate; the scenario crate's `CoopDriver` wires it
+//! election on this substrate; the scenario crate's `WallDriver` wires it
 //! into the declarative scenario suite.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -173,18 +173,20 @@ impl DeadlineQueue {
     }
 }
 
-/// An application task multiplexed on the cooperative wheel *alongside*
-/// the node loops — e.g. a replicated service's per-node work loop or a
-/// client workload pump.
+/// An application task hosted *alongside* the node loops — e.g. a
+/// replicated service's per-node work loop or a client workload pump.
 ///
 /// The contract mirrors the node tasks': each [`poll`](CoopTask::poll) does
 /// one bounded chunk of work and returns the wall-clock deadline it wants
 /// to run next at, or `None` to retire permanently. Polls are serialized
-/// per task (the scheduler takes the task out of its slot while it runs),
-/// so `&mut self` state needs no further synchronization; deadlines share
-/// the exact `(deadline, arming order)` fairness of the node loops, which
-/// is the point — client work competes with election work for the same
-/// workers, as it would on a real box.
+/// per task, so `&mut self` state needs no further synchronization. On the
+/// cooperative wheel (the scheduler takes the task out of its slot while
+/// it runs) deadlines share the exact `(deadline, arming order)` fairness
+/// of the node loops, which is the point — client work competes with
+/// election work for the same workers, as it would on a real box. Under
+/// threads ([`Cluster::start_in`](crate::Cluster::start_in) without a
+/// pool) the tasks get a wheel of their own with one worker per task, so
+/// each runs on a thread of its own, parked until its deadline.
 pub trait CoopTask: Send {
     /// Runs one chunk; returns the next deadline or `None` to retire.
     fn poll(&mut self) -> Option<Instant>;
@@ -602,18 +604,12 @@ pub struct CoopRuntime {
 
 impl CoopRuntime {
     /// Starts the runtime hosting one step task and one timer task per
-    /// core. The timer tasks arm exactly like the thread host: first
-    /// deadline `initial_timeout × tick` from now; step tasks are due
-    /// immediately. Node `i`'s two tasks land on shard `i mod workers`.
-    pub(crate) fn start(cores: &[Arc<NodeCore>], config: CoopConfig) -> Self {
-        Self::start_with_tasks(cores, config, Vec::new())
-    }
-
-    /// [`start`](Self::start), plus `extras` — application tasks
-    /// ([`CoopTask`]) multiplexed on the same sharded wheel as the node
-    /// loops, each due immediately for its first poll and distributed
-    /// round-robin over the shards after the node tasks.
-    pub(crate) fn start_with_tasks(
+    /// core, plus `extras` — application tasks ([`CoopTask`]) on the same
+    /// sharded wheel. The timer tasks arm exactly like the thread host:
+    /// first deadline `initial_timeout × tick` from now; step tasks and
+    /// extras are due immediately. Node `i`'s two tasks land on shard
+    /// `i mod workers`, the extras round-robin over the shards after them.
+    pub(crate) fn start(
         cores: &[Arc<NodeCore>],
         config: CoopConfig,
         extras: Vec<Box<dyn CoopTask>>,
@@ -1107,7 +1103,7 @@ mod tests {
                 cadence: Duration::from_secs(3_600),
             }),
         ];
-        let mut runtime = CoopRuntime::start_with_tasks(
+        let mut runtime = CoopRuntime::start(
             &[],
             CoopConfig {
                 node: NodeConfig::default(),
@@ -1148,7 +1144,7 @@ mod tests {
                 }) as Box<dyn CoopTask>
             })
             .collect();
-        let mut runtime = CoopRuntime::start_with_tasks(
+        let mut runtime = CoopRuntime::start(
             &[],
             CoopConfig {
                 node: NodeConfig::default(),

@@ -8,7 +8,8 @@
 //! * [`Node`] — one election process: a `T2` heartbeat thread, a `T3` timer
 //!   thread, and the thread-safe `leader()` query.
 //! * [`Cluster`] — `n` nodes over one shared memory, with crash injection
-//!   and stable-leader polling.
+//!   and stable-leader polling; it hosts application tasks ([`CoopTask`])
+//!   beside the node loops on either substrate ([`Cluster::start_in`]).
 //! * [`coop`] — the cooperative substrate: the same task bodies multiplexed
 //!   onto one worker (or a small pool) over a wall-clock deadline wheel,
 //!   so real-time elections scale past the `2n`-OS-threads wall

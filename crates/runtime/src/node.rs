@@ -39,8 +39,8 @@ impl NodeConfig {
     /// cadence and the timeout unit stretch accordingly.
     ///
     /// This is the **canonical** SAN pacing profile (the scenario crate's
-    /// `ThreadDriver::san_like` and `SanDriver` both derive from it), and
-    /// it is exactly [`san_paced`](Self::san_paced) at
+    /// `WallDriver` stretches a scenario's pinned disk latency from it),
+    /// and it is exactly [`san_paced`](Self::san_paced) at
     /// [`SanLatency::commodity`] — the anchor the stretch is calibrated on.
     #[must_use]
     pub fn san_like() -> Self {
@@ -303,7 +303,11 @@ impl Node {
     /// Spawns the task threads for `process`.
     #[must_use]
     pub fn spawn(process: Box<dyn OmegaProcess>, config: NodeConfig) -> Self {
-        let core = NodeCore::new(process);
+        Self::threaded(NodeCore::new(process), config)
+    }
+
+    /// Spawns the task threads for an existing core.
+    pub(crate) fn threaded(core: Arc<NodeCore>, config: NodeConfig) -> Self {
         let pid = core.pid();
 
         // Task T2: heartbeat loop.
@@ -457,8 +461,8 @@ mod tests {
     #[test]
     fn san_pacing_factors_are_pinned() {
         // The canonical profile: 3 ms heartbeat, 5 ms timeout unit. The
-        // scenario crate re-exports this via `ThreadDriver::san_like`;
-        // there must be exactly one definition of these numbers.
+        // scenario crate's SAN pacing is stretched from it; there must be
+        // exactly one definition of these numbers.
         let like = NodeConfig::san_like();
         assert_eq!(like.step_interval, Duration::from_millis(3));
         assert_eq!(like.tick, Duration::from_millis(5));

@@ -14,7 +14,7 @@
 //!   [`MemorySpace`] whose registers live on
 //!   this disk, one block per 1WnR register, so the *unmodified* election
 //!   algorithms run over the SAN (this is what the scenario crate's
-//!   `SanDriver` builds on);
+//!   `WallDriver` builds its `san` substrate on);
 //! * [`DiskNatRegister`] / [`DiskFlagRegister`] — hand-laid 1WnR atomic
 //!   registers mapped onto explicit blocks, ownership-enforced exactly
 //!   like their in-memory counterparts (the minimal Disk-Paxos picture,
@@ -29,23 +29,26 @@
 //!
 //! # Running a registry scenario on the SAN
 //!
-//! The scenario crate's `SanDriver` packages the pieces below — disk,
-//! disk-backed space, SAN-paced cluster — behind the standard `Driver`
-//! trait, so any registry scenario runs over disk blocks unchanged:
+//! The scenario crate's `WallDriver` on its `san` substrate packages the
+//! pieces below — disk, disk-backed space, SAN-paced cluster — behind the
+//! standard `Driver` trait, so any registry scenario runs over disk blocks
+//! unchanged:
 //!
 //! ```ignore
-//! use omega_scenario::{registry, Driver, SanDriver};
+//! use omega_runtime::san::SanLatency;
+//! use omega_scenario::{registry, Backend, Driver, WallDriver};
 //!
 //! // Elect over simulated disk blocks, instant latency (CI profile).
-//! let outcome = SanDriver::instant().run(&registry::fault_free());
+//! let san = WallDriver::new(Backend::San, 1);
+//! let outcome = san.run(&registry::fault_free());
 //! outcome.assert_election();
-//! let san = outcome.san.expect("SAN backends report block footprints");
-//! assert_eq!(san.blocks_mapped, outcome.register_count as u64);
+//! let footprint = outcome.san.expect("SAN backends report block footprints");
+//! assert_eq!(footprint.blocks_mapped, outcome.register_count as u64);
 //!
-//! // Or with commodity-iSCSI latency: same election, stretched clocks.
-//! let paced = SanDriver::new(omega_runtime::san::SanLatency::commodity());
-//! let slow = paced.run(&registry::fault_free());
-//! assert!(slow.san.unwrap().service_time_ms > 0.0);
+//! // Or pin commodity-iSCSI latency on the scenario: same election,
+//! // clocks stretched with the disk.
+//! let pinned = registry::fault_free().san_latency(SanLatency::commodity());
+//! assert!(san.run(&pinned).san.unwrap().service_time_ms > 0.0);
 //! ```
 //!
 //! (The example is `ignore`d here because `omega-scenario` sits above this
@@ -289,7 +292,7 @@ impl SanDisk {
 
     /// A shared-memory space whose registers live on this disk, one block
     /// per register (see [`MemorySpace::with_block_device`]) — the layout
-    /// the scenario crate's `SanDriver` realizes elections over.
+    /// the scenario crate's `WallDriver` realizes SAN elections over.
     #[must_use]
     pub fn memory_space(self: &Arc<Self>, n_processes: usize) -> MemorySpace {
         MemorySpace::with_block_device(n_processes, Arc::clone(self) as Arc<dyn BlockDevice>)

@@ -11,19 +11,20 @@
 //! * [`SimDriver`] — the deterministic discrete-event simulator: virtual
 //!   time, literally enforced adversaries and timer models, reproducible
 //!   from the seed.
-//! * [`ThreadDriver`] — operating-system threads and wall-clock time, with
-//!   scenario ticks mapped to real durations and the crash script replayed
-//!   on the wall clock.
-//! * [`SanDriver`] — the paper's motivating deployment: the same election
-//!   processes on OS threads, but every 1WnR register is a block of a
-//!   simulated storage-area-network disk (one block per register, with
-//!   injected access latency and block-level footprint accounting in
-//!   [`Outcome::san`]).
-//! * [`CoopDriver`] — the cooperative task runtime: the same node loops
-//!   multiplexed as deadline-wheel tasks on one worker thread, the
-//!   real-time backend that scales past `n = 16` (the thread/SAN drivers'
-//!   hard limit) and realizes fairness through queue discipline instead of
-//!   kernel preemption.
+//! * [`WallDriver`] — wall-clock time on one of three real-time
+//!   substrates, with scenario ticks mapped to real durations and the
+//!   crash script and campaign replayed on the wall clock (one
+//!   [`launch`](WallDriver::launch), one election loop):
+//!   - `threads` — operating-system threads, two per node;
+//!   - `san` — the paper's motivating deployment: the same threads, but
+//!     every 1WnR register is a block of a simulated storage-area-network
+//!     disk (one block per register, with injected access latency and
+//!     block-level footprint accounting in [`Outcome::san`]);
+//!   - `coop` — the cooperative task runtime: the same node loops
+//!     multiplexed as deadline-wheel tasks on a small worker pool, the
+//!     real-time substrate that scales past `n = 16` (the per-node-thread
+//!     substrates' hard limit) and realizes fairness through queue
+//!     discipline instead of kernel preemption.
 //!
 //! All return the same [`Outcome`] type, measured through the same
 //! instrumented registers and expressed in the same tick units, so results
@@ -65,11 +66,11 @@
 //! # One spec, two backends
 //!
 //! ```no_run
-//! use omega_scenario::{registry, Driver, SimDriver, ThreadDriver};
+//! use omega_scenario::{registry, Backend, Driver, SimDriver, WallDriver};
 //!
 //! let scenario = registry::named("leader-crash-failover").unwrap();
 //! let simulated = SimDriver.run(&scenario);
-//! let native = ThreadDriver::default().run(&scenario);
+//! let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
 //! for outcome in [&simulated, &native] {
 //!     outcome.assert_election();          // Theorem 1, on both backends
 //!     assert_eq!(outcome.crashed.len(), 1);
@@ -84,23 +85,17 @@ pub mod record;
 pub mod registry;
 pub mod spec_text;
 
-mod coop_driver;
 mod driver;
 mod outcome;
-mod san_driver;
 mod sim_driver;
 mod spec;
-mod thread_driver;
 mod wall;
 
-pub use coop_driver::CoopDriver;
 pub use driver::Driver;
 pub use outcome::{ChaosOutcome, NonElectionWitness, Outcome, SanFootprint, TailActivity};
-pub use san_driver::SanDriver;
 pub use sim_driver::SimDriver;
 pub use spec::{
     coop_max_n, AdversarySpec, AwbSpec, Backend, CrashSpec, Scenario, TimerSpec, COOP_MAX_N,
     COOP_NODES_PER_WORKER, SIM_MAX_N, THREAD_MAX_N,
 };
-pub use thread_driver::ThreadDriver;
-pub use wall::{Script, WallPacing};
+pub use wall::{Script, WallDriver, WallPacing};

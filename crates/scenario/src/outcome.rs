@@ -218,7 +218,7 @@ pub struct Outcome {
     /// Main-task (`T2`) steps per process.
     pub steps: Vec<u64>,
     /// How many times each process's leader estimate changed between
-    /// consecutive observations (simulator samples / thread-driver polls).
+    /// consecutive observations (simulator samples / wall-driver polls).
     pub estimate_changes: Vec<usize>,
     /// Cumulative shared-memory reads per process.
     pub reads: Vec<u64>,
@@ -230,7 +230,7 @@ pub struct Outcome {
     /// Sharded `T3` scan passes executed across all processes.
     pub shard_passes: u64,
     /// Wall-clock milliseconds the backend spent executing the run (the
-    /// simulator's event loop / the thread driver's run loop; excludes
+    /// simulator's event loop / the wall driver's election loop; excludes
     /// system construction and post-run tail observation).
     pub elapsed_ms: f64,
     /// Events retired per wall-clock second (simulator events; `T2` steps +

@@ -437,7 +437,7 @@ impl std::fmt::Display for ContentionPoint {
 /// before the single-writer regime takes over.
 ///
 /// Members above `n = 16` exist precisely for the cooperative backend: the
-/// simulator and the coop driver run them, the per-node-thread backends
+/// simulator and the coop backend run them, the per-node-thread backends
 /// (threads, SAN) skip them — a sweep that is *only* meaningful now that a
 /// wall-clock backend scales.
 #[must_use]
@@ -470,7 +470,7 @@ impl std::fmt::Display for SanPoint {
 
 /// The SAN latency sweep: the standard fault-free workload with the disk's
 /// `(base, jitter)` access latency pinned per member (µs pairs, e.g.
-/// `san-latency/500x500` is the commodity-iSCSI point). On the SAN driver
+/// `san-latency/500x500` is the commodity-iSCSI point). On the SAN backend
 /// each member pays its own simulated service time per register access and
 /// stretches its pacing to match; other backends run the member as a plain
 /// fault-free scenario — the latency pin is SAN-only, exactly as the

@@ -203,19 +203,20 @@ pub fn coop_max_n(workers: usize) -> usize {
     COOP_MAX_N.max(COOP_NODES_PER_WORKER * workers)
 }
 
-/// The backend axis of the suite: one variant per [`Driver`](crate::Driver)
-/// (see the driver-axis table in ROADMAP.md). Which backend admits which
-/// scenario is [`Scenario::refusal`]. The simulator is the default.
+/// The backend axis of the suite: the simulator and the wall-clock
+/// substrates of [`WallDriver`](crate::WallDriver) (see the driver-axis
+/// table in ROADMAP.md). Which backend admits which scenario is
+/// [`Scenario::refusal`]. The simulator is the default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The deterministic simulator (`SimDriver`).
     #[default]
     Sim,
-    /// Dedicated OS threads (`ThreadDriver`).
+    /// Dedicated OS threads.
     Threads,
-    /// Dedicated OS threads over SAN block registers (`SanDriver`).
+    /// Dedicated OS threads over SAN block registers.
     San,
-    /// The cooperative deadline-wheel runtime (`CoopDriver`).
+    /// The cooperative deadline-wheel runtime.
     Coop,
 }
 
@@ -245,7 +246,7 @@ impl Backend {
 /// consumes: which Ω variant, how many processes, the scheduling and timer
 /// regime, the crash script, and the horizon — everything expressed in
 /// abstract ticks. [`SimDriver`](crate::SimDriver) realizes ticks as
-/// virtual time; [`ThreadDriver`](crate::ThreadDriver) maps them to
+/// virtual time; [`WallDriver`](crate::WallDriver) maps them to
 /// wall-clock durations.
 ///
 /// # Examples
@@ -277,7 +278,7 @@ pub struct Scenario {
     pub timers: TimerSpec,
     /// Scripted failures.
     pub crashes: Vec<CrashSpec>,
-    /// Run horizon in ticks (the thread driver maps this to its deadline).
+    /// Run horizon in ticks (the wall driver maps this to its deadline).
     pub horizon: u64,
     /// Leader-estimate sampling cadence in ticks.
     pub sample_every: u64,

@@ -24,13 +24,12 @@
 //!
 //! A [`ServiceScenario`] pairs an election [`Scenario`]
 //! (adversary, AWB envelope, timers, crash script, horizon, seed) with a
-//! [`WorkloadSpec`]; three drivers realize it:
+//! [`WorkloadSpec`]; two drivers realize it:
 //!
 //! | driver | substrate | determinism |
 //! |---|---|---|
 //! | [`ServiceSimDriver`] | discrete-event simulator | byte-identical per seed |
-//! | [`ServiceCoopDriver`] | cooperative deadline wheel | wall-clock, advisory |
-//! | [`ServiceThreadDriver`] | dedicated OS threads | wall-clock, advisory |
+//! | [`ServiceWallDriver`] | the election's wall-clock substrates: `coop` (replicas and pump on the deadline wheel) or `threads` (one OS thread each) | wall-clock, advisory |
 //!
 //! The committed suite lives in [`registry`]; the `service` bench binary
 //! runs it and gates `BENCH_service.json` on the sim records.
@@ -56,5 +55,5 @@ pub use node::ServiceNode;
 pub use outcome::{ServiceOutcome, UnavailWindow};
 pub use sim_driver::ServiceSimDriver;
 pub use spec::ServiceScenario;
-pub use wall::{ServiceCoopDriver, ServiceThreadDriver};
+pub use wall::ServiceWallDriver;
 pub use workload::{RequestKind, RequestMeta, WorkloadSpec};

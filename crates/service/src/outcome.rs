@@ -239,14 +239,6 @@ impl ServiceOutcome {
         }
     }
 
-    /// Tags the outcome with the coop backend's worker-pool size (the
-    /// coop driver calls this; other backends leave it `None`).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
-    }
-
     /// Total unavailability across all windows, in ticks.
     #[must_use]
     pub fn unavail_ticks(&self) -> u64 {
@@ -457,7 +449,10 @@ mod tests {
             !record.contains("\"workers\":"),
             "poolless backends emit no workers field"
         );
-        let pooled = outcome.with_workers(4).json_record();
-        assert!(pooled.contains("\"workers\":4,"));
+        let pooled = ServiceOutcome {
+            workers: Some(4),
+            ..outcome
+        };
+        assert!(pooled.json_record().contains("\"workers\":4,"));
     }
 }

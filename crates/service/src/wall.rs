@@ -1,46 +1,43 @@
-//! Wall-clock backends for service scenarios: cooperative and
-//! per-node-thread.
+//! The wall-clock backend for service scenarios, on every substrate the
+//! election's [`WallDriver`] starts.
 //!
-//! Both map scenario ticks onto real time exactly as the election drivers
-//! do — the same [`WallPacing`]: one tick is `tick` of wall clock, nodes
-//! poll every `step_interval` — and fire the same [`Script`] (crash
+//! It maps scenario ticks onto real time exactly as the election driver
+//! does — the same [`WallPacing`]: one tick is `tick` of wall clock, nodes
+//! poll every `step_interval` — starts its cluster through the same
+//! [`launch`](WallDriver::launch), and fires the same [`Script`] (crash
 //! directives plus the campaign's schedule) off the wall clock; only the
 //! loop around it differs, because a service run lasts to the horizon
-//! whatever the election does. The
-//! cooperative backend multiplexes the service loops and the workload
-//! pump onto the *same* deadline wheel as the election's `2n` task loops,
-//! so service work competes with election steps for the same workers;
-//! the thread backend gives each service loop its own OS thread next to
-//! the node's two. Wall-clock outcomes are inherently timing-dependent:
-//! their records are written for reference and compared only advisorily,
-//! never byte-gated.
+//! whatever the election does. The replica loops and the workload pump are
+//! application tasks of the cluster: on the cooperative substrate they
+//! share the deadline wheel with the election's `2n` task loops, so
+//! service work competes with election steps for the same workers; under
+//! threads each gets an OS thread of its own next to the nodes' two.
+//! Wall-clock outcomes are inherently timing-dependent: their records are
+//! written for reference and compared only advisorily, never byte-gated.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use omega_consensus::{KvCommand, LogShared};
-use omega_registers::ProcessId;
-use omega_runtime::{Cluster, CoopConfig, CoopTask, LeaderProbe};
-use omega_scenario::{Script, WallPacing};
+use omega_runtime::{CoopTask, LeaderProbe};
+use omega_scenario::{Backend, Script, WallDriver, WallPacing};
 
 use crate::ledger::Ledger;
 use crate::node::ServiceNode;
 use crate::outcome::ServiceOutcome;
 use crate::spec::ServiceScenario;
 
-/// One service replica's cooperative loop.
+/// One service replica's loop.
 struct ServiceNodeTask {
     node: ServiceNode,
     probe: LeaderProbe,
     epoch: Instant,
     pacing: WallPacing,
-    stop: Arc<AtomicBool>,
 }
 
 impl CoopTask for ServiceNodeTask {
     fn poll(&mut self) -> Option<Instant> {
-        if self.stop.load(Ordering::Relaxed) || self.probe.is_crashed() {
+        if self.probe.is_crashed() {
             // Retire. A crashed node stops publishing, so its stale
             // estimate keeps attracting traffic until the survivors'
             // estimates outvote it — same client-visible failure mode as
@@ -53,19 +50,20 @@ impl CoopTask for ServiceNodeTask {
     }
 }
 
-/// The client population's cooperative loop: issue due arrivals, sweep
-/// deadlines.
+/// The client population's loop: issue due arrivals, sweep deadlines.
 struct PumpTask {
     ledger: Arc<Ledger>,
     next: usize,
     epoch: Instant,
     pacing: WallPacing,
-    cadence: Duration,
-    stop: Arc<AtomicBool>,
 }
 
-impl PumpTask {
-    fn pump(&mut self, now: u64) {
+/// How often the workload pump runs.
+const PUMP_CADENCE: Duration = Duration::from_micros(500);
+
+impl CoopTask for PumpTask {
+    fn poll(&mut self) -> Option<Instant> {
+        let now = self.pacing.ticks_since(self.epoch);
         while self.next < self.ledger.requests() {
             if self.ledger.meta()[self.next].arrival > now {
                 break;
@@ -74,106 +72,56 @@ impl PumpTask {
             self.next += 1;
         }
         self.ledger.sweep(now);
+        Some(Instant::now() + PUMP_CADENCE)
     }
 }
 
-impl CoopTask for PumpTask {
-    fn poll(&mut self) -> Option<Instant> {
-        if self.stop.load(Ordering::Relaxed) {
-            return None;
-        }
-        let now = self.pacing.ticks_since(self.epoch);
-        self.pump(now);
-        Some(Instant::now() + self.cadence)
-    }
-}
-
-/// Default workload-pump cadence of both wall drivers.
-const PUMP_CADENCE: Duration = Duration::from_micros(500);
-
-/// Fires the scenario's [`Script`] off the wall clock until the horizon.
-/// Returns the ticks at which scripted crashes fired and whether a stable
-/// leader emerged.
-fn run_script(
-    cluster: &Cluster,
-    scenario: &ServiceScenario,
-    pacing: &WallPacing,
-) -> (Vec<u64>, bool) {
-    let epoch = Instant::now();
-    let mut script = Script::new(&scenario.election);
-    let mut crash_ticks = Vec::new();
-    loop {
-        let now = pacing.ticks_since(epoch);
-        crash_ticks.extend(script.fire_due(cluster, now));
-        if now >= scenario.election.horizon {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stabilized = cluster
-        .await_stable_leader(pacing.window, Duration::from_secs(5))
-        .is_some();
-    (crash_ticks, stabilized)
-}
-
-/// Realizes a [`ServiceScenario`] on the cooperative runtime: election
-/// loops, service loops, and the workload pump all multiplexed over the
-/// same deadline wheel — sharded per worker when `workers > 1`, with the
-/// service tasks distributed round-robin across the shards after the node
-/// loops and stolen like any other task when their shard backs up.
+/// Realizes a [`ServiceScenario`] against the wall clock: the cluster comes
+/// from the election driver's [`launch`](WallDriver::launch) with one
+/// replica task per node and the workload pump beside the node loops — on
+/// the cooperative substrate multiplexed over the same deadline wheel
+/// (sharded per worker when `workers > 1`, the service tasks distributed
+/// round-robin across the shards after the node loops and stolen like any
+/// other task when their shard backs up), under threads one OS thread each.
 #[derive(Debug, Clone, Copy)]
-pub struct ServiceCoopDriver {
-    /// Tick/step/window pacing.
-    pub pacing: WallPacing,
-    /// Workload-pump cadence.
-    pub pump_cadence: Duration,
-    /// Worker threads multiplexing the whole task set.
-    pub workers: usize,
+pub struct ServiceWallDriver {
+    /// Substrate, pool size and pacing (a service run observes no
+    /// post-stabilization tail, so `tail_sample` goes unused).
+    pub wall: WallDriver,
 }
 
-impl Default for ServiceCoopDriver {
-    fn default() -> Self {
-        ServiceCoopDriver {
-            pacing: WallPacing::default(),
-            pump_cadence: PUMP_CADENCE,
-            workers: 1,
+impl ServiceWallDriver {
+    /// `backend` at the default pacing; `workers` sizes the coop pool.
+    #[must_use]
+    pub fn new(backend: Backend, workers: usize) -> Self {
+        ServiceWallDriver {
+            wall: WallDriver::new(backend, workers),
         }
     }
-}
 
-impl ServiceCoopDriver {
     /// Runs the scenario to its horizon and assembles the outcome.
     #[must_use]
     pub fn run(&self, scenario: &ServiceScenario) -> ServiceOutcome {
         let started = Instant::now();
         let election = &scenario.election;
-        let n = election.n;
-        let pacing = self.pacing;
-        let ledger = Ledger::new(scenario.requests(), n);
-        let stop = Arc::new(AtomicBool::new(false));
+        let pacing = self.wall.pacing;
+        let ledger = Ledger::new(scenario.requests(), election.n);
+        // One clock for the whole run: the replica tasks, the pump (so the
+        // ledger) and the script all count ticks from this epoch.
         let epoch = Instant::now();
-
-        let mut shared_slot: Option<Arc<LogShared<KvCommand>>> = None;
-        let config = CoopConfig {
-            node: pacing.node_config(),
-            workers: self.workers,
-        };
-        let cluster = Cluster::start_coop_with(election.variant, n, config, |space, probes| {
+        let mut log = None;
+        let (cluster, disk) = self.wall.launch(election, |space, probes| {
             let shared = LogShared::<KvCommand>::new(space.clone());
-            shared_slot = Some(Arc::clone(&shared));
             let mut tasks: Vec<Box<dyn CoopTask>> = probes
                 .iter()
                 .map(|probe| {
+                    let node =
+                        ServiceNode::new(probe.pid(), Arc::clone(&ledger), Arc::clone(&shared));
                     Box::new(ServiceNodeTask {
-                        node: ServiceNode::new(
-                            probe.pid(),
-                            Arc::clone(&ledger),
-                            Arc::clone(&shared),
-                        ),
+                        node,
                         probe: probe.clone(),
                         epoch,
                         pacing,
-                        stop: Arc::clone(&stop),
                     }) as Box<dyn CoopTask>
                 })
                 .collect();
@@ -182,117 +130,42 @@ impl ServiceCoopDriver {
                 next: 0,
                 epoch,
                 pacing,
-                cadence: self.pump_cadence,
-                stop: Arc::clone(&stop),
             }));
+            log = Some(shared);
             tasks
         });
-        let shared = shared_slot.expect("task factory ran");
+        let log = log.expect("launch built the tasks");
 
-        let (crash_ticks, stabilized) = run_script(&cluster, scenario, &pacing);
-        stop.store(true, Ordering::Relaxed);
+        let mut script = Script::new(election, disk.as_deref());
+        let mut crash_ticks = Vec::new();
+        loop {
+            let now = pacing.ticks_since(epoch);
+            crash_ticks.extend(script.fire_due(&cluster, now));
+            if now >= election.horizon {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stabilized = cluster
+            .await_stable_leader(pacing.window, Duration::from_secs(5))
+            .is_some();
         let total_writes = cluster.space().stats().total_writes();
+        let workers = cluster.workers();
         cluster.shutdown();
         ledger.sweep(election.horizon);
 
-        ServiceOutcome::assemble(
-            "coop",
+        let mut outcome = ServiceOutcome::assemble(
+            self.wall.backend.name(),
             scenario,
             &ledger,
             &crash_ticks,
             stabilized,
             total_writes,
-            shared.allocated_slots() as u64,
+            log.allocated_slots() as u64,
             started.elapsed().as_secs_f64() * 1_000.0,
-        )
-        .with_workers(self.workers)
-    }
-}
-
-/// Realizes a [`ServiceScenario`] with dedicated OS threads: each node's
-/// two election loops plus one service loop, and one pump thread.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceThreadDriver {
-    /// Tick/step/window pacing.
-    pub pacing: WallPacing,
-    /// Workload-pump cadence.
-    pub pump_cadence: Duration,
-}
-
-impl Default for ServiceThreadDriver {
-    fn default() -> Self {
-        ServiceThreadDriver {
-            pacing: WallPacing::default(),
-            pump_cadence: PUMP_CADENCE,
-        }
-    }
-}
-
-impl ServiceThreadDriver {
-    /// Runs the scenario to its horizon and assembles the outcome.
-    #[must_use]
-    pub fn run(&self, scenario: &ServiceScenario) -> ServiceOutcome {
-        let started = Instant::now();
-        let election = &scenario.election;
-        let n = election.n;
-        let pacing = self.pacing;
-        let ledger = Ledger::new(scenario.requests(), n);
-        let stop = Arc::new(AtomicBool::new(false));
-        let epoch = Instant::now();
-
-        let cluster = Cluster::start(election.variant, n, pacing.node_config());
-        let shared = LogShared::<KvCommand>::new(cluster.space().clone());
-
-        let mut workers = Vec::with_capacity(n + 1);
-        for pid in ProcessId::all(n) {
-            let probe = cluster.node(pid).probe();
-            let mut node = ServiceNode::new(pid, Arc::clone(&ledger), Arc::clone(&shared));
-            let stop = Arc::clone(&stop);
-            workers.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) && !probe.is_crashed() {
-                    node.poll(probe.leader(), pacing.ticks_since(epoch));
-                    std::thread::sleep(pacing.step_interval);
-                }
-            }));
-        }
-        {
-            let ledger = Arc::clone(&ledger);
-            let stop = Arc::clone(&stop);
-            let cadence = self.pump_cadence;
-            workers.push(std::thread::spawn(move || {
-                let mut pump = PumpTask {
-                    ledger,
-                    next: 0,
-                    epoch,
-                    pacing,
-                    cadence,
-                    stop,
-                };
-                while pump.poll().is_some() {
-                    std::thread::sleep(cadence);
-                }
-            }));
-        }
-
-        let (crash_ticks, stabilized) = run_script(&cluster, scenario, &pacing);
-        stop.store(true, Ordering::Relaxed);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        let total_writes = cluster.space().stats().total_writes();
-        cluster.shutdown();
-        ledger.sweep(election.horizon);
-
-        ServiceOutcome::assemble(
-            "threads",
-            scenario,
-            &ledger,
-            &crash_ticks,
-            stabilized,
-            total_writes,
-            shared.allocated_slots() as u64,
-            started.elapsed().as_secs_f64() * 1_000.0,
-        )
+        );
+        outcome.workers = workers;
+        outcome
     }
 }
 
@@ -303,7 +176,7 @@ mod tests {
     use crate::spec::ServiceScenario;
     use crate::workload::WorkloadSpec;
     use omega_core::OmegaVariant;
-    use omega_scenario::{Backend, Scenario};
+    use omega_scenario::Scenario;
     use omega_sim::chaos::ChaosPhase;
 
     /// A scenario small and short enough for a unit test: ~1 s of wall
@@ -327,19 +200,35 @@ mod tests {
         )
     }
 
+    /// Runs `scenario` on each substrate the service suite admits besides
+    /// the simulator, checking what every wall record must carry: the
+    /// backend and pool tags and the ledger identity.
+    fn on_both_substrates(scenario: &ServiceScenario) -> Vec<ServiceOutcome> {
+        [(Backend::Coop, Some(1)), (Backend::Threads, None)]
+            .into_iter()
+            .map(|(backend, workers)| {
+                let outcome = ServiceWallDriver::new(backend, 1).run(scenario);
+                assert_eq!(outcome.backend, backend.name());
+                assert_eq!(outcome.workers, workers, "workers on coop only");
+                assert_eq!(
+                    outcome.requests,
+                    outcome.committed + outcome.rejected + outcome.stalled + outcome.inflight,
+                    "{backend:?}: {outcome:?}"
+                );
+                outcome
+            })
+            .collect()
+    }
+
     #[test]
     fn coop_backend_serves_and_survives_failover() {
-        let outcome = ServiceCoopDriver::default().run(&tiny());
-        assert_eq!(outcome.backend, "coop");
-        assert_eq!(outcome.windows.len(), 1);
-        assert!(
-            outcome.committed > 0,
-            "a real-time run must acknowledge some requests: {outcome:?}"
-        );
-        assert_eq!(
-            outcome.requests,
-            outcome.committed + outcome.rejected + outcome.stalled + outcome.inflight
-        );
+        for outcome in on_both_substrates(&tiny()) {
+            assert_eq!(outcome.windows.len(), 1, "{outcome:?}");
+            assert!(
+                outcome.committed > 0,
+                "a real-time run must acknowledge some requests: {outcome:?}"
+            );
+        }
     }
 
     #[test]
@@ -376,14 +265,10 @@ mod tests {
                 stop: 9_000,
             },
         );
-        let outcome = ServiceCoopDriver::default().run(&sc);
-        assert_eq!(outcome.backend, "coop");
-        assert_eq!(outcome.windows.len(), 0, "partitions are not crashes");
-        assert!(outcome.committed > 0, "service kept serving: {outcome:?}");
-        assert_eq!(
-            outcome.requests,
-            outcome.committed + outcome.rejected + outcome.stalled + outcome.inflight
-        );
+        for outcome in on_both_substrates(&sc) {
+            assert_eq!(outcome.windows.len(), 0, "partitions are not crashes");
+            assert!(outcome.committed > 0, "service kept serving: {outcome:?}");
+        }
     }
 
     #[test]

@@ -23,13 +23,14 @@ use std::time::Duration;
 
 use omega_shm::omega::OmegaVariant;
 use omega_shm::runtime::LeaderWatch;
-use omega_shm::scenario::{Scenario, ThreadDriver};
+use omega_shm::scenario::{Backend, Scenario, WallDriver};
 
 fn main() {
     let n = 5;
     println!("starting {n}-process cluster + leadership watch…");
     let scenario = Scenario::fault_free(OmegaVariant::Alg1, n).named("leader-watch");
-    let cluster = Arc::new(ThreadDriver::default().launch(&scenario));
+    let (cluster, _) = WallDriver::new(Backend::Threads, 1).launch(&scenario, |_, _| Vec::new());
+    let cluster = Arc::new(cluster);
     let mut watch = LeaderWatch::start(Arc::clone(&cluster), Duration::from_millis(1));
     let events = watch.subscribe();
 

@@ -11,7 +11,7 @@
 //! real OS threads. One declarative `Scenario`, two `Driver`s, two
 //! directly comparable `Outcome`s.
 
-use omega_shm::scenario::{registry, Driver, SimDriver, ThreadDriver};
+use omega_shm::scenario::{registry, Backend, Driver, SimDriver, WallDriver};
 
 fn main() {
     let scenario = registry::named("leader-crash-failover").expect("registry scenario");
@@ -24,7 +24,7 @@ fn main() {
     println!();
 
     println!("-- backend 2: OS threads (wall-clock, same spec) --");
-    let native = ThreadDriver::default().run(&scenario);
+    let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
     print!("{}", native.summary());
     println!();
 

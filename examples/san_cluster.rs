@@ -17,8 +17,9 @@
 //!    match ([`NodeConfig::san_paced`]), and nothing about the algorithm
 //!    changes — its assumptions are only about *eventual* timeliness.
 //!
-//! (For scripted experiments use `omega_scenario::SanDriver`, which wraps
-//! exactly this flow behind the standard `Driver` interface.)
+//! (For scripted experiments use `omega_scenario::WallDriver` on the `san`
+//! backend, which wraps exactly this flow behind the standard `Driver`
+//! interface.)
 
 use std::time::{Duration, Instant};
 
@@ -68,7 +69,8 @@ fn main() {
     };
     let san = SanDisk::new(latency, 2027);
     let space = san.memory_space(n);
-    let cluster = Cluster::start_in(OmegaVariant::Alg2, &space, NodeConfig::san_paced(latency));
+    let pacing = NodeConfig::san_paced(latency);
+    let cluster = Cluster::start_in(OmegaVariant::Alg2, &space, pacing, None, |_, _| Vec::new());
     let started = Instant::now();
     let leader = cluster
         .await_stable_leader(Duration::from_millis(300), Duration::from_secs(30))

@@ -17,7 +17,7 @@
 //! | [`registers`] | `omega-registers` | 1WnR/nWnR atomic registers, instrumentation, linearizability checking |
 //! | [`sim`] | `omega-sim` | deterministic event loop, adversaries, AWB timer models, crash plans |
 //! | [`omega`] | `omega-core` | Algorithm 1 (Fig. 2), Algorithm 2 (Fig. 5), §3.5 variants |
-//! | [`runtime`] | `omega-runtime` | OS-thread clusters, SAN-style disk registers |
+//! | [`runtime`] | `omega-runtime` | OS-thread and cooperative clusters, SAN-style disk registers |
 //! | [`scenario`] | `omega-scenario` | **the front door**: declarative scenarios, backend drivers, comparable outcomes |
 //! | [`consensus`] | `omega-consensus` | round-based consensus, replicated log, KV demo |
 //! | [`service`] | `omega-service` | leader-gated replicated KV under open-loop load, failover-unavailability SLO |
@@ -52,16 +52,17 @@
 //! assert_eq!(tail.writers.iter().collect::<Vec<_>>(), vec![outcome.elected.unwrap()]);
 //! ```
 //!
-//! [`scenario::ThreadDriver`] runs the identical value on OS threads and
-//! wall-clock timers, returning the same [`scenario::Outcome`] type in the
-//! same tick units:
+//! [`scenario::WallDriver`] runs the identical value against wall-clock
+//! timers — on OS threads, on OS threads over SAN disk blocks, or on the
+//! cooperative runtime — returning the same [`scenario::Outcome`] type in
+//! the same tick units:
 //!
 //! ```no_run
-//! use omega_shm::scenario::{registry, Driver, SimDriver, ThreadDriver};
+//! use omega_shm::scenario::{registry, Backend, Driver, SimDriver, WallDriver};
 //!
 //! let scenario = registry::named("leader-crash-failover").unwrap();
 //! let simulated = SimDriver.run(&scenario);
-//! let native = ThreadDriver::default().run(&scenario);
+//! let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
 //! assert!(simulated.stabilized && native.stabilized);
 //! ```
 //!

@@ -7,7 +7,11 @@
 
 use std::time::Duration;
 
-use omega_shm::scenario::{registry, Backend, CoopDriver, Driver, Scenario, SimDriver};
+use omega_shm::scenario::{registry, Backend, Driver, Scenario, SimDriver, WallDriver};
+
+fn coop(workers: usize) -> WallDriver {
+    WallDriver::new(Backend::Coop, workers)
+}
 
 #[test]
 fn coop_runs_a_contention_sweep_member_no_thread_backend_can() {
@@ -16,7 +20,7 @@ fn coop_runs_a_contention_sweep_member_no_thread_backend_can() {
     // drivers refuse — while the coop driver multiplexes it on one worker.
     let scenario = registry::named("contention/32x4").expect("registry member");
     assert_eq!(scenario.n, 32);
-    let outcome = CoopDriver::default().run(&scenario);
+    let outcome = coop(1).run(&scenario);
     outcome.assert_election();
     assert_eq!(outcome.backend, "coop");
     assert!(
@@ -33,7 +37,7 @@ fn coop_contention_sweep_spans_the_sigma_axis() {
     // Both σ points at the small size elect; the sweep's axes are real.
     for name in ["contention/4x4", "contention/4x32"] {
         let scenario = registry::named(name).expect("registry member");
-        let outcome = CoopDriver::default().run(&scenario);
+        let outcome = coop(1).run(&scenario);
         outcome.assert_election();
         assert_eq!(outcome.n, 4);
     }
@@ -50,7 +54,7 @@ fn coop_survives_a_directed_cut_with_a_timely_core() {
         scenario.refusal(Backend::Coop, 1).is_none(),
         "a directed cut acts through the visibility mask"
     );
-    let outcome = CoopDriver::default().run(&scenario);
+    let outcome = coop(1).run(&scenario);
     outcome.assert_election();
     assert_eq!(outcome.chaos.expect("campaign ran").partitions, 1);
 }
@@ -59,10 +63,7 @@ fn coop_survives_a_directed_cut_with_a_timely_core() {
 fn a_small_worker_pool_still_elects() {
     // workers = 2: the pool variant exercises the cross-worker dispatch
     // path (tasks mid-execution while a sibling sleeps on the condvar).
-    let driver = CoopDriver {
-        workers: 2,
-        ..CoopDriver::default()
-    };
+    let driver = coop(2);
     let scenario = Scenario::fault_free(omega_shm::omega::OmegaVariant::Alg1, 5).horizon(100_000);
     let outcome = driver.run(&scenario);
     outcome.assert_election();
@@ -73,7 +74,7 @@ fn a_small_worker_pool_still_elects() {
 #[test]
 fn coop_launch_serves_interactive_queries() {
     let scenario = Scenario::fault_free(omega_shm::omega::OmegaVariant::Alg2, 3).horizon(100_000);
-    let cluster = CoopDriver::default().launch(&scenario);
+    let (cluster, _) = coop(1).launch(&scenario, |_, _| Vec::new());
     let leader = cluster
         .await_stable_leader(Duration::from_millis(40), Duration::from_secs(10))
         .expect("interactive coop cluster elects");
@@ -87,7 +88,7 @@ fn every_variant_elects_on_coop() {
         let scenario = Scenario::fault_free(variant, 3)
             .named(format!("coop/{}/n3", variant.name()))
             .horizon(150_000);
-        let outcome = CoopDriver::default().run(&scenario);
+        let outcome = coop(1).run(&scenario);
         assert!(outcome.stabilized, "{variant}: no election on coop");
         assert!(outcome.leader_is_correct(), "{variant}");
     }

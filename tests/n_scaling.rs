@@ -6,7 +6,7 @@
 //! trend would be ~16×) while still electing a leader — and the same
 //! scenario must elect on real threads.
 
-use omega_shm::scenario::{registry, Driver, SimDriver, ThreadDriver};
+use omega_shm::scenario::{registry, Backend, Driver, SimDriver, WallDriver, WallPacing};
 use std::time::Duration;
 
 /// The `n-scaling-32` total-read figure measured before the sharded scan
@@ -38,11 +38,14 @@ fn n_scaling_64_stabilizes_cheaply_on_sim_and_elects_on_threads() {
     // (horizon × tick); the driver returns at stabilization, normally
     // well under a second.
     let scenario = scenario.horizon(150_000);
-    let driver = ThreadDriver {
-        tick: Duration::from_micros(200),
-        step_interval: Duration::from_millis(1),
-        window: Duration::from_millis(60),
+    let driver = WallDriver {
+        pacing: WallPacing {
+            tick: Duration::from_micros(200),
+            step_interval: Duration::from_millis(1),
+            window: Duration::from_millis(60),
+        },
         tail_sample: Duration::from_millis(100),
+        ..WallDriver::new(Backend::Threads, 1)
     };
     let native = driver.run(&scenario);
     native.assert_election();

@@ -7,10 +7,14 @@ use std::time::Duration;
 use omega_shm::consensus::{KvCommand, LogHandle, LogShared};
 use omega_shm::omega::OmegaVariant;
 use omega_shm::registers::ProcessId;
-use omega_shm::scenario::{Driver, Scenario, ThreadDriver};
+use omega_shm::scenario::{Backend, Driver, Scenario, WallDriver};
 
 const WINDOW: Duration = Duration::from_millis(40);
 const DEADLINE: Duration = Duration::from_secs(15);
+
+fn threads() -> WallDriver {
+    WallDriver::new(Backend::Threads, 1)
+}
 
 /// 150k ticks × 100 µs/tick = a 15 s wall-clock budget; the driver returns
 /// as soon as the election settles.
@@ -23,7 +27,7 @@ fn scenario_for(variant: OmegaVariant, n: usize) -> Scenario {
 #[test]
 fn every_variant_elects_on_threads() {
     for variant in OmegaVariant::all() {
-        let outcome = ThreadDriver::default().run(&scenario_for(variant, 3));
+        let outcome = threads().run(&scenario_for(variant, 3));
         assert!(outcome.stabilized, "{variant}: no election on threads");
         assert!(outcome.leader_is_correct(), "{variant}");
         assert!(
@@ -35,8 +39,7 @@ fn every_variant_elects_on_threads() {
 
 #[test]
 fn write_optimality_holds_on_threads() {
-    let driver = ThreadDriver::default();
-    let cluster = driver.launch(&scenario_for(OmegaVariant::Alg1, 4));
+    let (cluster, _) = threads().launch(&scenario_for(OmegaVariant::Alg1, 4), |_, _| Vec::new());
     let leader = cluster
         .await_stable_leader(WINDOW, DEADLINE)
         .expect("elects");
@@ -69,7 +72,7 @@ fn write_optimality_holds_on_threads() {
 
 #[test]
 fn alg2_everyone_writes_on_threads() {
-    let outcome = ThreadDriver::default().run(&scenario_for(OmegaVariant::Alg2, 3));
+    let outcome = threads().run(&scenario_for(OmegaVariant::Alg2, 3));
     outcome.assert_election();
     let tail = outcome.tail.as_ref().expect("tail captured");
     assert_eq!(
@@ -84,8 +87,8 @@ fn replicated_kv_on_threads_with_failover() {
     // Ω runs inside the cluster; replication runs on separate app threads,
     // feeding each replica the co-located node's live leader estimate.
     let n = 3;
-    let driver = ThreadDriver::default();
-    let cluster = Arc::new(driver.launch(&scenario_for(OmegaVariant::Alg1, n)));
+    let (cluster, _) = threads().launch(&scenario_for(OmegaVariant::Alg1, n), |_, _| Vec::new());
+    let cluster = Arc::new(cluster);
     let _ = cluster
         .await_stable_leader(WINDOW, DEADLINE)
         .expect("elects");

@@ -1,9 +1,10 @@
 //! Four-way backend parity and SAN-substrate coverage.
 //!
-//! The SAN driver is the paper's motivating deployment (Section 1:
-//! registers as network-attached disk blocks) and the coop driver is the
-//! cooperative deadline-wheel runtime — both promoted to first-class
-//! backends. These tests pin the backend matrix from three sides:
+//! The SAN substrate is the paper's motivating deployment (Section 1:
+//! registers as network-attached disk blocks) and the coop substrate is
+//! the cooperative deadline-wheel runtime — both realized by the one
+//! `WallDriver`, next to plain threads. These tests pin the backend matrix
+//! from three sides:
 //!
 //! * **Outcome parity** — every n ≤ 16 registry scenario that promises
 //!   stabilization must stabilize on the simulator, on plain threads, on
@@ -13,6 +14,11 @@
 //!   on the simulator: on wall-clock backends the schedule — kernel
 //!   preemption or the deadline wheel — decides which correct process
 //!   ends up least suspected, exactly the freedom the Ω contract grants.)
+//!   The first eligible scenario of each parity test also runs at coop
+//!   pools of 2 and 4; the pooled path is otherwise covered by
+//!   `tests/coop_driver.rs::a_small_worker_pool_still_elects`, CI's
+//!   `--workers 4 n-scaling-256` smoke and the nightly `coop/workers=`
+//!   sweep.
 //! * **Block accounting** — one block per register, accesses mirrored
 //!   between the register instrumentation and the disk.
 //! * **Disk registers** — the hand-laid `DiskNatRegister` /
@@ -21,9 +27,7 @@
 
 use omega_shm::registers::ProcessId;
 use omega_shm::runtime::san::{DiskFlagRegister, DiskNatRegister, SanDisk, SanLatency};
-use omega_shm::scenario::{
-    registry, Backend, CoopDriver, Driver, Outcome, SanDriver, Scenario, SimDriver, ThreadDriver,
-};
+use omega_shm::scenario::{registry, Backend, Driver, Outcome, Scenario, SimDriver, WallDriver};
 
 /// The registry scenarios every wall-clock backend can realize:
 /// stabilization promised (no literal adversary needed) at
@@ -101,29 +105,32 @@ fn assert_four_way(
     }
 }
 
+/// `scenario` on the simulator and on the three wall substrates, in
+/// [`assert_four_way`]'s order.
+fn four_ways(scenario: &Scenario) -> [Outcome; 4] {
+    let wall = |backend| WallDriver::new(backend, 1).run(scenario);
+    [
+        SimDriver.run(scenario),
+        wall(Backend::Threads),
+        wall(Backend::San),
+        wall(Backend::Coop),
+    ]
+}
+
 fn run_four_way(filter: impl Fn(&Scenario) -> bool) {
-    let san_driver = SanDriver::instant();
-    let thread_driver = ThreadDriver::default();
-    let coop_driver = CoopDriver::default();
-    for scenario in registry::all().into_iter().filter(eligible) {
-        if !filter(&scenario) {
-            continue;
-        }
-        let sim = SimDriver.run(&scenario);
-        let threads = thread_driver.run(&scenario);
-        let san = san_driver.run(&scenario);
-        let coop = coop_driver.run(&scenario);
+    let scenarios = registry::all().into_iter().filter(eligible).filter(filter);
+    for (i, scenario) in scenarios.enumerate() {
+        let [sim, threads, san, coop] = four_ways(&scenario);
         assert_four_way(&scenario, &sim, &threads, &san, &coop);
         assert_eq!(coop.workers, Some(1));
+        if i > 0 {
+            continue;
+        }
         // Sharding the deadline wheel is an implementation detail of the
         // coop backend: growing the worker pool must not change what the
         // scenario observes.
         for workers in [2, 4] {
-            let pooled = CoopDriver {
-                workers,
-                ..CoopDriver::default()
-            }
-            .run(&scenario);
+            let pooled = WallDriver::new(Backend::Coop, workers).run(&scenario);
             assert_eq!(pooled.workers, Some(workers));
             assert_four_way(&scenario, &sim, &threads, &san, &pooled);
             assert_eq!(
@@ -147,18 +154,16 @@ fn four_way_parity_on_crash_script_registry_scenarios() {
 
 #[test]
 fn four_way_parity_on_the_san_latency_sweep() {
-    // The sweep members pin a real (nonzero) disk latency: the SAN driver
-    // pays simulated service time per access and still elects; the other
-    // wall-clock backends ignore the pin and run them as plain scenarios.
+    // The sweep members pin a real (nonzero) disk latency: the SAN
+    // substrate pays simulated service time per access and still elects;
+    // the other wall-clock substrates ignore the pin and run them as plain
+    // scenarios.
     let mut saw_service_time = false;
     for scenario in registry::all()
         .into_iter()
         .filter(|s| s.san_latency.is_some() && s.crashes.is_empty())
     {
-        let sim = SimDriver.run(&scenario);
-        let threads = ThreadDriver::default().run(&scenario);
-        let san = SanDriver::instant().run(&scenario);
-        let coop = CoopDriver::default().run(&scenario);
+        let [sim, threads, san, coop] = four_ways(&scenario);
         assert_four_way(&scenario, &sim, &threads, &san, &coop);
         if san.san.unwrap().service_time_ms > 0.0 {
             saw_service_time = true;
@@ -210,7 +215,7 @@ fn san_module_doc_flow_runs_end_to_end() {
     // The executable version of the `omega_runtime::san` module-doc
     // example (which is `ignore`d there because the scenario crate sits
     // above the runtime in the workspace).
-    let outcome = SanDriver::instant().run(&registry::fault_free());
+    let outcome = WallDriver::new(Backend::San, 1).run(&registry::fault_free());
     outcome.assert_election();
     let san = outcome.san.expect("SAN backends report block footprints");
     assert_eq!(san.blocks_mapped, outcome.register_count as u64);

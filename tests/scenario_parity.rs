@@ -9,7 +9,11 @@
 //! lines up.
 
 use omega_shm::omega::OmegaVariant;
-use omega_shm::scenario::{registry, Driver, Outcome, Scenario, SimDriver, ThreadDriver};
+use omega_shm::scenario::{registry, Backend, Driver, Outcome, Scenario, SimDriver, WallDriver};
+
+fn threads() -> WallDriver {
+    WallDriver::new(Backend::Threads, 1)
+}
 
 /// A scenario both backends can finish quickly: modest horizon (the thread
 /// driver maps 120k ticks × 100 µs = a 12 s budget but returns at
@@ -66,7 +70,7 @@ fn every_variant_agrees_across_backends() {
     for variant in OmegaVariant::all() {
         let scenario = parity_scenario(variant, 3);
         let sim = SimDriver.run(&scenario);
-        let native = ThreadDriver::default().run(&scenario);
+        let native = threads().run(&scenario);
         assert_comparable(&scenario, &sim, &native);
     }
 }
@@ -78,7 +82,7 @@ fn failover_scenario_agrees_across_backends() {
         .crash_leader_at(3_000)
         .horizon(240_000);
     let sim = SimDriver.run(&scenario);
-    let native = ThreadDriver::default().run(&scenario);
+    let native = threads().run(&scenario);
     assert_comparable(&scenario, &sim, &native);
     for outcome in [&sim, &native] {
         assert_eq!(
@@ -118,7 +122,7 @@ fn write_shape_matches_across_backends() {
     // observed over one wall-clock window, and a node's T2 thread can be
     // starved for an entire window when the test host is saturated — so
     // allow a couple of fresh runs before judging.
-    let mut native2 = ThreadDriver::default().run(&alg2);
+    let mut native2 = threads().run(&alg2);
     for _ in 0..2 {
         let settled = native2
             .tail
@@ -127,7 +131,7 @@ fn write_shape_matches_across_backends() {
         if settled {
             break;
         }
-        native2 = ThreadDriver::default().run(&alg2);
+        native2 = threads().run(&alg2);
     }
     let tail = native2.tail.as_ref().expect("tail captured");
     assert_eq!(
@@ -154,6 +158,6 @@ fn registry_scenarios_are_backend_free() {
         assert_eq!(outcome.scenario, scenario.name);
     }
     // And one registry entry end-to-end on threads.
-    let outcome = ThreadDriver::default().run(&registry::fault_free());
+    let outcome = threads().run(&registry::fault_free());
     outcome.assert_election();
 }
