@@ -10,11 +10,19 @@
 //! and takes no lock. Names (`<name>.RR[i]`, `<name>.DEC[i]`), ids and
 //! owners are those of 2n registers allocated one by one in that order;
 //! statistics and footprint rows cannot tell the difference.
+//!
+//! The service never retires a slot, so a slot's cost is what a long run
+//! keeps: at n = 5 an instance is 11 allocator calls and ≈ 1.4 KB live.
+//! Each bank is four allocations whatever n is — live cells, one block of
+//! names, counters, the bank — with no frozen cells until a partition cuts
+//! it and no handle per register: [`round_reg`](ConsensusInstance::round_reg)
+//! and [`decision_reg`](ConsensusInstance::decision_reg) lend a slot of
+//! their bank by value.
 
 use std::sync::Arc;
 
 use omega_registers::cell::OptionCell;
-use omega_registers::{MemorySpace, ProcessId, RegisterValue, SwmrArray, SwmrRegister};
+use omega_registers::{MemorySpace, ProcessId, RegisterValue, SwmrArray, SwmrRef};
 
 /// Contents of a proposer's round register `RR[i]`:
 /// `(mbal, bal, inp)` — the highest round promised, the round of the last
@@ -39,10 +47,15 @@ impl<V: RegisterValue> ConsensusInstance<V> {
     /// so multiple instances (log slots) can share one space.
     #[must_use]
     pub fn new(space: &MemorySpace, name: &str) -> Arc<Self> {
-        Arc::new(ConsensusInstance {
-            rounds: space.swmr_array(&format!("{name}.RR"), |_| (0, 0, None)),
-            decisions: space.swmr_array_cell(&format!("{name}.DEC"), |_| None),
-        })
+        // One buffer, sized once, spells both banks' names.
+        let mut bank = String::with_capacity(name.len() + ".DEC".len());
+        bank.push_str(name);
+        bank.push_str(".RR");
+        let rounds = space.swmr_array(&bank, |_| (0, 0, None));
+        bank.truncate(name.len());
+        bank.push_str(".DEC");
+        let decisions = space.swmr_array_cell(&bank, |_| None);
+        Arc::new(ConsensusInstance { rounds, decisions })
     }
 
     /// Number of processes.
@@ -53,13 +66,13 @@ impl<V: RegisterValue> ConsensusInstance<V> {
 
     /// The round register owned by `pid`.
     #[must_use]
-    pub fn round_reg(&self, pid: ProcessId) -> &SwmrRegister<RoundEntry<V>> {
+    pub fn round_reg(&self, pid: ProcessId) -> SwmrRef<'_, RoundEntry<V>> {
         self.rounds.get(pid)
     }
 
     /// The decision register owned by `pid`.
     #[must_use]
-    pub fn decision_reg(&self, pid: ProcessId) -> &SwmrRegister<Option<V>, OptionCell<V>> {
+    pub fn decision_reg(&self, pid: ProcessId) -> SwmrRef<'_, Option<V>, OptionCell<V>> {
         self.decisions.get(pid)
     }
 

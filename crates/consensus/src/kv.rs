@@ -4,8 +4,16 @@
 //! [`LogHandle`](crate::LogHandle) and applied, in slot order, to a
 //! deterministic state machine — every replica that applies the same
 //! prefix holds the same map.
+//!
+//! A key is a shared `Arc<str>`. A command is copied many times on its way
+//! through the log — into its proposer's round register, the decision
+//! register, every replica's decided prefix, every replica's map — and
+//! each copy of the key is a reference-count bump, not an allocation. A
+//! client that builds a key once per key (the service names its key
+//! population once per replica) allocates nothing per command.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use omega_registers::RegisterValue;
 
@@ -13,18 +21,23 @@ use omega_registers::RegisterValue;
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KvCommand {
     /// Bind `key` to `value`.
-    Put(String, u64),
+    Put(Arc<str>, u64),
     /// Remove `key`.
-    Delete(String),
+    Delete(Arc<str>),
 }
 
 impl RegisterValue for KvCommand {
     fn footprint_bits(&self) -> u64 {
         match self {
-            KvCommand::Put(key, value) => 1 + key.footprint_bits() + value.footprint_bits(),
-            KvCommand::Delete(key) => 1 + key.footprint_bits(),
+            KvCommand::Put(key, value) => 1 + key_bits(key) + value.footprint_bits(),
+            KvCommand::Delete(key) => 1 + key_bits(key),
         }
     }
+}
+
+/// A key's footprint: a byte string's (eight bits a byte, at least one).
+fn key_bits(key: &str) -> u64 {
+    (8 * key.len() as u64).max(1)
 }
 
 /// The deterministic state machine replaying committed commands.
@@ -46,7 +59,7 @@ impl RegisterValue for KvCommand {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KvStore {
-    map: BTreeMap<String, u64>,
+    map: BTreeMap<Arc<str>, u64>,
     applied: usize,
 }
 
@@ -63,10 +76,10 @@ impl KvStore {
         for command in &committed[self.applied.min(committed.len())..] {
             match command {
                 KvCommand::Put(key, value) => {
-                    self.map.insert(key.clone(), *value);
+                    self.map.insert(Arc::clone(key), *value);
                 }
                 KvCommand::Delete(key) => {
-                    self.map.remove(key);
+                    self.map.remove(&**key);
                 }
             }
         }
@@ -99,7 +112,7 @@ impl KvStore {
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.map.iter().map(|(k, v)| (k.as_str(), *v))
+        self.map.iter().map(|(k, v)| (&**k, *v))
     }
 }
 
@@ -149,6 +162,22 @@ mod tests {
     fn commands_have_footprints() {
         assert!(put("key", 300).footprint_bits() > 8);
         assert!(KvCommand::Delete("k".into()).footprint_bits() >= 9);
+        // A shared key weighs what the same key as a `String` does.
+        for key in ["", "k", "k007"] {
+            let bits = key.to_string().footprint_bits();
+            assert_eq!(put(key, 300).footprint_bits(), 1 + bits + 9);
+            assert_eq!(KvCommand::Delete(key.into()).footprint_bits(), 1 + bits);
+        }
+    }
+
+    #[test]
+    fn copies_of_a_command_share_its_key() {
+        let key: Arc<str> = "k001".into();
+        let command = KvCommand::Put(Arc::clone(&key), 1);
+        let mut store = KvStore::new();
+        store.apply_committed(&[command.clone(), command]);
+        assert_eq!(Arc::strong_count(&key), 2, "the store holds the key itself");
+        assert_eq!(store.get("k001"), Some(1));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl<V: RegisterValue> LogShared<V> {
 /// and reject hooks of the log.
 ///
 /// Events are recorded only after [`LogHandle::enable_events`]; a service
-/// built on the log drains them with [`LogHandle::take_events`] to
+/// built on the log drains them with [`LogHandle::drain_events`] to
 /// acknowledge committed requests (matching the slot's value against its
 /// in-flight set) and to count lost proposal rounds as per-request
 /// operation cost.
@@ -137,16 +137,18 @@ impl<V: RegisterValue + PartialEq> LogHandle<V> {
         }
     }
 
-    /// Starts recording [`LogEvent`]s; call [`take_events`](Self::take_events)
+    /// Starts recording [`LogEvent`]s; call [`drain_events`](Self::drain_events)
     /// regularly afterwards or the buffer grows with the log.
     pub fn enable_events(&mut self) {
         self.record_events = true;
     }
 
-    /// Drains the commit/reject events recorded since the last drain (empty
-    /// unless [`enable_events`](Self::enable_events) was called).
-    pub fn take_events(&mut self) -> Vec<LogEvent> {
-        std::mem::take(&mut self.events)
+    /// Moves the commit/reject events recorded since the last drain (none
+    /// unless [`enable_events`](Self::enable_events) was called) to the end
+    /// of `into`. Both buffers keep their capacity, so a caller that keeps
+    /// `into` between polls drains without allocating.
+    pub fn drain_events(&mut self, into: &mut Vec<LogEvent>) {
+        into.append(&mut self.events);
     }
 
     /// This replica's identity.
@@ -263,6 +265,56 @@ mod tests {
             .map(|pid| LogHandle::new(Arc::clone(&shared), pid))
             .collect();
         (shared, handles)
+    }
+
+    #[test]
+    fn slots_made_while_a_partition_flaps_serve_every_severed_read() {
+        // A bank allocates its frozen cells at its first cut, or at its
+        // creation mid-cut. Were a slot created between an install's
+        // freezing and its activation, its first severed read would find
+        // no frozen cells and panic.
+        // Each cut is held until a maker has made and read a slot under it,
+        // so the makers always progress and the flips are at most the
+        // slots. (A flipper left to spin until the makers finish starves
+        // them for seconds: each install freezes every bank made so far.)
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let space = MemorySpace::new(3);
+        let shared = LogShared::<u64>::new(space.clone());
+        let slots = 400;
+        let made = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let makers: Vec<_> = (0..2)
+                .map(|first| {
+                    let (shared, made) = (&shared, &made);
+                    scope.spawn(move || {
+                        let mut scratch = Vec::new();
+                        for slot in (first..slots).step_by(2) {
+                            let inst = shared.instance(slot);
+                            assert_eq!(inst.read_decision(p(0), &mut scratch), None);
+                            assert_eq!(inst.round_reg(p(2)).read(p(0)), (0, 0, None));
+                            made.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            // Finished, or panicked: the scope re-raises a maker's panic.
+            let running = || !makers.iter().all(|maker| maker.is_finished());
+            let (mut seen, mut flip) = (0, 0);
+            while running() {
+                if flip % 2 == 0 {
+                    space.install_partition(&[vec![p(0)], vec![p(1), p(2)]]);
+                } else {
+                    space.install_cut(&[p(0)], &[p(2)]);
+                }
+                flip += 1;
+                while made.load(Ordering::SeqCst) == seen && running() {
+                    std::thread::yield_now();
+                }
+                seen = made.load(Ordering::SeqCst);
+                space.heal_partition();
+            }
+        });
+        assert_eq!(shared.allocated_slots(), slots);
     }
 
     #[test]
@@ -412,7 +464,8 @@ mod tests {
         // and retried at slot 1.
         assert!(handles[1].step_until_committed(p(1), 1, 500));
         assert!(handles[0].step_until_committed(p(0), 2, 500));
-        let events = handles[0].take_events();
+        let mut events = Vec::new();
+        handles[0].drain_events(&mut events);
         assert!(events.contains(&LogEvent::Committed {
             slot: 0,
             ours: false
@@ -428,12 +481,12 @@ mod tests {
                 .count(),
             2
         );
-        assert!(
-            handles[0].take_events().is_empty(),
-            "drain empties the buffer"
-        );
+        let drained = events.len();
+        handles[0].drain_events(&mut events);
+        assert_eq!(events.len(), drained, "drain empties the buffer");
         // p1 never opted in: no events despite committing.
-        assert!(handles[1].take_events().is_empty());
+        handles[1].drain_events(&mut events);
+        assert_eq!(events.len(), drained);
     }
 
     #[test]

@@ -355,7 +355,7 @@ mod tests {
         // Every slot of the two arrays but its own: four reads of each.
         let stats = space.stats();
         let arrays: Vec<_> = (stats.banks())
-            .filter(|bank| ["PROGRESS[0]", "STOP[0]"].contains(&&*bank.names[0]))
+            .filter(|bank| ["PROGRESS[0]", "STOP[0]"].contains(&&bank.names[0]))
             .map(|bank| bank.reads[3])
             .collect();
         assert_eq!(arrays, [4, 4], "p3's tallies of PROGRESS and STOP");

@@ -1,14 +1,15 @@
 //! Register arrays: one register per process, one bank per array.
 //!
-//! An array is a single [bank](crate::swmr) — contiguous value cells,
-//! one read tally per reader — plus one `(bank, slot)` handle per slot
-//! for register-at-a-time access ([`SwmrArray::get`]). Scans should not
-//! walk the handles: [`SwmrArray::read_range_into`] performs the same
-//! attributed reads (same values, same per-(reader, bank) counts, on
-//! SAN the same `read_block` per slot in slot order) as calling
-//! [`read`](SwmrRegister::read) on each slot of the range, but resolves
-//! the partition mask once and walks adjacent memory. A scan that must
-//! not read its own slot splits the range around it — a range read counts
+//! An array is a single [bank](crate::swmr) — contiguous value cells, one
+//! block of names, one read tally per reader — and nothing else: it keeps
+//! no handle per slot. [`SwmrArray::get`] lends slot `i` as a
+//! [`SwmrRef`], the bank reference and the index, by value. Scans should
+//! not walk the slots: [`SwmrArray::read_range_into`] performs the same
+//! attributed reads (same values, same per-(reader, bank) counts, on SAN
+//! the same `read_block` per slot in slot order) as calling
+//! [`read`](SwmrRef::read) on each slot of the range, but resolves the
+//! partition mask once and walks adjacent memory. A scan that must not
+//! read its own slot splits the range around it — a range read counts
 //! every slot it covers.
 
 use std::fmt;
@@ -17,7 +18,7 @@ use std::sync::Arc;
 
 use crate::cell::{LockCell, SharedCell};
 use crate::meta::BankMeta;
-use crate::swmr::{Bank, MwmrRegister, SwmrRegister};
+use crate::swmr::{Bank, MwmrRef, SwmrRef};
 use crate::value::RegisterValue;
 use crate::ProcessId;
 
@@ -41,7 +42,6 @@ use crate::ProcessId;
 /// ```
 pub struct SwmrArray<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
     bank: Arc<Bank<T, C>>,
-    regs: Vec<SwmrRegister<T, C>>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
@@ -49,45 +49,40 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
     /// [`OwnedMatrix`](crate::OwnedMatrix), where who owns slot `i` is the
     /// bank's business, not necessarily `p_i`.
     pub(crate) fn over(bank: Arc<Bank<T, C>>) -> Self {
-        let regs = (0..bank.counters().len())
-            .map(|slot| SwmrRegister::view(&bank, slot))
-            .collect();
-        SwmrArray { bank, regs }
+        SwmrArray { bank }
     }
 
-    /// The register owned by process `pid`.
+    /// The register owned by process `pid`, borrowed from the array.
     ///
     /// # Panics
     ///
     /// Panics if `pid.index() >= len()`.
     #[must_use]
-    pub fn get(&self, pid: ProcessId) -> &SwmrRegister<T, C> {
-        &self.regs[pid.index()]
+    #[inline]
+    pub fn get(&self, pid: ProcessId) -> SwmrRef<'_, T, C> {
+        SwmrRef::new(&self.bank, pid.index())
     }
 
     /// Number of slots (= number of processes).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.regs.len()
+        self.bank.counters().len()
     }
 
     /// Whether the array has zero slots.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.regs.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over `(owner, register)` pairs in identity order.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &SwmrRegister<T, C>)> {
-        self.regs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (ProcessId::new(i), r))
+    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, SwmrRef<'_, T, C>)> {
+        ProcessId::all(self.len()).map(|pid| (pid, self.get(pid)))
     }
 
     /// Batch-reads the slots in `range` into `out` on behalf of `reader` —
     /// one attributed read per slot, in identity order, exactly as if
-    /// [`read`](SwmrRegister::read) were called on each (module docs).
+    /// [`read`](SwmrRef::read) were called on each (module docs).
     ///
     /// # Panics
     ///
@@ -106,25 +101,24 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
     pub fn snapshot_into(&self, reader: ProcessId, out: &mut [T]) {
         assert_eq!(
             out.len(),
-            self.regs.len(),
+            self.len(),
             "snapshot buffer must hold every slot"
         );
-        self.read_range_into(reader, 0..self.regs.len(), out);
+        self.read_range_into(reader, 0..self.len(), out);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrArray<T, C> {
     fn clone(&self) -> Self {
-        SwmrArray {
-            bank: Arc::clone(&self.bank),
-            regs: self.regs.clone(),
-        }
+        SwmrArray::over(Arc::clone(&self.bank))
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrArray<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.regs.iter()).finish()
+        f.debug_list()
+            .entries(self.iter().map(|(_, reg)| reg))
+            .finish()
     }
 }
 
@@ -134,43 +128,40 @@ impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrArray<T, C> {
 /// becomes a single multi-writer register `SUSPICIONS[k]`.
 pub struct MwmrArray<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
     bank: Arc<Bank<T, C>>,
-    regs: Vec<MwmrRegister<T, C>>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
     /// Views every slot of an nWnR `bank`.
     pub(crate) fn over(bank: Arc<Bank<T, C>>) -> Self {
-        let regs = (0..bank.counters().len())
-            .map(|slot| MwmrRegister::view(&bank, slot))
-            .collect();
-        MwmrArray { bank, regs }
+        MwmrArray { bank }
     }
 
-    /// The register at position `index`.
+    /// The register at position `index`, borrowed from the array.
     ///
     /// # Panics
     ///
     /// Panics if `index >= len()`.
     #[must_use]
-    pub fn get(&self, index: usize) -> &MwmrRegister<T, C> {
-        &self.regs[index]
+    #[inline]
+    pub fn get(&self, index: usize) -> MwmrRef<'_, T, C> {
+        MwmrRef::new(&self.bank, index)
     }
 
     /// Number of registers in the array.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.regs.len()
+        self.bank.counters().len()
     }
 
     /// Whether the array has zero registers.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.regs.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over the registers in index order.
-    pub fn iter(&self) -> impl Iterator<Item = &MwmrRegister<T, C>> {
-        self.regs.iter()
+    pub fn iter(&self) -> impl Iterator<Item = MwmrRef<'_, T, C>> {
+        (0..self.len()).map(|index| self.get(index))
     }
 
     /// Batch-reads the registers in `range` into `out` on behalf of
@@ -192,25 +183,22 @@ impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
     pub fn snapshot_into(&self, reader: ProcessId, out: &mut [T]) {
         assert_eq!(
             out.len(),
-            self.regs.len(),
+            self.len(),
             "snapshot buffer must hold every slot"
         );
-        self.read_range_into(reader, 0..self.regs.len(), out);
+        self.read_range_into(reader, 0..self.len(), out);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for MwmrArray<T, C> {
     fn clone(&self) -> Self {
-        MwmrArray {
-            bank: Arc::clone(&self.bank),
-            regs: self.regs.clone(),
-        }
+        MwmrArray::over(Arc::clone(&self.bank))
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for MwmrArray<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.regs.iter()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

@@ -30,8 +30,8 @@ pub struct FootprintRow<'a> {
 /// Snapshot of every register's bit footprint.
 ///
 /// A report holds two numbers per register; names and owners live in the
-/// space's interned layout, shared with every snapshot and report taken at
-/// the same register count.
+/// space's shared layout, one entry per bank, shared with every snapshot
+/// and report taken at the same register count.
 ///
 /// # Examples
 ///
@@ -56,20 +56,20 @@ pub struct FootprintReport {
 
 impl FootprintReport {
     pub(crate) fn new(layout: Arc<SnapshotLayout>, bits: Vec<(u64, u64)>) -> Self {
-        assert_eq!(layout.names.len(), bits.len(), "one pair per register");
+        assert_eq!(layout.register_count(), bits.len(), "one pair per register");
         FootprintReport { layout, bits }
     }
 
     /// Per-register rows in register-creation order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = FootprintRow<'_>> + '_ {
-        (self.layout.names.iter().zip(&self.layout.owners))
-            .zip(&self.bits)
-            .map(|((name, &owner), &(hwm_bits, current_bits))| FootprintRow {
+        (self.layout.registers().zip(&self.bits)).map(
+            |((name, owner, _), &(hwm_bits, current_bits))| FootprintRow {
                 name,
                 owner,
                 hwm_bits,
                 current_bits,
-            })
+            },
+        )
     }
 
     /// Sum of all high-water marks: an upper bound on the shared-memory bits
@@ -167,6 +167,8 @@ impl fmt::Display for FootprintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::BankNames;
+    use crate::swmr::Owners;
     use crate::MemorySpace;
 
     fn p(i: usize) -> ProcessId {
@@ -195,9 +197,7 @@ mod tests {
     /// and high-water marks, over a layout of its own.
     fn report(rows: impl IntoIterator<Item = (String, u64)>) -> FootprintReport {
         let (names, hwm): (Vec<String>, Vec<u64>) = rows.into_iter().unzip();
-        let banks = names
-            .into_iter()
-            .map(|name| std::iter::once((name.into(), None)));
+        let banks = (names.iter()).map(|name| (BankNames::scalar(name), Owners::Shared));
         let layout = Arc::new(SnapshotLayout::new(1, banks));
         FootprintReport::new(layout, hwm.into_iter().map(|hwm| (hwm, 0)).collect())
     }

@@ -56,6 +56,7 @@ mod error;
 mod footprint;
 mod matrix;
 mod meta;
+mod names;
 mod pid;
 mod shard;
 mod space;
@@ -69,6 +70,7 @@ pub use error::OwnershipError;
 pub use footprint::{FootprintReport, FootprintRow};
 pub use matrix::{OwnedMatrix, OwnerAxis};
 pub use meta::{Instrumentation, RegisterId};
+pub use names::BankNames;
 pub use pid::{plurality, ProcessId, ProcessSet};
 pub use shard::{EpochedArray, EpochedMatrix, ScanCounters, ScanStats};
 pub use space::{
@@ -76,7 +78,7 @@ pub use space::{
     MwmrNatArray, NatArray, NatMatrix, NatRegister,
 };
 pub use stats::{BankRow, ProcessTotals, RegisterRow, StatsSnapshot};
-pub use swmr::{MwmrRegister, SwmrRegister};
+pub use swmr::{MwmrRef, MwmrRegister, SwmrRef, SwmrRegister};
 pub use value::RegisterValue;
 
 /// Commonly used items, for glob import in examples and downstream crates.

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::array::SwmrArray;
 use crate::cell::{LockCell, SharedCell};
-use crate::swmr::SwmrRegister;
+use crate::swmr::SwmrRef;
 use crate::value::RegisterValue;
 use crate::ProcessId;
 
@@ -59,13 +59,13 @@ impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
         OwnedMatrix { rows }
     }
 
-    /// The register at `[row][col]`.
+    /// The register at `[row][col]`, borrowed from the matrix.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     #[must_use]
-    pub fn get(&self, row: ProcessId, col: ProcessId) -> &SwmrRegister<T, C> {
+    pub fn get(&self, row: ProcessId, col: ProcessId) -> SwmrRef<'_, T, C> {
         self.rows[row.index()].get(col)
     }
 
@@ -76,7 +76,7 @@ impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
     }
 
     /// Iterates over `(row, col, register)` in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessId, &SwmrRegister<T, C>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessId, SwmrRef<'_, T, C>)> {
         self.rows
             .iter()
             .enumerate()
@@ -84,12 +84,12 @@ impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
     }
 
     /// Iterates over the registers of one row.
-    pub fn row(&self, row: ProcessId) -> impl Iterator<Item = (ProcessId, &SwmrRegister<T, C>)> {
+    pub fn row(&self, row: ProcessId) -> impl Iterator<Item = (ProcessId, SwmrRef<'_, T, C>)> {
         self.rows[row.index()].iter()
     }
 
     /// Iterates over the registers of one column.
-    pub fn column(&self, col: ProcessId) -> impl Iterator<Item = (ProcessId, &SwmrRegister<T, C>)> {
+    pub fn column(&self, col: ProcessId) -> impl Iterator<Item = (ProcessId, SwmrRef<'_, T, C>)> {
         self.rows
             .iter()
             .enumerate()

@@ -223,13 +223,14 @@ impl Counters {
 
 /// Type-erased view of a bank used by the registry for reporting.
 pub(crate) trait BankMeta: Send + Sync {
-    fn name(&self, slot: usize) -> &std::sync::Arc<str>;
-    fn owner(&self, slot: usize) -> Option<ProcessId>;
+    fn names(&self) -> &crate::names::BankNames;
+    fn owners(&self) -> crate::swmr::Owners;
     fn counters(&self) -> &Counters;
     /// Footprint of the value currently stored in `slot`.
     fn current_bits(&self, slot: usize) -> u64;
     /// Snapshots every slot's current value into its frozen cell — the
-    /// value severed readers observe while a partition is installed.
+    /// value severed readers observe while a partition is installed —
+    /// allocating the frozen run if this is the bank's first cut.
     fn freeze(&self);
 }
 

@@ -256,7 +256,7 @@ impl<T: RegisterValue, C: SharedCell<T>> EpochedMatrix<T, C> {
 
     /// The register at `[row][col]` (passthrough).
     #[must_use]
-    pub fn get(&self, row: ProcessId, col: ProcessId) -> &crate::SwmrRegister<T, C> {
+    pub fn get(&self, row: ProcessId, col: ProcessId) -> crate::SwmrRef<'_, T, C> {
         self.matrix.get(row, col)
     }
 
@@ -394,7 +394,7 @@ impl<T: RegisterValue, C: SharedCell<T>> EpochedArray<T, C> {
 
     /// The register at `index` (passthrough).
     #[must_use]
-    pub fn get(&self, index: usize) -> &crate::MwmrRegister<T, C> {
+    pub fn get(&self, index: usize) -> crate::MwmrRef<'_, T, C> {
         self.array.get(index)
     }
 

@@ -11,6 +11,7 @@ use crate::chaos::PartitionMask;
 use crate::footprint::FootprintReport;
 use crate::matrix::OwnedMatrix;
 use crate::meta::{BankMeta, Instrumentation};
+use crate::names::BankNames;
 use crate::shard::{EpochedArray, EpochedMatrix, ScanCounters};
 use crate::stats::{SnapshotLayout, StatsSnapshot};
 use crate::swmr::{Bank, BankSpec, BlockSlots, MwmrRegister, Owners, SwmrRegister};
@@ -43,13 +44,25 @@ struct Registry {
     banks: Vec<Arc<dyn BankMeta>>,
     /// Registers in `banks` (the next bank's first [`RegisterId`](crate::RegisterId)).
     registers: usize,
+    /// Where an array's names are written before they are copied into the
+    /// one allocation that keeps them.
+    scratch: String,
+}
+
+/// How the registers of a new bank are named.
+#[derive(Clone, Copy)]
+enum Naming<'a> {
+    /// One register, named this.
+    Scalar(&'a str),
+    /// `len` registers named `prefix[0]` … `prefix[len − 1]`.
+    Indexed(&'a str, usize),
 }
 
 struct SpaceInner {
     n_processes: usize,
     mode: Instrumentation,
     registry: RwLock<Registry>,
-    /// Interned register names/owners shared by every snapshot and
+    /// Each bank's names and owners, shared by every snapshot and
     /// footprint report; rebuilt (append-only) when registers were created
     /// since the last one.
     layout: RwLock<Arc<SnapshotLayout>>,
@@ -183,62 +196,72 @@ impl MemorySpace {
     /// accounting the SAN experiments measure.
     fn bind_blocks<T: RegisterValue>(
         &self,
-        names: &[impl AsRef<str>],
+        names: &BankNames,
         owners: Owners,
     ) -> Option<BlockSlots> {
         let device = self.inner.backing.as_ref()?;
         assert!(
             T::BLOCK_ENCODABLE,
             "register {}: value type {} cannot live on a disk block",
-            names.first().map_or("", AsRef::as_ref),
+            names.iter().next().unwrap_or(""),
             std::any::type_name::<T>()
         );
-        let bind = |(slot, name): (usize, &_)| {
-            (self.inner.block_map).bind(AsRef::as_ref(name), owners.of(slot))
-        };
+        let bind = |(slot, name)| (self.inner.block_map).bind(name, owners.of(slot));
         Some(BlockSlots {
             device: Arc::clone(device),
             addrs: names.iter().enumerate().map(bind).collect(),
         })
     }
 
-    /// Creates and registers the bank holding `initial`, slot `i` named
-    /// `names[i]` and owned per `owners`.
+    /// Creates and registers the bank named per `naming`, slot `i` holding
+    /// `init(i)` and owned per `owners`: four allocations (see
+    /// [`crate::swmr`]).
     fn bank<T, C>(
         &self,
-        names: &[impl AsRef<str>],
+        naming: Naming<'_>,
         owners: Owners,
-        initial: &[T],
+        init: impl FnMut(usize) -> T,
     ) -> Arc<Bank<T, C>>
     where
         T: RegisterValue,
         C: SharedCell<T>,
     {
         let n = self.inner.n_processes;
+        let len = match naming {
+            Naming::Scalar(_) => 1,
+            Naming::Indexed(_, len) => len,
+        };
+        // The caller's code runs before the lock is taken: an initializer
+        // that creates registers of its own must not deadlock.
+        let live: Box<[C]> = (0..len).map(init).map(C::with_value).collect();
+        // Under the registry lock from id to push, so that ids are registry
+        // positions whatever other threads create meanwhile, and so that no
+        // cut is frozen and activated in between (see `Bank::new`).
+        let mut registry = self.inner.registry.write();
+        let names = match naming {
+            Naming::Scalar(name) => BankNames::scalar(name),
+            Naming::Indexed(prefix, len) => BankNames::indexed(prefix, len, &mut registry.scratch),
+        };
         match owners {
             Owners::Shared => {}
             Owners::Uniform(owner) => {
                 assert!(owner.index() < n, "owner {owner} out of range for n={n}")
             }
-            Owners::Identity => assert!(initial.len() <= n, "a slot per process, at most"),
+            Owners::Identity => assert!(names.len() <= n, "a slot per process, at most"),
         }
-        // Under the registry lock from id to push, so that ids are registry
-        // positions whatever other threads create meanwhile. No caller's
-        // code runs in here: `initial` is already evaluated.
-        let mut registry = self.inner.registry.write();
         let bank = Bank::<T, C>::new(
             BankSpec {
                 first_id: registry.registers,
                 owners,
                 n_processes: n,
                 mode: self.inner.mode,
-                block: self.bind_blocks::<T>(names, owners),
+                block: self.bind_blocks::<T>(&names, owners),
                 mask: Arc::clone(&self.inner.chaos),
+                names,
             },
-            names,
-            initial,
+            live,
         );
-        registry.registers += initial.len();
+        registry.registers += len;
         registry.banks.push(bank.clone());
         bank
     }
@@ -267,12 +290,10 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(
-            &[name],
-            Owners::Uniform(owner),
-            std::slice::from_ref(&initial),
-        );
-        SwmrRegister::view(&bank, 0)
+        let bank = self.bank(Naming::Scalar(name), Owners::Uniform(owner), |_| {
+            initial.clone()
+        });
+        SwmrRegister::new(bank)
     }
 
     /// Creates a 1WnR register owned by `owner` (lock-backed storage).
@@ -291,8 +312,8 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(&[name], Owners::Shared, std::slice::from_ref(&initial));
-        MwmrRegister::view(&bank, 0)
+        let bank = self.bank(Naming::Scalar(name), Owners::Shared, |_| initial.clone());
+        MwmrRegister::new(bank)
     }
 
     /// Creates an nWnR register (lock-backed storage).
@@ -305,16 +326,14 @@ impl MemorySpace {
     pub fn swmr_array_cell<T, C>(
         &self,
         name: &str,
-        init: impl FnMut(ProcessId) -> T,
+        mut init: impl FnMut(ProcessId) -> T,
     ) -> SwmrArray<T, C>
     where
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let n = self.inner.n_processes;
-        let names: Vec<String> = (0..n).map(|i| format!("{name}[{i}]")).collect();
-        let initial: Vec<T> = ProcessId::all(n).map(init).collect();
-        SwmrArray::over(self.bank(&names, Owners::Identity, &initial))
+        let naming = Naming::Indexed(name, self.inner.n_processes);
+        SwmrArray::over(self.bank(naming, Owners::Identity, |i| init(ProcessId::new(i))))
     }
 
     /// Lock-backed convenience form of [`swmr_array_cell`](Self::swmr_array_cell).
@@ -338,9 +357,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let names: Vec<String> = (0..len).map(|i| format!("{name}[{i}]")).collect();
-        let initial: Vec<T> = (0..len).map(init).collect();
-        MwmrArray::over(self.bank(&names, Owners::Shared, &initial))
+        MwmrArray::over(self.bank(Naming::Indexed(name, len), Owners::Shared, init))
     }
 
     /// Lock-backed convenience form of [`mwmr_array_cell`](Self::mwmr_array_cell).
@@ -367,9 +384,8 @@ impl MemorySpace {
     {
         let n = self.inner.n_processes;
         let row = |r| {
-            let names: Vec<String> = (0..n).map(|c| format!("{name}[{r}][{c}]")).collect();
-            let initial: Vec<T> = (0..n).map(|c| init(r, c)).collect();
-            SwmrArray::over(self.bank(&names, owners(r), &initial))
+            let prefix = format!("{name}[{r}]");
+            SwmrArray::over(self.bank(Naming::Indexed(&prefix, n), owners(r), |c| init(r, c)))
         };
         OwnedMatrix::from_rows((0..n).map(row).collect())
     }
@@ -546,13 +562,7 @@ impl MemorySpace {
                 table[pid.index()] = i32::try_from(g).expect("group count fits i32");
             }
         }
-        // Freeze before activating, so severed readers observe a snapshot
-        // no older than the cut.
-        for bank in &self.inner.registry.read().banks {
-            bank.freeze();
-        }
-        self.inner.chaos.install(&table);
-        self.invalidate_epoch_caches();
+        self.freeze_and_activate(|mask| mask.install(&table));
     }
 
     /// Installs a **directed** cut: processes in `blinded` read the 1WnR
@@ -589,12 +599,22 @@ impl MemorySpace {
                 table[pid.index()] = side;
             }
         }
-        // Freeze before activating, so severed readers observe a snapshot
-        // no older than the cut.
-        for bank in &self.inner.registry.read().banks {
+        self.freeze_and_activate(|mask| mask.install_directed(&table));
+    }
+
+    /// Freezes every bank, then activates the mask. Freezing first means
+    /// severed readers observe a snapshot no older than the cut; holding
+    /// the registry lock across both means no bank is created in between,
+    /// so every bank a read can find severed has its frozen run — one
+    /// created before was frozen here, one created after sees the mask
+    /// active and freezes its initial values itself.
+    fn freeze_and_activate(&self, activate: impl FnOnce(&PartitionMask)) {
+        let registry = self.inner.registry.read();
+        for bank in &registry.banks {
             bank.freeze();
         }
-        self.inner.chaos.install_directed(&table);
+        activate(&self.inner.chaos);
+        drop(registry);
         self.invalidate_epoch_caches();
     }
 
@@ -632,20 +652,17 @@ impl MemorySpace {
     // Reporting.
     // ------------------------------------------------------------------
 
-    /// The interned layout (names, owners) covering the registers of
-    /// `registry`, rebuilding the cached one if registers were created
-    /// since. Call with the registry lock held.
+    /// The shared layout (each bank's names and owners) covering the
+    /// registers of `registry`, rebuilding the cached one if registers were
+    /// created since. Call with the registry lock held.
     fn layout_for(&self, registry: &Registry) -> Arc<SnapshotLayout> {
         {
             let cached = self.inner.layout.read();
-            if cached.names.len() == registry.registers {
+            if cached.register_count() == registry.registers {
                 return Arc::clone(&cached);
             }
         }
-        let banks = registry.banks.iter().map(|bank| {
-            (0..bank.counters().len())
-                .map(move |slot| (Arc::clone(bank.name(slot)), bank.owner(slot)))
-        });
+        let banks = (registry.banks.iter()).map(|bank| (bank.names().clone(), bank.owners()));
         let rebuilt = Arc::new(SnapshotLayout::new(self.inner.n_processes, banks));
         *self.inner.layout.write() = Arc::clone(&rebuilt);
         rebuilt

@@ -18,10 +18,13 @@
 //! # Storage layout
 //!
 //! A snapshot is two dense arrays beside a shared, immutable description of
-//! the register layout (interned names, owners, write offsets and bank
-//! boundaries — one [`Arc`] per space and register count, reused by every
-//! snapshot and every [`FootprintReport`](crate::FootprintReport) taken at
-//! that size):
+//! the register layout — one [`Arc`] per space and register count, reused
+//! by every snapshot and every [`FootprintReport`](crate::FootprintReport)
+//! taken at that size. The layout is per bank, not per register: each bank
+//! contributes its [`BankNames`] (one shared reference to the block of
+//! names the bank keeps), its owners and where its write cells begin, so a
+//! register's name, owner and cells are found by walking its bank's slots.
+//! The counters are:
 //!
 //! * `reads[bank · n + process]` — each process's reads of each bank, the
 //!   per-(reader, bank) tallies the banks keep (the `meta` module docs say
@@ -35,83 +38,148 @@
 //! ≈ 266 KB — so a run's checkpoints are plain dense copies.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
+use crate::names::BankNames;
+use crate::swmr::Owners;
 use crate::{ProcessId, ProcessSet, ScanStats};
 
 /// Immutable description of a space's registers at some point in its
-/// creation order: interned names, owners and write offsets, indexed by
-/// register id, and where each bank begins and ends.
+/// creation order: each bank's names and owners, and where its write cells
+/// begin.
 ///
 /// Built once per register-set size by the space and shared by every
 /// snapshot and footprint report taken at that size (append-only: a layout
 /// for `k` registers is a prefix of any later layout of the same space).
-/// Equal by value, banking included.
+/// A bank costs one entry, its names one shared reference whatever its
+/// length. Equal by value, banking included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SnapshotLayout {
-    pub(crate) names: Vec<Arc<str>>,
-    pub(crate) owners: Vec<Option<ProcessId>>,
-    /// Register `r`'s write cells are
-    /// `writes[write_offsets[r]..write_offsets[r + 1]]` — one cell when
-    /// owned, one per process otherwise. Always one entry more than there
-    /// are registers.
-    write_offsets: Vec<usize>,
-    /// Bank `b` holds registers `bank_starts[b]..bank_starts[b + 1]`.
-    /// Always one entry more than there are banks.
-    bank_starts: Vec<usize>,
+    n_processes: usize,
+    banks: Vec<BankLayout>,
+    registers: usize,
+    write_cells: usize,
+}
+
+/// One bank of a [`SnapshotLayout`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BankLayout {
+    names: BankNames,
+    owners: Owners,
+    /// Its registers' write cells begin here, one cell a register when
+    /// owned, one per process otherwise.
+    first_write: usize,
 }
 
 impl Default for SnapshotLayout {
     fn default() -> Self {
-        SnapshotLayout::new(0, std::iter::empty::<std::iter::Empty<_>>())
+        SnapshotLayout::new(0, std::iter::empty())
     }
 }
 
 impl SnapshotLayout {
-    /// Lays out the registers of `banks` — each bank its slots' (name,
-    /// owner), banks and slots in creation order — for an `n_processes`
-    /// system.
-    pub(crate) fn new<B>(n_processes: usize, banks: impl Iterator<Item = B>) -> Self
-    where
-        B: Iterator<Item = (Arc<str>, Option<ProcessId>)>,
-    {
-        let (mut names, mut owners, mut write_offsets) = (Vec::new(), Vec::new(), vec![0]);
-        let mut bank_starts = vec![0];
-        let mut cells = 0;
-        for bank in banks {
-            for (name, owner) in bank {
-                cells += if owner.is_some() { 1 } else { n_processes };
-                names.push(name);
-                owners.push(owner);
-                write_offsets.push(cells);
-            }
-            bank_starts.push(names.len());
-        }
+    /// Lays out `banks` — each bank's names and owners, in creation
+    /// order — for an `n_processes` system.
+    pub(crate) fn new(
+        n_processes: usize,
+        banks: impl Iterator<Item = (BankNames, Owners)>,
+    ) -> Self {
+        let (mut registers, mut write_cells) = (0, 0);
+        let banks = banks
+            .map(|(names, owners)| {
+                let bank = BankLayout {
+                    first_write: write_cells,
+                    names,
+                    owners,
+                };
+                registers += bank.names.len();
+                write_cells += bank.names.len() * bank.write_width(n_processes);
+                bank
+            })
+            .collect();
         SnapshotLayout {
-            names,
-            owners,
-            write_offsets,
-            bank_starts,
+            n_processes,
+            banks,
+            registers,
+            write_cells,
         }
+    }
+
+    /// Number of registers laid out.
+    pub(crate) fn register_count(&self) -> usize {
+        self.registers
     }
 
     /// Total write cells of a snapshot with this layout.
     pub(crate) fn write_cells(&self) -> usize {
-        self.write_offsets[self.names.len()]
+        self.write_cells
     }
 
-    /// Whether `earlier` is this layout or a prefix of it: the same
-    /// registers (by name and owner — owners fix where each register's
-    /// writes sit) in the same banks, followed by whatever was created
-    /// since.
+    /// Every register's name, owner and write cells, in creation order.
+    pub(crate) fn registers(&self) -> Registers<'_> {
+        Registers {
+            layout: self,
+            bank: 0,
+            slot: 0,
+            left: self.registers,
+        }
+    }
+
+    /// Whether `earlier` is this layout or a prefix of it: the same banks
+    /// (by names and owners — owners fix where each register's writes sit),
+    /// followed by whatever was created since.
     fn extends(&self, earlier: &SnapshotLayout) -> bool {
-        let prefix = earlier.names.len();
-        prefix <= self.names.len()
-            && (self.names.iter().zip(&earlier.names)).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-            && self.owners[..prefix] == earlier.owners[..]
-            && self.bank_starts.starts_with(&earlier.bank_starts)
+        self.banks.starts_with(&earlier.banks)
     }
 }
+
+impl BankLayout {
+    /// Write cells per register of this bank.
+    fn write_width(&self, n_processes: usize) -> usize {
+        match self.owners {
+            Owners::Shared => n_processes,
+            Owners::Uniform(_) | Owners::Identity => 1,
+        }
+    }
+}
+
+/// The iterator behind [`SnapshotLayout::registers`]: walks the banks
+/// slot by slot.
+pub(crate) struct Registers<'a> {
+    layout: &'a SnapshotLayout,
+    bank: usize,
+    slot: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Registers<'a> {
+    /// Name, owner, and the range of the snapshot's write cells.
+    type Item = (&'a str, Option<ProcessId>, Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let banks = &self.layout.banks;
+        while self.slot == banks.get(self.bank)?.names.len() {
+            (self.bank, self.slot) = (self.bank + 1, 0);
+        }
+        let (bank, slot) = (&banks[self.bank], self.slot);
+        self.slot += 1;
+        self.left -= 1;
+        let width = bank.write_width(self.layout.n_processes);
+        let first = bank.first_write + slot * width;
+        Some((
+            &bank.names[slot],
+            bank.owners.of(slot),
+            first..first + width,
+        ))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Registers<'_> {}
 
 /// One register's write counters within a snapshot — a borrowed view into
 /// the snapshot's flat storage. (Reads are counted per bank: see
@@ -151,7 +219,7 @@ impl RegisterRow<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct BankRow<'a> {
     /// The bank's registers' names, in slot order — one for a scalar.
-    pub names: &'a [Arc<str>],
+    pub names: &'a BankNames,
     /// Reads of the bank's registers by each process (indexed by process);
     /// a range read of `k` slots counts `k`.
     pub reads: &'a [u64],
@@ -217,7 +285,7 @@ impl StatsSnapshot {
     /// Number of registers captured in this snapshot.
     #[must_use]
     pub fn register_count(&self) -> usize {
-        self.layout.names.len()
+        self.layout.register_count()
     }
 
     /// Scan-saving counters (reads skipped by epoch-validated caches,
@@ -229,23 +297,19 @@ impl StatsSnapshot {
 
     /// Per-register write rows, in register-creation order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = RegisterRow<'_>> + '_ {
-        let layout = &*self.layout;
-        (layout.names.iter().zip(&layout.owners))
-            .zip(layout.write_offsets.windows(2))
-            .map(|((name, &owner), cells)| RegisterRow {
-                name,
-                owner,
-                writes: &self.writes[cells[0]..cells[1]],
-            })
+        (self.layout.registers()).map(|(name, owner, cells)| RegisterRow {
+            name,
+            owner,
+            writes: &self.writes[cells],
+        })
     }
 
     /// Per-bank read rows, in creation order.
     pub fn banks(&self) -> impl ExactSizeIterator<Item = BankRow<'_>> + '_ {
-        let names = &self.layout.names;
-        (self.layout.bank_starts.windows(2))
+        (self.layout.banks.iter())
             .zip(self.reads.chunks_exact(self.n_processes.max(1)))
-            .map(|(registers, reads)| BankRow {
-                names: &names[registers[0]..registers[1]],
+            .map(|(bank, reads)| BankRow {
+                names: &bank.names,
                 reads,
             })
     }
@@ -399,10 +463,11 @@ impl fmt::Display for StatsSnapshot {
         }
         writeln!(f, "{:<24} {:>10}", "bank", "reads")?;
         for bank in self.banks() {
-            let name = match bank.names {
-                [only] => only.to_string(),
-                [first, .., last] => format!("{first}–{last}"),
-                [] => String::new(),
+            let names = bank.names;
+            let name = match names.len() {
+                0 => String::new(),
+                1 => names[0].to_string(),
+                len => format!("{}–{}", &names[0], &names[len - 1]),
             };
             writeln!(f, "{:<24} {:>10}", name, bank.total_reads())?;
         }
@@ -653,7 +718,7 @@ mod tests {
         let b = s.stats();
         assert!(
             Arc::ptr_eq(&a.layout, &b.layout),
-            "same register set, same interned layout"
+            "same register set, same shared layout"
         );
         assert_eq!(a, b);
     }

@@ -5,12 +5,28 @@
 //!
 //! Registers are not allocated one at a time. A [`Bank`] is the storage of
 //! one array (`PROGRESS`, `STOP`, an nWnR array) or one matrix row: `len`
-//! slots whose live value cells are contiguous, whose frozen cells are
-//! contiguous, and whose counters are one block holding a read tally per
-//! reader (see [`crate::meta`]). A scalar register is the length-1
-//! bank (stored inline, so it costs no allocation a lone register would
-//! not). [`SwmrRegister`] and [`MwmrRegister`] are `(bank, slot)` views:
-//! cloning one clones an `Arc`, and every view of a slot shares its cell.
+//! slots whose live value cells are contiguous, whose names are one
+//! [`BankNames`] block, and whose counters are one block holding a read
+//! tally per reader (see [`crate::meta`]). A scalar register is the
+//! length-1 bank. A bank of `len` registers is four allocations — live
+//! cells, names, counters and the bank itself — whatever `len` is.
+//!
+//! A register is a `(bank, slot)` pair. A scalar's [`SwmrRegister`] or
+//! [`MwmrRegister`] owns a share of its one-slot bank (cloning one clones
+//! an `Arc`); an array or a matrix lends its slots as [`SwmrRef`] and
+//! [`MwmrRef`], a bank reference and a slot index passed by value, so it
+//! keeps no handle per slot. Every view of a slot shares its cell.
+//!
+//! # The frozen run
+//!
+//! A severed reader (see [`crate::chaos`]) reads a second run of cells
+//! that holds each slot's value at the cut. Most banks never live through
+//! a cut — a consensus log slot is created, decided and left — so the run
+//! is allocated on demand: by the first install that freezes the bank, or
+//! at creation when a cut is already installed (then it holds the initial
+//! values). [`MemorySpace`](crate::MemorySpace) freezes and activates a
+//! cut under its registry lock, so no bank can be created between the two
+//! and miss both.
 //!
 //! The layout is chosen for the access pattern Lemma 6 makes permanent:
 //! every correct non-leader reads shared memory forever, and what it reads
@@ -36,13 +52,14 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::block::BlockDevice;
 use crate::cell::{LockCell, SharedCell};
 use crate::chaos::PartitionMask;
 use crate::error::OwnershipError;
 use crate::meta::{BankMeta, Counters, RegisterId};
+use crate::names::BankNames;
 use crate::value::RegisterValue;
 use crate::{Instrumentation, ProcessId};
 
@@ -76,77 +93,7 @@ impl Owners {
     }
 }
 
-/// Per-slot storage of a bank: inline for the length-1 bank, so a scalar
-/// register pays for no allocation (and no byte) beyond what a lone
-/// register needs — Ω's scalars and every `MemorySpace::swmr` caller are
-/// such banks — and one boxed run per kind of cell otherwise.
-enum Slots<C> {
-    One {
-        live: C,
-        frozen: C,
-        name: Arc<str>,
-    },
-    Many {
-        live: Box<[C]>,
-        frozen: Box<[C]>,
-        names: Box<[Arc<str>]>,
-    },
-}
-
-impl<C> Slots<C> {
-    fn new<T: Clone>(initial: &[T], names: &[impl AsRef<str>]) -> Self
-    where
-        C: SharedCell<T>,
-    {
-        let cell = |value: &T| C::with_value(value.clone());
-        let name = |name: &_| Arc::from(AsRef::as_ref(name));
-        match (initial, names) {
-            ([value], [only]) => Slots::One {
-                live: cell(value),
-                frozen: cell(value),
-                name: name(only),
-            },
-            _ => Slots::Many {
-                live: initial.iter().map(cell).collect(),
-                frozen: initial.iter().map(cell).collect(),
-                names: names.iter().map(name).collect(),
-            },
-        }
-    }
-
-    /// The live value cells, adjacent, in slot order.
-    #[inline]
-    fn live(&self) -> &[C] {
-        match self {
-            Slots::One { live, .. } => std::slice::from_ref(live),
-            Slots::Many { live, .. } => live,
-        }
-    }
-
-    /// The snapshots served to severed readers while a partition is
-    /// installed; refreshed by [`BankMeta::freeze`] at each cut. A second
-    /// run of typed cells (not encoded bits) because not every value type
-    /// is block-encodable.
-    #[inline]
-    fn frozen(&self) -> &[C] {
-        match self {
-            Slots::One { frozen, .. } => std::slice::from_ref(frozen),
-            Slots::Many { frozen, .. } => frozen,
-        }
-    }
-
-    /// Names are interned (`Arc<str>`) so statistics and footprint
-    /// snapshots share them instead of cloning a `String` per register per
-    /// checkpoint.
-    fn names(&self) -> &[Arc<str>] {
-        match self {
-            Slots::One { name, .. } => std::slice::from_ref(name),
-            Slots::Many { names, .. } => names,
-        }
-    }
-}
-
-/// Storage of `len` registers created together: cells + metadata +
+/// Storage of `len` registers created together: cells + names +
 /// counters (module docs).
 ///
 /// When `block` is bound (disk-backed spaces) the device serves the
@@ -154,7 +101,16 @@ impl<C> Slots<C> {
 /// ownership, attribution, footprint accounting — is identical, which is
 /// what makes SAN outcomes directly comparable to in-memory ones.
 pub(crate) struct Bank<T, C> {
-    slots: Slots<C>,
+    /// The live value cells, adjacent, in slot order.
+    live: Box<[C]>,
+    /// The values served to severed readers while a partition is
+    /// installed: allocated by the first [`BankMeta::freeze`] — at the
+    /// first cut this bank lives through — and refreshed by every later
+    /// one. A bank created while a cut is installed gets them at creation,
+    /// holding its initial values. A second run of typed cells (not
+    /// encoded bits) because not every value type is block-encodable.
+    frozen: OnceLock<Box<[C]>>,
+    names: BankNames,
     /// Boxed: one word on the in-memory banks that never bind one.
     block: Option<Box<BlockSlots>>,
     mask: Arc<PartitionMask>,
@@ -166,8 +122,9 @@ pub(crate) struct Bank<T, C> {
 }
 
 /// The construction-time facts of a bank that do not depend on its value
-/// type; only `MemorySpace` builds one.
+/// type; only `MemorySpace` builds one, under its registry lock.
 pub(crate) struct BankSpec {
+    pub(crate) names: BankNames,
     pub(crate) first_id: usize,
     pub(crate) owners: Owners,
     pub(crate) n_processes: usize,
@@ -177,14 +134,18 @@ pub(crate) struct BankSpec {
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
-    /// A bank of `initial.len()` registers, slot `i` named `names[i]` and
-    /// holding `initial[i]`.
-    pub(crate) fn new(spec: BankSpec, names: &[impl AsRef<str>], initial: &[T]) -> Arc<Self> {
-        let len = initial.len();
-        assert_eq!(names.len(), len, "one name per slot");
+    /// A bank of one register per name of `spec`, slot `i` holding the
+    /// value in `live[i]`. Called under the registry lock, which an install
+    /// holds from its first freeze to the mask's activation: so either the
+    /// install froze every bank before this one existed, or the mask is
+    /// active now and the bank freezes its initial values itself.
+    pub(crate) fn new(spec: BankSpec, live: Box<[C]>) -> Arc<Self> {
+        let len = live.len();
+        assert_eq!(spec.names.len(), len, "one name per slot");
         let owned = spec.owners != Owners::Shared;
         let counters = Counters::new(len, spec.n_processes, owned, spec.mode);
-        for (slot, value) in initial.iter().enumerate() {
+        for (slot, cell) in live.iter().enumerate() {
+            let value = cell.load();
             counters.note_initial(slot, value.footprint_bits());
             if let Some(block) = &spec.block {
                 // Fresh blocks read as zero; only a non-zero initial value
@@ -196,8 +157,15 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
                 }
             }
         }
+        let frozen = OnceLock::new();
+        if spec.mask.is_active() {
+            let initial = live.iter().map(|cell| C::with_value(cell.load()));
+            let _ = frozen.set(initial.collect());
+        }
         Arc::new(Bank {
-            slots: Slots::new(initial, names),
+            live,
+            frozen,
+            names: spec.names,
             block: spec.block.map(Box::new),
             mask: spec.mask,
             first_id: spec.first_id,
@@ -205,6 +173,12 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             counters,
             _marker: std::marker::PhantomData,
         })
+    }
+
+    /// Number of slots.
+    #[inline]
+    fn len(&self) -> usize {
+        self.live.len()
     }
 
     /// The one attributed read path: counts one read of every slot in
@@ -255,12 +229,14 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     #[inline]
     fn read_run(&self, run: Range<usize>, cut: bool, sink: &mut impl FnMut(T)) {
         if cut {
-            (self.slots.frozen()[run].iter()).for_each(|cell| sink(cell.load()));
+            let frozen =
+                (self.frozen.get()).expect("a cut freezes every bank before it severs a read");
+            (frozen[run].iter()).for_each(|cell| sink(cell.load()));
         } else if let Some(block) = &self.block {
             (block.addrs[run].iter())
                 .for_each(|&addr| sink(T::from_block(block.device.read_block(addr))));
         } else {
-            (self.slots.live()[run].iter()).for_each(|cell| sink(cell.load()));
+            (self.live[run].iter()).for_each(|cell| sink(cell.load()));
         }
     }
 
@@ -291,7 +267,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             Some(block) => block
                 .device
                 .write_block(block.addrs[slot], value.to_block()),
-            None => self.slots.live()[slot].store(value),
+            None => self.live[slot].store(value),
         }
         self.counters.note_write(slot, writer, bits);
     }
@@ -299,7 +275,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     fn peek(&self, slot: usize) -> T {
         match &self.block {
             Some(block) => T::from_block(block.device.peek_block(block.addrs[slot])),
-            None => self.slots.live()[slot].load(),
+            None => self.live[slot].load(),
         }
     }
 
@@ -309,18 +285,18 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     fn poke(&self, slot: usize, value: T) {
         match &self.block {
             Some(block) => block.device.poke_block(block.addrs[slot], value.to_block()),
-            None => self.slots.live()[slot].store(value),
+            None => self.live[slot].store(value),
         }
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
-    fn name(&self, slot: usize) -> &Arc<str> {
-        &self.slots.names()[slot]
+    fn names(&self) -> &BankNames {
+        &self.names
     }
 
-    fn owner(&self, slot: usize) -> Option<ProcessId> {
-        self.owners.of(slot)
+    fn owners(&self) -> Owners {
+        self.owners
     }
 
     fn counters(&self) -> &Counters {
@@ -332,9 +308,118 @@ impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
     }
 
     fn freeze(&self) {
-        for (slot, frozen) in self.slots.frozen().iter().enumerate() {
-            frozen.store(self.peek(slot));
+        let now = (0..self.len()).map(|slot| self.peek(slot));
+        match self.frozen.get() {
+            Some(frozen) => (frozen.iter().zip(now)).for_each(|(cell, value)| cell.store(value)),
+            None => {
+                // Two installs racing here both snapshot the live values;
+                // either run is a cut's.
+                let _ = self.frozen.set(now.map(C::with_value).collect());
+            }
         }
+    }
+}
+
+/// A 1WnR register borrowed from its bank: slot `slot` of an array or a
+/// matrix row, as [`SwmrArray::get`](crate::SwmrArray::get) and
+/// [`OwnedMatrix::get`](crate::OwnedMatrix::get) hand it out — by value,
+/// two words, no reference count touched. It reads, writes and counts
+/// exactly like the owned [`SwmrRegister`] of the same slot.
+pub struct SwmrRef<'a, T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    bank: &'a Bank<T, C>,
+    slot: usize,
+}
+
+impl<'a, T: RegisterValue, C: SharedCell<T>> SwmrRef<'a, T, C> {
+    /// # Panics
+    ///
+    /// Panics if `slot` is past the bank.
+    #[inline]
+    pub(crate) fn new(bank: &'a Bank<T, C>, slot: usize) -> Self {
+        assert!(slot < bank.len(), "slot {slot} of a bank of {}", bank.len());
+        debug_assert!(
+            bank.owners != Owners::Shared,
+            "1WnR register requires an owner"
+        );
+        SwmrRef { bank, slot }
+    }
+
+    /// See [`SwmrRegister::owner`].
+    #[must_use]
+    pub fn owner(&self) -> ProcessId {
+        (self.bank.owners.of(self.slot)).expect("SWMR register always has an owner")
+    }
+
+    /// See [`SwmrRegister::name`].
+    #[must_use]
+    pub fn name(&self) -> &'a str {
+        &self.bank.names[self.slot]
+    }
+
+    /// See [`SwmrRegister::id`].
+    #[must_use]
+    pub fn id(&self) -> RegisterId {
+        RegisterId(self.bank.first_id + self.slot)
+    }
+
+    /// See [`SwmrRegister::read`].
+    #[inline]
+    pub fn read(&self, reader: ProcessId) -> T {
+        self.bank.read(reader, self.slot)
+    }
+
+    /// See [`SwmrRegister::write`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `writer` is not the owner.
+    pub fn write(&self, writer: ProcessId, value: T) {
+        if let Err(e) = self.try_write(writer, value) {
+            panic!("{e}");
+        }
+    }
+
+    /// See [`SwmrRegister::try_write`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OwnershipError`] if `writer` does not own the register.
+    pub fn try_write(&self, writer: ProcessId, value: T) -> Result<(), OwnershipError> {
+        let owner = self.owner();
+        if writer != owner {
+            return Err(OwnershipError::new(self.name().to_string(), owner, writer));
+        }
+        self.bank.write_unchecked(self.slot, writer, value);
+        Ok(())
+    }
+
+    /// See [`SwmrRegister::peek`].
+    #[must_use]
+    pub fn peek(&self) -> T {
+        self.bank.peek(self.slot)
+    }
+
+    /// See [`SwmrRegister::poke`].
+    pub fn poke(&self, value: T) {
+        self.bank.poke(self.slot, value);
+    }
+}
+
+impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrRef<'_, T, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: RegisterValue, C: SharedCell<T>> Copy for SwmrRef<'_, T, C> {}
+
+impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrRef<'_, T, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SwmrRegister")
+            .field("name", &self.name())
+            .field("owner", &self.owner())
+            .field("value", &self.peek())
+            .finish()
     }
 }
 
@@ -342,8 +427,9 @@ impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
 ///
 /// This is the communication primitive of the paper's model `AS_n[∅]`: a
 /// single *owner* process may write it, every process may read it, and each
-/// operation is linearizable. A handle is a `(bank, slot)` view (module
-/// docs): cheap to clone, and every clone shares the same underlying cell.
+/// operation is linearizable. A handle owns a share of its one-slot bank:
+/// cheap to clone, and every clone shares the same underlying cell.
+/// (Arrays and matrices lend their slots as [`SwmrRef`]s instead.)
 ///
 /// Reads and writes are *attributed*: callers pass the identity of the
 /// acting process, which feeds the instrumentation used to verify the
@@ -361,44 +447,44 @@ impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
 /// assert_eq!(reg.read(ProcessId::new(0)), 42);
 /// ```
 pub struct SwmrRegister<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    /// A bank of one slot, owned.
     bank: Arc<Bank<T, C>>,
-    slot: usize,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
-    pub(crate) fn view(bank: &Arc<Bank<T, C>>, slot: usize) -> Self {
-        debug_assert!(slot < bank.counters.len(), "slot within the bank");
-        debug_assert!(
-            bank.owners != Owners::Shared,
-            "1WnR register requires an owner"
-        );
-        SwmrRegister {
-            bank: Arc::clone(bank),
-            slot,
-        }
+    /// The register of a one-slot `bank`.
+    pub(crate) fn new(bank: Arc<Bank<T, C>>) -> Self {
+        debug_assert_eq!(bank.len(), 1, "a scalar is a bank of one");
+        SwmrRegister { bank }
+    }
+
+    #[inline]
+    fn at(&self) -> SwmrRef<'_, T, C> {
+        SwmrRef::new(&self.bank, 0)
     }
 
     /// The only process allowed to write this register.
     #[must_use]
     pub fn owner(&self) -> ProcessId {
-        (self.bank.owners.of(self.slot)).expect("SWMR register always has an owner")
+        self.at().owner()
     }
 
     /// Name of the register within its memory space (e.g. `STOP\[2\]`).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.bank.slots.names()[self.slot]
+        self.at().name()
     }
 
     /// Identity of the register within its memory space.
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        RegisterId(self.bank.first_id + self.slot)
+        self.at().id()
     }
 
     /// Atomically reads the register on behalf of `reader`.
+    #[inline]
     pub fn read(&self, reader: ProcessId) -> T {
-        self.bank.read(reader, self.slot)
+        self.at().read(reader)
     }
 
     /// Atomically writes `value` on behalf of `writer`.
@@ -408,9 +494,7 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// Panics if `writer` is not the owner — writing someone else's 1WnR
     /// register is a model violation and therefore a programming error.
     pub fn write(&self, writer: ProcessId, value: T) {
-        if let Err(e) = self.try_write(writer, value) {
-            panic!("{e}");
-        }
+        self.at().write(writer, value);
     }
 
     /// Atomically writes `value` on behalf of `writer`, reporting ownership
@@ -421,12 +505,7 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// Returns [`OwnershipError`] if `writer` does not own the register; the
     /// register is left unchanged.
     pub fn try_write(&self, writer: ProcessId, value: T) -> Result<(), OwnershipError> {
-        let owner = self.owner();
-        if writer != owner {
-            return Err(OwnershipError::new(self.name().to_string(), owner, writer));
-        }
-        self.bank.write_unchecked(self.slot, writer, value);
-        Ok(())
+        self.at().try_write(writer, value)
     }
 
     /// Reads the register without attributing the access to any process.
@@ -436,7 +515,7 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// rely on.
     #[must_use]
     pub fn peek(&self) -> T {
-        self.bank.peek(self.slot)
+        self.at().peek()
     }
 
     /// Overwrites the register without attribution or footprint tracking.
@@ -445,22 +524,88 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrRegister<T, C> {
     /// harnesses use this to corrupt state before a run to exercise
     /// self-stabilization. Not for algorithm use.
     pub fn poke(&self, value: T) {
-        self.bank.poke(self.slot, value);
+        self.at().poke(value);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrRegister<T, C> {
     fn clone(&self) -> Self {
-        SwmrRegister::view(&self.bank, self.slot)
+        SwmrRegister::new(Arc::clone(&self.bank))
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrRegister<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SwmrRegister")
+        self.at().fmt(f)
+    }
+}
+
+/// An nWnR register borrowed from its bank, as
+/// [`MwmrArray::get`](crate::MwmrArray::get) hands it out (see
+/// [`SwmrRef`]).
+pub struct MwmrRef<'a, T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    bank: &'a Bank<T, C>,
+    slot: usize,
+}
+
+impl<'a, T: RegisterValue, C: SharedCell<T>> MwmrRef<'a, T, C> {
+    /// # Panics
+    ///
+    /// Panics if `slot` is past the bank.
+    #[inline]
+    pub(crate) fn new(bank: &'a Bank<T, C>, slot: usize) -> Self {
+        assert!(slot < bank.len(), "slot {slot} of a bank of {}", bank.len());
+        MwmrRef { bank, slot }
+    }
+
+    /// See [`MwmrRegister::name`].
+    #[must_use]
+    pub fn name(&self) -> &'a str {
+        &self.bank.names[self.slot]
+    }
+
+    /// See [`MwmrRegister::id`].
+    #[must_use]
+    pub fn id(&self) -> RegisterId {
+        RegisterId(self.bank.first_id + self.slot)
+    }
+
+    /// See [`MwmrRegister::read`].
+    #[inline]
+    pub fn read(&self, reader: ProcessId) -> T {
+        self.bank.read(reader, self.slot)
+    }
+
+    /// See [`MwmrRegister::write`].
+    pub fn write(&self, writer: ProcessId, value: T) {
+        self.bank.write_unchecked(self.slot, writer, value);
+    }
+
+    /// See [`MwmrRegister::peek`].
+    #[must_use]
+    pub fn peek(&self) -> T {
+        self.bank.peek(self.slot)
+    }
+
+    /// See [`MwmrRegister::poke`].
+    pub fn poke(&self, value: T) {
+        self.bank.poke(self.slot, value);
+    }
+}
+
+impl<T: RegisterValue, C: SharedCell<T>> Clone for MwmrRef<'_, T, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T: RegisterValue, C: SharedCell<T>> Copy for MwmrRef<'_, T, C> {}
+
+impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for MwmrRef<'_, T, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MwmrRegister")
             .field("name", &self.name())
-            .field("owner", &self.owner())
-            .field("value", &self.bank.peek(self.slot))
+            .field("value", &self.peek())
             .finish()
     }
 }
@@ -483,65 +628,66 @@ impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for SwmrRegister<T, C> {
 /// assert_eq!(reg.read(ProcessId::new(0)), 2);
 /// ```
 pub struct MwmrRegister<T: RegisterValue, C: SharedCell<T> = LockCell<T>> {
+    /// A bank of one slot, owned.
     bank: Arc<Bank<T, C>>,
-    slot: usize,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> MwmrRegister<T, C> {
-    pub(crate) fn view(bank: &Arc<Bank<T, C>>, slot: usize) -> Self {
-        debug_assert!(slot < bank.counters.len(), "slot within the bank");
-        MwmrRegister {
-            bank: Arc::clone(bank),
-            slot,
-        }
+    /// The register of a one-slot `bank`.
+    pub(crate) fn new(bank: Arc<Bank<T, C>>) -> Self {
+        debug_assert_eq!(bank.len(), 1, "a scalar is a bank of one");
+        MwmrRegister { bank }
+    }
+
+    #[inline]
+    fn at(&self) -> MwmrRef<'_, T, C> {
+        MwmrRef::new(&self.bank, 0)
     }
 
     /// Name of the register within its memory space.
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.bank.slots.names()[self.slot]
+        self.at().name()
     }
 
     /// Identity of the register within its memory space.
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        RegisterId(self.bank.first_id + self.slot)
+        self.at().id()
     }
 
     /// Atomically reads the register on behalf of `reader`.
+    #[inline]
     pub fn read(&self, reader: ProcessId) -> T {
-        self.bank.read(reader, self.slot)
+        self.at().read(reader)
     }
 
     /// Atomically writes `value` on behalf of `writer`.
     pub fn write(&self, writer: ProcessId, value: T) {
-        self.bank.write_unchecked(self.slot, writer, value);
+        self.at().write(writer, value);
     }
 
     /// Unattributed read for harness-side inspection.
     #[must_use]
     pub fn peek(&self) -> T {
-        self.bank.peek(self.slot)
+        self.at().peek()
     }
 
     /// Unattributed overwrite for state-corruption harnesses.
     pub fn poke(&self, value: T) {
-        self.bank.poke(self.slot, value);
+        self.at().poke(value);
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for MwmrRegister<T, C> {
     fn clone(&self) -> Self {
-        MwmrRegister::view(&self.bank, self.slot)
+        MwmrRegister::new(Arc::clone(&self.bank))
     }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for MwmrRegister<T, C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MwmrRegister")
-            .field("name", &self.name())
-            .field("value", &self.bank.peek(self.slot))
-            .finish()
+        self.at().fmt(f)
     }
 }
 
@@ -552,6 +698,86 @@ mod tests {
 
     fn space() -> MemorySpace {
         MemorySpace::new(4)
+    }
+
+    /// Whether the bank behind `reg` has allocated its frozen run.
+    fn frozen<T: RegisterValue, C: SharedCell<T>>(reg: SwmrRef<'_, T, C>) -> bool {
+        reg.bank.frozen.get().is_some()
+    }
+
+    #[test]
+    fn a_severed_reader_sees_the_value_at_the_cut_whenever_the_bank_was_made() {
+        let s = MemorySpace::new(2);
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let cut = || s.install_partition(&[vec![p0], vec![p1]]);
+        let before = s.nat_array("BEFORE", |_| 1);
+        before.get(p1).write(p1, 2);
+        assert!(!frozen(before.get(p1)), "no cut yet: no frozen run");
+        cut();
+        assert!(frozen(before.get(p1)), "the cut froze it");
+        before.get(p1).write(p1, 3);
+        let during = s.nat_array("DURING", |_| 10);
+        assert!(frozen(during.get(p1)), "made mid-cut: frozen at creation");
+        during.get(p1).write(p1, 11);
+        assert_eq!(
+            before.get(p1).read(p0),
+            2,
+            "made before: the value at the cut"
+        );
+        assert_eq!(
+            during.get(p1).read(p0),
+            10,
+            "made mid-cut: its initial value"
+        );
+        s.heal_partition();
+        let after = s.nat_array("AFTER", |_| 20);
+        assert!(!frozen(after.get(p1)), "made after the heal: none yet");
+        after.get(p1).write(p1, 21);
+        assert_eq!(after.get(p1).read(p0), 21, "healed: live");
+        cut();
+        after.get(p1).write(p1, 22);
+        assert_eq!(
+            after.get(p1).read(p0),
+            21,
+            "made after: the value at the next cut"
+        );
+        assert_eq!(
+            before.get(p1).read(p0),
+            3,
+            "every bank re-frozen at the next cut"
+        );
+        assert_eq!(during.get(p1).read(p0), 11);
+        assert_eq!(
+            after.get(p1).read(p1),
+            22,
+            "the owner reads live throughout"
+        );
+    }
+
+    #[test]
+    fn a_space_that_never_cuts_allocates_no_frozen_run() {
+        let s = space();
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let scalar = s.nat_register("X", p1, 0);
+        let array = s.flag_array("STOP", |_| true);
+        let matrix = s.nat_row_matrix("SUSPICIONS", |_, _| 0);
+        let shared = s.nat_mwmr_array("S", 3, |_| 0);
+        scalar.write(p1, 4);
+        array.get(p1).write(p1, false);
+        matrix.get(p1, p0).write(p1, 7);
+        shared.get(2).write(p0, 9);
+        let _ = (
+            scalar.read(p0),
+            array.get(p1).read(p0),
+            shared.get(2).read(p1),
+        );
+        matrix.read_row_into(p1, p0, &mut [0; 4]);
+        let _ = (s.stats(), s.footprint());
+        s.heal_partition();
+        assert!(!frozen(scalar.at()));
+        assert!((array.iter()).all(|(_, reg)| !frozen(reg)));
+        assert!((matrix.iter()).all(|(_, _, reg)| !frozen(reg)));
+        assert!((shared.iter()).all(|reg| reg.bank.frozen.get().is_none()));
     }
 
     #[test]

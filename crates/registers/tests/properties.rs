@@ -285,7 +285,7 @@ fn chained_snapshots_equal_fresh_ones() {
                     let was = earlier.next().map_or(&zeros[..], |bank| bank.reads);
                     let expected: Vec<u64> =
                         now.reads.iter().zip(was).map(|(a, b)| a - b).collect();
-                    assert_eq!(moved.reads, expected, "{label} − {j}: {}", now.names[0]);
+                    assert_eq!(moved.reads, expected, "{label} − {j}: {}", &now.names[0]);
                 }
                 let mut earlier = taken.rows();
                 for (now, moved) in direct.rows().zip(delta.rows()) {

@@ -31,6 +31,12 @@ pub struct ServiceNode {
     submitted: VecDeque<usize>,
     /// Proposal rounds lost to another proposer (operation-cost metric).
     superseded: u64,
+    /// The log's commit events of this poll; kept, so that draining them
+    /// allocates nothing once it has grown to a poll's worth.
+    events: Vec<LogEvent>,
+    /// `keys[k]` names key index `k`, built on first use: every command
+    /// and lookup for the key shares it.
+    keys: Vec<Arc<str>>,
 }
 
 impl ServiceNode {
@@ -46,6 +52,8 @@ impl ServiceNode {
             store: KvStore::new(),
             submitted: VecDeque::new(),
             superseded: 0,
+            events: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -71,12 +79,13 @@ impl ServiceNode {
             match self.ledger.meta()[id].kind {
                 RequestKind::Get { key } => {
                     // Leader-local read: served from the replica, no slot.
-                    let _ = self.store.get(&WorkloadSpec::key_name(key));
+                    let key = self.key(key);
+                    let _ = self.store.get(&key);
                     self.ledger.complete(id, now);
                 }
                 RequestKind::Put { key } => {
-                    self.log
-                        .submit(KvCommand::Put(WorkloadSpec::key_name(key), id as u64));
+                    let command = KvCommand::Put(self.key(key), id as u64);
+                    self.log.submit(command);
                     self.submitted.push_back(id);
                 }
             }
@@ -88,7 +97,8 @@ impl ServiceNode {
             self.log.step(leader);
         }
 
-        for event in self.log.take_events() {
+        self.log.drain_events(&mut self.events);
+        for event in self.events.drain(..) {
             match event {
                 LogEvent::Committed { ours: true, .. } => {
                     if let Some(id) = self.submitted.pop_front() {
@@ -100,6 +110,16 @@ impl ServiceNode {
             }
         }
         self.store.apply_committed(self.log.committed());
+    }
+
+    /// The shared name of key index `key` (see [`WorkloadSpec::key_name`]).
+    fn key(&mut self, key: u64) -> Arc<str> {
+        let index = usize::try_from(key).expect("key index fits usize");
+        while self.keys.len() <= index {
+            let next = WorkloadSpec::key_name(self.keys.len() as u64);
+            self.keys.push(next.into());
+        }
+        Arc::clone(&self.keys[index])
     }
 
     /// The replica's current state machine.

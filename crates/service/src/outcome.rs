@@ -123,7 +123,7 @@ impl ServiceOutcome {
         let mut stalled = 0u64;
         let mut inflight = 0u64;
         let mut latencies = Histogram::new();
-        let mut ack_ticks: Vec<u64> = Vec::new();
+        let mut ack_ticks: Vec<u64> = Vec::with_capacity(meta.len());
         for (m, state) in meta.iter().zip(&states) {
             match *state {
                 RequestState::Pending => inflight += 1,

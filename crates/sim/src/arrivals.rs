@@ -78,14 +78,23 @@ impl OpenLoop {
     /// generator (so payload draws stay inside the per-client stream).
     ///
     /// Ties in arrival time are ordered by client index — a deterministic
-    /// merge, not an artifact of sampling order.
+    /// merge, not an artifact of sampling order. A client's arrivals are at
+    /// least one tick apart, so no two arrivals share `(at, client)`: the
+    /// key is unique, and the unstable sort returns the one order a stable
+    /// sort would.
     pub fn generate<P>(
         &self,
         seed: u64,
         mut payload: impl FnMut(u64, &mut SmallRng) -> P,
     ) -> Vec<Arrival<P>> {
         let mean = self.mean_interarrival.max(1);
-        let mut schedule = Vec::new();
+        // A client sends about `window / mean + ½` requests (its ramp-in
+        // gap averages half a mean). Reserving at least half a request per
+        // client more than that makes the schedule one allocation at scale,
+        // not a chain of doublings whose freed runs fragment the heap.
+        let per_client = self.stop.saturating_sub(self.start).div_ceil(mean) + 1;
+        let expected = self.clients.saturating_mul(per_client);
+        let mut schedule = Vec::with_capacity(usize::try_from(expected).unwrap_or(0));
         for client in 0..self.clients {
             let mut rng = SmallRng::seed_from_u64(Self::client_seed(seed, client));
             // Ramp in over one mean gap so the sources do not thunder in
@@ -101,7 +110,7 @@ impl OpenLoop {
                 at = at.saturating_add(rng.gen_range(1..=2 * mean - 1));
             }
         }
-        schedule.sort_by_key(|a| (a.at, a.client));
+        schedule.sort_unstable_by_key(|a| (a.at, a.client));
         schedule
     }
 }
@@ -130,6 +139,56 @@ mod tests {
             .windows(2)
             .all(|w| (w[0].at, w[0].client) <= (w[1].at, w[1].client)));
         assert!(a.iter().all(|r| (100..5_000).contains(&r.at)));
+    }
+
+    #[test]
+    fn the_unstable_merge_is_the_stable_one() {
+        // Mean gaps of 1–3 ticks over many clients: most ticks carry
+        // arrivals from several clients, so the key's client half decides.
+        for (clients, mean) in [(1, 1), (2, 1), (7, 2), (40, 3), (300, 2)] {
+            let spec = OpenLoop {
+                clients,
+                mean_interarrival: mean,
+                start: 10,
+                stop: 400,
+            };
+            for seed in 0..8 {
+                let schedule = spec.generate(seed, |c, rng| (c, rng.next_u64()));
+                let label = format!("{clients} clients, mean {mean}, seed {seed}");
+                // Strictly increasing: the sort key is unique.
+                let keys: Vec<(u64, u64)> = schedule.iter().map(|a| (a.at, a.client)).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "{label}");
+                // Generation order is client-major, each client's arrivals
+                // in time order; a stable sort of it is the schedule.
+                let mut generated = schedule.clone();
+                generated.sort_by_key(|a| a.client);
+                generated.sort_by_key(|a| (a.at, a.client));
+                assert_eq!(schedule, generated, "{label}");
+                let shared_ticks = keys.windows(2).filter(|w| w[0].0 == w[1].0).count();
+                assert!(clients == 1 || shared_ticks > 0, "{label}: no tick shared");
+            }
+        }
+    }
+
+    #[test]
+    fn a_service_sized_schedule_is_one_allocation() {
+        // 2 000 clients over 388 000 ticks at 200 and at 30 requests per
+        // 1 000 ticks: the reservation holds every arrival, so the vector
+        // never grew past it.
+        for mean in [10_000, 66_666] {
+            let spec = OpenLoop {
+                clients: 2_000,
+                mean_interarrival: mean,
+                start: 2_000,
+                stop: 390_000,
+            };
+            let reserved = 2_000 * (388_000_u64.div_ceil(mean) + 1) as usize;
+            for seed in 0..3 {
+                let schedule = spec.generate(seed, |_, _| ());
+                assert!(schedule.len() <= reserved, "mean {mean}, seed {seed}");
+                assert_eq!(schedule.capacity(), reserved, "mean {mean}, seed {seed}");
+            }
+        }
     }
 
     #[test]

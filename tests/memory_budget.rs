@@ -1,30 +1,39 @@
-//! What a wide simulated run keeps on the heap (ROADMAP open item 3).
+//! What a wide simulated run keeps on the heap (ROADMAP open item 3), and
+//! what one slot of the service's consensus log costs (open items 1 (f)
+//! and 13).
 //!
 //! The election layouts were cubic in n while they counted reads per
 //! (register, process), and the simulator once multiplied that by every
 //! statistics checkpoint it retained, parked a ring buffer in each of the
 //! event wheel's 4096 slots on top, and gave every process a private copy
 //! of every suspicion row. Reads are now tallied per (process, bank), and
-//! nothing left is more than quadratic in n. This binary holds that line:
-//! it owns the process's allocator, so it is a test binary of its own with
-//! a single test — a second test running beside it would be counted too.
+//! nothing left is more than quadratic in n. The service's log never
+//! retires a slot, so what a slot costs is what a long run keeps. This
+//! binary holds both lines: it owns the process's allocator, so it is a
+//! test binary of its own with a single test — a second test running
+//! beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use omega_shm::consensus::{KvCommand, LogShared};
 use omega_shm::omega::OmegaVariant;
+use omega_shm::registers::MemorySpace;
 use omega_shm::scenario::{Driver, Scenario, SimDriver};
 
-/// The system allocator, counting the bytes live right now and their peak.
+/// The system allocator, counting the bytes live right now, their peak,
+/// and the calls that asked for memory (allocations and reallocations).
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 impl Counting {
     fn grew(bytes: usize) {
         let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
         PEAK.fetch_max(live, Ordering::Relaxed);
+        CALLS.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -71,22 +80,36 @@ static ALLOCATOR: Counting = Counting;
 
 const MB: usize = 1 << 20;
 
+/// Live bytes and allocator calls so far.
+fn reading() -> (usize, usize) {
+    (LIVE.load(Ordering::Relaxed), CALLS.load(Ordering::Relaxed))
+}
+
 /// The benchmark's `elect-wide` input: Alg1 at n = 128, 99 % quiescent,
 /// four windowed checkpoints (six snapshots with tick zero and the
-/// horizon). It peaks at 7.1 MB of live heap, every part of it quadratic
-/// in n: the 16 640 registers' values, names, handles and write and
-/// high-water cells, the 130 banks' read tallies, the shared layout
-/// (names, owners, offsets), six snapshots of ≈ 266 KB each and six
-/// footprint reports of 16 B a register, and the processes' shared views
-/// of the suspicion matrix. The budget is that reading + 25 %: a read
+/// horizon). It peaks at 5.1 MB of live heap, every part of it quadratic
+/// in n: the 16 640 registers' values and write and high-water cells, the
+/// 130 banks' names (one block each) and read tallies, the shared layout
+/// (an entry per bank), six snapshots of ≈ 266 KB each and six footprint
+/// reports of 16 B a register, and the processes' shared views of the
+/// suspicion matrix. The budget is that reading + 25 %, rounded up: a read
 /// cell per (process, register) does not fit (17.2 MB), nor the 17 MB of
 /// private per-process mirrors, nor the 32 MB the per-slot ring buffers
-/// grew to.
+/// grew to, nor the 7.1 MB of a name and a handle per register and frozen
+/// cells in every bank.
 ///
 /// Then Alg1 at n = 512, the sim's ceiling (`SIM_MAX_N`), built and
-/// dropped: its construction peaks at 42.7 MB (1 068.6 MB with a read
-/// cell per (process, register)), and its budget is that + 25 % — which
-/// pins that no cubic term comes back at construction.
+/// dropped: its construction peaks at 27.5 MB (42.7 MB with a name and a
+/// handle per register and frozen cells up front, 1 068.6 MB with a read
+/// cell per (process, register)), and its budget is that + 25 %, rounded
+/// up — which pins that no cubic term comes back at construction.
+///
+/// Last, the service's log at its n = 5: 10 000 slots of
+/// `LogShared::<KvCommand>::instance` after 1 000 to warm up. A slot is two
+/// banks of n registers, `RR` then `DEC`; it reads 1 430 B live and 11
+/// allocator calls (2 658 B and 52 while every bank allocated frozen cells
+/// up front, a name per register and a handle per slot), and its budget is
+/// that + 25 % in both.
 #[test]
 fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     let scenario = Scenario::fault_free(OmegaVariant::Alg1, 128)
@@ -106,7 +129,7 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     );
     assert!(before < MB, "the harness itself holds {before} bytes");
     assert!(
-        peak < 9 * MB,
+        peak < 13 * MB / 2,
         "SimDriver.run of elect-wide peaked at {:.1} MB of live heap",
         peak as f64 / MB as f64
     );
@@ -123,8 +146,22 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
         built as f64 / MB as f64
     );
     assert!(
-        built < 54 * MB,
+        built < 35 * MB,
         "Alg1 at n = 512 peaked at {:.1} MB of live heap to build",
         built as f64 / MB as f64
+    );
+
+    let log = LogShared::<KvCommand>::new(MemorySpace::new(5));
+    let _ = log.instance(999);
+    let (slots, (live, calls)) = (10_000, reading());
+    let _ = log.instance(1_000 + slots - 1);
+    let (live_after, calls_after) = reading();
+    let bytes = (live_after - live) as f64 / slots as f64;
+    let calls = (calls_after - calls) as f64 / slots as f64;
+    println!("a log slot at n = 5: {bytes:.0} B live, {calls:.2} allocator calls");
+    assert!(bytes <= 1_430.0 * 1.25, "a log slot keeps {bytes:.0} B");
+    assert!(
+        calls <= 11.0 * 1.25,
+        "a log slot makes {calls:.2} allocator calls"
     );
 }

@@ -103,7 +103,7 @@ fn replicated_kv_on_threads_with_failover() {
         apps.push(std::thread::spawn(move || {
             let mut handle = LogHandle::new(shared, pid);
             handle.submit(KvCommand::Put(
-                format!("key-{}", pid.index()),
+                format!("key-{}", pid.index()).into(),
                 pid.index() as u64,
             ));
             while !stop.load(std::sync::atomic::Ordering::Acquire) {
@@ -127,7 +127,7 @@ fn replicated_kv_on_threads_with_failover() {
     // fixed sleep suffices under CPU contention.
     let wanted: Vec<KvCommand> = ProcessId::all(n)
         .filter(|&q| q != crashed)
-        .map(|pid| KvCommand::Put(format!("key-{}", pid.index()), pid.index() as u64))
+        .map(|pid| KvCommand::Put(format!("key-{}", pid.index()).into(), pid.index() as u64))
         .collect();
     let poll_deadline = std::time::Instant::now() + DEADLINE;
     loop {
@@ -165,7 +165,7 @@ fn replicated_kv_on_threads_with_failover() {
     // may or may not commit; survivors' must.
     let longest = logs.iter().max_by_key(|l| l.len()).unwrap();
     for pid in ProcessId::all(n).filter(|&q| q != crashed) {
-        let cmd = KvCommand::Put(format!("key-{}", pid.index()), pid.index() as u64);
+        let cmd = KvCommand::Put(format!("key-{}", pid.index()).into(), pid.index() as u64);
         assert!(
             longest.contains(&cmd),
             "surviving {pid}'s command missing from the log"
