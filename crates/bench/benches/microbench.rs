@@ -166,21 +166,31 @@ fn bench_steps() {
 /// rows take the turns: one call is one `T3` pass (or one refresh) by each
 /// of the n processes in order, as the simulator schedules them, and the
 /// figure is per pass.
+///
+/// In `alg1_t3_round` and `alg1_t3_round_partitioned` the leader never
+/// steps, so no shard is ever written: once each process has suspected
+/// the silent leader, every pass is a booked one (the `T3` memo). `alg1_t3_round_heartbeat` prices the mix a
+/// stabilized run sees: p0 heartbeats once a round, so the passes over
+/// its shard read and the others are booked.
 fn bench_in_situ() {
     use omega_registers::Instrumentation;
     use std::hint::black_box;
 
     for n in [48usize, 128] {
-        for partitioned in [false, true] {
+        for (row, partitioned, heartbeat) in [
+            ("alg1_t3_round", false, false),
+            ("alg1_t3_round_partitioned", true, false),
+            ("alg1_t3_round_heartbeat", false, true),
+        ] {
             let (space, mut procs) = stabilized_alg1(n);
-            let name = if partitioned {
+            if partitioned {
                 let (left, right) = (ProcessId::all(n / 2), (n / 2..n).map(p));
                 space.install_partition(&[left.collect(), right.collect()]);
-                format!("alg1_t3_round_partitioned/{n}")
-            } else {
-                format!("alg1_t3_round/{n}")
-            };
-            bench_per("in_situ", &name, n, || {
+            }
+            bench_per("in_situ", &format!("{row}/{n}"), n, || {
+                if heartbeat {
+                    procs[0].t2_step();
+                }
                 for q in &mut procs {
                     black_box(q.on_timer_expire());
                 }

@@ -8,7 +8,10 @@
 //!   above 25 %, on a run that stabilized in the baseline and no longer
 //!   does, on a total-write growth above 15 %, and on the non-election
 //!   witness of every `expect = false` record: any false-stable tick, or
-//!   demotions / max streak that differ from the committed record.
+//!   demotions / max streak that differ from the committed record. The
+//!   read counters — `total_reads`, `reads_skipped`, `shard_passes` — must
+//!   equal the committed record's: a sim run is a pure function of its
+//!   spec, so a read-saving change that moves one has changed the model.
 //! * **Tables.** Besides the outcome table (with the SAN block footprint),
 //!   a throughput table: elapsed ms, events/s and reads/s per scenario.
 //! * **The coop worker sweep.** Every full coop run (record or check)
@@ -42,6 +45,9 @@ const SUITE: Suite = Suite {
         Gate("witness_false_stable_ticks", Rule::ZeroNow),
         Gate("witness_demotions", Rule::Exact),
         Gate("witness_max_stable_streak_ticks", Rule::Exact),
+        Gate("total_reads", Rule::Exact),
+        Gate("reads_skipped", Rule::Exact),
+        Gate("shard_passes", Rule::Exact),
     ],
     timing: "elapsed_ms",
 };
@@ -302,7 +308,7 @@ mod tests {
         // Backward compatibility: an *older* baseline lacks the optional
         // timing and witness fields entirely; everything required still
         // parses, the timing comparison reports no trend, and the witness
-        // has nothing to be exact against.
+        // and the scan counters have nothing to be exact against.
         let legacy = "[\n  {\"scenario\":\"a\",\"stabilization_ticks\":10,\"total_writes\":5,\"total_reads\":7}\n]\n";
         let records = SUITE.parse_baseline(legacy).unwrap();
         assert_eq!(records[0].f64("elapsed_ms"), None);
@@ -311,6 +317,7 @@ mod tests {
         now.scenario = "a".into();
         now.stabilization_ticks = Some(10);
         now.writes = vec![5, 0];
+        now.reads = vec![7, 0];
         now.witness = Some(omega_scenario::NonElectionWitness {
             window_from: 0,
             window_until: 10,
@@ -428,6 +435,35 @@ mod tests {
                 .any(|v| v.contains("witness_false_stable_ticks read 10, must be zero")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn the_gate_holds_the_read_counters_exact() {
+        let outcome = SimDriver.run(&registry::named("fault-free").expect("registry member"));
+        assert!(outcome.reads_skipped > 0 && outcome.shard_passes > 0);
+        let now = [rec(&outcome)];
+        assert!(SUITE.gate(&now, &now, &opts(&[])).is_empty());
+        let drifts: [fn(&mut Outcome); 4] = [
+            |o| o.reads[0] += 1,
+            |o| o.reads[1] -= 1,
+            |o| o.reads_skipped += 1,
+            |o| o.shard_passes -= 1,
+        ];
+        for (drift, field) in drifts.iter().zip([
+            "total_reads",
+            "total_reads",
+            "reads_skipped",
+            "shard_passes",
+        ]) {
+            let mut drifted = outcome.clone();
+            drift(&mut drifted);
+            let violations = SUITE.gate(&[rec(&drifted)], &now, &opts(&[]));
+            assert_eq!(violations.len(), 1, "{violations:?}");
+            assert!(
+                violations[0].contains(&format!("{field} changed")),
+                "{violations:?}"
+            );
+        }
     }
 
     #[test]

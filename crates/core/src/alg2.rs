@@ -29,8 +29,9 @@ use omega_registers::{
     EpochedNatMatrix, FlagArray, FlagMatrix, MemorySpace, ProcessId, ProcessSet,
 };
 
-use crate::alg1::{ShardCursor, SuspicionCache, SuspicionRows, T3_SHARD_SIZE};
+use crate::alg1::{SuspicionCache, SuspicionRows, T3_SHARD_SIZE};
 use crate::candidates::{elect_least_suspected, CandidateInit};
+use crate::heartbeat::ShardCursor;
 use crate::OmegaProcess;
 
 /// The Figure-5 shared register layout.

@@ -7,6 +7,15 @@
 //! may overlap (an increment can be lost), which is harmless for the
 //! algorithm's properties — the counter still only grows when some process
 //! suspects `k`, and it stops growing exactly when suspicions stop.
+//!
+//! `T3` runs on the heartbeat tracker [`Alg1Process`](crate::Alg1Process)
+//! uses, so the two share one rule. A pass reads `STOP[shard]`, then
+//! `PROGRESS[shard]`, then — for each `k` it suspects — the counter of `k`
+//! before writing it back incremented; last, the timeout refreshes the
+//! counter cache. A pass over a shard that no one wrote and that holds no
+//! candidate but the scanner books its `STOP`/`PROGRESS` reads instead
+//! and suspects no one; only the refresh then reads, and only counters
+//! whose epoch moved.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -15,8 +24,8 @@ use omega_registers::{
     EpochedMwmrNatArray, FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet,
 };
 
-use crate::alg1::{scan_heartbeats, ShardCursor, T3_SHARD_SIZE};
 use crate::candidates::{elect_least_suspected, CandidateInit};
+use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
 
 /// Epoch-validated local view of the shared suspicion counters: slot `k`
@@ -107,7 +116,7 @@ impl MwmrMemory {
         let n = space.n_processes();
         Arc::new(MwmrMemory {
             n,
-            progress: space.nat_array("PROGRESS", |_| 0),
+            progress: space.epoched_nat_array("PROGRESS", |_| 0),
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_mwmr_array("SUSPICIONS", n, |_| 0),
         })
@@ -130,6 +139,12 @@ impl MwmrMemory {
     pub fn peek_progress(&self, k: ProcessId) -> u64 {
         self.progress.get(k).peek()
     }
+
+    /// `STOP` and `PROGRESS`.
+    #[cfg(test)]
+    pub(crate) fn heartbeat_arrays(&self) -> (&FlagArray, &NatArray) {
+        (&self.stop, &self.progress)
+    }
 }
 
 /// One process of the nWnR variant.
@@ -137,9 +152,9 @@ impl MwmrMemory {
 pub struct MwmrProcess {
     pid: ProcessId,
     mem: Arc<MwmrMemory>,
-    candidates: ProcessSet,
-    last: Vec<u64>,
-    last_valid: Vec<bool>,
+    /// `candidates_i`, `last_i` and the sharded `T3` scan, as in
+    /// [`Alg1Process`](crate::Alg1Process).
+    heartbeats: HeartbeatTracker,
     my_progress: u64,
     my_stop: bool,
     cached: Option<ProcessId>,
@@ -148,8 +163,6 @@ pub struct MwmrProcess {
     /// Memoized `T1` winner (see [`Alg1Process`](crate::Alg1Process));
     /// `None` = stale.
     election: std::cell::Cell<Option<ProcessId>>,
-    /// Round-robin cursor of the sharded `T3` scan.
-    t3_cursor: ShardCursor,
 }
 
 impl MwmrProcess {
@@ -166,15 +179,12 @@ impl MwmrProcess {
         let my_stop = mem.stop.get(pid).peek();
         MwmrProcess {
             pid,
-            candidates: CandidateInit::Full.materialize(n, pid),
-            last: vec![0; n],
-            last_valid: vec![false; n],
+            heartbeats: HeartbeatTracker::new(n, pid, CandidateInit::Full.materialize(n, pid)),
             my_progress,
             my_stop,
             cached: None,
             scan: RefCell::new(CounterCache::new(n)),
             election: std::cell::Cell::new(None),
-            t3_cursor: ShardCursor::new(n, T3_SHARD_SIZE),
             mem,
         }
     }
@@ -188,7 +198,13 @@ impl MwmrProcess {
     /// Current candidate set (test/diagnostic view).
     #[must_use]
     pub fn candidates(&self) -> &ProcessSet {
-        &self.candidates
+        self.heartbeats.candidates()
+    }
+
+    /// The `T3` heartbeat tracker.
+    #[cfg(test)]
+    pub(crate) fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker {
+        &mut self.heartbeats
     }
 }
 
@@ -209,7 +225,7 @@ impl OmegaProcess for MwmrProcess {
         } else if let Some(winner) = self.election.get() {
             return winner;
         }
-        let winner = elect_least_suspected(&self.candidates, |k| scan.values[k.index()])
+        let winner = elect_least_suspected(self.candidates(), |k| scan.values[k.index()])
             .expect("candidates always contain self");
         self.election.set(Some(winner));
         winner
@@ -234,42 +250,30 @@ impl OmegaProcess for MwmrProcess {
         }
     }
 
+    /// `T3` over one shard, as in [`Alg1Process`](crate::Alg1Process):
+    /// `STOP[shard]` then `PROGRESS[shard]` around the own slot (see its
+    /// module docs for why in that order), or booked reads when the pass
+    /// is provably a no-op.
     fn on_timer_expire(&mut self) -> u64 {
-        // The scan below may change `candidates` and the shared counters —
-        // election inputs.
-        self.election.set(None);
-        let (mem, shard) = (&*self.mem, self.t3_cursor.advance());
-        // `STOP[shard]` then `PROGRESS[shard]` around the own slot, as in
-        // [`Alg1Process`](crate::Alg1Process) (see its module docs for why
-        // in that order).
-        scan_heartbeats(
-            &mem.stop,
-            &mem.progress,
-            self.pid,
-            shard,
-            |k, stop_k, progress_k| {
-                let fresh = !self.last_valid[k.index()] || progress_k != self.last[k.index()];
-                if fresh {
-                    self.candidates.insert(k);
-                    self.last[k.index()] = progress_k;
-                    self.last_valid[k.index()] = true;
-                } else if stop_k {
-                    self.candidates.remove(k);
-                } else if self.candidates.contains(k) {
-                    // Read-increment-write on the shared counter; increments
-                    // may race and be lost, which the variant tolerates.
-                    let bumped = mem.suspicions.get(k.index()).read(self.pid) + 1;
-                    mem.suspicions.write(k.index(), self.pid, bumped);
-                    self.candidates.remove(k);
-                }
-            },
-        );
-        self.mem.suspicions.counters().note_shard_pass();
+        let (mem, pid) = (&*self.mem, self.pid);
+        let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
+            // Read-increment-write on the shared counter; increments may
+            // race and be lost, which the variant tolerates.
+            let bumped = mem.suspicions.get(k.index()).read(pid) + 1;
+            mem.suspicions.write(k.index(), pid, bumped);
+        });
+        mem.suspicions.counters().note_shard_pass();
         // Line 27 analogue: the timeout tracks the largest suspicion count
         // this process can observe — from the epoch-validated cache, so
         // clean counters cost no shared reads (and no O(n) rescan).
         let mut scan = self.scan.borrow_mut();
-        scan.refresh(&self.mem.suspicions, self.pid);
+        let reread = scan.refresh(&mem.suspicions, pid);
+        if reread || !booked {
+            // The pass may have changed `candidates` and the counters, and
+            // the refresh may have consumed a change `leader()` must see —
+            // election inputs all.
+            self.election.set(None);
+        }
         scan.values_max + 1
     }
 

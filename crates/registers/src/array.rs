@@ -106,6 +106,57 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
         );
         self.read_range_into(reader, 0..self.len(), out);
     }
+
+    /// The write version of the slots in `range`, or `None` if the array
+    /// keeps no chunk epochs (one not made by
+    /// [`MemorySpace::epoched_nat_array`](crate::MemorySpace::epoched_nat_array),
+    /// or any on a disk-backed space). It moves with every write and poke
+    /// of a slot in the 16-slot chunks the range overlaps, and with every
+    /// partition install and heal; it never moves otherwise. Read it
+    /// *before* reading the range: a write racing the reads then leaves
+    /// the version the caller keeps behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` leaves the array.
+    #[must_use]
+    #[inline]
+    pub fn range_version(&self, range: Range<usize>) -> Option<u64> {
+        self.bank.range_version(range)
+    }
+
+    /// Books one read by `reader` of every slot of `range` but `except`,
+    /// here and in `alongside` — the same per-(reader, bank) tallies a
+    /// [`read_range_into`](Self::read_range_into) of those slots of each
+    /// adds — without loading a value, if `*seen` is still the range's
+    /// [`range_version`](Self::range_version). A caller that read the
+    /// range at that version thus holds what each booked read of this
+    /// array would return: the array guarantees it, by refusing once
+    /// anything moved the version. For `alongside` the caller vouches
+    /// instead that, this range being unchanged, it would discard every
+    /// value read there (`T3` does so with `STOP`); its reads are booked
+    /// only with a checked booking of this array's. A refusal counts
+    /// nothing, returns `false` and sets `*seen` to the current version
+    /// (`None` if the array keeps none, or if `alongside` is on a
+    /// disk-backed space, whose device must serve every read counted),
+    /// taken before any read the caller goes on to make — the version to
+    /// keep for those reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` leaves either array or `reader` is not a process
+    /// of the system.
+    #[inline]
+    pub fn book_unchanged_range<U: RegisterValue, D: SharedCell<U>>(
+        &self,
+        reader: ProcessId,
+        range: Range<usize>,
+        except: Option<usize>,
+        seen: &mut Option<u64>,
+        alongside: &SwmrArray<U, D>,
+    ) -> bool {
+        (self.bank).book_unchanged_range(reader, range, except, seen, &alongside.bank)
+    }
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Clone for SwmrArray<T, C> {
@@ -275,6 +326,67 @@ mod tests {
         arr.snapshot_into(ProcessId::new(0), &mut buf);
         assert_eq!(buf, vec![0, 1, 2, 3]);
         assert_eq!(s.stats().reads_of(ProcessId::new(0)), 4);
+    }
+
+    #[test]
+    fn range_versions_move_with_writes_pokes_and_partition_transitions() {
+        let s = MemorySpace::new(40);
+        let arr = s.epoched_nat_array("PROGRESS", |_| 0);
+        let (p1, p20, p33) = (ProcessId::new(1), ProcessId::new(20), ProcessId::new(33));
+        let version = |range| arr.range_version(range).expect("epoched");
+        let (low, mid, high, wide) = (
+            version(0..16),
+            version(16..32),
+            version(32..40),
+            version(0..40),
+        );
+        arr.get(p20).write(p20, 1);
+        assert_eq!(version(0..16), low, "another chunk's write");
+        assert_ne!(version(16..32), mid, "a write in the chunk");
+        assert_ne!(version(0..40), wide, "a range over the chunk");
+        assert_ne!(version(10..17), low, "a range overlapping the chunk");
+        let mid = version(16..32);
+        arr.get(p33).poke(7);
+        assert_eq!(version(16..32), mid);
+        assert_ne!(version(32..40), high, "a poke in the chunk");
+        for transition in [true, false] {
+            let before = version(0..40);
+            if transition {
+                s.install_cut(&[p1], &[p20]);
+            } else {
+                s.heal_partition();
+            }
+            assert_ne!(version(0..40), before, "install: {transition}");
+        }
+        assert_eq!(s.nat_array("PLAIN", |_| 0).range_version(0..4), None);
+    }
+
+    #[test]
+    fn booking_counts_the_reads_a_range_read_counts_and_refuses_a_moved_range() {
+        let s = MemorySpace::new(20);
+        let arr = s.epoched_nat_array("PROGRESS", |_| 0);
+        let flags = s.flag_array("STOP", |_| true);
+        let (p3, p5) = (ProcessId::new(3), ProcessId::new(5));
+        let mut seen = None;
+        assert!(
+            !arr.book_unchanged_range(p3, 0..16, Some(3), &mut seen, &flags),
+            "never read"
+        );
+        assert_eq!(seen, arr.range_version(0..16), "refused: the version now");
+        assert!(arr.book_unchanged_range(p3, 0..16, Some(3), &mut seen, &flags));
+        assert!(arr.book_unchanged_range(p5, 0..16, None, &mut seen, &flags));
+        arr.get(p5).write(p5, 1);
+        let before = seen;
+        assert!(
+            !arr.book_unchanged_range(p3, 0..16, Some(3), &mut seen, &flags),
+            "moved"
+        );
+        assert_ne!(seen, before, "refused: the version now");
+        let stats = s.stats();
+        let reads: Vec<(u64, u64)> = (stats.banks())
+            .map(|bank| (bank.reads[3], bank.reads[5]))
+            .collect();
+        assert_eq!(reads, [(15, 16), (15, 16)], "[PROGRESS, STOP] by p3, p5");
     }
 
     #[test]

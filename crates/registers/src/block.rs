@@ -165,6 +165,26 @@ mod tests {
     }
 
     #[test]
+    fn disk_backed_banks_keep_no_version_and_book_nothing() {
+        let device = Arc::new(TestDevice::default());
+        let s = MemorySpace::with_block_device(4, device);
+        let arr = s.epoched_nat_array("PROGRESS", |_| 0);
+        let flags = s.flag_array("STOP", |_| true);
+        assert_eq!(arr.range_version(0..4), None);
+        let mut seen = Some(0);
+        assert!(!arr.book_unchanged_range(p(0), 0..4, None, &mut seen, &flags));
+        assert_eq!(seen, None);
+        // In memory, but booked alongside a disk-backed array: refused.
+        let memory = MemorySpace::new(4);
+        let progress = memory.epoched_nat_array("PROGRESS", |_| 0);
+        let mut seen = progress.range_version(0..4);
+        assert!(!progress.book_unchanged_range(p(0), 0..4, None, &mut seen, &flags));
+        assert_eq!(seen, None);
+        assert_eq!(s.stats().total_reads(), 0);
+        assert_eq!(memory.stats().total_reads(), 0);
+    }
+
+    #[test]
     fn block_map_assigns_sequential_addresses() {
         let map = BlockMap::new();
         assert_eq!(map.bind("A", Some(p(0))), 0);

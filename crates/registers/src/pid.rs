@@ -213,6 +213,44 @@ impl ProcessSet {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Whether some member other than `except` has an index in `range`
+    /// (the part of it past the capacity holds none): a masked test of
+    /// each word the range touches — one word for a `T3` shard.
+    #[must_use]
+    #[inline]
+    pub fn any_in_except(&self, range: std::ops::Range<usize>, except: ProcessId) -> bool {
+        let (start, end) = (range.start, range.end.min(self.capacity));
+        if start >= end {
+            return false;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        if first == last {
+            // A shard of at most 64: the one word, and no loop.
+            let mask = (u64::MAX << (start % 64)) & (u64::MAX >> (63 - (end - 1) % 64));
+            let own = u64::from(except.index() / 64 == first) << (except.index() % 64);
+            return self.bits[first] & mask & !own != 0;
+        }
+        let word = |w: usize| {
+            let low = if w == first {
+                u64::MAX << (start % 64)
+            } else {
+                u64::MAX
+            };
+            let high = if w == last {
+                u64::MAX >> (63 - (end - 1) % 64)
+            } else {
+                u64::MAX
+            };
+            let own = if w == except.index() / 64 {
+                1 << (except.index() % 64)
+            } else {
+                0
+            };
+            self.bits[w] & low & high & !own
+        };
+        (first..=last).any(|w| word(w) != 0)
+    }
+
     /// Whether the set is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -321,6 +359,27 @@ mod tests {
         assert!(s.remove(ProcessId::new(64)));
         assert!(!s.remove(ProcessId::new(64)));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn any_in_except_matches_a_member_filter() {
+        let mut s = ProcessSet::new(200);
+        for i in [0, 1, 15, 16, 63, 64, 65, 127, 128, 150, 199] {
+            s.insert(ProcessId::new(i));
+        }
+        for except in [0, 16, 64, 70, 199].map(ProcessId::new) {
+            for start in 0..=205 {
+                for end in start..=205 {
+                    let mut members = s.iter().filter(|p| (start..end).contains(&p.index()));
+                    assert_eq!(
+                        s.any_in_except(start..end, except),
+                        members.any(|p| p != except),
+                        "{start}..{end} except {except}"
+                    );
+                }
+            }
+        }
+        assert!(!ProcessSet::new(0).any_in_except(0..10, ProcessId::new(0)));
     }
 
     #[test]

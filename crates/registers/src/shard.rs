@@ -17,6 +17,12 @@
 //!   row's worth of shared reads avoided.
 //! * [`EpochedArray`] — the same idea per slot, for the §3.5(a) nWnR
 //!   suspicion counters.
+//! * **Chunk epochs** — a bank made by
+//!   [`MemorySpace::epoched_nat_array`](crate::MemorySpace::epoched_nat_array)
+//!   (`PROGRESS`) keeps one epoch per chunk of 16 slots, bumped by every
+//!   write and poke of the bank itself, so no path can miss one;
+//!   [`SwmrArray::range_version`](crate::SwmrArray::range_version) sums
+//!   the chunks a range overlaps.
 //! * [`ScanCounters`] — space-wide accounting of the savings
 //!   (reads skipped, rows skipped, snapshot batches, `T3` shard passes),
 //!   surfaced through [`StatsSnapshot`](crate::StatsSnapshot) so every
@@ -29,6 +35,31 @@
 //! staleness any asynchronous reader already tolerates — and the next
 //! epoch check observes the missed write, so the Ω eventual-agreement
 //! argument is unaffected.
+//!
+//! # Skipped reads and booked reads
+//!
+//! An epoch can stand in for a read in two ways, and they are counted
+//! differently:
+//!
+//! * **Skipped** — `leader()`'s suspicion cache does not read a clean
+//!   row. Caching the rows is this implementation's choice, not the
+//!   paper's: Figure 2's `T1` reads every row on every query. The reads
+//!   it avoids are counted apart, in [`ScanStats::reads_skipped`], and not
+//!   as reads of any process.
+//! * **Booked** — a `T3` pass whose shard no one wrote and which holds no
+//!   candidate would change nothing, yet Lemma 6 says every correct
+//!   non-leader reads forever, and those reads are what the experiments
+//!   count. So the pass is *booked*:
+//!   [`book_unchanged_range`](crate::SwmrArray::book_unchanged_range) adds
+//!   to the reader's tallies exactly what the range reads of `PROGRESS`
+//!   and `STOP` would have added, without loading anything, and refuses
+//!   unless the `PROGRESS` range's version still matches. For `PROGRESS`
+//!   the register layer, not the caller, vouches that each booked read
+//!   would have returned the value the reader holds. For `STOP` the
+//!   caller vouches that it would discard every value (a shard with no
+//!   candidate leaves no `STOP` to act on); its reads are booked only
+//!   together with a checked `PROGRESS` booking, never on their own.
+//!   A booked pass is indistinguishable in every counter from a read one.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

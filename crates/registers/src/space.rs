@@ -44,6 +44,8 @@ struct Registry {
     banks: Vec<Arc<dyn BankMeta>>,
     /// Registers in `banks` (the next bank's first [`RegisterId`](crate::RegisterId)).
     registers: usize,
+    /// Positions in `banks` of the banks that keep chunk epochs.
+    epoched: Vec<usize>,
     /// Where an array's names are written before they are copied into the
     /// one allocation that keeps them.
     scratch: String,
@@ -215,11 +217,13 @@ impl MemorySpace {
 
     /// Creates and registers the bank named per `naming`, slot `i` holding
     /// `init(i)` and owned per `owners`: four allocations (see
-    /// [`crate::swmr`]).
+    /// [`crate::swmr`]), keeping chunk epochs if `epochs` is set and the
+    /// space is not disk-backed.
     fn bank<T, C>(
         &self,
         naming: Naming<'_>,
         owners: Owners,
+        epochs: bool,
         init: impl FnMut(usize) -> T,
     ) -> Arc<Bank<T, C>>
     where
@@ -234,6 +238,7 @@ impl MemorySpace {
         // The caller's code runs before the lock is taken: an initializer
         // that creates registers of its own must not deadlock.
         let live: Box<[C]> = (0..len).map(init).map(C::with_value).collect();
+        let epochs = epochs && self.inner.backing.is_none();
         // Under the registry lock from id to push, so that ids are registry
         // positions whatever other threads create meanwhile, and so that no
         // cut is frozen and activated in between (see `Bank::new`).
@@ -258,10 +263,15 @@ impl MemorySpace {
                 block: self.bind_blocks::<T>(&names, owners),
                 mask: Arc::clone(&self.inner.chaos),
                 names,
+                epochs,
             },
             live,
         );
         registry.registers += len;
+        if epochs {
+            let position = registry.banks.len();
+            registry.epoched.push(position);
+        }
         registry.banks.push(bank.clone());
         bank
     }
@@ -290,7 +300,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(Naming::Scalar(name), Owners::Uniform(owner), |_| {
+        let bank = self.bank(Naming::Scalar(name), Owners::Uniform(owner), false, |_| {
             initial.clone()
         });
         SwmrRegister::new(bank)
@@ -312,7 +322,9 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(Naming::Scalar(name), Owners::Shared, |_| initial.clone());
+        let bank = self.bank(Naming::Scalar(name), Owners::Shared, false, |_| {
+            initial.clone()
+        });
         MwmrRegister::new(bank)
     }
 
@@ -333,7 +345,7 @@ impl MemorySpace {
         C: SharedCell<T>,
     {
         let naming = Naming::Indexed(name, self.inner.n_processes);
-        SwmrArray::over(self.bank(naming, Owners::Identity, |i| init(ProcessId::new(i))))
+        SwmrArray::over(self.bank(naming, Owners::Identity, false, |i| init(ProcessId::new(i))))
     }
 
     /// Lock-backed convenience form of [`swmr_array_cell`](Self::swmr_array_cell).
@@ -357,7 +369,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        MwmrArray::over(self.bank(Naming::Indexed(name, len), Owners::Shared, init))
+        MwmrArray::over(self.bank(Naming::Indexed(name, len), Owners::Shared, false, init))
     }
 
     /// Lock-backed convenience form of [`mwmr_array_cell`](Self::mwmr_array_cell).
@@ -385,7 +397,11 @@ impl MemorySpace {
         let n = self.inner.n_processes;
         let row = |r| {
             let prefix = format!("{name}[{r}]");
-            SwmrArray::over(self.bank(Naming::Indexed(&prefix, n), owners(r), |c| init(r, c)))
+            SwmrArray::over(
+                self.bank(Naming::Indexed(&prefix, n), owners(r), false, |c| {
+                    init(r, c)
+                }),
+            )
         };
         OwnedMatrix::from_rows((0..n).map(row).collect())
     }
@@ -459,6 +475,19 @@ impl MemorySpace {
     /// Lock-free `bool` array, slot `i` owned by `p_i` (`STOP` layout).
     pub fn flag_array(&self, name: &str, init: impl FnMut(ProcessId) -> bool) -> FlagArray {
         self.swmr_array_cell::<bool, AtomicFlagCell>(name, init)
+    }
+
+    /// Lock-free `u64` array, slot `i` owned by `p_i`, whose bank keeps
+    /// chunk epochs (the `PROGRESS` layout of the `T3` memo): every write
+    /// and poke moves [`range_version`](SwmrArray::range_version). On a
+    /// disk-backed space it keeps none, like [`nat_array`](Self::nat_array).
+    pub fn epoched_nat_array(
+        &self,
+        name: &str,
+        mut init: impl FnMut(ProcessId) -> u64,
+    ) -> NatArray {
+        let naming = Naming::Indexed(name, self.inner.n_processes);
+        SwmrArray::over(self.bank(naming, Owners::Identity, true, |i| init(ProcessId::new(i))))
     }
 
     /// Lock-free `u64` row-owned matrix (`SUSPICIONS` layout).
@@ -632,6 +661,11 @@ impl MemorySpace {
     /// the registers go quiescent right after a heal. Forcing one re-read
     /// per transition restores coherence.
     fn invalidate_epoch_caches(&self) {
+        let registry = self.inner.registry.read();
+        for &position in &registry.epoched {
+            registry.banks[position].counters().bump_every_chunk();
+        }
+        drop(registry);
         let mut epochs = self.inner.epochs.write();
         epochs.retain(|weak| match weak.upgrade() {
             Some(table) => {

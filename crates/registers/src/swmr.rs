@@ -49,6 +49,18 @@
 //! (SAN) bank each slot is still one `read_block`, issued in slot order,
 //! so device accounting cannot tell a range read from the same reads
 //! issued singly.
+//!
+//! # Chunk epochs
+//!
+//! A bank can keep a write epoch per chunk of 16 slots (`PROGRESS` does;
+//! see [`crate::shard`]), as a last run of its counter block. The bank
+//! bumps it itself, after the value is stored, on every write and every
+//! poke, so neither a process nor a corrupting harness can move a value
+//! without moving its chunk; on a deferred-mode space the bump is a plain
+//! load and store. A partition install or heal bumps every chunk, through
+//! the same hook that moves the epoched matrices. A block-backed bank
+//! keeps none: its device must serve every read, so a read there is never
+//! booked.
 
 use std::fmt;
 use std::ops::Range;
@@ -131,6 +143,8 @@ pub(crate) struct BankSpec {
     pub(crate) mode: Instrumentation,
     pub(crate) block: Option<BlockSlots>,
     pub(crate) mask: Arc<PartitionMask>,
+    /// Whether to keep chunk epochs; never on a block-backed bank.
+    pub(crate) epochs: bool,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
@@ -142,8 +156,12 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     pub(crate) fn new(spec: BankSpec, live: Box<[C]>) -> Arc<Self> {
         let len = live.len();
         assert_eq!(spec.names.len(), len, "one name per slot");
+        assert!(
+            spec.block.is_none() || !spec.epochs,
+            "a block-backed bank keeps no epochs"
+        );
         let owned = spec.owners != Owners::Shared;
-        let counters = Counters::new(len, spec.n_processes, owned, spec.mode);
+        let counters = Counters::new(len, spec.n_processes, owned, spec.mode, spec.epochs);
         for (slot, cell) in live.iter().enumerate() {
             let value = cell.load();
             counters.note_initial(slot, value.footprint_bits());
@@ -261,6 +279,60 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
         read.expect("a one-slot range yields one value")
     }
 
+    /// The chunk-epoch version of `slots`, if the bank keeps epochs: the
+    /// sum of the epochs of the chunks the range overlaps.
+    #[inline]
+    pub(crate) fn range_version(&self, slots: Range<usize>) -> Option<u64> {
+        self.counters.chunk_version(slots)
+    }
+
+    /// Counts one read by `reader` of every slot of `slots` but `except`
+    /// — the tallies [`read_range`](Self::read_range) would add for those
+    /// slots — without loading anything.
+    #[inline]
+    fn book(&self, reader: ProcessId, slots: Range<usize>, except: Option<usize>) {
+        match except.filter(|slot| slots.contains(slot)) {
+            Some(own) => {
+                self.counters.note_reads(reader, slots.start..own);
+                self.counters.note_reads(reader, own + 1..slots.end);
+            }
+            None => self.counters.note_reads(reader, slots),
+        }
+    }
+
+    /// [`book`](Self::book)s the reads of `slots` (but `except`) here and
+    /// in `alongside` if `*seen` is still their
+    /// [`range_version`](Self::range_version): then no write or poke
+    /// reached the range since the caller read it at that version, nor did
+    /// a partition transition, so every booked read of this bank would
+    /// return what that read returned. Otherwise counts nothing and sets
+    /// `*seen` to the current version — `None` when this bank keeps no
+    /// epochs or `alongside` is block-backed, whose device must serve
+    /// every read counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` leaves either bank.
+    #[inline]
+    pub(crate) fn book_unchanged_range<U: RegisterValue, D: SharedCell<U>>(
+        &self,
+        reader: ProcessId,
+        slots: Range<usize>,
+        except: Option<usize>,
+        seen: &mut Option<u64>,
+        alongside: &Bank<U, D>,
+    ) -> bool {
+        assert!(slots.end <= alongside.len(), "slots past the bank");
+        let now = (self.range_version(slots.clone())).filter(|_| alongside.block.is_none());
+        if now.is_none() || now != *seen {
+            *seen = now;
+            return false;
+        }
+        self.book(reader, slots.clone(), except);
+        alongside.book(reader, slots, except);
+        true
+    }
+
     fn write_unchecked(&self, slot: usize, writer: ProcessId, value: T) {
         let bits = value.footprint_bits();
         match &self.block {
@@ -269,6 +341,9 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
                 .write_block(block.addrs[slot], value.to_block()),
             None => self.live[slot].store(value),
         }
+        // After the store: a reader that sees the new epoch reads the new
+        // value.
+        self.counters.bump_chunk(slot);
         self.counters.note_write(slot, writer, bits);
     }
 
@@ -287,6 +362,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             Some(block) => block.device.poke_block(block.addrs[slot], value.to_block()),
             None => self.live[slot].store(value),
         }
+        self.counters.bump_chunk(slot);
     }
 }
 

@@ -932,6 +932,46 @@ mod tests {
     }
 
     #[test]
+    fn decoding_any_prefix_or_bit_flip_of_a_recorded_trace_never_panics() {
+        // Five processes, as the small election benchmarks run, with a
+        // crash, sampling and timer traffic: every event kind of a run.
+        let live = Simulation::builder(fixed_actors(5, 1))
+            .adversary(SeededRandom::new(11, 1, 6))
+            .timers_from(|_| Box::new(AffineTimer::new(3, 2)))
+            .crash_plan(
+                CrashPlan::none().with_crash_at(SimTime::from_ticks(150), ProcessId::new(4)),
+            )
+            .horizon(300)
+            .sample_every(50)
+            .record_trace()
+            .run();
+        let bytes = live.recording.expect("recording enabled").encode();
+        assert!(bytes.len() > 1_000, "{} bytes", bytes.len());
+        for cut in 0..bytes.len() {
+            assert!(
+                Trace::decode(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes"
+            );
+        }
+        let mut refused_pids = 0;
+        let mut flipped = bytes.clone();
+        for bit in 0..8 * bytes.len() {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match Trace::decode(&flipped) {
+                Ok(trace) => assert!(trace.events().iter().all(|e| match e.kind {
+                    EventKind::Step(pid)
+                    | EventKind::TimerExpire(pid, _)
+                    | EventKind::Crash(pid) => pid.index() < trace.n,
+                    _ => true,
+                })),
+                Err(error) => refused_pids += usize::from(error.to_string().contains("pid")),
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(refused_pids > 0, "some flip lands on a pid");
+    }
+
+    #[test]
     fn replay_handles_leader_relative_crashes() {
         let config = || {
             Simulation::builder(fixed_actors(3, 1))

@@ -336,7 +336,10 @@ impl Trace {
     /// # Errors
     ///
     /// Returns a [`TraceError`] when the bytes are truncated, carry the
-    /// wrong magic/version, or contain an unknown event tag.
+    /// wrong magic/version, contain an unknown event tag, or name a
+    /// process that is not one of the header's `n` (the error gives the
+    /// byte offset of the pid): a trace that decodes replays without
+    /// indexing past its system.
     pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
         if bytes.len() < 5 || &bytes[..4] != TRACE_MAGIC {
             return Err(err("missing OMTR magic"));
@@ -359,6 +362,19 @@ impl Trace {
             .map_err(|_| err("meta string is not UTF-8"))?
             .to_string();
         pos = meta_end;
+        let read_pid = |pos: &mut usize| {
+            let at = *pos;
+            let pid = read_varint(bytes, pos)?;
+            usize::try_from(pid)
+                .ok()
+                .filter(|&index| index < n && u32::try_from(index).is_ok())
+                .map(ProcessId::new)
+                .ok_or_else(|| {
+                    err(format!(
+                        "pid {pid} at byte {at} is not a process of n = {n}"
+                    ))
+                })
+        };
         let count = read_varint(bytes, &mut pos)? as usize;
         let mut events = Vec::with_capacity(count.min(1 << 20));
         let mut now = 0u64;
@@ -370,15 +386,13 @@ impl Trace {
                 .checked_add(delta)
                 .ok_or_else(|| err("time overflows u64"))?;
             let kind = match tag {
-                TAG_STEP => EventKind::Step(ProcessId::new(read_varint(bytes, &mut pos)? as usize)),
+                TAG_STEP => EventKind::Step(read_pid(&mut pos)?),
                 TAG_TIMER => {
-                    let pid = ProcessId::new(read_varint(bytes, &mut pos)? as usize);
+                    let pid = read_pid(&mut pos)?;
                     let epoch = read_varint(bytes, &mut pos)?;
                     EventKind::TimerExpire(pid, epoch)
                 }
-                TAG_CRASH => {
-                    EventKind::Crash(ProcessId::new(read_varint(bytes, &mut pos)? as usize))
-                }
+                TAG_CRASH => EventKind::Crash(read_pid(&mut pos)?),
                 TAG_SAMPLE => EventKind::Sample,
                 TAG_CHAOS_START => {
                     let phase = u32::try_from(read_varint(bytes, &mut pos)?)
@@ -576,6 +590,26 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(Trace::decode(&long).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_a_pid_outside_the_system_at_its_offset() {
+        let mut trace = Trace::new(3, 100);
+        trace.record(at(1), EventKind::Step(p(2)));
+        let bytes = trace.encode();
+        // The last byte is the step's pid; the header's n is 3.
+        let at_pid = bytes.len() - 1;
+        for pid in [3u64, 1 << 32, u64::MAX] {
+            let mut bad = bytes[..at_pid].to_vec();
+            push_varint(&mut bad, pid);
+            let error = Trace::decode(&bad)
+                .expect_err("pid out of range")
+                .to_string();
+            assert!(
+                error.contains(&format!("pid {pid} at byte {at_pid}")),
+                "{error}"
+            );
+        }
     }
 
     #[test]
