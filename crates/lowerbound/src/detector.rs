@@ -22,7 +22,7 @@ use omega_core::{boxed_actors, Alg1Memory, Alg1Process, OmegaVariant};
 use omega_registers::{MemorySpace, ProcessId};
 use omega_sim::adversary::Synchronous;
 use omega_sim::crash::CrashPlan;
-use omega_sim::metrics::TimelineSample;
+use omega_sim::metrics::Samples;
 use omega_sim::{Actor, RunReport, SimTime, Simulation};
 use std::sync::Arc;
 
@@ -70,12 +70,12 @@ fn run_synchronous(
 }
 
 /// Whether every follower's estimate matches between two sample sets.
-fn followers_match(a: &[TimelineSample], b: &[TimelineSample], leader: ProcessId) -> bool {
+fn followers_match(a: Samples<'_>, b: Samples<'_>, leader: ProcessId) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(sa, sb)| {
             sa.leaders
                 .iter()
-                .zip(&sb.leaders)
+                .zip(sb.leaders)
                 .enumerate()
                 .filter(|(i, _)| *i != leader.index())
                 .all(|(_, (ea, eb))| ea == eb)

@@ -27,7 +27,7 @@
 use omega_core::OmegaVariant;
 use omega_registers::ProcessId;
 use omega_sim::chaos::{Campaign, ChaosPhase};
-use omega_sim::metrics::TimelineSample;
+use omega_sim::metrics::Samples;
 use omega_sim::rng::SmallRng;
 use omega_sim::RunReport;
 
@@ -110,13 +110,10 @@ pub const MIN_ACTIVE_INTERVALS: usize = (SAFETY_WINDOW - 1) / 2 + 1;
 /// Samples without step counts (hand-built timelines) never produce a
 /// claimant — activity cannot be proven.
 #[must_use]
-pub fn split_brain(samples: &[TimelineSample]) -> Option<String> {
-    if samples.len() < SAFETY_WINDOW {
-        return None;
-    }
-    for window in samples.windows(SAFETY_WINDOW) {
-        let first = &window[0];
-        let last = &window[SAFETY_WINDOW - 1];
+pub fn split_brain(samples: Samples<'_>) -> Option<String> {
+    for start in 0..(samples.len() + 1).saturating_sub(SAFETY_WINDOW) {
+        let window = samples.slice(start..start + SAFETY_WINDOW);
+        let (first, last) = (window.first()?, window.last()?);
         if first.steps.is_empty() || last.steps.is_empty() {
             continue;
         }
@@ -127,10 +124,11 @@ pub fn split_brain(samples: &[TimelineSample]) -> Option<String> {
                     .all(|s| s.leaders.get(p).copied().flatten() == Some(ProcessId::new(p)))
                     && last.steps[p].saturating_sub(first.steps[p]) >= MIN_WINDOW_STEPS
                     && window
-                        .windows(2)
-                        .filter(|pair| {
-                            pair[1].steps.get(p).copied().unwrap_or(0)
-                                > pair[0].steps.get(p).copied().unwrap_or(0)
+                        .iter()
+                        .zip(window.iter().skip(1))
+                        .filter(|(before, after)| {
+                            after.steps.get(p).copied().unwrap_or(0)
+                                > before.steps.get(p).copied().unwrap_or(0)
                         })
                         .count()
                         >= MIN_ACTIVE_INTERVALS
@@ -315,7 +313,7 @@ pub const HEAL_GRACE_TICKS: u64 = 5_000;
 /// are the *spec's* doing, not split-brain. Each unmasked contiguous
 /// segment of the timeline is scanned independently.
 #[must_use]
-pub fn split_brain_outside_partitions(s: &Scenario, samples: &[TimelineSample]) -> Option<String> {
+pub fn split_brain_outside_partitions(s: &Scenario, samples: Samples<'_>) -> Option<String> {
     let masks: Vec<(u64, u64)> = s
         .campaign
         .iter()
@@ -339,13 +337,13 @@ pub fn split_brain_outside_partitions(s: &Scenario, samples: &[TimelineSample]) 
     for (i, sample) in samples.iter().enumerate() {
         let t = sample.time.ticks();
         if masks.iter().any(|&(from, end)| t >= from && t < end) {
-            if let Some(detail) = split_brain(&samples[segment_start..i]) {
+            if let Some(detail) = split_brain(samples.slice(segment_start..i)) {
                 return Some(detail);
             }
             segment_start = i + 1;
         }
     }
-    split_brain(&samples[segment_start..])
+    split_brain(samples.slice(segment_start..samples.len()))
 }
 
 /// Whether the spec provably prevents any stable self-leading reign, and
@@ -436,7 +434,7 @@ pub fn check_report(s: &Scenario, report: &RunReport) -> Option<Violation> {
             detail: format!(
                 "AWB spec never stabilized over horizon {}; final estimates {:?}",
                 s.horizon,
-                last.map(|sample| &sample.leaders)
+                last.map(|sample| sample.leaders)
             ),
         });
     }
@@ -1012,19 +1010,33 @@ mod tests {
     use super::*;
     use crate::registry;
     use crate::spec_text::from_spec_text;
+    use omega_sim::metrics::LeaderTimeline;
     use omega_sim::SimTime;
 
-    fn sample(time: u64, leaders: Vec<Option<usize>>, steps: Vec<u64>) -> TimelineSample {
-        TimelineSample {
-            time: SimTime::from_ticks(time),
-            leaders: leaders.into_iter().map(|l| l.map(ProcessId::new)).collect(),
-            steps,
+    /// One hand-built sample: time, estimates, cumulative steps.
+    type Row = (u64, Vec<Option<usize>>, Vec<u64>);
+
+    fn sample(time: u64, leaders: Vec<Option<usize>>, steps: Vec<u64>) -> Row {
+        (time, leaders, steps)
+    }
+
+    fn timeline(rows: &[Row]) -> LeaderTimeline {
+        let mut timeline = LeaderTimeline::new();
+        for (time, leaders, steps) in rows {
+            let time = SimTime::from_ticks(*time);
+            let leaders: Vec<_> = leaders.iter().map(|l| l.map(ProcessId::new)).collect();
+            if steps.is_empty() {
+                timeline.push(time, &leaders);
+            } else {
+                timeline.push_with_steps(time, &leaders, steps);
+            }
         }
+        timeline
     }
 
     #[test]
     fn split_brain_detects_two_active_self_leaders() {
-        let samples: Vec<TimelineSample> = (0..40)
+        let samples: Vec<Row> = (0..40)
             .map(|i| {
                 sample(
                     i * 100,
@@ -1033,7 +1045,8 @@ mod tests {
                 )
             })
             .collect();
-        let hit = split_brain(&samples).expect("p0 and p1 both self-stable and active");
+        let hit = split_brain(timeline(&samples).samples())
+            .expect("p0 and p1 both self-stable and active");
         assert!(hit.contains("[0, 1]"), "{hit}");
     }
 
@@ -1041,7 +1054,7 @@ mod tests {
     fn split_brain_ignores_frozen_claimants() {
         // p1 claims itself but never steps — a stale estimate, not a
         // second leader.
-        let samples: Vec<TimelineSample> = (0..40)
+        let samples: Vec<Row> = (0..40)
             .map(|i| {
                 sample(
                     i * 100,
@@ -1050,12 +1063,12 @@ mod tests {
                 )
             })
             .collect();
-        assert!(split_brain(&samples).is_none());
+        assert!(split_brain(timeline(&samples).samples()).is_none());
         // And hand-built samples without step counts can never claim.
-        let blind: Vec<TimelineSample> = (0..40)
+        let blind: Vec<Row> = (0..40)
             .map(|i| sample(i * 100, vec![Some(0), Some(1)], Vec::new()))
             .collect();
-        assert!(split_brain(&blind).is_none());
+        assert!(split_brain(timeline(&blind).samples()).is_none());
     }
 
     #[test]
@@ -1066,7 +1079,7 @@ mod tests {
         // simultaneously a stable leader. This is the bursty-adversary
         // shape that must read as churn, not split-brain.
         let in_even_block = |k: u64| (k / 10).is_multiple_of(2);
-        let samples: Vec<TimelineSample> = (0..60u64)
+        let samples: Vec<Row> = (0..60u64)
             .map(|i| {
                 let p0 = (0..=i).filter(|&k| in_even_block(k)).count() as u64 * 2;
                 let p1 = (0..=i).filter(|&k| !in_even_block(k)).count() as u64 * 2;
@@ -1074,7 +1087,7 @@ mod tests {
             })
             .collect();
         assert!(
-            split_brain(&samples).is_none(),
+            split_brain(timeline(&samples).samples()).is_none(),
             "alternation is not split-brain"
         );
     }
@@ -1216,7 +1229,7 @@ mod tests {
         // Split self-leadership across the whole run (ticks 0..10_000):
         // without a campaign this is split-brain; with a partition whose
         // cut + heal grace covers the run it is the spec's own doing.
-        let samples: Vec<TimelineSample> = (0..100)
+        let samples: Vec<Row> = (0..100)
             .map(|i| {
                 sample(
                     i * 100,
@@ -1226,7 +1239,7 @@ mod tests {
             })
             .collect();
         let plain = Scenario::fault_free(OmegaVariant::Alg1, 3);
-        assert!(split_brain_outside_partitions(&plain, &samples).is_some());
+        assert!(split_brain_outside_partitions(&plain, timeline(&samples).samples()).is_some());
         let cut = plain
             .clone()
             .campaign(Campaign::new().phase(ChaosPhase::Partition {
@@ -1238,7 +1251,7 @@ mod tests {
                 until: 5_000,
             }));
         assert!(
-            split_brain_outside_partitions(&cut, &samples).is_none(),
+            split_brain_outside_partitions(&cut, timeline(&samples).samples()).is_none(),
             "the split sits inside the cut + grace window"
         );
         // A short early cut leaves the post-grace split exposed.
@@ -1250,7 +1263,7 @@ mod tests {
             from: 0,
             until: 500,
         }));
-        assert!(split_brain_outside_partitions(&early, &samples).is_some());
+        assert!(split_brain_outside_partitions(&early, timeline(&samples).samples()).is_some());
     }
 
     #[test]

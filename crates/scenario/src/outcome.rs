@@ -3,7 +3,7 @@
 use omega_core::OmegaVariant;
 use omega_registers::{ProcessId, ProcessSet};
 use omega_sim::chaos::ChaosStats;
-use omega_sim::metrics::TimelineSample;
+use omega_sim::metrics::{Samples, TimelineSample};
 
 use crate::record::Writer;
 
@@ -134,7 +134,7 @@ impl NonElectionWitness {
     pub fn from_timeline(
         window_from: u64,
         window_until: u64,
-        samples: &[TimelineSample],
+        samples: Samples<'_>,
     ) -> NonElectionWitness {
         let mut witness = NonElectionWitness {
             window_from,
@@ -144,15 +144,23 @@ impl NonElectionWitness {
             false_stable_ticks: 0,
         };
         let allowance = witness.allowance();
-        let in_window: Vec<&TimelineSample> = samples
+        // Samples are in time order, so the window is one run of them.
+        let start = samples
             .iter()
-            .filter(|s| (window_from..=window_until).contains(&s.time.ticks()))
-            .collect();
-        let n = in_window.iter().map(|s| s.leaders.len()).max().unwrap_or(0);
+            .position(|s| s.time.ticks() >= window_from)
+            .unwrap_or(samples.len());
+        let from_start = samples.slice(start..samples.len());
+        let len = from_start
+            .iter()
+            .take_while(|s| s.time.ticks() <= window_until)
+            .count();
+        let in_window = from_start.slice(0..len);
+        let n = in_window.first().map_or(0, |s| s.leaders.len());
         for p in 0..n {
             let pid = ProcessId::new(p);
-            let self_leads = |s: &TimelineSample| s.leaders.get(p).copied().flatten() == Some(pid);
-            let steps_of = |s: &TimelineSample| s.steps.get(p).copied().unwrap_or(0);
+            let self_leads =
+                |s: TimelineSample<'_>| s.leaders.get(p).copied().flatten() == Some(pid);
+            let steps_of = |s: TimelineSample<'_>| s.steps.get(p).copied().unwrap_or(0);
             let mut streak_from: Option<u64> = None;
             let close = |from: &mut Option<u64>, at: u64, w: &mut NonElectionWitness| {
                 if let Some(start) = from.take() {
@@ -161,8 +169,7 @@ impl NonElectionWitness {
                     w.false_stable_ticks += len.saturating_sub(allowance);
                 }
             };
-            for pair in in_window.windows(2) {
-                let (a, b) = (pair[0], pair[1]);
+            for (a, b) in in_window.iter().zip(in_window.iter().skip(1)) {
                 if self_leads(a) && !self_leads(b) {
                     witness.demotions += 1;
                 }
@@ -533,23 +540,25 @@ impl Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omega_sim::metrics::LeaderTimeline;
     use omega_sim::SimTime;
 
-    fn sample(at: u64, leaders: &[Option<usize>], steps: &[u64]) -> TimelineSample {
-        TimelineSample {
-            time: SimTime::from_ticks(at),
-            leaders: leaders.iter().map(|l| l.map(ProcessId::new)).collect(),
-            steps: steps.to_vec(),
+    /// A hand-built timeline with step counts.
+    fn timeline(rows: impl Iterator<Item = (u64, Vec<Option<usize>>, Vec<u64>)>) -> LeaderTimeline {
+        let mut timeline = LeaderTimeline::new();
+        for (at, leaders, steps) in rows {
+            let leaders: Vec<_> = leaders.iter().map(|l| l.map(ProcessId::new)).collect();
+            timeline.push_with_steps(SimTime::from_ticks(at), &leaders, &steps);
         }
+        timeline
     }
 
     #[test]
     fn witness_flags_a_stable_self_leader() {
         // p0 leads itself, stepping, across the whole 0..=900 window.
-        let samples: Vec<TimelineSample> = (0..10)
-            .map(|i| sample(i * 100, &[Some(0), Some(0)], &[i + 1, i + 1]))
-            .collect();
-        let w = NonElectionWitness::from_timeline(0, 900, &samples);
+        let timeline =
+            timeline((0..10).map(|i| (i * 100, vec![Some(0), Some(0)], vec![i + 1, i + 1])));
+        let w = NonElectionWitness::from_timeline(0, 900, timeline.samples());
         assert_eq!(w.max_stable_streak_ticks, 900);
         assert_eq!(w.allowance(), 300);
         assert_eq!(w.false_stable_ticks, 600, "reign beyond the allowance");
@@ -560,13 +569,11 @@ mod tests {
     fn witness_accepts_churning_leadership() {
         // Self-leadership alternates between p0 and p1 every sample: all
         // churn, no streak longer than one interval.
-        let samples: Vec<TimelineSample> = (0..10)
-            .map(|i| {
-                let boss = (i % 2) as usize;
-                sample(i * 100, &[Some(boss), Some(boss)], &[i + 1, i + 1])
-            })
-            .collect();
-        let w = NonElectionWitness::from_timeline(0, 900, &samples);
+        let timeline = timeline((0..10).map(|i| {
+            let boss = (i % 2) as usize;
+            (i * 100, vec![Some(boss), Some(boss)], vec![i + 1, i + 1])
+        }));
+        let w = NonElectionWitness::from_timeline(0, 900, timeline.samples());
         assert_eq!(w.false_stable_ticks, 0);
         assert_eq!(w.max_stable_streak_ticks, 0, "no two adjacent self-leads");
         assert_eq!(
@@ -580,10 +587,8 @@ mod tests {
         // p0 claims itself the whole window but its step counter never
         // moves: a stalled process on a stale estimate is not a stable
         // leader.
-        let samples: Vec<TimelineSample> = (0..10)
-            .map(|i| sample(i * 100, &[Some(0), Some(0)], &[5, i + 1]))
-            .collect();
-        let w = NonElectionWitness::from_timeline(0, 900, &samples);
+        let timeline = timeline((0..10).map(|i| (i * 100, vec![Some(0), Some(0)], vec![5, i + 1])));
+        let w = NonElectionWitness::from_timeline(0, 900, timeline.samples());
         assert_eq!(w.false_stable_ticks, 0);
         assert_eq!(w.max_stable_streak_ticks, 0);
         assert_eq!(w.demotions, 0, "it was never demoted, it just froze");
@@ -593,10 +598,8 @@ mod tests {
     fn witness_clips_to_the_window() {
         // A long reign outside the window is invisible; inside it only
         // 200..=400 qualifies.
-        let samples: Vec<TimelineSample> = (0..10)
-            .map(|i| sample(i * 100, &[Some(0)], &[i + 1]))
-            .collect();
-        let w = NonElectionWitness::from_timeline(200, 400, &samples);
+        let timeline = timeline((0..10).map(|i| (i * 100, vec![Some(0)], vec![i + 1])));
+        let w = NonElectionWitness::from_timeline(200, 400, timeline.samples());
         assert_eq!(w.max_stable_streak_ticks, 200);
         assert_eq!(w.allowance(), 66);
         assert_eq!(w.false_stable_ticks, 134);

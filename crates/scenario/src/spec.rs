@@ -82,6 +82,56 @@ pub enum AdversarySpec {
     },
 }
 
+impl AdversarySpec {
+    /// Checks that the simulator can build this schedule over `n`
+    /// processes: the conditions its constructor asserts, and a victim
+    /// inside the system.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first condition the spec breaks.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        let broken = match *self {
+            AdversarySpec::Synchronous { period } => {
+                (period == 0).then_some("period must be positive")
+            }
+            AdversarySpec::RoundRobin { slot } => (slot == 0).then_some("slot must be positive"),
+            AdversarySpec::Random { min, max } => {
+                (min == 0 || min > max).then_some("random delays need 0 < min <= max")
+            }
+            AdversarySpec::Bursty {
+                fast,
+                stall,
+                burst_len,
+            } => (fast == 0 || stall == 0 || burst_len == 0)
+                .then_some("bursty delays and burst length must be positive"),
+            AdversarySpec::PartitionedPhases {
+                phase_len,
+                fast,
+                stall,
+            } => (phase_len == 0 || fast == 0 || stall <= fast)
+                .then_some("phases need a positive phase length and 0 < fast < stall"),
+            AdversarySpec::GrowingBursts {
+                victim,
+                fast,
+                burst_len,
+                initial_stall,
+                factor,
+            } => {
+                if victim.index() >= n {
+                    return Err(format!("growing victim {victim} out of range for n = {n}"));
+                }
+                (fast == 0 || burst_len == 0 || initial_stall == 0 || factor < 2)
+                    .then_some("growing bursts need positive delays and burst length, factor >= 2")
+            }
+            AdversarySpec::LeaderStaller { base, stall } => {
+                (base == 0 || stall <= base).then_some("staller needs 0 < base < stall")
+            }
+        };
+        broken.map_or(Ok(()), |why| Err(why.to_string()))
+    }
+}
+
 /// The AWB₁ envelope: after `tau1` the designated process's step delay is
 /// clamped to `sigma`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +142,27 @@ pub struct AwbSpec {
     pub tau1: u64,
     /// The clamp `σ` (ticks).
     pub sigma: u64,
+}
+
+impl AwbSpec {
+    /// Checks that the envelope can be built over `n` processes: a timely
+    /// process inside the system and a positive clamp.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first condition the spec breaks.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        if self.timely.index() >= n {
+            return Err(format!(
+                "awb timely process {} out of range for n = {n}",
+                self.timely
+            ));
+        }
+        if self.sigma == 0 {
+            return Err("awb sigma must be positive".into());
+        }
+        Ok(())
+    }
 }
 
 /// The timer model every process runs (AWB₂ and its violations).
@@ -134,6 +205,27 @@ pub enum TimerSpec {
         /// The cap that breaks domination.
         cap: u64,
     },
+}
+
+impl TimerSpec {
+    /// Checks the conditions the timer models' constructors assert.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first condition the spec breaks.
+    pub fn validate(&self) -> Result<(), String> {
+        let broken = match *self {
+            TimerSpec::Exact | TimerSpec::Jittered { .. } => None,
+            TimerSpec::Affine { scale, .. } | TimerSpec::JitterAffineMix { scale, .. } => {
+                (scale == 0).then_some("timer scale must be positive")
+            }
+            TimerSpec::ChaoticThenExact { chaos_max, .. } => {
+                (chaos_max == 0).then_some("chaotic max must be positive")
+            }
+            TimerSpec::StuckLow { cap } => (cap == 0).then_some("stucklow cap must be positive"),
+        };
+        broken.map_or(Ok(()), |why| Err(why.to_string()))
+    }
 }
 
 /// One scripted failure, in scenario (tick) time.

@@ -277,21 +277,42 @@ fn apply_line(
     match key {
         "variant" | "n" => {}
         "scenario" => s.name = rest.trim().to_string(),
-        "adversary" => s.adversary = parse_adversary(rest)?,
+        "adversary" => {
+            let adversary = parse_adversary(rest)?;
+            adversary.validate(s.n).map_err(err)?;
+            s.adversary = adversary;
+        }
         "awb" => {
             if rest.trim() == "none" {
                 s.awb = None;
             } else {
                 let f = fields(rest, 3, "awb")?;
-                s.awb = Some(AwbSpec {
+                let awb = AwbSpec {
                     timely: parse_pid(f[0])?,
                     tau1: parse_num(f[1], "awb tau1")?,
                     sigma: parse_num(f[2], "awb sigma")?,
-                });
+                };
+                awb.validate(s.n).map_err(err)?;
+                s.awb = Some(awb);
             }
         }
-        "timers" => s.timers = parse_timers(rest)?,
-        "crash" => s.crashes.push(parse_crash(rest)?),
+        "timers" => {
+            let timers = parse_timers(rest)?;
+            timers.validate().map_err(err)?;
+            s.timers = timers;
+        }
+        "crash" => {
+            let crash = parse_crash(rest)?;
+            if let CrashSpec::At { pid, .. } = crash {
+                if pid.index() >= s.n {
+                    return Err(err(format!(
+                        "crash target {pid} out of range for n = {}",
+                        s.n
+                    )));
+                }
+            }
+            s.crashes.push(crash);
+        }
         "campaign" => {
             let phase = parse_campaign_phase(rest)?;
             s.campaign
@@ -300,7 +321,12 @@ fn apply_line(
                 .push(phase);
         }
         "horizon" => s.horizon = parse_num(rest, "horizon")?,
-        "sample-every" => s.sample_every = parse_num(rest, "sample-every")?,
+        "sample-every" => {
+            s.sample_every = parse_num(rest, "sample-every")?;
+            if s.sample_every == 0 {
+                return Err(err("sample-every must be positive"));
+            }
+        }
         "checkpoints" => s.stats_checkpoints = parse_num(rest, "checkpoints")?,
         "seed" => s.seed = parse_num(rest, "seed")?,
         "expect" => {
@@ -759,6 +785,108 @@ mod tests {
                 e.to_string().contains(needle),
                 "`{text}` should fail mentioning `{needle}`, got: {e}"
             );
+        }
+    }
+
+    #[test]
+    fn clauses_the_simulator_cannot_build_are_refused_at_their_line() {
+        // Each clause breaks a condition a simulator constructor asserts
+        // (or names a process outside the system); its neighbour sits just
+        // inside the same condition, parses, and runs.
+        use crate::{Driver, SimDriver};
+        for (refused, admitted, needle) in [
+            (
+                "sample-every 0",
+                "sample-every 1",
+                "sample-every must be positive",
+            ),
+            (
+                "crash at 100 9",
+                "crash at 100 3",
+                "crash target p9 out of range",
+            ),
+            (
+                "adversary random 5 2",
+                "adversary random 2 2",
+                "0 < min <= max",
+            ),
+            (
+                "adversary random 0 0",
+                "adversary random 1 1",
+                "0 < min <= max",
+            ),
+            (
+                "adversary sync 0",
+                "adversary sync 1",
+                "period must be positive",
+            ),
+            (
+                "adversary roundrobin 0",
+                "adversary roundrobin 1",
+                "slot must be positive",
+            ),
+            (
+                "adversary bursty 0 0 0",
+                "adversary bursty 1 1 1",
+                "must be positive",
+            ),
+            (
+                "adversary phases 10 5 5",
+                "adversary phases 10 5 6",
+                "0 < fast < stall",
+            ),
+            (
+                "adversary growing 9 1 1 1 1",
+                "adversary growing 3 1 1 1 2",
+                "victim p9 out of range",
+            ),
+            (
+                "adversary growing 3 1 1 1 1",
+                "adversary growing 3 1 1 1 2",
+                "factor >= 2",
+            ),
+            (
+                "adversary staller 0 0",
+                "adversary staller 1 2",
+                "0 < base < stall",
+            ),
+            (
+                "awb 9 1000 4",
+                "awb 3 1000 4",
+                "timely process p9 out of range",
+            ),
+            ("awb 3 1000 0", "awb 3 1000 1", "sigma must be positive"),
+            (
+                "timers affine 0 1",
+                "timers affine 1 1",
+                "scale must be positive",
+            ),
+            (
+                "timers mix 2 0 1",
+                "timers mix 2 1 1",
+                "scale must be positive",
+            ),
+            (
+                "timers chaotic 10 0",
+                "timers chaotic 10 1",
+                "chaotic max must be positive",
+            ),
+            (
+                "timers stucklow 0",
+                "timers stucklow 1",
+                "stucklow cap must be positive",
+            ),
+        ] {
+            let spec =
+                |clause: &str| format!("variant alg1-fig2\nn 4\n# probe\n{clause}\nhorizon 500\n");
+            let e = from_spec_text(&spec(refused)).unwrap_err().to_string();
+            assert!(
+                e.contains("line 4") && e.contains(needle),
+                "`{refused}` should be refused at line 4 with `{needle}`, got: {e}"
+            );
+            let s = from_spec_text(&spec(admitted))
+                .unwrap_or_else(|e| panic!("`{admitted}` should parse: {e}"));
+            let _ = SimDriver.run(&s);
         }
     }
 }

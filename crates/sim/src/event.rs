@@ -2,15 +2,17 @@
 //!
 //! [`EventQueue`] is the simulator's instantiation of the generic
 //! [`TimerWheel`] (near-horizon bucket wheel, far/overdue heap fallback):
-//! keys are virtual ticks, payloads are [`EventKind`]s. The overwhelming majority of simulator events are
-//! scheduled a handful of ticks ahead (step delays, timer re-arms), and
-//! those enjoy O(1) push and pop; events beyond the wheel's window —
-//! far-future crash scripts, long stalls, pre-scheduled sampling cadences
-//! — fall back to the heap and migrate in as virtual time approaches
-//! them. Pop order is **exactly** the `(time, seq)` order of the original
-//! heap-only queue, so traces are tick-identical; the seeded property
-//! tests in `harness_properties.rs` pit the wheel against a reference
-//! heap to hold that line.
+//! keys are virtual ticks, payloads are [`EventKind`]s. The overwhelming
+//! majority of simulator events are scheduled a handful of ticks ahead
+//! (step delays, timer re-arms), and those enjoy O(1) push and pop; events
+//! beyond the wheel's window — far-future crash scripts, campaign
+//! boundaries, long stalls — fall back to the heap and migrate in as
+//! virtual time approaches them. (The sampling cadence is not queued at
+//! all: the harness merges it into the pop stream.) Pop order is
+//! **exactly** the `(time, seq)` order of the original heap-only queue,
+//! so traces are tick-identical; the seeded property tests in
+//! `harness_properties.rs` pit the wheel against a reference heap to hold
+//! that line.
 
 use std::cmp::Ordering;
 
@@ -108,6 +110,12 @@ impl EventQueue {
             seq,
             kind,
         })
+    }
+
+    /// Number of events scheduled so far: the `seq` the next one gets.
+    #[must_use]
+    pub fn scheduled(&self) -> u64 {
+        self.wheel.pushed()
     }
 
     /// The time of the earliest pending event.

@@ -6,7 +6,7 @@ use omega_registers::{plurality, FootprintReport, MemorySpace, ProcessId, Proces
 use crate::adversary::{Adversary, RunView, Synchronous};
 use crate::chaos::{Campaign, ChaosAction, ChaosStats, ChaosTally};
 use crate::crash::{CrashDirective, CrashPlan};
-use crate::event::{EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::metrics::{LeaderTimeline, StabilizationReport, WindowedStats};
 use crate::process::{Actor, StepCtx};
 use crate::time::SimTime;
@@ -232,6 +232,9 @@ pub struct Simulation {
     recording: Option<Trace>,
 
     queue: EventQueue,
+    /// Every process's estimate at the sample being taken: one buffer,
+    /// refilled per sample.
+    estimates: Vec<Option<ProcessId>>,
     crashed: ProcessSet,
     timer_epochs: Vec<u64>,
     pending_leader_crashes: Vec<SimTime>,
@@ -275,6 +278,7 @@ impl Simulation {
             .collect();
         Simulation {
             queue: EventQueue::new(),
+            estimates: vec![None; n],
             crashed: ProcessSet::new(n),
             timer_epochs: vec![0; n],
             pending_leader_crashes,
@@ -307,46 +311,38 @@ impl Simulation {
         self.actors.len()
     }
 
-    fn leaders(&self) -> Vec<Option<ProcessId>> {
-        (0..self.n())
-            .map(|i| {
-                if self.crashed.contains(ProcessId::new(i)) {
-                    None
-                } else {
-                    self.actors[i].current_leader()
-                }
-            })
-            .collect()
-    }
-
     fn crash(&mut self, pid: ProcessId) {
         self.crashed.insert(pid);
     }
 
+    /// Samples every process's estimate into the timeline, first resolving
+    /// the leader-relative crash directives that are due: each crashes the
+    /// plurality leader of the estimates sampled here, and the sample then
+    /// shows it crashed. Actors' estimates are pure reads, so crashing
+    /// changes no other entry.
     fn sample(&mut self, now: SimTime) {
-        // Resolve due leader-relative crash directives.
-        let leaders = self.leaders();
-        let mut resolved = Vec::new();
-        for (i, &when) in self.pending_leader_crashes.iter().enumerate() {
-            if now >= when {
-                if let Some(target) = plurality(leaders.iter().copied()) {
-                    resolved.push((i, target));
-                }
+        for (i, estimate) in self.estimates.iter_mut().enumerate() {
+            *estimate = if self.crashed.contains(ProcessId::new(i)) {
+                None
+            } else {
+                self.actors[i].current_leader()
+            };
+        }
+        if self.pending_leader_crashes.iter().any(|&when| now >= when) {
+            if let Some(target) = plurality(self.estimates.iter().copied()) {
+                self.pending_leader_crashes.retain(|&when| now < when);
+                self.crash(target);
+                self.estimates[target.index()] = None;
             }
         }
-        for &(i, target) in resolved.iter().rev() {
-            self.pending_leader_crashes.remove(i);
-            self.crash(target);
-        }
-        let leaders = self.leaders();
         self.adversary.observe(&RunView {
             now,
-            leaders: &leaders,
+            leaders: &self.estimates,
             crashed: &self.crashed,
         });
         self.report
             .timeline
-            .push_with_steps(now, leaders, self.report.steps_taken.clone());
+            .push_with_steps(now, &self.estimates, &self.report.steps_taken);
     }
 
     /// Takes a statistics and footprint checkpoint.
@@ -372,6 +368,14 @@ impl Simulation {
         } else {
             0
         };
+        // The timeline is sized for the cadence up front: grown by
+        // doubling, its columns — the run's largest buffers — would be
+        // reallocated mid-run wherever the heap has room by then, and peak
+        // RSS would follow the heap layout instead of the run.
+        let samples = (self.horizon.ticks() / self.sample_every).saturating_add(1);
+        self.report
+            .timeline
+            .reserve(self.n(), usize::try_from(samples).unwrap_or(usize::MAX));
         self.checkpoint(SimTime::ZERO);
         let mut next_checkpoint = checkpoint_every;
         while let Some((now, kind)) = next(self) {
@@ -408,21 +412,24 @@ impl Simulation {
                 self.queue.schedule(SimTime::from_ticks(s.tick), s.event);
             }
         }
-        // Sampling cadence. The timeline is sized for it up front: grown by
-        // doubling, its buffer — the run's largest — is reallocated mid-run
-        // wherever the heap has room by then, and peak RSS follows the heap
-        // layout instead of the run.
-        let mut t = SimTime::ZERO;
-        let mut samples = 0;
-        while t <= self.horizon {
-            self.queue.schedule(t, EventKind::Sample);
-            t += self.sample_every;
-            samples += 1;
-        }
-        self.report.timeline.reserve(samples);
-
+        // The sampling cadence is not queued: sample k fires at tick
+        // k·sample_every, after every event scheduled above for its tick
+        // and before every event the run schedules live — where a sample
+        // queued here would have sorted — so it is merged as events pop.
+        let live_from = self.queue.scheduled();
+        let sample_every = self.sample_every;
+        let mut next_sample = Some(0);
+        let mut held: Option<Event> = None;
         self.apply_all(true, |sim| {
-            let event = sim.queue.pop().filter(|e| e.time <= sim.horizon)?;
+            let event = held.take().or_else(|| sim.queue.pop());
+            if let Some(at) = next_sample.filter(|&at| at <= sim.horizon.ticks()) {
+                if event.is_none_or(|e| (e.time.ticks(), e.seq) >= (at, live_from)) {
+                    held = event;
+                    next_sample = at.checked_add(sample_every);
+                    return Some((SimTime::from_ticks(at), EventKind::Sample));
+                }
+            }
+            let event = event.filter(|e| e.time <= sim.horizon)?;
             Some((event.time, event.kind))
         });
         self.finish(started)
@@ -1259,8 +1266,8 @@ mod tests {
         let samples = report.timeline.samples();
         assert!(samples.iter().all(|s| s.steps.len() == 2));
         // Cumulative counts are non-decreasing and end at the totals.
-        for w in samples.windows(2) {
-            assert!(w[0].steps.iter().zip(&w[1].steps).all(|(a, b)| a <= b));
+        for (before, after) in samples.iter().zip(samples.iter().skip(1)) {
+            assert!(before.steps.iter().zip(after.steps).all(|(a, b)| a <= b));
         }
         let last = samples.last().unwrap();
         assert!(last
@@ -1268,5 +1275,65 @@ mod tests {
             .iter()
             .zip(&report.steps_taken)
             .all(|(s, total)| s <= total));
+    }
+
+    #[test]
+    fn a_sample_sorts_after_the_prelude_of_its_tick_and_before_live_events() {
+        // Synchronous(50): the initial steps land on tick 50 (prelude),
+        // every later one on a multiple of 50 (scheduled live); the fixed
+        // crash on tick 100 is prelude too.
+        let report = Simulation::builder(fixed_actors(2, 0))
+            .adversary(Synchronous::new(50))
+            .timers_from(|_| Box::new(AffineTimer::new(1, 1_000)))
+            .crash_plan(
+                CrashPlan::none().with_crash_at(SimTime::from_ticks(100), ProcessId::new(1)),
+            )
+            .horizon(150)
+            .sample_every(50)
+            .record_trace()
+            .run();
+        let trace = report.recording.expect("recording enabled");
+        let events: Vec<(u64, EventKind)> = trace
+            .events()
+            .iter()
+            .map(|e| (e.time.ticks(), e.kind))
+            .collect();
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        assert_eq!(
+            events,
+            vec![
+                (0, EventKind::Sample),
+                (50, EventKind::Step(p0)),
+                (50, EventKind::Step(p1)),
+                (50, EventKind::Sample),
+                (100, EventKind::Crash(p1)),
+                (100, EventKind::Sample),
+                (100, EventKind::Step(p0)),
+                (100, EventKind::Step(p1)),
+                (150, EventKind::Sample),
+                (150, EventKind::Step(p0)),
+            ]
+        );
+        assert_eq!(report.timeline.samples().len(), 4);
+    }
+
+    #[test]
+    fn the_cadence_outlives_an_empty_queue() {
+        // Everyone crashes at tick 10 and no timer is due before the
+        // horizon: the queue runs dry, and sampling goes on to the horizon.
+        let report = Simulation::builder(fixed_actors(2, 0))
+            .timers_from(|_| Box::new(AffineTimer::new(1, 10_000)))
+            .crash_plan(
+                CrashPlan::none()
+                    .with_crash_at(SimTime::from_ticks(10), ProcessId::new(0))
+                    .with_crash_at(SimTime::from_ticks(10), ProcessId::new(1)),
+            )
+            .horizon(1_000)
+            .sample_every(100)
+            .run();
+        let samples = report.timeline.samples();
+        assert_eq!(samples.len(), 11);
+        assert_eq!(samples.last().unwrap().time, SimTime::from_ticks(1_000));
+        assert_eq!(samples.last().unwrap().leaders, &[None, None]);
     }
 }

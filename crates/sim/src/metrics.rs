@@ -11,20 +11,21 @@ use omega_registers::{ProcessId, ProcessSet, StatsSnapshot};
 
 use crate::time::SimTime;
 
-/// One sampling point: every process's current leader estimate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineSample {
+/// One sampling point: every process's leader estimate at `time`, as a
+/// row borrowed from the [`LeaderTimeline`]'s columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelineSample<'a> {
     /// When the sample was taken.
     pub time: SimTime,
     /// Estimate of each process, indexed by process. `None` for actors
     /// without an estimate yet and for crashed processes.
-    pub leaders: Vec<Option<ProcessId>>,
+    pub leaders: &'a [Option<ProcessId>],
     /// Cumulative main-task steps of each process at sampling time. Empty
     /// when the producer does not track steps (e.g. hand-built timelines);
     /// consumers needing activity (the fuzz safety oracle asks whether a
     /// self-believed leader is still *stepping*) must treat empty as
     /// unknown.
-    pub steps: Vec<u64>,
+    pub steps: &'a [u64],
 }
 
 /// The stabilized suffix of a run, if one exists.
@@ -38,10 +39,22 @@ pub struct StabilizationReport {
     pub stable_samples: usize,
 }
 
-/// Sampled leader estimates over a whole run.
+/// Sampled leader estimates over a whole run, in three flat columns: the
+/// sample times, an n-wide row of estimates per sample, and an n-wide row
+/// of cumulative step counts per sample (empty when the producer does not
+/// track steps). A sample therefore costs what it records — no row is an
+/// allocation of its own — and the harness sizes all three columns once,
+/// from the sampling cadence, before the run starts.
+///
+/// [`samples`](Self::samples) hands out the rows as borrowed
+/// [`TimelineSample`]s.
 #[derive(Debug, Clone, Default)]
 pub struct LeaderTimeline {
-    samples: Vec<TimelineSample>,
+    /// Processes per row; fixed by the first sample.
+    width: usize,
+    times: Vec<SimTime>,
+    leaders: Vec<Option<ProcessId>>,
+    steps: Vec<u64>,
 }
 
 impl LeaderTimeline {
@@ -51,45 +64,91 @@ impl LeaderTimeline {
         LeaderTimeline::default()
     }
 
-    /// Reserves room for exactly `additional` more samples.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.samples.reserve_exact(additional);
+    /// Sizes the columns for exactly `samples` more rows of `width`
+    /// processes, each with step counts.
+    pub(crate) fn reserve(&mut self, width: usize, samples: usize) {
+        self.times.reserve_exact(samples);
+        self.leaders.reserve_exact(samples.saturating_mul(width));
+        self.steps.reserve_exact(samples.saturating_mul(width));
     }
 
     /// Appends a sample without step counts.
-    pub fn push(&mut self, time: SimTime, leaders: Vec<Option<ProcessId>>) {
-        self.samples.push(TimelineSample {
-            time,
-            leaders,
-            steps: Vec::new(),
-        });
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's width differs from the first sample's, or if
+    /// earlier samples carried step counts.
+    pub fn push(&mut self, time: SimTime, leaders: &[Option<ProcessId>]) {
+        assert!(
+            self.steps.is_empty(),
+            "a timeline tracks steps on every sample or on none"
+        );
+        self.push_row(time, leaders);
     }
 
     /// Appends a sample carrying cumulative per-process step counts.
-    pub fn push_with_steps(
-        &mut self,
-        time: SimTime,
-        leaders: Vec<Option<ProcessId>>,
-        steps: Vec<u64>,
-    ) {
-        self.samples.push(TimelineSample {
-            time,
-            leaders,
-            steps,
-        });
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row's width differs from the first sample's, or if
+    /// earlier samples carried no step counts.
+    pub fn push_with_steps(&mut self, time: SimTime, leaders: &[Option<ProcessId>], steps: &[u64]) {
+        assert_eq!(
+            self.steps.len(),
+            self.leaders.len(),
+            "a timeline tracks steps on every sample or on none"
+        );
+        self.push_row(time, leaders);
+        assert_eq!(steps.len(), self.width, "one step count per process");
+        self.steps.extend_from_slice(steps);
+    }
+
+    fn push_row(&mut self, time: SimTime, leaders: &[Option<ProcessId>]) {
+        if self.times.is_empty() {
+            self.width = leaders.len();
+        }
+        assert_eq!(
+            leaders.len(),
+            self.width,
+            "every sample is as wide as the first"
+        );
+        self.times.push(time);
+        self.leaders.extend_from_slice(leaders);
     }
 
     /// All samples in time order.
     #[must_use]
-    pub fn samples(&self) -> &[TimelineSample] {
-        &self.samples
+    pub fn samples(&self) -> Samples<'_> {
+        Samples {
+            timeline: self,
+            start: 0,
+            end: self.times.len(),
+        }
     }
 
-    /// Whether a sample shows all `correct` processes agreeing on `leader`.
-    fn agrees(sample: &TimelineSample, correct: &ProcessSet, leader: ProcessId) -> bool {
-        correct
-            .iter()
-            .all(|p| sample.leaders.get(p.index()).copied().flatten() == Some(leader))
+    /// Sample `i`'s row.
+    fn row(&self, i: usize) -> TimelineSample<'_> {
+        let cells = i * self.width..(i + 1) * self.width;
+        TimelineSample {
+            time: self.times[i],
+            leaders: &self.leaders[cells.clone()],
+            steps: self.steps.get(cells).unwrap_or(&[]),
+        }
+    }
+
+    /// `pid`'s estimate in sample `i`; `None` past the row's width too.
+    fn estimate(&self, i: usize, pid: ProcessId) -> Option<ProcessId> {
+        if pid.index() < self.width {
+            self.leaders[i * self.width + pid.index()]
+        } else {
+            None
+        }
+    }
+
+    /// Whether sample `i` shows all `correct` processes agreeing on
+    /// `leader`.
+    fn agrees(&self, i: usize, correct: &ProcessSet, leader: ProcessId) -> bool {
+        correct.iter().all(|p| self.estimate(i, p) == Some(leader))
     }
 
     /// Detects the stabilized suffix: the maximal run of trailing samples in
@@ -100,45 +159,161 @@ impl LeaderTimeline {
     /// missing estimate, or a crashed leader.
     #[must_use]
     pub fn stabilization(&self, correct: &ProcessSet) -> Option<StabilizationReport> {
-        let last = self.samples.last()?;
-        let mut estimates = correct
-            .iter()
-            .map(|p| last.leaders.get(p.index()).copied().flatten());
+        let last = self.times.len().checked_sub(1)?;
+        let mut estimates = correct.iter().map(|p| self.estimate(last, p));
         let leader = estimates.next().flatten()?;
         if !estimates.all(|e| e == Some(leader)) || !correct.contains(leader) {
             return None;
         }
-        let suffix_start = self
-            .samples
-            .iter()
-            .rposition(|s| !Self::agrees(s, correct, leader))
+        let suffix_start = (0..last)
+            .rev()
+            .find(|&i| !self.agrees(i, correct, leader))
             .map_or(0, |i| i + 1);
-        let stable_samples = self.samples.len() - suffix_start;
         Some(StabilizationReport {
             leader,
-            stable_from: self.samples[suffix_start].time,
-            stable_samples,
+            stable_from: self.times[suffix_start],
+            stable_samples: self.times.len() - suffix_start,
         })
     }
 
     /// Number of times `pid`'s estimate changed between consecutive samples.
     #[must_use]
     pub fn changes_of(&self, pid: ProcessId) -> usize {
-        self.samples
-            .windows(2)
-            .filter(|w| {
-                w[0].leaders.get(pid.index()).copied().flatten()
-                    != w[1].leaders.get(pid.index()).copied().flatten()
-            })
+        if pid.index() >= self.width {
+            return 0;
+        }
+        let column = || self.leaders.iter().skip(pid.index()).step_by(self.width);
+        column()
+            .zip(column().skip(1))
+            .filter(|(before, after)| before != after)
             .count()
     }
 
     /// The estimate most recently sampled for `pid`.
     #[must_use]
     pub fn last_estimate_of(&self, pid: ProcessId) -> Option<ProcessId> {
-        self.samples
-            .last()
-            .and_then(|s| s.leaders.get(pid.index()).copied().flatten())
+        let last = self.times.len().checked_sub(1)?;
+        self.estimate(last, pid)
+    }
+}
+
+/// A contiguous run of a [`LeaderTimeline`]'s samples, each handed out as
+/// a borrowed [`TimelineSample`] row: what
+/// [`LeaderTimeline::samples`] returns, and what
+/// [`slice`](Self::slice) narrows.
+#[derive(Clone, Copy)]
+pub struct Samples<'a> {
+    timeline: &'a LeaderTimeline,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> Samples<'a> {
+    /// Number of samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Whether there are no samples.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// Sample `i` of this run, if there is one: the timeline's indexing
+    /// (a row is built on demand, so there is no `[i]`).
+    #[must_use]
+    pub fn get(&self, i: usize) -> Option<TimelineSample<'a>> {
+        (i < self.len()).then(|| self.timeline.row(self.start + i))
+    }
+
+    /// The first sample.
+    #[must_use]
+    pub fn first(&self) -> Option<TimelineSample<'a>> {
+        self.get(0)
+    }
+
+    /// The last sample.
+    #[must_use]
+    pub fn last(&self) -> Option<TimelineSample<'a>> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// The samples in time order.
+    #[must_use]
+    pub fn iter(&self) -> SampleIter<'a> {
+        SampleIter {
+            timeline: self.timeline,
+            rows: self.start..self.end,
+        }
+    }
+
+    /// The samples at positions `range` of this run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is decreasing or reaches past the end.
+    #[must_use]
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Samples<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "samples {range:?} out of 0..{}",
+            self.len()
+        );
+        Samples {
+            timeline: self.timeline,
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Samples<'a> {
+    type Item = TimelineSample<'a>;
+    type IntoIter = SampleIter<'a>;
+
+    fn into_iter(self) -> SampleIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the rows of [`Samples`], in time order.
+#[derive(Debug, Clone)]
+pub struct SampleIter<'a> {
+    timeline: &'a LeaderTimeline,
+    rows: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for SampleIter<'a> {
+    type Item = TimelineSample<'a>;
+
+    fn next(&mut self) -> Option<TimelineSample<'a>> {
+        self.rows.next().map(|i| self.timeline.row(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for SampleIter<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.rows.next_back().map(|i| self.timeline.row(i))
+    }
+}
+
+impl ExactSizeIterator for SampleIter<'_> {}
+
+impl PartialEq for Samples<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Samples<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -262,9 +437,9 @@ mod tests {
     #[test]
     fn stabilization_detects_agreeing_suffix() {
         let mut tl = LeaderTimeline::new();
-        tl.push(t(0), vec![Some(p(0)), Some(p(1))]); // disagreement
-        tl.push(t(10), vec![Some(p(1)), Some(p(1))]);
-        tl.push(t(20), vec![Some(p(1)), Some(p(1))]);
+        tl.push(t(0), &[Some(p(0)), Some(p(1))]); // disagreement
+        tl.push(t(10), &[Some(p(1)), Some(p(1))]);
+        tl.push(t(20), &[Some(p(1)), Some(p(1))]);
         let report = tl.stabilization(&ProcessSet::full(2)).unwrap();
         assert_eq!(report.leader, p(1));
         assert_eq!(report.stable_from, t(10));
@@ -275,7 +450,7 @@ mod tests {
     fn stabilization_requires_correct_leader() {
         let mut tl = LeaderTimeline::new();
         // Both correct processes trust p2, but p2 crashed (not in correct).
-        tl.push(t(0), vec![Some(p(2)), Some(p(2)), None]);
+        tl.push(t(0), &[Some(p(2)), Some(p(2)), None]);
         let mut correct = ProcessSet::full(3);
         correct.remove(p(2));
         assert!(tl.stabilization(&correct).is_none());
@@ -285,7 +460,7 @@ mod tests {
     fn stabilization_ignores_crashed_estimates() {
         let mut tl = LeaderTimeline::new();
         // p2 crashed (None); correct = {p0, p1} agree on p0.
-        tl.push(t(0), vec![Some(p(0)), Some(p(0)), None]);
+        tl.push(t(0), &[Some(p(0)), Some(p(0)), None]);
         let mut correct = ProcessSet::full(3);
         correct.remove(p(2));
         let report = tl.stabilization(&correct).unwrap();
@@ -296,20 +471,74 @@ mod tests {
     #[test]
     fn missing_estimate_blocks_stabilization() {
         let mut tl = LeaderTimeline::new();
-        tl.push(t(0), vec![Some(p(0)), None]);
+        tl.push(t(0), &[Some(p(0)), None]);
         assert!(tl.stabilization(&ProcessSet::full(2)).is_none());
     }
 
     #[test]
     fn changes_and_last_estimate() {
         let mut tl = LeaderTimeline::new();
-        tl.push(t(0), vec![Some(p(0))]);
-        tl.push(t(1), vec![Some(p(1))]);
-        tl.push(t(2), vec![Some(p(1))]);
-        tl.push(t(3), vec![None]);
+        tl.push(t(0), &[Some(p(0))]);
+        tl.push(t(1), &[Some(p(1))]);
+        tl.push(t(2), &[Some(p(1))]);
+        tl.push(t(3), &[None]);
         assert_eq!(tl.changes_of(p(0)), 2);
         assert_eq!(tl.last_estimate_of(p(0)), None);
         assert_eq!(tl.samples().len(), 4);
+    }
+
+    #[test]
+    fn rows_are_views_of_the_columns() {
+        let mut tl = LeaderTimeline::new();
+        tl.push_with_steps(t(0), &[None, Some(p(1))], &[0, 1]);
+        tl.push_with_steps(t(5), &[Some(p(1)), Some(p(1))], &[3, 4]);
+        tl.push_with_steps(t(10), &[Some(p(1)), None], &[6, 4]);
+        let samples = tl.samples();
+        assert_eq!(samples.len(), 3);
+        let middle = samples.get(1).unwrap();
+        assert_eq!(middle.time, t(5));
+        assert_eq!(middle.leaders, &[Some(p(1)), Some(p(1))]);
+        assert_eq!(middle.steps, &[3, 4]);
+        assert!(samples.get(3).is_none());
+        assert_eq!(samples.last().unwrap().steps, &[6, 4]);
+        let times: Vec<u64> = samples.iter().rev().map(|s| s.time.ticks()).collect();
+        assert_eq!(times, vec![10, 5, 0]);
+        let tail = samples.slice(1..3);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail.first(), samples.get(1));
+        assert_eq!(tail.slice(1..2).first().unwrap().time, t(10));
+        assert!(samples.slice(2..2).is_empty());
+        assert_ne!(tail, samples);
+        assert_eq!(tail, tl.clone().samples().slice(1..3));
+        // Out-of-range processes have no estimate and never change.
+        assert_eq!(tl.last_estimate_of(p(2)), None);
+        assert_eq!(tl.changes_of(p(2)), 0);
+        assert_eq!(tl.changes_of(p(0)), 1);
+        assert_eq!(tl.changes_of(p(1)), 1);
+    }
+
+    #[test]
+    fn hand_built_rows_carry_no_steps() {
+        let mut tl = LeaderTimeline::new();
+        tl.push(t(0), &[Some(p(0)), Some(p(0))]);
+        tl.push(t(1), &[Some(p(0)), Some(p(0))]);
+        assert!(tl.samples().iter().all(|s| s.steps.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "as wide as the first")]
+    fn rows_keep_the_first_width() {
+        let mut tl = LeaderTimeline::new();
+        tl.push(t(0), &[Some(p(0)), Some(p(0))]);
+        tl.push(t(1), &[Some(p(0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "on every sample or on none")]
+    fn steps_are_tracked_on_every_sample_or_none() {
+        let mut tl = LeaderTimeline::new();
+        tl.push(t(0), &[Some(p(0))]);
+        tl.push_with_steps(t(1), &[Some(p(0))], &[1]);
     }
 
     #[test]

@@ -283,6 +283,12 @@ impl<T> TimerWheel<T> {
         far
     }
 
+    /// Number of entries pushed so far: the `seq` the next push gets.
+    #[must_use]
+    pub fn pushed(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Number of pending entries.
     #[must_use]
     pub fn len(&self) -> usize {

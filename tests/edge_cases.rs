@@ -91,3 +91,81 @@ fn zero_tick_tau1_is_awb_from_the_start() {
         .sample_every(50);
     SimDriver.run(&scenario).assert_election();
 }
+
+/// The `spec_text` decoder on damaged input: every truncation and every
+/// single-bit flip of every registry spec's text is parsed or refused,
+/// never a panic, and every mutant that parses and that the simulator
+/// admits builds and runs on it. Runs are clamped to a short horizon (a
+/// budget of ticks × processes, so the n = 512 mutants run a few ticks:
+/// building them is the part that can fail), mutants that are the same
+/// spec up to their name run once (nothing in a run reads the name), and
+/// the runs are spread over a few threads.
+#[test]
+fn damaged_spec_texts_are_parsed_or_refused_and_admitted_ones_run() {
+    use omega_shm::scenario::spec_text::{from_spec_text, to_spec_text};
+    use omega_shm::scenario::{registry, Backend};
+    use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const TICK_BUDGET: u64 = 8_000;
+    let (mut inputs, mut parsed) = (0, 0);
+    let mut admitted = BTreeSet::new();
+    let mut panics = Vec::new();
+    for scenario in registry::all() {
+        let text = to_spec_text(&scenario).into_bytes();
+        let truncations = (0..=text.len()).map(|cut| text[..cut].to_vec());
+        let flips = (0..8 * text.len()).map(|bit| {
+            let mut flipped = text.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        for mutant in truncations.chain(flips) {
+            inputs += 1;
+            let mutant = String::from_utf8_lossy(&mutant).into_owned();
+            match catch_unwind(|| from_spec_text(&mutant)) {
+                Err(_) => panics.push(format!("the parser panicked on\n{mutant}")),
+                Ok(Err(_)) => {}
+                Ok(Ok(s)) => {
+                    parsed += 1;
+                    if s.refusal(Backend::Sim, 1).is_none() {
+                        let horizon = s.horizon.min(TICK_BUDGET / s.n as u64);
+                        admitted.insert((s.n, to_spec_text(&s.horizon(horizon).named("mutant"))));
+                    }
+                }
+            }
+        }
+    }
+    // Largest systems first, dealt round-robin: the threads finish together.
+    let admitted: Vec<String> = admitted.into_iter().rev().map(|(_, spec)| spec).collect();
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
+    let crashed: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|k| {
+                let admitted = &admitted;
+                scope.spawn(move || {
+                    admitted
+                        .iter()
+                        .skip(k)
+                        .step_by(threads)
+                        .filter(|spec| {
+                            let s = from_spec_text(spec).expect("a mutant's own text parses");
+                            catch_unwind(AssertUnwindSafe(|| SimDriver.run(&s))).is_err()
+                        })
+                        .map(|spec| format!("the simulator panicked on\n{spec}"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a worker catches its panics"))
+            .collect()
+    });
+    panics.extend(crashed);
+    println!(
+        "{inputs} damaged spec texts: {parsed} parsed, {} distinct admitted specs ran",
+        admitted.len()
+    );
+    assert!(inputs > 20_000, "{inputs} inputs");
+    assert!(panics.is_empty(), "{}", panics.join("\n---\n"));
+}

@@ -98,6 +98,19 @@ fn reading() -> (usize, usize) {
 /// grew to, nor the 7.1 MB of a name and a handle per register and frozen
 /// cells in every bank.
 ///
+/// Then the election's steady state (ROADMAP open item 1 (f)): the same
+/// `elect-wide` run makes as many allocator calls over 24 000 ticks as
+/// over 12 000 — every buffer a run grows with its length (the leader
+/// timeline's three columns) is sized once, up front, and the sampling
+/// cadence is no queue of events. It read 2 290 calls at both; while each
+/// sample kept two heap rows and sat pre-scheduled in the event wheel,
+/// every sample added 3. And the benchmark's `elect-small` input (n = 5,
+/// 2 000 000 ticks, 20 001 samples, two leader crashes) peaks at 1.8 MB
+/// of live heap, against a 2.2 MB budget: a sample is its time and two
+/// rows of five entries in flat columns, 88 B. It read 3.7 MB, 3.0 of
+/// them the timeline, while every sample made three allocator calls and
+/// kept two heap rows.
+///
 /// Then Alg1 at n = 512, the sim's ceiling (`SIM_MAX_N`), built and
 /// dropped: its construction peaks at 27.5 MB (42.7 MB with a name and a
 /// handle per register and frozen cells up front, 1 068.6 MB with a read
@@ -138,7 +151,40 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
         "an Outcome is per-process totals, not counters: {after} bytes"
     );
 
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+    let calls_over = |horizon| {
+        let (_, calls) = reading();
+        drop(SimDriver.run(&scenario.clone().horizon(horizon)));
+        reading().1 - calls
+    };
+    let (short, long) = (calls_over(12_000), calls_over(24_000));
+    println!(
+        "SimDriver.run of elect-wide: {short} allocator calls over 12 000 ticks, \
+         {long} over 24 000"
+    );
+    assert_eq!(short, long, "the election's steady state allocates");
+
+    let small = Scenario::fault_free(OmegaVariant::Alg1, 5)
+        .named("elect-small")
+        .horizon(2_000_000)
+        .crash_leader_at(400_000)
+        .crash_leader_at(1_000_000)
+        .seed(11);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    SimDriver.run(&small).assert_election();
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    println!(
+        "live heap of elect-small: {:.2} MB at the peak",
+        peak as f64 / MB as f64
+    );
+    assert!(
+        peak <= 22 * MB / 10,
+        "SimDriver.run of elect-small peaked at {:.2} MB of live heap",
+        peak as f64 / MB as f64
+    );
+
+    let after = LIVE.load(Ordering::Relaxed);
+    PEAK.store(after, Ordering::Relaxed);
     drop(OmegaVariant::Alg1.build(512));
     let built = PEAK.load(Ordering::Relaxed) - after;
     println!(

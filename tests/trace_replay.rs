@@ -8,9 +8,12 @@
 //! shrinker's contract — a planted violation minimizes to a spec small
 //! enough to read in a bug report.
 
+use omega_shm::omega::OmegaVariant;
+use omega_shm::registers::ProcessId;
 use omega_shm::scenario::fuzz::{self, Violation};
 use omega_shm::scenario::spec_text::{from_spec_text, to_spec_text};
-use omega_shm::scenario::{registry, CrashSpec, SimDriver};
+use omega_shm::scenario::{registry, CrashSpec, Scenario, SimDriver};
+use omega_shm::sim::chaos::{Campaign, ChaosPhase};
 use omega_shm::sim::Trace;
 
 /// Records a scenario, round-trips the trace through its binary codec,
@@ -61,6 +64,85 @@ fn partition_heal_trace_replays_byte_identically() {
     // events and the campaign stanzas in its meta, and the replayed
     // ChaosOutcome (in the fingerprint) must match the live one.
     assert_replay_is_byte_identical("chaos/partition-heal");
+}
+
+/// FNV-1a, 64 bits: a stable digest of a byte string.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every boundary on a sample tick: the fixed crash, the partition's cut
+/// and heal, and the storm's onset and end all fall on multiples of the
+/// cadence, so the trace pins where a sample sorts among the events of
+/// its own tick.
+fn boundaries_on_sample_ticks() -> Scenario {
+    let p = ProcessId::new;
+    Scenario::fault_free(OmegaVariant::Alg1, 5)
+        .named("golden/sample-tick-ties")
+        .sample_every(50)
+        .crash_at(1_500, p(3))
+        .crash_leader_at(9_000)
+        .campaign(
+            Campaign::new()
+                .phase(ChaosPhase::Partition {
+                    groups: vec![vec![p(0), p(1)], vec![p(2), p(3), p(4)]],
+                    from: 3_000,
+                    until: 5_000,
+                })
+                .phase(ChaosPhase::Storm {
+                    factor: 3,
+                    jitter: 2,
+                    from: 6_000,
+                    until: 7_500,
+                }),
+        )
+        .horizon(12_000)
+}
+
+/// FNV-64 of `Trace::encode()` and of `Outcome::fingerprint()`, taken
+/// while every sample was a pre-scheduled event. They pin the tie order
+/// of the sampling cadence: a sample fires after the initial steps and
+/// timers, fixed crashes and campaign boundaries of its tick, and before
+/// every event scheduled while the run is live.
+const GOLDEN: [(&str, u64, u64); 5] = [
+    ("fault-free", 0x7186_2c6d_6906_6d3c, 0xa59d_76bf_ef47_877c),
+    (
+        "leader-crash-failover",
+        0xad64_abef_b642_5f86,
+        0xc7bc_67e3_e036_af84,
+    ),
+    (
+        "chaos/partition-heal",
+        0x594b_87d5_ab76_d33d,
+        0xcfa8_29ad_afe2_afb4,
+    ),
+    ("hostile/flap", 0x52fc_7d16_2fd4_6622, 0x74b2_6896_358d_45b6),
+    (
+        "golden/sample-tick-ties",
+        0x893a_ffbe_930d_fb65,
+        0xa43b_5b9b_9aaa_d7c4,
+    ),
+];
+
+#[test]
+fn traces_and_fingerprints_match_the_golden_pins() {
+    let mut seen = Vec::new();
+    for &(name, trace_hash, fingerprint_hash) in &GOLDEN {
+        let scenario = match registry::named(name) {
+            Some(s) => s,
+            None => boundaries_on_sample_ticks(),
+        };
+        assert_eq!(scenario.name, name);
+        let (live, trace) = SimDriver.run_traced(&scenario);
+        let got = (fnv64(&trace.encode()), fnv64(live.fingerprint().as_bytes()));
+        println!("(\"{name}\", {:#018x}, {:#018x}),", got.0, got.1);
+        seen.push((name, got, (trace_hash, fingerprint_hash)));
+    }
+    for (name, got, want) in seen {
+        assert_eq!(got, want, "{name}: (trace, fingerprint) digests moved");
+    }
 }
 
 #[test]
