@@ -26,8 +26,9 @@
 //! reaches the hundreds, without changing what is elected or what is
 //! counted, and a fourth makes the reads that remain cheap:
 //!
-//! * **Epoch-validated suspicion cache** — the `SUSPICIONS` matrix is an
-//!   [`EpochedNatMatrix`]: every suspicion write bumps its row's epoch, and
+//! * **Epoch-validated suspicion cache** — the `SUSPICIONS` matrix keeps
+//!   an epoch table ([`MemorySpace::epoched_nat_row_matrix`]): every write
+//!   of a row moves its [version](omega_registers::OwnedMatrix::row_version), and
 //!   `leader()` keeps the last value it read of each foreign row plus an
 //!   incremental per-column aggregate, re-reading a row (via one batched
 //!   snapshot) only when its epoch moved. In a quiescent (stabilized) run
@@ -79,7 +80,9 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use omega_registers::sync::Mutex;
-use omega_registers::{EpochedNatMatrix, FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet};
+use omega_registers::{
+    FlagArray, MemorySpace, NatArray, NatMatrix, ProcessId, ProcessSet, ScanCounters,
+};
 
 use crate::candidates::{elect_least_suspected, CandidateInit};
 use crate::heartbeat::HeartbeatTracker;
@@ -88,6 +91,9 @@ use crate::OmegaProcess;
 /// Number of processes examined per sharded `T3` pass (and the threshold
 /// below which the scan is unsharded, i.e. exactly the paper's Figure 2).
 pub const T3_SHARD_SIZE: usize = 16;
+
+/// Why a version of the `SUSPICIONS` matrix is always there.
+const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_row_matrix";
 
 /// The shared copies of the `SUSPICIONS` rows, one per matrix, from which
 /// every [`SuspicionCache`] of the system takes the rows it holds.
@@ -229,17 +235,19 @@ impl SuspicionCache {
     ///   cache then holds the copy `shared` offers for what it read.
     pub(crate) fn refresh(
         &mut self,
-        suspicions: &EpochedNatMatrix,
+        suspicions: &NatMatrix,
         shared: &SuspicionRows,
+        scan: &ScanCounters,
     ) -> bool {
         let n = suspicions.n();
+        let skipped = |rows: u64| scan.note_skipped(rows, rows * n as u64);
         // Read the global epoch *before* the row walk: a write racing the
         // walk leaves `seen_global` behind the bump it missed, so the next
         // refresh takes the slow path and observes it.
-        let global = suspicions.version();
+        let global = suspicions.version().expect(EPOCHED);
         if self.seen_global == global {
             if n > 1 {
-                suspicions.note_rows_skipped(n as u64 - 1);
+                skipped(n as u64 - 1);
             }
             return false;
         }
@@ -249,12 +257,13 @@ impl SuspicionCache {
             if j == self.pid {
                 continue;
             }
-            let version = suspicions.row_version(j);
+            let version = suspicions.row_version(j).expect(EPOCHED);
             if self.seen[j.index()] == version {
                 rows_skipped += 1;
                 continue;
             }
-            let seen = suspicions.snapshot_row_into(j, self.pid, &mut self.buf);
+            suspicions.read_row_into(j, self.pid, &mut self.buf);
+            scan.note_snapshot();
             let held = &mut self.rows[j.index()];
             let held_matches = **held == *self.buf;
             if !held_matches {
@@ -264,11 +273,11 @@ impl SuspicionCache {
                 }
             }
             shared.share(j, held, &self.buf, held_matches);
-            self.seen[j.index()] = seen;
+            self.seen[j.index()] = version;
             changed = true;
         }
         if rows_skipped > 0 {
-            suspicions.note_rows_skipped(rows_skipped);
+            skipped(rows_skipped);
         }
         self.seen_global = global;
         changed
@@ -323,12 +332,13 @@ impl DenseSuspicionCache {
     }
 
     /// [`SuspicionCache::refresh`]'s dirty path, into private rows.
-    fn refresh(&mut self, suspicions: &EpochedNatMatrix) {
+    fn refresh(&mut self, suspicions: &NatMatrix) {
         for j in ProcessId::all(suspicions.n()) {
-            if j == self.pid || self.seen[j.index()] == suspicions.row_version(j) {
+            let seen = suspicions.row_version(j).expect(EPOCHED);
+            if j == self.pid || self.seen[j.index()] == seen {
                 continue;
             }
-            let seen = suspicions.snapshot_row_into(j, self.pid, &mut self.buf);
+            suspicions.read_row_into(j, self.pid, &mut self.buf);
             let old = &mut self.rows[j.index()];
             for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
                 *total = *total - *old + *new;
@@ -352,9 +362,11 @@ pub struct Alg1Memory {
     n: usize,
     progress: NatArray,
     stop: FlagArray,
-    suspicions: EpochedNatMatrix,
+    suspicions: NatMatrix,
     /// The processes' shared copies of the `SUSPICIONS` rows.
     suspicion_rows: SuspicionRows,
+    /// Where the reads the epochs spare are counted.
+    scan: Arc<ScanCounters>,
 }
 
 impl Alg1Memory {
@@ -369,6 +381,7 @@ impl Alg1Memory {
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
             suspicion_rows: SuspicionRows::new(n),
+            scan: space.scan_counters(),
         })
     }
 
@@ -421,9 +434,9 @@ impl Alg1Memory {
         }
         for j in ProcessId::all(self.n) {
             for k in ProcessId::all(self.n) {
-                // Epoch-bumping poke: live processes with a populated scan
-                // cache must observe the corruption on their next query.
-                self.suspicions.poke(j, k, next() % 100);
+                // The poke moves the row's epoch: live processes with a
+                // populated scan cache observe the corruption next query.
+                self.suspicions.get(j, k).poke(next() % 100);
             }
         }
     }
@@ -594,7 +607,8 @@ impl OmegaProcess for Alg1Process {
     /// serves the memoized winner without rescanning the candidate set.
     fn leader(&self) -> ProcessId {
         let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions, &self.mem.suspicion_rows);
+        let mem = &*self.mem;
+        let changed = scan.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan);
         if changed {
             self.election.set(None);
         } else if let Some(winner) = self.election.get() {
@@ -647,14 +661,14 @@ impl OmegaProcess for Alg1Process {
             let bumped = my_suspicions[k.index()] + 1;
             my_suspicions[k.index()] = bumped;
             *my_suspicions_max = (*my_suspicions_max).max(bumped);
-            mem.suspicions.write(self.pid, k, self.pid, bumped);
+            mem.suspicions.get(self.pid, k).write(self.pid, bumped);
         });
         if !booked {
             // The pass may have changed `candidates` and the own
             // suspicion row — both election inputs.
             self.election.set(None);
         }
-        mem.suspicions.counters().note_shard_pass();
+        mem.scan.note_shard_pass();
         // Line 27 — computed entirely from owned (mirrored) registers.
         self.my_suspicions_max + self.timeout_slack
     }
@@ -814,14 +828,36 @@ mod tests {
         // only foreign rows are at stake).
         let (_s, mem, procs) = system(3);
         assert_eq!(procs[0].leader(), p(0), "warm the cache");
-        mem.suspicions.poke(p(1), p(0), 40);
-        mem.suspicions.poke(p(2), p(0), 2);
-        mem.suspicions.poke(p(1), p(2), 1);
+        mem.suspicions.get(p(1), p(0)).poke(40);
+        mem.suspicions.get(p(2), p(0)).poke(2);
+        mem.suspicions.get(p(1), p(2)).poke(1);
         // New totals as p0 sees them: p0 → 42, p1 → 0, p2 → 1.
         assert_eq!(
             procs[0].leader(),
             p(1),
             "a populated cache must not serve pre-poke totals"
+        );
+    }
+
+    #[test]
+    fn foreign_row_writes_through_a_register_view_reach_a_populated_cache() {
+        // The row's bank moves its epoch on every write, whichever view
+        // made it: a write through `get(j, k)` — not through any
+        // matrix-level write path — must reach a warm cache too.
+        let (_s, mem, procs) = system(3);
+        assert_eq!(procs[0].leader(), p(0), "warm the cache");
+        mem.suspicions.get(p(1), p(0)).write(p(1), 40);
+        mem.suspicions.get(p(2), p(0)).write(p(2), 2);
+        mem.suspicions.get(p(1), p(2)).write(p(1), 1);
+        assert_eq!(
+            procs[0].leader(),
+            p(1),
+            "a populated cache must not serve pre-write totals"
+        );
+        let cache = procs[0].suspicion_cache();
+        assert_eq!(
+            (cache.foreign_total(p(0)), cache.foreign_total(p(2))),
+            (42, 1)
         );
     }
 
@@ -1073,7 +1109,7 @@ mod shared_rows_tests {
     /// [`SuspicionCache`].
     trait Cached: OmegaProcess {
         fn cache(&self) -> std::cell::Ref<'_, SuspicionCache>;
-        fn matrix(&self) -> &EpochedNatMatrix;
+        fn matrix(&self) -> &NatMatrix;
         fn candidate_set(&self) -> &ProcessSet;
     }
 
@@ -1081,7 +1117,7 @@ mod shared_rows_tests {
         fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
             self.suspicion_cache()
         }
-        fn matrix(&self) -> &EpochedNatMatrix {
+        fn matrix(&self) -> &NatMatrix {
             &self.mem.suspicions
         }
         fn candidate_set(&self) -> &ProcessSet {
@@ -1093,7 +1129,7 @@ mod shared_rows_tests {
         fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
             self.suspicion_cache()
         }
-        fn matrix(&self) -> &EpochedNatMatrix {
+        fn matrix(&self) -> &NatMatrix {
             self.suspicion_matrix()
         }
         fn candidate_set(&self) -> &ProcessSet {
@@ -1268,7 +1304,7 @@ mod shared_rows_tests {
                     for owner in owners.map(ProcessId::new) {
                         let k = ProcessId::new((i + owner.index()) % N);
                         let bumped = mem.suspicions.get(owner, k).peek() + 1;
-                        mem.suspicions.write(owner, k, owner, bumped);
+                        mem.suspicions.get(owner, k).write(owner, bumped);
                     }
                 }
                 writing.fetch_sub(1, Ordering::Release);
@@ -1328,7 +1364,7 @@ mod shared_rows_tests {
         // Two readers racing on one row may each have published a copy.
         // Once every row is read again with nothing moving, they share.
         for j in ProcessId::all(N) {
-            mem.suspicions.poke(j, j, mem.peek_suspicions(j, j));
+            mem.suspicions.get(j, j).poke(mem.peek_suspicions(j, j));
         }
         for proc in &readers {
             let _ = proc.leader();

@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use omega_registers::{
-    EpochedNatMatrix, FlagArray, FlagMatrix, MemorySpace, ProcessId, ProcessSet,
+    FlagArray, FlagMatrix, MemorySpace, NatMatrix, ProcessId, ProcessSet, ScanCounters,
 };
 
 use crate::alg1::{SuspicionCache, SuspicionRows, T3_SHARD_SIZE};
@@ -43,9 +43,11 @@ pub struct Alg2Memory {
     /// `LAST[i][k]`, column-owned: `p_k` acknowledges `p_i`'s signal.
     last: FlagMatrix,
     stop: FlagArray,
-    suspicions: EpochedNatMatrix,
+    suspicions: NatMatrix,
     /// The processes' shared copies of the `SUSPICIONS` rows.
     suspicion_rows: SuspicionRows,
+    /// Where the reads the epochs spare are counted.
+    scan: Arc<ScanCounters>,
 }
 
 impl Alg2Memory {
@@ -61,6 +63,7 @@ impl Alg2Memory {
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
             suspicion_rows: SuspicionRows::new(n),
+            scan: space.scan_counters(),
         })
     }
 
@@ -116,8 +119,8 @@ impl Alg2Memory {
             for k in ProcessId::all(self.n) {
                 self.progress.get(j, k).poke(next() % 2 == 0);
                 self.last.get(j, k).poke(next() % 2 == 0);
-                // Epoch-bumping poke: see Alg1Memory::corrupt.
-                self.suspicions.poke(j, k, next() % 100);
+                // The poke moves the row's epoch: see Alg1Memory::corrupt.
+                self.suspicions.get(j, k).poke(next() % 100);
             }
         }
     }
@@ -239,7 +242,7 @@ impl Alg2Process {
 
     /// The shared `SUSPICIONS` matrix the cache views.
     #[cfg(test)]
-    pub(crate) fn suspicion_matrix(&self) -> &EpochedNatMatrix {
+    pub(crate) fn suspicion_matrix(&self) -> &NatMatrix {
         &self.mem.suspicions
     }
 }
@@ -258,7 +261,8 @@ impl OmegaProcess for Alg2Process {
     /// and a quiescent query serves the memoized winner).
     fn leader(&self) -> ProcessId {
         let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions, &self.mem.suspicion_rows);
+        let mem = &*self.mem;
+        let changed = scan.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan);
         if changed {
             self.election.set(None);
         } else if let Some(winner) = self.election.get() {
@@ -324,11 +328,11 @@ impl OmegaProcess for Alg2Process {
                 let bumped = self.my_suspicions[k.index()] + 1;
                 self.my_suspicions[k.index()] = bumped;
                 self.my_suspicions_max = self.my_suspicions_max.max(bumped);
-                self.mem.suspicions.write(self.pid, k, self.pid, bumped);
+                (self.mem.suspicions.get(self.pid, k)).write(self.pid, bumped);
                 self.candidates.remove(k);
             }
         }
-        self.mem.suspicions.counters().note_shard_pass();
+        self.mem.scan.note_shard_pass();
         self.my_suspicions_max + 1
     }
 

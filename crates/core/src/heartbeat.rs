@@ -33,9 +33,9 @@
 //! width) holds every candidate, the leader among them, and the leader's
 //! own heartbeat moves the shard's version between two of its passes, so
 //! a booking there would almost never succeed; its passes are the full
-//! ones they always were. On a disk-backed space `PROGRESS` keeps no
-//! version and every pass is a full one, so the device serves every read
-//! as before.
+//! ones they always were. On a disk-backed space `PROGRESS` reports no
+//! range version and every pass is a full one, so the device serves every
+//! read as before.
 
 use std::ops::Range;
 

@@ -21,12 +21,15 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use omega_registers::{
-    EpochedMwmrNatArray, FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet,
+    FlagArray, MemorySpace, MwmrNatArray, NatArray, ProcessId, ProcessSet, ScanCounters,
 };
 
 use crate::candidates::{elect_least_suspected, CandidateInit};
 use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
+
+/// Why a version of the suspicion counters is always there.
+const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_mwmr_array";
 
 /// Epoch-validated local view of the shared suspicion counters: slot `k`
 /// is re-read only when its modification epoch moved.
@@ -54,13 +57,14 @@ impl CounterCache {
     }
 
     /// Returns whether any slot was re-read (election-cache invalidation).
-    fn refresh(&mut self, counters: &EpochedMwmrNatArray, reader: ProcessId) -> bool {
+    fn refresh(&mut self, counters: &MwmrNatArray, reader: ProcessId, scan: &ScanCounters) -> bool {
+        let skipped = |slots: u64| scan.note_skipped(slots, slots);
         // Global epoch first (read before any slot work, so a racing write
         // forces the next refresh down the slow path): unchanged means
         // every slot epoch is unchanged — skip the walk, credit the batch.
-        let global = counters.version();
+        let global = counters.version().expect(EPOCHED);
         if self.seen_global == global {
-            counters.note_slots_skipped(counters.len() as u64);
+            skipped(counters.len() as u64);
             return false;
         }
         // Cold cache (every slot stale — the sentinel state of a fresh
@@ -68,28 +72,28 @@ impl CounterCache {
         // version-checked single reads.
         if self.seen.iter().all(|&v| v == u64::MAX) {
             for (k, seen) in self.seen.iter_mut().enumerate() {
-                *seen = counters.slot_version(k);
+                *seen = counters.slot_version(k).expect(EPOCHED);
             }
-            counters.array().snapshot_into(reader, &mut self.values);
-            counters.counters().note_snapshot();
+            counters.snapshot_into(reader, &mut self.values);
+            scan.note_snapshot();
             self.values_max = self.values.iter().copied().max().unwrap_or(0);
             self.seen_global = global;
             return true;
         }
-        let mut skipped = 0;
+        let mut clean = 0;
         let mut changed = false;
         for k in 0..counters.len() {
-            if self.seen[k] == counters.slot_version(k) {
-                skipped += 1;
+            let version = counters.slot_version(k).expect(EPOCHED);
+            if self.seen[k] == version {
+                clean += 1;
                 continue;
             }
-            let (version, value) = counters.read_versioned(k, reader);
-            self.values[k] = value;
+            self.values[k] = counters.get(k).read(reader);
             self.seen[k] = version;
             changed = true;
         }
-        if skipped > 0 {
-            counters.note_slots_skipped(skipped);
+        if clean > 0 {
+            skipped(clean);
         }
         if changed {
             self.values_max = self.values.iter().copied().max().unwrap_or(0);
@@ -106,7 +110,9 @@ pub struct MwmrMemory {
     n: usize,
     progress: NatArray,
     stop: FlagArray,
-    suspicions: EpochedMwmrNatArray,
+    suspicions: MwmrNatArray,
+    /// Where the reads the epochs spare are counted.
+    scan: Arc<ScanCounters>,
 }
 
 impl MwmrMemory {
@@ -119,6 +125,7 @@ impl MwmrMemory {
             progress: space.epoched_nat_array("PROGRESS", |_| 0),
             stop: space.flag_array("STOP", |_| true),
             suspicions: space.epoched_nat_mwmr_array("SUSPICIONS", n, |_| 0),
+            scan: space.scan_counters(),
         })
     }
 
@@ -219,7 +226,7 @@ impl OmegaProcess for MwmrProcess {
 
     fn leader(&self) -> ProcessId {
         let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions, self.pid);
+        let changed = scan.refresh(&self.mem.suspicions, self.pid, &self.mem.scan);
         if changed {
             self.election.set(None);
         } else if let Some(winner) = self.election.get() {
@@ -260,14 +267,14 @@ impl OmegaProcess for MwmrProcess {
             // Read-increment-write on the shared counter; increments may
             // race and be lost, which the variant tolerates.
             let bumped = mem.suspicions.get(k.index()).read(pid) + 1;
-            mem.suspicions.write(k.index(), pid, bumped);
+            mem.suspicions.get(k.index()).write(pid, bumped);
         });
-        mem.suspicions.counters().note_shard_pass();
+        mem.scan.note_shard_pass();
         // Line 27 analogue: the timeout tracks the largest suspicion count
         // this process can observe — from the epoch-validated cache, so
         // clean counters cost no shared reads (and no O(n) rescan).
         let mut scan = self.scan.borrow_mut();
-        let reread = scan.refresh(&mem.suspicions, pid);
+        let reread = scan.refresh(&mem.suspicions, pid, &mem.scan);
         if reread || !booked {
             // The pass may have changed `candidates` and the counters, and
             // the refresh may have consumed a change `leader()` must see —
@@ -326,8 +333,8 @@ mod tests {
     #[test]
     fn election_follows_shared_counters() {
         let (_s, mem, procs) = system(3);
-        mem.suspicions.poke(0, 5);
-        mem.suspicions.poke(2, 1);
+        mem.suspicions.get(0).poke(5);
+        mem.suspicions.get(2).poke(1);
         for proc in &procs {
             assert_eq!(proc.leader(), p(1));
         }
@@ -336,7 +343,7 @@ mod tests {
     #[test]
     fn timeout_tracks_global_max() {
         let (_s, mem, mut procs) = system(2);
-        mem.suspicions.poke(0, 9);
+        mem.suspicions.get(0).poke(9);
         let t = procs[1].on_timer_expire();
         assert_eq!(t, 10);
     }
@@ -347,8 +354,8 @@ mod tests {
         // populated its cache must still reach the next election.
         let (_s, mem, procs) = system(3);
         assert_eq!(procs[2].leader(), p(0));
-        mem.suspicions.poke(0, 50);
-        mem.suspicions.poke(1, 10);
+        mem.suspicions.get(0).poke(50);
+        mem.suspicions.get(1).poke(10);
         assert_eq!(procs[2].leader(), p(2), "cache must see the poked counters");
     }
 

@@ -52,6 +52,11 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
         SwmrArray { bank }
     }
 
+    /// The bank this array views.
+    pub(crate) fn bank(&self) -> &Bank<T, C> {
+        &self.bank
+    }
+
     /// The register owned by process `pid`, borrowed from the array.
     ///
     /// # Panics
@@ -108,10 +113,11 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
     }
 
     /// The write version of the slots in `range`, or `None` if the array
-    /// keeps no chunk epochs (one not made by
-    /// [`MemorySpace::epoched_nat_array`](crate::MemorySpace::epoched_nat_array),
-    /// or any on a disk-backed space). It moves with every write and poke
-    /// of a slot in the 16-slot chunks the range overlaps, and with every
+    /// keeps no epoch table (one not made by
+    /// [`MemorySpace::epoched_nat_array`](crate::MemorySpace::epoched_nat_array))
+    /// or lives on a disk-backed space, whose device must serve every
+    /// read. It moves with every write and poke of a slot in the 16-slot
+    /// entries the range overlaps, whichever view made it, and with every
     /// partition install and heal; it never moves otherwise. Read it
     /// *before* reading the range: a write racing the reads then leaves
     /// the version the caller keeps behind.
@@ -208,6 +214,31 @@ impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The write version of slot `index`, or `None` if the array keeps no
+    /// epoch table (one not made by
+    /// [`MemorySpace::epoched_nat_mwmr_array`](crate::MemorySpace::epoched_nat_mwmr_array)).
+    /// It moves with every write and poke of the slot, and never
+    /// otherwise: an nWnR register is never severed, so a partition
+    /// transition leaves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len()`.
+    #[must_use]
+    #[inline]
+    pub fn slot_version(&self, index: usize) -> Option<u64> {
+        self.bank.version(index..index + 1)
+    }
+
+    /// The array-global write version, or `None` without a table: it
+    /// moves with every slot's version, so an unchanged value proves every
+    /// slot unchanged.
+    #[must_use]
+    #[inline]
+    pub fn version(&self) -> Option<u64> {
+        self.bank.global_version()
     }
 
     /// Iterates over the registers in index order.

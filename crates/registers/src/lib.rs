@@ -72,10 +72,10 @@ pub use matrix::{OwnedMatrix, OwnerAxis};
 pub use meta::{Instrumentation, RegisterId};
 pub use names::BankNames;
 pub use pid::{plurality, ProcessId, ProcessSet};
-pub use shard::{EpochedArray, EpochedMatrix, ScanCounters, ScanStats};
+pub use shard::{ScanCounters, ScanStats};
 pub use space::{
-    EpochedMwmrNatArray, EpochedNatMatrix, FlagArray, FlagMatrix, FlagRegister, MemorySpace,
-    MwmrNatArray, NatArray, NatMatrix, NatRegister,
+    FlagArray, FlagMatrix, FlagRegister, MemorySpace, MwmrNatArray, NatArray, NatMatrix,
+    NatRegister,
 };
 pub use stats::{BankRow, ProcessTotals, RegisterRow, StatsSnapshot};
 pub use swmr::{MwmrRef, MwmrRegister, SwmrRef, SwmrRegister};

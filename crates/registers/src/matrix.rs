@@ -96,6 +96,52 @@ impl<T: RegisterValue, C: SharedCell<T>> OwnedMatrix<T, C> {
             .map(move |(r, row)| (ProcessId::new(r), row.get(col)))
     }
 
+    /// The write version of `row`, or `None` if the matrix keeps no epoch
+    /// table (one not made by
+    /// [`MemorySpace::epoched_nat_row_matrix`](crate::MemorySpace::epoched_nat_row_matrix)).
+    /// It moves with every write and poke of the row, whichever view made
+    /// it, and with every partition install and heal; it never moves
+    /// otherwise. Read it *before* reading the row: a write racing the
+    /// reads then leaves the version the caller keeps behind.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use omega_registers::{MemorySpace, ProcessId};
+    ///
+    /// let space = MemorySpace::new(3);
+    /// let susp = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
+    /// let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+    ///
+    /// let before = susp.row_version(p0);
+    /// susp.get(p0, p1).write(p0, 7);
+    /// assert_ne!(susp.row_version(p0), before, "the write moved the row");
+    ///
+    /// let seen = susp.row_version(p0);
+    /// let mut row = vec![0; 3];
+    /// susp.read_row_into(p0, p1, &mut row);
+    /// assert_eq!(row, vec![0, 7, 0]);
+    /// assert_eq!(seen, susp.row_version(p0), "a read moves nothing");
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn row_version(&self, row: ProcessId) -> Option<u64> {
+        self.rows[row.index()].bank().version(0..self.n())
+    }
+
+    /// The matrix-global write version, or `None` without a table: the
+    /// rows share one table, whose global moves with every row's version,
+    /// so an unchanged value proves every row unchanged — one load.
+    #[must_use]
+    #[inline]
+    pub fn version(&self) -> Option<u64> {
+        self.rows[0].bank().global_version()
+    }
+
     /// Batch-reads the whole `row` into `out` on behalf of `reader` — one
     /// attributed read per column, as one range read of the row's bank
     /// (see [`SwmrArray::read_range_into`]).

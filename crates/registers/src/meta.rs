@@ -20,8 +20,7 @@
 //!   read-modify-write. Safe under arbitrary concurrency; this is what the
 //!   thread runtime uses.
 //! * [`Instrumentation::Deferred`] — every access does a plain load, add
-//!   and store (no lock prefix, no fences), the same trick as
-//!   [`ScanCounters::new_unsync`](crate::ScanCounters::new_unsync). Built
+//!   and store (no lock prefix, no fences). Built
 //!   for the single-threaded simulation driver, where that sequence is
 //!   exact, so [`MemorySpace::stats`](crate::MemorySpace::stats) is exact
 //!   at any instant with no flush step. If deferred registers are
@@ -41,10 +40,6 @@
 //!   writer but its owner *before* the write is counted, so one cell per
 //!   slot suffices), `len · n` slot-major cells (`writes[slot · n +
 //!   writer]`) on an nWnR bank.
-//!
-//! A bank that keeps chunk epochs has a fourth run between the second and
-//! the third: one cell per 16 slots, counting the writes and pokes of the
-//! chunk plus one per partition transition (see [`crate::shard`]).
 //!
 //! Reads are kept at bank grain because nothing asks for finer: every read
 //! count the experiments use is a per-process total (Lemma 6: every
@@ -89,60 +84,51 @@ pub enum Instrumentation {
     Deferred,
 }
 
-/// Slots per chunk epoch of a bank: the default `T3` shard width, so one
-/// default shard is one chunk.
-const EPOCH_CHUNK: usize = 16;
+impl Instrumentation {
+    /// Adds `delta` to `cell`, storing with `order`: an atomic
+    /// read-modify-write under [`Eager`](Self::Eager), a plain load, add
+    /// and store under [`Deferred`](Self::Deferred) — the one bump behind
+    /// every counter and epoch of a space.
+    #[inline]
+    pub(crate) fn add(self, cell: &AtomicU64, delta: u64, order: Ordering) {
+        match self {
+            Instrumentation::Eager => {
+                cell.fetch_add(delta, order);
+            }
+            // Single-threaded read-add-write; deliberately NOT fetch_add.
+            Instrumentation::Deferred => cell.store(cell.load(Ordering::Relaxed) + delta, order),
+        }
+    }
+}
 
 /// Cumulative access counters for one bank of registers.
 #[derive(Debug)]
 pub(crate) struct Counters {
     /// One allocation: the `n_processes` read tallies, then `len`
-    /// high-water marks, then `chunks` chunk epochs, then the write cells
-    /// (module docs).
+    /// high-water marks, then the write cells (module docs).
     cells: Box<[AtomicU64]>,
     /// Slots and processes as `u32`, like [`ProcessId`]: a scalar's bank
     /// should not outweigh the register it replaced.
     len: u32,
     n_processes: u32,
     owned: bool,
-    unsync: bool,
-    /// Chunk epochs kept: none, or one per 16 slots.
-    chunks: u32,
+    mode: Instrumentation,
 }
 
 impl Counters {
     /// Counters for a bank of `len` registers of an `n_processes` system;
     /// `owned` is whether they are 1WnR (ownership is enforced by the
-    /// register, before [`note_write`](Self::note_write) is reached), and
-    /// `epochs` whether the bank keeps chunk epochs.
-    pub(crate) fn new(
-        len: usize,
-        n_processes: usize,
-        owned: bool,
-        mode: Instrumentation,
-        epochs: bool,
-    ) -> Self {
+    /// register, before [`note_write`](Self::note_write) is reached).
+    pub(crate) fn new(len: usize, n_processes: usize, owned: bool, mode: Instrumentation) -> Self {
         let write_cells = if owned { len } else { len * n_processes };
-        let chunks = if epochs { len.div_ceil(EPOCH_CHUNK) } else { 0 };
         Counters {
-            cells: (0..n_processes + len + write_cells + chunks)
+            cells: (0..n_processes + len + write_cells)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             len: u32::try_from(len).expect("bank length fits u32"),
             n_processes: u32::try_from(n_processes).expect("process count fits u32"),
             owned,
-            unsync: mode == Instrumentation::Deferred,
-            chunks: u32::try_from(chunks).expect("bank length fits u32"),
-        }
-    }
-
-    #[inline]
-    fn add(&self, cell: &AtomicU64, count: u64) {
-        if self.unsync {
-            // Single-threaded read-add-write; deliberately NOT fetch_add.
-            cell.store(cell.load(Ordering::Relaxed) + count, Ordering::Relaxed);
-        } else {
-            cell.fetch_add(count, Ordering::Relaxed);
+            mode,
         }
     }
 
@@ -167,62 +153,9 @@ impl Counters {
         &self.cells[self.n()..][..self.len()]
     }
 
-    /// The chunk epochs: empty unless the bank keeps them.
-    #[inline]
-    fn chunks(&self) -> &[AtomicU64] {
-        &self.cells[self.n() + self.len()..][..self.chunks as usize]
-    }
-
     #[inline]
     fn writes(&self) -> &[AtomicU64] {
-        &self.cells[self.n() + self.len() + self.chunks as usize..]
-    }
-
-    /// Bumps the epoch of the chunk holding `slot`, if the bank keeps
-    /// chunk epochs. Release: a reader that loads the new epoch then reads
-    /// the value stored before the bump.
-    #[inline]
-    pub(crate) fn bump_chunk(&self, slot: usize) {
-        if self.chunks == 0 {
-            return;
-        }
-        let epoch = &self.chunks()[slot / EPOCH_CHUNK];
-        if self.unsync {
-            epoch.store(epoch.load(Ordering::Relaxed) + 1, Ordering::Release);
-        } else {
-            epoch.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// Bumps every chunk epoch (a partition transition).
-    pub(crate) fn bump_every_chunk(&self) {
-        for epoch in self.chunks() {
-            epoch.fetch_add(1, Ordering::Release);
-        }
-    }
-
-    /// The sum of the epochs of the chunks `slots` overlaps — it moves
-    /// whenever one of them does, and every epoch only grows — or `None`
-    /// if the bank keeps no chunk epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` leaves the bank.
-    #[inline]
-    pub(crate) fn chunk_version(&self, slots: Range<usize>) -> Option<u64> {
-        assert!(slots.end <= self.len(), "slots past the bank");
-        if self.chunks == 0 {
-            return None;
-        }
-        if slots.is_empty() {
-            return Some(0);
-        }
-        let chunks = slots.start / EPOCH_CHUNK..=(slots.end - 1) / EPOCH_CHUNK;
-        Some(
-            (self.chunks()[chunks].iter())
-                .map(|epoch| epoch.load(Ordering::Acquire))
-                .sum(),
-        )
+        &self.cells[self.n() + self.len()..]
     }
 
     /// Counts one read by `reader` of every slot in `slots`: adds the
@@ -240,7 +173,8 @@ impl Counters {
             reader.index() < self.n() && slots.start <= slots.end && slots.end <= self.len(),
             "attributed read out of range: no such process, or slots past the bank"
         );
-        self.add(&self.reads()[reader.index()], slots.len() as u64);
+        let tally = &self.reads()[reader.index()];
+        self.mode.add(tally, slots.len() as u64, Ordering::Relaxed);
     }
 
     #[inline]
@@ -250,9 +184,9 @@ impl Counters {
         } else {
             slot * self.n() + writer.index()
         };
-        self.add(&self.writes()[cell], 1);
+        self.mode.add(&self.writes()[cell], 1, Ordering::Relaxed);
         let hwm = &self.hwm()[slot];
-        if self.unsync {
+        if self.mode == Instrumentation::Deferred {
             if bits > hwm.load(Ordering::Relaxed) {
                 hwm.store(bits, Ordering::Relaxed);
             }
@@ -305,6 +239,9 @@ pub(crate) trait BankMeta: Send + Sync {
     /// value severed readers observe while a partition is installed —
     /// allocating the frozen run if this is the bank's first cut.
     fn freeze(&self);
+    /// Bumps every entry of the bank's epoch table it covers, if it keeps
+    /// one: a partition transition (see [`crate::shard`]).
+    fn bump_epochs(&self);
 }
 
 #[cfg(test)]
@@ -323,7 +260,7 @@ mod tests {
     #[test]
     fn counters_accumulate_per_process() {
         for mode in MODES {
-            let c = Counters::new(1, 3, false, mode, false);
+            let c = Counters::new(1, 3, false, mode);
             let p0 = ProcessId::new(0);
             let p2 = ProcessId::new(2);
             c.note_reads(p0, 0..1);
@@ -338,7 +275,7 @@ mod tests {
     #[test]
     fn owned_register_keeps_one_write_cell() {
         for mode in MODES {
-            let c = Counters::new(2, 3, true, mode, false);
+            let c = Counters::new(2, 3, true, mode);
             c.note_write(1, ProcessId::new(2), 1);
             c.note_write(1, ProcessId::new(2), 1);
             c.note_reads(ProcessId::new(1), 1..2);
@@ -348,7 +285,7 @@ mod tests {
 
     #[test]
     fn initial_footprint_counts_no_write() {
-        let c = Counters::new(1, 1, true, Instrumentation::Eager, false);
+        let c = Counters::new(1, 1, true, Instrumentation::Eager);
         c.note_initial(0, 17);
         assert_eq!(c.hwm_bits(0), 17);
         assert_eq!(copied(&c).1, vec![0]);
@@ -356,7 +293,7 @@ mod tests {
 
     #[test]
     fn deferred_counters_are_exact_with_no_flush_step() {
-        let c = Counters::new(1, 2, false, Instrumentation::Deferred, false);
+        let c = Counters::new(1, 2, false, Instrumentation::Deferred);
         let p0 = ProcessId::new(0);
         let p1 = ProcessId::new(1);
         c.note_initial(0, 4);
@@ -379,7 +316,7 @@ mod tests {
         // Three slots, two processes, nWnR: reads come out one tally per
         // reader, writes slot-major.
         for mode in MODES {
-            let c = Counters::new(3, 2, false, mode, false);
+            let c = Counters::new(3, 2, false, mode);
             let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
             c.note_reads(p1, 0..3);
             c.note_reads(p0, 2..3);
@@ -396,7 +333,7 @@ mod tests {
     #[test]
     fn a_range_read_adds_its_length_to_the_readers_tally_only() {
         for mode in MODES {
-            let c = Counters::new(5, 3, true, mode, false);
+            let c = Counters::new(5, 3, true, mode);
             let mut expected = vec![0; 3];
             for (reader, slots) in [(1, 0..5), (1, 2..2), (0, 4..5), (2, 1..4), (1, 3..5)] {
                 expected[reader] += slots.len() as u64;
@@ -418,39 +355,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn a_range_past_the_bank_is_rejected_not_misattributed() {
-        let c = Counters::new(2, 2, true, Instrumentation::Eager, false);
+        let c = Counters::new(2, 2, true, Instrumentation::Eager);
         c.note_reads(ProcessId::new(0), 1..3);
-    }
-
-    #[test]
-    fn chunk_epochs_sit_before_the_write_cells_and_move_per_chunk() {
-        for (owned, mode) in [
-            (true, Instrumentation::Deferred),
-            (false, Instrumentation::Eager),
-        ] {
-            let c = Counters::new(40, 3, owned, mode, true);
-            let version = |slots| c.chunk_version(slots).expect("keeps epochs");
-            c.note_write(20, ProcessId::new(1), 4);
-            assert_eq!(version(0..40), 0, "{mode:?}: a write alone bumps nothing");
-            c.bump_chunk(20);
-            assert_eq!(
-                (version(0..16), version(16..32), version(32..40)),
-                (0, 1, 0)
-            );
-            assert_eq!((version(10..17), version(0..40), version(5..5)), (1, 1, 0));
-            c.bump_every_chunk();
-            assert_eq!((version(0..16), version(16..32), version(0..40)), (1, 2, 4));
-            assert_eq!(
-                copied(&c).1.iter().sum::<u64>(),
-                1,
-                "{mode:?}: writes untouched"
-            );
-        }
-        let plain = Counters::new(40, 3, true, Instrumentation::Eager, false);
-        plain.bump_chunk(3);
-        plain.bump_every_chunk();
-        assert_eq!(plain.chunk_version(0..40), None);
-        assert_eq!(copied(&plain), (vec![0; 3], vec![0; 40]));
     }
 
     #[test]

@@ -23,11 +23,15 @@ use std::sync::Arc;
 pub struct BankNames {
     /// Every name of the bank, back to back.
     text: Arc<str>,
-    /// `Some(p)`: slot `i` is `text[..p]` followed by `[i]`. `None`: one
-    /// slot, named `text`.
-    prefix: Option<u32>,
+    /// `p`: slot `i` is `text[..p]` followed by `[i]`. [`SCALAR`]: one
+    /// slot, named `text`. Not an `Option`, which would take a bank a word
+    /// more.
+    prefix: u32,
     len: u32,
 }
+
+/// The [`BankNames::prefix`] of a scalar's names.
+const SCALAR: u32 = u32::MAX;
 
 /// Total decimal digits of the numbers `0..i`.
 fn digits_before(i: usize) -> usize {
@@ -44,7 +48,7 @@ impl BankNames {
     pub(crate) fn scalar(name: &str) -> Self {
         BankNames {
             text: Arc::from(name),
-            prefix: None,
+            prefix: SCALAR,
             len: 1,
         }
     }
@@ -59,7 +63,10 @@ impl BankNames {
         }
         BankNames {
             text: Arc::from(scratch.as_str()),
-            prefix: Some(u32::try_from(prefix.len()).expect("register name fits u32")),
+            prefix: u32::try_from(prefix.len())
+                .ok()
+                .filter(|&prefix| prefix != SCALAR)
+                .expect("register name fits u32"),
             len: u32::try_from(len).expect("bank length fits u32"),
         }
     }
@@ -84,8 +91,8 @@ impl BankNames {
     /// Where slot `slot`'s name begins in `text` (`slot == len` for the end).
     fn start(&self, slot: usize) -> usize {
         match self.prefix {
-            Some(prefix) => slot * (prefix as usize + 2) + digits_before(slot),
-            None => slot * self.text.len(),
+            SCALAR => slot * self.text.len(),
+            prefix => slot * (prefix as usize + 2) + digits_before(slot),
         }
     }
 }

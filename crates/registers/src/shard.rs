@@ -1,4 +1,5 @@
-//! Epoch/dirty-row tracking for scan-heavy register layouts.
+//! Write versions for scan-heavy register layouts, and the accounting of
+//! the shared reads they spare.
 //!
 //! The Figure-2 `SUSPICIONS` matrix is `n²` registers, and both the `T1`
 //! election (`leader()`) and the `T3` scan walk it. At `n = 32` the
@@ -7,33 +8,50 @@
 //! exactly the contention regime the leader-election lower bounds (see
 //! PAPERS.md) say dominates at scale.
 //!
-//! This module adds the tracking layer that lets readers *skip* untouched
-//! rows without weakening the register model:
+//! # One mechanism
 //!
-//! * [`EpochedMatrix`] — an [`OwnedMatrix`] whose writes (through the
-//!   matrix-level [`write`](EpochedMatrix::write)) bump a per-row epoch.
-//!   A reader remembers the epoch it last snapshotted a row at and
-//!   re-reads the row only when the epoch moved; each skipped row is a
-//!   row's worth of shared reads avoided.
-//! * [`EpochedArray`] — the same idea per slot, for the §3.5(a) nWnR
-//!   suspicion counters.
-//! * **Chunk epochs** — a bank made by
-//!   [`MemorySpace::epoched_nat_array`](crate::MemorySpace::epoched_nat_array)
-//!   (`PROGRESS`) keeps one epoch per chunk of 16 slots, bumped by every
-//!   write and poke of the bank itself, so no path can miss one;
+//! A bank (see [`crate::swmr`]) may keep its write versions in an
+//! [`Epochs`] table: a version per entry, plus a global version that moves
+//! with each of them. The bank holds the table and a base entry, and bumps
+//! entry `base + slot / grain` itself, after the value is stored, on every
+//! write and every poke — so no path, whether a process, a clone of a view
+//! or a corrupting harness, moves a value without moving its version. On
+//! a deferred-mode space a bump is a plain load and store. Three layouts
+//! keep one, each made by its `epoched_*` constructor of
+//! [`MemorySpace`](crate::MemorySpace):
+//!
+//! * `PROGRESS` — one table of ⌈n/16⌉ entries, grain 16: an entry is one
+//!   default `T3` shard, and
 //!   [`SwmrArray::range_version`](crate::SwmrArray::range_version) sums
-//!   the chunks a range overlaps.
-//! * [`ScanCounters`] — space-wide accounting of the savings
-//!   (reads skipped, rows skipped, snapshot batches, `T3` shard passes),
-//!   surfaced through [`StatsSnapshot`](crate::StatsSnapshot) so every
-//!   driver can report them in its outcome.
+//!   the entries a range overlaps.
+//! * `SUSPICIONS` — one table of `n` entries shared by the `n` row banks,
+//!   row `r`'s bank entry `r`:
+//!   [`OwnedMatrix::row_version`](crate::OwnedMatrix::row_version). The
+//!   table's global is [`OwnedMatrix::version`](crate::OwnedMatrix::version),
+//!   so "no row moved" is one load — the O(1) check of a quiescent
+//!   `leader()`.
+//! * the §3.5(a) nWnR suspicion counters — one entry per slot:
+//!   [`MwmrArray::slot_version`](crate::MwmrArray::slot_version) and
+//!   [`MwmrArray::version`](crate::MwmrArray::version).
 //!
-//! The epoch is harness-level metadata, not a shared register: checking it
+//! A partition install or heal changes what a read returns without moving
+//! any value, so it bumps every entry of every bank a cut can sever — every
+//! owned bank that keeps a table (nWnR banks are never severed). A reader
+//! that validated a cache against a version from before the transition
+//! then re-reads once instead of serving a frozen snapshot as current
+//! forever (the registers may go quiescent right after a heal).
+//!
+//! [`ScanCounters`] account for what the versions save (reads skipped,
+//! rows skipped, snapshot batches, `T3` shard passes), surfaced through
+//! [`StatsSnapshot`](crate::StatsSnapshot) so every driver can report them
+//! in its outcome.
+//!
+//! A version is harness-level metadata, not a shared register: checking it
 //! models a modification-detecting read (a dirty bit), which is strictly
 //! weaker than reading the register's value. Skipping a clean row can at
 //! worst return a value that was current at the previous scan — the same
 //! staleness any asynchronous reader already tolerates — and the next
-//! epoch check observes the missed write, so the Ω eventual-agreement
+//! version check observes the missed write, so the Ω eventual-agreement
 //! argument is unaffected.
 //!
 //! # Skipped reads and booked reads
@@ -61,62 +79,47 @@
 //!   together with a checked `PROGRESS` booking, never on their own.
 //!   A booked pass is indistinguishable in every counter from a read one.
 
-use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::array::MwmrArray;
-use crate::cell::SharedCell;
-use crate::matrix::OwnedMatrix;
-use crate::value::RegisterValue;
-use crate::ProcessId;
+use crate::meta::Instrumentation;
 
-/// Space-wide counters of the shared reads that epoch tracking avoided.
+/// Space-wide counters of the shared reads that versions avoided.
 ///
-/// One instance is shared by every epoched structure of a
-/// [`MemorySpace`](crate::MemorySpace); snapshots of it ride along in
-/// [`StatsSnapshot`](crate::StatsSnapshot) as [`ScanStats`].
+/// One instance is shared by every reader of a
+/// [`MemorySpace`](crate::MemorySpace)'s versions
+/// ([`MemorySpace::scan_counters`](crate::MemorySpace::scan_counters));
+/// snapshots of it ride along in [`StatsSnapshot`](crate::StatsSnapshot)
+/// as [`ScanStats`].
 ///
 /// These are bookkeeping counters on hot scan paths (every `T3` pass and
-/// every quiescent `leader()` query posts to them), so a space in deferred
-/// instrumentation mode creates them *unsynchronized*: updates are plain
-/// load/store pairs rather than atomic read-modify-writes, exact for the
-/// single-threaded simulator and lossy-but-sound (never torn, never UB)
-/// if misused concurrently.
+/// every quiescent `leader()` query posts to them), bumped per the space's
+/// [`Instrumentation`] like every other counter of the space: exact for
+/// the single-threaded simulator in deferred mode, and lossy-but-sound
+/// (never torn, never UB) if that mode is misused concurrently.
 #[derive(Debug, Default)]
 pub struct ScanCounters {
     reads_skipped: AtomicU64,
     rows_skipped: AtomicU64,
     snapshot_batches: AtomicU64,
     shard_passes: AtomicU64,
-    /// Use plain load/store instead of `fetch_add` (deferred-mode spaces).
-    unsync: bool,
+    mode: Instrumentation,
 }
 
 impl ScanCounters {
-    /// Creates zeroed counters (synchronized updates).
+    /// Creates zeroed counters, bumped per `mode`.
     #[must_use]
-    pub fn new() -> Self {
-        ScanCounters::default()
-    }
-
-    /// Creates zeroed counters with unsynchronized (single-threaded-exact)
-    /// updates.
-    #[must_use]
-    pub fn new_unsync() -> Self {
+    pub fn new(mode: Instrumentation) -> Self {
         ScanCounters {
-            unsync: true,
+            mode,
             ..ScanCounters::default()
         }
     }
 
     #[inline]
     fn add(&self, cell: &AtomicU64, delta: u64) {
-        if self.unsync {
-            cell.store(cell.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
-        } else {
-            cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.mode.add(cell, delta, Ordering::Relaxed);
     }
 
     /// Records that a clean row/slot spared `reads` shared reads.
@@ -178,336 +181,171 @@ impl ScanStats {
     }
 }
 
-/// Per-row (or per-slot) modification epochs, plus a structure-global
-/// epoch that moves on *every* write.
+/// Write versions kept for banks: one per entry, plus a global version
+/// that moves with each of them (module docs).
 ///
-/// The global epoch lets a reader validate "nothing anywhere changed" with
-/// one load instead of `n` — the O(1) fast path of a quiescent scan cache.
-/// A reader that observes an unchanged global epoch knows every per-row
-/// epoch is unchanged too (the global moves with each of them).
+/// A reader that observes an unchanged global knows every entry is
+/// unchanged too. Only the banks holding the table bump it.
 #[derive(Debug)]
 pub(crate) struct Epochs {
     versions: Box<[AtomicU64]>,
     global: AtomicU64,
+    /// A bank's slot `i` is entry `base + (i >> grain)`: the grain's log.
+    grain: u32,
+    mode: Instrumentation,
 }
 
 impl Epochs {
-    fn new(len: usize) -> Self {
-        Epochs {
-            versions: (0..len).map(|_| AtomicU64::new(0)).collect(),
+    /// A table of `entries` versions, `grain` slots of a bank to an entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grain` is not a power of two.
+    pub(crate) fn new(entries: usize, grain: usize, mode: Instrumentation) -> Arc<Self> {
+        assert!(grain.is_power_of_two(), "a grain of {grain} slots");
+        Arc::new(Epochs {
+            versions: (0..entries).map(|_| AtomicU64::new(0)).collect(),
             global: AtomicU64::new(0),
+            grain: grain.trailing_zeros(),
+            mode,
+        })
+    }
+
+    /// The entry of slot `slot` of the bank at entry `base`.
+    #[inline]
+    fn entry(&self, base: usize, slot: usize) -> usize {
+        base + (slot >> self.grain)
+    }
+
+    /// Bumps the entry of `slot` of the bank at `base`, and the global.
+    /// Release: a reader that loads the new version then reads the value
+    /// stored before the bump.
+    #[inline]
+    pub(crate) fn bump(&self, base: usize, slot: usize) {
+        let entry = &self.versions[self.entry(base, slot)];
+        self.mode.add(entry, 1, Ordering::Release);
+        self.mode.add(&self.global, 1, Ordering::Release);
+    }
+
+    /// Bumps once each entry that slots `0..len` of the bank at `base`
+    /// cover: the partition install/heal hook.
+    pub(crate) fn bump_bank(&self, base: usize, len: usize) {
+        for slot in (0..len).step_by(1 << self.grain) {
+            self.bump(base, slot);
         }
     }
 
+    /// The sum of the entries that `slots` of the bank at `base` overlap:
+    /// it moves whenever one of them does, and every entry only grows.
     #[inline]
-    fn bump(&self, index: usize) {
-        self.versions[index].fetch_add(1, Ordering::Release);
-        self.global.fetch_add(1, Ordering::Release);
-    }
-
-    /// Moves every per-row epoch (and the global epoch with them): nothing
-    /// a reader cached against an older epoch validates afterwards. This
-    /// is the partition install/heal hook — a visibility cut is a
-    /// modification *of what a read returns* even though no value moved,
-    /// so epoch-validated caches must be forced to re-read once per
-    /// transition or they would serve frozen snapshots as current forever
-    /// (the matrix may go quiescent right after a heal).
-    pub(crate) fn bump_all(&self) {
-        for version in &self.versions {
-            version.fetch_add(1, Ordering::Release);
+    pub(crate) fn version(&self, base: usize, slots: Range<usize>) -> u64 {
+        if slots.is_empty() {
+            return 0;
         }
-        self.global
-            .fetch_add(self.versions.len() as u64, Ordering::Release);
+        let entries = self.entry(base, slots.start)..=self.entry(base, slots.end - 1);
+        (self.versions[entries].iter())
+            .map(|version| version.load(Ordering::Acquire))
+            .sum()
     }
 
+    /// The global version.
     #[inline]
-    fn load(&self, index: usize) -> u64 {
-        self.versions[index].load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn load_global(&self) -> u64 {
+    pub(crate) fn global(&self) -> u64 {
         self.global.load(Ordering::Acquire)
-    }
-}
-
-/// An owned register matrix with per-row modification epochs.
-///
-/// Reads and ownership checks are exactly those of the wrapped
-/// [`OwnedMatrix`]; the only new obligation is that writers go through
-/// [`write`](EpochedMatrix::write) (or bump explicitly) so the row epoch
-/// tracks modifications.
-///
-/// # Examples
-///
-/// ```
-/// use omega_registers::{MemorySpace, ProcessId};
-///
-/// let space = MemorySpace::new(3);
-/// let susp = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
-/// let p0 = ProcessId::new(0);
-/// let p1 = ProcessId::new(1);
-///
-/// let before = susp.row_version(p0);
-/// susp.write(p0, p1, p0, 7);
-/// assert_ne!(susp.row_version(p0), before, "write moved the row epoch");
-///
-/// let mut row = vec![0; 3];
-/// let seen = susp.snapshot_row_into(p0, p1, &mut row);
-/// assert_eq!(row, vec![0, 7, 0]);
-/// assert_eq!(seen, susp.row_version(p0), "clean row: epoch unchanged");
-/// ```
-pub struct EpochedMatrix<T: RegisterValue, C: SharedCell<T>> {
-    matrix: OwnedMatrix<T, C>,
-    epochs: Arc<Epochs>,
-    counters: Arc<ScanCounters>,
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> EpochedMatrix<T, C> {
-    pub(crate) fn new(matrix: OwnedMatrix<T, C>, counters: Arc<ScanCounters>) -> Self {
-        let n = matrix.n();
-        EpochedMatrix {
-            matrix,
-            epochs: Arc::new(Epochs::new(n)),
-            counters,
-        }
-    }
-
-    /// The wrapped matrix (plain register access; reads don't need epochs).
-    #[must_use]
-    pub fn matrix(&self) -> &OwnedMatrix<T, C> {
-        &self.matrix
-    }
-
-    /// Matrix dimension `n`.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.matrix.n()
-    }
-
-    /// The register at `[row][col]` (passthrough).
-    #[must_use]
-    pub fn get(&self, row: ProcessId, col: ProcessId) -> crate::SwmrRef<'_, T, C> {
-        self.matrix.get(row, col)
-    }
-
-    /// Writes `[row][col]` on behalf of `writer` and bumps the row epoch.
-    ///
-    /// The epoch moves *after* the value is stored, so a reader that
-    /// observes the new epoch is guaranteed to observe the new value on
-    /// its re-read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writer` does not own the register.
-    pub fn write(&self, row: ProcessId, col: ProcessId, writer: ProcessId, value: T) {
-        self.matrix.get(row, col).write(writer, value);
-        self.epochs.bump(row.index());
-    }
-
-    /// Current modification epoch of `row`.
-    #[must_use]
-    pub fn row_version(&self, row: ProcessId) -> u64 {
-        self.epochs.load(row.index())
-    }
-
-    /// Matrix-global modification epoch: moves on every write (and poke)
-    /// to any row. An unchanged value proves every row epoch is unchanged
-    /// — the one-load validation behind O(1) quiescent scans.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.epochs.load_global()
-    }
-
-    /// Unattributed overwrite of `[row][col]` that still bumps the row
-    /// epoch — the harness-side corruption hook. Poking through
-    /// [`get`](Self::get) instead would leave caches epoch-clean and
-    /// blind to the new value.
-    pub fn poke(&self, row: ProcessId, col: ProcessId, value: T) {
-        self.matrix.get(row, col).poke(value);
-        self.epochs.bump(row.index());
-    }
-
-    /// Batch-reads the whole `row` into `out` on behalf of `reader`,
-    /// returning the row epoch observed *before* the reads (so a write
-    /// racing the snapshot leaves the caller's cached epoch stale and the
-    /// next validation re-reads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != n`.
-    pub fn snapshot_row_into(&self, row: ProcessId, reader: ProcessId, out: &mut [T]) -> u64 {
-        let version = self.row_version(row);
-        self.matrix.read_row_into(row, reader, out);
-        self.counters.note_snapshot();
-        version
-    }
-
-    /// Records that a clean row was skipped (crediting one row's worth of
-    /// shared reads to the savings counters).
-    pub fn note_row_skipped(&self) {
-        self.note_rows_skipped(1);
-    }
-
-    /// Records `rows` clean rows skipped in one batch — one pair of counter
-    /// updates however many rows a scan found clean. Equivalent to calling
-    /// [`note_row_skipped`](Self::note_row_skipped) `rows` times.
-    pub fn note_rows_skipped(&self, rows: u64) {
-        self.counters.note_skipped(rows, rows * self.n() as u64);
-    }
-
-    /// The space-wide scan counters this matrix reports into.
-    #[must_use]
-    pub fn counters(&self) -> &Arc<ScanCounters> {
-        &self.counters
-    }
-
-    /// The epoch table, for the space's partition hooks (install/heal
-    /// invalidate every epoch-validated cache via
-    /// [`Epochs::bump_all`]).
-    pub(crate) fn epochs(&self) -> &Arc<Epochs> {
-        &self.epochs
-    }
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> Clone for EpochedMatrix<T, C> {
-    fn clone(&self) -> Self {
-        EpochedMatrix {
-            matrix: self.matrix.clone(),
-            epochs: Arc::clone(&self.epochs),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for EpochedMatrix<T, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Epoched{:?}", self.matrix)
-    }
-}
-
-/// An nWnR register array with per-slot modification epochs — the
-/// [`EpochedMatrix`] treatment for the §3.5(a) collapsed suspicion
-/// counters.
-pub struct EpochedArray<T: RegisterValue, C: SharedCell<T>> {
-    array: MwmrArray<T, C>,
-    epochs: Arc<Epochs>,
-    counters: Arc<ScanCounters>,
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> EpochedArray<T, C> {
-    pub(crate) fn new(array: MwmrArray<T, C>, counters: Arc<ScanCounters>) -> Self {
-        let len = array.len();
-        EpochedArray {
-            array,
-            epochs: Arc::new(Epochs::new(len)),
-            counters,
-        }
-    }
-
-    /// The wrapped array (plain register access).
-    #[must_use]
-    pub fn array(&self) -> &MwmrArray<T, C> {
-        &self.array
-    }
-
-    /// Number of slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.array.len()
-    }
-
-    /// Whether the array has zero slots.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.array.is_empty()
-    }
-
-    /// The register at `index` (passthrough).
-    #[must_use]
-    pub fn get(&self, index: usize) -> crate::MwmrRef<'_, T, C> {
-        self.array.get(index)
-    }
-
-    /// Writes slot `index` on behalf of `writer` and bumps the slot epoch.
-    pub fn write(&self, index: usize, writer: ProcessId, value: T) {
-        self.array.get(index).write(writer, value);
-        self.epochs.bump(index);
-    }
-
-    /// Current modification epoch of slot `index`.
-    #[must_use]
-    pub fn slot_version(&self, index: usize) -> u64 {
-        self.epochs.load(index)
-    }
-
-    /// Array-global modification epoch (see [`EpochedMatrix::version`]).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.epochs.load_global()
-    }
-
-    /// Unattributed overwrite of slot `index` that still bumps the slot
-    /// epoch (see [`EpochedMatrix::poke`]).
-    pub fn poke(&self, index: usize, value: T) {
-        self.array.get(index).poke(value);
-        self.epochs.bump(index);
-    }
-
-    /// Reads slot `index` on behalf of `reader`, returning the slot epoch
-    /// observed before the read alongside the value.
-    pub fn read_versioned(&self, index: usize, reader: ProcessId) -> (u64, T) {
-        let version = self.slot_version(index);
-        (version, self.array.get(index).read(reader))
-    }
-
-    /// Records `slots` clean slots skipped (one shared read avoided each).
-    pub fn note_slots_skipped(&self, slots: u64) {
-        self.counters.note_skipped(slots, slots);
-    }
-
-    /// The space-wide scan counters this array reports into.
-    #[must_use]
-    pub fn counters(&self) -> &Arc<ScanCounters> {
-        &self.counters
-    }
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> Clone for EpochedArray<T, C> {
-    fn clone(&self) -> Self {
-        EpochedArray {
-            array: self.array.clone(),
-            epochs: Arc::clone(&self.epochs),
-            counters: Arc::clone(&self.counters),
-        }
-    }
-}
-
-impl<T: RegisterValue, C: SharedCell<T>> fmt::Debug for EpochedArray<T, C> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Epoched{:?}", self.array)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemorySpace;
+    use crate::{MemorySpace, ProcessId};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Every write path — `get(..).write`, `get(..).poke`, the same
+    /// through a clone of the view — moves the version of what it wrote
+    /// and the global, and no other entry's version.
+    #[test]
+    fn every_write_path_moves_its_version_and_no_other() {
+        for mode in [Instrumentation::Eager, Instrumentation::Deferred] {
+            let s = MemorySpace::with_instrumentation(40, mode);
+            let m = s.epoched_nat_row_matrix("S", |_, _| 0);
+            let rows = |m: &crate::NatMatrix| -> Vec<_> {
+                (0..40).map(|r| m.row_version(p(r)).unwrap()).collect()
+            };
+            let clone = m.clone();
+            for (row, write) in [(1, 0), (7, 1), (39, 2), (0, 3)] {
+                let (before, global) = (rows(&m), m.version().unwrap());
+                match write {
+                    0 => m.get(p(row), p(2)).write(p(row), 5),
+                    1 => m.get(p(row), p(3)).poke(6),
+                    2 => clone.get(p(row), p(4)).write(p(row), 7),
+                    _ => clone.get(p(row), p(5)).poke(8),
+                }
+                let after = rows(&m);
+                for r in 0..40 {
+                    assert_eq!(after[r] != before[r], r == row, "{mode:?}: row {r}");
+                }
+                assert_ne!(m.version().unwrap(), global, "{mode:?}: the global");
+                assert_eq!(clone.version(), m.version(), "one table");
+            }
+
+            let a = s.epoched_nat_mwmr_array("C", 5, |_| 0);
+            let slots = |a: &crate::MwmrNatArray| -> Vec<_> {
+                (0..5).map(|k| a.slot_version(k).unwrap()).collect()
+            };
+            let clone = a.clone();
+            for (slot, write) in [(2, 0), (0, 1), (4, 2), (2, 3)] {
+                let (before, global) = (slots(&a), a.version().unwrap());
+                match write {
+                    0 => a.get(slot).write(p(1), 5),
+                    1 => a.get(slot).poke(6),
+                    2 => clone.get(slot).write(p(3), 7),
+                    _ => clone.get(slot).poke(8),
+                }
+                let after = slots(&a);
+                for k in 0..5 {
+                    assert_eq!(after[k] != before[k], k == slot, "{mode:?}: slot {k}");
+                }
+                assert_ne!(a.version().unwrap(), global, "{mode:?}: the global");
+            }
+
+            let progress = s.epoched_nat_array("PROGRESS", |_| 0);
+            let chunks = |a: &crate::NatArray| -> Vec<_> {
+                [0..16, 16..32, 32..40]
+                    .map(|range| a.range_version(range).unwrap())
+                    .to_vec()
+            };
+            let clone = progress.clone();
+            for (pid, write) in [(20, 0), (3, 1), (39, 2), (16, 3)] {
+                let (before, chunk) = (chunks(&progress), pid / 16);
+                match write {
+                    0 => progress.get(p(pid)).write(p(pid), 5),
+                    1 => progress.get(p(pid)).poke(6),
+                    2 => clone.get(p(pid)).write(p(pid), 7),
+                    _ => clone.get(p(pid)).poke(8),
+                }
+                let after = chunks(&progress);
+                for c in 0..3 {
+                    assert_eq!(after[c] != before[c], c == chunk, "{mode:?}: chunk {c}");
+                }
+            }
+        }
     }
 
     #[test]
     fn matrix_write_bumps_only_its_row() {
         let s = MemorySpace::new(3);
         let m = s.epoched_nat_row_matrix("S", |_, _| 0);
-        assert_eq!(m.row_version(p(0)), 0);
-        m.write(p(1), p(2), p(1), 5);
-        assert_eq!(m.row_version(p(0)), 0);
-        assert_eq!(m.row_version(p(1)), 1);
+        assert_eq!(m.row_version(p(0)), Some(0));
+        m.get(p(1), p(2)).write(p(1), 5);
+        assert_eq!(m.row_version(p(0)), Some(0));
+        assert_eq!(m.row_version(p(1)), Some(1));
         assert_eq!(m.get(p(1), p(2)).peek(), 5);
         assert_eq!(m.n(), 3);
+        assert_eq!(s.nat_row_matrix("PLAIN", |_, _| 0).row_version(p(0)), None);
     }
 
     #[test]
@@ -515,12 +353,10 @@ mod tests {
         let s = MemorySpace::new(3);
         let m = s.epoched_nat_row_matrix("S", |r, c| (10 * r + c) as u64);
         let mut buf = vec![0; 3];
-        let v = m.snapshot_row_into(p(1), p(2), &mut buf);
+        m.read_row_into(p(1), p(2), &mut buf);
         assert_eq!(buf, vec![10, 11, 12]);
-        assert_eq!(v, 0);
-        let stats = s.stats();
-        assert_eq!(stats.reads_of(p(2)), 3, "snapshot reads are attributed");
-        assert_eq!(stats.scan().snapshot_batches, 1);
+        assert_eq!(m.row_version(p(1)), Some(0), "a read moves nothing");
+        assert_eq!(s.stats().reads_of(p(2)), 3, "snapshot reads are attributed");
     }
 
     #[test]
@@ -529,7 +365,7 @@ mod tests {
         let s = MemorySpace::new(3);
         let m = s.epoched_nat_row_matrix("S", |_, _| 0);
         let mut buf = vec![0; 2];
-        let _ = m.snapshot_row_into(p(0), p(1), &mut buf);
+        m.read_row_into(p(0), p(1), &mut buf);
     }
 
     #[test]
@@ -537,37 +373,30 @@ mod tests {
     fn matrix_write_still_enforces_ownership() {
         let s = MemorySpace::new(2);
         let m = s.epoched_nat_row_matrix("S", |_, _| 0);
-        m.write(p(0), p(1), p(1), 3);
+        m.get(p(0), p(1)).write(p(1), 3);
     }
 
     #[test]
     fn skip_accounting_reaches_space_stats() {
         let s = MemorySpace::new(4);
-        let m = s.epoched_nat_row_matrix("S", |_, _| 0);
-        m.note_row_skipped();
-        m.note_row_skipped();
-        m.counters().note_shard_pass();
-        let scan = s.stats().scan();
-        assert_eq!(scan.rows_skipped, 2);
-        assert_eq!(scan.reads_skipped, 8);
-        assert_eq!(scan.shard_passes, 1);
+        let scan = s.scan_counters();
+        scan.note_skipped(2, 8);
+        scan.note_snapshot();
+        scan.note_shard_pass();
+        let stats = s.stats().scan();
+        assert_eq!((stats.rows_skipped, stats.reads_skipped), (2, 8));
+        assert_eq!((stats.snapshot_batches, stats.shard_passes), (1, 1));
     }
 
     #[test]
     fn array_slot_versions_and_reads() {
         let s = MemorySpace::new(2);
         let a = s.epoched_nat_mwmr_array("S", 3, |i| i as u64);
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-        let (v, val) = a.read_versioned(2, p(0));
-        assert_eq!((v, val), (0, 2));
-        a.write(2, p(1), 9);
-        assert_eq!(a.slot_version(2), 1);
-        assert_eq!(a.slot_version(0), 0);
-        let (v, val) = a.read_versioned(2, p(0));
-        assert_eq!((v, val), (1, 9));
-        a.note_slots_skipped(5);
-        assert_eq!(s.stats().scan().reads_skipped, 5);
+        assert_eq!((a.len(), a.slot_version(2)), (3, Some(0)));
+        a.get(2).write(p(1), 9);
+        assert_eq!((a.slot_version(2), a.slot_version(0)), (Some(1), Some(0)));
+        assert_eq!(a.get(2).read(p(0)), 9);
+        assert_eq!(s.nat_mwmr_array("PLAIN", 2, |_| 0).slot_version(1), None);
     }
 
     #[test]
@@ -575,19 +404,20 @@ mod tests {
         let s = MemorySpace::new(3);
         let m = s.epoched_nat_row_matrix("S", |_, _| 0);
         let v0 = m.version();
-        m.write(p(0), p(1), p(0), 1);
+        m.get(p(0), p(1)).write(p(0), 1);
         let v1 = m.version();
         assert_ne!(v0, v1);
-        m.poke(p(2), p(0), 9);
+        m.get(p(2), p(0)).poke(9);
         assert_ne!(m.version(), v1);
 
         let a = s.epoched_nat_mwmr_array("C", 3, |_| 0);
         let v0 = a.version();
-        a.write(1, p(0), 5);
+        a.get(1).write(p(0), 5);
         assert_ne!(a.version(), v0);
         let v1 = a.version();
-        a.poke(2, 7);
+        a.get(2).poke(7);
         assert_ne!(a.version(), v1);
+        assert_eq!(s.nat_row_matrix("PLAIN", |_, _| 0).version(), None);
     }
 
     #[test]
@@ -595,9 +425,35 @@ mod tests {
         let s = MemorySpace::new(2);
         let a = s.epoched_nat_row_matrix("S", |_, _| 0);
         let b = a.clone();
-        a.write(p(0), p(1), p(0), 1);
-        assert_eq!(b.row_version(p(0)), 1);
-        assert!(format!("{b:?}").contains("Epoched"));
+        a.get(p(0), p(1)).write(p(0), 1);
+        assert_eq!(b.row_version(p(0)), Some(1));
+        b.get(p(1), p(0)).poke(2);
+        assert_eq!((a.row_version(p(1)), a.version()), (Some(1), Some(2)));
+    }
+
+    #[test]
+    fn tables_bump_per_grain_and_sum_the_entries_a_range_overlaps() {
+        let table = Epochs::new(5, 16, Instrumentation::Deferred);
+        table.bump(1, 20);
+        assert_eq!(table.version(1, 0..16), 0, "base 1: slot 20 is entry 2");
+        assert_eq!((table.version(1, 16..32), table.version(1, 10..17)), (1, 1));
+        assert_eq!((table.version(0, 0..80), table.version(1, 5..5)), (1, 0));
+        table.bump_bank(1, 40);
+        assert_eq!(
+            (
+                table.version(0, 0..16),
+                table.version(0, 0..80),
+                table.global()
+            ),
+            (0, 4, 4),
+            "entries 1, 2 and 3 once each, the global with them"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "grain")]
+    fn a_grain_is_a_power_of_two() {
+        let _ = Epochs::new(2, 3, Instrumentation::Eager);
     }
 
     #[test]

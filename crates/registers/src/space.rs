@@ -1,5 +1,6 @@
 //! The shared memory space: register factory, registry, and reporting root.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::sync::RwLock;
@@ -12,7 +13,7 @@ use crate::footprint::FootprintReport;
 use crate::matrix::OwnedMatrix;
 use crate::meta::{BankMeta, Instrumentation};
 use crate::names::BankNames;
-use crate::shard::{EpochedArray, EpochedMatrix, ScanCounters};
+use crate::shard::{Epochs, ScanCounters};
 use crate::stats::{SnapshotLayout, StatsSnapshot};
 use crate::swmr::{Bank, BankSpec, BlockSlots, MwmrRegister, Owners, SwmrRegister};
 use crate::value::RegisterValue;
@@ -32,10 +33,10 @@ pub type NatMatrix = OwnedMatrix<u64, AtomicNatCell>;
 pub type FlagMatrix = OwnedMatrix<bool, AtomicFlagCell>;
 /// nWnR array of lock-free natural-number registers.
 pub type MwmrNatArray = MwmrArray<u64, AtomicNatCell>;
-/// Epoch-tracked lock-free natural-number matrix (sharded `SUSPICIONS`).
-pub type EpochedNatMatrix = EpochedMatrix<u64, AtomicNatCell>;
-/// Epoch-tracked lock-free nWnR natural-number array (§3.5 suspicions).
-pub type EpochedMwmrNatArray = EpochedArray<u64, AtomicNatCell>;
+
+/// Slots per `PROGRESS` version entry: the default `T3` shard width, so
+/// one default shard is one entry.
+const SHARD_GRAIN: usize = 16;
 
 /// Every bank created so far, in creation order — which is register order
 /// too: a bank's slots are consecutive registers.
@@ -44,7 +45,9 @@ struct Registry {
     banks: Vec<Arc<dyn BankMeta>>,
     /// Registers in `banks` (the next bank's first [`RegisterId`](crate::RegisterId)).
     registers: usize,
-    /// Positions in `banks` of the banks that keep chunk epochs.
+    /// Positions in `banks` of the owned banks that keep an epoch table:
+    /// the banks a cut can sever, whose versions a partition transition
+    /// must move.
     epoched: Vec<usize>,
     /// Where an array's names are written before they are copied into the
     /// one allocation that keeps them.
@@ -75,10 +78,6 @@ struct SpaceInner {
     block_map: Arc<BlockMap>,
     /// The chaos-campaign partition mask shared by every bank.
     chaos: Arc<PartitionMask>,
-    /// Epoch tables of every epoched structure created in this space.
-    /// Partition install/heal bumps them all: a visibility cut changes
-    /// what a read returns, so epoch-validated caches must re-read.
-    epochs: RwLock<Vec<std::sync::Weak<crate::shard::Epochs>>>,
 }
 
 /// A shared memory made of atomic registers, with built-in instrumentation.
@@ -166,14 +165,10 @@ impl MemorySpace {
                 mode,
                 registry: RwLock::new(Registry::default()),
                 layout: RwLock::new(Arc::new(SnapshotLayout::default())),
-                scan: Arc::new(match mode {
-                    Instrumentation::Eager => ScanCounters::new(),
-                    Instrumentation::Deferred => ScanCounters::new_unsync(),
-                }),
+                scan: Arc::new(ScanCounters::new(mode)),
                 backing,
                 block_map: Arc::new(BlockMap::new()),
                 chaos: Arc::new(PartitionMask::new(n_processes)),
-                epochs: RwLock::new(Vec::new()),
             }),
         }
     }
@@ -217,13 +212,13 @@ impl MemorySpace {
 
     /// Creates and registers the bank named per `naming`, slot `i` holding
     /// `init(i)` and owned per `owners`: four allocations (see
-    /// [`crate::swmr`]), keeping chunk epochs if `epochs` is set and the
-    /// space is not disk-backed.
+    /// [`crate::swmr`]), versioned at the given base entry of `table`, if
+    /// one is given.
     fn bank<T, C>(
         &self,
         naming: Naming<'_>,
         owners: Owners,
-        epochs: bool,
+        table: Option<(Arc<Epochs>, usize)>,
         init: impl FnMut(usize) -> T,
     ) -> Arc<Bank<T, C>>
     where
@@ -238,7 +233,7 @@ impl MemorySpace {
         // The caller's code runs before the lock is taken: an initializer
         // that creates registers of its own must not deadlock.
         let live: Box<[C]> = (0..len).map(init).map(C::with_value).collect();
-        let epochs = epochs && self.inner.backing.is_none();
+        let severable = table.is_some() && owners != Owners::Shared;
         // Under the registry lock from id to push, so that ids are registry
         // positions whatever other threads create meanwhile, and so that no
         // cut is frozen and activated in between (see `Bank::new`).
@@ -263,12 +258,12 @@ impl MemorySpace {
                 block: self.bind_blocks::<T>(&names, owners),
                 mask: Arc::clone(&self.inner.chaos),
                 names,
-                epochs,
+                table,
             },
             live,
         );
         registry.registers += len;
-        if epochs {
+        if severable {
             let position = registry.banks.len();
             registry.epoched.push(position);
         }
@@ -300,7 +295,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(Naming::Scalar(name), Owners::Uniform(owner), false, |_| {
+        let bank = self.bank(Naming::Scalar(name), Owners::Uniform(owner), None, |_| {
             initial.clone()
         });
         SwmrRegister::new(bank)
@@ -322,7 +317,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        let bank = self.bank(Naming::Scalar(name), Owners::Shared, false, |_| {
+        let bank = self.bank(Naming::Scalar(name), Owners::Shared, None, |_| {
             initial.clone()
         });
         MwmrRegister::new(bank)
@@ -345,7 +340,7 @@ impl MemorySpace {
         C: SharedCell<T>,
     {
         let naming = Naming::Indexed(name, self.inner.n_processes);
-        SwmrArray::over(self.bank(naming, Owners::Identity, false, |i| init(ProcessId::new(i))))
+        SwmrArray::over(self.bank(naming, Owners::Identity, None, |i| init(ProcessId::new(i))))
     }
 
     /// Lock-backed convenience form of [`swmr_array_cell`](Self::swmr_array_cell).
@@ -369,7 +364,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        MwmrArray::over(self.bank(Naming::Indexed(name, len), Owners::Shared, false, init))
+        MwmrArray::over(self.bank(Naming::Indexed(name, len), Owners::Shared, None, init))
     }
 
     /// Lock-backed convenience form of [`mwmr_array_cell`](Self::mwmr_array_cell).
@@ -383,11 +378,13 @@ impl MemorySpace {
     }
 
     /// Creates the `n × n` matrix `NAME[r][c]`, one bank per row, row `r`
-    /// owned per `owners(r)`.
+    /// owned per `owners(r)` and versioned at entry `r` of `table`, if one
+    /// is given.
     fn matrix_cell<T, C>(
         &self,
         name: &str,
         owners: impl Fn(usize) -> Owners,
+        table: Option<&Arc<Epochs>>,
         mut init: impl FnMut(usize, usize) -> T,
     ) -> OwnedMatrix<T, C>
     where
@@ -395,15 +392,19 @@ impl MemorySpace {
         C: SharedCell<T>,
     {
         let n = self.inner.n_processes;
-        let row = |r| {
-            let prefix = format!("{name}[{r}]");
-            SwmrArray::over(
-                self.bank(Naming::Indexed(&prefix, n), owners(r), false, |c| {
-                    init(r, c)
-                }),
-            )
-        };
-        OwnedMatrix::from_rows((0..n).map(row).collect())
+        let mut rows = Vec::with_capacity(n);
+        // One buffer for every row's prefix, not an allocation per row.
+        let mut prefix = String::new();
+        for r in 0..n {
+            prefix.clear();
+            write!(prefix, "{name}[{r}]").expect("writing to a String");
+            let table = table.map(|table| (Arc::clone(table), r));
+            let naming = Naming::Indexed(&prefix, n);
+            rows.push(SwmrArray::over(
+                self.bank(naming, owners(r), table, |c| init(r, c)),
+            ));
+        }
+        OwnedMatrix::from_rows(rows)
     }
 
     /// Creates an `n × n` matrix `NAME[r][c]` where entry `[r][c]` is owned
@@ -417,7 +418,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        self.matrix_cell(name, |r| Owners::Uniform(ProcessId::new(r)), init)
+        self.matrix_cell(name, |r| Owners::Uniform(ProcessId::new(r)), None, init)
     }
 
     /// Lock-backed convenience form of [`row_matrix_cell`](Self::row_matrix_cell).
@@ -441,7 +442,7 @@ impl MemorySpace {
         T: RegisterValue,
         C: SharedCell<T>,
     {
-        self.matrix_cell(name, |_| Owners::Identity, init)
+        self.matrix_cell(name, |_| Owners::Identity, None, init)
     }
 
     /// Lock-backed convenience form of [`column_matrix_cell`](Self::column_matrix_cell).
@@ -478,16 +479,21 @@ impl MemorySpace {
     }
 
     /// Lock-free `u64` array, slot `i` owned by `p_i`, whose bank keeps
-    /// chunk epochs (the `PROGRESS` layout of the `T3` memo): every write
-    /// and poke moves [`range_version`](SwmrArray::range_version). On a
-    /// disk-backed space it keeps none, like [`nat_array`](Self::nat_array).
+    /// an epoch table of one entry per 16 slots (the `PROGRESS` layout of
+    /// the `T3` memo): every write and poke moves
+    /// [`range_version`](SwmrArray::range_version), which is `None` on a
+    /// disk-backed space all the same.
     pub fn epoched_nat_array(
         &self,
         name: &str,
         mut init: impl FnMut(ProcessId) -> u64,
     ) -> NatArray {
-        let naming = Naming::Indexed(name, self.inner.n_processes);
-        SwmrArray::over(self.bank(naming, Owners::Identity, true, |i| init(ProcessId::new(i))))
+        let n = self.inner.n_processes;
+        let table = Epochs::new(n.div_ceil(SHARD_GRAIN), SHARD_GRAIN, self.inner.mode);
+        let naming = Naming::Indexed(name, n);
+        SwmrArray::over(self.bank(naming, Owners::Identity, Some((table, 0)), |i| {
+            init(ProcessId::new(i))
+        }))
     }
 
     /// Lock-free `u64` row-owned matrix (`SUSPICIONS` layout).
@@ -523,33 +529,43 @@ impl MemorySpace {
         self.mwmr_array_cell::<u64, AtomicNatCell>(name, len, init)
     }
 
-    /// Lock-free `u64` row-owned matrix with per-row modification epochs —
-    /// the sharded-scan `SUSPICIONS` layout (see [`crate::EpochedMatrix`]).
+    /// Lock-free `u64` row-owned matrix whose rows share one epoch table,
+    /// an entry per row (the `SUSPICIONS` layout of the `leader()` cache):
+    /// every write and poke of a row moves its
+    /// [`row_version`](OwnedMatrix::row_version) and the matrix-global
+    /// [`version`](OwnedMatrix::version).
     pub fn epoched_nat_row_matrix(
         &self,
         name: &str,
         init: impl FnMut(usize, usize) -> u64,
-    ) -> EpochedNatMatrix {
-        let matrix = EpochedMatrix::new(self.nat_row_matrix(name, init), self.scan_counters());
-        self.inner
-            .epochs
-            .write()
-            .push(Arc::downgrade(matrix.epochs()));
-        matrix
+    ) -> NatMatrix {
+        let n = self.inner.n_processes;
+        let table = Epochs::new(n, n.next_power_of_two(), self.inner.mode);
+        let owners = |r| Owners::Uniform(ProcessId::new(r));
+        self.matrix_cell(name, owners, Some(&table), init)
     }
 
-    /// Lock-free `u64` nWnR array with per-slot modification epochs.
+    /// Lock-free `u64` nWnR array whose bank keeps an epoch table of one
+    /// entry per slot (the §3.5 suspicion counters): every write and poke
+    /// moves its [`slot_version`](MwmrArray::slot_version) and the
+    /// array-global [`version`](MwmrArray::version).
     pub fn epoched_nat_mwmr_array(
         &self,
         name: &str,
         len: usize,
         init: impl FnMut(usize) -> u64,
-    ) -> EpochedMwmrNatArray {
-        EpochedArray::new(self.nat_mwmr_array(name, len, init), self.scan_counters())
+    ) -> MwmrNatArray {
+        let table = Epochs::new(len, 1, self.inner.mode);
+        MwmrArray::over(self.bank(
+            Naming::Indexed(name, len),
+            Owners::Shared,
+            Some((table, 0)),
+            init,
+        ))
     }
 
-    /// The space-wide scan-saving counters (shared by every epoched
-    /// structure created in this space).
+    /// The space-wide scan-saving counters, for every reader of the
+    /// versions of this space's banks.
     #[must_use]
     pub fn scan_counters(&self) -> Arc<ScanCounters> {
         Arc::clone(&self.inner.scan)
@@ -654,26 +670,17 @@ impl MemorySpace {
         self.invalidate_epoch_caches();
     }
 
-    /// Bumps every epoched structure's epochs. A partition transition
-    /// changes what reads return without moving any value, so any cache
-    /// validated against pre-transition epochs would keep serving its
-    /// (now frozen, or now stale-frozen) snapshot as current — forever, if
-    /// the registers go quiescent right after a heal. Forcing one re-read
-    /// per transition restores coherence.
+    /// Bumps the versions of every bank a cut can sever. A partition
+    /// transition changes what reads return without moving any value, so
+    /// any cache validated against pre-transition versions would keep
+    /// serving its (now frozen, or now stale-frozen) snapshot as current —
+    /// forever, if the registers go quiescent right after a heal. Forcing
+    /// one re-read per transition restores coherence.
     fn invalidate_epoch_caches(&self) {
         let registry = self.inner.registry.read();
         for &position in &registry.epoched {
-            registry.banks[position].counters().bump_every_chunk();
+            registry.banks[position].bump_epochs();
         }
-        drop(registry);
-        let mut epochs = self.inner.epochs.write();
-        epochs.retain(|weak| match weak.upgrade() {
-            Some(table) => {
-                table.bump_all();
-                true
-            }
-            None => false,
-        });
     }
 
     /// Whether a partition is currently installed.
@@ -952,24 +959,28 @@ mod tests {
     #[test]
     fn partition_transitions_move_epoched_matrix_versions() {
         // The epoch tables are NOT severed by the mask, so a severed
-        // snapshot records frozen values against a live epoch. If the
-        // matrix then goes quiescent, an epoch-validated cache would serve
+        // snapshot records frozen values against a live version. If the
+        // matrix then goes quiescent, a version-validated cache would serve
         // that frozen snapshot as current forever — install and heal must
-        // therefore bump every epoch so caches re-read once per
-        // transition.
+        // therefore bump every owned bank's versions so caches re-read once
+        // per transition. nWnR banks are never severed and keep theirs.
         let s = MemorySpace::new(2);
         let m = s.epoched_nat_row_matrix("S", |_, _| 0);
+        let counters = s.epoched_nat_mwmr_array("C", 2, |_| 0);
         let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
         s.install_partition(&[vec![p0], vec![p1]]);
-        m.write(p0, p1, p0, 7); // live row advances invisibly
+        m.get(p0, p1).write(p0, 7); // live row advances invisibly
         let mut buf = vec![0; 2];
-        let seen = m.snapshot_row_into(p0, p1, &mut buf);
+        let seen = m.row_version(p0);
+        m.read_row_into(p0, p1, &mut buf);
         assert_eq!(buf, vec![0, 0], "severed snapshot is the frozen row");
-        let global = m.version();
+        let (global, shared) = (m.version(), counters.version());
         s.heal_partition();
-        assert_ne!(m.row_version(p0), seen, "heal invalidates row epochs");
-        assert_ne!(m.version(), global, "heal moves the global epoch too");
-        let reread = m.snapshot_row_into(p0, p1, &mut buf);
+        assert_ne!(m.row_version(p0), seen, "heal invalidates row versions");
+        assert_ne!(m.version(), global, "heal moves the global version too");
+        assert_eq!(counters.version(), shared, "nWnR versions stay");
+        let reread = m.row_version(p0);
+        m.read_row_into(p0, p1, &mut buf);
         assert_eq!(buf, vec![0, 7], "forced re-read observes the live row");
         assert_eq!(reread, m.row_version(p0), "coherent again after heal");
     }

@@ -50,17 +50,16 @@
 //! so device accounting cannot tell a range read from the same reads
 //! issued singly.
 //!
-//! # Chunk epochs
+//! # Write versions
 //!
-//! A bank can keep a write epoch per chunk of 16 slots (`PROGRESS` does;
-//! see [`crate::shard`]), as a last run of its counter block. The bank
-//! bumps it itself, after the value is stored, on every write and every
-//! poke, so neither a process nor a corrupting harness can move a value
-//! without moving its chunk; on a deferred-mode space the bump is a plain
-//! load and store. A partition install or heal bumps every chunk, through
-//! the same hook that moves the epoched matrices. A block-backed bank
-//! keeps none: its device must serve every read, so a read there is never
-//! booked.
+//! A bank can hold an epoch table and a base entry in it (`PROGRESS`, the
+//! `SUSPICIONS` rows and the §3.5 counters do; see [`crate::shard`]). The
+//! bank bumps its entry itself, after the value is stored, on every write
+//! and every poke, so neither a process nor a corrupting harness can move
+//! a value without moving its version. A bank that keeps none pays one
+//! word for the empty table reference. A block-backed bank keeps its
+//! versions too, but never books a read: its device must serve every read
+//! counted.
 
 use std::fmt;
 use std::ops::Range;
@@ -72,6 +71,7 @@ use crate::chaos::PartitionMask;
 use crate::error::OwnershipError;
 use crate::meta::{BankMeta, Counters, RegisterId};
 use crate::names::BankNames;
+use crate::shard::Epochs;
 use crate::value::RegisterValue;
 use crate::{Instrumentation, ProcessId};
 
@@ -126,8 +126,12 @@ pub(crate) struct Bank<T, C> {
     /// Boxed: one word on the in-memory banks that never bind one.
     block: Option<Box<BlockSlots>>,
     mask: Arc<PartitionMask>,
+    /// The table this bank's writes are versioned in, if any: slot `i`
+    /// moves the entry of `i` past `epoch_base` (see [`Epochs`]).
+    epochs: Option<Arc<Epochs>>,
     /// Slot `i` is register `first_id + i` of its space.
-    first_id: usize,
+    first_id: u32,
+    epoch_base: u32,
     owners: Owners,
     counters: Counters,
     _marker: std::marker::PhantomData<fn() -> T>,
@@ -143,8 +147,8 @@ pub(crate) struct BankSpec {
     pub(crate) mode: Instrumentation,
     pub(crate) block: Option<BlockSlots>,
     pub(crate) mask: Arc<PartitionMask>,
-    /// Whether to keep chunk epochs; never on a block-backed bank.
-    pub(crate) epochs: bool,
+    /// The epoch table and the bank's base entry in it, if it keeps one.
+    pub(crate) table: Option<(Arc<Epochs>, usize)>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
@@ -156,12 +160,8 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     pub(crate) fn new(spec: BankSpec, live: Box<[C]>) -> Arc<Self> {
         let len = live.len();
         assert_eq!(spec.names.len(), len, "one name per slot");
-        assert!(
-            spec.block.is_none() || !spec.epochs,
-            "a block-backed bank keeps no epochs"
-        );
         let owned = spec.owners != Owners::Shared;
-        let counters = Counters::new(len, spec.n_processes, owned, spec.mode, spec.epochs);
+        let counters = Counters::new(len, spec.n_processes, owned, spec.mode);
         for (slot, cell) in live.iter().enumerate() {
             let value = cell.load();
             counters.note_initial(slot, value.footprint_bits());
@@ -180,13 +180,16 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             let initial = live.iter().map(|cell| C::with_value(cell.load()));
             let _ = frozen.set(initial.collect());
         }
+        let (epochs, base) = spec.table.unzip();
         Arc::new(Bank {
             live,
             frozen,
             names: spec.names,
             block: spec.block.map(Box::new),
             mask: spec.mask,
-            first_id: spec.first_id,
+            epochs,
+            first_id: u32::try_from(spec.first_id).expect("register count fits u32"),
+            epoch_base: u32::try_from(base.unwrap_or(0)).expect("table size fits u32"),
             owners: spec.owners,
             counters,
             _marker: std::marker::PhantomData,
@@ -279,11 +282,39 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
         read.expect("a one-slot range yields one value")
     }
 
-    /// The chunk-epoch version of `slots`, if the bank keeps epochs: the
-    /// sum of the epochs of the chunks the range overlaps.
+    /// The version of `slots`, if the bank keeps a table: the sum of the
+    /// entries the range overlaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` leaves the bank.
+    #[inline]
+    pub(crate) fn version(&self, slots: Range<usize>) -> Option<u64> {
+        assert!(slots.end <= self.len(), "slots past the bank");
+        let base = self.epoch_base as usize;
+        (self.epochs.as_ref()).map(|table| table.version(base, slots))
+    }
+
+    /// The global version of the bank's table, if it keeps one.
+    #[inline]
+    pub(crate) fn global_version(&self) -> Option<u64> {
+        self.epochs.as_ref().map(|table| table.global())
+    }
+
+    /// The [`version`](Self::version) a booking checks: `None` on a
+    /// block-backed bank, whose device must serve every read counted.
     #[inline]
     pub(crate) fn range_version(&self, slots: Range<usize>) -> Option<u64> {
-        self.counters.chunk_version(slots)
+        self.version(slots).filter(|_| self.block.is_none())
+    }
+
+    /// Moves the version of `slot`, after its value was stored: a reader
+    /// that sees the new version reads the new value.
+    #[inline]
+    fn bump(&self, slot: usize) {
+        if let Some(table) = &self.epochs {
+            table.bump(self.epoch_base as usize, slot);
+        }
     }
 
     /// Counts one read by `reader` of every slot of `slots` but `except`
@@ -307,7 +338,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     /// a partition transition, so every booked read of this bank would
     /// return what that read returned. Otherwise counts nothing and sets
     /// `*seen` to the current version — `None` when this bank keeps no
-    /// epochs or `alongside` is block-backed, whose device must serve
+    /// table or either bank is block-backed, whose device must serve
     /// every read counted.
     ///
     /// # Panics
@@ -341,9 +372,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
                 .write_block(block.addrs[slot], value.to_block()),
             None => self.live[slot].store(value),
         }
-        // After the store: a reader that sees the new epoch reads the new
-        // value.
-        self.counters.bump_chunk(slot);
+        self.bump(slot);
         self.counters.note_write(slot, writer, bits);
     }
 
@@ -362,7 +391,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             Some(block) => block.device.poke_block(block.addrs[slot], value.to_block()),
             None => self.live[slot].store(value),
         }
-        self.counters.bump_chunk(slot);
+        self.bump(slot);
     }
 }
 
@@ -381,6 +410,12 @@ impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
 
     fn current_bits(&self, slot: usize) -> u64 {
         self.peek(slot).footprint_bits()
+    }
+
+    fn bump_epochs(&self) {
+        if let Some(table) = &self.epochs {
+            table.bump_bank(self.epoch_base as usize, self.len());
+        }
     }
 
     fn freeze(&self) {
@@ -435,7 +470,7 @@ impl<'a, T: RegisterValue, C: SharedCell<T>> SwmrRef<'a, T, C> {
     /// See [`SwmrRegister::id`].
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        RegisterId(self.bank.first_id + self.slot)
+        RegisterId(self.bank.first_id as usize + self.slot)
     }
 
     /// See [`SwmrRegister::read`].
@@ -643,7 +678,7 @@ impl<'a, T: RegisterValue, C: SharedCell<T>> MwmrRef<'a, T, C> {
     /// See [`MwmrRegister::id`].
     #[must_use]
     pub fn id(&self) -> RegisterId {
-        RegisterId(self.bank.first_id + self.slot)
+        RegisterId(self.bank.first_id as usize + self.slot)
     }
 
     /// See [`MwmrRegister::read`].

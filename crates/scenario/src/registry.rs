@@ -388,8 +388,8 @@ pub fn stepclock() -> Scenario {
 /// 512/1024 exist for the sharded coop worker pool (admitted at
 /// `workers ≥ 8` / `≥ 16` — see `coop_max_n`). The sim runs 512 too —
 /// its record is the deterministic twin the `--check` gate compares
-/// against — and refuses 1024 (`SIM_MAX_N`: its pre-stabilization scans
-/// cost `O(n²)` per tick); the per-node-thread backends refuse both.
+/// against — and refuses 1024 (`SIM_MAX_N`: its peak memory is above
+/// the sim gate's ceiling); the per-node-thread backends refuse both.
 ///
 /// Statistics checkpoints shrink with `n`: the trend line needs totals,
 /// not fine windows, and one cumulative snapshot is `O(n²)` counters. The

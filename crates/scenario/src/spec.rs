@@ -264,13 +264,13 @@ pub const THREAD_MAX_N: usize = 16;
 /// literal realization is memory-cubic in n: reads are tallied per
 /// (process, bank) and writes per register, a statistics checkpoint is a
 /// dense copy of those, and the processes share their views of the
-/// suspicion matrix — all `O(n²)` (`n-scaling-512` peaks at ≈ 0.2 GB).
-/// What the cap stands on is time: before stabilization every process
-/// scans every tick, `O(n²)` per tick (`n-scaling-512` runs at 2.45 M
-/// events/s against 7.3 M at n = 256), and a larger system needs its
-/// horizon sized by a measurement first (ROADMAP open item 3 (d)).
-/// Larger systems are exactly what the sharded cooperative pool exists
-/// for, so the sim refuses them loudly.
+/// suspicion matrix — all `O(n²)`. Nor is the cap time any more: a `T3`
+/// pass over a shard nothing wrote is a version check, and
+/// `n-scaling-1024` runs in ≈ 4–5 s. What the cap stands on is memory:
+/// `n-scaling-1024` peaks at ≈ 243 MB, above the ceiling CI's sim gate
+/// sets on peak RSS (twice the ≈ 89.5 MB of its `n-scaling-512` peak;
+/// ROADMAP open item 3 (d)). Larger systems are exactly what the sharded
+/// cooperative pool exists for, so the sim refuses them loudly.
 pub const SIM_MAX_N: usize = 512;
 
 /// Largest system the cooperative wall-clock backend records *on a small
@@ -443,8 +443,8 @@ impl Scenario {
     /// `refusal(..).is_none()`.
     ///
     /// The simulator runs every *regime* (it is the only backend that can
-    /// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — its
-    /// pre-stabilization scans cost `O(n²)` per tick. A wall clock cannot
+    /// violate AWB on purpose) but refuses `n >` [`SIM_MAX_N`] — a larger
+    /// run's peak memory is above its gate's ceiling. A wall clock cannot
     /// defend a negative (real time *is* the fair schedule, and a cluster
     /// detects stability, not its absence), so the wall backends refuse
     /// non-electing scenarios. Campaign clauses are refused by name rather
@@ -461,8 +461,9 @@ impl Scenario {
         if backend == Backend::Sim {
             return (self.n > SIM_MAX_N).then(|| {
                 format!(
-                    "the simulator's pre-stabilization scans cost O(n^2) per tick, so it runs \
-                     n <= {SIM_MAX_N}; larger systems belong on the sharded coop pool"
+                    "a larger simulated run peaks above the sim gate's memory ceiling, so \
+                     the simulator runs n <= {SIM_MAX_N}; larger systems belong on the \
+                     sharded coop pool"
                 )
             });
         }
@@ -907,8 +908,8 @@ pub(crate) mod tests {
         let huge = Scenario::fault_free(OmegaVariant::Alg1, 1024);
         assert!(!admits(Backend::Coop, &huge, 8));
         assert!(admits(Backend::Coop, &huge, 16));
-        // Past SIM_MAX_N the coop pool is the *only* backend left: the
-        // sim's pre-stabilization scans are O(n²) per tick.
+        // Past SIM_MAX_N the coop pool is the *only* backend left: a
+        // larger sim run peaks above its gate's memory ceiling.
         assert!(admits(Backend::Sim, &big, 1));
         assert!(
             admits(
@@ -992,8 +993,8 @@ pub(crate) mod tests {
         let n1024 = crate::registry::n_scaling(&[1024]).pop().unwrap();
         assert!(!admits(Backend::Coop, &n512, 4) && admits(Backend::Coop, &n512, 8));
         assert!(!admits(Backend::Coop, &n1024, 8) && admits(Backend::Coop, &n1024, 16));
-        // Past SIM_MAX_N the coop pool is the only backend: the sim's
-        // pre-stabilization scans are O(n²) per tick and it refuses loudly.
+        // Past SIM_MAX_N the coop pool is the only backend: a larger sim
+        // run peaks above its gate's memory ceiling and it refuses loudly.
         assert!(admits(Backend::Sim, &n256, 1) && admits(Backend::Sim, &n512, 1));
         assert!(!admits(Backend::Sim, &n1024, 1) && !admits(Backend::Sim, &n1024, 16));
         let sim_refusal = refusal_of(Backend::Sim, &n1024, 1);

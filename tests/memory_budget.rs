@@ -102,14 +102,15 @@ fn reading() -> (usize, usize) {
 /// `elect-wide` run makes as many allocator calls over 24 000 ticks as
 /// over 12 000 — every buffer a run grows with its length (the leader
 /// timeline's three columns) is sized once, up front, and the sampling
-/// cadence is no queue of events. It read 2 290 calls at both; while each
-/// sample kept two heap rows and sat pre-scheduled in the event wheel,
-/// every sample added 3. And the benchmark's `elect-small` input (n = 5,
-/// 2 000 000 ticks, 20 001 samples, two leader crashes) peaks at 1.8 MB
-/// of live heap, against a 2.2 MB budget: a sample is its time and two
-/// rows of five entries in flat columns, 88 B. It read 3.7 MB, 3.0 of
-/// them the timeline, while every sample made three allocator calls and
-/// kept two heap rows.
+/// cadence is no queue of events. It reads 2 043 calls at both (2 290
+/// while a matrix formatted each row's name prefix into an allocation of
+/// its own); while each sample kept two heap rows and sat pre-scheduled
+/// in the event wheel, every sample added 3. And the benchmark's
+/// `elect-small` input (n = 5, 2 000 000 ticks, 20 001 samples, two
+/// leader crashes) peaks at 1.8 MB of live heap, against a 2.2 MB budget:
+/// a sample is its time and two rows of five entries in flat columns,
+/// 88 B. It read 3.7 MB, 3.0 of them the timeline, while every sample
+/// made three allocator calls and kept two heap rows.
 ///
 /// Then Alg1 at n = 512, the sim's ceiling (`SIM_MAX_N`), built and
 /// dropped: its construction peaks at 27.5 MB (42.7 MB with a name and a

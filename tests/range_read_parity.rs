@@ -5,8 +5,9 @@
 //! script — owner writes, nWnR writes, scans, partition installs, cuts and
 //! heals. One banks them as the algorithms do (an array or a matrix row is
 //! a bank) and serves every scan through the range APIs
-//! (`read_range_into`, `snapshot_into`, `read_row_into`,
-//! `snapshot_row_into`); the other creates every register as a scalar of
+//! (`read_range_into`, `snapshot_into`, `read_row_into`, and the
+//! `SUSPICIONS` rows of an epoched matrix read as its cache reads them);
+//! the other creates every register as a scalar of
 //! its own, in the same order, and reads it singly. Reads are counted per
 //! (reader, bank), so the scalar side keeps per-register attribution:
 //! folded by the bank each scalar stands in for (`STOP[3]` → `STOP`,
@@ -23,8 +24,8 @@ use std::sync::Arc;
 use omega_shm::registers::cell::AtomicNatCell;
 use omega_shm::registers::sync::Mutex;
 use omega_shm::registers::{
-    BlockDevice, EpochedNatMatrix, FlagArray, FlagMatrix, FlagRegister, Instrumentation,
-    MemorySpace, MwmrNatArray, MwmrRegister, NatArray, NatRegister, ProcessId, StatsSnapshot,
+    BlockDevice, FlagArray, FlagMatrix, FlagRegister, Instrumentation, MemorySpace, MwmrNatArray,
+    MwmrRegister, NatArray, NatMatrix, NatRegister, ProcessId, StatsSnapshot,
 };
 use omega_shm::sim::rng::SmallRng;
 
@@ -66,7 +67,7 @@ struct Banked {
     space: MemorySpace,
     progress: NatArray,
     stop: FlagArray,
-    suspicions: EpochedNatMatrix,
+    suspicions: NatMatrix,
     last: FlagMatrix,
     shared: MwmrNatArray,
 }
@@ -95,7 +96,7 @@ impl Side for Banked {
         match family {
             Family::Progress => self.progress.get(p(slot)).write(p(slot), value),
             Family::Stop => self.stop.get(p(slot)).write(p(slot), flag),
-            Family::Suspicions => self.suspicions.write(p(row), p(slot), p(row), value),
+            Family::Suspicions => (self.suspicions.get(p(row), p(slot))).write(p(row), value),
             Family::Last => self.last.get(p(row), p(slot)).write(p(slot), flag),
             Family::Shared => self.shared.get(slot).write(writer, value),
         }
@@ -108,8 +109,8 @@ impl Side for Banked {
             Family::Progress => self.progress.read_range_into(reader, slots, &mut values),
             Family::Stop => self.stop.read_range_into(reader, slots, &mut flags),
             Family::Suspicions => {
-                self.suspicions
-                    .snapshot_row_into(p(row), reader, &mut values);
+                self.suspicions.read_row_into(p(row), reader, &mut values);
+                self.space.scan_counters().note_snapshot();
             }
             Family::Last => self.last.read_row_into(p(row), reader, &mut flags),
             Family::Shared if slots == (0..self.shared.len()) => {
