@@ -1,4 +1,4 @@
-//! Ablation study: the design choices DESIGN.md calls out.
+//! Ablation study: three design choices the paper leaves open.
 //!
 //! Three knobs the paper leaves open (or fixes without discussion), each
 //! swept on a common AWB workload:

@@ -13,10 +13,22 @@
 //!    adversary prevent stabilization forever.
 
 use omega_bench::table::Table;
-use omega_bench::{run_election, AwbParams};
 use omega_core::OmegaVariant;
 use omega_registers::ProcessId;
-use omega_scenario::{Driver, Scenario, SimDriver};
+use omega_scenario::{Driver, Outcome, Scenario, SimDriver};
+
+/// Algorithm 1 on the fault-free AWB workload over `horizon` ticks,
+/// sampled 400 times, with `timely` as AWB₁'s timely process.
+fn awb_run(n: usize, horizon: u64, timely: ProcessId, crash_leader_at: Option<u64>) -> Outcome {
+    let mut scenario = Scenario::fault_free(OmegaVariant::Alg1, n)
+        .awb(timely, 1_000, 4)
+        .horizon(horizon)
+        .sample_every((horizon / 400).max(1));
+    if let Some(tick) = crash_leader_at {
+        scenario = scenario.crash_leader_at(tick);
+    }
+    SimDriver.run(&scenario)
+}
 
 fn main() {
     let horizon = 60_000;
@@ -32,23 +44,17 @@ fn main() {
     ]);
     for n in [2usize, 3, 5, 8, 16, 32] {
         for crash in [None, Some(horizon / 3)] {
-            let params = AwbParams {
-                timely: ProcessId::new(n - 1),
-                ..AwbParams::default()
-            };
-            let s = run_election(OmegaVariant::Alg1, n, horizon, params, crash);
+            let s = awb_run(n, horizon, ProcessId::new(n - 1), crash);
+            let stabilized = s.stabilized_for(0.2);
             t.row(&[
                 n.to_string(),
                 crash.map_or("-".into(), |c| c.to_string()),
-                s.stabilized.to_string(),
-                s.leader.map_or("-".into(), |l| l.to_string()),
-                s.stable_from.map_or("-".into(), |v| v.to_string()),
+                stabilized.to_string(),
+                s.elected.map_or("-".into(), |l| l.to_string()),
+                s.stabilization_ticks.map_or("-".into(), |v| v.to_string()),
                 s.register_count.to_string(),
             ]);
-            assert!(
-                s.stabilized,
-                "n={n} crash={crash:?} must stabilize under AWB"
-            );
+            assert!(stabilized, "n={n} crash={crash:?} must stabilize under AWB");
         }
     }
     println!("{t}");
@@ -62,20 +68,22 @@ fn main() {
         "tail readers",
     ]);
     for n in [3usize, 5, 8, 16] {
-        let s = run_election(OmegaVariant::Alg1, n, horizon, AwbParams::default(), None);
+        let s = awb_run(n, horizon, ProcessId::new(0), None);
+        let tail = s.tail.expect("the simulator observes the tail");
         t.row(&[
             n.to_string(),
-            s.tail_writers.to_string(),
-            s.tail_written_registers.to_string(),
-            format!("{:.1}", s.tail_writes_per_1k),
-            s.tail_readers.to_string(),
+            tail.writers.len().to_string(),
+            tail.written_registers.to_string(),
+            format!("{:.1}", tail.writes_per_1k),
+            tail.readers.len().to_string(),
         ]);
         assert_eq!(
-            s.tail_writers, 1,
+            tail.writers.len(),
+            1,
             "only the leader writes after stabilization"
         );
-        assert_eq!(s.tail_written_registers, 1, "and only one register");
-        assert_eq!(s.tail_readers, n, "everyone keeps reading (Lemma 6)");
+        assert_eq!(tail.written_registers, 1, "and only one register");
+        assert_eq!(tail.readers.len(), n, "everyone keeps reading (Lemma 6)");
     }
     println!("{t}");
 
@@ -83,7 +91,7 @@ fn main() {
     let mut t = Table::new(&["n", "horizon", "hwm bits", "still growing in tail"]);
     for n in [3usize, 8] {
         for h in [20_000u64, 40_000, 80_000] {
-            let s = run_election(OmegaVariant::Alg1, n, h, AwbParams::default(), None);
+            let s = awb_run(n, h, ProcessId::new(0), None);
             t.row(&[
                 n.to_string(),
                 h.to_string(),

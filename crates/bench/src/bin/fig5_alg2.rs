@@ -11,10 +11,22 @@
 //!    the full adversary suite, including failover.
 
 use omega_bench::table::Table;
-use omega_bench::{run_election, AwbParams};
 use omega_core::OmegaVariant;
 use omega_registers::ProcessId;
-use omega_scenario::Scenario;
+use omega_scenario::{Driver, Outcome, Scenario, SimDriver};
+
+/// Algorithm 2 on the fault-free AWB workload over `horizon` ticks,
+/// sampled 400 times, with `timely` as AWB₁'s timely process.
+fn awb_run(n: usize, horizon: u64, timely: ProcessId, crash_leader_at: Option<u64>) -> Outcome {
+    let mut scenario = Scenario::fault_free(OmegaVariant::Alg2, n)
+        .awb(timely, 1_000, 4)
+        .horizon(horizon)
+        .sample_every((horizon / 400).max(1));
+    if let Some(tick) = crash_leader_at {
+        scenario = scenario.crash_leader_at(tick);
+    }
+    SimDriver.run(&scenario)
+}
 
 fn main() {
     println!("== E9: boundedness of ALL registers (Theorem 6) ==");
@@ -22,7 +34,7 @@ fn main() {
     for n in [3usize, 6] {
         let mut hwms = Vec::new();
         for h in [20_000u64, 40_000, 80_000, 160_000] {
-            let s = run_election(OmegaVariant::Alg2, n, h, AwbParams::default(), None);
+            let s = awb_run(n, h, ProcessId::new(0), None);
             t.row(&[
                 n.to_string(),
                 h.to_string(),
@@ -109,19 +121,16 @@ fn main() {
     let mut t = Table::new(&["n", "crash leader@", "stabilized", "leader", "stable from"]);
     for n in [2usize, 4, 8, 16] {
         for crash in [None, Some(20_000u64)] {
-            let params = AwbParams {
-                timely: ProcessId::new(n - 1),
-                ..AwbParams::default()
-            };
-            let s = run_election(OmegaVariant::Alg2, n, 60_000, params, crash);
+            let s = awb_run(n, 60_000, ProcessId::new(n - 1), crash);
+            let stabilized = s.stabilized_for(0.2);
             t.row(&[
                 n.to_string(),
                 crash.map_or("-".into(), |c| c.to_string()),
-                s.stabilized.to_string(),
-                s.leader.map_or("-".into(), |l| l.to_string()),
-                s.stable_from.map_or("-".into(), |v| v.to_string()),
+                stabilized.to_string(),
+                s.elected.map_or("-".into(), |l| l.to_string()),
+                s.stabilization_ticks.map_or("-".into(), |v| v.to_string()),
             ]);
-            assert!(s.stabilized);
+            assert!(stabilized);
         }
     }
     println!("{t}");

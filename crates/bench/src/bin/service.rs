@@ -2,8 +2,9 @@
 //! client load, reporting failover unavailability as the headline SLO
 //! (`BENCH_service.json` on the simulator). Modes, flags, the artifact
 //! rule and the `--check` gate are the suite harness's
-//! ([`omega_bench::suite`]); `--driver` takes `sim`, `threads` or `coop`
-//! (there is no disk substrate for the KV).
+//! ([`omega_bench::suite`]); `--driver` takes `sim` or `coop` (there is
+//! no disk substrate for the KV). A coop pool of at least `3n + 1` workers
+//! gives every replica, node loop and the pump a worker of its own.
 //!
 //! * **Thresholds.** On the simulator every gated field is deterministic,
 //!   so the gate fails on: a changed request schedule, a committed-count
@@ -43,7 +44,7 @@ const MAX_WRITE_REGRESSION: f64 = 0.15;
 
 const SUITE: Suite = Suite {
     name: "service",
-    drivers: &[Backend::Sim, Backend::Threads, Backend::Coop],
+    drivers: &[Backend::Sim, Backend::Coop],
     required: &[
         "requests",
         "committed",

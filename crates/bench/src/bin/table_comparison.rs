@@ -7,8 +7,8 @@
 //! AWB workload and reports every axis of the trade-off.
 
 use omega_bench::table::Table;
-use omega_bench::{run_election, AwbParams};
 use omega_core::OmegaVariant;
+use omega_scenario::{Driver, Scenario, SimDriver};
 
 fn main() {
     let n = 6;
@@ -26,15 +26,22 @@ fn main() {
         "unbounded regs",
     ]);
     for variant in OmegaVariant::all() {
-        let s = run_election(variant, n, horizon, AwbParams::for_variant(variant), None);
-        assert!(s.stabilized, "{variant} must stabilize");
+        // The fault-free workload already bounds the step-clock variant's
+        // step-rate variance (minimum step delay 2).
+        let scenario = Scenario::fault_free(variant, n)
+            .horizon(horizon)
+            .sample_every(horizon / 400);
+        let s = SimDriver.run(&scenario);
+        assert!(s.stabilized_for(0.2), "{variant} must stabilize");
+        let tail = s.tail.as_ref().expect("the simulator observes the tail");
+        let tail_writers = tail.writers.len();
         t.row(&[
-            s.variant.to_string(),
+            variant.name().to_string(),
             s.register_count.to_string(),
-            s.stable_from.map_or("-".into(), |v| v.to_string()),
-            s.tail_writers.to_string(),
-            s.tail_written_registers.to_string(),
-            format!("{:.1}", s.tail_writes_per_1k),
+            s.stabilization_ticks.map_or("-".into(), |v| v.to_string()),
+            tail_writers.to_string(),
+            tail.written_registers.to_string(),
+            format!("{:.1}", tail.writes_per_1k),
             s.hwm_bits.to_string(),
             s.grown_in_tail.len().to_string(),
         ]);
@@ -42,14 +49,14 @@ fn main() {
         // The trade-off, asserted:
         match variant {
             OmegaVariant::Alg1 | OmegaVariant::StepClock => {
-                assert_eq!(s.tail_writers, 1, "{variant}: write-optimal");
+                assert_eq!(tail_writers, 1, "{variant}: write-optimal");
                 assert!(
                     s.grown_in_tail.len() <= 1,
                     "{variant}: one unbounded register"
                 );
             }
             OmegaVariant::Mwmr => {
-                assert_eq!(s.tail_writers, 1, "{variant}: write-optimal");
+                assert_eq!(tail_writers, 1, "{variant}: write-optimal");
                 assert_eq!(
                     s.register_count,
                     3 * n,
@@ -57,7 +64,7 @@ fn main() {
                 );
             }
             OmegaVariant::Alg2 => {
-                assert_eq!(s.tail_writers, n, "{variant}: everyone writes forever");
+                assert_eq!(tail_writers, n, "{variant}: everyone writes forever");
                 assert!(s.grown_in_tail.is_empty(), "{variant}: fully bounded");
             }
         }

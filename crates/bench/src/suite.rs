@@ -22,11 +22,13 @@
 //!   another backend fails the gate; scenarios present on one side only are
 //!   reported and never fail it (they have no trend yet). A check run writes
 //!   its records only to `$BENCH_OUT`.
-//! * **`--driver <backend>`** — `sim` (default), `threads`, `san` (the
-//!   election suite only) or `coop`. A backend skips, with the reason
+//! * **`--driver <backend>`** — `sim` (default), `san` (the election
+//!   suite only) or `coop`. A backend skips, with the reason
 //!   [`Scenario::refusal`] gives, every scenario it cannot honor.
 //! * **`--workers N`** — sizes the coop worker pool (default 1; the other
-//!   backends ignore it, and the coop admission cap grows with it).
+//!   backends ignore it, and the coop admission cap grows with it). A pool
+//!   with a worker for every task — `2n` for an election, `3n + 1` for a
+//!   service run — gives each task an operating-system thread of its own.
 //! * **`--only <substring>`** — runs (and gates) only the scenarios whose
 //!   name contains the substring. A filtered run never overwrites the
 //!   default artifact; set `$BENCH_OUT` to export its records.

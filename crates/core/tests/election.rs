@@ -31,8 +31,10 @@ fn every_variant_elects_under_random_awb_schedule() {
             // burst of fast steps shrinks the scan window below the
             // leader's write gap, producing spurious suspicions at
             // rare-event timescales (stabilization still happens, but only
-            // after ~1e5+ ticks — see EXPERIMENTS.md E11). Bounding the
-            // step-rate variance (min delay 2) restores fast convergence.
+            // after ~1e5+ ticks). Bounding the step-rate variance (min
+            // delay 2, as `Scenario::fault_free` does for this variant and
+            // the `table_comparison` bin runs it) restores fast
+            // convergence.
             let min_delay = match variant {
                 OmegaVariant::StepClock => 2,
                 _ => 1,

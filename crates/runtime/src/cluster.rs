@@ -466,25 +466,29 @@ mod tests {
         // A node's step and timer loops each get a worker, as the dedicated
         // threads they replace had, and nothing is stolen — not even on a
         // 1–2 ms disk, where a step holds the node's lock across accesses
-        // and a stolen loop would only block on it.
+        // and a stolen loop would only block on it. A pool of exactly 2n
+        // is the same topology: the runtime picks it from the pool size.
         use crate::san::{SanDisk, SanLatency};
         let latency = SanLatency {
             base: Duration::from_millis(1),
             jitter: Duration::from_millis(1),
         };
-        let disk = SanDisk::new(latency, 5);
-        let space = disk.memory_space(3);
-        let config = NodeConfig::san_paced(latency);
-        let cluster =
-            Cluster::start_in(OmegaVariant::Alg1, &space, config, None, |_, _| Vec::new());
-        assert_eq!(cluster.workers(), 2 * 3);
-        std::thread::sleep(Duration::from_millis(300));
-        let stats = cluster.runtime.shard_stats();
-        cluster.shutdown();
-        assert!(
-            stats.iter().all(|s| s.polls > 0 && s.steals == 0),
-            "every loop polled on its own worker only: {stats:?}"
-        );
+        for workers in [None, Some(2 * 3)] {
+            let disk = SanDisk::new(latency, 5);
+            let space = disk.memory_space(3);
+            let config = NodeConfig::san_paced(latency);
+            let cluster = Cluster::start_in(OmegaVariant::Alg1, &space, config, workers, |_, _| {
+                Vec::new()
+            });
+            assert_eq!(cluster.workers(), 2 * 3, "{workers:?}");
+            std::thread::sleep(Duration::from_millis(300));
+            let stats = cluster.runtime.shard_stats();
+            cluster.shutdown();
+            assert!(
+                stats.iter().all(|s| s.polls > 0 && s.steals == 0),
+                "{workers:?}: every loop polled on its own worker only: {stats:?}"
+            );
+        }
     }
 
     /// An application task that counts its polls and retires after

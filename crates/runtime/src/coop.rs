@@ -10,19 +10,21 @@
 //! task in O(1). The substrates differ only in pool size:
 //!
 //! * **one worker per task** — [`Cluster::start`](crate::Cluster::start),
-//!   the scenario crate's `threads` and `san` backends: a node's step
-//!   loop, its timer loop and every application task each park on a
-//!   worker thread of their own, and nothing is stolen, so the kernel's
-//!   preemption is the schedule and that substrate stays the preemptive
-//!   one. `2n` workers is also why those backends stop at small `n`.
-//!   (Not one worker per node: a worker that carries both of a node's
-//!   loops is woken later by the kernel than one that only heartbeats, and
-//!   on a 2-core host the `fault-free` and `fault-free-large` threads
-//!   records then stabilized at a median of 370 and 872 ticks over 20
-//!   runs, where a worker per loop read 92 and 154 in the same runs.)
+//!   the scenario crate's `san` backend, and its `coop` backend whenever
+//!   `--workers` covers the task set: a node's step loop, its timer loop
+//!   and every application task each park on a worker thread of their
+//!   own, and nothing is stolen, so the kernel's preemption is the
+//!   schedule and that substrate stays the preemptive one. `2n` workers is
+//!   also why the SAN stops at small `n`. (Not one worker per node: a
+//!   worker that carries both of a node's loops is woken later by the
+//!   kernel than one that only heartbeats, and on a 2-core host the
+//!   `fault-free` and `fault-free-large` per-task records then stabilized
+//!   at a median of 370 and 872 ticks over 20 runs, where a worker per
+//!   loop read 92 and 154 in the same runs.)
 //! * **a small pool** — [`Cluster::start_coop`](crate::Cluster::start_coop),
-//!   the `coop` backend: all `2n` loops multiplexed over a few workers, so
-//!   real-time elections scale to hundreds of nodes.
+//!   the `coop` backend below the task count: all `2n` loops multiplexed
+//!   over a few workers, so real-time elections scale to hundreds of
+//!   nodes.
 //!
 //! # Sharding
 //!

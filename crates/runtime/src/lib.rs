@@ -12,11 +12,14 @@
 //!   beside the node loops ([`Cluster::start_in`]).
 //! * [`coop`] — the one task engine under every cluster: the task bodies as
 //!   polled tasks on a wall-clock deadline wheel, run by one worker per
-//!   node ([`Cluster::start`]) or multiplexed onto a small pool so
-//!   real-time elections scale to hundreds of nodes
+//!   task whenever the pool has one for each ([`Cluster::start`], or a
+//!   pool of at least `2n` plus the application tasks) or multiplexed onto
+//!   a small pool so real-time elections scale to hundreds of nodes
 //!   ([`Cluster::start_coop`]).
-//! * [`san`] — a simulated storage-area-network disk with atomic block
-//!   registers, the deployment substrate the paper's introduction motivates
+//! * [`san`] — a simulated storage-area-network disk and a memory space
+//!   whose registers live on its blocks
+//!   ([`SanDisk::memory_space`](san::SanDisk::memory_space)), the
+//!   deployment substrate the paper's introduction motivates
 //!   (network-attached disks as shared memory).
 //!
 //! Real time plays the role of the AWB assumption here: schedulers are

@@ -12,13 +12,11 @@
 //!   distinct blocks touched, simulated service time);
 //! * [`SanDisk::memory_space`] — an instrumented
 //!   [`MemorySpace`] whose registers live on
-//!   this disk, one block per 1WnR register, so the *unmodified* election
-//!   algorithms run over the SAN (this is what the scenario crate's
-//!   `WallDriver` builds its `san` substrate on);
-//! * [`DiskNatRegister`] / [`DiskFlagRegister`] — hand-laid 1WnR atomic
-//!   registers mapped onto explicit blocks, ownership-enforced exactly
-//!   like their in-memory counterparts (the minimal Disk-Paxos picture,
-//!   kept for exposition and tests).
+//!   this disk, one block per 1WnR register laid out by its
+//!   [`BlockMap`](omega_registers::BlockMap) in creation order, so the
+//!   *unmodified* election algorithms run over the SAN, ownership enforced
+//!   by the register layer exactly as in memory (this is what the scenario
+//!   crate's `WallDriver` builds its `san` substrate on).
 //!
 //! Reads and writes take real time (the latency model sleeps), which is why
 //! the `omega-runtime` cluster exposes [`NodeConfig::san_like`] /
@@ -67,7 +65,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use omega_registers::sync::Mutex;
-use omega_registers::{BlockDevice, MemorySpace, ProcessId};
+use omega_registers::{BlockDevice, MemorySpace};
 
 /// Latency model of one disk: fixed base plus deterministic pseudo-random
 /// jitter.
@@ -320,158 +318,11 @@ impl BlockDevice for SanDisk {
     }
 }
 
-/// A 1WnR natural-number register stored in a disk block.
-///
-/// The owner machine writes the block; everyone reads it. This is the
-/// standard SAN realization of the paper's register model (one block — or
-/// one disk sector per writer — per register).
-///
-/// # Examples
-///
-/// ```
-/// use omega_runtime::san::{DiskNatRegister, SanDisk, SanLatency};
-/// use omega_registers::ProcessId;
-///
-/// let disk = SanDisk::new(SanLatency::instant(), 7);
-/// let owner = ProcessId::new(0);
-/// let reg = DiskNatRegister::new(disk, 0x10, owner);
-/// reg.write(owner, 42);
-/// assert_eq!(reg.read(ProcessId::new(1)), 42);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DiskNatRegister {
-    disk: Arc<SanDisk>,
-    addr: u64,
-    owner: ProcessId,
-}
-
-impl DiskNatRegister {
-    /// Maps a register onto block `addr`, owned by `owner`.
-    #[must_use]
-    pub fn new(disk: Arc<SanDisk>, addr: u64, owner: ProcessId) -> Self {
-        DiskNatRegister { disk, addr, owner }
-    }
-
-    /// The owning machine.
-    #[must_use]
-    pub fn owner(&self) -> ProcessId {
-        self.owner
-    }
-
-    /// Reads the register on behalf of any machine.
-    #[must_use]
-    pub fn read(&self, _reader: ProcessId) -> u64 {
-        self.disk.read_block(self.addr)
-    }
-
-    /// Writes the register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writer` is not the owner.
-    pub fn write(&self, writer: ProcessId, value: u64) {
-        assert_eq!(
-            writer, self.owner,
-            "machine {writer} attempted to write a disk register owned by {}",
-            self.owner
-        );
-        self.disk.write_block(self.addr, value);
-    }
-}
-
-/// A 1WnR boolean register stored in a disk block.
-#[derive(Debug, Clone)]
-pub struct DiskFlagRegister {
-    inner: DiskNatRegister,
-}
-
-impl DiskFlagRegister {
-    /// Maps a flag register onto block `addr`, owned by `owner`.
-    #[must_use]
-    pub fn new(disk: Arc<SanDisk>, addr: u64, owner: ProcessId) -> Self {
-        DiskFlagRegister {
-            inner: DiskNatRegister::new(disk, addr, owner),
-        }
-    }
-
-    /// Reads the flag on behalf of any machine.
-    #[must_use]
-    pub fn read(&self, reader: ProcessId) -> bool {
-        self.inner.read(reader) != 0
-    }
-
-    /// Writes the flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `writer` is not the owner.
-    pub fn write(&self, writer: ProcessId, value: bool) {
-        self.inner.write(writer, u64::from(value));
-    }
-}
-
-/// The Figure-2 register layout mapped onto one shared disk: `PROGRESS[i]`
-/// at block `i`, `STOP[i]` at block `n + i`, `SUSPICIONS[i][k]` at block
-/// `2n + i·n + k`.
-#[derive(Debug)]
-pub struct DiskRegisterLayout {
-    n: usize,
-    /// `PROGRESS[i]`, owned by machine `i`.
-    pub progress: Vec<DiskNatRegister>,
-    /// `STOP[i]`, owned by machine `i`.
-    pub stop: Vec<DiskFlagRegister>,
-    /// `SUSPICIONS[i][k]`, row-owned.
-    pub suspicions: Vec<Vec<DiskNatRegister>>,
-}
-
-impl DiskRegisterLayout {
-    /// Lays out the Figure-2 registers for `n` machines on `disk`.
-    #[must_use]
-    pub fn new(disk: &Arc<SanDisk>, n: usize) -> Self {
-        let progress = (0..n)
-            .map(|i| DiskNatRegister::new(Arc::clone(disk), i as u64, ProcessId::new(i)))
-            .collect();
-        let stop = (0..n)
-            .map(|i| DiskFlagRegister::new(Arc::clone(disk), (n + i) as u64, ProcessId::new(i)))
-            .collect();
-        let suspicions = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|k| {
-                        DiskNatRegister::new(
-                            Arc::clone(disk),
-                            (2 * n + i * n + k) as u64,
-                            ProcessId::new(i),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        DiskRegisterLayout {
-            n,
-            progress,
-            stop,
-            suspicions,
-        }
-    }
-
-    /// Number of machines.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Total disk blocks the layout occupies.
-    #[must_use]
-    pub fn blocks(&self) -> usize {
-        2 * self.n + self.n * self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use omega_registers::lincheck::{is_linearizable, HistoryRecorder};
+    use omega_registers::ProcessId;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -494,24 +345,31 @@ mod tests {
     #[test]
     fn disk_register_enforces_ownership() {
         let disk = SanDisk::new(SanLatency::instant(), 1);
-        let reg = DiskNatRegister::new(disk, 0, p(1));
+        let space = disk.memory_space(2);
+        let reg = space.nat_register("R", p(1), 0);
         assert_eq!(reg.owner(), p(1));
         reg.write(p(1), 9);
         assert_eq!(reg.read(p(0)), 9);
+        assert!(reg.try_write(p(0), 3).is_err(), "p0 does not own R");
+        assert_eq!(
+            reg.read(p(0)),
+            9,
+            "the refused write never reached the disk"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "attempted to write a disk register")]
+    #[should_panic(expected = "attempted to write register")]
     fn disk_register_rejects_foreign_writer() {
         let disk = SanDisk::new(SanLatency::instant(), 1);
-        let reg = DiskNatRegister::new(disk, 0, p(1));
+        let reg = disk.memory_space(2).nat_register("R", p(1), 0);
         reg.write(p(0), 9);
     }
 
     #[test]
     fn flag_register_roundtrip() {
         let disk = SanDisk::new(SanLatency::instant(), 1);
-        let flag = DiskFlagRegister::new(disk, 7, p(0));
+        let flag = disk.memory_space(2).flag_register("F", p(0), false);
         assert!(!flag.read(p(1)), "unwritten flag reads false");
         flag.write(p(0), true);
         assert!(flag.read(p(1)));
@@ -521,23 +379,22 @@ mod tests {
 
     #[test]
     fn layout_assigns_distinct_blocks_and_owners() {
+        // Figure 2's registers over the disk: `PROGRESS`, `STOP` and
+        // `SUSPICIONS` each get blocks of their own, row-owned.
         let disk = SanDisk::new(SanLatency::instant(), 1);
-        let layout = DiskRegisterLayout::new(&disk, 3);
-        assert_eq!(layout.n(), 3);
-        assert_eq!(layout.blocks(), 6 + 9);
-        // Write through every register; each must land in its own block.
-        for i in 0..3 {
-            layout.progress[i].write(p(i), 100 + i as u64);
-            layout.stop[i].write(p(i), true);
-            for k in 0..3 {
-                layout.suspicions[i][k].write(p(i), (10 * i + k) as u64);
-            }
-        }
-        for i in 0..3 {
-            assert_eq!(layout.progress[i].read(p(0)), 100 + i as u64);
-            for k in 0..3 {
-                assert_eq!(layout.suspicions[i][k].read(p(0)), (10 * i + k) as u64);
-            }
+        let space = disk.memory_space(3);
+        let _processes = omega_core::OmegaVariant::Alg1.build_processes_in(&space);
+        let bindings = space.block_map().expect("disk-backed space").bindings();
+        assert_eq!(bindings.len(), 3 + 3 + 9);
+        for (block, binding) in bindings.iter().enumerate() {
+            assert_eq!(binding.addr, block as u64, "one block each, in order");
+            let row: usize = binding.name[binding.name.find('[').unwrap() + 1..]
+                .split(']')
+                .next()
+                .unwrap()
+                .parse()
+                .unwrap();
+            assert_eq!(binding.owner, Some(p(row)), "{} is row-owned", binding.name);
         }
     }
 
@@ -729,11 +586,14 @@ mod tests {
             },
             42,
         );
-        let reg = DiskNatRegister::new(disk, 0, p(0));
+        // The register path the `san` backend runs: a bank of the
+        // disk-backed space, its block chosen by the space's block map.
+        let space = disk.memory_space(3);
+        let reg = space.nat_register("R", p(0), 0);
         let rec = Arc::new(HistoryRecorder::new());
         std::thread::scope(|s| {
             {
-                let reg = reg.clone();
+                let reg = &reg;
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for v in 1..=15u64 {
@@ -742,7 +602,7 @@ mod tests {
                 });
             }
             for r in 1..3 {
-                let reg = reg.clone();
+                let reg = &reg;
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for _ in 0..15 {

@@ -11,22 +11,24 @@
 //! * [`SimDriver`] — the deterministic discrete-event simulator: virtual
 //!   time, literally enforced adversaries and timer models, reproducible
 //!   from the seed.
-//! * [`WallDriver`] — wall-clock time on one of three real-time
+//! * [`WallDriver`] — wall-clock time on one of two real-time
 //!   substrates, with scenario ticks mapped to real durations and the
 //!   crash script and campaign replayed on the wall clock (one
-//!   [`launch`](WallDriver::launch), one election loop). All three run
-//!   the node loops as deadline-wheel tasks on the one cooperative
-//!   runtime and differ in the pool and the memory:
-//!   - `threads` — one operating-system worker thread per task (two per
-//!     node: the step and the timer loop);
-//!   - `san` — the paper's motivating deployment: the same workers, but
-//!     every 1WnR register is a block of a simulated storage-area-network
-//!     disk (one block per register, with injected access latency and
-//!     block-level footprint accounting in [`Outcome::san`]);
-//!   - `coop` — the node loops multiplexed on a small worker pool, the
-//!     real-time substrate that scales past `n = 16` (the per-node-thread
-//!     substrates' hard limit) and realizes fairness through queue
-//!     discipline instead of kernel preemption.
+//!   [`launch`](WallDriver::launch), one election loop). Both run the
+//!   node loops as deadline-wheel tasks on the one cooperative runtime
+//!   and differ in the pool and the memory:
+//!   - `coop` — in-memory registers on a pool of `--workers` threads. A
+//!     pool smaller than the task set multiplexes the node loops, the
+//!     real-time substrate that scales past `n = 16` and realizes
+//!     fairness through queue discipline instead of kernel preemption; a
+//!     pool with a worker for every task (`2n` for an election) gives
+//!     each loop an operating-system thread of its own, and the kernel
+//!     scheduler is the schedule;
+//!   - `san` — the paper's motivating deployment: one worker per task,
+//!     and every 1WnR register is a block of a simulated
+//!     storage-area-network disk (one block per register, with injected
+//!     access latency and block-level footprint accounting in
+//!     [`Outcome::san`]); it runs `n <=` [`THREAD_MAX_N`].
 //!
 //! All return the same [`Outcome`] type, measured through the same
 //! instrumented registers and expressed in the same tick units, so results
@@ -72,7 +74,8 @@
 //!
 //! let scenario = registry::named("leader-crash-failover").unwrap();
 //! let simulated = SimDriver.run(&scenario);
-//! let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
+//! // A worker per task: 2n for an n-process election.
+//! let native = WallDriver::new(Backend::Coop, 2 * scenario.n).run(&scenario);
 //! for outcome in [&simulated, &native] {
 //!     outcome.assert_election();          // Theorem 1, on both backends
 //!     assert_eq!(outcome.crashed.len(), 1);

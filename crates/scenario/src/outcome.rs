@@ -197,12 +197,12 @@ impl NonElectionWitness {
 /// All drivers measure through the same instrumented
 /// [`MemorySpace`](omega_registers::MemorySpace) and express time in the
 /// scenario's abstract ticks (virtual ticks in the simulator; wall-clock
-/// divided by the driver's tick duration on threads and the SAN), so
+/// divided by the driver's tick duration on the wall clock), so
 /// outcomes from every backend are directly comparable.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Which driver produced this outcome (`"sim"` / `"threads"` /
-    /// `"san"`).
+    /// Which driver produced this outcome (`"sim"` / `"san"` /
+    /// `"coop"`).
     pub backend: &'static str,
     /// Name of the scenario that ran.
     pub scenario: String,
@@ -241,7 +241,7 @@ pub struct Outcome {
     /// system construction and post-run tail observation).
     pub elapsed_ms: f64,
     /// Events retired per wall-clock second (simulator events; `T2` steps +
-    /// `T3` expirations on threads) — the suite's throughput metric.
+    /// `T3` expirations on the wall clock) — the suite's throughput metric.
     pub events_per_sec: f64,
     /// Registers allocated by the variant's layout.
     pub register_count: usize,
@@ -263,8 +263,8 @@ pub struct Outcome {
     /// false` (wall drivers never admit those).
     pub witness: Option<NonElectionWitness>,
     /// Worker-pool size of the cooperative backend's sharded wheel
-    /// (`None` on every other backend — sim has no workers, and threads
-    /// and SAN run one per task, so there is no pool to size).
+    /// (`None` on every other backend — sim has no workers, and the SAN
+    /// runs one per task, so there is no pool to size).
     pub workers: Option<usize>,
 }
 

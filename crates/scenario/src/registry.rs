@@ -389,7 +389,7 @@ pub fn stepclock() -> Scenario {
 /// `workers ≥ 8` / `≥ 16` — see `coop_max_n`). The sim runs 512 too —
 /// its record is the deterministic twin the `--check` gate compares
 /// against — and refuses 1024 (`SIM_MAX_N`: its peak memory is above
-/// the sim gate's ceiling); the per-node-thread backends refuse both.
+/// the sim gate's ceiling); the SAN refuses both.
 ///
 /// Statistics checkpoints shrink with `n`: the trend line needs totals,
 /// not fine windows, and one cumulative snapshot is `O(n²)` counters. The
@@ -437,9 +437,8 @@ impl std::fmt::Display for ContentionPoint {
 /// before the single-writer regime takes over.
 ///
 /// Members above `n = 16` exist precisely for the cooperative backend: the
-/// simulator and the coop backend run them, the per-node-thread backends
-/// (threads, SAN) skip them — a sweep that is *only* meaningful now that a
-/// wall-clock backend scales.
+/// simulator and the coop backend run them, the SAN skips them — a sweep
+/// that is *only* meaningful now that a wall-clock backend scales.
 #[must_use]
 pub fn contention_sweep(points: &[(usize, u64)]) -> Vec<Scenario> {
     let points: Vec<ContentionPoint> = points
@@ -593,7 +592,7 @@ mod tests {
         let eligible = |name: &str| admitted(&named(name).unwrap(), 1);
         assert_eq!(
             eligible("chaos/partition-heal"),
-            vec!["sim", "threads", "san", "coop"],
+            vec!["sim", "san", "coop"],
             "partitions and heals are realizable on every backend"
         );
         assert_eq!(
@@ -639,7 +638,7 @@ mod tests {
         assert!(core.expect_stabilization);
         assert_eq!(
             admitted(&core, 1),
-            vec!["sim", "threads", "san", "coop"],
+            vec!["sim", "san", "coop"],
             "a survivable directed cut runs on every backend"
         );
     }

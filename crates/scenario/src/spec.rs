@@ -255,9 +255,10 @@ impl CrashSpec {
     }
 }
 
-/// Largest system the per-node-thread wall-clock backends (threads, SAN)
-/// admit: their `2n` worker threads thrash the scheduler past this, so
-/// larger scenarios belong on the cooperative pool.
+/// Largest system the SAN backend admits: it gives each of the `2n` node
+/// loops a worker thread of its own, and that many threads thrash the
+/// scheduler past this, so larger scenarios belong on the cooperative
+/// pool.
 pub const THREAD_MAX_N: usize = 16;
 
 /// Largest system the deterministic simulator admits. No structure of the
@@ -304,17 +305,16 @@ pub enum Backend {
     /// The deterministic simulator (`SimDriver`).
     #[default]
     Sim,
-    /// One worker thread per task (two per node).
-    Threads,
     /// One worker thread per task over SAN block registers.
     San,
-    /// A shared worker pool.
+    /// A pool of worker threads over in-memory registers: shared when
+    /// smaller than the task set, one worker per task otherwise.
     Coop,
 }
 
 impl Backend {
     /// Every backend, in the suite's canonical order.
-    pub const ALL: [Backend; 4] = [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop];
+    pub const ALL: [Backend; 3] = [Backend::Sim, Backend::San, Backend::Coop];
 
     /// The backend called `name` on the command line and in JSON records.
     #[must_use]
@@ -322,12 +322,11 @@ impl Backend {
         Backend::ALL.into_iter().find(|b| b.name() == name)
     }
 
-    /// The backend's name (`"sim"`, `"threads"`, `"san"`, `"coop"`).
+    /// The backend's name (`"sim"`, `"san"`, `"coop"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
-            Backend::Threads => "threads",
             Backend::San => "san",
             Backend::Coop => "coop",
         }
@@ -453,7 +452,7 @@ impl Scenario {
     /// SAN (whose block device serves a literal slowdown) — partitions,
     /// directed cuts, flaps, crash waves and heals act through the register
     /// space and the crash machinery and run everywhere. Last comes size:
-    /// `n >` [`THREAD_MAX_N`] on the per-node-thread backends, `n >`
+    /// `n >` [`THREAD_MAX_N`] on the SAN, `n >`
     /// [`coop_max_n`]`(workers)` on coop — the only backend that reaches
     /// past the sim's cap, and the only one the pool size moves.
     #[must_use]
@@ -501,9 +500,8 @@ impl Scenario {
                 )
             })
         } else {
-            (self.n > THREAD_MAX_N).then(|| {
-                format!("per-node-thread backends run stabilizing scenarios at n <= {THREAD_MAX_N}")
-            })
+            (self.n > THREAD_MAX_N)
+                .then(|| format!("the SAN runs stabilizing scenarios at n <= {THREAD_MAX_N}"))
         }
     }
 
@@ -825,7 +823,7 @@ pub(crate) mod tests {
             until: 2_000,
         });
         let base = Scenario::fault_free(OmegaVariant::Alg1, 5);
-        assert_eq!(admitted(&base, 1), vec!["sim", "threads", "san", "coop"]);
+        assert_eq!(admitted(&base, 1), vec!["sim", "san", "coop"]);
         // Partitions + crash waves + heals: every driver realizes them.
         let cut = base.clone().campaign(
             partition
@@ -837,7 +835,7 @@ pub(crate) mod tests {
                 })
                 .phase(ChaosPhase::Heal { at: 3_000 }),
         );
-        assert_eq!(admitted(&cut, 1), vec!["sim", "threads", "san", "coop"]);
+        assert_eq!(admitted(&cut, 1), vec!["sim", "san", "coop"]);
         // Storms need a stretchable medium: only sim and the SAN device.
         let stormy = base
             .clone()
@@ -866,17 +864,14 @@ pub(crate) mod tests {
                 from: 1_000,
                 until: 40_000,
             }));
-        assert_eq!(
-            admitted(&directed, 1),
-            vec!["sim", "threads", "san", "coop"]
-        );
+        assert_eq!(admitted(&directed, 1), vec!["sim", "san", "coop"]);
         let flappy = base.campaign(Campaign::new().phase(ChaosPhase::Flap {
             groups: vec![vec![ProcessId::new(0)], vec![ProcessId::new(1)]],
             period: 2_000,
             from: 1_000,
             until: 9_000,
         }));
-        assert_eq!(admitted(&flappy, 1), vec!["sim", "threads", "san", "coop"]);
+        assert_eq!(admitted(&flappy, 1), vec!["sim", "san", "coop"]);
         // A non-electing expectation strips every wall driver regardless
         // of the campaign's clauses.
         let hostile = flappy.expect_stabilization(false);
@@ -902,8 +897,8 @@ pub(crate) mod tests {
         );
         assert!(admits(Backend::Coop, &big, 4), "four workers admit n = 256");
         assert!(
-            !admits(Backend::Threads, &big, 4) && !admits(Backend::San, &big, 4),
-            "the per-node-thread backends ignore the pool size"
+            !admits(Backend::San, &big, 4),
+            "the SAN ignores the pool size"
         );
         let huge = Scenario::fault_free(OmegaVariant::Alg1, 1024);
         assert!(!admits(Backend::Coop, &huge, 8));
@@ -938,7 +933,7 @@ pub(crate) mod tests {
     #[test]
     fn backend_parsing_and_admission() {
         assert_eq!(Backend::parse("sim"), Some(Backend::Sim));
-        assert_eq!(Backend::parse("threads"), Some(Backend::Threads));
+        assert_eq!(Backend::parse("threads"), None, "a per-task pool is coop's");
         assert_eq!(Backend::parse("san"), Some(Backend::San));
         assert_eq!(Backend::parse("coop"), Some(Backend::Coop));
         assert_eq!(Backend::parse("tokio"), None);
@@ -946,21 +941,16 @@ pub(crate) mod tests {
         let small = crate::registry::fault_free();
         let big = crate::registry::n_scaling(&[32]).pop().unwrap();
         let staller = crate::registry::no_awb_staller();
-        for backend in [Backend::Threads, Backend::San] {
-            assert!(admits(backend, &small, 1));
-            assert!(
-                !admits(backend, &big, 1),
-                "n > 16 stays off per-node-thread backends"
-            );
-            assert!(
-                !admits(backend, &big, 16),
-                "the pool size only moves the coop column"
-            );
-            assert!(
-                !admits(backend, &staller, 1),
-                "no literal adversary on threads"
-            );
-        }
+        assert!(admits(Backend::San, &small, 1));
+        assert!(!admits(Backend::San, &big, 1), "n > 16 stays off the SAN");
+        assert!(
+            !admits(Backend::San, &big, 16),
+            "the pool size only moves the coop column"
+        );
+        assert!(
+            !admits(Backend::San, &staller, 1),
+            "no literal adversary on a wall clock"
+        );
         assert!(admits(Backend::Sim, &big, 1) && admits(Backend::Sim, &staller, 1));
 
         // The cooperative backend is the whole point of the scaling
@@ -1008,7 +998,7 @@ pub(crate) mod tests {
         );
         let contended = crate::registry::contention_sweep(&[(32, 4)]).pop().unwrap();
         assert!(
-            admits(Backend::Coop, &contended, 1) && !admits(Backend::Threads, &contended, 1),
+            admits(Backend::Coop, &contended, 1) && !admits(Backend::San, &contended, 1),
             "the contention sweep's large members are coop-only among wall clocks"
         );
     }
@@ -1050,8 +1040,8 @@ pub(crate) mod tests {
 
         // Partitions, crash waves and heals: realizable on every backend.
         let partition = by_name("chaos/partition-heal");
-        assert_eq!(admitted(&partition, 1), ["sim", "threads", "san", "coop"]);
-        for backend in [Backend::Sim, Backend::Threads, Backend::San, Backend::Coop] {
+        assert_eq!(admitted(&partition, 1), ["sim", "san", "coop"]);
+        for backend in Backend::ALL {
             assert!(admits(backend, &partition, 1));
         }
 
@@ -1060,18 +1050,16 @@ pub(crate) mod tests {
         let storm = by_name("chaos/latency-storm");
         assert_eq!(admitted(&storm, 1), ["sim", "san"]);
         assert!(admits(Backend::San, &storm, 1));
-        for backend in [Backend::Threads, Backend::Coop] {
-            assert!(!admits(backend, &storm, 1));
-            assert!(
-                refusal_of(backend, &storm, 1).contains("storm"),
-                "the refusal must name the clause"
-            );
-        }
+        assert!(!admits(Backend::Coop, &storm, 1));
+        assert!(
+            refusal_of(Backend::Coop, &storm, 1).contains("storm"),
+            "the refusal must name the clause"
+        );
 
         // Recovery waves: sim-only.
         let wave = by_name("chaos/wave-recover");
         assert_eq!(admitted(&wave, 1), ["sim"]);
-        for backend in [Backend::Threads, Backend::San, Backend::Coop] {
+        for backend in [Backend::San, Backend::Coop] {
             assert!(!admits(backend, &wave, 1));
             assert!(
                 refusal_of(backend, &wave, 1).contains("recovery"),

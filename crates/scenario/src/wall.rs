@@ -2,9 +2,9 @@
 //! script, one driver with one election loop.
 //!
 //! [`WallDriver`] realizes a [`Scenario`] on each real-time substrate —
-//! one worker thread per task over in-memory registers, the same over
-//! disk-block registers, and a shared worker pool, all three on the one
-//! cooperative runtime — and the service crate's wall driver starts its
+//! a worker pool over in-memory registers, and one worker thread per
+//! task over disk-block registers, both on the one cooperative runtime —
+//! and the service crate's wall driver starts its
 //! clusters through the same [`launch`](WallDriver::launch). What they
 //! share lives here once — a second copy would drift, and outcome
 //! comparability across backends is the whole point of the Scenario API:
@@ -189,28 +189,27 @@ impl<'a> Script<'a> {
 }
 
 /// Realizes a [`Scenario`] against the wall clock on one real-time
-/// substrate, the [`backend`](Self::backend). All three run the cluster on
-/// the runtime's deadline wheel ([`omega_runtime::coop`]) and differ in
-/// the pool and the memory:
+/// substrate, the [`backend`](Self::backend). Both run the cluster on the
+/// runtime's deadline wheel ([`omega_runtime::coop`]) and differ in the
+/// pool and the memory:
 ///
-/// * **threads** — one worker thread per task (a node's step loop, its
-///   timer loop) over in-memory registers. The kernel scheduler,
-///   preempting between them, *is* the schedule, and its fairness realizes
-///   AWB₁.
-/// * **san** — the same workers over a [`SanDisk`], the paper's motivating
-///   deployment (Section 1 — Disk Paxos, Petal, NASD): one disk block per
-///   1WnR register, and every access pays the disk's simulated service
-///   time. The disk takes the scenario's pinned
+/// * **coop** — the `2n` node loops over a pool of
+///   [`workers`](Self::workers) threads and in-memory registers. A pool
+///   smaller than the task set multiplexes them, the real-time substrate
+///   that scales past `n = 16` ([`coop_max_n`](crate::coop_max_n)); under
+///   overload the wheel degrades into round-robin over the overdue tasks,
+///   so fairness comes from queue discipline rather than kernel
+///   preemption. A pool with a worker for every task gives each loop a
+///   thread of its own and steals nothing: the kernel scheduler,
+///   preempting between them, *is* the schedule.
+/// * **san** — one worker thread per task over a [`SanDisk`], the paper's
+///   motivating deployment (Section 1 — Disk Paxos, Petal, NASD): one disk
+///   block per 1WnR register, and every access pays the disk's simulated
+///   service time. The disk takes the scenario's pinned
 ///   [`san_latency`](Scenario::san_latency), with pacing, window and tail
 ///   stretched from it ([`NodeConfig::san_paced`]), and is instant
 ///   otherwise. [`Outcome::san`] carries its block footprint, and the
 ///   campaign's latency storms act on it.
-/// * **coop** — all `2n` node loops multiplexed over a pool of
-///   [`workers`](Self::workers) threads, the real-time substrate that
-///   scales past `n = 16` ([`coop_max_n`](crate::coop_max_n)). Under
-///   overload the wheel degrades into round-robin over the overdue tasks,
-///   so fairness comes from queue discipline rather than kernel
-///   preemption.
 ///
 /// Two of the scenario's knobs are simulator-only on every substrate: the
 /// adversary spec (the substrate *is* the schedule) and the timer spec (a
@@ -238,8 +237,7 @@ pub struct WallDriver {
     pub tail_sample: Duration,
     /// The substrate. [`Backend::Sim`] has no wall clock and is refused.
     pub backend: Backend,
-    /// The coop pool's worker count (the other substrates run one worker
-    /// per task).
+    /// The coop pool's worker count (the SAN runs one worker per task).
     pub workers: usize,
 }
 
@@ -274,7 +272,7 @@ impl WallDriver {
     ) -> (Cluster, Option<Arc<SanDisk>>) {
         let n = scenario.n;
         let (space, disk, pacing) = match self.backend {
-            Backend::Threads | Backend::Coop => (MemorySpace::new(n), None, self.pacing),
+            Backend::Coop => (MemorySpace::new(n), None, self.pacing),
             Backend::San => {
                 let latency = scenario.san_latency.unwrap_or_else(SanLatency::instant);
                 let disk = SanDisk::new(latency, scenario.seed);
@@ -289,8 +287,8 @@ impl WallDriver {
     }
 
     /// The worker pool the nodes share: coop's [`workers`](Self::workers),
-    /// or `None` on threads and the SAN, which give every task — node loop
-    /// or application task — a worker of its own. Records carry it as their
+    /// or `None` on the SAN, which gives every task — node loop or
+    /// application task — a worker of its own. Records carry it as their
     /// `workers` field.
     #[must_use]
     pub fn pool(&self) -> Option<usize> {
@@ -658,13 +656,13 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// A fault-free run on `backend`: elected, every node stepped, and the
+    /// A fault-free run on `wall`: elected, every node stepped, and the
     /// tail shows traffic from live processes only.
-    fn fault_free_elects(backend: Backend) -> Outcome {
+    fn fault_free_elects(wall: WallDriver) -> Outcome {
         let scenario = Scenario::fault_free(OmegaVariant::Alg1, 3).horizon(100_000);
-        let outcome = driver(backend).run(&scenario);
+        let outcome = wall.run(&scenario);
         outcome.assert_election();
-        assert_eq!(outcome.backend, backend.name());
+        assert_eq!(outcome.backend, wall.backend.name());
         assert!(outcome.steps.iter().all(|&s| s > 0), "every node stepped");
         assert!(outcome.total_writes() > 0);
         assert!(outcome.san.is_none(), "in-memory backend: no block stats");
@@ -686,13 +684,15 @@ mod tests {
 
     #[test]
     fn fault_free_scenario_elects_on_threads() {
-        let outcome = fault_free_elects(Backend::Threads);
-        assert_eq!(outcome.workers, None, "no pool to size");
+        // A worker per task: the 2n node loops each run on a thread of
+        // their own.
+        let outcome = fault_free_elects(WallDriver::new(Backend::Coop, 6));
+        assert_eq!(outcome.workers, Some(6), "the pool the run was given");
     }
 
     #[test]
     fn fault_free_scenario_elects_on_coop() {
-        let outcome = fault_free_elects(Backend::Coop);
+        let outcome = fault_free_elects(driver(Backend::Coop));
         assert_eq!(outcome.workers, Some(1), "coop outcomes report the pool");
     }
 
@@ -719,13 +719,13 @@ mod tests {
         assert_eq!(san.service_time_ms, 0.0, "instant profile never sleeps");
     }
 
-    /// A leader crash at tick 2 000 on `backend`: exactly the old leader
+    /// A leader crash at tick 2 000 on `wall`: exactly the old leader
     /// falls, and a survivor is elected.
-    fn leader_crash_fails_over(backend: Backend) {
+    fn leader_crash_fails_over(wall: WallDriver) {
         let scenario = Scenario::fault_free(OmegaVariant::Alg1, 3)
             .crash_leader_at(2_000)
             .horizon(200_000);
-        let outcome = driver(backend).run(&scenario);
+        let outcome = wall.run(&scenario);
         outcome.assert_election();
         assert_eq!(outcome.crashed.len(), 1, "exactly the old leader fell");
         assert!(!outcome.crashed.contains(outcome.elected.unwrap()));
@@ -733,17 +733,17 @@ mod tests {
 
     #[test]
     fn leader_crash_script_fails_over_on_threads() {
-        leader_crash_fails_over(Backend::Threads);
+        leader_crash_fails_over(WallDriver::new(Backend::Coop, 6));
     }
 
     #[test]
     fn leader_crash_script_fails_over_on_coop() {
-        leader_crash_fails_over(Backend::Coop);
+        leader_crash_fails_over(driver(Backend::Coop));
     }
 
     #[test]
     fn leader_crash_fails_over_on_the_san() {
-        leader_crash_fails_over(Backend::San);
+        leader_crash_fails_over(driver(Backend::San));
     }
 
     #[test]

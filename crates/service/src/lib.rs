@@ -29,7 +29,7 @@
 //! | driver | substrate | determinism |
 //! |---|---|---|
 //! | [`ServiceSimDriver`] | discrete-event simulator | byte-identical per seed |
-//! | [`ServiceWallDriver`] | the election's wall-clock substrates: `coop` (replicas and pump on the pool's deadline wheel) or `threads` (a worker each, as each node loop has) | wall-clock, advisory |
+//! | [`ServiceWallDriver`] | the election's `coop` substrate: replicas and pump on the pool's deadline wheel, shared or one worker each | wall-clock, advisory |
 //!
 //! The committed suite lives in [`registry`]; the `service` bench binary
 //! runs it and gates `BENCH_service.json` on the sim records.

@@ -41,7 +41,7 @@ impl UnavailWindow {
 /// Everything one service-scenario run measured on one backend.
 #[derive(Debug, Clone)]
 pub struct ServiceOutcome {
-    /// Which backend produced it (`"sim"`, `"threads"`, `"coop"`).
+    /// Which backend produced it (`"sim"`, `"coop"`).
     pub backend: &'static str,
     /// Service-scenario name.
     pub scenario: String,
@@ -94,7 +94,7 @@ pub struct ServiceOutcome {
     /// Wall-clock run time in milliseconds (advisory; never gated on sim).
     pub elapsed_ms: f64,
     /// Worker-pool size of the cooperative backend's sharded wheel
-    /// (`None` on sim and threads, which have no pool to size).
+    /// (`None` on sim, which has no pool to size).
     pub workers: Option<usize>,
 }
 

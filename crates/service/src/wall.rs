@@ -9,9 +9,10 @@
 //! loop around it differs, because a service run lasts to the horizon
 //! whatever the election does. The replica loops and the workload pump are
 //! application tasks of the cluster, on the same deadline wheel as the
-//! election's `2n` task loops: on the coop pool service work competes with
-//! election steps for the same workers; under threads each task gets a
-//! worker of its own, as each node loop does.
+//! election's `2n` task loops: on a pool smaller than the `3n + 1` tasks
+//! service work competes with election steps for the same workers; on a
+//! pool of at least that many each task gets a worker of its own, as each
+//! node loop does.
 //! Wall-clock outcomes are inherently timing-dependent: their records are
 //! written for reference and compared only advisorily, never byte-gated.
 
@@ -82,7 +83,8 @@ impl CoopTask for PumpTask {
 /// the coop pool multiplexed over the same deadline wheel (sharded per
 /// worker when `workers > 1`, the service tasks distributed round-robin
 /// across the shards after the node loops and stolen like any other task
-/// when their shard backs up), under threads one worker each.
+/// when their shard backs up), or one worker each once the pool covers
+/// all `3n + 1` tasks.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceWallDriver {
     /// Substrate, pool size and pacing (a service run observes no
@@ -199,20 +201,21 @@ mod tests {
         )
     }
 
-    /// Runs `scenario` on each substrate the service suite admits besides
-    /// the simulator, checking what every wall record must carry: the
-    /// backend and pool tags and the ledger identity.
+    /// Runs `scenario` on both coop topologies — one shared worker, and a
+    /// worker for each of the `3n + 1` tasks — checking what every wall
+    /// record must carry: the backend and pool tags and the ledger
+    /// identity.
     fn on_both_substrates(scenario: &ServiceScenario) -> Vec<ServiceOutcome> {
-        [(Backend::Coop, Some(1)), (Backend::Threads, None)]
+        [1, 3 * scenario.election.n + 1]
             .into_iter()
-            .map(|(backend, workers)| {
-                let outcome = ServiceWallDriver::new(backend, 1).run(scenario);
-                assert_eq!(outcome.backend, backend.name());
-                assert_eq!(outcome.workers, workers, "workers on coop only");
+            .map(|workers| {
+                let outcome = ServiceWallDriver::new(Backend::Coop, workers).run(scenario);
+                assert_eq!(outcome.backend, "coop");
+                assert_eq!(outcome.workers, Some(workers), "the pool the run was given");
                 assert_eq!(
                     outcome.requests,
                     outcome.committed + outcome.rejected + outcome.stalled + outcome.inflight,
-                    "{backend:?}: {outcome:?}"
+                    "{workers} worker(s): {outcome:?}"
                 );
                 outcome
             })

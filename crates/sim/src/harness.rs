@@ -11,7 +11,7 @@ use crate::metrics::{LeaderTimeline, StabilizationReport, WindowedStats};
 use crate::process::{Actor, StepCtx};
 use crate::time::SimTime;
 use crate::timers::{ExactTimer, TimerModel};
-use crate::trace::{EventTrace, Trace};
+use crate::trace::Trace;
 
 /// Configures and builds a [`Simulation`].
 ///
@@ -45,7 +45,6 @@ pub struct SimulationBuilder {
     sample_every: u64,
     stats_checkpoints: usize,
     memory: Option<MemorySpace>,
-    trace_capacity: usize,
     record_trace: bool,
     campaign: Option<Campaign>,
 }
@@ -64,7 +63,6 @@ impl SimulationBuilder {
             sample_every: 50,
             stats_checkpoints: 16,
             memory: None,
-            trace_capacity: 0,
             record_trace: false,
             campaign: None,
         }
@@ -124,19 +122,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn memory(mut self, space: MemorySpace) -> Self {
         self.memory = Some(space);
-        self
-    }
-
-    /// Enables event tracing, retaining the most recent `capacity` events
-    /// in [`RunReport::trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn trace(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.trace_capacity = capacity;
         self
     }
 
@@ -228,7 +213,6 @@ pub struct Simulation {
     sample_every: u64,
     stats_checkpoints: usize,
     memory: Option<MemorySpace>,
-    trace: Option<EventTrace>,
     recording: Option<Trace>,
 
     queue: EventQueue,
@@ -294,11 +278,6 @@ impl Simulation {
             sample_every: b.sample_every,
             stats_checkpoints: b.stats_checkpoints,
             memory: b.memory,
-            trace: if b.trace_capacity > 0 {
-                Some(EventTrace::new(b.trace_capacity))
-            } else {
-                None
-            },
             recording: if b.record_trace {
                 Some(Trace::new(n, b.horizon.ticks()))
             } else {
@@ -460,15 +439,12 @@ impl Simulation {
         self.finish(started)
     }
 
-    /// Applies one popped event: counting, tracing, the stale/crashed
+    /// Applies one popped event: counting, recording, the stale/crashed
     /// filters, and the actor callbacks. `live` additionally schedules the
     /// follow-up event (next step / re-armed timer); replay passes `false`
     /// because the recorded sequence already contains every follow-up.
     fn apply_event(&mut self, now: SimTime, kind: EventKind, live: bool) {
         self.report.events_processed += 1;
-        if let Some(trace) = &mut self.trace {
-            trace.record(now, kind);
-        }
         if let Some(rec) = &mut self.recording {
             rec.record(now, kind);
         }
@@ -603,7 +579,6 @@ impl Simulation {
         self.report.chaos = self.chaos.stats;
         self.checkpoint(self.horizon);
         self.report.wall.elapsed = started.elapsed();
-        self.report.trace = self.trace.take();
         self.report.recording = self.recording.take();
         self.report.crashed = self.crashed.clone();
         let mut correct = ProcessSet::full(n);
@@ -626,8 +601,6 @@ pub struct RunReport {
     pub windowed: WindowedStats,
     /// Footprint checkpoints (empty without an attached memory).
     pub footprints: Vec<(SimTime, FootprintReport)>,
-    /// Event trace (only with [`SimulationBuilder::trace`] enabled).
-    pub trace: Option<EventTrace>,
     /// Complete binary-encodable event recording (only with
     /// [`SimulationBuilder::record_trace`] enabled).
     pub recording: Option<Trace>,
@@ -654,7 +627,6 @@ impl RunReport {
             timeline: LeaderTimeline::new(),
             windowed: WindowedStats::new(),
             footprints: Vec::new(),
-            trace: None,
             recording: None,
             crashed: ProcessSet::new(n),
             correct: ProcessSet::full(n),

@@ -1,29 +1,22 @@
-//! Event tracing for simulated runs: a bounded debugging ring buffer and a
-//! complete binary record/replay format.
+//! The complete binary record of a simulated run, and its replay.
 //!
-//! Two distinct consumers, two structures:
+//! [`Trace`] — enabled by [`SimulationBuilder::record_trace`] — is the
+//! **complete** event sequence of a run in a compact binary encoding
+//! (varint-delta times, one tag byte per event — a few bytes per event).
+//! It is how you debug a surprising run: *who stepped when, which timers
+//! fired, when did the crash land* — the raw material of the paper's run
+//! diagrams (Figures 3 and 4 are exactly such traces), read off
+//! [`Trace::events`]. A recorded trace can be written to a file and fed
+//! back through [`SimulationBuilder::run_replay`], which re-executes the
+//! exact same event sequence against freshly built actors without
+//! consulting the adversary or timer models; because actors are
+//! deterministic, the replayed run is byte-identical to the live one. The
+//! trace carries a free-form `meta` string so a file can embed the
+//! scenario spec that produced it and be replayed self-contained.
 //!
-//! * [`EventTrace`] — enabled by [`SimulationBuilder::trace`], a bounded
-//!   ring buffer of the most recent events. Traces are how you debug a
-//!   surprising run: *who stepped when, which timers fired, when did the
-//!   crash land* — the raw material of the paper's run diagrams (Figures 3
-//!   and 4 are exactly such traces).
-//! * [`Trace`] — enabled by [`SimulationBuilder::record_trace`], the
-//!   **complete** event sequence of a run in a compact binary encoding
-//!   (varint-delta times, one tag byte per event — a few bytes per event).
-//!   A recorded trace can be written to a file and fed back through
-//!   [`SimulationBuilder::run_replay`], which re-executes the exact same
-//!   event sequence against freshly built actors without consulting the
-//!   adversary or timer models; because actors are deterministic, the
-//!   replayed run is byte-identical to the live one. The trace carries a
-//!   free-form `meta` string so a file can embed the scenario spec that
-//!   produced it and be replayed self-contained.
-//!
-//! [`SimulationBuilder::trace`]: crate::SimulationBuilder::trace
 //! [`SimulationBuilder::record_trace`]: crate::SimulationBuilder::record_trace
 //! [`SimulationBuilder::run_replay`]: crate::SimulationBuilder::run_replay
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use omega_registers::ProcessId;
@@ -38,121 +31,6 @@ pub struct TraceEntry {
     pub time: SimTime,
     /// What fired.
     pub kind: EventKind,
-}
-
-/// A bounded ring buffer of processed events.
-///
-/// Keeps the **most recent** `capacity` events; older entries are evicted.
-/// [`dropped`](EventTrace::dropped) reports how many were lost.
-#[derive(Debug, Clone)]
-pub struct EventTrace {
-    entries: VecDeque<TraceEntry>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl EventTrace {
-    /// Creates a trace holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a trace needs capacity");
-        EventTrace {
-            entries: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Records an event, evicting the oldest if full.
-    pub fn record(&mut self, time: SimTime, kind: EventKind) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back(TraceEntry { time, kind });
-    }
-
-    /// The retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter()
-    }
-
-    /// Number of retained entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been recorded (or everything evicted).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Events evicted due to the capacity bound.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retained main-task steps of `pid`, oldest first.
-    pub fn steps_of(&self, pid: ProcessId) -> impl Iterator<Item = SimTime> + '_ {
-        self.entries.iter().filter_map(move |e| match e.kind {
-            EventKind::Step(q) if q == pid => Some(e.time),
-            _ => None,
-        })
-    }
-
-    /// Retained timer expirations of `pid`, oldest first.
-    pub fn timer_fires_of(&self, pid: ProcessId) -> impl Iterator<Item = SimTime> + '_ {
-        self.entries.iter().filter_map(move |e| match e.kind {
-            EventKind::TimerExpire(q, _) if q == pid => Some(e.time),
-            _ => None,
-        })
-    }
-
-    /// Retained entries in the half-open interval `[from, to)`.
-    pub fn between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &TraceEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.time >= from && e.time < to)
-    }
-
-    /// The largest gap (in ticks) between consecutive retained steps of
-    /// `pid` — the observable form of the paper's σ bound.
-    #[must_use]
-    pub fn max_step_gap(&self, pid: ProcessId) -> Option<u64> {
-        let steps: Vec<SimTime> = self.steps_of(pid).collect();
-        steps.windows(2).map(|w| w[1] - w[0]).max()
-    }
-}
-
-impl fmt::Display for EventTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trace: {} entries retained, {} dropped",
-            self.len(),
-            self.dropped
-        )?;
-        for e in &self.entries {
-            match e.kind {
-                EventKind::Step(p) => writeln!(f, "  {:>10} step      {p}", e.time)?,
-                EventKind::TimerExpire(p, epoch) => {
-                    writeln!(f, "  {:>10} timer     {p} (epoch {epoch})", e.time)?
-                }
-                EventKind::Crash(p) => writeln!(f, "  {:>10} CRASH     {p}", e.time)?,
-                EventKind::Sample => writeln!(f, "  {:>10} sample", e.time)?,
-                EventKind::ChaosStart(i) => writeln!(f, "  {:>10} chaos+    phase {i}", e.time)?,
-                EventKind::ChaosEnd(i) => writeln!(f, "  {:>10} chaos-    phase {i}", e.time)?,
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Magic prefix of the binary trace format.
@@ -437,78 +315,15 @@ mod tests {
 
     #[test]
     fn records_in_order() {
-        let mut trace = EventTrace::new(8);
+        let mut trace = Trace::new(2, 10);
+        assert!(trace.is_empty());
         trace.record(at(1), EventKind::Step(p(0)));
         trace.record(at(2), EventKind::TimerExpire(p(1), 0));
         trace.record(at(3), EventKind::Crash(p(0)));
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
-        let times: Vec<u64> = trace.entries().map(|e| e.time.ticks()).collect();
+        let times: Vec<u64> = trace.events().iter().map(|e| e.time.ticks()).collect();
         assert_eq!(times, vec![1, 2, 3]);
-        assert_eq!(trace.dropped(), 0);
-    }
-
-    #[test]
-    fn evicts_oldest_when_full() {
-        let mut trace = EventTrace::new(2);
-        for t in 0..5 {
-            trace.record(at(t), EventKind::Sample);
-        }
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.dropped(), 3);
-        let times: Vec<u64> = trace.entries().map(|e| e.time.ticks()).collect();
-        assert_eq!(times, vec![3, 4]);
-    }
-
-    #[test]
-    fn filters_by_process_and_kind() {
-        let mut trace = EventTrace::new(16);
-        trace.record(at(1), EventKind::Step(p(0)));
-        trace.record(at(2), EventKind::Step(p(1)));
-        trace.record(at(5), EventKind::Step(p(0)));
-        trace.record(at(6), EventKind::TimerExpire(p(0), 3));
-        let steps: Vec<u64> = trace.steps_of(p(0)).map(SimTime::ticks).collect();
-        assert_eq!(steps, vec![1, 5]);
-        let fires: Vec<u64> = trace.timer_fires_of(p(0)).map(SimTime::ticks).collect();
-        assert_eq!(fires, vec![6]);
-    }
-
-    #[test]
-    fn window_query() {
-        let mut trace = EventTrace::new(16);
-        for t in [1u64, 4, 7, 9] {
-            trace.record(at(t), EventKind::Sample);
-        }
-        let inside: Vec<u64> = trace
-            .between(at(4), at(9))
-            .map(|e| e.time.ticks())
-            .collect();
-        assert_eq!(inside, vec![4, 7]);
-    }
-
-    #[test]
-    fn max_step_gap_measures_sigma() {
-        let mut trace = EventTrace::new(16);
-        for t in [10u64, 12, 20, 23] {
-            trace.record(at(t), EventKind::Step(p(2)));
-        }
-        assert_eq!(trace.max_step_gap(p(2)), Some(8));
-        assert_eq!(trace.max_step_gap(p(0)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs capacity")]
-    fn zero_capacity_rejected() {
-        let _ = EventTrace::new(0);
-    }
-
-    #[test]
-    fn display_renders_entries() {
-        let mut trace = EventTrace::new(4);
-        trace.record(at(3), EventKind::Crash(p(1)));
-        let out = trace.to_string();
-        assert!(out.contains("CRASH"));
-        assert!(out.contains("p1"));
     }
 
     #[test]
@@ -551,11 +366,6 @@ mod tests {
         trace.record(at(500), EventKind::ChaosStart(300));
         let decoded = Trace::decode(&trace.encode()).unwrap();
         assert_eq!(decoded, trace);
-        let mut ring = EventTrace::new(4);
-        ring.record(at(10), EventKind::ChaosStart(2));
-        ring.record(at(20), EventKind::ChaosEnd(2));
-        let out = ring.to_string();
-        assert!(out.contains("chaos+") && out.contains("chaos-"));
     }
 
     #[test]

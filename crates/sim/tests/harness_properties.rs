@@ -7,7 +7,7 @@ use omega_registers::ProcessId;
 use omega_sim::adversary::{Adversary, AwbEnvelope, PartitionedPhases, SeededRandom};
 use omega_sim::event::{EventKind, EventQueue};
 use omega_sim::rng::SmallRng;
-use omega_sim::{Actor, SimTime, Simulation, StepCtx};
+use omega_sim::{Actor, SimTime, Simulation, StepCtx, Trace};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -38,6 +38,16 @@ fn counters(n: usize) -> Vec<Box<dyn Actor>> {
         .collect()
 }
 
+/// The ticks at which `pid`'s main task stepped, in `trace` order.
+fn steps_of(trace: &Trace, pid: ProcessId) -> Vec<SimTime> {
+    trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::Step(pid))
+        .map(|e| e.time)
+        .collect()
+}
+
 #[test]
 fn trace_confirms_awb_envelope_bounds_step_gaps() {
     // The trace is evidence that AWB₁ actually holds in simulated runs:
@@ -52,13 +62,17 @@ fn trace_confirms_awb_envelope_bounds_step_gaps() {
             sigma,
         ))
         .horizon(12_000)
-        .trace(200_000)
+        .record_trace()
         .run();
-    let trace = report.trace.expect("tracing enabled");
-    assert_eq!(trace.dropped(), 0, "capacity generous enough to keep all");
+    let trace = report.recording.expect("recording enabled");
+    assert_eq!(
+        trace.len() as u64,
+        report.events_processed,
+        "the recording keeps every event"
+    );
 
-    let steps: Vec<SimTime> = trace
-        .steps_of(p(1))
+    let steps: Vec<SimTime> = steps_of(&trace, p(1))
+        .into_iter()
         .filter(|t| t.ticks() > tau1 + 40) // skip the last pre-clamp delay
         .collect();
     assert!(steps.len() > 100);
@@ -70,7 +84,7 @@ fn trace_confirms_awb_envelope_bounds_step_gaps() {
         );
     }
     // An unclamped process, by contrast, must show gaps beyond sigma.
-    let free: Vec<SimTime> = trace.steps_of(p(0)).collect();
+    let free = steps_of(&trace, p(0));
     assert!(
         free.windows(2).any(|w| w[1] - w[0] > sigma),
         "the wrapped adversary should exceed sigma for non-timely processes"
@@ -83,18 +97,26 @@ fn trace_records_crashes_and_timer_fires() {
     let report = Simulation::builder(counters(2))
         .crash_plan(CrashPlan::none().with_crash_at(SimTime::from_ticks(500), p(1)))
         .horizon(2_000)
-        .trace(100_000)
+        .record_trace()
         .run();
-    let trace = report.trace.unwrap();
+    let trace = report.recording.unwrap();
     let crashes: Vec<_> = trace
-        .entries()
+        .events()
+        .iter()
         .filter(|e| matches!(e.kind, EventKind::Crash(_)))
         .collect();
     assert_eq!(crashes.len(), 1);
     assert_eq!(crashes[0].time, SimTime::from_ticks(500));
-    assert!(trace.timer_fires_of(p(0)).count() > 10);
+    let p0_fires = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TimerExpire(q, _) if q == p(0)))
+        .count();
+    assert!(p0_fires > 10);
     // p1 stops stepping after the crash.
-    assert!(trace.steps_of(p(1)).all(|t| t <= SimTime::from_ticks(500)));
+    assert!(steps_of(&trace, p(1))
+        .iter()
+        .all(|&t| t <= SimTime::from_ticks(500)));
 }
 
 #[test]

@@ -29,7 +29,9 @@ fn main() {
     let n = 5;
     println!("starting {n}-process cluster + leadership watch…");
     let scenario = Scenario::fault_free(OmegaVariant::Alg1, n).named("leader-watch");
-    let (cluster, _) = WallDriver::new(Backend::Threads, 1).launch(&scenario, |_, _| Vec::new());
+    // A worker thread for each of the 2n node loops.
+    let wall = WallDriver::new(Backend::Coop, 2 * n);
+    let (cluster, _) = wall.launch(&scenario, |_, _| Vec::new());
     let cluster = Arc::new(cluster);
     let mut watch = LeaderWatch::start(Arc::clone(&cluster), Duration::from_millis(1));
     let events = watch.subscribe();

@@ -24,7 +24,9 @@ fn main() {
     println!();
 
     println!("-- backend 2: OS threads (wall-clock, same spec) --");
-    let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
+    // A coop pool with a worker for each of the 2n node loops: every loop
+    // runs on an OS thread of its own, and the kernel schedules them.
+    let native = WallDriver::new(Backend::Coop, 2 * scenario.n).run(&scenario);
     print!("{}", native.summary());
     println!();
 

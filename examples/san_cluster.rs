@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use omega_shm::omega::OmegaVariant;
 use omega_shm::registers::ProcessId;
-use omega_shm::runtime::san::{DiskRegisterLayout, SanDisk, SanLatency};
+use omega_shm::runtime::san::{SanDisk, SanLatency};
 use omega_shm::runtime::{Cluster, NodeConfig};
 
 fn main() {
@@ -33,22 +33,39 @@ fn main() {
     let n = 4;
     println!("== Part 1: the Figure-2 registers laid out on a shared disk ==");
     let disk = SanDisk::new(SanLatency::commodity(), 2026);
-    let layout = DiskRegisterLayout::new(&disk, n);
+    // A disk-backed space lays each register it creates out on a block of
+    // its own, in creation order — the same path the election runs on.
+    let space = disk.memory_space(n);
+    let progress = space.nat_array("PROGRESS", |_| 0);
+    let _stop = space.flag_array("STOP", |_| false);
+    let _suspicions = space.nat_row_matrix("SUSPICIONS", |_, _| 0);
+    let map = space
+        .block_map()
+        .expect("a disk-backed space has a block map");
     println!(
         "{} machines -> {} disk blocks (PROGRESS: {}, STOP: {}, SUSPICIONS: {})",
         n,
-        layout.blocks(),
+        map.blocks(),
         n,
         n,
         n * n
     );
+    assert_eq!(map.blocks(), 2 * n + n * n);
+    for binding in map.bindings().iter().step_by(n + 1) {
+        let owner = binding.owner.expect("1WnR registers have an owner");
+        println!(
+            "  block {:>2}: {} (written by {owner})",
+            binding.addr, binding.name
+        );
+    }
 
     // Machine 0 heartbeats through its PROGRESS block; everyone reads it.
     let start = Instant::now();
+    let (p0, p3) = (ProcessId::new(0), ProcessId::new(3));
     for beat in 1..=5u64 {
-        layout.progress[0].write(ProcessId::new(0), beat);
+        progress.get(p0).write(p0, beat);
     }
-    let observed = layout.progress[0].read(ProcessId::new(3));
+    let observed = progress.get(p0).read(p3);
     println!(
         "machine 3 reads machine 0's heartbeat = {} after {} block accesses ({:?} of simulated SAN latency)",
         observed,
@@ -56,6 +73,10 @@ fn main() {
         start.elapsed()
     );
     assert_eq!(observed, 5);
+    assert!(
+        progress.get(p0).try_write(p3, 0).is_err(),
+        "only machine 0 writes its PROGRESS block"
+    );
 
     // ---- Part 2: the election cluster ON the disk -----------------------
     println!();

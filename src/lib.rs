@@ -53,16 +53,17 @@
 //! ```
 //!
 //! [`scenario::WallDriver`] runs the identical value against wall-clock
-//! timers — one worker thread per task, the same over SAN disk blocks, or
-//! a shared worker pool — returning the same [`scenario::Outcome`] type in
-//! the same tick units:
+//! timers — on a coop worker pool, shared or one worker per task, or one
+//! worker per task over SAN disk blocks — returning the same
+//! [`scenario::Outcome`] type in the same tick units:
 //!
 //! ```no_run
 //! use omega_shm::scenario::{registry, Backend, Driver, SimDriver, WallDriver};
 //!
 //! let scenario = registry::named("leader-crash-failover").unwrap();
 //! let simulated = SimDriver.run(&scenario);
-//! let native = WallDriver::new(Backend::Threads, 1).run(&scenario);
+//! // A worker per task: 2n for an n-process election.
+//! let native = WallDriver::new(Backend::Coop, 2 * scenario.n).run(&scenario);
 //! assert!(simulated.stabilized && native.stabilized);
 //! ```
 //!
@@ -71,9 +72,9 @@
 //! scaling probes — used by the integration tests and the `omega-bench`
 //! binaries alike.
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured record
-//! of every figure and theorem.
+//! See `ROADMAP.md` for the architecture (its driver-axis table) and the
+//! open work, `CHANGES.md` for what each change measured, and
+//! `benchmark/README.md` for the end-to-end benchmark.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

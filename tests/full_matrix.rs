@@ -14,8 +14,10 @@ fn p(i: usize) -> ProcessId {
 }
 
 fn min_delay_for(variant: OmegaVariant) -> u64 {
-    // §3.5 step-clock: timeouts are counted in own steps, so bound the
-    // step-rate variance (see EXPERIMENTS.md E11).
+    // §3.5 step-clock: timeouts are counted in own steps, so a burst of
+    // one-tick steps shrinks its scan window below the leader's write gap
+    // and breeds spurious suspicions; bound the step-rate variance, as
+    // `Scenario::fault_free` does for this variant.
     if variant == OmegaVariant::StepClock {
         2
     } else {

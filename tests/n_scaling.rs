@@ -33,10 +33,11 @@ fn n_scaling_64_stabilizes_cheaply_on_sim_and_elects_on_threads() {
     );
     assert!(sim.shard_passes > 0, "T3 must be running in sharded passes");
 
-    // Threads: same spec, gentle pacing — 64 node workers may share one
-    // core, so give T2 loops a 1 ms cadence and a 30 s wall budget
-    // (horizon × tick); the driver returns at stabilization, normally
-    // well under a second.
+    // Threads: same spec on a coop pool with a worker per task (128 for
+    // the 64 nodes' step and timer loops), gentle pacing — those workers
+    // may share one core, so give T2 loops a 1 ms cadence and a 30 s wall
+    // budget (horizon × tick); the driver returns at stabilization,
+    // normally well under a second.
     let scenario = scenario.horizon(150_000);
     let driver = WallDriver {
         pacing: WallPacing {
@@ -45,7 +46,7 @@ fn n_scaling_64_stabilizes_cheaply_on_sim_and_elects_on_threads() {
             window: Duration::from_millis(60),
         },
         tail_sample: Duration::from_millis(100),
-        ..WallDriver::new(Backend::Threads, 1)
+        ..WallDriver::new(Backend::Coop, 2 * scenario.n)
     };
     let native = driver.run(&scenario);
     native.assert_election();

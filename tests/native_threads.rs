@@ -1,5 +1,6 @@
 //! Cross-crate integration on real threads: elections, failover, and
-//! replication, driven by scenarios through the thread backend.
+//! replication, driven by scenarios through the coop backend with a worker
+//! thread per task.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,8 +13,10 @@ use omega_shm::scenario::{Backend, Driver, Scenario, WallDriver};
 const WINDOW: Duration = Duration::from_millis(40);
 const DEADLINE: Duration = Duration::from_secs(15);
 
-fn threads() -> WallDriver {
-    WallDriver::new(Backend::Threads, 1)
+/// A coop pool with a worker for each of the `2n` node loops of
+/// `scenario`: every loop runs on an operating-system thread of its own.
+fn threads(scenario: &Scenario) -> WallDriver {
+    WallDriver::new(Backend::Coop, 2 * scenario.n)
 }
 
 /// 150k ticks × 100 µs/tick = a 15 s wall-clock budget; the driver returns
@@ -27,7 +30,8 @@ fn scenario_for(variant: OmegaVariant, n: usize) -> Scenario {
 #[test]
 fn every_variant_elects_on_threads() {
     for variant in OmegaVariant::all() {
-        let outcome = threads().run(&scenario_for(variant, 3));
+        let scenario = scenario_for(variant, 3);
+        let outcome = threads(&scenario).run(&scenario);
         assert!(outcome.stabilized, "{variant}: no election on threads");
         assert!(outcome.leader_is_correct(), "{variant}");
         assert!(
@@ -39,7 +43,8 @@ fn every_variant_elects_on_threads() {
 
 #[test]
 fn write_optimality_holds_on_threads() {
-    let (cluster, _) = threads().launch(&scenario_for(OmegaVariant::Alg1, 4), |_, _| Vec::new());
+    let scenario = scenario_for(OmegaVariant::Alg1, 4);
+    let (cluster, _) = threads(&scenario).launch(&scenario, |_, _| Vec::new());
     let leader = cluster
         .await_stable_leader(WINDOW, DEADLINE)
         .expect("elects");
@@ -72,7 +77,8 @@ fn write_optimality_holds_on_threads() {
 
 #[test]
 fn alg2_everyone_writes_on_threads() {
-    let outcome = threads().run(&scenario_for(OmegaVariant::Alg2, 3));
+    let scenario = scenario_for(OmegaVariant::Alg2, 3);
+    let outcome = threads(&scenario).run(&scenario);
     outcome.assert_election();
     let tail = outcome.tail.as_ref().expect("tail captured");
     assert_eq!(
@@ -87,7 +93,8 @@ fn replicated_kv_on_threads_with_failover() {
     // Ω runs inside the cluster; replication runs on separate app threads,
     // feeding each replica the co-located node's live leader estimate.
     let n = 3;
-    let (cluster, _) = threads().launch(&scenario_for(OmegaVariant::Alg1, n), |_, _| Vec::new());
+    let scenario = scenario_for(OmegaVariant::Alg1, n);
+    let (cluster, _) = threads(&scenario).launch(&scenario, |_, _| Vec::new());
     let cluster = Arc::new(cluster);
     let _ = cluster
         .await_stable_leader(WINDOW, DEADLINE)

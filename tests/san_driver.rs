@@ -3,14 +3,13 @@
 //! The SAN substrate is the paper's motivating deployment (Section 1:
 //! registers as network-attached disk blocks) and the coop substrate is
 //! the cooperative deadline-wheel runtime — both realized by the one
-//! `WallDriver`, next to plain threads. These tests pin the backend matrix
-//! from three sides:
+//! `WallDriver`. These tests pin the backend matrix from three sides:
 //!
 //! * **Outcome parity** — every n ≤ 16 registry scenario that promises
-//!   stabilization must stabilize on the simulator, on plain threads, on
-//!   the SAN, *and* on the cooperative scheduler, with identical
-//!   experiment metadata, a correct elected leader, and the crash script
-//!   honored identically. (The elected *identity* is only deterministic
+//!   stabilization must stabilize on the simulator, on coop with a worker
+//!   thread per task, on the SAN, *and* on a single coop worker, with
+//!   identical experiment metadata, a correct elected leader, and the
+//!   crash script honored identically. (The elected *identity* is only deterministic
 //!   on the simulator: on wall-clock backends the schedule — kernel
 //!   preemption or the deadline wheel — decides which correct process
 //!   ends up least suspected, exactly the freedom the Ω contract grants.)
@@ -21,12 +20,12 @@
 //!   sweep.
 //! * **Block accounting** — one block per register, accesses mirrored
 //!   between the register instrumentation and the disk.
-//! * **Disk registers** — the hand-laid `DiskNatRegister` /
-//!   `DiskFlagRegister` path: ownership enforcement, zero-on-fresh-block
+//! * **Disk registers** — registers of a `SanDisk::memory_space`, the
+//!   path the `san` backend runs: ownership enforcement, zero-on-fresh-block
 //!   reads, and the cross-machine read path.
 
 use omega_shm::registers::ProcessId;
-use omega_shm::runtime::san::{DiskFlagRegister, DiskNatRegister, SanDisk, SanLatency};
+use omega_shm::runtime::san::{SanDisk, SanLatency};
 use omega_shm::scenario::{registry, Backend, Driver, Outcome, Scenario, SimDriver, WallDriver};
 
 /// The registry scenarios every wall-clock backend can realize:
@@ -47,15 +46,16 @@ fn eligible(scenario: &Scenario) -> bool {
 fn assert_four_way(
     scenario: &Scenario,
     sim: &Outcome,
-    threads: &Outcome,
+    per_task: &Outcome,
     san: &Outcome,
     coop: &Outcome,
 ) {
     assert_eq!(sim.backend, "sim");
-    assert_eq!(threads.backend, "threads");
+    assert_eq!(per_task.backend, "coop");
+    assert_eq!(per_task.workers, Some(2 * scenario.n), "a worker per task");
     assert_eq!(san.backend, "san");
     assert_eq!(coop.backend, "coop");
-    for outcome in [sim, threads, san, coop] {
+    for outcome in [sim, per_task, san, coop] {
         // Identical experiment metadata: all four realized the same spec.
         assert_eq!(outcome.scenario, scenario.name);
         assert_eq!(outcome.variant, scenario.variant);
@@ -84,7 +84,7 @@ fn assert_four_way(
     }
     // Only the SAN backend reports a block footprint, and its layout is
     // one block per register.
-    assert!(sim.san.is_none() && threads.san.is_none() && coop.san.is_none());
+    assert!(sim.san.is_none() && per_task.san.is_none() && coop.san.is_none());
     let footprint = san.san.expect("SAN backend reports block footprint");
     assert_eq!(footprint.blocks_mapped, san.register_count as u64);
     assert!(footprint.blocks_touched <= footprint.blocks_mapped);
@@ -105,23 +105,24 @@ fn assert_four_way(
     }
 }
 
-/// `scenario` on the simulator and on the three wall substrates, in
+/// `scenario` on the simulator, on coop with a worker per task (one for
+/// each of the `2n` node loops), on the SAN and on one coop worker, in
 /// [`assert_four_way`]'s order.
 fn four_ways(scenario: &Scenario) -> [Outcome; 4] {
-    let wall = |backend| WallDriver::new(backend, 1).run(scenario);
+    let wall = |backend, workers| WallDriver::new(backend, workers).run(scenario);
     [
         SimDriver.run(scenario),
-        wall(Backend::Threads),
-        wall(Backend::San),
-        wall(Backend::Coop),
+        wall(Backend::Coop, 2 * scenario.n),
+        wall(Backend::San, 1),
+        wall(Backend::Coop, 1),
     ]
 }
 
 fn run_four_way(filter: impl Fn(&Scenario) -> bool) {
     let scenarios = registry::all().into_iter().filter(eligible).filter(filter);
     for (i, scenario) in scenarios.enumerate() {
-        let [sim, threads, san, coop] = four_ways(&scenario);
-        assert_four_way(&scenario, &sim, &threads, &san, &coop);
+        let [sim, per_task, san, coop] = four_ways(&scenario);
+        assert_four_way(&scenario, &sim, &per_task, &san, &coop);
         assert_eq!(coop.workers, Some(1));
         if i > 0 {
             continue;
@@ -132,7 +133,7 @@ fn run_four_way(filter: impl Fn(&Scenario) -> bool) {
         for workers in [2, 4] {
             let pooled = WallDriver::new(Backend::Coop, workers).run(&scenario);
             assert_eq!(pooled.workers, Some(workers));
-            assert_four_way(&scenario, &sim, &threads, &san, &pooled);
+            assert_four_way(&scenario, &sim, &per_task, &san, &pooled);
             assert_eq!(
                 pooled.stabilized, coop.stabilized,
                 "{} [coop x{}]: pool size changed the stabilization verdict",
@@ -163,8 +164,8 @@ fn four_way_parity_on_the_san_latency_sweep() {
         .into_iter()
         .filter(|s| s.san_latency.is_some() && s.crashes.is_empty())
     {
-        let [sim, threads, san, coop] = four_ways(&scenario);
-        assert_four_way(&scenario, &sim, &threads, &san, &coop);
+        let [sim, per_task, san, coop] = four_ways(&scenario);
+        assert_four_way(&scenario, &sim, &per_task, &san, &coop);
         if san.san.unwrap().service_time_ms > 0.0 {
             saw_service_time = true;
         }
@@ -178,16 +179,21 @@ fn four_way_parity_on_the_san_latency_sweep() {
 #[test]
 fn disk_registers_enforce_ownership_and_zero_fresh_blocks() {
     let disk = SanDisk::new(SanLatency::instant(), 9);
+    let space = disk.memory_space(2);
     let owner = ProcessId::new(1);
     let other = ProcessId::new(0);
+    let nat = space.nat_register("NAT", owner, 0);
+    let flag = space.flag_register("FLAG", owner, false);
+    let map = space.block_map().expect("disk-backed space");
+    let blocks = [map.addr_of("NAT").unwrap(), map.addr_of("FLAG").unwrap()];
+    assert_ne!(blocks[0], blocks[1], "one block per register");
 
     // Zero-on-fresh-block: unwritten registers read as 0 / false from any
-    // machine.
-    let nat = DiskNatRegister::new(std::sync::Arc::clone(&disk), 0, owner);
-    let flag = DiskFlagRegister::new(std::sync::Arc::clone(&disk), 1, owner);
+    // machine, and their blocks hold zero.
     assert_eq!(nat.read(owner), 0);
     assert_eq!(nat.read(other), 0);
     assert!(!flag.read(other));
+    assert!(blocks.iter().all(|&addr| disk.peek_block(addr) == 0));
 
     // Cross-machine read path: a non-owner observes the owner's write
     // through the shared disk.
@@ -196,17 +202,17 @@ fn disk_registers_enforce_ownership_and_zero_fresh_blocks() {
     assert_eq!(nat.read(other), 77, "non-owner reads the owner's write");
     assert!(flag.read(other));
     assert_eq!(nat.owner(), owner);
+    assert_eq!(
+        disk.peek_block(blocks[0]),
+        77,
+        "the value lives on the disk"
+    );
 
-    // Ownership enforcement: a foreign write is a model violation.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        nat.write(other, 1);
-    }));
-    assert!(result.is_err(), "foreign writer must be rejected");
+    // Ownership enforcement: a foreign write is refused and never lands.
+    let refused = nat.try_write(other, 1).expect_err("foreign writer");
+    assert!(refused.to_string().contains("NAT"), "{refused}");
     assert_eq!(nat.read(other), 77, "rejected write must not land");
-    let flag_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        flag.write(other, false);
-    }));
-    assert!(flag_result.is_err());
+    assert!(flag.try_write(other, false).is_err());
     assert!(flag.read(owner), "rejected flag write must not land");
 }
 

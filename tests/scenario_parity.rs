@@ -11,8 +11,10 @@
 use omega_shm::omega::OmegaVariant;
 use omega_shm::scenario::{registry, Backend, Driver, Outcome, Scenario, SimDriver, WallDriver};
 
-fn threads() -> WallDriver {
-    WallDriver::new(Backend::Threads, 1)
+/// The native side: a coop pool with a worker for each of the `2n` node
+/// loops, so every loop runs on an operating-system thread of its own.
+fn threads(scenario: &Scenario) -> WallDriver {
+    WallDriver::new(Backend::Coop, 2 * scenario.n)
 }
 
 /// A scenario both backends can finish quickly: modest horizon (the thread
@@ -36,7 +38,8 @@ fn assert_comparable(scenario: &Scenario, sim: &Outcome, native: &Outcome) {
         scenario.name
     );
     assert_eq!(sim.backend, "sim");
-    assert_eq!(native.backend, "threads");
+    assert_eq!(native.backend, "coop");
+    assert_eq!(native.workers, Some(2 * native.n), "a worker per task");
 
     // The Ω contract holds on both.
     sim.assert_election();
@@ -70,7 +73,7 @@ fn every_variant_agrees_across_backends() {
     for variant in OmegaVariant::all() {
         let scenario = parity_scenario(variant, 3);
         let sim = SimDriver.run(&scenario);
-        let native = threads().run(&scenario);
+        let native = threads(&scenario).run(&scenario);
         assert_comparable(&scenario, &sim, &native);
     }
 }
@@ -82,7 +85,7 @@ fn failover_scenario_agrees_across_backends() {
         .crash_leader_at(3_000)
         .horizon(240_000);
     let sim = SimDriver.run(&scenario);
-    let native = threads().run(&scenario);
+    let native = threads(&scenario).run(&scenario);
     assert_comparable(&scenario, &sim, &native);
     for outcome in [&sim, &native] {
         assert_eq!(
@@ -122,7 +125,7 @@ fn write_shape_matches_across_backends() {
     // observed over one wall-clock window, and a node's T2 thread can be
     // starved for an entire window when the test host is saturated — so
     // allow a couple of fresh runs before judging.
-    let mut native2 = threads().run(&alg2);
+    let mut native2 = threads(&alg2).run(&alg2);
     for _ in 0..2 {
         let settled = native2
             .tail
@@ -131,7 +134,7 @@ fn write_shape_matches_across_backends() {
         if settled {
             break;
         }
-        native2 = threads().run(&alg2);
+        native2 = threads(&alg2).run(&alg2);
     }
     let tail = native2.tail.as_ref().expect("tail captured");
     assert_eq!(
@@ -158,6 +161,7 @@ fn registry_scenarios_are_backend_free() {
         assert_eq!(outcome.scenario, scenario.name);
     }
     // And one registry entry end-to-end on threads.
-    let outcome = threads().run(&registry::fault_free());
+    let scenario = registry::fault_free();
+    let outcome = threads(&scenario).run(&scenario);
     outcome.assert_election();
 }
