@@ -201,7 +201,8 @@ mod tests {
     fn outcome_like(base: &Record) -> ServiceOutcome {
         let count = |key| base.u64(key).unwrap();
         let scenario = registry::by_name(base.str("scenario").unwrap()).unwrap();
-        let ledger = omega_service::Ledger::new(Vec::new(), scenario.election.n);
+        let empty = omega_service::Schedule::new(Vec::new(), 0, None);
+        let ledger = omega_service::Ledger::new(empty, scenario.election.n);
         let mut outcome = ServiceOutcome::assemble(
             "sim",
             &scenario,

@@ -10,6 +10,13 @@
 //! past their deadline. That stall is the failover SLO this subsystem
 //! exists to measure, not an accounting artifact.
 //!
+//! The schedule it is built over holds each request's arrival, client and
+//! operation, and the workload's deadline and stall bound once, on the
+//! [`Schedule`]: a request's deadline and fail-fast tick are its arrival
+//! plus those offsets. The offsets are constant per workload, so both
+//! tick sequences are as sorted as the arrivals and each sweep is a
+//! single cursor. Each request's state is one packed word.
+//!
 //! All mutation goes through interior mutability (a mutex over the states,
 //! one mutex per inbox, atomics for the estimates), so the same type works
 //! single-threaded under the simulator and concurrently under the
@@ -22,7 +29,7 @@ use std::sync::Arc;
 use omega_registers::sync::Mutex;
 use omega_registers::{plurality, ProcessId};
 
-use crate::workload::RequestMeta;
+use crate::workload::{RequestMeta, Schedule};
 
 /// Where a request is in its lifecycle. Terminal states carry the tick at
 /// which the client learned the outcome.
@@ -51,8 +58,58 @@ pub enum RequestState {
     },
 }
 
+/// Bits of a [`Packed`] state that name its variant.
+const TAG_BITS: u32 = 2;
+
+/// The largest tick a request state records: what is left of a word
+/// beside the variant tag.
+pub(crate) const MAX_TICK: u64 = u64::MAX >> TAG_BITS;
+
+/// A [`RequestState`] in one word: the tick above a two-bit variant tag
+/// (0 pending, 1 committed, 2 rejected, 3 stalled). Pending is all zero.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Packed(u64);
+
+impl Packed {
+    const PENDING: Packed = Packed(0);
+
+    /// Packs `state`.
+    ///
+    /// # Panics
+    ///
+    /// If its tick exceeds [`MAX_TICK`].
+    fn new(state: RequestState) -> Self {
+        let (tag, at) = match state {
+            RequestState::Pending => return Packed::PENDING,
+            RequestState::Committed { at } => (1, at),
+            RequestState::Rejected { at } => (2, at),
+            RequestState::Stalled { at } => (3, at),
+        };
+        assert!(
+            at <= MAX_TICK,
+            "tick {at} exceeds the largest recordable tick {MAX_TICK}"
+        );
+        Packed(at << TAG_BITS | tag)
+    }
+
+    fn is_pending(self) -> bool {
+        self == Packed::PENDING
+    }
+
+    /// The state this word packs.
+    pub(crate) fn get(self) -> RequestState {
+        let at = self.0 >> TAG_BITS;
+        match self.0 & ((1 << TAG_BITS) - 1) {
+            0 => RequestState::Pending,
+            1 => RequestState::Committed { at },
+            2 => RequestState::Rejected { at },
+            _ => RequestState::Stalled { at },
+        }
+    }
+}
+
 struct LedgerInner {
-    states: Vec<RequestState>,
+    states: Vec<Packed>,
     /// First request whose deadline has not been swept yet. Requests are
     /// deadline-sorted (constant deadline offset over a time-sorted
     /// schedule), so the sweep is amortized O(1) per request.
@@ -65,7 +122,7 @@ struct LedgerInner {
 /// Shared request state: metadata, lifecycle states, per-node inboxes,
 /// and published leader estimates.
 pub struct Ledger {
-    meta: Vec<RequestMeta>,
+    meta: Schedule,
     inner: Mutex<LedgerInner>,
     inboxes: Vec<Mutex<VecDeque<usize>>>,
     /// Last estimate each node published; `-1` encodes "none yet".
@@ -76,8 +133,8 @@ impl Ledger {
     /// A fresh ledger over a generated request schedule, for an `n`-node
     /// service.
     #[must_use]
-    pub fn new(meta: Vec<RequestMeta>, n: usize) -> Arc<Self> {
-        let states = vec![RequestState::Pending; meta.len()];
+    pub fn new(meta: Schedule, n: usize) -> Arc<Self> {
+        let states = vec![Packed::PENDING; meta.len()];
         Arc::new(Ledger {
             meta,
             inner: Mutex::new(LedgerInner {
@@ -130,11 +187,8 @@ impl Ledger {
     /// pump issued it).
     pub fn issue(&self, id: usize, now: u64) {
         let target = self.route_target();
-        {
-            let inner = self.inner.lock();
-            if inner.states[id] != RequestState::Pending {
-                return;
-            }
+        if !self.inner.lock().states[id].is_pending() {
+            return;
         }
         match target {
             Some(node) => self.inboxes[node.index()].lock().push_back(id),
@@ -159,9 +213,10 @@ impl Ledger {
     }
 
     fn resolve(&self, id: usize, state: RequestState) {
+        let packed = Packed::new(state);
         let mut inner = self.inner.lock();
-        if inner.states[id] == RequestState::Pending {
-            inner.states[id] = state;
+        if inner.states[id].is_pending() {
+            inner.states[id] = packed;
         }
     }
 
@@ -173,31 +228,33 @@ impl Ledger {
     /// independent of sweep cadence.
     pub fn sweep(&self, now: u64) {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        let meta = &self.meta;
         // Fail-fast pass first: when one sweep covers both ticks, the
         // rejection wins wherever the bound is at or under the client's
-        // patience. A bound looser than the deadline is moot for that
-        // request — the stall sweep owns it.
-        while inner.bound_cursor < self.meta.len() {
-            let id = inner.bound_cursor;
-            match self.meta[id].fail_fast {
-                Some(at) if at <= now => {
-                    if inner.states[id] == RequestState::Pending && at <= self.meta[id].deadline {
-                        inner.states[id] = RequestState::Rejected { at };
-                    }
-                    inner.bound_cursor += 1;
+        // patience. A bound looser than the deadline is moot for every
+        // request — the stall sweep owns them all — and so is no bound.
+        if let Some(bound) = meta.stall_bound.filter(|&bound| bound <= meta.deadline) {
+            while let Some(request) = meta.get(inner.bound_cursor) {
+                let at = request.arrival + bound;
+                if at > now {
+                    break;
                 }
-                Some(_) => break,
-                None => inner.bound_cursor += 1,
+                let state = &mut inner.states[inner.bound_cursor];
+                if state.is_pending() {
+                    *state = Packed::new(RequestState::Rejected { at });
+                }
+                inner.bound_cursor += 1;
             }
         }
-        while inner.sweep_cursor < self.meta.len() {
-            let id = inner.sweep_cursor;
-            let deadline = self.meta[id].deadline;
-            if deadline > now {
+        while let Some(request) = meta.get(inner.sweep_cursor) {
+            let at = meta.deadline_at(request);
+            if at > now {
                 break;
             }
-            if inner.states[id] == RequestState::Pending {
-                inner.states[id] = RequestState::Stalled { at: deadline };
+            let state = &mut inner.states[inner.sweep_cursor];
+            if state.is_pending() {
+                *state = Packed::new(RequestState::Stalled { at });
             }
             inner.sweep_cursor += 1;
         }
@@ -207,7 +264,14 @@ impl Ledger {
     /// [`meta`](Self::meta).
     #[must_use]
     pub fn states(&self) -> Vec<RequestState> {
-        self.inner.lock().states.clone()
+        self.inner.lock().states.iter().map(|s| s.get()).collect()
+    }
+
+    /// Hands `read` the schedule and every request's state, index-aligned,
+    /// under the ledger's lock: a read of the whole run that copies
+    /// nothing.
+    pub(crate) fn read<R>(&self, read: impl FnOnce(&Schedule, &[Packed]) -> R) -> R {
+        read(&self.meta, &self.inner.lock().states)
     }
 }
 
@@ -225,17 +289,19 @@ mod tests {
     use super::*;
     use crate::workload::RequestKind;
 
-    fn meta(arrivals: &[u64], deadline: u64) -> Vec<RequestMeta> {
+    fn requests(arrivals: &[u64]) -> Vec<RequestMeta> {
         arrivals
             .iter()
             .map(|&arrival| RequestMeta {
                 arrival,
-                deadline: arrival + deadline,
-                fail_fast: None,
                 client: 0,
                 kind: RequestKind::Get { key: 0 },
             })
             .collect()
+    }
+
+    fn meta(arrivals: &[u64], deadline: u64) -> Schedule {
+        Schedule::new(requests(arrivals), deadline, None)
     }
 
     fn p(i: usize) -> ProcessId {
@@ -298,11 +364,7 @@ mod tests {
 
     #[test]
     fn fail_fast_rejects_at_the_bound_not_the_sweep() {
-        let mut meta = meta(&[0, 100, 200], 1_000);
-        for m in &mut meta {
-            m.fail_fast = Some(m.arrival + 300);
-        }
-        let ledger = Ledger::new(meta, 1);
+        let ledger = Ledger::new(Schedule::new(requests(&[0, 100, 200]), 1_000, Some(300)), 1);
         ledger.complete(1, 150);
         ledger.sweep(5_000);
         let states = ledger.states();
@@ -313,15 +375,46 @@ mod tests {
 
     #[test]
     fn a_bound_looser_than_the_deadline_is_moot() {
-        let mut meta = meta(&[0], 50);
-        meta[0].fail_fast = Some(200);
-        let ledger = Ledger::new(meta, 1);
+        let ledger = Ledger::new(Schedule::new(requests(&[0]), 50, Some(200)), 1);
         ledger.sweep(1_000);
         assert_eq!(
             ledger.states()[0],
             RequestState::Stalled { at: 50 },
             "the client's patience ran out before the router's"
         );
+    }
+
+    #[test]
+    fn a_ledger_without_a_useful_bound_skips_the_fail_fast_pass() {
+        for bound in [None, Some(200)] {
+            let ledger = Ledger::new(Schedule::new(requests(&[0, 10, 20]), 50, bound), 1);
+            ledger.sweep(1_000);
+            let inner = ledger.inner.lock();
+            assert_eq!(inner.bound_cursor, 0, "bound {bound:?}");
+            assert_eq!(inner.sweep_cursor, 3, "bound {bound:?}");
+        }
+    }
+
+    #[test]
+    fn every_state_round_trips_through_one_word() {
+        assert_eq!(std::mem::size_of::<Packed>(), 8);
+        assert_eq!(Packed::PENDING.get(), RequestState::Pending);
+        for at in [0, MAX_TICK] {
+            for state in [
+                RequestState::Pending,
+                RequestState::Committed { at },
+                RequestState::Rejected { at },
+                RequestState::Stalled { at },
+            ] {
+                assert_eq!(Packed::new(state).get(), state);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the largest recordable tick")]
+    fn a_tick_past_the_word_is_refused() {
+        let _ = Packed::new(RequestState::Committed { at: MAX_TICK + 1 });
     }
 
     #[test]

@@ -56,4 +56,4 @@ pub use outcome::{ServiceOutcome, UnavailWindow};
 pub use sim_driver::ServiceSimDriver;
 pub use spec::ServiceScenario;
 pub use wall::ServiceWallDriver;
-pub use workload::{RequestKind, RequestMeta, WorkloadSpec};
+pub use workload::{RequestKind, RequestMeta, Schedule, WorkloadSpec};

@@ -113,7 +113,7 @@ impl ServiceNode {
     }
 
     /// The shared name of key index `key` (see [`WorkloadSpec::key_name`]).
-    fn key(&mut self, key: u64) -> Arc<str> {
+    fn key(&mut self, key: u32) -> Arc<str> {
         let index = usize::try_from(key).expect("key index fits usize");
         while self.keys.len() <= index {
             let next = WorkloadSpec::key_name(self.keys.len() as u64);
@@ -154,34 +154,30 @@ impl std::fmt::Debug for ServiceNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::RequestMeta;
+    use crate::workload::{RequestMeta, Schedule};
     use omega_registers::MemorySpace;
 
     fn setup(n: usize, meta: Vec<RequestMeta>) -> (Arc<Ledger>, Vec<ServiceNode>) {
         let space = MemorySpace::new(n);
         let shared = LogShared::<KvCommand>::new(space);
-        let ledger = Ledger::new(meta, n);
+        let ledger = Ledger::new(Schedule::new(meta, 10_000, None), n);
         let nodes = ProcessId::all(n)
             .map(|pid| ServiceNode::new(pid, Arc::clone(&ledger), Arc::clone(&shared)))
             .collect();
         (ledger, nodes)
     }
 
-    fn put(arrival: u64, key: u64) -> RequestMeta {
+    fn put(arrival: u64, key: u32) -> RequestMeta {
         RequestMeta {
             arrival,
-            deadline: arrival + 10_000,
-            fail_fast: None,
             client: 0,
             kind: RequestKind::Put { key },
         }
     }
 
-    fn get(arrival: u64, key: u64) -> RequestMeta {
+    fn get(arrival: u64, key: u32) -> RequestMeta {
         RequestMeta {
             arrival,
-            deadline: arrival + 10_000,
-            fail_fast: None,
             client: 0,
             kind: RequestKind::Get { key },
         }

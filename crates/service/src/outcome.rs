@@ -101,7 +101,10 @@ pub struct ServiceOutcome {
 impl ServiceOutcome {
     /// Builds the outcome from a finished run's raw parts: the ledger's
     /// final states, the ticks at which scripted crashes fired, and the
-    /// backend's counters.
+    /// backend's counters. It reads the ledger in place, under its lock:
+    /// one pass folds the counts, the latencies and each window's heal
+    /// tick, a second attributes the failed requests to the healed
+    /// windows.
     #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub fn assemble(
@@ -115,62 +118,18 @@ impl ServiceOutcome {
         elapsed_ms: f64,
     ) -> Self {
         let horizon = scenario.election.horizon;
-        let meta = ledger.meta();
-        let states = ledger.states();
-
-        let mut committed = 0u64;
-        let mut rejected = 0u64;
-        let mut stalled = 0u64;
-        let mut inflight = 0u64;
-        let mut latencies = Histogram::new();
-        let mut ack_ticks: Vec<u64> = Vec::with_capacity(meta.len());
-        for (m, state) in meta.iter().zip(&states) {
-            match *state {
-                RequestState::Pending => inflight += 1,
-                RequestState::Committed { at } => {
-                    committed += 1;
-                    latencies.record(at.saturating_sub(m.arrival));
-                    ack_ticks.push(at);
-                }
-                RequestState::Rejected { .. } => rejected += 1,
-                RequestState::Stalled { .. } => stalled += 1,
-            }
-        }
-        ack_ticks.sort_unstable();
 
         let mut crash_ticks: Vec<u64> = crashes.to_vec();
         crash_ticks.sort_unstable();
         let mut windows: Vec<UnavailWindow> = crash_ticks
             .into_iter()
-            .map(|crash_at| {
-                let healed_at = ack_ticks.iter().copied().find(|&t| t > crash_at);
-                UnavailWindow {
-                    crash_at,
-                    healed_at,
-                    rejected: 0,
-                    stalled: 0,
-                }
+            .map(|crash_at| UnavailWindow {
+                crash_at,
+                healed_at: None,
+                rejected: 0,
+                stalled: 0,
             })
             .collect();
-        // Attribute each failed request to the first window its lifetime
-        // [arrival, resolved] overlaps.
-        for (m, state) in meta.iter().zip(&states) {
-            let (at, is_reject) = match *state {
-                RequestState::Rejected { at } => (at, true),
-                RequestState::Stalled { at } => (at, false),
-                _ => continue,
-            };
-            if let Some(w) = windows
-                .iter_mut()
-                .find(|w| m.arrival <= w.healed_at.unwrap_or(horizon) && at >= w.crash_at)
-            {
-                if is_reject {
-                    w.rejected += 1;
-                } else {
-                    w.stalled += 1;
-                }
-            }
-        }
 
         // Campaign attribution: a rejection whose tick fell while a split
         // was installed is chaos-induced, not crash-induced — split leader
@@ -183,35 +142,77 @@ impl ServiceOutcome {
             .campaign
             .as_ref()
             .map_or_else(Vec::new, |c| c.installed_intervals(horizon));
-        let in_partition_rejected = states
-            .iter()
-            .filter(|state| match **state {
-                RequestState::Rejected { at } => partition_spans
-                    .iter()
-                    .any(|&(from, until)| at >= from && at < until),
-                _ => false,
-            })
-            .count() as u64;
 
-        // Drain accounting: with a fail-fast bound configured, every
-        // request must terminate by `arrival + stall_bound` — a stall, or
-        // any resolution after the bound tick, is a breach. Pending
-        // requests are excluded like the rest of the SLO (their bound may
-        // sit beyond the horizon).
-        let stall_bound_breaches = meta
-            .iter()
-            .zip(&states)
-            .filter(|(m, state)| {
-                let Some(bound_at) = m.fail_fast else {
-                    return false;
-                };
-                match **state {
-                    RequestState::Pending => false,
-                    RequestState::Stalled { .. } => true,
-                    RequestState::Committed { at } | RequestState::Rejected { at } => at > bound_at,
+        let mut committed = 0u64;
+        let mut rejected = 0u64;
+        let mut stalled = 0u64;
+        let mut inflight = 0u64;
+        let mut in_partition_rejected = 0u64;
+        let mut stall_bound_breaches = 0u64;
+        let mut latencies = Histogram::new();
+        let requests = ledger.read(|schedule, states| {
+            for (m, state) in schedule.iter().zip(states) {
+                let state = state.get();
+                match state {
+                    RequestState::Pending => inflight += 1,
+                    RequestState::Committed { at } => {
+                        committed += 1;
+                        latencies.record(at.saturating_sub(m.arrival));
+                        // A window heals at the least ack after its crash.
+                        for w in &mut windows {
+                            if at > w.crash_at && w.healed_at.is_none_or(|h| at < h) {
+                                w.healed_at = Some(at);
+                            }
+                        }
+                    }
+                    RequestState::Rejected { at } => {
+                        rejected += 1;
+                        if partition_spans
+                            .iter()
+                            .any(|&(from, until)| at >= from && at < until)
+                        {
+                            in_partition_rejected += 1;
+                        }
+                    }
+                    RequestState::Stalled { .. } => stalled += 1,
                 }
-            })
-            .count() as u64;
+                // Drain accounting: with a fail-fast bound configured,
+                // every request must terminate by `arrival + stall_bound`
+                // — a stall, or any resolution after the bound tick, is a
+                // breach. Pending requests are excluded like the rest of
+                // the SLO (their bound may sit beyond the horizon).
+                if let Some(bound_at) = schedule.fail_fast_at(m) {
+                    let breach = match state {
+                        RequestState::Pending => false,
+                        RequestState::Stalled { .. } => true,
+                        RequestState::Committed { at } | RequestState::Rejected { at } => {
+                            at > bound_at
+                        }
+                    };
+                    stall_bound_breaches += u64::from(breach);
+                }
+            }
+            // Attribute each failed request to the first window its
+            // lifetime [arrival, resolved] overlaps.
+            for (m, state) in schedule.iter().zip(states) {
+                let (at, is_reject) = match state.get() {
+                    RequestState::Rejected { at } => (at, true),
+                    RequestState::Stalled { at } => (at, false),
+                    _ => continue,
+                };
+                if let Some(w) = windows
+                    .iter_mut()
+                    .find(|w| m.arrival <= w.healed_at.unwrap_or(horizon) && at >= w.crash_at)
+                {
+                    if is_reject {
+                        w.rejected += 1;
+                    } else {
+                        w.stalled += 1;
+                    }
+                }
+            }
+            schedule.len() as u64
+        });
 
         ServiceOutcome {
             backend,
@@ -219,7 +220,7 @@ impl ServiceOutcome {
             variant: scenario.election.variant,
             n: scenario.election.n,
             horizon,
-            requests: meta.len() as u64,
+            requests,
             committed,
             rejected,
             stalled,
@@ -298,7 +299,7 @@ impl ServiceOutcome {
 mod tests {
     use super::*;
     use crate::ledger::Ledger;
-    use crate::workload::{RequestKind, RequestMeta};
+    use crate::workload::{RequestKind, RequestMeta, Schedule};
     use omega_registers::ProcessId;
 
     fn scenario() -> ServiceScenario {
@@ -308,28 +309,28 @@ mod tests {
             .expect("registry has the headline scenario")
     }
 
-    fn request(arrival: u64) -> RequestMeta {
-        RequestMeta {
-            arrival,
-            deadline: arrival + 1_000,
-            fail_fast: None,
-            client: 0,
-            kind: RequestKind::Get { key: 0 },
-        }
+    /// Gets arriving at `arrivals`, each with a 1 000-tick deadline and
+    /// the given stall bound.
+    fn bounded(arrivals: &[u64], stall_bound: Option<u64>) -> Schedule {
+        let requests = arrivals
+            .iter()
+            .map(|&arrival| RequestMeta {
+                arrival,
+                client: 0,
+                kind: RequestKind::Get { key: 0 },
+            })
+            .collect();
+        Schedule::new(requests, 1_000, stall_bound)
+    }
+
+    fn schedule(arrivals: &[u64]) -> Schedule {
+        bounded(arrivals, None)
     }
 
     #[test]
     fn windows_measure_crash_to_first_ack() {
         let sc = scenario();
-        let ledger = Ledger::new(
-            vec![
-                request(100),
-                request(19_000),
-                request(21_000),
-                request(26_000),
-            ],
-            sc.election.n,
-        );
+        let ledger = Ledger::new(schedule(&[100, 19_000, 21_000, 26_000]), sc.election.n);
         // Before the crash at 20_000: two acks. After: one reject inside
         // the window, then the healing ack.
         ledger.complete(0, 150);
@@ -351,7 +352,7 @@ mod tests {
     #[test]
     fn unhealed_window_extends_to_the_horizon() {
         let sc = scenario();
-        let ledger = Ledger::new(vec![request(100)], sc.election.n);
+        let ledger = Ledger::new(schedule(&[100]), sc.election.n);
         ledger.complete(0, 150);
         let outcome = ServiceOutcome::assemble("sim", &sc, &ledger, &[30_000], false, 0, 0, 1.0);
         assert_eq!(outcome.windows[0].healed_at, None);
@@ -378,10 +379,7 @@ mod tests {
             )
             .horizon(12_000);
         let sc = ServiceScenario::new("test/healed-early", election, scenario().workload);
-        let ledger = Ledger::new(
-            vec![request(1_000), request(3_000), request(6_000)],
-            sc.election.n,
-        );
+        let ledger = Ledger::new(schedule(&[1_000, 3_000, 6_000]), sc.election.n);
         ledger.reject(0, 1_000); // before the cut
         ledger.reject(1, 3_000); // while it is installed
         ledger.reject(2, 6_000); // after the explicit heal, before `until`
@@ -396,28 +394,59 @@ mod tests {
     #[test]
     fn stall_bound_breaches_count_stalls_and_late_resolutions() {
         let sc = scenario();
-        let mut meta = vec![request(100), request(200), request(300), request(400)];
-        for m in &mut meta[..3] {
-            m.fail_fast = Some(m.arrival + 500);
-        }
-        // Request 3's bound is looser than its deadline, so the sweep
-        // stalls it — a breach all the same.
-        meta[3].fail_fast = Some(meta[3].arrival + 2_000);
-        let ledger = Ledger::new(meta, sc.election.n);
+        let ledger = Ledger::new(bounded(&[100, 200, 300], Some(500)), sc.election.n);
         ledger.complete(0, 400); // inside the bound: clean
         ledger.complete(1, 900); // committed past arrival + 500: breach
         ledger.reject(2, 800); // rejected exactly at the bound tick: clean
-        ledger.sweep(10_000); // request 3 stalls at its deadline: breach
+        let outcome = ServiceOutcome::assemble("sim", &sc, &ledger, &[], true, 0, 0, 1.0);
+        assert_eq!(outcome.stall_bound_breaches, 1);
+
+        // A bound looser than the deadline leaves the request to the
+        // stall sweep — a breach all the same.
+        let ledger = Ledger::new(bounded(&[400], Some(2_000)), sc.election.n);
+        ledger.sweep(10_000);
         let outcome = ServiceOutcome::assemble("sim", &sc, &ledger, &[], true, 0, 0, 1.0);
         assert_eq!(outcome.stalled, 1);
-        assert_eq!(outcome.stall_bound_breaches, 2);
-        assert!(outcome.json_record().contains("\"stall_bound_breaches\":2"));
+        assert_eq!(outcome.stall_bound_breaches, 1);
+        assert!(outcome.json_record().contains("\"stall_bound_breaches\":1"));
+    }
+
+    #[test]
+    fn windows_heal_at_the_least_ack_whatever_the_request_order() {
+        let sc = scenario();
+        // Crashes at 20 000 and 40 000. Request ids follow arrival; acks
+        // land out of id order: after each crash a later request is acked
+        // before an earlier one.
+        let ledger = Ledger::new(
+            schedule(&[
+                19_000, 21_000, 21_800, 22_000, 39_000, 41_000, 41_500, 42_000,
+            ]),
+            sc.election.n,
+        );
+        ledger.sweep(20_000); // request 0 stalls at 20 000: window 1's
+        ledger.reject(1, 21_500); // refused inside window 1
+        ledger.complete(2, 22_600); // the earlier request, acked later
+        ledger.complete(3, 22_300); // the later request heals window 1
+        ledger.complete(4, 39_500);
+        ledger.reject(5, 41_100); // refused inside window 2
+        ledger.complete(6, 42_800);
+        ledger.complete(7, 42_400); // the later request heals window 2
+        let outcome =
+            ServiceOutcome::assemble("sim", &sc, &ledger, &[40_000, 20_000], true, 0, 0, 1.0);
+        let w = &outcome.windows;
+        assert_eq!(w.len(), 2);
+        assert_eq!((w[0].crash_at, w[0].healed_at), (20_000, Some(22_300)));
+        assert_eq!((w[1].crash_at, w[1].healed_at), (40_000, Some(42_400)));
+        assert_eq!((w[0].rejected, w[0].stalled), (1, 1));
+        assert_eq!((w[1].rejected, w[1].stalled), (1, 0));
+        assert_eq!(outcome.unavail_ticks(), 2_300 + 2_400);
+        assert_eq!(outcome.committed, 5);
     }
 
     #[test]
     fn json_record_is_flat_and_complete() {
         let sc = scenario();
-        let ledger = Ledger::new(vec![request(100)], sc.election.n);
+        let ledger = Ledger::new(schedule(&[100]), sc.election.n);
         ledger.publish(ProcessId::new(0), Some(ProcessId::new(0)));
         ledger.complete(0, 400);
         let outcome = ServiceOutcome::assemble("sim", &sc, &ledger, &[], true, 42, 7, 2.5);

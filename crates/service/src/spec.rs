@@ -50,7 +50,7 @@ impl ServiceScenario {
     /// the spec: workload shaped by `workload`, seeded by the election
     /// seed).
     #[must_use]
-    pub fn requests(&self) -> Vec<crate::workload::RequestMeta> {
+    pub fn requests(&self) -> crate::workload::Schedule {
         self.workload.generate(self.election.seed)
     }
 }

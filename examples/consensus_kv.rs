@@ -24,8 +24,8 @@ use omega_shm::consensus::{KvCommand, LogShared};
 use omega_shm::registers::{MemorySpace, ProcessId};
 use omega_shm::scenario::CrashSpec;
 use omega_shm::service::{
-    registry, Ledger, RequestKind, RequestMeta, RequestState, ServiceNode, ServiceSimDriver,
-    WorkloadSpec,
+    registry, Ledger, RequestKind, RequestMeta, RequestState, Schedule, ServiceNode,
+    ServiceSimDriver, WorkloadSpec,
 };
 
 /// Part 1: a three-replica service driven by hand, so every moving part is
@@ -44,17 +44,16 @@ fn mini_cluster() {
         RequestKind::Get { key: 3 },
         RequestKind::Put { key: 3 },
     ];
-    let meta: Vec<RequestMeta> = kinds
+    let requests = kinds
         .iter()
         .enumerate()
         .map(|(id, &kind)| RequestMeta {
             arrival: id as u64,
-            deadline: id as u64 + 10_000,
-            fail_fast: None,
-            client: id as u64,
+            client: id as u32,
             kind,
         })
         .collect();
+    let meta = Schedule::new(requests, 10_000, None);
 
     let space = MemorySpace::new(n);
     let shared = LogShared::<KvCommand>::new(space);

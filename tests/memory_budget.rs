@@ -1,6 +1,6 @@
-//! What a wide simulated run keeps on the heap (ROADMAP open item 3), and
+//! What a wide simulated run keeps on the heap (ROADMAP open item 3),
 //! what one slot of the service's consensus log costs (open items 1 (f)
-//! and 13).
+//! and 13), and what the service keeps per request.
 //!
 //! The election layouts were cubic in n while they counted reads per
 //! (register, process), and the simulator once multiplied that by every
@@ -8,8 +8,9 @@
 //! event wheel's 4096 slots on top, and gave every process a private copy
 //! of every suspicion row. Reads are now tallied per (process, bank), and
 //! nothing left is more than quadratic in n. The service's log never
-//! retires a slot, so what a slot costs is what a long run keeps. This
-//! binary holds both lines: it owns the process's allocator, so it is a
+//! retires a slot, so what a slot costs is what a long run keeps, and its
+//! request ledger grows with the workload beside it. This binary holds
+//! every line: it owns the process's allocator, so it is a
 //! test binary of its own with a single test — a second test running
 //! beside it would be counted too.
 
@@ -20,6 +21,7 @@ use omega_shm::consensus::{KvCommand, LogShared};
 use omega_shm::omega::OmegaVariant;
 use omega_shm::registers::MemorySpace;
 use omega_shm::scenario::{Driver, Scenario, SimDriver};
+use omega_shm::service::{Ledger, ServiceScenario, ServiceSimDriver, WorkloadSpec};
 
 /// The system allocator, counting the bytes live right now, their peak,
 /// and the calls that asked for memory (allocations and reallocations).
@@ -124,6 +126,20 @@ fn reading() -> (usize, usize) {
 /// allocator calls (2 658 B and 52 while every bank allocated frozen cells
 /// up front, a name per register and a handle per slot), and its budget is
 /// that + 25 % in both.
+///
+/// Then the service's request ledger over the benchmark's `serve-failover`
+/// shape (2 000 clients, 200 requests per 1 000 ticks, 400 000 ticks,
+/// seed 11; 77 773 requests): a request's arrival, client and operation
+/// are 24 B and its state one 8 B word, and the schedule holds the
+/// workload's deadline and stall bound once. It reads 32.7 B live a request
+/// (the schedule's reserve is 2.7 % over its length), against a budget of
+/// 40 B, 24 + 8 plus 25 %; it read 72 B while each request carried a
+/// `u64` client, its own deadline and fail-fast ticks, and a 16 B state.
+/// Last, `ServiceSimDriver.run` of that scenario with its two leader
+/// crashes: its live heap peaks at 10.0 MB, the log and the ledger held
+/// to the end and the outcome folded over the ledger in place; the budget
+/// is that + 25 %. It peaked at 14.2 MB while each request kept 72 B and
+/// the outcome copied every state and sorted every ack tick at the end.
 #[test]
 fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     let scenario = Scenario::fault_free(OmegaVariant::Alg1, 128)
@@ -210,5 +226,49 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     assert!(
         calls <= 11.0 * 1.25,
         "a log slot makes {calls:.2} allocator calls"
+    );
+
+    drop(log);
+
+    let workload = WorkloadSpec {
+        clients: 2_000,
+        mean_interarrival: 10_000,
+        put_pct: 5,
+        key_space: 64,
+        deadline: 6_000,
+        stall_bound: None,
+        start: 2_000,
+        stop: 390_000,
+    };
+    let (live, _) = reading();
+    let ledger = Ledger::new(workload.generate(11), 5);
+    let per_request = (reading().0 - live) as f64 / ledger.requests() as f64;
+    println!(
+        "the service ledger: {per_request:.1} B live a request over {} requests",
+        ledger.requests()
+    );
+    assert!(per_request <= 40.0, "a request keeps {per_request:.1} B");
+    drop(ledger);
+
+    let failover = Scenario::fault_free(OmegaVariant::Alg1, 5)
+        .horizon(400_000)
+        .crash_leader_at(130_000)
+        .crash_leader_at(260_000)
+        .seed(11);
+    let failover = ServiceScenario::new("serve-failover", failover, workload);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let outcome = ServiceSimDriver.run(&failover);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    assert_eq!(outcome.windows.len(), 2);
+    assert_eq!(outcome.inflight, 0);
+    println!(
+        "ServiceSimDriver.run of serve-failover: {:.2} MB of live heap at the peak",
+        peak as f64 / MB as f64
+    );
+    assert!(
+        peak <= 25 * MB / 2,
+        "ServiceSimDriver.run of serve-failover peaked at {:.2} MB of live heap",
+        peak as f64 / MB as f64
     );
 }
