@@ -39,7 +39,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use omega_scenario::{fuzz, registry, spec_text, Scenario, SimDriver};
+use omega_scenario::{fuzz, registry, spec_text, Backend, Scenario, SimDriver};
 use omega_sim::rng::SmallRng;
 use omega_sim::Trace;
 
@@ -246,13 +246,40 @@ fn campaign(cfg: &Config) -> usize {
     reports.len()
 }
 
+/// The admission rule every bin applies to a spec ([`Scenario::refusal`]
+/// on the simulator), for a spec read from `source`: a refused spec is
+/// refused here too, in the refusal's own words, before anything is built.
+fn admit(source: &Path, spec: &Scenario) -> Result<(), String> {
+    match spec.refusal(Backend::Sim, 1) {
+        None => Ok(()),
+        Some(why) => Err(format!(
+            "{}: `{}` at n = {} is refused on sim: {why}",
+            source.display(),
+            spec.name,
+            spec.n
+        )),
+    }
+}
+
 /// `--replay`: proves a trace file reproduces its recorded run
-/// byte-identically. Returns an error string on any divergence.
+/// byte-identically. Returns an error string on any divergence, and
+/// refuses a trace whose header disagrees with its spec text.
 fn replay(path: &Path) -> Result<String, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let trace = Trace::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
     let scenario = spec_text::from_spec_text(&trace.meta)
         .map_err(|e| format!("{}: embedded spec text: {e}", path.display()))?;
+    admit(path, &scenario)?;
+    if (trace.n, trace.horizon) != (scenario.n, scenario.horizon) {
+        return Err(format!(
+            "{}: the trace header records n = {} and horizon {}, its spec text n = {} and horizon {}",
+            path.display(),
+            trace.n,
+            trace.horizon,
+            scenario.n,
+            scenario.horizon
+        ));
+    }
     let replayed = SimDriver.run_replay(&scenario, &trace);
     let (live, mut live_trace) = SimDriver.run_traced(&scenario);
     if replayed.fingerprint() != live.fingerprint() {
@@ -285,18 +312,25 @@ fn replay(path: &Path) -> Result<String, String> {
 }
 
 /// `--minimize`: shrink a stored spec if it still violates. `Ok(msg)`
-/// means no violation remains; `Err(report)` carries the reproducer.
+/// means no violation remains; `Err(report)` carries the reproducer, or
+/// why the spec could not be run.
 fn minimize(out: &Path, path: &Path) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let spec = spec_text::from_spec_text(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let failed = |e: String| format!("minimize FAILED: {e}");
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| failed(format!("read {}: {e}", path.display())))?;
+    let spec =
+        spec_text::from_spec_text(&text).map_err(|e| failed(format!("{}: {e}", path.display())))?;
+    admit(path, &spec).map_err(failed)?;
     match fuzz::run_and_check(&spec) {
         None => Ok(format!(
             "{}: `{}` no longer violates any oracle (fixed, or machine-dependent)",
             path.display(),
             spec.name
         )),
-        Some(violation) => Err(shrink_and_emit(out, &spec, &violation)),
+        Some(violation) => Err(format!(
+            "VIOLATION: {}",
+            shrink_and_emit(out, &spec, &violation)
+        )),
     }
 }
 
@@ -325,6 +359,9 @@ fn check_corpus(dir: &Path) -> Result<Vec<String>, String> {
             "corpus {} holds no *.spec reproducers",
             dir.display()
         ));
+    }
+    for spec in &entries {
+        admit(dir, spec)?;
     }
     let mut still_violating = Vec::new();
     for spec in &entries {
@@ -373,7 +410,7 @@ fn main() {
         match minimize(&cfg.out, path) {
             Ok(msg) => println!("{msg}"),
             Err(report) => {
-                eprintln!("VIOLATION: {report}");
+                eprintln!("{report}");
                 std::process::exit(1);
             }
         }
@@ -470,6 +507,54 @@ mod tests {
         let msg = replay(&trace_path).unwrap();
         assert!(msg.contains("byte-identical"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_refuses_a_header_that_disagrees_with_its_spec_text() {
+        let dir = std::env::temp_dir().join(format!("omega-fuzz-header-{}", std::process::id()));
+        record(&dir, "fault-free").unwrap();
+        let path = dir.join("fault-free.trace");
+        let mut trace = Trace::decode(&std::fs::read(&path).unwrap()).unwrap();
+        let recorded = trace.n;
+        trace.n += 1;
+        std::fs::write(&path, trace.encode()).unwrap();
+        let refusal = replay(&path).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!refusal.contains('\n'), "one line: {refusal}");
+        let header = format!("n = {} and horizon {}", recorded + 1, trace.horizon);
+        let spec = format!("n = {recorded} and horizon {}", trace.horizon);
+        assert!(
+            refusal.contains(&header) && refusal.contains(&spec),
+            "{refusal}"
+        );
+    }
+
+    #[test]
+    fn file_inputs_are_admitted_like_every_registry_spec() {
+        let dir = std::env::temp_dir().join(format!("omega-fuzz-admit-{}", std::process::id()));
+        let out = dir.join("out");
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = "scenario too-wide\nvariant alg1-fig2\nn 513\n";
+        let spec = spec_text::from_spec_text(text).unwrap();
+        let why = spec
+            .refusal(Backend::Sim, 1)
+            .expect("n = 513 is beyond the sim");
+        let spec_path = dir.join("too-wide.spec");
+        std::fs::write(&spec_path, text).unwrap();
+        let mut trace = Trace::new(spec.n, spec.horizon);
+        trace.meta = text.to_string();
+        let trace_path = dir.join("too-wide.trace");
+        std::fs::write(&trace_path, trace.encode()).unwrap();
+        let refusals = [
+            minimize(&out, &spec_path).unwrap_err(),
+            check_corpus(&dir).unwrap_err(),
+            replay(&trace_path).unwrap_err(),
+        ];
+        let _ = std::fs::remove_dir_all(&dir);
+        for refusal in refusals {
+            assert!(refusal.contains(&why), "{refusal}");
+        }
+        assert!(!out.exists(), "nothing was shrunk or written");
     }
 
     #[test]

@@ -20,22 +20,23 @@
 //! `SUSPICIONS[i][·]` row, so the remaining shared *reads* are exactly the
 //! ones the model requires.
 //!
+//! This file holds Figure 2's registers and what only Figure 2 does: the
+//! unbounded `PROGRESS` heartbeat, whose `T3` pass may be booked (below).
+//! The lines its variants keep live where they share them: `T1`, lines 9
+//! and 11 and the owned `SUSPICIONS` row (lines 22–24, 27) in
+//! [`crate::fig2`]; line 8 and the pass of lines 13–24 in
+//! [`crate::heartbeat`].
+//!
 //! # Scaling past n ≈ 32
 //!
 //! Three read-avoidance layers keep `leader()` and `T3` cheap when `n`
 //! reaches the hundreds, without changing what is elected or what is
 //! counted, and a fourth makes the reads that remain cheap:
 //!
-//! * **Epoch-validated suspicion cache** — the `SUSPICIONS` matrix keeps
-//!   an epoch table ([`MemorySpace::epoched_nat_row_matrix`]): every write
-//!   of a row moves its [version](omega_registers::OwnedMatrix::row_version), and
-//!   `leader()` keeps the last value it read of each foreign row plus an
-//!   incremental per-column aggregate, re-reading a row (via one batched
-//!   snapshot) only when its epoch moved. In a quiescent (stabilized) run
-//!   every row is clean and `leader()` performs *zero* shared reads. The
-//!   row copies are immutable and shared between the processes that read
-//!   the same contents, so the system holds about one copy of each row
-//!   instead of one per process: `n²` words, not `n³`.
+//! * **Epoch-validated suspicion cache** — `leader()` re-reads only the
+//!   `SUSPICIONS` rows whose epoch moved since the last query, so in a
+//!   quiescent (stabilized) run it performs *zero* shared reads, and the
+//!   processes share one copy of each row (see [`crate::fig2`]).
 //! * **Sharded `T3` scan** — each timer expiry scans one round-robin slice
 //!   of [`T3_SHARD_SIZE`] processes instead of all `n`. A slice pass is the
 //!   paper's lines 13–26 verbatim for the slice members; each process is
@@ -76,282 +77,24 @@
 //!   no `STOP` value, so the `STOP`-before-`PROGRESS` order above is moot
 //!   for it; every pass that reads keeps it.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use omega_registers::sync::Mutex;
 use omega_registers::{
     FlagArray, MemorySpace, NatArray, NatMatrix, ProcessId, ProcessSet, ScanCounters,
 };
 
-use crate::candidates::{elect_least_suspected, CandidateInit};
+#[cfg(test)]
+use crate::candidates::elect_least_suspected;
+use crate::candidates::CandidateInit;
+#[cfg(test)]
+use crate::fig2::DenseSuspicionCache;
+use crate::fig2::{corruption, Elector, SuspicionCache, SuspicionRows};
 use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
 
 /// Number of processes examined per sharded `T3` pass (and the threshold
 /// below which the scan is unsharded, i.e. exactly the paper's Figure 2).
 pub const T3_SHARD_SIZE: usize = 16;
-
-/// Why a version of the `SUSPICIONS` matrix is always there.
-const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_row_matrix";
-
-/// The shared copies of the `SUSPICIONS` rows, one per matrix, from which
-/// every [`SuspicionCache`] of the system takes the rows it holds.
-///
-/// A cache adopts the row published for `j` only when it equals what the
-/// cache itself just read, so sharing never hands a process a value it
-/// did not read: a frozen view under a partition, or a snapshot torn by a
-/// racing write on a wall backend, simply ends up in a row of its own.
-#[derive(Debug)]
-pub(crate) struct SuspicionRows {
-    /// The all-zero row every fresh cache starts from.
-    zero: Arc<[u64]>,
-    /// `published[j]` — the last contents of row `j` some cache read and
-    /// did not find here.
-    published: Vec<Mutex<Arc<[u64]>>>,
-    /// Rows nothing holds any more, rewritten for the next fresh copy of
-    /// any row instead of freed: a run allocates copies up to the most it
-    /// ever needs at once, and no more. (Freeing them and allocating anew
-    /// on suspicion writes, interleaved with a service run's own
-    /// allocations, fragmented the heap enough to add 4 MB to the peak RSS
-    /// of most `serve-failover` benchmark runs.)
-    spares: Mutex<Vec<Arc<[u64]>>>,
-}
-
-impl SuspicionRows {
-    pub(crate) fn new(n: usize) -> Self {
-        let zero: Arc<[u64]> = vec![0; n].into();
-        SuspicionRows {
-            published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
-            spares: Mutex::new(Vec::new()),
-            zero,
-        }
-    }
-
-    /// Replaces `held`, a cache's copy of row `j`, by the copy to keep now
-    /// that the cache has read the row as `read` (`held_matches`: whether
-    /// `held` already equals `read`). The published row when it equals
-    /// `read`; otherwise `held`, rewritten with `read` when it is stale,
-    /// which is then published for the next reader. A lock is held only to
-    /// clone, swap, push or pop an `Arc`, never for a comparison or a copy.
-    fn share(&self, j: ProcessId, held: &mut Arc<[u64]>, read: &[u64], held_matches: bool) {
-        let slot = &self.published[j.index()];
-        let published = Arc::clone(&slot.lock());
-        if held_matches && Arc::ptr_eq(&published, held) {
-            return;
-        }
-        if *published == *read {
-            self.recycle(std::mem::replace(held, published));
-            return;
-        }
-        drop(published);
-        if !held_matches {
-            // A row no one else holds is not published either: rewrite it.
-            if let Some(row) = Arc::get_mut(held) {
-                row.copy_from_slice(read);
-            } else {
-                let spare = self.spares.lock().pop();
-                let fresh = match spare {
-                    Some(mut row) => {
-                        Arc::get_mut(&mut row)
-                            .expect("a spare has no other holder")
-                            .copy_from_slice(read);
-                        row
-                    }
-                    None => Arc::from(read),
-                };
-                self.recycle(std::mem::replace(held, fresh));
-            }
-        }
-        let displaced = std::mem::replace(&mut *slot.lock(), Arc::clone(held));
-        self.recycle(displaced);
-    }
-
-    /// Keeps `row` as a spare when nothing else holds it.
-    fn recycle(&self, mut row: Arc<[u64]>) {
-        if Arc::get_mut(&mut row).is_some() {
-            self.spares.lock().push(row);
-        }
-    }
-}
-
-/// Epoch-validated local view of the foreign rows of a `SUSPICIONS`
-/// matrix, with an incrementally maintained per-column aggregate.
-///
-/// The view of each row is an immutable row shared through the matrix's
-/// [`SuspicionRows`]: in a quiescent run every process holds the same
-/// allocation of row `j`, so a cache costs `n` pointers rather than `n²`
-/// words.
-///
-/// Shared by [`Alg1Process`] and [`Alg2Process`](crate::Alg2Process) (the
-/// matrix layout is identical in Figures 2 and 5).
-#[derive(Debug)]
-pub(crate) struct SuspicionCache {
-    /// Identity of the owning process (its row is mirrored elsewhere).
-    pid: ProcessId,
-    /// `rows[j]` — last snapshot of `SUSPICIONS[j][·]` (row `pid` unused).
-    rows: Vec<Arc<[u64]>>,
-    /// Row epoch each snapshot was taken at; `u64::MAX` = never read.
-    seen: Vec<u64>,
-    /// Matrix-global epoch the last full validation pass ran at;
-    /// `u64::MAX` = no pass yet. When it still matches, `refresh` is O(1).
-    seen_global: u64,
-    /// `totals[k] = Σ_{j≠pid} rows[j][k]`.
-    totals: Vec<u64>,
-    /// Scratch buffer for row snapshots.
-    buf: Vec<u64>,
-}
-
-impl SuspicionCache {
-    pub(crate) fn new(shared: &SuspicionRows, pid: ProcessId) -> Self {
-        let n = shared.published.len();
-        SuspicionCache {
-            pid,
-            rows: vec![Arc::clone(&shared.zero); n],
-            seen: vec![u64::MAX; n],
-            seen_global: u64::MAX,
-            totals: vec![0; n],
-            buf: vec![0; n],
-        }
-    }
-
-    /// Brings every stale foreign row up to date (one batched snapshot per
-    /// dirty row; clean rows cost no shared reads and are credited to the
-    /// space's [`ScanCounters`](omega_registers::ScanCounters)). Returns
-    /// whether any row was re-read (callers use this to invalidate
-    /// election caches).
-    ///
-    /// Two cost tiers, neither performing a shared read-modify-write on
-    /// its hot path:
-    ///
-    /// * **Quiescent, O(1)** — the matrix-global epoch is unchanged since
-    ///   the last pass, which proves every per-row epoch is unchanged; the
-    ///   whole loop is skipped and all `n − 1` foreign rows are credited
-    ///   as skipped in one batch (exactly what the per-row walk would
-    ///   have credited).
-    /// * **Dirty, O(n) validation** — walk the row epochs, re-snapshot the
-    ///   moved ones, batch-credit the clean ones. A re-read row whose
-    ///   contents did not change leaves the totals alone; either way the
-    ///   cache then holds the copy `shared` offers for what it read.
-    pub(crate) fn refresh(
-        &mut self,
-        suspicions: &NatMatrix,
-        shared: &SuspicionRows,
-        scan: &ScanCounters,
-    ) -> bool {
-        let n = suspicions.n();
-        let skipped = |rows: u64| scan.note_skipped(rows, rows * n as u64);
-        // Read the global epoch *before* the row walk: a write racing the
-        // walk leaves `seen_global` behind the bump it missed, so the next
-        // refresh takes the slow path and observes it.
-        let global = suspicions.version().expect(EPOCHED);
-        if self.seen_global == global {
-            if n > 1 {
-                skipped(n as u64 - 1);
-            }
-            return false;
-        }
-        let mut rows_skipped = 0u64;
-        let mut changed = false;
-        for j in ProcessId::all(n) {
-            if j == self.pid {
-                continue;
-            }
-            let version = suspicions.row_version(j).expect(EPOCHED);
-            if self.seen[j.index()] == version {
-                rows_skipped += 1;
-                continue;
-            }
-            suspicions.read_row_into(j, self.pid, &mut self.buf);
-            scan.note_snapshot();
-            let held = &mut self.rows[j.index()];
-            let held_matches = **held == *self.buf;
-            if !held_matches {
-                for ((total, old), new) in self.totals.iter_mut().zip(held.iter()).zip(&self.buf) {
-                    // total ≥ old by construction: old is one of its summands.
-                    *total = *total - *old + *new;
-                }
-            }
-            shared.share(j, held, &self.buf, held_matches);
-            self.seen[j.index()] = version;
-            changed = true;
-        }
-        if rows_skipped > 0 {
-            skipped(rows_skipped);
-        }
-        self.seen_global = global;
-        changed
-    }
-
-    /// Cached `Σ_{j≠pid} SUSPICIONS[j][k]`.
-    pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
-        self.totals[k.index()]
-    }
-
-    /// The copy of row `j` this cache holds.
-    #[cfg(test)]
-    fn row(&self, j: ProcessId) -> &Arc<[u64]> {
-        &self.rows[j.index()]
-    }
-
-    /// Whether `totals` is the column sum of the foreign rows held.
-    #[cfg(test)]
-    fn totals_match_rows(&self) -> bool {
-        (0..self.totals.len()).all(|k| {
-            let column: u64 = ProcessId::all(self.rows.len())
-                .filter(|&j| j != self.pid)
-                .map(|j| self.rows[j.index()][k])
-                .sum();
-            column == self.totals[k]
-        })
-    }
-}
-
-/// The dense cache — a private copy of every foreign row in every process —
-/// kept as the reference the shared rows are tested against.
-#[cfg(test)]
-#[derive(Debug)]
-struct DenseSuspicionCache {
-    pid: ProcessId,
-    rows: Vec<Vec<u64>>,
-    seen: Vec<u64>,
-    totals: Vec<u64>,
-    buf: Vec<u64>,
-}
-
-#[cfg(test)]
-impl DenseSuspicionCache {
-    fn new(n: usize, pid: ProcessId) -> Self {
-        DenseSuspicionCache {
-            pid,
-            rows: vec![vec![0; n]; n],
-            seen: vec![u64::MAX; n],
-            totals: vec![0; n],
-            buf: vec![0; n],
-        }
-    }
-
-    /// [`SuspicionCache::refresh`]'s dirty path, into private rows.
-    fn refresh(&mut self, suspicions: &NatMatrix) {
-        for j in ProcessId::all(suspicions.n()) {
-            let seen = suspicions.row_version(j).expect(EPOCHED);
-            if j == self.pid || self.seen[j.index()] == seen {
-                continue;
-            }
-            suspicions.read_row_into(j, self.pid, &mut self.buf);
-            let old = &mut self.rows[j.index()];
-            for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
-                *total = *total - *old + *new;
-                *old = *new;
-            }
-            self.seen[j.index()] = seen;
-        }
-    }
-
-    fn foreign_total(&self, k: ProcessId) -> u64 {
-        self.totals[k.index()]
-    }
-}
 
 /// The Figure-2 shared register layout.
 ///
@@ -421,16 +164,10 @@ impl Alg1Memory {
     /// — the paper's footnote 7 allows arbitrary initial shared state; the
     /// self-stabilization experiments start from here.
     pub fn corrupt(&self, seed: u64) {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = corruption(seed);
         for pid in ProcessId::all(self.n) {
             self.progress.get(pid).poke(next() % 1_000);
-            self.stop.get(pid).poke(next() % 2 == 0);
+            self.stop.get(pid).poke(next().is_multiple_of(2));
         }
         for j in ProcessId::all(self.n) {
             for k in ProcessId::all(self.n) {
@@ -466,31 +203,11 @@ impl Alg1Memory {
 /// ```
 #[derive(Debug)]
 pub struct Alg1Process {
-    pid: ProcessId,
     mem: Arc<Alg1Memory>,
-    /// `candidates_i`, `last_i` and the sharded `T3` scan.
+    /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
+    /// `T3` scan.
     heartbeats: HeartbeatTracker,
-    /// Local mirror of `PROGRESS[pid]` (owner-side copy).
-    my_progress: u64,
-    /// Local mirror of `STOP[pid]`.
-    my_stop: bool,
-    /// Local mirror of the owned `SUSPICIONS[pid][·]` row.
-    my_suspicions: Vec<u64>,
-    /// Running `max_k my_suspicions[k]` — exact, because entries only ever
-    /// increment — so the line-27 timeout is O(1) per timer fire instead
-    /// of an O(n) rescan.
-    my_suspicions_max: u64,
-    /// Additive slack of the line-27 timeout (the paper uses 1).
-    timeout_slack: u64,
-    /// Leader estimate cached from the latest `T2` evaluation.
-    cached: Option<ProcessId>,
-    /// Epoch-validated view of the foreign `SUSPICIONS` rows (interior
-    /// mutability: `leader()` is a `&self` query but refreshes the cache).
-    scan: RefCell<SuspicionCache>,
-    /// Memoized `T1` election result, valid while its inputs — the scan
-    /// cache totals, `candidates`, and the mirrored own suspicion row —
-    /// are unchanged. `None` = stale, recompute.
-    election: std::cell::Cell<Option<ProcessId>>,
+    pub(crate) fig2: Elector<SuspicionCache>,
 }
 
 impl Alg1Process {
@@ -507,28 +224,12 @@ impl Alg1Process {
     /// Panics if `pid` is out of range for the memory's system size.
     #[must_use]
     pub fn with_candidates(mem: Arc<Alg1Memory>, pid: ProcessId, init: CandidateInit) -> Self {
-        let n = mem.n();
-        assert!(pid.index() < n, "{pid} out of range for n={n}");
-        // Owner-side mirrors start from the *actual* register contents so
-        // that a corrupted initial state is handled like the paper requires
-        // (the algorithm is self-stabilizing w.r.t. shared variables).
-        let my_progress = mem.progress.get(pid).peek();
-        let my_stop = mem.stop.get(pid).peek();
-        let my_suspicions: Vec<u64> = ProcessId::all(n)
-            .map(|k| mem.suspicions.get(pid, k).peek())
-            .collect();
-        let my_suspicions_max = my_suspicions.iter().copied().max().unwrap_or(0);
+        let fig2 = Elector::new(&mem.stop, pid, || {
+            SuspicionCache::new(&mem.suspicions, &mem.suspicion_rows, pid)
+        });
         Alg1Process {
-            pid,
-            heartbeats: HeartbeatTracker::new(n, pid, init.materialize(n, pid)),
-            my_progress,
-            my_stop,
-            my_suspicions,
-            my_suspicions_max,
-            timeout_slack: 1,
-            cached: None,
-            scan: RefCell::new(SuspicionCache::new(&mem.suspicion_rows, pid)),
-            election: std::cell::Cell::new(None),
+            heartbeats: HeartbeatTracker::new(&mem.progress, pid, init.materialize(mem.n, pid)),
+            fig2,
             mem,
         }
     }
@@ -542,7 +243,6 @@ impl Alg1Process {
     /// Panics if `shard == 0`.
     #[must_use]
     pub fn with_scan_shard(mut self, shard: usize) -> Self {
-        assert!(shard >= 1, "a T3 pass must scan at least one process");
         self.heartbeats.set_shard_width(shard);
         self
     }
@@ -560,7 +260,7 @@ impl Alg1Process {
     #[must_use]
     pub fn with_timeout_slack(mut self, slack: u64) -> Self {
         assert!(slack >= 1, "timeout slack must be at least 1");
-        self.timeout_slack = slack;
+        self.fig2.view.get_mut().slack = slack;
         self
     }
 
@@ -576,73 +276,38 @@ impl Alg1Process {
         self.heartbeats.candidates()
     }
 
-    /// Total suspicions of candidate `k` as seen by this process —
-    /// `Σ_j SUSPICIONS[j][k]` (line 3) — from the refreshed cache plus the
-    /// locally mirrored own row. Callers must `refresh` the cache first.
-    fn total_suspicions(&self, scan: &SuspicionCache, k: ProcessId) -> u64 {
-        scan.foreign_total(k) + self.my_suspicions[k.index()]
-    }
-
-    /// The epoch-validated view of the foreign rows, as last refreshed.
+    /// The view of `SUSPICIONS`, as last refreshed.
     #[cfg(test)]
     fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-        self.scan.borrow()
+        self.fig2.view.borrow()
     }
 }
 
 impl OmegaProcess for Alg1Process {
     fn pid(&self) -> ProcessId {
-        self.pid
+        self.fig2.pid
     }
 
     fn n(&self) -> usize {
         self.mem.n()
     }
 
-    /// Task `T1` (lines 1–5): elect the least-suspected candidate.
-    ///
-    /// Reads only the `SUSPICIONS` rows whose epoch moved since the last
-    /// query; in a stabilized run this performs no shared reads at all,
-    /// and — because the election's inputs are then provably unchanged —
-    /// serves the memoized winner without rescanning the candidate set.
+    /// Task `T1` (lines 1–5); in a stabilized run it reads nothing shared.
     fn leader(&self) -> ProcessId {
-        let mut scan = self.scan.borrow_mut();
         let mem = &*self.mem;
-        let changed = scan.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan);
-        if changed {
-            self.election.set(None);
-        } else if let Some(winner) = self.election.get() {
-            return winner;
-        }
-        let winner = elect_least_suspected(self.candidates(), |k| self.total_suspicions(&scan, k))
-            .expect("candidates always contain self");
-        self.election.set(Some(winner));
-        winner
+        self.fig2.leader(
+            self.candidates(),
+            |rows| rows.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan),
+            SuspicionCache::total,
+        )
     }
 
-    /// One iteration of task `T2` (lines 6–12).
+    /// One iteration of task `T2` (lines 6–12), line 8 a heartbeat.
     fn t2_step(&mut self) {
         let leader = self.leader();
-        self.cached = Some(leader);
-        if leader == self.pid {
-            // Line 8: heartbeat.
-            self.my_progress = self.my_progress.wrapping_add(1);
-            self.mem
-                .progress
-                .get(self.pid)
-                .write(self.pid, self.my_progress);
-            // Line 9: announce candidacy.
-            if self.my_stop {
-                self.my_stop = false;
-                self.mem.stop.get(self.pid).write(self.pid, false);
-            }
-        } else {
-            // Line 11: withdraw.
-            if !self.my_stop {
-                self.my_stop = true;
-                self.mem.stop.get(self.pid).write(self.pid, true);
-            }
-        }
+        let (mem, heartbeats) = (&*self.mem, &mut self.heartbeats);
+        self.fig2
+            .t2_step(leader, &mem.stop, || heartbeats.beat(&mem.progress));
     }
 
     /// Task `T3` body (lines 13–27) over one round-robin shard of at most
@@ -654,31 +319,26 @@ impl OmegaProcess for Alg1Process {
     /// nothing is loaded.
     fn on_timer_expire(&mut self) -> u64 {
         let mem = &*self.mem;
-        let (my_suspicions, my_suspicions_max) =
-            (&mut self.my_suspicions, &mut self.my_suspicions_max);
+        let rows = self.fig2.view.get_mut();
         let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
-            // Lines 22–24: suspect k.
-            let bumped = my_suspicions[k.index()] + 1;
-            my_suspicions[k.index()] = bumped;
-            *my_suspicions_max = (*my_suspicions_max).max(bumped);
-            mem.suspicions.get(self.pid, k).write(self.pid, bumped);
+            rows.suspect(&mem.suspicions, k);
         });
+        let timeout = rows.timeout();
         if !booked {
             // The pass may have changed `candidates` and the own
             // suspicion row — both election inputs.
-            self.election.set(None);
+            self.fig2.election.set(None);
         }
         mem.scan.note_shard_pass();
-        // Line 27 — computed entirely from owned (mirrored) registers.
-        self.my_suspicions_max + self.timeout_slack
+        timeout
     }
 
     fn initial_timeout(&self) -> u64 {
-        self.my_suspicions_max + self.timeout_slack
+        self.fig2.view.borrow().timeout()
     }
 
     fn cached_leader(&self) -> Option<ProcessId> {
-        self.cached
+        self.fig2.cached
     }
 }
 

@@ -21,16 +21,21 @@
 //! lower bound — is that every correct process keeps writing its `LAST`
 //! acknowledgement flags forever (Theorem 7), which is optimal for bounded
 //! memory (Theorem 8).
+//!
+//! This file holds what Figure 5 changes: the handshake flags, lines
+//! 8.R1–8.R3, and the `T3` loop with 16.R1–19.R1. The lines it keeps
+//! (`T1`, lines 9 and 11, the owned `SUSPICIONS` row) are Figure 2's, in
+//! [`crate::fig2`].
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use omega_registers::{
     FlagArray, FlagMatrix, MemorySpace, NatMatrix, ProcessId, ProcessSet, ScanCounters,
 };
 
-use crate::alg1::{SuspicionCache, SuspicionRows, T3_SHARD_SIZE};
-use crate::candidates::{elect_least_suspected, CandidateInit};
+use crate::alg1::T3_SHARD_SIZE;
+use crate::candidates::CandidateInit;
+use crate::fig2::{corruption, Elector, SuspicionCache, SuspicionRows};
 use crate::heartbeat::ShardCursor;
 use crate::OmegaProcess;
 
@@ -107,18 +112,12 @@ impl Alg2Memory {
     /// Overwrites every register with arbitrary values derived from `seed`
     /// (footnote 7: initial shared state can be arbitrary).
     pub fn corrupt(&self, seed: u64) {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = corruption(seed);
         for j in ProcessId::all(self.n) {
-            self.stop.get(j).poke(next() % 2 == 0);
+            self.stop.get(j).poke(next().is_multiple_of(2));
             for k in ProcessId::all(self.n) {
-                self.progress.get(j, k).poke(next() % 2 == 0);
-                self.last.get(j, k).poke(next() % 2 == 0);
+                self.progress.get(j, k).poke(next().is_multiple_of(2));
+                self.last.get(j, k).poke(next().is_multiple_of(2));
                 // The poke moves the row's epoch: see Alg1Memory::corrupt.
                 self.suspicions.get(j, k).poke(next() % 100);
             }
@@ -144,26 +143,13 @@ impl Alg2Memory {
 /// ```
 #[derive(Debug)]
 pub struct Alg2Process {
-    pid: ProcessId,
     mem: Arc<Alg2Memory>,
     candidates: ProcessSet,
     /// Local mirror of the owned `LAST[k][pid]` column (owner-side copy).
     my_last: Vec<bool>,
-    /// Local mirror of `STOP[pid]`.
-    my_stop: bool,
-    /// Local mirror of the owned `SUSPICIONS[pid][·]` row.
-    my_suspicions: Vec<u64>,
-    /// Running `max_k my_suspicions[k]` — exact (entries only increment);
-    /// keeps the timeout O(1) per timer fire.
-    my_suspicions_max: u64,
-    cached: Option<ProcessId>,
-    /// Epoch-validated view of the foreign `SUSPICIONS` rows (see
-    /// [`Alg1Process`](crate::Alg1Process) — the layout is identical).
-    scan: RefCell<SuspicionCache>,
-    /// Memoized `T1` winner (see [`Alg1Process`]); `None` = stale.
-    election: std::cell::Cell<Option<ProcessId>>,
     /// Round-robin cursor of the sharded `T3` scan.
     t3_cursor: ShardCursor,
+    pub(crate) fig2: Elector<SuspicionCache>,
 }
 
 impl Alg2Process {
@@ -181,26 +167,16 @@ impl Alg2Process {
     #[must_use]
     pub fn with_candidates(mem: Arc<Alg2Memory>, pid: ProcessId, init: CandidateInit) -> Self {
         let n = mem.n();
-        assert!(pid.index() < n, "{pid} out of range for n={n}");
-        let my_last = ProcessId::all(n)
-            .map(|k| mem.last.get(k, pid).peek())
-            .collect();
-        let my_stop = mem.stop.get(pid).peek();
-        let my_suspicions: Vec<u64> = ProcessId::all(n)
-            .map(|k| mem.suspicions.get(pid, k).peek())
-            .collect();
-        let my_suspicions_max = my_suspicions.iter().copied().max().unwrap_or(0);
+        let fig2 = Elector::new(&mem.stop, pid, || {
+            SuspicionCache::new(&mem.suspicions, &mem.suspicion_rows, pid)
+        });
         Alg2Process {
-            pid,
             candidates: init.materialize(n, pid),
-            my_last,
-            my_stop,
-            my_suspicions,
-            my_suspicions_max,
-            cached: None,
-            scan: RefCell::new(SuspicionCache::new(&mem.suspicion_rows, pid)),
-            election: std::cell::Cell::new(None),
+            my_last: ProcessId::all(n)
+                .map(|k| mem.last.get(k, pid).peek())
+                .collect(),
             t3_cursor: ShardCursor::new(n, T3_SHARD_SIZE),
+            fig2,
             mem,
         }
     }
@@ -213,7 +189,6 @@ impl Alg2Process {
     /// Panics if `shard == 0`.
     #[must_use]
     pub fn with_scan_shard(mut self, shard: usize) -> Self {
-        assert!(shard >= 1, "a T3 pass must scan at least one process");
         self.t3_cursor = ShardCursor::new(self.mem.n(), shard);
         self
     }
@@ -230,14 +205,10 @@ impl Alg2Process {
         &self.candidates
     }
 
-    fn total_suspicions(&self, scan: &SuspicionCache, k: ProcessId) -> u64 {
-        scan.foreign_total(k) + self.my_suspicions[k.index()]
-    }
-
-    /// The epoch-validated view of the foreign rows, as last refreshed.
+    /// The view of `SUSPICIONS`, as last refreshed.
     #[cfg(test)]
     pub(crate) fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-        self.scan.borrow()
+        self.fig2.view.borrow()
     }
 
     /// The shared `SUSPICIONS` matrix the cache views.
@@ -249,57 +220,38 @@ impl Alg2Process {
 
 impl OmegaProcess for Alg2Process {
     fn pid(&self) -> ProcessId {
-        self.pid
+        self.fig2.pid
     }
 
     fn n(&self) -> usize {
         self.mem.n()
     }
 
-    /// Task `T1` — unchanged from Algorithm 1 (including the epoch-gated
-    /// suspicion cache: stale rows are re-read, clean rows cost nothing,
-    /// and a quiescent query serves the memoized winner).
+    /// Task `T1` — unchanged from Algorithm 1.
     fn leader(&self) -> ProcessId {
-        let mut scan = self.scan.borrow_mut();
         let mem = &*self.mem;
-        let changed = scan.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan);
-        if changed {
-            self.election.set(None);
-        } else if let Some(winner) = self.election.get() {
-            return winner;
-        }
-        let winner = elect_least_suspected(&self.candidates, |k| self.total_suspicions(&scan, k))
-            .expect("candidates always contain self");
-        self.election.set(Some(winner));
-        winner
+        self.fig2.leader(
+            &self.candidates,
+            |rows| rows.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan),
+            SuspicionCache::total,
+        )
     }
 
     /// One iteration of task `T2` (lines 6–12 with 8.R1–8.R3).
     fn t2_step(&mut self) {
         let leader = self.leader();
-        self.cached = Some(leader);
-        if leader == self.pid {
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
+        self.fig2.t2_step(leader, &mem.stop, || {
             // Lines 8.R1–8.R3: raise an alive-signal towards every peer by
             // making PROGRESS[i][k] ≠ LAST[i][k].
-            for k in ProcessId::all(self.mem.n()) {
-                if k == self.pid {
+            for k in ProcessId::all(mem.n()) {
+                if k == pid {
                     continue;
                 }
-                let last = self.mem.last.get(self.pid, k).read(self.pid);
-                self.mem.progress.get(self.pid, k).write(self.pid, !last);
+                let last = mem.last.get(pid, k).read(pid);
+                mem.progress.get(pid, k).write(pid, !last);
             }
-            // Line 9.
-            if self.my_stop {
-                self.my_stop = false;
-                self.mem.stop.get(self.pid).write(self.pid, false);
-            }
-        } else {
-            // Line 11.
-            if !self.my_stop {
-                self.my_stop = true;
-                self.mem.stop.get(self.pid).write(self.pid, true);
-            }
-        }
+        });
     }
 
     /// Task `T3` body (lines 13–27 with 16.R1–19.R1) over one round-robin
@@ -307,41 +259,40 @@ impl OmegaProcess for Alg2Process {
     fn on_timer_expire(&mut self) -> u64 {
         // The scan below may change `candidates` and the own suspicion row
         // — both election inputs.
-        self.election.set(None);
+        self.fig2.election.set(None);
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
+        let rows = self.fig2.view.get_mut();
         for idx in self.t3_cursor.advance() {
             let k = ProcessId::new(idx);
-            if k == self.pid {
+            if k == pid {
                 continue;
             }
-            let stop_k = self.mem.stop.get(k).read(self.pid);
+            let stop_k = mem.stop.get(k).read(pid);
             // Line 16.R1.
-            let progress_k = self.mem.progress.get(k, self.pid).read(self.pid);
+            let progress_k = mem.progress.get(k, pid).read(pid);
             // Line 17.R1: signal pending ⇔ flags unequal.
             if progress_k != self.my_last[k.index()] {
                 // Line 18 + 19.R1: alive; cancel the signal.
                 self.candidates.insert(k);
                 self.my_last[k.index()] = progress_k;
-                self.mem.last.get(k, self.pid).write(self.pid, progress_k);
+                mem.last.get(k, pid).write(pid, progress_k);
             } else if stop_k {
                 self.candidates.remove(k);
             } else if self.candidates.contains(k) {
-                let bumped = self.my_suspicions[k.index()] + 1;
-                self.my_suspicions[k.index()] = bumped;
-                self.my_suspicions_max = self.my_suspicions_max.max(bumped);
-                (self.mem.suspicions.get(self.pid, k)).write(self.pid, bumped);
+                rows.suspect(&mem.suspicions, k);
                 self.candidates.remove(k);
             }
         }
-        self.mem.scan.note_shard_pass();
-        self.my_suspicions_max + 1
+        mem.scan.note_shard_pass();
+        rows.timeout()
     }
 
     fn initial_timeout(&self) -> u64 {
-        self.my_suspicions_max + 1
+        self.fig2.view.borrow().timeout()
     }
 
     fn cached_leader(&self) -> Option<ProcessId> {
-        self.cached
+        self.fig2.cached
     }
 }
 

@@ -1,0 +1,581 @@
+//! Figure 2's lines that its variants keep, each in one place (line 8 and
+//! the `T3` pass of lines 13–24 are in [`crate::heartbeat`]). Figure 5
+//! replaces the heartbeat and its liveness test; §3.5(a) collapses each
+//! `SUSPICIONS` column into one shared counter.
+//!
+//! * [`Elector`] — task `T1` (lines 1–5), memoized over a suspicion view,
+//!   and the `STOP` writes of lines 9 and 11. Every variant embeds one.
+//! * [`SuspicionCache`] — the view of a row-owned `SUSPICIONS` matrix
+//!   (Figures 2 and 5): the own row mirrored (§3.2), the suspicion write
+//!   of lines 22–24 and the line-27 timeout, and the foreign rows, each
+//!   re-read only when its epoch moved, so that in a quiescent run
+//!   `leader()` performs *zero* shared reads. The row copies are immutable
+//!   and shared between the processes that read the same contents: the
+//!   system holds about one copy of each row, `n²` words, not `n³`.
+
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
+
+use omega_registers::sync::Mutex;
+use omega_registers::{FlagArray, NatMatrix, ProcessId, ProcessSet, ScanCounters};
+
+use crate::candidates::elect_least_suspected;
+
+/// The arbitrary values a memory's `corrupt(seed)` pokes (footnote 7).
+pub(crate) fn corruption(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// One process's task `T1` over the suspicion view `V`, memoized, and the
+/// `STOP` lines of task `T2`.
+#[derive(Debug)]
+pub(crate) struct Elector<V> {
+    pub(crate) pid: ProcessId,
+    /// Local mirror of `STOP[pid]`.
+    my_stop: bool,
+    /// Leader estimate cached from the latest `T2` evaluation.
+    pub(crate) cached: Option<ProcessId>,
+    /// What `T1` elects from (interior mutability: `leader()` is a `&self`
+    /// query but refreshes the view).
+    pub(crate) view: RefCell<V>,
+    /// Memoized `T1` winner, valid while its inputs — the view and the
+    /// candidate set — are unchanged. `None` = stale, recompute.
+    pub(crate) election: Cell<Option<ProcessId>>,
+}
+
+impl<V> Elector<V> {
+    /// Process `pid` of the system whose `STOP` array is `stop`; panics if
+    /// `pid` is out of range, before `view` is called.
+    pub(crate) fn new(stop: &FlagArray, pid: ProcessId, view: impl FnOnce() -> V) -> Self {
+        let n = stop.len();
+        assert!(pid.index() < n, "{pid} out of range for n={n}");
+        Elector {
+            pid,
+            my_stop: stop.get(pid).peek(),
+            cached: None,
+            view: RefCell::new(view()),
+            election: Cell::new(None),
+        }
+    }
+
+    /// Task `T1` (lines 1–5): elect the least-suspected of `candidates`
+    /// (line 3: `k` is suspected `total(view, k)` times) once `refresh` has
+    /// brought the view up to date. When it re-read nothing, the memoized
+    /// winner is served without rescanning the candidate set.
+    #[inline]
+    pub(crate) fn leader(
+        &self,
+        candidates: &ProcessSet,
+        refresh: impl FnOnce(&mut V) -> bool,
+        total: impl Fn(&V, ProcessId) -> u64,
+    ) -> ProcessId {
+        let mut view = self.view.borrow_mut();
+        if refresh(&mut view) {
+            self.election.set(None);
+        } else if let Some(winner) = self.election.get() {
+            return winner;
+        }
+        let winner = elect_least_suspected(candidates, |k| total(&view, k))
+            .expect("candidates always contain self");
+        self.election.set(Some(winner));
+        winner
+    }
+
+    /// Task `T2` (lines 6–12) once line 6 elected `leader`; `beat` is line
+    /// 8, which each variant writes its own way.
+    #[inline]
+    pub(crate) fn t2_step(&mut self, leader: ProcessId, stop: &FlagArray, beat: impl FnOnce()) {
+        self.cached = Some(leader);
+        if leader == self.pid {
+            beat();
+            // Line 9: announce candidacy.
+            if self.my_stop {
+                self.my_stop = false;
+                stop.get(self.pid).write(self.pid, false);
+            }
+        } else if !self.my_stop {
+            // Line 11: withdraw.
+            self.my_stop = true;
+            stop.get(self.pid).write(self.pid, true);
+        }
+    }
+}
+
+/// Why a version of the `SUSPICIONS` matrix is always there.
+const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_row_matrix";
+
+/// The shared copies of the `SUSPICIONS` rows, one per matrix, from which
+/// every [`SuspicionCache`] of the system takes the rows it holds.
+///
+/// A cache adopts the row published for `j` only when it equals what the
+/// cache itself just read, so sharing never hands a process a value it
+/// did not read: a frozen view under a partition, or a snapshot torn by a
+/// racing write on a wall backend, simply ends up in a row of its own.
+#[derive(Debug)]
+pub(crate) struct SuspicionRows {
+    /// The all-zero row every fresh cache starts from.
+    zero: Arc<[u64]>,
+    /// `published[j]` — the last contents of row `j` some cache read and
+    /// did not find here.
+    published: Vec<Mutex<Arc<[u64]>>>,
+    /// Rows nothing holds any more, rewritten for the next fresh copy of
+    /// any row instead of freed: a run allocates copies up to the most it
+    /// ever needs at once, and no more. (Freeing them and allocating anew
+    /// on suspicion writes, interleaved with a service run's own
+    /// allocations, fragmented the heap enough to add 4 MB to the peak RSS
+    /// of most `serve-failover` benchmark runs.)
+    spares: Mutex<Vec<Arc<[u64]>>>,
+}
+
+impl SuspicionRows {
+    pub(crate) fn new(n: usize) -> Self {
+        let zero: Arc<[u64]> = vec![0; n].into();
+        SuspicionRows {
+            published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
+            spares: Mutex::new(Vec::new()),
+            zero,
+        }
+    }
+
+    /// Replaces `held`, a cache's copy of row `j`, by the copy to keep now
+    /// that the cache has read the row as `read` (`held_matches`: whether
+    /// `held` already equals `read`). The published row when it equals
+    /// `read`; otherwise `held`, rewritten with `read` when it is stale,
+    /// which is then published for the next reader. A lock is held only to
+    /// clone, swap, push or pop an `Arc`, never for a comparison or a copy.
+    fn share(&self, j: ProcessId, held: &mut Arc<[u64]>, read: &[u64], held_matches: bool) {
+        let slot = &self.published[j.index()];
+        let published = Arc::clone(&slot.lock());
+        if held_matches && Arc::ptr_eq(&published, held) {
+            return;
+        }
+        if *published == *read {
+            self.recycle(std::mem::replace(held, published));
+            return;
+        }
+        drop(published);
+        if !held_matches {
+            // A row no one else holds is not published either: rewrite it.
+            if let Some(row) = Arc::get_mut(held) {
+                row.copy_from_slice(read);
+            } else {
+                let spare = self.spares.lock().pop();
+                let fresh = match spare {
+                    Some(mut row) => {
+                        Arc::get_mut(&mut row)
+                            .expect("a spare has no other holder")
+                            .copy_from_slice(read);
+                        row
+                    }
+                    None => Arc::from(read),
+                };
+                self.recycle(std::mem::replace(held, fresh));
+            }
+        }
+        let displaced = std::mem::replace(&mut *slot.lock(), Arc::clone(held));
+        self.recycle(displaced);
+    }
+
+    /// Keeps `row` as a spare when nothing else holds it.
+    fn recycle(&self, mut row: Arc<[u64]>) {
+        if Arc::get_mut(&mut row).is_some() {
+            self.spares.lock().push(row);
+        }
+    }
+}
+
+/// One process's view of a row-owned `SUSPICIONS` matrix (Figures 2 and
+/// 5): the own row mirrored (§3.2), the foreign rows epoch-validated, with
+/// an incrementally maintained per-column aggregate.
+///
+/// The view of each foreign row is an immutable row shared through the
+/// matrix's [`SuspicionRows`]: in a quiescent run every process holds the
+/// same allocation of row `j`, so a cache costs `n` pointers rather than
+/// `n²` words.
+#[derive(Debug)]
+pub(crate) struct SuspicionCache {
+    /// Identity of the owning process.
+    pid: ProcessId,
+    /// Local mirror of the owned `SUSPICIONS[pid][·]` row.
+    mine: Vec<u64>,
+    /// Running `max_k mine[k]` — exact, because entries only ever
+    /// increment — so the line-27 timeout is O(1) per timer fire instead
+    /// of an O(n) rescan.
+    mine_max: u64,
+    /// Additive slack of the line-27 timeout (the paper uses 1).
+    pub(crate) slack: u64,
+    /// `rows[j]` — last snapshot of `SUSPICIONS[j][·]` (row `pid` unused).
+    rows: Vec<Arc<[u64]>>,
+    /// Row epoch each snapshot was taken at; `u64::MAX` = never read.
+    seen: Vec<u64>,
+    /// Matrix-global epoch the last full validation pass ran at;
+    /// `u64::MAX` = no pass yet. When it still matches, `refresh` is O(1).
+    seen_global: u64,
+    /// `totals[k] = Σ_{j≠pid} rows[j][k]`.
+    totals: Vec<u64>,
+    /// Scratch buffer for row snapshots.
+    buf: Vec<u64>,
+}
+
+impl SuspicionCache {
+    /// Process `pid`'s view, its mirror taken from the register contents
+    /// (a corrupted initial state included), timing out with slack 1.
+    pub(crate) fn new(suspicions: &NatMatrix, shared: &SuspicionRows, pid: ProcessId) -> Self {
+        let n = shared.published.len();
+        let mine: Vec<u64> = ProcessId::all(n)
+            .map(|k| suspicions.get(pid, k).peek())
+            .collect();
+        SuspicionCache {
+            pid,
+            mine_max: mine.iter().copied().max().unwrap_or(0),
+            mine,
+            slack: 1,
+            rows: vec![Arc::clone(&shared.zero); n],
+            seen: vec![u64::MAX; n],
+            seen_global: u64::MAX,
+            totals: vec![0; n],
+            buf: vec![0; n],
+        }
+    }
+
+    /// Brings every stale foreign row up to date (one batched snapshot per
+    /// dirty row; clean rows cost no shared reads and are credited to the
+    /// space's [`ScanCounters`](omega_registers::ScanCounters)). Returns
+    /// whether any row was re-read (callers use this to invalidate
+    /// election caches).
+    ///
+    /// Two cost tiers, neither performing a shared read-modify-write on
+    /// its hot path:
+    ///
+    /// * **Quiescent, O(1)** — the matrix-global epoch is unchanged since
+    ///   the last pass, which proves every per-row epoch is unchanged; the
+    ///   whole loop is skipped and all `n − 1` foreign rows are credited
+    ///   as skipped in one batch (exactly what the per-row walk would
+    ///   have credited).
+    /// * **Dirty, O(n) validation** — walk the row epochs, re-snapshot the
+    ///   moved ones, batch-credit the clean ones. A re-read row whose
+    ///   contents did not change leaves the totals alone; either way the
+    ///   cache then holds the copy `shared` offers for what it read.
+    pub(crate) fn refresh(
+        &mut self,
+        suspicions: &NatMatrix,
+        shared: &SuspicionRows,
+        scan: &ScanCounters,
+    ) -> bool {
+        let n = suspicions.n();
+        let skipped = |rows: u64| scan.note_skipped(rows, rows * n as u64);
+        // Read the global epoch *before* the row walk: a write racing the
+        // walk leaves `seen_global` behind the bump it missed, so the next
+        // refresh takes the slow path and observes it.
+        let global = suspicions.version().expect(EPOCHED);
+        if self.seen_global == global {
+            if n > 1 {
+                skipped(n as u64 - 1);
+            }
+            return false;
+        }
+        let mut rows_skipped = 0u64;
+        let mut changed = false;
+        for j in ProcessId::all(n) {
+            if j == self.pid {
+                continue;
+            }
+            let version = suspicions.row_version(j).expect(EPOCHED);
+            if self.seen[j.index()] == version {
+                rows_skipped += 1;
+                continue;
+            }
+            suspicions.read_row_into(j, self.pid, &mut self.buf);
+            scan.note_snapshot();
+            let held = &mut self.rows[j.index()];
+            let held_matches = **held == *self.buf;
+            if !held_matches {
+                for ((total, old), new) in self.totals.iter_mut().zip(held.iter()).zip(&self.buf) {
+                    // total ≥ old by construction: old is one of its summands.
+                    *total = *total - *old + *new;
+                }
+            }
+            shared.share(j, held, &self.buf, held_matches);
+            self.seen[j.index()] = version;
+            changed = true;
+        }
+        if rows_skipped > 0 {
+            skipped(rows_skipped);
+        }
+        self.seen_global = global;
+        changed
+    }
+
+    /// Cached `Σ_{j≠pid} SUSPICIONS[j][k]`.
+    pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
+        self.totals[k.index()]
+    }
+
+    /// Total suspicions of candidate `k` — `Σ_j SUSPICIONS[j][k]` (line 3)
+    /// — from the refreshed foreign rows plus the mirrored own row.
+    #[inline]
+    pub(crate) fn total(&self, k: ProcessId) -> u64 {
+        self.foreign_total(k) + self.mine[k.index()]
+    }
+
+    /// Lines 22–24: suspect `k`.
+    #[inline]
+    pub(crate) fn suspect(&mut self, suspicions: &NatMatrix, k: ProcessId) {
+        let bumped = self.mine[k.index()] + 1;
+        self.mine[k.index()] = bumped;
+        self.mine_max = self.mine_max.max(bumped);
+        suspicions.get(self.pid, k).write(self.pid, bumped);
+    }
+
+    /// Line 27 — computed entirely from the owned (mirrored) row.
+    #[inline]
+    pub(crate) fn timeout(&self) -> u64 {
+        self.mine_max + self.slack
+    }
+
+    /// The copy of row `j` this cache holds.
+    #[cfg(test)]
+    pub(crate) fn row(&self, j: ProcessId) -> &Arc<[u64]> {
+        &self.rows[j.index()]
+    }
+
+    /// Whether `totals` is the column sum of the foreign rows held.
+    #[cfg(test)]
+    pub(crate) fn totals_match_rows(&self) -> bool {
+        (0..self.totals.len()).all(|k| {
+            let column: u64 = ProcessId::all(self.rows.len())
+                .filter(|&j| j != self.pid)
+                .map(|j| self.rows[j.index()][k])
+                .sum();
+            column == self.totals[k]
+        })
+    }
+}
+
+/// The dense cache — a private copy of every foreign row in every process —
+/// kept as the reference the shared rows are tested against.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct DenseSuspicionCache {
+    pid: ProcessId,
+    rows: Vec<Vec<u64>>,
+    seen: Vec<u64>,
+    totals: Vec<u64>,
+    buf: Vec<u64>,
+}
+
+#[cfg(test)]
+impl DenseSuspicionCache {
+    pub(crate) fn new(n: usize, pid: ProcessId) -> Self {
+        DenseSuspicionCache {
+            pid,
+            rows: vec![vec![0; n]; n],
+            seen: vec![u64::MAX; n],
+            totals: vec![0; n],
+            buf: vec![0; n],
+        }
+    }
+
+    /// [`SuspicionCache::refresh`]'s dirty path, into private rows.
+    pub(crate) fn refresh(&mut self, suspicions: &NatMatrix) {
+        for j in ProcessId::all(suspicions.n()) {
+            let seen = suspicions.row_version(j).expect(EPOCHED);
+            if j == self.pid || self.seen[j.index()] == seen {
+                continue;
+            }
+            suspicions.read_row_into(j, self.pid, &mut self.buf);
+            let old = &mut self.rows[j.index()];
+            for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
+                *total = *total - *old + *new;
+                *old = *new;
+            }
+            self.seen[j.index()] = seen;
+        }
+    }
+
+    pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
+        self.totals[k.index()]
+    }
+}
+
+/// `T1`'s memo against a fresh election, for every variant.
+#[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use crate::{Alg1Memory, Alg1Process, Alg2Memory, Alg2Process, MwmrMemory, MwmrProcess};
+    use crate::{OmegaProcess, T3_SHARD_SIZE};
+    use omega_registers::MemorySpace;
+
+    /// A process whose `T1` is memoized by an [`Elector`].
+    trait Memoized: OmegaProcess {
+        fn election(&self) -> &Cell<Option<ProcessId>>;
+    }
+
+    impl Memoized for Alg1Process {
+        fn election(&self) -> &Cell<Option<ProcessId>> {
+            &self.fig2.election
+        }
+    }
+
+    impl Memoized for Alg2Process {
+        fn election(&self) -> &Cell<Option<ProcessId>> {
+            &self.fig2.election
+        }
+    }
+
+    impl Memoized for MwmrProcess {
+        fn election(&self) -> &Cell<Option<ProcessId>> {
+            &self.fig2.election
+        }
+    }
+
+    /// A system and a way to poke arbitrary values into its registers.
+    struct System<P> {
+        space: MemorySpace,
+        procs: Vec<P>,
+        poke: Box<dyn Fn(u64)>,
+    }
+
+    /// xorshift64*, seeded.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
+        }
+    }
+
+    fn alg1(n: usize) -> System<Alg1Process> {
+        let space = MemorySpace::new(n);
+        let mem = Alg1Memory::new(&space);
+        let procs = ProcessId::all(n)
+            .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
+            .collect();
+        let poke = Box::new(move |seed| mem.corrupt(seed));
+        System { space, procs, poke }
+    }
+
+    fn alg2(n: usize) -> System<Alg2Process> {
+        let space = MemorySpace::new(n);
+        let mem = Alg2Memory::new(&space);
+        let procs = ProcessId::all(n)
+            .map(|pid| Alg2Process::new(Arc::clone(&mem), pid))
+            .collect();
+        let poke = Box::new(move |seed| mem.corrupt(seed));
+        System { space, procs, poke }
+    }
+
+    fn mwmr(n: usize) -> System<MwmrProcess> {
+        let space = MemorySpace::new(n);
+        let mem = MwmrMemory::new(&space);
+        let procs = ProcessId::all(n)
+            .map(|pid| MwmrProcess::new(Arc::clone(&mem), pid))
+            .collect();
+        // nWnR counters move only by suspicion; pokes reach `STOP` and
+        // `PROGRESS`, and through the candidates the election.
+        let poke = Box::new(move |seed: u64| {
+            let (stop, progress) = mem.heartbeat_arrays();
+            let k = ProcessId::new(seed as usize % n);
+            stop.get(k).poke(seed.is_multiple_of(3));
+            progress.get(k).poke(seed);
+        });
+        System { space, procs, poke }
+    }
+
+    /// `proc.leader()`, memo and all, against the election it makes once
+    /// the memo is dropped: the view is the same (nothing moved in
+    /// between), so the two differ only if the memo outlived its inputs.
+    fn check<P: Memoized>(proc: &P, op: &str) {
+        let memoized = proc.leader();
+        proc.election().set(None);
+        assert_eq!(memoized, proc.leader(), "{op}: p{}'s leader()", proc.pid());
+    }
+
+    /// Random steps, passes, pokes, partitions, cuts and heals, one
+    /// process's `leader()` checked after each — so that a memo may
+    /// outlive several operations before it is asked — then every
+    /// process's after a heal and calm rounds. Returns how often a query
+    /// was served from the memo.
+    fn against_fresh<P: Memoized>(system: System<P>, seed: u64) -> usize {
+        let System {
+            space,
+            mut procs,
+            poke,
+        } = system;
+        let n = procs.len();
+        // Shown only when the test fails: which run to replay.
+        println!("n = {n}, seed = {seed}");
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut hits = 0;
+        for op in 0..40 * n {
+            let p = rng.below(n);
+            match rng.below(100) {
+                0..=39 => procs[p].t2_step(),
+                40..=84 => {
+                    let _ = procs[p].on_timer_expire();
+                }
+                85..=87 => poke(rng.below(1 << 20) as u64),
+                88..=91 => {
+                    let mut groups = vec![Vec::new(); 2];
+                    for pid in ProcessId::all(n) {
+                        if let Some(group) = groups.get_mut(rng.below(3)) {
+                            group.push(pid);
+                        }
+                    }
+                    space.install_partition(&groups);
+                }
+                92..=94 => {
+                    let (mut blinded, mut hidden) = (Vec::new(), Vec::new());
+                    for pid in ProcessId::all(n) {
+                        match rng.below(3) {
+                            0 => blinded.push(pid),
+                            1 => hidden.push(pid),
+                            _ => {}
+                        }
+                    }
+                    space.install_cut(&blinded, &hidden);
+                }
+                _ => space.heal_partition(),
+            }
+            let q = &procs[rng.below(n)];
+            hits += usize::from(q.election().get().is_some());
+            check(q, &format!("op {op}"));
+        }
+        space.heal_partition();
+        for round in 0..2 * n.div_ceil(T3_SHARD_SIZE) + 2 {
+            for p in 0..n {
+                procs[p].t2_step();
+                let _ = procs[p].on_timer_expire();
+                let q = &procs[(p + 1) % n];
+                hits += usize::from(q.election().get().is_some());
+                check(q, &format!("calm round {round}, after p{p}"));
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn memoized_leader_matches_a_fresh_election_in_every_variant() {
+        for n in [3, 5, 17, 40] {
+            for seed in 1..4 {
+                let seed = seed * 1_000 + n as u64;
+                let hits = [
+                    against_fresh(alg1(n), seed),
+                    against_fresh(alg2(n), seed),
+                    against_fresh(mwmr(n), seed),
+                ];
+                // Not vacuous: the memo served queries in every variant.
+                assert!(hits.iter().all(|&h| h > 0), "n={n}: {hits:?}");
+            }
+        }
+    }
+}

@@ -1,11 +1,15 @@
-//! The heartbeat side of task `T3` (Figure 2, lines 13–24), shared by
+//! Figure 2's heartbeat — line 8 of task `T2` and the side of task `T3`
+//! that watches it (lines 13–24) — shared by
 //! [`Alg1Process`](crate::Alg1Process) and
 //! [`MwmrProcess`](crate::MwmrProcess): their `STOP`/`PROGRESS` arrays are
-//! the same layout, and only what a suspicion writes differs.
+//! the same layout, and only what a suspicion writes differs. (Figure 5
+//! replaces both halves; [`Alg2Process`](crate::Alg2Process) keeps only
+//! the [`ShardCursor`].)
 //!
-//! A [`HeartbeatTracker`] holds `candidates_i`, `last_i` and the cursor of
-//! the sharded scan (see the [`alg1`](crate::alg1) module docs), and runs
-//! one pass over one shard at a time.
+//! A [`HeartbeatTracker`] holds the mirror of the own `PROGRESS` entry,
+//! `candidates_i`, `last_i` and the cursor of the sharded scan (see the
+//! [`alg1`](crate::alg1) module docs); it beats, and it runs one pass over
+//! one shard at a time.
 //!
 //! # Passes that are provably no-ops
 //!
@@ -56,9 +60,10 @@ pub(crate) struct ShardCursor {
 
 impl ShardCursor {
     pub(crate) fn new(n: usize, shard: usize) -> Self {
+        assert!(shard >= 1, "a T3 pass must scan at least one process");
         ShardCursor {
             n,
-            shard: shard.max(1),
+            shard,
             next: 0,
             index: 0,
         }
@@ -128,12 +133,14 @@ fn scan_heartbeats(
     }
 }
 
-/// One process's `candidates_i` and `last_i`, the shard cursor of its
-/// `T3` scan, and the `PROGRESS` version each shard was last scanned at
-/// (module docs).
+/// One process's mirror of `PROGRESS[pid]`, its `candidates_i` and
+/// `last_i`, the shard cursor of its `T3` scan, and the `PROGRESS`
+/// version each shard was last scanned at (module docs).
 #[derive(Debug)]
 pub(crate) struct HeartbeatTracker {
     pid: ProcessId,
+    /// Local mirror of `PROGRESS[pid]` (owner-side copy).
+    my_progress: u64,
     /// `candidates_i` — invariant: always contains `pid`.
     candidates: ProcessSet,
     /// `last_i[k]` — greatest `PROGRESS[k]` value seen (line 19).
@@ -152,12 +159,16 @@ pub(crate) struct HeartbeatTracker {
 }
 
 impl HeartbeatTracker {
-    /// A tracker for `pid` of an `n`-process system, trusting
-    /// `candidates`, scanning shards of [`T3_SHARD_SIZE`].
-    pub(crate) fn new(n: usize, pid: ProcessId, candidates: ProcessSet) -> Self {
+    /// A tracker for `pid` of the system whose `PROGRESS` array is
+    /// `progress`, trusting `candidates`, scanning shards of
+    /// [`T3_SHARD_SIZE`]. The `PROGRESS[pid]` mirror starts from the
+    /// register's actual contents (a corrupted initial state included).
+    pub(crate) fn new(progress: &NatArray, pid: ProcessId, candidates: ProcessSet) -> Self {
+        let n = progress.len();
         let cursor = ShardCursor::new(n, T3_SHARD_SIZE);
         HeartbeatTracker {
             pid,
+            my_progress: progress.get(pid).peek(),
             candidates,
             last: vec![0; n],
             last_valid: vec![false; n],
@@ -178,6 +189,14 @@ impl HeartbeatTracker {
     /// `candidates_i`.
     pub(crate) fn candidates(&self) -> &ProcessSet {
         &self.candidates
+    }
+
+    /// Line 8: heartbeat, `PROGRESS[pid]` incremented (wrapping: a wrap
+    /// still reads as progress).
+    #[inline]
+    pub(crate) fn beat(&mut self, progress: &NatArray) {
+        self.my_progress = self.my_progress.wrapping_add(1);
+        progress.get(self.pid).write(self.pid, self.my_progress);
     }
 
     /// One `T3` pass over the next shard: lines 15–24 for every `k ≠ pid`

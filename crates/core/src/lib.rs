@@ -68,6 +68,7 @@ mod alg1;
 mod alg2;
 mod baseline;
 mod candidates;
+mod fig2;
 mod heartbeat;
 mod mwmr;
 mod stepclock;

@@ -8,8 +8,10 @@
 //! algorithm's properties — the counter still only grows when some process
 //! suspects `k`, and it stops growing exactly when suspicions stop.
 //!
-//! `T3` runs on the heartbeat tracker [`Alg1Process`](crate::Alg1Process)
-//! uses, so the two share one rule. A pass reads `STOP[shard]`, then
+//! This file holds what §3.5(a) changes: the shared counters, the
+//! `CounterCache` `T1` elects from, the suspicion and the timeout. The
+//! rest is Figure 2's: `T1` and lines 9 and 11 in [`crate::fig2`], line 8
+//! and the `T3` pass in [`crate::heartbeat`]. A pass reads `STOP[shard]`, then
 //! `PROGRESS[shard]`, then — for each `k` it suspects — the counter of `k`
 //! before writing it back incremented; last, the timeout refreshes the
 //! counter cache. A pass over a shard that no one wrote and that holds no
@@ -17,14 +19,14 @@
 //! and suspects no one; only the refresh then reads, and only counters
 //! whose epoch moved.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use omega_registers::{
     FlagArray, MemorySpace, MwmrNatArray, NatArray, ProcessId, ProcessSet, ScanCounters,
 };
 
-use crate::candidates::{elect_least_suspected, CandidateInit};
+use crate::candidates::CandidateInit;
+use crate::fig2::Elector;
 use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
 
@@ -34,11 +36,11 @@ const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_mwmr_array";
 /// Epoch-validated local view of the shared suspicion counters: slot `k`
 /// is re-read only when its modification epoch moved.
 #[derive(Debug)]
-struct CounterCache {
+pub(crate) struct CounterCache {
     seen: Vec<u64>,
     /// Array-global epoch of the last validation pass; `u64::MAX` = none
-    /// yet. While it matches, `refresh` is O(1) (see
-    /// [`SuspicionCache`](crate::alg1)).
+    /// yet. While it matches, `refresh` is O(1) (as a `SUSPICIONS` row
+    /// cache's, [`crate::fig2`]).
     seen_global: u64,
     values: Vec<u64>,
     /// `max(values)`, recomputed only when a refresh re-reads something —
@@ -157,19 +159,11 @@ impl MwmrMemory {
 /// One process of the nWnR variant.
 #[derive(Debug)]
 pub struct MwmrProcess {
-    pid: ProcessId,
     mem: Arc<MwmrMemory>,
-    /// `candidates_i`, `last_i` and the sharded `T3` scan, as in
-    /// [`Alg1Process`](crate::Alg1Process).
+    /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
+    /// `T3` scan, as in [`Alg1Process`](crate::Alg1Process).
     heartbeats: HeartbeatTracker,
-    my_progress: u64,
-    my_stop: bool,
-    cached: Option<ProcessId>,
-    /// Epoch-validated view of the shared suspicion counters.
-    scan: RefCell<CounterCache>,
-    /// Memoized `T1` winner (see [`Alg1Process`](crate::Alg1Process));
-    /// `None` = stale.
-    election: std::cell::Cell<Option<ProcessId>>,
+    pub(crate) fig2: Elector<CounterCache>,
 }
 
 impl MwmrProcess {
@@ -181,17 +175,11 @@ impl MwmrProcess {
     #[must_use]
     pub fn new(mem: Arc<MwmrMemory>, pid: ProcessId) -> Self {
         let n = mem.n();
-        assert!(pid.index() < n, "{pid} out of range for n={n}");
-        let my_progress = mem.progress.get(pid).peek();
-        let my_stop = mem.stop.get(pid).peek();
+        let fig2 = Elector::new(&mem.stop, pid, || CounterCache::new(n));
+        let candidates = CandidateInit::Full.materialize(n, pid);
         MwmrProcess {
-            pid,
-            heartbeats: HeartbeatTracker::new(n, pid, CandidateInit::Full.materialize(n, pid)),
-            my_progress,
-            my_stop,
-            cached: None,
-            scan: RefCell::new(CounterCache::new(n)),
-            election: std::cell::Cell::new(None),
+            heartbeats: HeartbeatTracker::new(&mem.progress, pid, candidates),
+            fig2,
             mem,
         }
     }
@@ -217,7 +205,7 @@ impl MwmrProcess {
 
 impl OmegaProcess for MwmrProcess {
     fn pid(&self) -> ProcessId {
-        self.pid
+        self.fig2.pid
     }
 
     fn n(&self) -> usize {
@@ -225,36 +213,19 @@ impl OmegaProcess for MwmrProcess {
     }
 
     fn leader(&self) -> ProcessId {
-        let mut scan = self.scan.borrow_mut();
-        let changed = scan.refresh(&self.mem.suspicions, self.pid, &self.mem.scan);
-        if changed {
-            self.election.set(None);
-        } else if let Some(winner) = self.election.get() {
-            return winner;
-        }
-        let winner = elect_least_suspected(self.candidates(), |k| scan.values[k.index()])
-            .expect("candidates always contain self");
-        self.election.set(Some(winner));
-        winner
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
+        self.fig2.leader(
+            self.candidates(),
+            |cache| cache.refresh(&mem.suspicions, pid, &mem.scan),
+            |cache, k| cache.values[k.index()],
+        )
     }
 
     fn t2_step(&mut self) {
         let leader = self.leader();
-        self.cached = Some(leader);
-        if leader == self.pid {
-            self.my_progress = self.my_progress.wrapping_add(1);
-            self.mem
-                .progress
-                .get(self.pid)
-                .write(self.pid, self.my_progress);
-            if self.my_stop {
-                self.my_stop = false;
-                self.mem.stop.get(self.pid).write(self.pid, false);
-            }
-        } else if !self.my_stop {
-            self.my_stop = true;
-            self.mem.stop.get(self.pid).write(self.pid, true);
-        }
+        let (mem, heartbeats) = (&*self.mem, &mut self.heartbeats);
+        self.fig2
+            .t2_step(leader, &mem.stop, || heartbeats.beat(&mem.progress));
     }
 
     /// `T3` over one shard, as in [`Alg1Process`](crate::Alg1Process):
@@ -262,7 +233,7 @@ impl OmegaProcess for MwmrProcess {
     /// module docs for why in that order), or booked reads when the pass
     /// is provably a no-op.
     fn on_timer_expire(&mut self) -> u64 {
-        let (mem, pid) = (&*self.mem, self.pid);
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
         let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
             // Read-increment-write on the shared counter; increments may
             // race and be lost, which the variant tolerates.
@@ -273,15 +244,16 @@ impl OmegaProcess for MwmrProcess {
         // Line 27 analogue: the timeout tracks the largest suspicion count
         // this process can observe — from the epoch-validated cache, so
         // clean counters cost no shared reads (and no O(n) rescan).
-        let mut scan = self.scan.borrow_mut();
-        let reread = scan.refresh(&mem.suspicions, pid, &mem.scan);
+        let cache = self.fig2.view.get_mut();
+        let reread = cache.refresh(&mem.suspicions, pid, &mem.scan);
+        let timeout = cache.values_max + 1;
         if reread || !booked {
             // The pass may have changed `candidates` and the counters, and
             // the refresh may have consumed a change `leader()` must see —
             // election inputs all.
-            self.election.set(None);
+            self.fig2.election.set(None);
         }
-        scan.values_max + 1
+        timeout
     }
 
     fn initial_timeout(&self) -> u64 {
@@ -289,7 +261,7 @@ impl OmegaProcess for MwmrProcess {
     }
 
     fn cached_leader(&self) -> Option<ProcessId> {
-        self.cached
+        self.fig2.cached
     }
 }
 

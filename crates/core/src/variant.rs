@@ -75,45 +75,31 @@ impl OmegaVariant {
     /// size is the space's process count.
     #[must_use]
     pub fn build_processes_in(&self, space: &MemorySpace) -> Vec<Box<dyn crate::OmegaProcess>> {
-        let n = space.n_processes();
+        fn each<P: crate::OmegaProcess + 'static>(
+            space: &MemorySpace,
+            process: impl Fn(ProcessId) -> P,
+        ) -> Vec<Box<dyn crate::OmegaProcess>> {
+            let boxed = |pid| Box::new(process(pid)) as Box<dyn crate::OmegaProcess>;
+            ProcessId::all(space.n_processes()).map(boxed).collect()
+        }
         match self {
             OmegaVariant::Alg1 => {
                 let mem = Alg1Memory::new(space);
-                ProcessId::all(n)
-                    .map(|pid| {
-                        Box::new(Alg1Process::new(Arc::clone(&mem), pid))
-                            as Box<dyn crate::OmegaProcess>
-                    })
-                    .collect()
+                each(space, |pid| Alg1Process::new(Arc::clone(&mem), pid))
             }
             OmegaVariant::Alg2 => {
                 let mem = Alg2Memory::new(space);
-                ProcessId::all(n)
-                    .map(|pid| {
-                        Box::new(Alg2Process::new(Arc::clone(&mem), pid))
-                            as Box<dyn crate::OmegaProcess>
-                    })
-                    .collect()
+                each(space, |pid| Alg2Process::new(Arc::clone(&mem), pid))
             }
             OmegaVariant::Mwmr => {
                 let mem = MwmrMemory::new(space);
-                ProcessId::all(n)
-                    .map(|pid| {
-                        Box::new(MwmrProcess::new(Arc::clone(&mem), pid))
-                            as Box<dyn crate::OmegaProcess>
-                    })
-                    .collect()
+                each(space, |pid| MwmrProcess::new(Arc::clone(&mem), pid))
             }
             OmegaVariant::StepClock => {
                 let mem = Alg1Memory::new(space);
-                ProcessId::all(n)
-                    .map(|pid| {
-                        Box::new(StepClockProcess::new(Alg1Process::new(
-                            Arc::clone(&mem),
-                            pid,
-                        ))) as Box<dyn crate::OmegaProcess>
-                    })
-                    .collect()
+                each(space, |pid| {
+                    StepClockProcess::new(Alg1Process::new(Arc::clone(&mem), pid))
+                })
             }
         }
     }

@@ -516,6 +516,21 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_beyond_the_task_count_runs_a_worker_per_task() {
+        // n = 2 is four tasks; 36 more workers would own empty shards.
+        let config = CoopConfig {
+            node: fast(),
+            workers: 40,
+        };
+        let cluster = Cluster::start_coop(OmegaVariant::Alg1, 2, config);
+        assert_eq!(cluster.workers(), 2 * 2, "one worker per task");
+        let polled = || cluster.runtime.shard_stats().iter().all(|s| s.polls > 0);
+        eventually("every shard is polled", polled);
+        assert_eq!(cluster.runtime.shard_stats().len(), 2 * 2);
+        cluster.shutdown();
+    }
+
+    #[test]
     fn application_tasks_under_threads_are_polled_retire_and_are_joined() {
         let (brief, parked) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let cluster = Cluster::start_in(

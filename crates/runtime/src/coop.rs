@@ -625,7 +625,9 @@ impl CoopRuntime {
     /// extras round-robin over the shards after them — unless the pool has
     /// a worker for every task, which then gives each task a shard of its
     /// own: the step and timer loops of node `i` on shards `2i` and
-    /// `2i + 1`, extra `j` on shard `2n + j`.
+    /// `2i + 1`, extra `j` on shard `2n + j`. A pool larger than the task
+    /// set runs one worker per task: a worker beyond that would own an
+    /// empty shard and only park.
     pub(crate) fn start(
         cores: &[Arc<NodeCore>],
         config: CoopConfig,
@@ -634,8 +636,9 @@ impl CoopRuntime {
         assert!(config.workers > 0, "a runtime needs at least one worker");
         let start = Instant::now();
         let live = cores.len() * 2 + extras.len();
-        let per_task = config.workers >= live;
-        let mut states: Vec<ShardState> = (0..config.workers)
+        let workers = config.workers.min(live.max(1));
+        let per_task = workers >= live;
+        let mut states: Vec<ShardState> = (0..workers)
             .map(|_| ShardState {
                 queue: DeadlineQueue::new(),
                 tasks: Vec::new(),
@@ -652,7 +655,7 @@ impl CoopRuntime {
                 let (step, timer) = if per_task {
                     (2 * i, 2 * i + 1)
                 } else {
-                    (i % config.workers, i % config.workers)
+                    (i % workers, i % workers)
                 };
                 seed(step, Task::Step(Arc::clone(core)), 0);
                 let first = Instant::now() + config.node.timer_span(core.initial_timeout());
@@ -666,7 +669,7 @@ impl CoopRuntime {
                 let home = if per_task {
                     2 * cores.len() + j
                 } else {
-                    (cores.len() + j) % config.workers
+                    (cores.len() + j) % workers
                 };
                 seed(home, Task::External(task), 0);
             }
@@ -685,11 +688,11 @@ impl CoopRuntime {
                 .collect(),
             live: AtomicUsize::new(live),
             stop: AtomicBool::new(false),
-            steals: config.workers > 1 && !per_task,
+            steals: workers > 1 && !per_task,
             stretch: TickStretch::new(),
             help_cursor: AtomicUsize::new(0),
         });
-        let workers = (0..config.workers)
+        let workers = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
