@@ -16,6 +16,7 @@
 //! the decided prefix.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use omega_registers::sync::RwLock;
@@ -29,7 +30,15 @@ use crate::proposer::{ConsensusProcess, ProposerStatus};
 #[derive(Debug)]
 pub struct LogShared<V: RegisterValue> {
     space: MemorySpace,
-    instances: RwLock<Vec<Arc<ConsensusInstance<V>>>>,
+    slots: RwLock<Slots<V>>,
+}
+
+/// The instances allocated so far, and the buffer in which the next one's
+/// bank names are spelled: a slot allocates no string of its own.
+#[derive(Debug)]
+struct Slots<V: RegisterValue> {
+    instances: Vec<Arc<ConsensusInstance<V>>>,
+    names: String,
 }
 
 impl<V: RegisterValue> LogShared<V> {
@@ -38,7 +47,10 @@ impl<V: RegisterValue> LogShared<V> {
     pub fn new(space: MemorySpace) -> Arc<Self> {
         Arc::new(LogShared {
             space,
-            instances: RwLock::new(Vec::new()),
+            slots: RwLock::new(Slots {
+                instances: Vec::new(),
+                names: String::new(),
+            }),
         })
     }
 
@@ -47,15 +59,17 @@ impl<V: RegisterValue> LogShared<V> {
     #[must_use]
     pub fn instance(&self, slot: usize) -> Arc<ConsensusInstance<V>> {
         {
-            let instances = self.instances.read();
-            if let Some(inst) = instances.get(slot) {
+            let slots = self.slots.read();
+            if let Some(inst) = slots.instances.get(slot) {
                 return Arc::clone(inst);
             }
         }
-        let mut instances = self.instances.write();
+        let mut slots = self.slots.write();
+        let Slots { instances, names } = &mut *slots;
         while instances.len() <= slot {
-            let name = format!("LOG[{}]", instances.len());
-            instances.push(ConsensusInstance::new(&self.space, &name));
+            names.clear();
+            write!(names, "LOG[{}]", instances.len()).expect("writing to a String");
+            instances.push(ConsensusInstance::named_in(&self.space, names));
         }
         Arc::clone(&instances[slot])
     }
@@ -63,7 +77,7 @@ impl<V: RegisterValue> LogShared<V> {
     /// Number of slots allocated so far.
     #[must_use]
     pub fn allocated_slots(&self) -> usize {
-        self.instances.read().len()
+        self.slots.read().instances.len()
     }
 }
 

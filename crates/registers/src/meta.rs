@@ -218,6 +218,13 @@ impl Counters {
         }
     }
 
+    /// Every write counted so far: the sum of the write cells.
+    pub(crate) fn total_writes(&self) -> u64 {
+        (self.writes().iter())
+            .map(|cell| cell.load(Ordering::Relaxed))
+            .sum()
+    }
+
     /// Number of write cells [`copy_into`](Self::copy_into) fills.
     pub(crate) fn write_cells(&self) -> usize {
         self.writes().len()

@@ -751,6 +751,19 @@ impl MemorySpace {
         snap.scan = self.inner.scan.snapshot();
     }
 
+    /// Every write counted so far, summed over the banks under the
+    /// registry's read lock: [`stats`](Self::stats)`().total_writes()`
+    /// without the snapshot. It allocates nothing — no counter copy and no
+    /// layout — so a run that needs only this total does not copy a
+    /// registry that may hold millions of registers.
+    #[must_use]
+    pub fn total_writes(&self) -> u64 {
+        let registry = self.inner.registry.read();
+        (registry.banks.iter())
+            .map(|bank| bank.counters().total_writes())
+            .sum()
+    }
+
     /// Reports the bit-footprint of every register: current size and
     /// high-water mark since creation.
     #[must_use]
@@ -851,6 +864,51 @@ mod tests {
         assert_eq!(snap.rows().len(), 3);
         assert_eq!(snap.total_writes(), 1);
         assert_eq!(snap.total_reads(), 1);
+    }
+
+    #[test]
+    fn total_writes_is_the_snapshot_total_without_the_snapshot() {
+        for mode in [Instrumentation::Eager, Instrumentation::Deferred] {
+            let s = MemorySpace::with_instrumentation(3, mode);
+            let p = ProcessId::new;
+            let agree = |at: &str| {
+                assert_eq!(s.total_writes(), s.stats().total_writes(), "{mode:?}, {at}");
+            };
+            let scalar = s.nat_register("X", p(1), 0);
+            let progress = s.epoched_nat_array("PROGRESS", |_| 0);
+            let shared = s.nat_mwmr_array("S", 2, |_| 0);
+            let suspicions = s.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
+            let last = s.flag_column_matrix("LAST", |_, _| false);
+            scalar.write(p(1), 4);
+            progress.get(p(2)).write(p(2), 1);
+            progress.get(p(2)).write(p(2), 2);
+            // One write cell per (register, writer) in an nWnR bank.
+            shared.get(1).write(p(0), 3);
+            shared.get(1).write(p(2), 3);
+            shared.get(0).write(p(1), 1);
+            suspicions.get(p(0), p(2)).write(p(0), 1);
+            last.get(p(1), p(2)).write(p(2), true);
+            assert_eq!(s.total_writes(), 8, "{mode:?}");
+            assert_eq!(
+                s.inner.layout.read().register_count(),
+                0,
+                "{mode:?}: the fold builds no layout"
+            );
+            agree("SWMR, nWnR and matrix banks");
+
+            s.install_partition(&[vec![p(0)], vec![p(1), p(2)]]);
+            progress.get(p(0)).write(p(0), 5);
+            shared.get(0).write(p(2), 6);
+            let late = s.nat_array("LATE", |_| 0);
+            late.get(p(1)).write(p(1), 7);
+            agree("a partition installed and a bank created mid-cut");
+
+            s.heal_partition();
+            late.get(p(2)).write(p(2), 8);
+            suspicions.get(p(1), p(0)).write(p(1), 1);
+            agree("healed");
+            assert_eq!(s.total_writes(), 13, "{mode:?}");
+        }
     }
 
     #[test]

@@ -250,7 +250,8 @@ pub struct Outcome {
     /// Registers whose footprint still grew late in the run (empty for
     /// fully bounded variants; at most `PROGRESS[leader]` for Figure 2).
     pub grown_in_tail: Vec<String>,
-    /// Activity over the trailing window, when the backend captured one.
+    /// Activity over the trailing window, when the backend captured one
+    /// (on the simulator: when the spec asked for checkpoints).
     pub tail: Option<TailActivity>,
     /// Block-level disk footprint, when the backend ran over a SAN
     /// (`None` for in-memory backends).

@@ -90,8 +90,8 @@ impl Driver for SimDriver {
 
 fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> Outcome {
     let stabilization = report.stabilization();
-    // `Simulation::finish` checkpointed both at the horizon; only a report
-    // of a run without an attached memory has to ask the space.
+    // `Simulation::finish` checkpointed both at the horizon, unless the
+    // spec asked for no checkpoint: then the space is asked once, here.
     let stats = match report.windowed.snapshots().last() {
         Some((_, at_horizon)) => Cow::Borrowed(at_horizon),
         None => Cow::Owned(space.stats()),
@@ -192,6 +192,29 @@ mod tests {
         assert_eq!(tail.writers.len(), 1);
         assert_eq!(tail.written_registers, 1);
         assert!(outcome.summary().contains("stable from"));
+    }
+
+    #[test]
+    fn zero_checkpoints_count_the_same_and_have_no_tail() {
+        let scenario = Scenario::fault_free(OmegaVariant::Alg1, 4)
+            .crash_leader_at(15_000)
+            .horizon(40_000)
+            .stats_checkpoints(0);
+        let text = crate::spec_text::to_spec_text(&scenario);
+        assert!(text.contains("checkpoints 0"), "{text}");
+        let parsed = crate::spec_text::from_spec_text(&text).unwrap();
+        assert_eq!(parsed.stats_checkpoints, 0);
+        assert_eq!(crate::spec_text::to_spec_text(&parsed), text);
+
+        let bare = SimDriver.run(&parsed);
+        let windowed = SimDriver.run(&scenario.clone().stats_checkpoints(16));
+        assert_eq!(bare.reads, windowed.reads);
+        assert_eq!(bare.writes, windowed.writes);
+        assert_eq!(bare.hwm_bits, windowed.hwm_bits);
+        assert_eq!(bare.register_count, windowed.register_count);
+        assert!(windowed.tail.is_some());
+        assert!(bare.tail.is_none(), "no checkpoint, no tail window");
+        assert!(bare.grown_in_tail.is_empty());
     }
 
     #[test]

@@ -373,7 +373,8 @@ pub struct Scenario {
     pub horizon: u64,
     /// Leader-estimate sampling cadence in ticks.
     pub sample_every: u64,
-    /// Number of statistics/footprint checkpoints across the run.
+    /// Number of statistics/footprint checkpoints across the run (0: none,
+    /// and no tail; see [`Scenario::stats_checkpoints`]).
     pub stats_checkpoints: usize,
     /// Seed for every random choice (adversary delays, timer jitter).
     pub seed: u64,
@@ -573,7 +574,12 @@ impl Scenario {
         self
     }
 
-    /// Sets the number of statistics checkpoints.
+    /// Sets the number of statistics checkpoints. A positive count also
+    /// checkpoints at tick zero and at the horizon. 0 (`checkpoints 0` in
+    /// spec text) takes none: the simulator's outcome then reads its
+    /// totals and footprint off the space at the end, and has no tail —
+    /// [`Outcome::tail`](crate::Outcome::tail) is `None` and
+    /// [`Outcome::grown_in_tail`](crate::Outcome::grown_in_tail) empty.
     #[must_use]
     pub fn stats_checkpoints(mut self, count: usize) -> Self {
         self.stats_checkpoints = count;

@@ -149,20 +149,16 @@ fn simulate(scenario: &ServiceScenario) -> (MemorySpace, ServiceOutcome, RunRepo
 
     let crash_ticks: Vec<u64> = election.crashes.iter().map(CrashSpec::tick).collect();
 
-    // The simulator snapshots the registers at the horizon and nothing
-    // writes one afterwards (the sweep above touches the ledger only), so
-    // that snapshot's total is the run's: no second walk of a registry
-    // that holds 2n registers per log slot.
-    let (_, at_horizon) = (report.windowed.snapshots().last())
-        .expect("a run with a memory space attached ends on a checkpoint");
-
+    // A service run takes no checkpoint (`ServiceScenario::new`), and its
+    // one register figure is folded over the live banks: no copy of a
+    // registry that holds 2n registers per log slot.
     let outcome = ServiceOutcome::assemble(
         "sim",
         scenario,
         &ledger,
         &crash_ticks,
         report.stabilization().is_some(),
-        at_horizon.total_writes(),
+        space.total_writes(),
         shared.allocated_slots() as u64,
         report.wall.elapsed_ms(),
     );
@@ -193,21 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn total_writes_is_read_off_the_horizon_checkpoint() {
+    fn a_service_run_takes_no_checkpoint_and_folds_its_total() {
         let sc = registry::by_name("steady/alg1").unwrap();
         let (space, outcome, report) = simulate(&sc);
-        let snapshots = report.windowed.snapshots();
-        assert_eq!(
-            snapshots.iter().map(|(t, _)| t.ticks()).collect::<Vec<_>>(),
-            [0, sc.election.horizon],
-            "a service run checkpoints at tick 0 and at the horizon only"
+        assert!(
+            report.windowed.snapshots().is_empty() && report.footprints.is_empty(),
+            "a service run checkpoints nothing, not even at tick 0 or the horizon"
         );
-        assert_eq!(report.footprints.len(), 2);
         assert!(outcome.total_writes > 0);
         assert_eq!(
             outcome.total_writes,
             space.stats().total_writes(),
-            "nothing writes a register after the horizon checkpoint"
+            "the fold over the live banks is the snapshot's total"
         );
     }
 

@@ -11,9 +11,11 @@
 //! asks for no windowed register statistics (`stats_checkpoints = 0`).
 //! No service record, driver or gate reads them, and on a service run the
 //! register registry grows with the log — 2n registers a slot — so each
-//! checkpoint is a dense walk of O(slots) registers and each one taken is
-//! retained to the end of the run. The simulator's tick-0 and horizon
-//! snapshots are still taken; `total_writes` is read off the latter.
+//! checkpoint is a dense copy of O(slots) registers, retained to the end
+//! of the run. With 0 the simulator takes no checkpoint at all, not even
+//! at tick 0 or at the horizon, and both drivers read `total_writes` by
+//! [`MemorySpace::total_writes`](omega_registers::MemorySpace::total_writes),
+//! a fold over the live banks that copies nothing.
 
 use omega_scenario::Scenario;
 

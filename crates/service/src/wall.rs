@@ -151,7 +151,7 @@ impl ServiceWallDriver {
         let stabilized = cluster
             .await_stable_leader(pacing.window, Duration::from_secs(5))
             .is_some();
-        let total_writes = cluster.space().stats().total_writes();
+        let total_writes = cluster.space().total_writes();
         cluster.shutdown();
         ledger.sweep(election.horizon);
 

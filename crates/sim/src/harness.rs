@@ -110,7 +110,11 @@ impl SimulationBuilder {
     }
 
     /// Number of cumulative statistics/footprint checkpoints spread over the
-    /// run (default: 16). Requires [`memory`](Self::memory).
+    /// run (default: 16). Requires [`memory`](Self::memory). A positive
+    /// count also checkpoints at tick zero and at the horizon; 0 takes no
+    /// checkpoint at all, leaving [`RunReport::windowed`] and
+    /// [`RunReport::footprints`] empty — a run that only needs totals reads
+    /// them off the space itself.
     #[must_use]
     pub fn stats_checkpoints(mut self, count: usize) -> Self {
         self.stats_checkpoints = count;
@@ -324,8 +328,12 @@ impl Simulation {
             .push_with_steps(now, &self.estimates, &self.report.steps_taken);
     }
 
-    /// Takes a statistics and footprint checkpoint.
+    /// Takes a statistics and footprint checkpoint, unless the run asked
+    /// for none.
     fn checkpoint(&mut self, now: SimTime) {
+        if self.stats_checkpoints == 0 {
+            return;
+        }
         if let Some(space) = &self.memory {
             self.report.windowed.push(now, space.stats());
             self.report.footprints.push((now, space.footprint()));
@@ -335,8 +343,9 @@ impl Simulation {
     /// The event loop, live and replayed: applies the events `next` yields,
     /// in order, and takes the windowed checkpoints on the way — one at
     /// tick zero, ahead of the first event, then one before the first event
-    /// at or past each multiple of `horizon / stats_checkpoints`.
-    /// ([`finish`](Self::finish) adds the one at the horizon.)
+    /// at or past each multiple of `horizon / stats_checkpoints`, none at
+    /// all if that count is 0. ([`finish`](Self::finish) adds the one at
+    /// the horizon.)
     fn apply_all(
         &mut self,
         live: bool,
@@ -597,9 +606,10 @@ pub struct RunReport {
     pub horizon: SimTime,
     /// Sampled leader estimates.
     pub timeline: LeaderTimeline,
-    /// Cumulative statistics checkpoints (empty without an attached memory).
+    /// Cumulative statistics checkpoints (empty without an attached memory
+    /// or with [`SimulationBuilder::stats_checkpoints`] at 0).
     pub windowed: WindowedStats,
-    /// Footprint checkpoints (empty without an attached memory).
+    /// Footprint checkpoints (empty when [`windowed`](Self::windowed) is).
     pub footprints: Vec<(SimTime, FootprintReport)>,
     /// Complete binary-encodable event recording (only with
     /// [`SimulationBuilder::record_trace`] enabled).
@@ -847,6 +857,20 @@ mod tests {
             .run();
         assert!(report.windowed.snapshots().len() >= 4);
         assert_eq!(report.windowed.snapshots().len(), report.footprints.len());
+    }
+
+    #[test]
+    fn zero_checkpoints_take_none() {
+        use omega_registers::MemorySpace;
+        let space = MemorySpace::new(2);
+        let _reg = space.nat_register("R", ProcessId::new(0), 0);
+        let report = Simulation::builder(fixed_actors(2, 0))
+            .memory(space)
+            .stats_checkpoints(0)
+            .horizon(400)
+            .run();
+        assert!(report.windowed.snapshots().is_empty());
+        assert!(report.footprints.is_empty());
     }
 
     #[test]
