@@ -20,10 +20,10 @@
 //! `SUSPICIONS[i][·]` row, so the remaining shared *reads* are exactly the
 //! ones the model requires.
 //!
-//! This file holds Figure 2's registers and what only Figure 2 does: the
-//! unbounded `PROGRESS` heartbeat, whose `T3` pass may be booked (below).
-//! The lines its variants keep live where they share them: `T1`, lines 9
-//! and 11 and the owned `SUSPICIONS` row (lines 22–24, 27) in
+//! This file holds what only Figure 2 does: the unbounded `PROGRESS`
+//! heartbeat, whose `T3` pass may be booked (below). What its variants
+//! keep lives where they share it: the register block, `T1`, lines 9 and
+//! 11, the owned `SUSPICIONS` row (lines 22–24, 27) and the epoch walk in
 //! [`crate::fig2`]; line 8 and the pass of lines 13–24 in
 //! [`crate::heartbeat`].
 //!
@@ -77,18 +77,13 @@
 //!   no `STOP` value, so the `STOP`-before-`PROGRESS` order above is moot
 //!   for it; every pass that reads keeps it.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use omega_registers::{
-    FlagArray, MemorySpace, NatArray, NatMatrix, ProcessId, ProcessSet, ScanCounters,
-};
+use omega_registers::{MemorySpace, NatArray, ProcessId, ProcessSet};
 
-#[cfg(test)]
-use crate::candidates::elect_least_suspected;
 use crate::candidates::CandidateInit;
-#[cfg(test)]
-use crate::fig2::DenseSuspicionCache;
-use crate::fig2::{corruption, Elector, SuspicionCache, SuspicionRows};
+use crate::fig2::{corruption, Elector, Registers, SuspicionCache, SuspicionMatrix};
 use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
 
@@ -102,14 +97,8 @@ pub const T3_SHARD_SIZE: usize = 16;
 /// system.
 #[derive(Debug)]
 pub struct Alg1Memory {
-    n: usize,
     progress: NatArray,
-    stop: FlagArray,
-    suspicions: NatMatrix,
-    /// The processes' shared copies of the `SUSPICIONS` rows.
-    suspicion_rows: SuspicionRows,
-    /// Where the reads the epochs spare are counted.
-    scan: Arc<ScanCounters>,
+    pub(crate) registers: Registers<SuspicionMatrix>,
 }
 
 impl Alg1Memory {
@@ -117,21 +106,10 @@ impl Alg1Memory {
     /// with the paper's initial values (naturals 0, booleans `true`).
     #[must_use]
     pub fn new(space: &MemorySpace) -> Arc<Self> {
-        let n = space.n_processes();
         Arc::new(Alg1Memory {
-            n,
             progress: space.epoched_nat_array("PROGRESS", |_| 0),
-            stop: space.flag_array("STOP", |_| true),
-            suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
-            suspicion_rows: SuspicionRows::new(n),
-            scan: space.scan_counters(),
+            registers: Registers::new(space, SuspicionMatrix::new),
         })
-    }
-
-    /// Number of processes.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Unattributed view of `PROGRESS[k]`, for harnesses and experiments.
@@ -140,42 +118,31 @@ impl Alg1Memory {
         self.progress.get(k).peek()
     }
 
-    /// Unattributed view of `STOP[k]`.
-    #[must_use]
-    pub fn peek_stop(&self, k: ProcessId) -> bool {
-        self.stop.get(k).peek()
-    }
-
-    /// Unattributed view of `SUSPICIONS[j][k]`.
-    #[must_use]
-    pub fn peek_suspicions(&self, j: ProcessId, k: ProcessId) -> u64 {
-        self.suspicions.get(j, k).peek()
-    }
-
-    /// Unattributed total suspicion count of `k`: `Σ_j SUSPICIONS[j][k]`.
-    #[must_use]
-    pub fn peek_total_suspicions(&self, k: ProcessId) -> u64 {
-        ProcessId::all(self.n)
-            .map(|j| self.suspicions.get(j, k).peek())
-            .sum()
-    }
-
     /// Overwrites every register with arbitrary values derived from `seed`
     /// — the paper's footnote 7 allows arbitrary initial shared state; the
     /// self-stabilization experiments start from here.
     pub fn corrupt(&self, seed: u64) {
         let mut next = corruption(seed);
-        for pid in ProcessId::all(self.n) {
+        for pid in ProcessId::all(self.n()) {
             self.progress.get(pid).poke(next() % 1_000);
             self.stop.get(pid).poke(next().is_multiple_of(2));
         }
-        for j in ProcessId::all(self.n) {
-            for k in ProcessId::all(self.n) {
+        for j in ProcessId::all(self.n()) {
+            for k in ProcessId::all(self.n()) {
                 // The poke moves the row's epoch: live processes with a
                 // populated scan cache observe the corruption next query.
-                self.suspicions.get(j, k).poke(next() % 100);
+                self.suspicions.cells.get(j, k).poke(next() % 100);
             }
         }
+    }
+}
+
+/// `STOP`, `SUSPICIONS` and their `peek_*` views are Figure 2's block.
+impl Deref for Alg1Memory {
+    type Target = Registers<SuspicionMatrix>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.registers
     }
 }
 
@@ -224,11 +191,9 @@ impl Alg1Process {
     /// Panics if `pid` is out of range for the memory's system size.
     #[must_use]
     pub fn with_candidates(mem: Arc<Alg1Memory>, pid: ProcessId, init: CandidateInit) -> Self {
-        let fig2 = Elector::new(&mem.stop, pid, || {
-            SuspicionCache::new(&mem.suspicions, &mem.suspicion_rows, pid)
-        });
+        let fig2 = Elector::new(&mem.stop, pid, || SuspicionCache::new(&mem.registers, pid));
         Alg1Process {
-            heartbeats: HeartbeatTracker::new(&mem.progress, pid, init.materialize(mem.n, pid)),
+            heartbeats: HeartbeatTracker::new(&mem.progress, pid, init.materialize(mem.n(), pid)),
             fig2,
             mem,
         }
@@ -275,12 +240,6 @@ impl Alg1Process {
     pub fn candidates(&self) -> &ProcessSet {
         self.heartbeats.candidates()
     }
-
-    /// The view of `SUSPICIONS`, as last refreshed.
-    #[cfg(test)]
-    fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-        self.fig2.view.borrow()
-    }
 }
 
 impl OmegaProcess for Alg1Process {
@@ -297,7 +256,7 @@ impl OmegaProcess for Alg1Process {
         let mem = &*self.mem;
         self.fig2.leader(
             self.candidates(),
-            |rows| rows.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan),
+            |rows| rows.refresh(&mem.registers),
             SuspicionCache::total,
         )
     }
@@ -321,7 +280,7 @@ impl OmegaProcess for Alg1Process {
         let mem = &*self.mem;
         let rows = self.fig2.view.get_mut();
         let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
-            rows.suspect(&mem.suspicions, k);
+            rows.suspect(&mem.registers, k);
         });
         let timeout = rows.timeout();
         if !booked {
@@ -420,10 +379,10 @@ mod tests {
         let mem = Alg1Memory::new(&space);
         // Totals: p0 → 2+1 = 3, p1 → 2, p2 → 4. Poke before spawning so the
         // owner-side mirrors pick the values up.
-        mem.suspicions.get(p(1), p(0)).poke(2);
-        mem.suspicions.get(p(2), p(0)).poke(1);
-        mem.suspicions.get(p(0), p(1)).poke(2);
-        mem.suspicions.get(p(0), p(2)).poke(4);
+        mem.suspicions.cells.get(p(1), p(0)).poke(2);
+        mem.suspicions.cells.get(p(2), p(0)).poke(1);
+        mem.suspicions.cells.get(p(0), p(1)).poke(2);
+        mem.suspicions.cells.get(p(0), p(2)).poke(4);
         let procs: Vec<Alg1Process> = ProcessId::all(3)
             .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
             .collect();
@@ -488,9 +447,9 @@ mod tests {
         // only foreign rows are at stake).
         let (_s, mem, procs) = system(3);
         assert_eq!(procs[0].leader(), p(0), "warm the cache");
-        mem.suspicions.get(p(1), p(0)).poke(40);
-        mem.suspicions.get(p(2), p(0)).poke(2);
-        mem.suspicions.get(p(1), p(2)).poke(1);
+        mem.suspicions.cells.get(p(1), p(0)).poke(40);
+        mem.suspicions.cells.get(p(2), p(0)).poke(2);
+        mem.suspicions.cells.get(p(1), p(2)).poke(1);
         // New totals as p0 sees them: p0 → 42, p1 → 0, p2 → 1.
         assert_eq!(
             procs[0].leader(),
@@ -506,15 +465,15 @@ mod tests {
         // matrix-level write path — must reach a warm cache too.
         let (_s, mem, procs) = system(3);
         assert_eq!(procs[0].leader(), p(0), "warm the cache");
-        mem.suspicions.get(p(1), p(0)).write(p(1), 40);
-        mem.suspicions.get(p(2), p(0)).write(p(2), 2);
-        mem.suspicions.get(p(1), p(2)).write(p(1), 1);
+        mem.suspicions.cells.get(p(1), p(0)).write(p(1), 40);
+        mem.suspicions.cells.get(p(2), p(0)).write(p(2), 2);
+        mem.suspicions.cells.get(p(1), p(2)).write(p(1), 1);
         assert_eq!(
             procs[0].leader(),
             p(1),
             "a populated cache must not serve pre-write totals"
         );
-        let cache = procs[0].suspicion_cache();
+        let cache = procs[0].fig2.view.borrow();
         assert_eq!(
             (cache.foreign_total(p(0)), cache.foreign_total(p(2))),
             (42, 1)
@@ -541,7 +500,7 @@ mod tests {
     fn mirrors_initialized_from_corrupted_registers() {
         let space = MemorySpace::new(2);
         let mem = Alg1Memory::new(&space);
-        mem.suspicions.get(p(0), p(1)).poke(41);
+        mem.suspicions.cells.get(p(0), p(1)).poke(41);
         let mut proc = Alg1Process::new(Arc::clone(&mem), p(0));
         // Timeout derives from the mirrored corrupted row (41 + 1).
         assert_eq!(proc.initial_timeout(), 42);
@@ -763,55 +722,14 @@ mod shared_rows_tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::candidates::elect_least_suspected;
+    use crate::fig2::testing::{DenseSuspicionCache, Figure2, Rng};
     use crate::{Alg2Memory, Alg2Process};
 
-    /// What the tests need of a process whose `leader()` reads through a
-    /// [`SuspicionCache`].
-    trait Cached: OmegaProcess {
-        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache>;
-        fn matrix(&self) -> &NatMatrix;
-        fn candidate_set(&self) -> &ProcessSet;
-    }
+    /// A process whose `leader()` reads through a [`SuspicionCache`].
+    trait Cached: Figure2<View = SuspicionCache, Suspicions = SuspicionMatrix> {}
 
-    impl Cached for Alg1Process {
-        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-            self.suspicion_cache()
-        }
-        fn matrix(&self) -> &NatMatrix {
-            &self.mem.suspicions
-        }
-        fn candidate_set(&self) -> &ProcessSet {
-            self.candidates()
-        }
-    }
-
-    impl Cached for Alg2Process {
-        fn cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-            self.suspicion_cache()
-        }
-        fn matrix(&self) -> &NatMatrix {
-            self.suspicion_matrix()
-        }
-        fn candidate_set(&self) -> &ProcessSet {
-            self.candidates()
-        }
-    }
-
-    /// xorshift64*, seeded.
-    struct Rng(u64);
-
-    impl Rng {
-        fn new(seed: u64) -> Self {
-            Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-        }
-
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
-        }
-    }
+    impl<P: Figure2<View = SuspicionCache, Suspicions = SuspicionMatrix>> Cached for P {}
 
     /// `groups` random disjoint groups; a process drawn into none of them
     /// stays connected to everyone.
@@ -829,9 +747,9 @@ mod shared_rows_tests {
     /// over the same view of the registers.
     fn check_against_dense<P: Cached>(proc: &P, dense: &mut DenseSuspicionCache) {
         let (pid, leader) = (proc.pid(), proc.leader());
-        let matrix = proc.matrix();
-        dense.refresh(matrix);
-        let cache = proc.cache();
+        let (fig2, registers, candidates) = proc.parts();
+        dense.refresh(&registers.suspicions.cells);
+        let cache = fig2.view.borrow();
         for k in ProcessId::all(proc.n()) {
             assert_eq!(
                 cache.foreign_total(k),
@@ -841,8 +759,8 @@ mod shared_rows_tests {
         }
         assert!(cache.totals_match_rows(), "{pid}: totals of the rows held");
         // The own row is mirrored exactly: nobody else writes it.
-        let expected = elect_least_suspected(proc.candidate_set(), |k| {
-            dense.foreign_total(k) + matrix.get(pid, k).peek()
+        let expected = elect_least_suspected(candidates, |k| {
+            dense.foreign_total(k) + registers.peek_suspicions(pid, k)
         });
         assert_eq!(Some(leader), expected, "{pid}: leader()");
     }
@@ -894,7 +812,7 @@ mod shared_rows_tests {
             let caches: Vec<_> = procs
                 .iter()
                 .filter(|proc| proc.pid() != j)
-                .map(Cached::cache)
+                .map(|proc| proc.parts().0.view.borrow())
                 .collect();
             let first = caches[0].row(j);
             assert!(
@@ -963,8 +881,8 @@ mod shared_rows_tests {
                 for i in 0..WRITES {
                     for owner in owners.map(ProcessId::new) {
                         let k = ProcessId::new((i + owner.index()) % N);
-                        let bumped = mem.suspicions.get(owner, k).peek() + 1;
-                        mem.suspicions.get(owner, k).write(owner, bumped);
+                        let bumped = mem.peek_suspicions(owner, k) + 1;
+                        mem.suspicions.cells.get(owner, k).write(owner, bumped);
                     }
                 }
                 writing.fetch_sub(1, Ordering::Release);
@@ -983,7 +901,8 @@ mod shared_rows_tests {
                     let last_pass = writing.load(Ordering::Acquire) == 0;
                     for proc in &procs {
                         let _ = proc.leader();
-                        assert!(proc.suspicion_cache().totals_match_rows(), "{}", proc.pid());
+                        let totals_match = proc.fig2.view.borrow().totals_match_rows();
+                        assert!(totals_match, "{}", proc.pid());
                     }
                     if last_pass {
                         break;
@@ -1014,7 +933,7 @@ mod shared_rows_tests {
                     .map(|k| mem.peek_suspicions(j, k))
                     .collect();
                 assert_eq!(
-                    **proc.suspicion_cache().row(j),
+                    **proc.fig2.view.borrow().row(j),
                     *live,
                     "{} row {j}",
                     proc.pid()
@@ -1024,7 +943,10 @@ mod shared_rows_tests {
         // Two readers racing on one row may each have published a copy.
         // Once every row is read again with nothing moving, they share.
         for j in ProcessId::all(N) {
-            mem.suspicions.get(j, j).poke(mem.peek_suspicions(j, j));
+            mem.suspicions
+                .cells
+                .get(j, j)
+                .poke(mem.peek_suspicions(j, j));
         }
         for proc in &readers {
             let _ = proc.leader();
@@ -1039,8 +961,11 @@ mod shared_rows_tests {
 #[cfg(test)]
 mod memo_tests {
     use super::*;
+    use crate::fig2::testing::Rng;
     use crate::{MwmrMemory, MwmrProcess};
+    use omega_registers::FlagArray;
 
+    /// A process that heartbeats (line 8), and so passes by a tracker.
     trait Tracked: OmegaProcess {
         fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker;
     }
@@ -1053,7 +978,7 @@ mod memo_tests {
 
     impl Tracked for MwmrProcess {
         fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker {
-            MwmrProcess::heartbeats_mut(self)
+            &mut self.heartbeats
         }
     }
 
@@ -1065,18 +990,6 @@ mod memo_tests {
         stop: FlagArray,
         progress: NatArray,
         corrupt: Option<Box<dyn Fn(u64)>>,
-    }
-
-    /// xorshift64*, seeded.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
-        }
     }
 
     fn space(n: usize) -> MemorySpace {
@@ -1116,10 +1029,9 @@ mod memo_tests {
                 proc
             })
             .collect();
-        let (stop, progress) = mem.heartbeat_arrays();
         System {
-            stop: stop.clone(),
-            progress: progress.clone(),
+            stop: mem.stop.clone(),
+            progress: mem.progress.clone(),
             space,
             procs,
             corrupt: None,
@@ -1169,7 +1081,7 @@ mod memo_tests {
         let n = main.procs.len();
         // Shown only when the test fails: which run to replay.
         println!("n = {n}, seed = {seed}");
-        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut rng = Rng::new(seed);
         let mut stepping: Vec<bool> = vec![true; n];
         let step = |main: &mut System<P>, twin: &mut System<P>, p: usize| {
             main.procs[p].t2_step();

@@ -23,36 +23,30 @@
 //! memory (Theorem 8).
 //!
 //! This file holds what Figure 5 changes: the handshake flags, lines
-//! 8.R1–8.R3, and the `T3` loop with 16.R1–19.R1. The lines it keeps
-//! (`T1`, lines 9 and 11, the owned `SUSPICIONS` row) are Figure 2's, in
-//! [`crate::fig2`].
+//! 8.R1–8.R3, and the `T3` loop with 16.R1–19.R1. The rest is Figure 2's:
+//! the register block, `T1`, lines 9 and 11, the owned `SUSPICIONS` row
+//! and the epoch walk in [`crate::fig2`]; lines 17–24 in
+//! [`crate::heartbeat`].
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use omega_registers::{
-    FlagArray, FlagMatrix, MemorySpace, NatMatrix, ProcessId, ProcessSet, ScanCounters,
-};
+use omega_registers::{FlagMatrix, MemorySpace, ProcessId, ProcessSet};
 
 use crate::alg1::T3_SHARD_SIZE;
 use crate::candidates::CandidateInit;
-use crate::fig2::{corruption, Elector, SuspicionCache, SuspicionRows};
-use crate::heartbeat::ShardCursor;
+use crate::fig2::{corruption, Elector, Registers, SuspicionCache, SuspicionMatrix};
+use crate::heartbeat::{judge, ShardCursor};
 use crate::OmegaProcess;
 
 /// The Figure-5 shared register layout.
 #[derive(Debug)]
 pub struct Alg2Memory {
-    n: usize,
     /// `PROGRESS[i][k]`, row-owned: `p_i` signals `p_k`.
     progress: FlagMatrix,
     /// `LAST[i][k]`, column-owned: `p_k` acknowledges `p_i`'s signal.
     last: FlagMatrix,
-    stop: FlagArray,
-    suspicions: NatMatrix,
-    /// The processes' shared copies of the `SUSPICIONS` rows.
-    suspicion_rows: SuspicionRows,
-    /// Where the reads the epochs spare are counted.
-    scan: Arc<ScanCounters>,
+    pub(crate) registers: Registers<SuspicionMatrix>,
 }
 
 impl Alg2Memory {
@@ -60,22 +54,11 @@ impl Alg2Memory {
     /// per the paper's initialization convention, suspicion counts 0).
     #[must_use]
     pub fn new(space: &MemorySpace) -> Arc<Self> {
-        let n = space.n_processes();
         Arc::new(Alg2Memory {
-            n,
             progress: space.flag_row_matrix("HPROGRESS", |_, _| false),
             last: space.flag_column_matrix("LAST", |_, _| false),
-            stop: space.flag_array("STOP", |_| true),
-            suspicions: space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0),
-            suspicion_rows: SuspicionRows::new(n),
-            scan: space.scan_counters(),
+            registers: Registers::new(space, SuspicionMatrix::new),
         })
-    }
-
-    /// Number of processes.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Unattributed view of the signal flag `PROGRESS[i][k]`.
@@ -90,18 +73,6 @@ impl Alg2Memory {
         self.last.get(i, k).peek()
     }
 
-    /// Unattributed view of `STOP[k]`.
-    #[must_use]
-    pub fn peek_stop(&self, k: ProcessId) -> bool {
-        self.stop.get(k).peek()
-    }
-
-    /// Unattributed view of `SUSPICIONS[j][k]`.
-    #[must_use]
-    pub fn peek_suspicions(&self, j: ProcessId, k: ProcessId) -> u64 {
-        self.suspicions.get(j, k).peek()
-    }
-
     /// Whether `p_i` currently has an uncancelled alive-signal pending for
     /// `p_k` (`PROGRESS[i][k] ≠ LAST[i][k]`).
     #[must_use]
@@ -113,15 +84,24 @@ impl Alg2Memory {
     /// (footnote 7: initial shared state can be arbitrary).
     pub fn corrupt(&self, seed: u64) {
         let mut next = corruption(seed);
-        for j in ProcessId::all(self.n) {
+        for j in ProcessId::all(self.n()) {
             self.stop.get(j).poke(next().is_multiple_of(2));
-            for k in ProcessId::all(self.n) {
+            for k in ProcessId::all(self.n()) {
                 self.progress.get(j, k).poke(next().is_multiple_of(2));
                 self.last.get(j, k).poke(next().is_multiple_of(2));
                 // The poke moves the row's epoch: see Alg1Memory::corrupt.
-                self.suspicions.get(j, k).poke(next() % 100);
+                self.suspicions.cells.get(j, k).poke(next() % 100);
             }
         }
+    }
+}
+
+/// `STOP`, `SUSPICIONS` and their `peek_*` views are Figure 2's block.
+impl Deref for Alg2Memory {
+    type Target = Registers<SuspicionMatrix>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.registers
     }
 }
 
@@ -167,9 +147,7 @@ impl Alg2Process {
     #[must_use]
     pub fn with_candidates(mem: Arc<Alg2Memory>, pid: ProcessId, init: CandidateInit) -> Self {
         let n = mem.n();
-        let fig2 = Elector::new(&mem.stop, pid, || {
-            SuspicionCache::new(&mem.suspicions, &mem.suspicion_rows, pid)
-        });
+        let fig2 = Elector::new(&mem.stop, pid, || SuspicionCache::new(&mem.registers, pid));
         Alg2Process {
             candidates: init.materialize(n, pid),
             my_last: ProcessId::all(n)
@@ -204,18 +182,6 @@ impl Alg2Process {
     pub fn candidates(&self) -> &ProcessSet {
         &self.candidates
     }
-
-    /// The view of `SUSPICIONS`, as last refreshed.
-    #[cfg(test)]
-    pub(crate) fn suspicion_cache(&self) -> std::cell::Ref<'_, SuspicionCache> {
-        self.fig2.view.borrow()
-    }
-
-    /// The shared `SUSPICIONS` matrix the cache views.
-    #[cfg(test)]
-    pub(crate) fn suspicion_matrix(&self) -> &NatMatrix {
-        &self.mem.suspicions
-    }
 }
 
 impl OmegaProcess for Alg2Process {
@@ -232,7 +198,7 @@ impl OmegaProcess for Alg2Process {
         let mem = &*self.mem;
         self.fig2.leader(
             &self.candidates,
-            |rows| rows.refresh(&mem.suspicions, &mem.suspicion_rows, &mem.scan),
+            |rows| rows.refresh(&mem.registers),
             SuspicionCache::total,
         )
     }
@@ -271,16 +237,14 @@ impl OmegaProcess for Alg2Process {
             // Line 16.R1.
             let progress_k = mem.progress.get(k, pid).read(pid);
             // Line 17.R1: signal pending ⇔ flags unequal.
-            if progress_k != self.my_last[k.index()] {
-                // Line 18 + 19.R1: alive; cancel the signal.
-                self.candidates.insert(k);
+            let fresh = progress_k != self.my_last[k.index()];
+            if fresh {
+                // Line 19.R1: cancel the signal.
                 self.my_last[k.index()] = progress_k;
                 mem.last.get(k, pid).write(pid, progress_k);
-            } else if stop_k {
-                self.candidates.remove(k);
-            } else if self.candidates.contains(k) {
-                rows.suspect(&mem.suspicions, k);
-                self.candidates.remove(k);
+            }
+            if judge(&mut self.candidates, k, fresh, stop_k) {
+                rows.suspect(&mem.registers, k);
             }
         }
         mem.scan.note_shard_pass();

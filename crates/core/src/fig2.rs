@@ -1,23 +1,30 @@
-//! Figure 2's lines that its variants keep, each in one place (line 8 and
-//! the `T3` pass of lines 13–24 are in [`crate::heartbeat`]). Figure 5
-//! replaces the heartbeat and its liveness test; §3.5(a) collapses each
-//! `SUSPICIONS` column into one shared counter.
+//! Figure 2's memory and the lines its variants keep, each in one place
+//! (line 8, the `T3` pass of lines 13–24 and lines 17–24 themselves are in
+//! [`crate::heartbeat`]). Figure 5 replaces the heartbeat and its liveness
+//! test; §3.5(a) collapses each `SUSPICIONS` column into one shared
+//! counter.
 //!
+//! * [`Registers`] — the register block every variant's memory embeds and
+//!   dereferences to: `STOP`, the suspicion store (the row-owned
+//!   [`SuspicionMatrix`], or §3.5(a)'s counters) and the [`ScanCounters`],
+//!   with their `peek_*` views.
 //! * [`Elector`] — task `T1` (lines 1–5), memoized over a suspicion view,
 //!   and the `STOP` writes of lines 9 and 11. Every variant embeds one.
-//! * [`SuspicionCache`] — the view of a row-owned `SUSPICIONS` matrix
-//!   (Figures 2 and 5): the own row mirrored (§3.2), the suspicion write
-//!   of lines 22–24 and the line-27 timeout, and the foreign rows, each
-//!   re-read only when its epoch moved, so that in a quiescent run
-//!   `leader()` performs *zero* shared reads. The row copies are immutable
-//!   and shared between the processes that read the same contents: the
-//!   system holds about one copy of each row, `n²` words, not `n³`.
+//! * [`EpochWalk`] — the epoch walk both suspicion views refresh by.
+//! * [`SuspicionCache`] — the view of a row-owned `SUSPICIONS` matrix: the
+//!   own row mirrored (§3.2), the suspicion write of lines 22–24 and the
+//!   line-27 timeout, and the foreign rows, each re-read only when its
+//!   epoch moved, so that in a quiescent run `leader()` performs *zero*
+//!   shared reads. The row copies are immutable and shared between the
+//!   processes that read the same contents: the system holds about one
+//!   copy of each row, `n²` words, not `n³`. (The counters' view is in
+//!   [`crate::mwmr`].)
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use omega_registers::sync::Mutex;
-use omega_registers::{FlagArray, NatMatrix, ProcessId, ProcessSet, ScanCounters};
+use omega_registers::{FlagArray, MemorySpace, NatMatrix, ProcessId, ProcessSet, ScanCounters};
 
 use crate::candidates::elect_least_suspected;
 
@@ -29,6 +36,57 @@ pub(crate) fn corruption(seed: u64) -> impl FnMut() -> u64 {
         state ^= state >> 7;
         state ^= state << 17;
         state
+    }
+}
+
+/// The registers every variant keeps of Figure 2 — `STOP` and a
+/// suspicion store `S` — and where the reads their epochs spare are
+/// counted. Each variant's memory embeds one and dereferences to it; the
+/// crate exports no name for it.
+#[derive(Debug)]
+pub struct Registers<S> {
+    pub(crate) stop: FlagArray,
+    pub(crate) suspicions: S,
+    pub(crate) scan: Arc<ScanCounters>,
+}
+
+impl<S> Registers<S> {
+    /// Allocates `STOP` (every flag raised), then the store `suspicions`
+    /// makes, in `space`.
+    pub(crate) fn new(space: &MemorySpace, suspicions: impl FnOnce(&MemorySpace) -> S) -> Self {
+        Registers {
+            stop: space.flag_array("STOP", |_| true),
+            suspicions: suspicions(space),
+            scan: space.scan_counters(),
+        }
+    }
+
+    /// Number of processes.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.stop.len()
+    }
+
+    /// Unattributed view of `STOP[k]`.
+    #[must_use]
+    pub fn peek_stop(&self, k: ProcessId) -> bool {
+        self.stop.get(k).peek()
+    }
+}
+
+impl Registers<SuspicionMatrix> {
+    /// Unattributed view of `SUSPICIONS[j][k]`.
+    #[must_use]
+    pub fn peek_suspicions(&self, j: ProcessId, k: ProcessId) -> u64 {
+        self.suspicions.cells.get(j, k).peek()
+    }
+
+    /// Unattributed total suspicion count of `k`: `Σ_j SUSPICIONS[j][k]`.
+    #[must_use]
+    pub fn peek_total_suspicions(&self, k: ProcessId) -> u64 {
+        ProcessId::all(self.n())
+            .map(|j| self.peek_suspicions(j, k))
+            .sum()
     }
 }
 
@@ -107,18 +165,100 @@ impl<V> Elector<V> {
     }
 }
 
+/// The epoch walk (module docs): the version a view last read each of its
+/// entries at, and the global version of its last refresh.
+#[derive(Debug)]
+pub(crate) struct EpochWalk {
+    /// `seen[i]` — the version entry `i` was last read at.
+    seen: Vec<u64>,
+    /// The global version of the last refresh; `u64::MAX` = never
+    /// refreshed. While it matches, a refresh is O(1).
+    seen_global: u64,
+    /// The entry never walked: the reader's own row, mirrored (§3.2).
+    own: Option<usize>,
+    /// The shared reads a clean entry spares: `n` a row, 1 a counter.
+    entry_reads: u64,
+}
+
+impl EpochWalk {
+    /// A walk of `n` entries, `own`'s left out, never refreshed.
+    pub(crate) fn new(n: usize, own: Option<ProcessId>, entry_reads: u64) -> Self {
+        EpochWalk {
+            seen: vec![u64::MAX; n],
+            seen_global: u64::MAX,
+            own: own.map(ProcessId::index),
+            entry_reads,
+        }
+    }
+
+    /// Brings a view of a versioned store up to date; returns whether it
+    /// re-read anything (callers drop their election memo on it).
+    /// `global()` and `version(i)` read the store's versions;
+    /// `reload(Some(i))` re-reads entry `i`, and `reload(None)` every entry
+    /// but the own, on the view's first refresh. If the global version did
+    /// not move — which proves no entry's did — the refresh is O(1): every
+    /// entry is credited to `scan` as skipped, in one batch. Else the
+    /// moved entries are re-read and the clean ones credited.
+    #[inline]
+    pub(crate) fn refresh(
+        &mut self,
+        scan: &ScanCounters,
+        global: impl FnOnce() -> u64,
+        version: impl Fn(usize) -> u64,
+        mut reload: impl FnMut(Option<usize>),
+    ) -> bool {
+        let entry_reads = self.entry_reads;
+        let skipped = |entries: u64| scan.note_skipped(entries, entries * entry_reads);
+        // The global version *before* any entry's: a write racing the walk
+        // leaves `seen_global` behind the bump it missed, so the next
+        // refresh walks again and observes it.
+        let global = global();
+        if self.seen_global == global {
+            skipped((self.seen.len() - usize::from(self.own.is_some())) as u64);
+            return false;
+        }
+        let cold = self.seen_global == u64::MAX;
+        self.seen_global = global;
+        if cold {
+            for (i, seen) in self.seen.iter_mut().enumerate() {
+                *seen = version(i);
+            }
+            reload(None);
+            return true;
+        }
+        let (mut clean, mut changed) = (0, false);
+        for (i, seen) in self.seen.iter_mut().enumerate() {
+            if Some(i) == self.own {
+                continue;
+            }
+            let version = version(i);
+            if *seen == version {
+                clean += 1;
+            } else {
+                reload(Some(i));
+                *seen = version;
+                changed = true;
+            }
+        }
+        skipped(clean);
+        changed
+    }
+}
+
 /// Why a version of the `SUSPICIONS` matrix is always there.
 const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_row_matrix";
 
-/// The shared copies of the `SUSPICIONS` rows, one per matrix, from which
-/// every [`SuspicionCache`] of the system takes the rows it holds.
+/// The row-owned `SUSPICIONS` matrix of Figures 2 and 5 (initially 0), and
+/// the shared copies of its rows, from which every [`SuspicionCache`] of
+/// the system takes the rows it holds.
 ///
 /// A cache adopts the row published for `j` only when it equals what the
 /// cache itself just read, so sharing never hands a process a value it
 /// did not read: a frozen view under a partition, or a snapshot torn by a
 /// racing write on a wall backend, simply ends up in a row of its own.
 #[derive(Debug)]
-pub(crate) struct SuspicionRows {
+pub struct SuspicionMatrix {
+    pub(crate) cells: NatMatrix,
     /// The all-zero row every fresh cache starts from.
     zero: Arc<[u64]>,
     /// `published[j]` — the last contents of row `j` some cache read and
@@ -133,10 +273,13 @@ pub(crate) struct SuspicionRows {
     spares: Mutex<Vec<Arc<[u64]>>>,
 }
 
-impl SuspicionRows {
-    pub(crate) fn new(n: usize) -> Self {
+impl SuspicionMatrix {
+    pub(crate) fn new(space: &MemorySpace) -> Self {
+        let cells = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
+        let n = space.n_processes();
         let zero: Arc<[u64]> = vec![0; n].into();
-        SuspicionRows {
+        SuspicionMatrix {
+            cells,
             published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
             spares: Mutex::new(Vec::new()),
             zero,
@@ -195,7 +338,7 @@ impl SuspicionRows {
 /// an incrementally maintained per-column aggregate.
 ///
 /// The view of each foreign row is an immutable row shared through the
-/// matrix's [`SuspicionRows`]: in a quiescent run every process holds the
+/// [`SuspicionMatrix`]: in a quiescent run every process holds the
 /// same allocation of row `j`, so a cache costs `n` pointers rather than
 /// `n²` words.
 #[derive(Debug)]
@@ -210,13 +353,10 @@ pub(crate) struct SuspicionCache {
     mine_max: u64,
     /// Additive slack of the line-27 timeout (the paper uses 1).
     pub(crate) slack: u64,
+    /// The versions the foreign rows were read at.
+    walk: EpochWalk,
     /// `rows[j]` — last snapshot of `SUSPICIONS[j][·]` (row `pid` unused).
     rows: Vec<Arc<[u64]>>,
-    /// Row epoch each snapshot was taken at; `u64::MAX` = never read.
-    seen: Vec<u64>,
-    /// Matrix-global epoch the last full validation pass ran at;
-    /// `u64::MAX` = no pass yet. When it still matches, `refresh` is O(1).
-    seen_global: u64,
     /// `totals[k] = Σ_{j≠pid} rows[j][k]`.
     totals: Vec<u64>,
     /// Scratch buffer for row snapshots.
@@ -226,111 +366,72 @@ pub(crate) struct SuspicionCache {
 impl SuspicionCache {
     /// Process `pid`'s view, its mirror taken from the register contents
     /// (a corrupted initial state included), timing out with slack 1.
-    pub(crate) fn new(suspicions: &NatMatrix, shared: &SuspicionRows, pid: ProcessId) -> Self {
-        let n = shared.published.len();
+    pub(crate) fn new(registers: &Registers<SuspicionMatrix>, pid: ProcessId) -> Self {
+        let (matrix, n) = (&registers.suspicions, registers.n());
         let mine: Vec<u64> = ProcessId::all(n)
-            .map(|k| suspicions.get(pid, k).peek())
+            .map(|k| matrix.cells.get(pid, k).peek())
             .collect();
         SuspicionCache {
             pid,
             mine_max: mine.iter().copied().max().unwrap_or(0),
             mine,
             slack: 1,
-            rows: vec![Arc::clone(&shared.zero); n],
-            seen: vec![u64::MAX; n],
-            seen_global: u64::MAX,
+            walk: EpochWalk::new(n, Some(pid), n as u64),
+            rows: vec![Arc::clone(&matrix.zero); n],
             totals: vec![0; n],
             buf: vec![0; n],
         }
     }
 
-    /// Brings every stale foreign row up to date (one batched snapshot per
-    /// dirty row; clean rows cost no shared reads and are credited to the
-    /// space's [`ScanCounters`](omega_registers::ScanCounters)). Returns
-    /// whether any row was re-read (callers use this to invalidate
-    /// election caches).
-    ///
-    /// Two cost tiers, neither performing a shared read-modify-write on
-    /// its hot path:
-    ///
-    /// * **Quiescent, O(1)** — the matrix-global epoch is unchanged since
-    ///   the last pass, which proves every per-row epoch is unchanged; the
-    ///   whole loop is skipped and all `n − 1` foreign rows are credited
-    ///   as skipped in one batch (exactly what the per-row walk would
-    ///   have credited).
-    /// * **Dirty, O(n) validation** — walk the row epochs, re-snapshot the
-    ///   moved ones, batch-credit the clean ones. A re-read row whose
-    ///   contents did not change leaves the totals alone; either way the
-    ///   cache then holds the copy `shared` offers for what it read.
-    pub(crate) fn refresh(
-        &mut self,
-        suspicions: &NatMatrix,
-        shared: &SuspicionRows,
-        scan: &ScanCounters,
-    ) -> bool {
-        let n = suspicions.n();
-        let skipped = |rows: u64| scan.note_skipped(rows, rows * n as u64);
-        // Read the global epoch *before* the row walk: a write racing the
-        // walk leaves `seen_global` behind the bump it missed, so the next
-        // refresh takes the slow path and observes it.
-        let global = suspicions.version().expect(EPOCHED);
-        if self.seen_global == global {
-            if n > 1 {
-                skipped(n as u64 - 1);
-            }
-            return false;
-        }
-        let mut rows_skipped = 0u64;
-        let mut changed = false;
-        for j in ProcessId::all(n) {
-            if j == self.pid {
-                continue;
-            }
-            let version = suspicions.row_version(j).expect(EPOCHED);
-            if self.seen[j.index()] == version {
-                rows_skipped += 1;
-                continue;
-            }
-            suspicions.read_row_into(j, self.pid, &mut self.buf);
-            scan.note_snapshot();
-            let held = &mut self.rows[j.index()];
-            let held_matches = **held == *self.buf;
+    /// Brings every stale foreign row up to date ([`EpochWalk::refresh`]),
+    /// one batched snapshot per dirty row, and returns whether any row was
+    /// re-read. A re-read row whose contents did not change leaves the
+    /// totals alone; either way the cache then holds the copy the shared
+    /// rows offer for what it read.
+    #[inline]
+    pub(crate) fn refresh(&mut self, registers: &Registers<SuspicionMatrix>) -> bool {
+        let (matrix, pid) = (&registers.suspicions, self.pid);
+        let (rows, totals, buf) = (&mut self.rows, &mut self.totals, &mut self.buf);
+        let mut reload = |j: ProcessId| {
+            matrix.cells.read_row_into(j, pid, buf);
+            registers.scan.note_snapshot();
+            let held = &mut rows[j.index()];
+            let held_matches = **held == **buf;
             if !held_matches {
-                for ((total, old), new) in self.totals.iter_mut().zip(held.iter()).zip(&self.buf) {
+                for ((total, old), new) in totals.iter_mut().zip(held.iter()).zip(buf.iter()) {
                     // total ≥ old by construction: old is one of its summands.
                     *total = *total - *old + *new;
                 }
             }
-            shared.share(j, held, &self.buf, held_matches);
-            self.seen[j.index()] = version;
-            changed = true;
-        }
-        if rows_skipped > 0 {
-            skipped(rows_skipped);
-        }
-        self.seen_global = global;
-        changed
-    }
-
-    /// Cached `Σ_{j≠pid} SUSPICIONS[j][k]`.
-    pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
-        self.totals[k.index()]
+            matrix.share(j, held, buf, held_matches);
+        };
+        self.walk.refresh(
+            &registers.scan,
+            || matrix.cells.version().expect(EPOCHED),
+            |j| matrix.cells.row_version(ProcessId::new(j)).expect(EPOCHED),
+            |row| match row {
+                Some(j) => reload(ProcessId::new(j)),
+                None => ProcessId::all(matrix.cells.n())
+                    .filter(|&j| j != pid)
+                    .for_each(&mut reload),
+            },
+        )
     }
 
     /// Total suspicions of candidate `k` — `Σ_j SUSPICIONS[j][k]` (line 3)
     /// — from the refreshed foreign rows plus the mirrored own row.
     #[inline]
     pub(crate) fn total(&self, k: ProcessId) -> u64 {
-        self.foreign_total(k) + self.mine[k.index()]
+        self.totals[k.index()] + self.mine[k.index()]
     }
 
     /// Lines 22–24: suspect `k`.
     #[inline]
-    pub(crate) fn suspect(&mut self, suspicions: &NatMatrix, k: ProcessId) {
+    pub(crate) fn suspect(&mut self, registers: &Registers<SuspicionMatrix>, k: ProcessId) {
         let bumped = self.mine[k.index()] + 1;
         self.mine[k.index()] = bumped;
         self.mine_max = self.mine_max.max(bumped);
-        suspicions.get(self.pid, k).write(self.pid, bumped);
+        (registers.suspicions.cells.get(self.pid, k)).write(self.pid, bumped);
     }
 
     /// Line 27 — computed entirely from the owned (mirrored) row.
@@ -338,101 +439,246 @@ impl SuspicionCache {
     pub(crate) fn timeout(&self) -> u64 {
         self.mine_max + self.slack
     }
-
-    /// The copy of row `j` this cache holds.
-    #[cfg(test)]
-    pub(crate) fn row(&self, j: ProcessId) -> &Arc<[u64]> {
-        &self.rows[j.index()]
-    }
-
-    /// Whether `totals` is the column sum of the foreign rows held.
-    #[cfg(test)]
-    pub(crate) fn totals_match_rows(&self) -> bool {
-        (0..self.totals.len()).all(|k| {
-            let column: u64 = ProcessId::all(self.rows.len())
-                .filter(|&j| j != self.pid)
-                .map(|j| self.rows[j.index()][k])
-                .sum();
-            column == self.totals[k]
-        })
-    }
 }
 
-/// The dense cache — a private copy of every foreign row in every process —
-/// kept as the reference the shared rows are tested against.
+/// What the core's unit tests share: one seeded generator, the one door
+/// into a Figure-2 process, and the dense reference the shared rows are
+/// checked against.
 #[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct DenseSuspicionCache {
-    pid: ProcessId,
-    rows: Vec<Vec<u64>>,
-    seen: Vec<u64>,
-    totals: Vec<u64>,
-    buf: Vec<u64>,
-}
+pub(crate) mod testing {
+    use super::*;
+    use crate::{Alg1Process, Alg2Process, MwmrProcess, OmegaProcess};
 
-#[cfg(test)]
-impl DenseSuspicionCache {
-    pub(crate) fn new(n: usize, pid: ProcessId) -> Self {
-        DenseSuspicionCache {
-            pid,
-            rows: vec![vec![0; n]; n],
-            seen: vec![u64::MAX; n],
-            totals: vec![0; n],
-            buf: vec![0; n],
+    /// xorshift64*.
+    pub(crate) struct Rng(pub(crate) u64);
+
+    impl Rng {
+        /// A generator whose state is `seed`, scrambled.
+        pub(crate) fn new(seed: u64) -> Self {
+            Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
+        }
+
+        pub(crate) fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
         }
     }
 
-    /// [`SuspicionCache::refresh`]'s dirty path, into private rows.
-    pub(crate) fn refresh(&mut self, suspicions: &NatMatrix) {
-        for j in ProcessId::all(suspicions.n()) {
-            let seen = suspicions.row_version(j).expect(EPOCHED);
-            if j == self.pid || self.seen[j.index()] == seen {
-                continue;
-            }
-            suspicions.read_row_into(j, self.pid, &mut self.buf);
-            let old = &mut self.rows[j.index()];
-            for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf) {
-                *total = *total - *old + *new;
-                *old = *new;
-            }
-            self.seen[j.index()] = seen;
+    /// A process built on an [`Elector`], as the tests reach into it.
+    pub(crate) trait Figure2: OmegaProcess {
+        /// What `T1` elects from.
+        type View;
+        /// The store of the process's [`Registers`].
+        type Suspicions;
+
+        /// The process's elector, the registers it runs over and its
+        /// `candidates_i`.
+        fn parts(
+            &self,
+        ) -> (
+            &Elector<Self::View>,
+            &Registers<Self::Suspicions>,
+            &ProcessSet,
+        );
+    }
+
+    impl Figure2 for Alg1Process {
+        type View = SuspicionCache;
+        type Suspicions = SuspicionMatrix;
+
+        fn parts(
+            &self,
+        ) -> (
+            &Elector<SuspicionCache>,
+            &Registers<SuspicionMatrix>,
+            &ProcessSet,
+        ) {
+            (&self.fig2, &self.memory().registers, self.candidates())
         }
     }
 
-    pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
-        self.totals[k.index()]
+    impl Figure2 for Alg2Process {
+        type View = SuspicionCache;
+        type Suspicions = SuspicionMatrix;
+
+        fn parts(
+            &self,
+        ) -> (
+            &Elector<SuspicionCache>,
+            &Registers<SuspicionMatrix>,
+            &ProcessSet,
+        ) {
+            (&self.fig2, &self.memory().registers, self.candidates())
+        }
+    }
+
+    impl Figure2 for MwmrProcess {
+        type View = crate::mwmr::CounterCache;
+        type Suspicions = omega_registers::MwmrNatArray;
+
+        fn parts(
+            &self,
+        ) -> (
+            &Elector<Self::View>,
+            &Registers<Self::Suspicions>,
+            &ProcessSet,
+        ) {
+            (&self.fig2, &self.memory().registers, self.candidates())
+        }
+    }
+
+    impl SuspicionCache {
+        /// Cached `Σ_{j≠pid} SUSPICIONS[j][k]`.
+        pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
+            self.totals[k.index()]
+        }
+
+        /// The copy of row `j` this cache holds.
+        pub(crate) fn row(&self, j: ProcessId) -> &Arc<[u64]> {
+            &self.rows[j.index()]
+        }
+
+        /// Whether `totals` is the column sum of the foreign rows held.
+        pub(crate) fn totals_match_rows(&self) -> bool {
+            (0..self.totals.len()).all(|k| {
+                let column: u64 = ProcessId::all(self.rows.len())
+                    .filter(|&j| j != self.pid)
+                    .map(|j| self.rows[j.index()][k])
+                    .sum();
+                column == self.totals[k]
+            })
+        }
+    }
+
+    /// The dense cache — a private copy of every foreign row in every
+    /// process — kept as the reference the shared rows are tested against.
+    #[derive(Debug)]
+    pub(crate) struct DenseSuspicionCache {
+        pid: ProcessId,
+        rows: Vec<Vec<u64>>,
+        seen: Vec<u64>,
+        totals: Vec<u64>,
+        buf: Vec<u64>,
+    }
+
+    impl DenseSuspicionCache {
+        pub(crate) fn new(n: usize, pid: ProcessId) -> Self {
+            DenseSuspicionCache {
+                pid,
+                rows: vec![vec![0; n]; n],
+                seen: vec![u64::MAX; n],
+                totals: vec![0; n],
+                buf: vec![0; n],
+            }
+        }
+
+        /// [`EpochWalk::refresh`]'s dirty path, into private rows.
+        pub(crate) fn refresh(&mut self, suspicions: &NatMatrix) {
+            for j in ProcessId::all(suspicions.n()) {
+                let seen = suspicions.row_version(j).expect(EPOCHED);
+                if j == self.pid || self.seen[j.index()] == seen {
+                    continue;
+                }
+                suspicions.read_row_into(j, self.pid, &mut self.buf);
+                let old = &mut self.rows[j.index()];
+                for ((total, old), new) in self.totals.iter_mut().zip(old.iter_mut()).zip(&self.buf)
+                {
+                    *total = *total - *old + *new;
+                    *old = *new;
+                }
+                self.seen[j.index()] = seen;
+            }
+        }
+
+        pub(crate) fn foreign_total(&self, k: ProcessId) -> u64 {
+            self.totals[k.index()]
+        }
+    }
+}
+
+/// The epoch walk's one ordering rule, over both stores.
+#[cfg(test)]
+mod walk_tests {
+    use super::*;
+
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// Entries 1 and 2 of a three-entry store move (`write(1)`), then
+    /// entry 1 moves again (`write(2)`) while the walk re-reads entry 2,
+    /// after it visited entry 1. The refresh read the global version
+    /// before that write moved it, so the next refresh re-reads entry 1.
+    fn a_write_behind_the_walk_is_read_next_time(
+        own: Option<ProcessId>,
+        global: impl Fn() -> u64,
+        version: impl Fn(usize) -> u64,
+        write: impl Fn(u64),
+        race: impl Fn(),
+    ) {
+        let scan = ScanCounters::default();
+        let mut walk = EpochWalk::new(3, own, 1);
+        let mut reloads = Vec::new();
+        assert!(walk.refresh(&scan, &global, &version, |entry| reloads.push(entry)));
+        assert!(!walk.refresh(&scan, &global, &version, |_| unreachable!()));
+        write(1);
+        let reread = walk.refresh(&scan, &global, &version, |entry| {
+            reloads.push(entry);
+            if entry == Some(2) {
+                race();
+            }
+        });
+        assert!(reread);
+        assert!(walk.refresh(&scan, &global, &version, |entry| reloads.push(entry)));
+        assert_eq!(reloads, [None, Some(1), Some(2), Some(1)]);
+    }
+
+    #[test]
+    fn a_write_behind_the_walk_is_read_by_the_next_refresh_over_either_store() {
+        let space = MemorySpace::new(3);
+        // The `SUSPICIONS` rows as p0 views them: its own row left out.
+        let rows = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
+        a_write_behind_the_walk_is_read_next_time(
+            Some(p(0)),
+            || rows.version().expect(EPOCHED),
+            |j| rows.row_version(p(j)).expect(EPOCHED),
+            |value| {
+                for j in [p(1), p(2)] {
+                    rows.get(j, p(0)).write(j, value);
+                }
+            },
+            || rows.get(p(1), p(0)).write(p(1), 2),
+        );
+        // §3.5(a)'s counters: every one viewed.
+        let counters = space.epoched_nat_mwmr_array("COUNTERS", 3, |_| 0);
+        a_write_behind_the_walk_is_read_next_time(
+            None,
+            || counters.version().expect(EPOCHED),
+            |k| counters.slot_version(k).expect(EPOCHED),
+            |value| {
+                for k in [1, 2] {
+                    counters.get(k).write(p(0), value);
+                }
+            },
+            || counters.get(1).write(p(0), 2),
+        );
     }
 }
 
 /// `T1`'s memo against a fresh election, for every variant.
 #[cfg(test)]
 mod memo_tests {
+    use super::testing::{Figure2, Rng};
     use super::*;
+    use crate::T3_SHARD_SIZE;
     use crate::{Alg1Memory, Alg1Process, Alg2Memory, Alg2Process, MwmrMemory, MwmrProcess};
-    use crate::{OmegaProcess, T3_SHARD_SIZE};
     use omega_registers::MemorySpace;
 
-    /// A process whose `T1` is memoized by an [`Elector`].
-    trait Memoized: OmegaProcess {
-        fn election(&self) -> &Cell<Option<ProcessId>>;
-    }
-
-    impl Memoized for Alg1Process {
-        fn election(&self) -> &Cell<Option<ProcessId>> {
-            &self.fig2.election
-        }
-    }
-
-    impl Memoized for Alg2Process {
-        fn election(&self) -> &Cell<Option<ProcessId>> {
-            &self.fig2.election
-        }
-    }
-
-    impl Memoized for MwmrProcess {
-        fn election(&self) -> &Cell<Option<ProcessId>> {
-            &self.fig2.election
-        }
+    /// `proc`'s `T1` memo.
+    fn election<P: Figure2>(proc: &P) -> &Cell<Option<ProcessId>> {
+        &proc.parts().0.election
     }
 
     /// A system and a way to poke arbitrary values into its registers.
@@ -440,18 +686,6 @@ mod memo_tests {
         space: MemorySpace,
         procs: Vec<P>,
         poke: Box<dyn Fn(u64)>,
-    }
-
-    /// xorshift64*, seeded.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
-        }
     }
 
     fn alg1(n: usize) -> System<Alg1Process> {
@@ -483,10 +717,9 @@ mod memo_tests {
         // nWnR counters move only by suspicion; pokes reach `STOP` and
         // `PROGRESS`, and through the candidates the election.
         let poke = Box::new(move |seed: u64| {
-            let (stop, progress) = mem.heartbeat_arrays();
             let k = ProcessId::new(seed as usize % n);
-            stop.get(k).poke(seed.is_multiple_of(3));
-            progress.get(k).poke(seed);
+            mem.stop.get(k).poke(seed.is_multiple_of(3));
+            mem.progress.get(k).poke(seed);
         });
         System { space, procs, poke }
     }
@@ -494,9 +727,9 @@ mod memo_tests {
     /// `proc.leader()`, memo and all, against the election it makes once
     /// the memo is dropped: the view is the same (nothing moved in
     /// between), so the two differ only if the memo outlived its inputs.
-    fn check<P: Memoized>(proc: &P, op: &str) {
+    fn check<P: Figure2>(proc: &P, op: &str) {
         let memoized = proc.leader();
-        proc.election().set(None);
+        election(proc).set(None);
         assert_eq!(memoized, proc.leader(), "{op}: p{}'s leader()", proc.pid());
     }
 
@@ -505,7 +738,7 @@ mod memo_tests {
     /// outlive several operations before it is asked — then every
     /// process's after a heal and calm rounds. Returns how often a query
     /// was served from the memo.
-    fn against_fresh<P: Memoized>(system: System<P>, seed: u64) -> usize {
+    fn against_fresh<P: Figure2>(system: System<P>, seed: u64) -> usize {
         let System {
             space,
             mut procs,
@@ -514,7 +747,7 @@ mod memo_tests {
         let n = procs.len();
         // Shown only when the test fails: which run to replay.
         println!("n = {n}, seed = {seed}");
-        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut rng = Rng::new(seed);
         let mut hits = 0;
         for op in 0..40 * n {
             let p = rng.below(n);
@@ -547,7 +780,7 @@ mod memo_tests {
                 _ => space.heal_partition(),
             }
             let q = &procs[rng.below(n)];
-            hits += usize::from(q.election().get().is_some());
+            hits += usize::from(election(q).get().is_some());
             check(q, &format!("op {op}"));
         }
         space.heal_partition();
@@ -556,7 +789,7 @@ mod memo_tests {
                 procs[p].t2_step();
                 let _ = procs[p].on_timer_expire();
                 let q = &procs[(p + 1) % n];
-                hits += usize::from(q.election().get().is_some());
+                hits += usize::from(election(q).get().is_some());
                 check(q, &format!("calm round {round}, after p{p}"));
             }
         }

@@ -3,8 +3,9 @@
 //! [`Alg1Process`](crate::Alg1Process) and
 //! [`MwmrProcess`](crate::MwmrProcess): their `STOP`/`PROGRESS` arrays are
 //! the same layout, and only what a suspicion writes differs. (Figure 5
-//! replaces both halves; [`Alg2Process`](crate::Alg2Process) keeps only
-//! the [`ShardCursor`].)
+//! replaces both halves; [`Alg2Process`](crate::Alg2Process) keeps the
+//! [`ShardCursor`].) Lines 17–24, which every variant's pass decides by,
+//! are [`judge`].
 //!
 //! A [`HeartbeatTracker`] holds the mirror of the own `PROGRESS` entry,
 //! `candidates_i`, `last_i` and the cursor of the sharded scan (see the
@@ -133,6 +134,19 @@ fn scan_heartbeats(
     }
 }
 
+/// Lines 17–24 for `k ≠ pid`, once the caller has read `STOP[k]` and found
+/// whether `k` is `fresh` (each figure its own way): a fresh `k` is a
+/// candidate; a stale one is not, and is to be suspected (line 23) if it
+/// was one and did not raise `STOP`. Returns whether to suspect `k`.
+#[inline]
+pub(crate) fn judge(candidates: &mut ProcessSet, k: ProcessId, fresh: bool, stop_k: bool) -> bool {
+    if fresh {
+        candidates.insert(k);
+        return false;
+    }
+    candidates.remove(k) && !stop_k
+}
+
 /// One process's mirror of `PROGRESS[pid]`, its `candidates_i` and
 /// `last_i`, the shard cursor of its `T3` scan, and the `PROGRESS`
 /// version each shard was last scanned at (module docs).
@@ -220,18 +234,14 @@ impl HeartbeatTracker {
         }
         scan_heartbeats(stop, progress, self.pid, shard, |k, stop_k, progress_k| {
             let i = k.index();
-            if !self.last_valid[i] || progress_k != self.last[i] {
-                // Lines 17–19: k made progress — it is a live candidate.
-                self.candidates.insert(k);
+            // Lines 17 and 19: k made progress.
+            let fresh = !self.last_valid[i] || progress_k != self.last[i];
+            if fresh {
                 self.last[i] = progress_k;
                 self.last_valid[i] = true;
-            } else if stop_k {
-                // Lines 20–21: k resigned voluntarily.
-                self.candidates.remove(k);
-            } else if self.candidates.contains(k) {
-                // Lines 22–24: suspect k.
+            }
+            if judge(&mut self.candidates, k, fresh, stop_k) {
                 suspect(k);
-                self.candidates.remove(k);
             }
         });
         false

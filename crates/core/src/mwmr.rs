@@ -10,8 +10,9 @@
 //!
 //! This file holds what §3.5(a) changes: the shared counters, the
 //! `CounterCache` `T1` elects from, the suspicion and the timeout. The
-//! rest is Figure 2's: `T1` and lines 9 and 11 in [`crate::fig2`], line 8
-//! and the `T3` pass in [`crate::heartbeat`]. A pass reads `STOP[shard]`, then
+//! rest is Figure 2's: the register block, `T1`, lines 9 and 11 and the
+//! epoch walk in [`crate::fig2`]; line 8 and the `T3` pass with lines
+//! 17–24 in [`crate::heartbeat`]. A pass reads `STOP[shard]`, then
 //! `PROGRESS[shard]`, then — for each `k` it suspects — the counter of `k`
 //! before writing it back incremented; last, the timeout refreshes the
 //! counter cache. A pass over a shard that no one wrote and that holds no
@@ -19,29 +20,24 @@
 //! and suspects no one; only the refresh then reads, and only counters
 //! whose epoch moved.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use omega_registers::{
-    FlagArray, MemorySpace, MwmrNatArray, NatArray, ProcessId, ProcessSet, ScanCounters,
-};
+use omega_registers::{MemorySpace, MwmrNatArray, NatArray, ProcessId, ProcessSet};
 
 use crate::candidates::CandidateInit;
-use crate::fig2::Elector;
+use crate::fig2::{Elector, EpochWalk, Registers};
 use crate::heartbeat::HeartbeatTracker;
 use crate::OmegaProcess;
 
 /// Why a version of the suspicion counters is always there.
 const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_mwmr_array";
 
-/// Epoch-validated local view of the shared suspicion counters: slot `k`
-/// is re-read only when its modification epoch moved.
+/// The shared suspicion counters as one process last read them: what `T1`
+/// elects from, each counter re-read only when its epoch moved.
 #[derive(Debug)]
 pub(crate) struct CounterCache {
-    seen: Vec<u64>,
-    /// Array-global epoch of the last validation pass; `u64::MAX` = none
-    /// yet. While it matches, `refresh` is O(1) (as a `SUSPICIONS` row
-    /// cache's, [`crate::fig2`]).
-    seen_global: u64,
+    walk: EpochWalk,
     values: Vec<u64>,
     /// `max(values)`, recomputed only when a refresh re-reads something —
     /// the timeout formula's O(1) fast path.
@@ -51,57 +47,41 @@ pub(crate) struct CounterCache {
 impl CounterCache {
     fn new(n: usize) -> Self {
         CounterCache {
-            seen: vec![u64::MAX; n],
-            seen_global: u64::MAX,
+            walk: EpochWalk::new(n, None, 1),
             values: vec![0; n],
             values_max: 0,
         }
     }
 
-    /// Returns whether any slot was re-read (election-cache invalidation).
-    fn refresh(&mut self, counters: &MwmrNatArray, reader: ProcessId, scan: &ScanCounters) -> bool {
-        let skipped = |slots: u64| scan.note_skipped(slots, slots);
-        // Global epoch first (read before any slot work, so a racing write
-        // forces the next refresh down the slow path): unchanged means
-        // every slot epoch is unchanged — skip the walk, credit the batch.
-        let global = counters.version().expect(EPOCHED);
-        if self.seen_global == global {
-            skipped(counters.len() as u64);
-            return false;
-        }
-        // Cold cache (every slot stale — the sentinel state of a fresh
-        // process): take one batched array snapshot instead of n
-        // version-checked single reads.
-        if self.seen.iter().all(|&v| v == u64::MAX) {
-            for (k, seen) in self.seen.iter_mut().enumerate() {
-                *seen = counters.slot_version(k).expect(EPOCHED);
-            }
-            counters.snapshot_into(reader, &mut self.values);
-            scan.note_snapshot();
-            self.values_max = self.values.iter().copied().max().unwrap_or(0);
-            self.seen_global = global;
-            return true;
-        }
-        let mut clean = 0;
-        let mut changed = false;
-        for k in 0..counters.len() {
-            let version = counters.slot_version(k).expect(EPOCHED);
-            if self.seen[k] == version {
-                clean += 1;
-                continue;
-            }
-            self.values[k] = counters.get(k).read(reader);
-            self.seen[k] = version;
-            changed = true;
-        }
-        if clean > 0 {
-            skipped(clean);
-        }
-        if changed {
+    /// Re-reads the counters whose epoch moved ([`EpochWalk::refresh`]);
+    /// returns whether any was.
+    fn refresh(&mut self, registers: &Registers<MwmrNatArray>, reader: ProcessId) -> bool {
+        let (counters, values) = (&registers.suspicions, &mut self.values);
+        let reread = self.walk.refresh(
+            &registers.scan,
+            || counters.version().expect(EPOCHED),
+            |k| counters.slot_version(k).expect(EPOCHED),
+            |slot| match slot {
+                Some(k) => values[k] = counters.get(k).read(reader),
+                // The first refresh: one batched snapshot, not n reads.
+                None => {
+                    counters.snapshot_into(reader, values);
+                    registers.scan.note_snapshot();
+                }
+            },
+        );
+        if reread {
             self.values_max = self.values.iter().copied().max().unwrap_or(0);
         }
-        self.seen_global = global;
-        changed
+        reread
+    }
+}
+
+impl Registers<MwmrNatArray> {
+    /// Unattributed view of the shared suspicion counter of `k`.
+    #[must_use]
+    pub fn peek_suspicions(&self, k: ProcessId) -> u64 {
+        self.suspicions.get(k.index()).peek()
     }
 }
 
@@ -109,38 +89,20 @@ impl CounterCache {
 /// Figure 2, plus a single multi-writer suspicion counter per process.
 #[derive(Debug)]
 pub struct MwmrMemory {
-    n: usize,
-    progress: NatArray,
-    stop: FlagArray,
-    suspicions: MwmrNatArray,
-    /// Where the reads the epochs spare are counted.
-    scan: Arc<ScanCounters>,
+    pub(crate) progress: NatArray,
+    pub(crate) registers: Registers<MwmrNatArray>,
 }
 
 impl MwmrMemory {
     /// Allocates the variant's registers in `space`.
     #[must_use]
     pub fn new(space: &MemorySpace) -> Arc<Self> {
-        let n = space.n_processes();
         Arc::new(MwmrMemory {
-            n,
             progress: space.epoched_nat_array("PROGRESS", |_| 0),
-            stop: space.flag_array("STOP", |_| true),
-            suspicions: space.epoched_nat_mwmr_array("SUSPICIONS", n, |_| 0),
-            scan: space.scan_counters(),
+            registers: Registers::new(space, |space| {
+                space.epoched_nat_mwmr_array("SUSPICIONS", space.n_processes(), |_| 0)
+            }),
         })
-    }
-
-    /// Number of processes.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Unattributed view of the shared suspicion counter of `k`.
-    #[must_use]
-    pub fn peek_suspicions(&self, k: ProcessId) -> u64 {
-        self.suspicions.get(k.index()).peek()
     }
 
     /// Unattributed view of `PROGRESS[k]`.
@@ -148,11 +110,14 @@ impl MwmrMemory {
     pub fn peek_progress(&self, k: ProcessId) -> u64 {
         self.progress.get(k).peek()
     }
+}
 
-    /// `STOP` and `PROGRESS`.
-    #[cfg(test)]
-    pub(crate) fn heartbeat_arrays(&self) -> (&FlagArray, &NatArray) {
-        (&self.stop, &self.progress)
+/// `STOP`, the counters and their `peek_*` views are Figure 2's block.
+impl Deref for MwmrMemory {
+    type Target = Registers<MwmrNatArray>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.registers
     }
 }
 
@@ -162,7 +127,7 @@ pub struct MwmrProcess {
     mem: Arc<MwmrMemory>,
     /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
     /// `T3` scan, as in [`Alg1Process`](crate::Alg1Process).
-    heartbeats: HeartbeatTracker,
+    pub(crate) heartbeats: HeartbeatTracker,
     pub(crate) fig2: Elector<CounterCache>,
 }
 
@@ -195,12 +160,6 @@ impl MwmrProcess {
     pub fn candidates(&self) -> &ProcessSet {
         self.heartbeats.candidates()
     }
-
-    /// The `T3` heartbeat tracker.
-    #[cfg(test)]
-    pub(crate) fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker {
-        &mut self.heartbeats
-    }
 }
 
 impl OmegaProcess for MwmrProcess {
@@ -216,7 +175,7 @@ impl OmegaProcess for MwmrProcess {
         let (mem, pid) = (&*self.mem, self.fig2.pid);
         self.fig2.leader(
             self.candidates(),
-            |cache| cache.refresh(&mem.suspicions, pid, &mem.scan),
+            |cache| cache.refresh(&mem.registers, pid),
             |cache, k| cache.values[k.index()],
         )
     }
@@ -245,7 +204,7 @@ impl OmegaProcess for MwmrProcess {
         // this process can observe — from the epoch-validated cache, so
         // clean counters cost no shared reads (and no O(n) rescan).
         let cache = self.fig2.view.get_mut();
-        let reread = cache.refresh(&mem.suspicions, pid, &mem.scan);
+        let reread = cache.refresh(&mem.registers, pid);
         let timeout = cache.values_max + 1;
         if reread || !booked {
             // The pass may have changed `candidates` and the counters, and

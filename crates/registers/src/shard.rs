@@ -181,77 +181,85 @@ impl ScanStats {
     }
 }
 
-/// Write versions kept for banks: one per entry, plus a global version
-/// that moves with each of them (module docs).
+/// Where a bank's write versions live in an epoch table (module docs): a
+/// version per entry, plus a global version that moves with each of them.
 ///
-/// A reader that observes an unchanged global knows every entry is
-/// unchanged too. Only the banks holding the table bump it.
-#[derive(Debug)]
+/// A table is one allocation, the global first ([`table`](Self::table));
+/// a bank holds it beside this place: its base entry and its grain. A
+/// reader that observes an unchanged global knows every entry is unchanged
+/// too. Only the banks holding a table bump it.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Epochs {
-    versions: Box<[AtomicU64]>,
-    global: AtomicU64,
+    /// The table index of the bank's base entry (the global is index 0).
+    first: u16,
     /// A bank's slot `i` is entry `base + (i >> grain)`: the grain's log.
-    grain: u32,
+    grain: u8,
     mode: Instrumentation,
 }
 
 impl Epochs {
-    /// A table of `entries` versions, `grain` slots of a bank to an entry.
+    /// A table of `entries` versions and the global, all 0.
+    pub(crate) fn table(entries: usize) -> Arc<[AtomicU64]> {
+        (0..=entries).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    /// The place of a bank whose slots are versioned from entry `base` of
+    /// a table on, `grain` slots to an entry.
     ///
     /// # Panics
     ///
-    /// Panics if `grain` is not a power of two.
-    pub(crate) fn new(entries: usize, grain: usize, mode: Instrumentation) -> Arc<Self> {
+    /// Panics if `grain` is not a power of two, or if `base` is past the
+    /// 65 534 entries a place can address.
+    pub(crate) fn new(base: usize, grain: usize, mode: Instrumentation) -> Self {
         assert!(grain.is_power_of_two(), "a grain of {grain} slots");
-        Arc::new(Epochs {
-            versions: (0..entries).map(|_| AtomicU64::new(0)).collect(),
-            global: AtomicU64::new(0),
-            grain: grain.trailing_zeros(),
+        Epochs {
+            first: u16::try_from(1 + base).expect("a base entry below 2^16 - 1"),
+            grain: grain.trailing_zeros() as u8,
             mode,
-        })
+        }
     }
 
-    /// The entry of slot `slot` of the bank at entry `base`.
+    /// The table index of the entry of the bank's slot `slot`.
     #[inline]
-    fn entry(&self, base: usize, slot: usize) -> usize {
-        base + (slot >> self.grain)
+    fn entry(self, slot: usize) -> usize {
+        usize::from(self.first) + (slot >> self.grain)
     }
 
-    /// Bumps the entry of `slot` of the bank at `base`, and the global.
+    /// Bumps the entry of the bank's `slot` in `table`, and the global.
     /// Release: a reader that loads the new version then reads the value
     /// stored before the bump.
     #[inline]
-    pub(crate) fn bump(&self, base: usize, slot: usize) {
-        let entry = &self.versions[self.entry(base, slot)];
+    pub(crate) fn bump(self, table: &[AtomicU64], slot: usize) {
+        let entry = &table[self.entry(slot)];
         self.mode.add(entry, 1, Ordering::Release);
-        self.mode.add(&self.global, 1, Ordering::Release);
+        self.mode.add(&table[0], 1, Ordering::Release);
     }
 
-    /// Bumps once each entry that slots `0..len` of the bank at `base`
-    /// cover: the partition install/heal hook.
-    pub(crate) fn bump_bank(&self, base: usize, len: usize) {
+    /// Bumps once each entry that the bank's slots `0..len` cover: the
+    /// partition install/heal hook.
+    pub(crate) fn bump_bank(self, table: &[AtomicU64], len: usize) {
         for slot in (0..len).step_by(1 << self.grain) {
-            self.bump(base, slot);
+            self.bump(table, slot);
         }
     }
 
-    /// The sum of the entries that `slots` of the bank at `base` overlap:
-    /// it moves whenever one of them does, and every entry only grows.
+    /// The sum of the entries that the bank's `slots` overlap: it moves
+    /// whenever one of them does, and every entry only grows.
     #[inline]
-    pub(crate) fn version(&self, base: usize, slots: Range<usize>) -> u64 {
+    pub(crate) fn version(self, table: &[AtomicU64], slots: Range<usize>) -> u64 {
         if slots.is_empty() {
             return 0;
         }
-        let entries = self.entry(base, slots.start)..=self.entry(base, slots.end - 1);
-        (self.versions[entries].iter())
+        let entries = self.entry(slots.start)..=self.entry(slots.end - 1);
+        (table[entries].iter())
             .map(|version| version.load(Ordering::Acquire))
             .sum()
     }
 
-    /// The global version.
+    /// The global version of `table`.
     #[inline]
-    pub(crate) fn global(&self) -> u64 {
-        self.global.load(Ordering::Acquire)
+    pub(crate) fn global(table: &[AtomicU64]) -> u64 {
+        table[0].load(Ordering::Acquire)
     }
 }
 
@@ -433,17 +441,25 @@ mod tests {
 
     #[test]
     fn tables_bump_per_grain_and_sum_the_entries_a_range_overlaps() {
-        let table = Epochs::new(5, 16, Instrumentation::Deferred);
-        table.bump(1, 20);
-        assert_eq!(table.version(1, 0..16), 0, "base 1: slot 20 is entry 2");
-        assert_eq!((table.version(1, 16..32), table.version(1, 10..17)), (1, 1));
-        assert_eq!((table.version(0, 0..80), table.version(1, 5..5)), (1, 0));
-        table.bump_bank(1, 40);
+        let table = Epochs::table(5);
+        let mode = Instrumentation::Deferred;
+        let (whole, bank) = (Epochs::new(0, 16, mode), Epochs::new(1, 16, mode));
+        bank.bump(&table, 20);
+        assert_eq!(bank.version(&table, 0..16), 0, "base 1: slot 20 is entry 2");
+        assert_eq!(
+            (bank.version(&table, 16..32), bank.version(&table, 10..17)),
+            (1, 1)
+        );
+        assert_eq!(
+            (whole.version(&table, 0..80), bank.version(&table, 5..5)),
+            (1, 0)
+        );
+        bank.bump_bank(&table, 40);
         assert_eq!(
             (
-                table.version(0, 0..16),
-                table.version(0, 0..80),
-                table.global()
+                whole.version(&table, 0..16),
+                whole.version(&table, 0..80),
+                Epochs::global(&table)
             ),
             (0, 4, 4),
             "entries 1, 2 and 3 once each, the global with them"
@@ -453,7 +469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "grain")]
     fn a_grain_is_a_power_of_two() {
-        let _ = Epochs::new(2, 3, Instrumentation::Eager);
+        let _ = Epochs::new(0, 3, Instrumentation::Eager);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The shared memory space: register factory, registry, and reporting root.
 
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::sync::RwLock;
@@ -212,13 +213,13 @@ impl MemorySpace {
 
     /// Creates and registers the bank named per `naming`, slot `i` holding
     /// `init(i)` and owned per `owners`: four allocations (see
-    /// [`crate::swmr`]), versioned at the given base entry of `table`, if
-    /// one is given.
+    /// [`crate::swmr`]), versioned at the given place of `table`, if one
+    /// is given.
     fn bank<T, C>(
         &self,
         naming: Naming<'_>,
         owners: Owners,
-        table: Option<(Arc<Epochs>, usize)>,
+        table: Option<(Arc<[AtomicU64]>, Epochs)>,
         init: impl FnMut(usize) -> T,
     ) -> Arc<Bank<T, C>>
     where
@@ -384,7 +385,7 @@ impl MemorySpace {
         &self,
         name: &str,
         owners: impl Fn(usize) -> Owners,
-        table: Option<&Arc<Epochs>>,
+        table: Option<&Arc<[AtomicU64]>>,
         mut init: impl FnMut(usize, usize) -> T,
     ) -> OwnedMatrix<T, C>
     where
@@ -398,7 +399,9 @@ impl MemorySpace {
         for r in 0..n {
             prefix.clear();
             write!(prefix, "{name}[{r}]").expect("writing to a String");
-            let table = table.map(|table| (Arc::clone(table), r));
+            let grain = n.next_power_of_two();
+            let table =
+                table.map(|table| (Arc::clone(table), Epochs::new(r, grain, self.inner.mode)));
             let naming = Naming::Indexed(&prefix, n);
             rows.push(SwmrArray::over(
                 self.bank(naming, owners(r), table, |c| init(r, c)),
@@ -489,9 +492,10 @@ impl MemorySpace {
         mut init: impl FnMut(ProcessId) -> u64,
     ) -> NatArray {
         let n = self.inner.n_processes;
-        let table = Epochs::new(n.div_ceil(SHARD_GRAIN), SHARD_GRAIN, self.inner.mode);
+        let table = Epochs::table(n.div_ceil(SHARD_GRAIN));
+        let at = Epochs::new(0, SHARD_GRAIN, self.inner.mode);
         let naming = Naming::Indexed(name, n);
-        SwmrArray::over(self.bank(naming, Owners::Identity, Some((table, 0)), |i| {
+        SwmrArray::over(self.bank(naming, Owners::Identity, Some((table, at)), |i| {
             init(ProcessId::new(i))
         }))
     }
@@ -540,7 +544,7 @@ impl MemorySpace {
         init: impl FnMut(usize, usize) -> u64,
     ) -> NatMatrix {
         let n = self.inner.n_processes;
-        let table = Epochs::new(n, n.next_power_of_two(), self.inner.mode);
+        let table = Epochs::table(n);
         let owners = |r| Owners::Uniform(ProcessId::new(r));
         self.matrix_cell(name, owners, Some(&table), init)
     }
@@ -555,11 +559,11 @@ impl MemorySpace {
         len: usize,
         init: impl FnMut(usize) -> u64,
     ) -> MwmrNatArray {
-        let table = Epochs::new(len, 1, self.inner.mode);
+        let table = (Epochs::table(len), Epochs::new(0, 1, self.inner.mode));
         MwmrArray::over(self.bank(
             Naming::Indexed(name, len),
             Owners::Shared,
-            Some((table, 0)),
+            Some(table),
             init,
         ))
     }

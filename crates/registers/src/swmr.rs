@@ -63,6 +63,7 @@
 
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use crate::block::BlockDevice;
@@ -126,12 +127,12 @@ pub(crate) struct Bank<T, C> {
     /// Boxed: one word on the in-memory banks that never bind one.
     block: Option<Box<BlockSlots>>,
     mask: Arc<PartitionMask>,
-    /// The table this bank's writes are versioned in, if any: slot `i`
-    /// moves the entry of `i` past `epoch_base` (see [`Epochs`]).
-    epochs: Option<Arc<Epochs>>,
+    /// The table this bank's writes are versioned in, if any, at `epoch`.
+    epochs: Option<Arc<[AtomicU64]>>,
+    /// Where in `epochs` slot `i` moves a version (see [`Epochs`]).
+    epoch: Epochs,
     /// Slot `i` is register `first_id + i` of its space.
     first_id: u32,
-    epoch_base: u32,
     owners: Owners,
     counters: Counters,
     _marker: std::marker::PhantomData<fn() -> T>,
@@ -147,8 +148,8 @@ pub(crate) struct BankSpec {
     pub(crate) mode: Instrumentation,
     pub(crate) block: Option<BlockSlots>,
     pub(crate) mask: Arc<PartitionMask>,
-    /// The epoch table and the bank's base entry in it, if it keeps one.
-    pub(crate) table: Option<(Arc<Epochs>, usize)>,
+    /// The epoch table and the bank's place in it, if it keeps one.
+    pub(crate) table: Option<(Arc<[AtomicU64]>, Epochs)>,
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
@@ -180,7 +181,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             let initial = live.iter().map(|cell| C::with_value(cell.load()));
             let _ = frozen.set(initial.collect());
         }
-        let (epochs, base) = spec.table.unzip();
+        let (epochs, epoch) = spec.table.unzip();
         Arc::new(Bank {
             live,
             frozen,
@@ -188,8 +189,8 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             block: spec.block.map(Box::new),
             mask: spec.mask,
             epochs,
+            epoch: epoch.unwrap_or_default(),
             first_id: u32::try_from(spec.first_id).expect("register count fits u32"),
-            epoch_base: u32::try_from(base.unwrap_or(0)).expect("table size fits u32"),
             owners: spec.owners,
             counters,
             _marker: std::marker::PhantomData,
@@ -291,14 +292,13 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     #[inline]
     pub(crate) fn version(&self, slots: Range<usize>) -> Option<u64> {
         assert!(slots.end <= self.len(), "slots past the bank");
-        let base = self.epoch_base as usize;
-        (self.epochs.as_ref()).map(|table| table.version(base, slots))
+        (self.epochs.as_ref()).map(|table| self.epoch.version(table, slots))
     }
 
     /// The global version of the bank's table, if it keeps one.
     #[inline]
     pub(crate) fn global_version(&self) -> Option<u64> {
-        self.epochs.as_ref().map(|table| table.global())
+        self.epochs.as_deref().map(Epochs::global)
     }
 
     /// The [`version`](Self::version) a booking checks: `None` on a
@@ -313,7 +313,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     #[inline]
     fn bump(&self, slot: usize) {
         if let Some(table) = &self.epochs {
-            table.bump(self.epoch_base as usize, slot);
+            self.epoch.bump(table, slot);
         }
     }
 
@@ -414,7 +414,7 @@ impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
 
     fn bump_epochs(&self) {
         if let Some(table) = &self.epochs {
-            table.bump_bank(self.epoch_base as usize, self.len());
+            self.epoch.bump_bank(table, self.len());
         }
     }
 

@@ -218,6 +218,16 @@ impl Cluster {
         self.space.scan_counters().snapshot()
     }
 
+    /// The leader in the Ω contract's sense: the identity every correct
+    /// node currently reports, if they agree on one and it is correct.
+    #[must_use]
+    pub fn agreed_leader(&self) -> Option<ProcessId> {
+        let correct = self.correct();
+        let mut estimates = correct.iter().map(|pid| self.node(pid).cached_leader());
+        let first = estimates.next().flatten()?;
+        (correct.contains(first) && estimates.all(|e| e == Some(first))).then_some(first)
+    }
+
     /// Crash-stops `pid`.
     pub fn crash(&self, pid: ProcessId) {
         self.nodes[pid.index()].crash();
@@ -257,17 +267,8 @@ impl Cluster {
         let poll = Duration::from_millis(2);
         let mut agreed_since: Option<(ProcessId, Instant)> = None;
         while start.elapsed() < timeout {
-            let estimates = self.leaders();
-            observe(&estimates);
-            let correct = self.correct();
-            let mut live = correct.iter().map(|p| estimates[p.index()]);
-            let agreed = match live.next().flatten() {
-                Some(leader) if correct.contains(leader) && live.all(|e| e == Some(leader)) => {
-                    Some(leader)
-                }
-                _ => None,
-            };
-            match (agreed, agreed_since) {
+            observe(&self.leaders());
+            match (self.agreed_leader(), agreed_since) {
                 (Some(leader), Some((prev, since))) if leader == prev => {
                     if since.elapsed() >= window {
                         return Some(leader);
@@ -345,6 +346,30 @@ mod tests {
             .expect("re-election after crash");
         assert_ne!(second, first, "a crashed process cannot stay leader");
         assert!(cluster.correct().contains(second));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn the_agreed_leader_is_none_without_a_correct_node_or_agreement() {
+        // `await_stable_leader` polls `agreed_leader` until it holds one
+        // identity for the whole window.
+        let cluster = Cluster::start(OmegaVariant::Alg1, 3, fast());
+        let first = cluster
+            .await_stable_leader(Duration::from_millis(40), Duration::from_secs(10))
+            .expect("initial election");
+        // The survivors may still report the crashed leader; it is not
+        // correct, so it is never the agreed one.
+        cluster.crash(first);
+        assert_ne!(cluster.agreed_leader(), Some(first));
+        let second = cluster
+            .await_stable_leader(Duration::from_millis(40), Duration::from_secs(10))
+            .expect("re-election after the crash");
+        assert_ne!(second, first);
+        // Leaderless: no correct node is left to report anyone.
+        for pid in ProcessId::all(3) {
+            cluster.crash(pid);
+        }
+        assert_eq!(cluster.agreed_leader(), None);
         cluster.shutdown();
     }
 

@@ -35,7 +35,7 @@ struct Subscriber {
 
 /// Observes a cluster and notifies subscribers of leadership changes.
 ///
-/// "The leader" is defined as in the Ω contract: the identity that *all*
+/// "The leader" is [`Cluster::agreed_leader`]: the identity that *all*
 /// correct nodes currently report; while they disagree, the watch reports
 /// `None`.
 pub struct LeaderWatch {
@@ -62,7 +62,7 @@ impl LeaderWatch {
                 .name("leader-watch".into())
                 .spawn(move || {
                     while !stop.load(Ordering::Acquire) {
-                        let agreed = Self::agreed_leader(&cluster);
+                        let agreed = cluster.agreed_leader();
                         let mut held = current.lock();
                         if *held != agreed {
                             let event = LeaderEvent {
@@ -87,18 +87,6 @@ impl LeaderWatch {
             current,
             stop,
             thread: Some(thread),
-        }
-    }
-
-    /// The identity all correct nodes currently agree on, if any.
-    fn agreed_leader(cluster: &Cluster) -> Option<ProcessId> {
-        let correct = cluster.correct();
-        let mut estimates = correct.iter().map(|pid| cluster.node(pid).cached_leader());
-        let first = estimates.next().flatten()?;
-        if correct.contains(first) && estimates.all(|e| e == Some(first)) {
-            Some(first)
-        } else {
-            None
         }
     }
 
