@@ -20,12 +20,14 @@
 //! `SUSPICIONS[i][·]` row, so the remaining shared *reads* are exactly the
 //! ones the model requires.
 //!
-//! This file holds what only Figure 2 does: the unbounded `PROGRESS`
-//! heartbeat, whose `T3` pass may be booked (below). What its variants
-//! keep lives where they share it: the register block, `T1`, lines 9 and
-//! 11, the owned `SUSPICIONS` row (lines 22–24, 27) and the epoch walk in
-//! [`crate::fig2`]; line 8 and the pass of lines 13–24 in
-//! [`crate::heartbeat`].
+//! This file holds what only Figure 2 does: the row-owned `SUSPICIONS`
+//! store the process suspects in and times out from (its [`Store`]), the
+//! timeout slack and `corrupt`. The process and its memory are Figure 2's
+//! one heartbeat process, shared with §3.5(a), in [`crate::heartbeat`]:
+//! `PROGRESS`, line 8 and the `T3` pass of lines 13–24, whose pass may be
+//! booked (below). The register block, `T1`, lines 9 and 11, the owned
+//! `SUSPICIONS` row (lines 22–24, 27) and the epoch walk are in
+//! [`crate::fig2`].
 //!
 //! # Scaling past n ≈ 32
 //!
@@ -38,12 +40,12 @@
 //!   quiescent (stabilized) run it performs *zero* shared reads, and the
 //!   processes share one copy of each row (see [`crate::fig2`]).
 //! * **Sharded `T3` scan** — each timer expiry scans one round-robin slice
-//!   of [`T3_SHARD_SIZE`] processes instead of all `n`. A slice pass is the
-//!   paper's lines 13–26 verbatim for the slice members; each process is
-//!   still checked on every full rotation, so suspicion accrual merely
-//!   slows by the (constant) shard count — the eventual-leadership argument
-//!   is unaffected. Systems with `n ≤ ` [`T3_SHARD_SIZE`] scan exactly as
-//!   in Figure 2.
+//!   of [`T3_SHARD_SIZE`](crate::T3_SHARD_SIZE) processes instead of all
+//!   `n`. A slice pass is the paper's lines 13–26 verbatim for the slice
+//!   members; each process is still checked on every full rotation, so
+//!   suspicion accrual merely slows by the (constant) shard count — the
+//!   eventual-leadership argument is unaffected. Systems with `n ≤ `
+//!   [`T3_SHARD_SIZE`](crate::T3_SHARD_SIZE) scan exactly as in Figure 2.
 //! * **Range reads over register banks** — Lemma 6 says the reads of a
 //!   slice pass can never go away (every correct non-leader reads shared
 //!   memory forever), so after stabilization a run's work *is* this scan.
@@ -77,74 +79,17 @@
 //!   no `STOP` value, so the `STOP`-before-`PROGRESS` order above is moot
 //!   for it; every pass that reads keeps it.
 
-use std::ops::Deref;
-use std::sync::Arc;
+use omega_registers::ProcessId;
 
-use omega_registers::{MemorySpace, NatArray, ProcessId, ProcessSet};
+use crate::fig2::{corruption, SuspicionMatrix};
+use crate::heartbeat::{HeartbeatMemory, HeartbeatProcess};
 
-use crate::candidates::CandidateInit;
-use crate::fig2::{corruption, Elector, Registers, SuspicionCache, SuspicionMatrix};
-use crate::heartbeat::HeartbeatTracker;
-use crate::OmegaProcess;
-
-/// Number of processes examined per sharded `T3` pass (and the threshold
-/// below which the scan is unsharded, i.e. exactly the paper's Figure 2).
-pub const T3_SHARD_SIZE: usize = 16;
-
-/// The Figure-2 shared register layout.
+/// The Figure-2 shared register layout: `PROGRESS`, `STOP` and the
+/// row-owned `SUSPICIONS` matrix.
 ///
-/// One instance is shared (via [`Arc`]) by all `n` [`Alg1Process`]es of a
-/// system.
-#[derive(Debug)]
-pub struct Alg1Memory {
-    progress: NatArray,
-    pub(crate) registers: Registers<SuspicionMatrix>,
-}
-
-impl Alg1Memory {
-    /// Allocates the `PROGRESS`/`STOP`/`SUSPICIONS` registers in `space`
-    /// with the paper's initial values (naturals 0, booleans `true`).
-    #[must_use]
-    pub fn new(space: &MemorySpace) -> Arc<Self> {
-        Arc::new(Alg1Memory {
-            progress: space.epoched_nat_array("PROGRESS", |_| 0),
-            registers: Registers::new(space, SuspicionMatrix::new),
-        })
-    }
-
-    /// Unattributed view of `PROGRESS[k]`, for harnesses and experiments.
-    #[must_use]
-    pub fn peek_progress(&self, k: ProcessId) -> u64 {
-        self.progress.get(k).peek()
-    }
-
-    /// Overwrites every register with arbitrary values derived from `seed`
-    /// — the paper's footnote 7 allows arbitrary initial shared state; the
-    /// self-stabilization experiments start from here.
-    pub fn corrupt(&self, seed: u64) {
-        let mut next = corruption(seed);
-        for pid in ProcessId::all(self.n()) {
-            self.progress.get(pid).poke(next() % 1_000);
-            self.stop.get(pid).poke(next().is_multiple_of(2));
-        }
-        for j in ProcessId::all(self.n()) {
-            for k in ProcessId::all(self.n()) {
-                // The poke moves the row's epoch: live processes with a
-                // populated scan cache observe the corruption next query.
-                self.suspicions.cells.get(j, k).poke(next() % 100);
-            }
-        }
-    }
-}
-
-/// `STOP`, `SUSPICIONS` and their `peek_*` views are Figure 2's block.
-impl Deref for Alg1Memory {
-    type Target = Registers<SuspicionMatrix>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.registers
-    }
-}
+/// One instance is shared (via [`Arc`](std::sync::Arc)) by all `n`
+/// [`Alg1Process`]es of a system.
+pub type Alg1Memory = HeartbeatMemory<SuspicionMatrix>;
 
 /// One process of Algorithm 1.
 ///
@@ -168,50 +113,29 @@ impl Deref for Alg1Memory {
 /// p0.t2_step(); // p0 heartbeats
 /// p1.t2_step(); // p1 demotes itself (sets STOP)
 /// ```
-#[derive(Debug)]
-pub struct Alg1Process {
-    mem: Arc<Alg1Memory>,
-    /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
-    /// `T3` scan.
-    heartbeats: HeartbeatTracker,
-    pub(crate) fig2: Elector<SuspicionCache>,
+pub type Alg1Process = HeartbeatProcess<SuspicionMatrix>;
+
+impl Alg1Memory {
+    /// Overwrites every register with arbitrary values derived from `seed`
+    /// — the paper's footnote 7 allows arbitrary initial shared state; the
+    /// self-stabilization experiments start from here.
+    pub fn corrupt(&self, seed: u64) {
+        let mut next = corruption(seed);
+        for pid in ProcessId::all(self.n()) {
+            self.progress.get(pid).poke(next() % 1_000);
+            self.stop.get(pid).poke(next().is_multiple_of(2));
+        }
+        for j in ProcessId::all(self.n()) {
+            for k in ProcessId::all(self.n()) {
+                // The poke moves the row's epoch: live processes with a
+                // populated scan cache observe the corruption next query.
+                self.suspicions.cells.get(j, k).poke(next() % 100);
+            }
+        }
+    }
 }
 
 impl Alg1Process {
-    /// Creates process `pid` over `mem`, initially trusting everyone.
-    #[must_use]
-    pub fn new(mem: Arc<Alg1Memory>, pid: ProcessId) -> Self {
-        Alg1Process::with_candidates(mem, pid, CandidateInit::Full)
-    }
-
-    /// Creates process `pid` with an explicit initial candidate set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range for the memory's system size.
-    #[must_use]
-    pub fn with_candidates(mem: Arc<Alg1Memory>, pid: ProcessId, init: CandidateInit) -> Self {
-        let fig2 = Elector::new(&mem.stop, pid, || SuspicionCache::new(&mem.registers, pid));
-        Alg1Process {
-            heartbeats: HeartbeatTracker::new(&mem.progress, pid, init.materialize(mem.n(), pid)),
-            fig2,
-            mem,
-        }
-    }
-
-    /// Overrides the width of the sharded `T3` scan (default
-    /// [`T3_SHARD_SIZE`]); `shard ≥ n` restores the paper's full scan.
-    /// Provided for the shard-size experiments and the parity tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard == 0`.
-    #[must_use]
-    pub fn with_scan_shard(mut self, shard: usize) -> Self {
-        self.heartbeats.set_shard_width(shard);
-        self
-    }
-
     /// Sets the additive slack of the timer formula (Figure 2, line 27
     /// uses `max_k SUSPICIONS[i][k] + 1`, i.e. slack 1). Larger slack makes
     /// followers more patient: fewer spurious suspicions during chaotic
@@ -228,82 +152,15 @@ impl Alg1Process {
         self.fig2.view.get_mut().slack = slack;
         self
     }
-
-    /// The shared memory this process runs over.
-    #[must_use]
-    pub fn memory(&self) -> &Arc<Alg1Memory> {
-        &self.mem
-    }
-
-    /// Current candidate set (test/diagnostic view).
-    #[must_use]
-    pub fn candidates(&self) -> &ProcessSet {
-        self.heartbeats.candidates()
-    }
-}
-
-impl OmegaProcess for Alg1Process {
-    fn pid(&self) -> ProcessId {
-        self.fig2.pid
-    }
-
-    fn n(&self) -> usize {
-        self.mem.n()
-    }
-
-    /// Task `T1` (lines 1–5); in a stabilized run it reads nothing shared.
-    fn leader(&self) -> ProcessId {
-        let mem = &*self.mem;
-        self.fig2.leader(
-            self.candidates(),
-            |rows| rows.refresh(&mem.registers),
-            SuspicionCache::total,
-        )
-    }
-
-    /// One iteration of task `T2` (lines 6–12), line 8 a heartbeat.
-    fn t2_step(&mut self) {
-        let leader = self.leader();
-        let (mem, heartbeats) = (&*self.mem, &mut self.heartbeats);
-        self.fig2
-            .t2_step(leader, &mem.stop, || heartbeats.beat(&mem.progress));
-    }
-
-    /// Task `T3` body (lines 13–27) over one round-robin shard of at most
-    /// [`T3_SHARD_SIZE`] processes (the whole system when `n` fits in one
-    /// shard). Returns the next timeout value `max_k SUSPICIONS[i][k] + 1`.
-    ///
-    /// The pass reads `STOP[shard]`, then `PROGRESS[shard]` (module docs),
-    /// unless it is provably a no-op: then its reads are booked and
-    /// nothing is loaded.
-    fn on_timer_expire(&mut self) -> u64 {
-        let mem = &*self.mem;
-        let rows = self.fig2.view.get_mut();
-        let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
-            rows.suspect(&mem.registers, k);
-        });
-        let timeout = rows.timeout();
-        if !booked {
-            // The pass may have changed `candidates` and the own
-            // suspicion row — both election inputs.
-            self.fig2.election.set(None);
-        }
-        mem.scan.note_shard_pass();
-        timeout
-    }
-
-    fn initial_timeout(&self) -> u64 {
-        self.fig2.view.borrow().timeout()
-    }
-
-    fn cached_leader(&self) -> Option<ProcessId> {
-        self.fig2.cached
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::{OmegaProcess, T3_SHARD_SIZE};
+    use omega_registers::MemorySpace;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -719,12 +576,15 @@ mod tests {
 #[cfg(test)]
 mod shared_rows_tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
     use std::time::Duration;
 
     use super::*;
     use crate::candidates::elect_least_suspected;
     use crate::fig2::testing::{DenseSuspicionCache, Figure2, Rng};
-    use crate::{Alg2Memory, Alg2Process};
+    use crate::fig2::SuspicionCache;
+    use crate::{Alg2Memory, Alg2Process, OmegaProcess};
+    use omega_registers::MemorySpace;
 
     /// A process whose `leader()` reads through a [`SuspicionCache`].
     trait Cached: Figure2<View = SuspicionCache, Suspicions = SuspicionMatrix> {}
@@ -960,96 +820,56 @@ mod shared_rows_tests {
 /// before each of its passes.
 #[cfg(test)]
 mod memo_tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::fig2::testing::Rng;
-    use crate::{MwmrMemory, MwmrProcess};
-    use omega_registers::FlagArray;
+    use crate::heartbeat::Store;
+    use crate::{OmegaProcess, T3_SHARD_SIZE};
+    use omega_registers::{MemorySpace, MwmrNatArray};
 
-    /// A process that heartbeats (line 8), and so passes by a tracker.
-    trait Tracked: OmegaProcess {
-        fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker;
-    }
-
-    impl Tracked for Alg1Process {
-        fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker {
-            &mut self.heartbeats
-        }
-    }
-
-    impl Tracked for MwmrProcess {
-        fn heartbeats_mut(&mut self) -> &mut HeartbeatTracker {
-            &mut self.heartbeats
-        }
-    }
-
-    /// One system: its space, its processes, its `STOP` and `PROGRESS`,
-    /// and (Alg1) the corruption of its whole memory.
-    struct System<P> {
+    /// One system: its space, its memory, its processes, and what
+    /// corrupting its memory does (Alg1: every register; Mwmr: nothing).
+    struct System<S: Store> {
         space: MemorySpace,
-        procs: Vec<P>,
-        stop: FlagArray,
-        progress: NatArray,
-        corrupt: Option<Box<dyn Fn(u64)>>,
+        mem: Arc<HeartbeatMemory<S>>,
+        procs: Vec<HeartbeatProcess<S>>,
+        corrupt: fn(&HeartbeatMemory<S>, u64),
     }
 
-    fn space(n: usize) -> MemorySpace {
-        MemorySpace::with_instrumentation(n, omega_registers::Instrumentation::Deferred)
-    }
-
-    fn alg1(n: usize, width: Option<usize>) -> System<Alg1Process> {
-        let space = space(n);
-        let mem = Alg1Memory::new(&space);
+    /// An `n`-process system over the store `S`, scanning shards of
+    /// `width`, its memory corrupted by `corrupt`.
+    fn system<S: Store>(
+        n: usize,
+        width: usize,
+        corrupt: fn(&HeartbeatMemory<S>, u64),
+    ) -> System<S> {
+        let space =
+            MemorySpace::with_instrumentation(n, omega_registers::Instrumentation::Deferred);
+        let mem = HeartbeatMemory::new(&space);
         let procs = ProcessId::all(n)
-            .map(|pid| {
-                let proc = Alg1Process::new(Arc::clone(&mem), pid);
-                match width {
-                    Some(w) => proc.with_scan_shard(w),
-                    None => proc,
-                }
-            })
+            .map(|pid| HeartbeatProcess::new(Arc::clone(&mem), pid).with_scan_shard(width))
             .collect();
         System {
             space,
+            mem,
             procs,
-            stop: mem.stop.clone(),
-            progress: mem.progress.clone(),
-            corrupt: Some(Box::new(move |seed| mem.corrupt(seed))),
-        }
-    }
-
-    fn mwmr(n: usize, width: Option<usize>) -> System<MwmrProcess> {
-        let space = space(n);
-        let mem = MwmrMemory::new(&space);
-        let procs = ProcessId::all(n)
-            .map(|pid| {
-                let mut proc = MwmrProcess::new(Arc::clone(&mem), pid);
-                if let Some(w) = width {
-                    proc.heartbeats_mut().set_shard_width(w);
-                }
-                proc
-            })
-            .collect();
-        System {
-            stop: mem.stop.clone(),
-            progress: mem.progress.clone(),
-            space,
-            procs,
-            corrupt: None,
+            corrupt,
         }
     }
 
     /// Whether `main` and `twin` agree: every process's candidates, `last`
     /// and `last_valid`, one process's `leader()`, and (if `stats`) the
     /// spaces' stats.
-    fn agree<P: Tracked>(
-        main: &mut System<P>,
-        twin: &mut System<P>,
+    fn agree<S: Store>(
+        main: &mut System<S>,
+        twin: &mut System<S>,
         q: usize,
         stats: bool,
         op: &str,
     ) {
         for (a, b) in main.procs.iter_mut().zip(&mut twin.procs) {
-            let (a, b) = (a.heartbeats_mut().state(), b.heartbeats_mut().state());
+            let (a, b) = (a.heartbeats.state(), b.heartbeats.state());
             assert!(a == b, "{op}: candidates, last or last_valid differ");
         }
         let leaders = (main.procs[q].leader(), twin.procs[q].leader());
@@ -1072,9 +892,9 @@ mod memo_tests {
     /// stop stepping — then calm rounds of a step and a pass by every
     /// process still stepping, in turn, as the simulator schedules them,
     /// so that runs settle and the memo gets its chances.
-    fn differential<P: Tracked>(
-        main: &mut System<P>,
-        twin: &mut System<P>,
+    fn differential<S: Store>(
+        main: &mut System<S>,
+        twin: &mut System<S>,
         calm_rounds: usize,
         seed: u64,
     ) -> u64 {
@@ -1083,12 +903,12 @@ mod memo_tests {
         println!("n = {n}, seed = {seed}");
         let mut rng = Rng::new(seed);
         let mut stepping: Vec<bool> = vec![true; n];
-        let step = |main: &mut System<P>, twin: &mut System<P>, p: usize| {
+        let step = |main: &mut System<S>, twin: &mut System<S>, p: usize| {
             main.procs[p].t2_step();
             twin.procs[p].t2_step();
         };
-        let pass = |main: &mut System<P>, twin: &mut System<P>, p: usize| {
-            twin.procs[p].heartbeats_mut().forget_versions();
+        let pass = |main: &mut System<S>, twin: &mut System<S>, p: usize| {
+            twin.procs[p].heartbeats.forget_versions();
             let timeouts = (
                 main.procs[p].on_timer_expire(),
                 twin.procs[p].on_timer_expire(),
@@ -1104,8 +924,8 @@ mod memo_tests {
                     85..=86 => {
                         let (value, flag) = (rng.below(1_000) as u64, rng.below(2) == 0);
                         for system in [&mut *main, &mut *twin] {
-                            system.progress.get(ProcessId::new(p)).poke(value);
-                            system.stop.get(ProcessId::new(p)).poke(flag);
+                            system.mem.progress.get(ProcessId::new(p)).poke(value);
+                            system.mem.stop.get(ProcessId::new(p)).poke(flag);
                         }
                     }
                     // Once only: the owners' mirrors of the corrupted
@@ -1114,9 +934,7 @@ mod memo_tests {
                     87 if period == 0 => {
                         let corruption = rng.below(1 << 20) as u64;
                         for system in [&mut *main, &mut *twin] {
-                            if let Some(corrupt) = &system.corrupt {
-                                corrupt(corruption);
-                            }
+                            (system.corrupt)(&system.mem, corruption);
                         }
                     }
                     88..=90 => {
@@ -1168,9 +986,9 @@ mod memo_tests {
                 agree(main, twin, 0, true, &op(0));
             }
         }
-        let booked = |system: &mut System<P>| -> u64 {
-            (system.procs.iter_mut())
-                .map(|proc| proc.heartbeats_mut().booked)
+        let booked = |system: &System<S>| -> u64 {
+            (system.procs.iter())
+                .map(|proc| proc.heartbeats.booked)
                 .sum()
         };
         assert_eq!(booked(twin), 0, "the twin always reads");
@@ -1182,15 +1000,15 @@ mod memo_tests {
         let mut rng = Rng(7);
         for n in [20, 40, 80] {
             let mut booked = [0, 0];
-            for width in [None, Some(1 + rng.below(n))] {
+            for width in [T3_SHARD_SIZE, 1 + rng.below(n)] {
                 // Enough calm rounds for every default shard to be passed
                 // over twice once the run has settled.
                 let calm_rounds = 2 * n.div_ceil(T3_SHARD_SIZE) + 2;
                 let seed = rng.below(1 << 30) as u64;
-                let (a, b) = (alg1(n, width), alg1(n, width));
-                booked[0] += differential(&mut { a }, &mut { b }, calm_rounds, seed);
-                let (a, b) = (mwmr(n, width), mwmr(n, width));
-                booked[1] += differential(&mut { a }, &mut { b }, calm_rounds, seed);
+                let alg1 = || system(n, width, Alg1Memory::corrupt);
+                booked[0] += differential(&mut alg1(), &mut alg1(), calm_rounds, seed);
+                let mwmr = || system::<MwmrNatArray>(n, width, |_, _| {});
+                booked[1] += differential(&mut mwmr(), &mut mwmr(), calm_rounds, seed);
             }
             // Not vacuous: some passes were booked.
             assert!(booked.iter().all(|&b| b > 0), "n={n}: booked {booked:?}");
@@ -1200,7 +1018,7 @@ mod memo_tests {
     #[test]
     fn a_stabilized_follower_books_every_shard_but_the_leaders() {
         let n = 128;
-        let System { mut procs, .. } = alg1(n, None);
+        let System { mut procs, .. } = system(n, T3_SHARD_SIZE, Alg1Memory::corrupt);
         for _ in 0..2 * n {
             procs.iter_mut().for_each(|q| q.t2_step());
             procs.iter_mut().for_each(|q| {
@@ -1230,7 +1048,7 @@ mod memo_tests {
 
     #[test]
     fn a_system_of_one_shard_never_books() {
-        let System { mut procs, .. } = alg1(T3_SHARD_SIZE, None);
+        let System { mut procs, .. } = system(T3_SHARD_SIZE, T3_SHARD_SIZE, Alg1Memory::corrupt);
         for round in 0..40 {
             // Then silence: nothing moves `PROGRESS` any more.
             if round < 20 {

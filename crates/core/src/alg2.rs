@@ -33,10 +33,9 @@ use std::sync::Arc;
 
 use omega_registers::{FlagMatrix, MemorySpace, ProcessId, ProcessSet};
 
-use crate::alg1::T3_SHARD_SIZE;
 use crate::candidates::CandidateInit;
 use crate::fig2::{corruption, Elector, Registers, SuspicionCache, SuspicionMatrix};
-use crate::heartbeat::{judge, ShardCursor};
+use crate::heartbeat::{judge, ShardCursor, Store, T3_SHARD_SIZE};
 use crate::OmegaProcess;
 
 /// The Figure-5 shared register layout.
@@ -57,7 +56,7 @@ impl Alg2Memory {
         Arc::new(Alg2Memory {
             progress: space.flag_row_matrix("HPROGRESS", |_, _| false),
             last: space.flag_column_matrix("LAST", |_, _| false),
-            registers: Registers::new(space, SuspicionMatrix::new),
+            registers: Registers::new(space, SuspicionMatrix::allocate),
         })
     }
 
@@ -147,7 +146,9 @@ impl Alg2Process {
     #[must_use]
     pub fn with_candidates(mem: Arc<Alg2Memory>, pid: ProcessId, init: CandidateInit) -> Self {
         let n = mem.n();
-        let fig2 = Elector::new(&mem.stop, pid, || SuspicionCache::new(&mem.registers, pid));
+        let fig2 = Elector::new(&mem.stop, pid, || {
+            SuspicionMatrix::view(&mem.registers, pid)
+        });
         Alg2Process {
             candidates: init.materialize(n, pid),
             my_last: ProcessId::all(n)
@@ -195,11 +196,11 @@ impl OmegaProcess for Alg2Process {
 
     /// Task `T1` — unchanged from Algorithm 1.
     fn leader(&self) -> ProcessId {
-        let mem = &*self.mem;
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
         self.fig2.leader(
             &self.candidates,
-            |rows| rows.refresh(&mem.registers),
-            SuspicionCache::total,
+            |rows| SuspicionMatrix::refresh(rows, &mem.registers, pid),
+            SuspicionMatrix::total,
         )
     }
 
@@ -244,7 +245,7 @@ impl OmegaProcess for Alg2Process {
                 mem.last.get(k, pid).write(pid, progress_k);
             }
             if judge(&mut self.candidates, k, fresh, stop_k) {
-                rows.suspect(&mem.registers, k);
+                SuspicionMatrix::suspect(rows, &mem.registers, pid, k);
             }
         }
         mem.scan.note_shard_pass();

@@ -1,6 +1,7 @@
-//! Figure 2's memory and the lines its variants keep, each in one place
-//! (line 8, the `T3` pass of lines 13–24 and lines 17–24 themselves are in
-//! [`crate::heartbeat`]). Figure 5 replaces the heartbeat and its liveness
+//! Figure 2's memory and the lines its variants keep, each in one place.
+//! The heartbeat process Alg1 and §3.5(a) share — its memory, line 8, the
+//! `T3` pass of lines 13–24 — and lines 17–24 themselves are in
+//! [`crate::heartbeat`]. Figure 5 replaces the heartbeat and its liveness
 //! test; §3.5(a) collapses each `SUSPICIONS` column into one shared
 //! counter.
 //!
@@ -11,13 +12,14 @@
 //! * [`Elector`] — task `T1` (lines 1–5), memoized over a suspicion view,
 //!   and the `STOP` writes of lines 9 and 11. Every variant embeds one.
 //! * [`EpochWalk`] — the epoch walk both suspicion views refresh by.
-//! * [`SuspicionCache`] — the view of a row-owned `SUSPICIONS` matrix: the
-//!   own row mirrored (§3.2), the suspicion write of lines 22–24 and the
+//! * [`SuspicionCache`] — the view of a row-owned `SUSPICIONS` matrix,
+//!   which the matrix's [`Store`] impl (Figures 2 and 5) keeps: the own
+//!   row mirrored (§3.2), the suspicion write of lines 22–24 and the
 //!   line-27 timeout, and the foreign rows, each re-read only when its
 //!   epoch moved, so that in a quiescent run `leader()` performs *zero*
 //!   shared reads. The row copies are immutable and shared between the
 //!   processes that read the same contents: the system holds about one
-//!   copy of each row, `n²` words, not `n³`. (The counters' view is in
+//!   copy of each row, `n²` words, not `n³`. (The counters' store is in
 //!   [`crate::mwmr`].)
 
 use std::cell::{Cell, RefCell};
@@ -27,6 +29,7 @@ use omega_registers::sync::Mutex;
 use omega_registers::{FlagArray, MemorySpace, NatMatrix, ProcessId, ProcessSet, ScanCounters};
 
 use crate::candidates::elect_least_suspected;
+use crate::heartbeat::Store;
 
 /// The arbitrary values a memory's `corrupt(seed)` pokes (footnote 7).
 pub(crate) fn corruption(seed: u64) -> impl FnMut() -> u64 {
@@ -274,18 +277,6 @@ pub struct SuspicionMatrix {
 }
 
 impl SuspicionMatrix {
-    pub(crate) fn new(space: &MemorySpace) -> Self {
-        let cells = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
-        let n = space.n_processes();
-        let zero: Arc<[u64]> = vec![0; n].into();
-        SuspicionMatrix {
-            cells,
-            published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
-            spares: Mutex::new(Vec::new()),
-            zero,
-        }
-    }
-
     /// Replaces `held`, a cache's copy of row `j`, by the copy to keep now
     /// that the cache has read the row as `read` (`held_matches`: whether
     /// `held` already equals `read`). The published row when it equals
@@ -342,9 +333,7 @@ impl SuspicionMatrix {
 /// same allocation of row `j`, so a cache costs `n` pointers rather than
 /// `n²` words.
 #[derive(Debug)]
-pub(crate) struct SuspicionCache {
-    /// Identity of the owning process.
-    pid: ProcessId,
+pub struct SuspicionCache {
     /// Local mirror of the owned `SUSPICIONS[pid][·]` row.
     mine: Vec<u64>,
     /// Running `max_k mine[k]` — exact, because entries only ever
@@ -364,15 +353,38 @@ pub(crate) struct SuspicionCache {
 }
 
 impl SuspicionCache {
-    /// Process `pid`'s view, its mirror taken from the register contents
-    /// (a corrupted initial state included), timing out with slack 1.
-    pub(crate) fn new(registers: &Registers<SuspicionMatrix>, pid: ProcessId) -> Self {
+    /// Line 27 — computed entirely from the owned (mirrored) row.
+    #[inline]
+    pub(crate) fn timeout(&self) -> u64 {
+        self.mine_max + self.slack
+    }
+}
+
+/// The row-owned store of Figures 2 and 5: each process suspects in its
+/// own row, mirrored (§3.2), and times out from it.
+impl Store for SuspicionMatrix {
+    type View = SuspicionCache;
+
+    fn allocate(space: &MemorySpace) -> Self {
+        let cells = space.epoched_nat_row_matrix("SUSPICIONS", |_, _| 0);
+        let n = space.n_processes();
+        let zero: Arc<[u64]> = vec![0; n].into();
+        SuspicionMatrix {
+            cells,
+            published: (0..n).map(|_| Mutex::new(Arc::clone(&zero))).collect(),
+            spares: Mutex::new(Vec::new()),
+            zero,
+        }
+    }
+
+    /// The mirror is taken from the register contents (a corrupted
+    /// initial state included); the timeout has slack 1.
+    fn view(registers: &Registers<Self>, pid: ProcessId) -> SuspicionCache {
         let (matrix, n) = (&registers.suspicions, registers.n());
         let mine: Vec<u64> = ProcessId::all(n)
             .map(|k| matrix.cells.get(pid, k).peek())
             .collect();
         SuspicionCache {
-            pid,
             mine_max: mine.iter().copied().max().unwrap_or(0),
             mine,
             slack: 1,
@@ -384,14 +396,13 @@ impl SuspicionCache {
     }
 
     /// Brings every stale foreign row up to date ([`EpochWalk::refresh`]),
-    /// one batched snapshot per dirty row, and returns whether any row was
-    /// re-read. A re-read row whose contents did not change leaves the
-    /// totals alone; either way the cache then holds the copy the shared
-    /// rows offer for what it read.
+    /// one batched snapshot per dirty row. A re-read row whose contents
+    /// did not change leaves the totals alone; either way the cache then
+    /// holds the copy the shared rows offer for what it read.
     #[inline]
-    pub(crate) fn refresh(&mut self, registers: &Registers<SuspicionMatrix>) -> bool {
-        let (matrix, pid) = (&registers.suspicions, self.pid);
-        let (rows, totals, buf) = (&mut self.rows, &mut self.totals, &mut self.buf);
+    fn refresh(cache: &mut SuspicionCache, registers: &Registers<Self>, pid: ProcessId) -> bool {
+        let matrix = &registers.suspicions;
+        let (rows, totals, buf) = (&mut cache.rows, &mut cache.totals, &mut cache.buf);
         let mut reload = |j: ProcessId| {
             matrix.cells.read_row_into(j, pid, buf);
             registers.scan.note_snapshot();
@@ -405,7 +416,7 @@ impl SuspicionCache {
             }
             matrix.share(j, held, buf, held_matches);
         };
-        self.walk.refresh(
+        cache.walk.refresh(
             &registers.scan,
             || matrix.cells.version().expect(EPOCHED),
             |j| matrix.cells.row_version(ProcessId::new(j)).expect(EPOCHED),
@@ -418,26 +429,35 @@ impl SuspicionCache {
         )
     }
 
-    /// Total suspicions of candidate `k` — `Σ_j SUSPICIONS[j][k]` (line 3)
-    /// — from the refreshed foreign rows plus the mirrored own row.
+    /// `Σ_j SUSPICIONS[j][k]`: the refreshed foreign rows plus the
+    /// mirrored own row.
     #[inline]
-    pub(crate) fn total(&self, k: ProcessId) -> u64 {
-        self.totals[k.index()] + self.mine[k.index()]
+    fn total(cache: &SuspicionCache, k: ProcessId) -> u64 {
+        cache.totals[k.index()] + cache.mine[k.index()]
     }
 
-    /// Lines 22–24: suspect `k`.
+    /// Lines 22–24, in the own row.
     #[inline]
-    pub(crate) fn suspect(&mut self, registers: &Registers<SuspicionMatrix>, k: ProcessId) {
-        let bumped = self.mine[k.index()] + 1;
-        self.mine[k.index()] = bumped;
-        self.mine_max = self.mine_max.max(bumped);
-        (registers.suspicions.cells.get(self.pid, k)).write(self.pid, bumped);
+    fn suspect(
+        cache: &mut SuspicionCache,
+        registers: &Registers<Self>,
+        pid: ProcessId,
+        k: ProcessId,
+    ) {
+        let bumped = cache.mine[k.index()] + 1;
+        cache.mine[k.index()] = bumped;
+        cache.mine_max = cache.mine_max.max(bumped);
+        (registers.suspicions.cells.get(pid, k)).write(pid, bumped);
     }
 
-    /// Line 27 — computed entirely from the owned (mirrored) row.
+    /// Nothing is re-read: line 27 is the own row's.
     #[inline]
-    pub(crate) fn timeout(&self) -> u64 {
-        self.mine_max + self.slack
+    fn after_pass(cache: &mut SuspicionCache, _: &Registers<Self>, _: ProcessId) -> (u64, bool) {
+        (cache.timeout(), false)
+    }
+
+    fn initial_timeout(cache: &SuspicionCache) -> u64 {
+        cache.timeout()
     }
 }
 
@@ -447,7 +467,8 @@ impl SuspicionCache {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-    use crate::{Alg1Process, Alg2Process, MwmrProcess, OmegaProcess};
+    use crate::heartbeat::HeartbeatProcess;
+    use crate::{Alg2Process, OmegaProcess};
 
     /// xorshift64*.
     pub(crate) struct Rng(pub(crate) u64);
@@ -484,17 +505,11 @@ pub(crate) mod testing {
         );
     }
 
-    impl Figure2 for Alg1Process {
-        type View = SuspicionCache;
-        type Suspicions = SuspicionMatrix;
+    impl<S: Store> Figure2 for HeartbeatProcess<S> {
+        type View = S::View;
+        type Suspicions = S;
 
-        fn parts(
-            &self,
-        ) -> (
-            &Elector<SuspicionCache>,
-            &Registers<SuspicionMatrix>,
-            &ProcessSet,
-        ) {
+        fn parts(&self) -> (&Elector<S::View>, &Registers<S>, &ProcessSet) {
             (&self.fig2, &self.memory().registers, self.candidates())
         }
     }
@@ -508,21 +523,6 @@ pub(crate) mod testing {
         ) -> (
             &Elector<SuspicionCache>,
             &Registers<SuspicionMatrix>,
-            &ProcessSet,
-        ) {
-            (&self.fig2, &self.memory().registers, self.candidates())
-        }
-    }
-
-    impl Figure2 for MwmrProcess {
-        type View = crate::mwmr::CounterCache;
-        type Suspicions = omega_registers::MwmrNatArray;
-
-        fn parts(
-            &self,
-        ) -> (
-            &Elector<Self::View>,
-            &Registers<Self::Suspicions>,
             &ProcessSet,
         ) {
             (&self.fig2, &self.memory().registers, self.candidates())
@@ -544,7 +544,7 @@ pub(crate) mod testing {
         pub(crate) fn totals_match_rows(&self) -> bool {
             (0..self.totals.len()).all(|k| {
                 let column: u64 = ProcessId::all(self.rows.len())
-                    .filter(|&j| j != self.pid)
+                    .filter(|&j| Some(j.index()) != self.walk.own)
                     .map(|j| self.rows[j.index()][k])
                     .sum();
                 column == self.totals[k]
@@ -688,39 +688,20 @@ mod memo_tests {
         poke: Box<dyn Fn(u64)>,
     }
 
-    fn alg1(n: usize) -> System<Alg1Process> {
+    /// An `n`-process system: `memory` allocates its registers, `process`
+    /// makes each process, and `poke(memory, seed)` pokes its registers.
+    fn system<M: 'static, P>(
+        n: usize,
+        memory: fn(&MemorySpace) -> Arc<M>,
+        process: fn(Arc<M>, ProcessId) -> P,
+        poke: fn(&M, u64),
+    ) -> System<P> {
         let space = MemorySpace::new(n);
-        let mem = Alg1Memory::new(&space);
+        let mem = memory(&space);
         let procs = ProcessId::all(n)
-            .map(|pid| Alg1Process::new(Arc::clone(&mem), pid))
+            .map(|pid| process(Arc::clone(&mem), pid))
             .collect();
-        let poke = Box::new(move |seed| mem.corrupt(seed));
-        System { space, procs, poke }
-    }
-
-    fn alg2(n: usize) -> System<Alg2Process> {
-        let space = MemorySpace::new(n);
-        let mem = Alg2Memory::new(&space);
-        let procs = ProcessId::all(n)
-            .map(|pid| Alg2Process::new(Arc::clone(&mem), pid))
-            .collect();
-        let poke = Box::new(move |seed| mem.corrupt(seed));
-        System { space, procs, poke }
-    }
-
-    fn mwmr(n: usize) -> System<MwmrProcess> {
-        let space = MemorySpace::new(n);
-        let mem = MwmrMemory::new(&space);
-        let procs = ProcessId::all(n)
-            .map(|pid| MwmrProcess::new(Arc::clone(&mem), pid))
-            .collect();
-        // nWnR counters move only by suspicion; pokes reach `STOP` and
-        // `PROGRESS`, and through the candidates the election.
-        let poke = Box::new(move |seed: u64| {
-            let k = ProcessId::new(seed as usize % n);
-            mem.stop.get(k).poke(seed.is_multiple_of(3));
-            mem.progress.get(k).poke(seed);
-        });
+        let poke = Box::new(move |seed| poke(&mem, seed));
         System { space, procs, poke }
     }
 
@@ -801,10 +782,19 @@ mod memo_tests {
         for n in [3, 5, 17, 40] {
             for seed in 1..4 {
                 let seed = seed * 1_000 + n as u64;
+                let alg1 = system(n, Alg1Memory::new, Alg1Process::new, Alg1Memory::corrupt);
+                let alg2 = system(n, Alg2Memory::new, Alg2Process::new, Alg2Memory::corrupt);
+                // nWnR counters move only by suspicion; pokes reach `STOP`
+                // and `PROGRESS`, and through the candidates the election.
+                let mwmr = system(n, MwmrMemory::new, MwmrProcess::new, |mem, seed| {
+                    let k = ProcessId::new(seed as usize % mem.n());
+                    mem.stop.get(k).poke(seed.is_multiple_of(3));
+                    mem.progress.get(k).poke(seed);
+                });
                 let hits = [
-                    against_fresh(alg1(n), seed),
-                    against_fresh(alg2(n), seed),
-                    against_fresh(mwmr(n), seed),
+                    against_fresh(alg1, seed),
+                    against_fresh(alg2, seed),
+                    against_fresh(mwmr, seed),
                 ];
                 // Not vacuous: the memo served queries in every variant.
                 assert!(hits.iter().all(|&h| h > 0), "n={n}: {hits:?}");

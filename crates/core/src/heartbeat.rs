@@ -1,8 +1,11 @@
-//! Figure 2's heartbeat — line 8 of task `T2` and the side of task `T3`
-//! that watches it (lines 13–24) — shared by
-//! [`Alg1Process`](crate::Alg1Process) and
-//! [`MwmrProcess`](crate::MwmrProcess): their `STOP`/`PROGRESS` arrays are
-//! the same layout, and only what a suspicion writes differs. (Figure 5
+//! Figure 2's heartbeat process, written once for both stores it runs
+//! over: [`Alg1Process`](crate::Alg1Process) (the row-owned `SUSPICIONS`
+//! matrix) and [`MwmrProcess`](crate::MwmrProcess) (§3.5(a)'s nWnR
+//! counters) are one [`HeartbeatProcess`] over one [`HeartbeatMemory`] —
+//! `PROGRESS` and Figure 2's register block — and differ only in their
+//! [`Store`]: the view `T1` elects from, the suspicion write of line 23
+//! and the timeout of line 27. This file also holds line 8 of task `T2`
+//! and the side of task `T3` that watches it (lines 13–24). (Figure 5
 //! replaces both halves; [`Alg2Process`](crate::Alg2Process) keeps the
 //! [`ShardCursor`].) Lines 17–24, which every variant's pass decides by,
 //! are [`judge`].
@@ -42,11 +45,18 @@
 //! range version and every pass is a full one, so the device serves every
 //! read as before.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
-use omega_registers::{FlagArray, NatArray, ProcessId, ProcessSet};
+use omega_registers::{FlagArray, MemorySpace, NatArray, ProcessId, ProcessSet};
 
-use crate::alg1::T3_SHARD_SIZE;
+use crate::candidates::CandidateInit;
+use crate::fig2::{Elector, Registers};
+use crate::OmegaProcess;
+
+/// Number of processes examined per sharded `T3` pass (and the threshold
+/// below which the scan is unsharded, i.e. exactly the paper's Figure 2).
+pub const T3_SHARD_SIZE: usize = 16;
 
 /// Round-robin cursor over `[0, n)` in slices of at most
 /// [`T3_SHARD_SIZE`], for sharded `T3` scans.
@@ -193,18 +203,6 @@ impl HeartbeatTracker {
         }
     }
 
-    /// Rescans in shards of `width` from the first one on, with no shard
-    /// seen yet.
-    pub(crate) fn set_shard_width(&mut self, width: usize) {
-        self.cursor = ShardCursor::new(self.last.len(), width);
-        self.seen = vec![None; self.cursor.shards()];
-    }
-
-    /// `candidates_i`.
-    pub(crate) fn candidates(&self) -> &ProcessSet {
-        &self.candidates
-    }
-
     /// Line 8: heartbeat, `PROGRESS[pid]` incremented (wrapping: a wrap
     /// still reads as progress).
     #[inline]
@@ -287,5 +285,208 @@ impl HeartbeatTracker {
     #[cfg(test)]
     pub(crate) fn state(&self) -> (&ProcessSet, &[u64], &[bool]) {
         (&self.candidates, &self.last, &self.last_valid)
+    }
+}
+
+/// What a [`HeartbeatProcess`] does its own way for its suspicion store —
+/// the row-owned `SUSPICIONS` matrix of Figure 2 or §3.5(a)'s nWnR
+/// counters. Everything else is Figure 2's, written once. The crate
+/// exports no name for it.
+pub trait Store: Sized + Send + Sync {
+    /// What `T1` elects from.
+    type View: Send;
+
+    /// Allocates the store in `space`, right after `STOP`.
+    fn allocate(space: &MemorySpace) -> Self;
+
+    /// Process `pid`'s view, taken from the registers' contents.
+    fn view(registers: &Registers<Self>, pid: ProcessId) -> Self::View;
+
+    /// `T1`'s refresh of `pid`'s view; returns whether it re-read anything.
+    fn refresh(view: &mut Self::View, registers: &Registers<Self>, pid: ProcessId) -> bool;
+
+    /// Line 3: how often `k` is suspected, as `view` has it.
+    fn total(view: &Self::View, k: ProcessId) -> u64;
+
+    /// Line 23: `pid` suspects `k`.
+    fn suspect(view: &mut Self::View, registers: &Registers<Self>, pid: ProcessId, k: ProcessId);
+
+    /// Line 27, once a pass is done: the next timeout, and whether finding
+    /// it re-read anything.
+    fn after_pass(
+        view: &mut Self::View,
+        registers: &Registers<Self>,
+        pid: ProcessId,
+    ) -> (u64, bool);
+
+    /// The timeout of the timer's first arming.
+    fn initial_timeout(view: &Self::View) -> u64;
+}
+
+/// The shared registers of a [`HeartbeatProcess`]: the `PROGRESS`
+/// heartbeats, `STOP` and the suspicion store `S` —
+/// [`Alg1Memory`](crate::Alg1Memory) and [`MwmrMemory`](crate::MwmrMemory).
+///
+/// One instance is shared (via [`Arc`]) by all `n` processes of a system.
+#[derive(Debug)]
+pub struct HeartbeatMemory<S> {
+    pub(crate) progress: NatArray,
+    pub(crate) registers: Registers<S>,
+}
+
+impl<S: Store> HeartbeatMemory<S> {
+    /// Allocates `PROGRESS`, `STOP` and the suspicion store in `space`, in
+    /// that order, with the paper's initial values (naturals 0, booleans
+    /// `true`).
+    #[must_use]
+    pub fn new(space: &MemorySpace) -> Arc<Self> {
+        Arc::new(HeartbeatMemory {
+            progress: space.epoched_nat_array("PROGRESS", |_| 0),
+            registers: Registers::new(space, S::allocate),
+        })
+    }
+
+    /// Unattributed view of `PROGRESS[k]`, for harnesses and experiments.
+    #[must_use]
+    pub fn peek_progress(&self, k: ProcessId) -> u64 {
+        self.progress.get(k).peek()
+    }
+}
+
+/// `STOP`, the suspicion store and their `peek_*` views are Figure 2's
+/// block.
+impl<S> Deref for HeartbeatMemory<S> {
+    type Target = Registers<S>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.registers
+    }
+}
+
+/// One process of Figure 2 over the suspicion store `S`:
+/// [`Alg1Process`](crate::Alg1Process) over the row-owned `SUSPICIONS`
+/// matrix, [`MwmrProcess`](crate::MwmrProcess) over §3.5(a)'s nWnR
+/// counters.
+#[derive(Debug)]
+pub struct HeartbeatProcess<S: Store> {
+    mem: Arc<HeartbeatMemory<S>>,
+    /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
+    /// `T3` scan.
+    pub(crate) heartbeats: HeartbeatTracker,
+    pub(crate) fig2: Elector<S::View>,
+}
+
+impl<S: Store> HeartbeatProcess<S> {
+    /// Creates process `pid` over `mem`, initially trusting everyone.
+    #[must_use]
+    pub fn new(mem: Arc<HeartbeatMemory<S>>, pid: ProcessId) -> Self {
+        HeartbeatProcess::with_candidates(mem, pid, CandidateInit::Full)
+    }
+
+    /// Creates process `pid` with an explicit initial candidate set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range for the memory's system size.
+    #[must_use]
+    pub fn with_candidates(
+        mem: Arc<HeartbeatMemory<S>>,
+        pid: ProcessId,
+        init: CandidateInit,
+    ) -> Self {
+        let fig2 = Elector::new(&mem.stop, pid, || S::view(&mem.registers, pid));
+        HeartbeatProcess {
+            heartbeats: HeartbeatTracker::new(&mem.progress, pid, init.materialize(mem.n(), pid)),
+            fig2,
+            mem,
+        }
+    }
+
+    /// Overrides the width of the sharded `T3` scan (default
+    /// [`T3_SHARD_SIZE`]); `shard ≥ n` restores the paper's full scan.
+    /// Provided for the shard-size experiments and the parity tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard == 0`.
+    #[must_use]
+    pub fn with_scan_shard(mut self, shard: usize) -> Self {
+        let tracker = &mut self.heartbeats;
+        tracker.cursor = ShardCursor::new(tracker.last.len(), shard);
+        tracker.seen = vec![None; tracker.cursor.shards()];
+        self
+    }
+
+    /// The shared memory this process runs over.
+    #[must_use]
+    pub fn memory(&self) -> &Arc<HeartbeatMemory<S>> {
+        &self.mem
+    }
+
+    /// Current candidate set (test/diagnostic view).
+    #[must_use]
+    pub fn candidates(&self) -> &ProcessSet {
+        &self.heartbeats.candidates
+    }
+}
+
+impl<S: Store> OmegaProcess for HeartbeatProcess<S> {
+    fn pid(&self) -> ProcessId {
+        self.fig2.pid
+    }
+
+    fn n(&self) -> usize {
+        self.mem.n()
+    }
+
+    /// Task `T1` (lines 1–5); in a stabilized run it reads nothing shared.
+    fn leader(&self) -> ProcessId {
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
+        self.fig2.leader(
+            self.candidates(),
+            |view| S::refresh(view, &mem.registers, pid),
+            S::total,
+        )
+    }
+
+    /// One iteration of task `T2` (lines 6–12), line 8 a heartbeat.
+    fn t2_step(&mut self) {
+        let leader = self.leader();
+        let (mem, heartbeats) = (&*self.mem, &mut self.heartbeats);
+        self.fig2
+            .t2_step(leader, &mem.stop, || heartbeats.beat(&mem.progress));
+    }
+
+    /// Task `T3` body (lines 13–27) over one round-robin shard of at most
+    /// [`T3_SHARD_SIZE`] processes (the whole system when `n` fits in one
+    /// shard). Returns the next timeout (line 27).
+    ///
+    /// The pass reads `STOP[shard]`, then `PROGRESS[shard]` — each
+    /// `STOP[k]` before its `PROGRESS[k]`, as lines 8 and 9 need — unless
+    /// it is provably a no-op: then its reads are booked and nothing is
+    /// loaded.
+    fn on_timer_expire(&mut self) -> u64 {
+        let (mem, pid) = (&*self.mem, self.fig2.pid);
+        let view = self.fig2.view.get_mut();
+        let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
+            S::suspect(view, &mem.registers, pid, k);
+        });
+        mem.scan.note_shard_pass();
+        let (timeout, reread) = S::after_pass(view, &mem.registers, pid);
+        if reread || !booked {
+            // The pass may have changed `candidates` and the suspicions,
+            // and the timeout's refresh may have consumed a change
+            // `leader()` must see — election inputs all.
+            self.fig2.election.set(None);
+        }
+        timeout
+    }
+
+    fn initial_timeout(&self) -> u64 {
+        S::initial_timeout(&self.fig2.view.borrow())
+    }
+
+    fn cached_leader(&self) -> Option<ProcessId> {
+        self.fig2.cached
     }
 }

@@ -12,7 +12,9 @@
 //!   two-flag handshake per process pair; in exchange, every correct
 //!   process writes forever (provably unavoidable, Theorem 5).
 //! * [`MwmrProcess`] — Section 3.5(a): Figure 2 with each suspicion column
-//!   collapsed into one nWnR register.
+//!   collapsed into one nWnR register. It and [`Alg1Process`] are one
+//!   heartbeat process type over two suspicion stores, and [`MwmrMemory`]
+//!   and [`Alg1Memory`] one memory type.
 //! * [`StepClockProcess`] — Section 3.5(b): timers replaced by counted
 //!   steps.
 //!
@@ -74,10 +76,11 @@ mod mwmr;
 mod stepclock;
 mod variant;
 
-pub use alg1::{Alg1Memory, Alg1Process, T3_SHARD_SIZE};
+pub use alg1::{Alg1Memory, Alg1Process};
 pub use alg2::{Alg2Memory, Alg2Process};
 pub use baseline::{EsMemory, EsOmega};
 pub use candidates::{elect_least_suspected, CandidateInit};
+pub use heartbeat::{HeartbeatMemory, HeartbeatProcess, T3_SHARD_SIZE};
 pub use mwmr::{MwmrMemory, MwmrProcess};
 pub use stepclock::{StepClockProcess, NEVER_TIMEOUT};
 pub use variant::{BuiltSystem, OmegaVariant};

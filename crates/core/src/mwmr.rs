@@ -9,10 +9,11 @@
 //! suspects `k`, and it stops growing exactly when suspicions stop.
 //!
 //! This file holds what §3.5(a) changes: the shared counters, the
-//! `CounterCache` `T1` elects from, the suspicion and the timeout. The
-//! rest is Figure 2's: the register block, `T1`, lines 9 and 11 and the
-//! epoch walk in [`crate::fig2`]; line 8 and the `T3` pass with lines
-//! 17–24 in [`crate::heartbeat`]. A pass reads `STOP[shard]`, then
+//! `CounterCache` `T1` elects from, the suspicion and the timeout — its
+//! [`Store`]. The rest is Figure 2's: the process and its memory are the
+//! one heartbeat process in [`crate::heartbeat`], with line 8 and the `T3`
+//! pass of lines 13–24; the register block, `T1`, lines 9 and 11 and the
+//! epoch walk are in [`crate::fig2`]. A pass reads `STOP[shard]`, then
 //! `PROGRESS[shard]`, then — for each `k` it suspects — the counter of `k`
 //! before writing it back incremented; last, the timeout refreshes the
 //! counter cache. A pass over a shard that no one wrote and that holds no
@@ -20,15 +21,10 @@
 //! and suspects no one; only the refresh then reads, and only counters
 //! whose epoch moved.
 
-use std::ops::Deref;
-use std::sync::Arc;
+use omega_registers::{MemorySpace, MwmrNatArray, ProcessId};
 
-use omega_registers::{MemorySpace, MwmrNatArray, NatArray, ProcessId, ProcessSet};
-
-use crate::candidates::CandidateInit;
-use crate::fig2::{Elector, EpochWalk, Registers};
-use crate::heartbeat::HeartbeatTracker;
-use crate::OmegaProcess;
+use crate::fig2::{EpochWalk, Registers};
+use crate::heartbeat::{HeartbeatMemory, HeartbeatProcess, Store};
 
 /// Why a version of the suspicion counters is always there.
 const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_mwmr_array";
@@ -36,45 +32,12 @@ const EPOCHED: &str = "SUSPICIONS is made by epoched_nat_mwmr_array";
 /// The shared suspicion counters as one process last read them: what `T1`
 /// elects from, each counter re-read only when its epoch moved.
 #[derive(Debug)]
-pub(crate) struct CounterCache {
+pub struct CounterCache {
     walk: EpochWalk,
     values: Vec<u64>,
     /// `max(values)`, recomputed only when a refresh re-reads something —
     /// the timeout formula's O(1) fast path.
     values_max: u64,
-}
-
-impl CounterCache {
-    fn new(n: usize) -> Self {
-        CounterCache {
-            walk: EpochWalk::new(n, None, 1),
-            values: vec![0; n],
-            values_max: 0,
-        }
-    }
-
-    /// Re-reads the counters whose epoch moved ([`EpochWalk::refresh`]);
-    /// returns whether any was.
-    fn refresh(&mut self, registers: &Registers<MwmrNatArray>, reader: ProcessId) -> bool {
-        let (counters, values) = (&registers.suspicions, &mut self.values);
-        let reread = self.walk.refresh(
-            &registers.scan,
-            || counters.version().expect(EPOCHED),
-            |k| counters.slot_version(k).expect(EPOCHED),
-            |slot| match slot {
-                Some(k) => values[k] = counters.get(k).read(reader),
-                // The first refresh: one batched snapshot, not n reads.
-                None => {
-                    counters.snapshot_into(reader, values);
-                    registers.scan.note_snapshot();
-                }
-            },
-        );
-        if reread {
-            self.values_max = self.values.iter().copied().max().unwrap_or(0);
-        }
-        reread
-    }
 }
 
 impl Registers<MwmrNatArray> {
@@ -85,148 +48,91 @@ impl Registers<MwmrNatArray> {
     }
 }
 
-/// Shared register layout of the nWnR variant: `PROGRESS`/`STOP` as in
-/// Figure 2, plus a single multi-writer suspicion counter per process.
-#[derive(Debug)]
-pub struct MwmrMemory {
-    pub(crate) progress: NatArray,
-    pub(crate) registers: Registers<MwmrNatArray>,
-}
+/// §3.5(a)'s store: one shared suspicion counter per process, which every
+/// process increments and re-reads when its epoch moved.
+impl Store for MwmrNatArray {
+    type View = CounterCache;
 
-impl MwmrMemory {
-    /// Allocates the variant's registers in `space`.
-    #[must_use]
-    pub fn new(space: &MemorySpace) -> Arc<Self> {
-        Arc::new(MwmrMemory {
-            progress: space.epoched_nat_array("PROGRESS", |_| 0),
-            registers: Registers::new(space, |space| {
-                space.epoched_nat_mwmr_array("SUSPICIONS", space.n_processes(), |_| 0)
-            }),
-        })
+    fn allocate(space: &MemorySpace) -> Self {
+        space.epoched_nat_mwmr_array("SUSPICIONS", space.n_processes(), |_| 0)
     }
 
-    /// Unattributed view of `PROGRESS[k]`.
-    #[must_use]
-    pub fn peek_progress(&self, k: ProcessId) -> u64 {
-        self.progress.get(k).peek()
-    }
-}
-
-/// `STOP`, the counters and their `peek_*` views are Figure 2's block.
-impl Deref for MwmrMemory {
-    type Target = Registers<MwmrNatArray>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.registers
-    }
-}
-
-/// One process of the nWnR variant.
-#[derive(Debug)]
-pub struct MwmrProcess {
-    mem: Arc<MwmrMemory>,
-    /// The `PROGRESS[pid]` mirror, `candidates_i`, `last_i` and the sharded
-    /// `T3` scan, as in [`Alg1Process`](crate::Alg1Process).
-    pub(crate) heartbeats: HeartbeatTracker,
-    pub(crate) fig2: Elector<CounterCache>,
-}
-
-impl MwmrProcess {
-    /// Creates process `pid` over `mem`, initially trusting everyone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range for the memory's system size.
-    #[must_use]
-    pub fn new(mem: Arc<MwmrMemory>, pid: ProcessId) -> Self {
-        let n = mem.n();
-        let fig2 = Elector::new(&mem.stop, pid, || CounterCache::new(n));
-        let candidates = CandidateInit::Full.materialize(n, pid);
-        MwmrProcess {
-            heartbeats: HeartbeatTracker::new(&mem.progress, pid, candidates),
-            fig2,
-            mem,
+    fn view(registers: &Registers<Self>, _: ProcessId) -> CounterCache {
+        let n = registers.n();
+        CounterCache {
+            walk: EpochWalk::new(n, None, 1),
+            values: vec![0; n],
+            values_max: 0,
         }
     }
 
-    /// The shared memory this process runs over.
-    #[must_use]
-    pub fn memory(&self) -> &Arc<MwmrMemory> {
-        &self.mem
-    }
-
-    /// Current candidate set (test/diagnostic view).
-    #[must_use]
-    pub fn candidates(&self) -> &ProcessSet {
-        self.heartbeats.candidates()
-    }
-}
-
-impl OmegaProcess for MwmrProcess {
-    fn pid(&self) -> ProcessId {
-        self.fig2.pid
-    }
-
-    fn n(&self) -> usize {
-        self.mem.n()
-    }
-
-    fn leader(&self) -> ProcessId {
-        let (mem, pid) = (&*self.mem, self.fig2.pid);
-        self.fig2.leader(
-            self.candidates(),
-            |cache| cache.refresh(&mem.registers, pid),
-            |cache, k| cache.values[k.index()],
-        )
-    }
-
-    fn t2_step(&mut self) {
-        let leader = self.leader();
-        let (mem, heartbeats) = (&*self.mem, &mut self.heartbeats);
-        self.fig2
-            .t2_step(leader, &mem.stop, || heartbeats.beat(&mem.progress));
-    }
-
-    /// `T3` over one shard, as in [`Alg1Process`](crate::Alg1Process):
-    /// `STOP[shard]` then `PROGRESS[shard]` around the own slot (see its
-    /// module docs for why in that order), or booked reads when the pass
-    /// is provably a no-op.
-    fn on_timer_expire(&mut self) -> u64 {
-        let (mem, pid) = (&*self.mem, self.fig2.pid);
-        let booked = self.heartbeats.pass(&mem.stop, &mem.progress, |k| {
-            // Read-increment-write on the shared counter; increments may
-            // race and be lost, which the variant tolerates.
-            let bumped = mem.suspicions.get(k.index()).read(pid) + 1;
-            mem.suspicions.get(k.index()).write(pid, bumped);
-        });
-        mem.scan.note_shard_pass();
-        // Line 27 analogue: the timeout tracks the largest suspicion count
-        // this process can observe — from the epoch-validated cache, so
-        // clean counters cost no shared reads (and no O(n) rescan).
-        let cache = self.fig2.view.get_mut();
-        let reread = cache.refresh(&mem.registers, pid);
-        let timeout = cache.values_max + 1;
-        if reread || !booked {
-            // The pass may have changed `candidates` and the counters, and
-            // the refresh may have consumed a change `leader()` must see —
-            // election inputs all.
-            self.fig2.election.set(None);
+    /// Re-reads the counters whose epoch moved ([`EpochWalk::refresh`]).
+    fn refresh(cache: &mut CounterCache, registers: &Registers<Self>, pid: ProcessId) -> bool {
+        let (counters, values) = (&registers.suspicions, &mut cache.values);
+        let reread = cache.walk.refresh(
+            &registers.scan,
+            || counters.version().expect(EPOCHED),
+            |k| counters.slot_version(k).expect(EPOCHED),
+            |slot| match slot {
+                Some(k) => values[k] = counters.get(k).read(pid),
+                // The first refresh: one batched snapshot, not n reads.
+                None => {
+                    counters.snapshot_into(pid, values);
+                    registers.scan.note_snapshot();
+                }
+            },
+        );
+        if reread {
+            cache.values_max = cache.values.iter().copied().max().unwrap_or(0);
         }
-        timeout
+        reread
     }
 
-    fn initial_timeout(&self) -> u64 {
+    #[inline]
+    fn total(cache: &CounterCache, k: ProcessId) -> u64 {
+        cache.values[k.index()]
+    }
+
+    /// Read-increment-write on the shared counter; increments may race and
+    /// be lost, which the variant tolerates.
+    #[inline]
+    fn suspect(_: &mut CounterCache, registers: &Registers<Self>, pid: ProcessId, k: ProcessId) {
+        let counter = registers.suspicions.get(k.index());
+        counter.write(pid, counter.read(pid) + 1);
+    }
+
+    /// Line 27 analogue: the timeout tracks the largest suspicion count
+    /// this process can observe — from the epoch-validated cache, so clean
+    /// counters cost no shared reads (and no O(n) rescan).
+    #[inline]
+    fn after_pass(
+        cache: &mut CounterCache,
+        registers: &Registers<Self>,
+        pid: ProcessId,
+    ) -> (u64, bool) {
+        let reread = Self::refresh(cache, registers, pid);
+        (cache.values_max + 1, reread)
+    }
+
+    fn initial_timeout(_: &CounterCache) -> u64 {
         1
     }
-
-    fn cached_leader(&self) -> Option<ProcessId> {
-        self.fig2.cached
-    }
 }
+
+/// Shared register layout of the nWnR variant: `PROGRESS`/`STOP` as in
+/// Figure 2, plus a single multi-writer suspicion counter per process.
+pub type MwmrMemory = HeartbeatMemory<MwmrNatArray>;
+
+/// One process of the nWnR variant: Figure 2's heartbeat process over the
+/// shared counters.
+pub type MwmrProcess = HeartbeatProcess<MwmrNatArray>;
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::OmegaProcess;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)

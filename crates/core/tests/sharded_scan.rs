@@ -118,6 +118,18 @@ fn alg2_sharded_leader_matches_reference() {
     }
 }
 
+/// `proc`'s `leader()` against the least-suspected of its candidates by
+/// the shared counters, read directly.
+fn assert_mwmr_leader(mem: &MwmrMemory, proc: &MwmrProcess, context: &str) {
+    let expected = elect_least_suspected(proc.candidates(), |k| mem.peek_suspicions(k)).unwrap();
+    assert_eq!(
+        proc.leader(),
+        expected,
+        "{context}: {} diverged",
+        proc.pid()
+    );
+}
+
 #[test]
 fn mwmr_cached_leader_matches_shared_counters() {
     for seed in 0..25 {
@@ -135,10 +147,62 @@ fn mwmr_cached_leader_matches_shared_counters() {
             } else {
                 let _ = procs[i].on_timer_expire();
             }
-            let proc = &procs[i];
-            let expected =
-                elect_least_suspected(proc.candidates(), |k| mem.peek_suspicions(k)).unwrap();
-            assert_eq!(proc.leader(), expected, "seed {seed}: p{i} diverged");
+            assert_mwmr_leader(&mem, &procs[i], &format!("seed {seed}"));
+        }
+    }
+    // Several shards a rotation, at widths set through `with_scan_shard`,
+    // so that passes over shards nobody wrote are booked. The counters are
+    // bumped behind the processes' backs by a rogue process of the last
+    // identity, which nobody elects from: two passes in a row suspect every
+    // candidate of its own with `STOP` low (the counters are nWnR, anyone
+    // may write them, and no public call pokes them).
+    for n in [17, 40] {
+        for width in [4, 16] {
+            for seed in 0..4 {
+                let mut rng = Rng::new(0x3575 ^ (n * 1_000 + width * 10 + seed) as u64);
+                let space = MemorySpace::new(n);
+                let mem = MwmrMemory::new(&space);
+                let mut procs: Vec<MwmrProcess> = ProcessId::all(n)
+                    .map(|pid| MwmrProcess::new(Arc::clone(&mem), pid).with_scan_shard(width))
+                    .collect();
+                let mut rogue =
+                    MwmrProcess::new(Arc::clone(&mem), ProcessId::new(n - 1)).with_scan_shard(n);
+                // Storms of random operations, each followed by calm
+                // rounds of a step and a pass by every process in turn, in
+                // which the run settles and passes get booked.
+                for period in 0..3 {
+                    for op in 0..n {
+                        let i = rng.below(n as u64) as usize;
+                        match rng.below(100) {
+                            0..=44 => procs[i].t2_step(),
+                            45..=94 => {
+                                let _ = procs[i].on_timer_expire();
+                            }
+                            _ => {
+                                let _ = rogue.on_timer_expire();
+                                let _ = rogue.on_timer_expire();
+                            }
+                        }
+                        let context =
+                            format!("n {n}, width {width}, seed {seed}, storm {period}.{op}");
+                        assert_mwmr_leader(&mem, &procs[i], &context);
+                    }
+                    for round in 0..2 * n.div_ceil(width) + 2 {
+                        for (i, proc) in procs.iter_mut().enumerate() {
+                            let context = format!(
+                                "n {n}, width {width}, seed {seed}, calm {period}.{round}.{i}"
+                            );
+                            proc.t2_step();
+                            assert_mwmr_leader(&mem, proc, &context);
+                            let _ = proc.on_timer_expire();
+                            assert_mwmr_leader(&mem, proc, &context);
+                        }
+                    }
+                }
+                for proc in &procs {
+                    assert_mwmr_leader(&mem, proc, &format!("n {n}, width {width}, seed {seed}"));
+                }
+            }
         }
     }
 }

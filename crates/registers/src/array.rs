@@ -17,7 +17,6 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cell::{LockCell, SharedCell};
-use crate::meta::BankMeta;
 use crate::swmr::{Bank, MwmrRef, SwmrRef};
 use crate::value::RegisterValue;
 use crate::ProcessId;
@@ -71,7 +70,7 @@ impl<T: RegisterValue, C: SharedCell<T>> SwmrArray<T, C> {
     /// Number of slots (= number of processes).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.bank.counters().len()
+        self.bank.len()
     }
 
     /// Whether the array has zero slots.
@@ -207,7 +206,7 @@ impl<T: RegisterValue, C: SharedCell<T>> MwmrArray<T, C> {
     /// Number of registers in the array.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.bank.counters().len()
+        self.bank.len()
     }
 
     /// Whether the array has zero registers.

@@ -102,14 +102,16 @@ impl Instrumentation {
 }
 
 /// Cumulative access counters for one bank of registers.
+///
+/// The block does not keep the bank's length: a bank stores it once, in
+/// its live cells, and passes it as `len` to every method that needs it.
 #[derive(Debug)]
 pub(crate) struct Counters {
     /// One allocation: the `n_processes` read tallies, then `len`
     /// high-water marks, then the write cells (module docs).
     cells: Box<[AtomicU64]>,
-    /// Slots and processes as `u32`, like [`ProcessId`]: a scalar's bank
-    /// should not outweigh the register it replaced.
-    len: u32,
+    /// A `u32`, like [`ProcessId`]: a scalar's bank should not outweigh
+    /// the register it replaced.
     n_processes: u32,
     owned: bool,
     mode: Instrumentation,
@@ -125,17 +127,10 @@ impl Counters {
             cells: (0..n_processes + len + write_cells)
                 .map(|_| AtomicU64::new(0))
                 .collect(),
-            len: u32::try_from(len).expect("bank length fits u32"),
             n_processes: u32::try_from(n_processes).expect("process count fits u32"),
             owned,
             mode,
         }
-    }
-
-    /// Number of registers (slots) in the bank.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len as usize
     }
 
     #[inline]
@@ -149,13 +144,13 @@ impl Counters {
     }
 
     #[inline]
-    fn hwm(&self) -> &[AtomicU64] {
-        &self.cells[self.n()..][..self.len()]
+    fn hwm(&self, len: usize) -> &[AtomicU64] {
+        &self.cells[self.n()..][..len]
     }
 
     #[inline]
-    fn writes(&self) -> &[AtomicU64] {
-        &self.cells[self.n() + self.len()..]
+    fn writes(&self, len: usize) -> &[AtomicU64] {
+        &self.cells[self.n() + len..]
     }
 
     /// Counts one read by `reader` of every slot in `slots`: adds the
@@ -166,11 +161,11 @@ impl Counters {
     /// Panics if `reader` is not a process of the system or `slots` leaves
     /// the bank.
     #[inline]
-    pub(crate) fn note_reads(&self, reader: ProcessId, slots: Range<usize>) {
+    pub(crate) fn note_reads(&self, reader: ProcessId, slots: Range<usize>, len: usize) {
         // Checked here, not left to the read that follows: a slot past the
         // bank must not have been counted.
         assert!(
-            reader.index() < self.n() && slots.start <= slots.end && slots.end <= self.len(),
+            reader.index() < self.n() && slots.start <= slots.end && slots.end <= len,
             "attributed read out of range: no such process, or slots past the bank"
         );
         let tally = &self.reads()[reader.index()];
@@ -178,14 +173,14 @@ impl Counters {
     }
 
     #[inline]
-    pub(crate) fn note_write(&self, slot: usize, writer: ProcessId, bits: u64) {
+    pub(crate) fn note_write(&self, slot: usize, writer: ProcessId, bits: u64, len: usize) {
         let cell = if self.owned {
             slot
         } else {
             slot * self.n() + writer.index()
         };
-        self.mode.add(&self.writes()[cell], 1, Ordering::Relaxed);
-        let hwm = &self.hwm()[slot];
+        self.mode.add(&self.writes(len)[cell], 1, Ordering::Relaxed);
+        let hwm = &self.hwm(len)[slot];
         if self.mode == Instrumentation::Deferred {
             if bits > hwm.load(Ordering::Relaxed) {
                 hwm.store(bits, Ordering::Relaxed);
@@ -197,8 +192,8 @@ impl Counters {
 
     /// Records the footprint of a slot's initial value without counting a
     /// write.
-    pub(crate) fn note_initial(&self, slot: usize, bits: u64) {
-        self.hwm()[slot].fetch_max(bits, Ordering::Relaxed);
+    pub(crate) fn note_initial(&self, slot: usize, bits: u64, len: usize) {
+        self.hwm(len)[slot].fetch_max(bits, Ordering::Relaxed);
     }
 
     /// Copies the counts into a snapshot: the read tallies, indexed by
@@ -209,8 +204,8 @@ impl Counters {
     ///
     /// Panics if `reads` is not `n_processes` cells or `writes` is not
     /// [`write_cells`](Self::write_cells) long.
-    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64]) {
-        for (out, cells) in [(reads, self.reads()), (writes, self.writes())] {
+    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64], len: usize) {
+        for (out, cells) in [(reads, self.reads()), (writes, self.writes(len))] {
             assert_eq!(out.len(), cells.len(), "one snapshot cell per counter");
             for (out, cell) in out.iter_mut().zip(cells) {
                 *out = cell.load(Ordering::Relaxed);
@@ -219,24 +214,25 @@ impl Counters {
     }
 
     /// Every write counted so far: the sum of the write cells.
-    pub(crate) fn total_writes(&self) -> u64 {
-        (self.writes().iter())
+    pub(crate) fn total_writes(&self, len: usize) -> u64 {
+        (self.writes(len).iter())
             .map(|cell| cell.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Number of write cells [`copy_into`](Self::copy_into) fills.
-    pub(crate) fn write_cells(&self) -> usize {
-        self.writes().len()
+    pub(crate) fn write_cells(&self, len: usize) -> usize {
+        self.writes(len).len()
     }
 
-    pub(crate) fn hwm_bits(&self, slot: usize) -> u64 {
-        self.hwm()[slot].load(Ordering::Relaxed)
+    pub(crate) fn hwm_bits(&self, slot: usize, len: usize) -> u64 {
+        self.hwm(len)[slot].load(Ordering::Relaxed)
     }
 }
 
 /// Type-erased view of a bank used by the registry for reporting.
 pub(crate) trait BankMeta: Send + Sync {
+    fn len(&self) -> usize;
     fn names(&self) -> &crate::names::BankNames;
     fn owners(&self) -> crate::swmr::Owners;
     fn counters(&self) -> &Counters;
@@ -257,10 +253,11 @@ mod tests {
 
     const MODES: [Instrumentation; 2] = [Instrumentation::Eager, Instrumentation::Deferred];
 
-    fn copied(c: &Counters) -> (Vec<u64>, Vec<u64>) {
+    /// The counts of `c`, the block of a bank of `len` slots.
+    fn copied(c: &Counters, len: usize) -> (Vec<u64>, Vec<u64>) {
         let mut reads = vec![7; c.n()];
-        let mut writes = vec![7; c.write_cells()];
-        c.copy_into(&mut reads, &mut writes);
+        let mut writes = vec![7; c.write_cells(len)];
+        c.copy_into(&mut reads, &mut writes, len);
         (reads, writes)
     }
 
@@ -270,12 +267,16 @@ mod tests {
             let c = Counters::new(1, 3, false, mode);
             let p0 = ProcessId::new(0);
             let p2 = ProcessId::new(2);
-            c.note_reads(p0, 0..1);
-            c.note_reads(p0, 0..1);
-            c.note_write(0, p2, 5);
-            c.note_write(0, p2, 3);
-            assert_eq!(copied(&c), (vec![2, 0, 0], vec![0, 0, 2]), "{mode:?}");
-            assert_eq!(c.hwm_bits(0), 5, "high-water mark keeps the max footprint");
+            c.note_reads(p0, 0..1, 1);
+            c.note_reads(p0, 0..1, 1);
+            c.note_write(0, p2, 5, 1);
+            c.note_write(0, p2, 3, 1);
+            assert_eq!(copied(&c, 1), (vec![2, 0, 0], vec![0, 0, 2]), "{mode:?}");
+            assert_eq!(
+                c.hwm_bits(0, 1),
+                5,
+                "high-water mark keeps the max footprint"
+            );
         }
     }
 
@@ -283,19 +284,19 @@ mod tests {
     fn owned_register_keeps_one_write_cell() {
         for mode in MODES {
             let c = Counters::new(2, 3, true, mode);
-            c.note_write(1, ProcessId::new(2), 1);
-            c.note_write(1, ProcessId::new(2), 1);
-            c.note_reads(ProcessId::new(1), 1..2);
-            assert_eq!(copied(&c), (vec![0, 1, 0], vec![0, 2]), "{mode:?}");
+            c.note_write(1, ProcessId::new(2), 1, 2);
+            c.note_write(1, ProcessId::new(2), 1, 2);
+            c.note_reads(ProcessId::new(1), 1..2, 2);
+            assert_eq!(copied(&c, 2), (vec![0, 1, 0], vec![0, 2]), "{mode:?}");
         }
     }
 
     #[test]
     fn initial_footprint_counts_no_write() {
         let c = Counters::new(1, 1, true, Instrumentation::Eager);
-        c.note_initial(0, 17);
-        assert_eq!(c.hwm_bits(0), 17);
-        assert_eq!(copied(&c).1, vec![0]);
+        c.note_initial(0, 17, 1);
+        assert_eq!(c.hwm_bits(0, 1), 17);
+        assert_eq!(copied(&c, 1).1, vec![0]);
     }
 
     #[test]
@@ -303,19 +304,23 @@ mod tests {
         let c = Counters::new(1, 2, false, Instrumentation::Deferred);
         let p0 = ProcessId::new(0);
         let p1 = ProcessId::new(1);
-        c.note_initial(0, 4);
-        c.note_reads(p0, 0..1);
-        c.note_reads(p0, 0..1);
-        c.note_write(0, p1, 9);
-        assert_eq!(copied(&c), (vec![2, 0], vec![0, 1]), "visible immediately");
-        assert_eq!(c.hwm_bits(0), 9);
-        c.note_write(0, p1, 3);
+        c.note_initial(0, 4, 1);
+        c.note_reads(p0, 0..1, 1);
+        c.note_reads(p0, 0..1, 1);
+        c.note_write(0, p1, 9, 1);
         assert_eq!(
-            copied(&c).1,
+            copied(&c, 1),
+            (vec![2, 0], vec![0, 1]),
+            "visible immediately"
+        );
+        assert_eq!(c.hwm_bits(0, 1), 9);
+        c.note_write(0, p1, 3, 1);
+        assert_eq!(
+            copied(&c, 1).1,
             vec![0, 2],
             "reading the counters drains nothing"
         );
-        assert_eq!(c.hwm_bits(0), 9, "hwm keeps the max");
+        assert_eq!(c.hwm_bits(0, 1), 9, "hwm keeps the max");
     }
 
     #[test]
@@ -325,15 +330,18 @@ mod tests {
         for mode in MODES {
             let c = Counters::new(3, 2, false, mode);
             let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-            c.note_reads(p1, 0..3);
-            c.note_reads(p0, 2..3);
-            c.note_reads(p1, 1..2);
-            c.note_write(2, p1, 1);
-            c.note_write(0, p0, 6);
-            let (reads, writes) = copied(&c);
+            c.note_reads(p1, 0..3, 3);
+            c.note_reads(p0, 2..3, 3);
+            c.note_reads(p1, 1..2, 3);
+            c.note_write(2, p1, 1, 3);
+            c.note_write(0, p0, 6, 3);
+            let (reads, writes) = copied(&c, 3);
             assert_eq!(reads, [1, 4], "{mode:?}: [process]");
             assert_eq!(writes, [1, 0, 0, 0, 0, 1], "{mode:?}: [slot][writer]");
-            assert_eq!((c.hwm_bits(0), c.hwm_bits(1), c.hwm_bits(2)), (6, 0, 1));
+            assert_eq!(
+                (c.hwm_bits(0, 3), c.hwm_bits(1, 3), c.hwm_bits(2, 3)),
+                (6, 0, 1)
+            );
         }
     }
 
@@ -344,18 +352,18 @@ mod tests {
             let mut expected = vec![0; 3];
             for (reader, slots) in [(1, 0..5), (1, 2..2), (0, 4..5), (2, 1..4), (1, 3..5)] {
                 expected[reader] += slots.len() as u64;
-                c.note_reads(ProcessId::new(reader), slots);
-                assert_eq!(copied(&c).0, expected, "{mode:?}");
+                c.note_reads(ProcessId::new(reader), slots, 5);
+                assert_eq!(copied(&c, 5).0, expected, "{mode:?}");
             }
             // A reader past the system, a range past the bank, a reversed
             // range: refused, and nothing counted.
             for (reader, slots) in [(3, 0..1), (0, 4..6), (0, Range { start: 3, end: 2 })] {
                 let refused = std::panic::catch_unwind(|| {
-                    c.note_reads(ProcessId::new(reader), slots.clone());
+                    c.note_reads(ProcessId::new(reader), slots.clone(), 5);
                 });
                 assert!(refused.is_err(), "{mode:?}: p{reader} reading {slots:?}");
             }
-            assert_eq!(copied(&c), (expected, vec![0; 5]), "{mode:?}");
+            assert_eq!(copied(&c, 5), (expected, vec![0; 5]), "{mode:?}");
         }
     }
 
@@ -363,7 +371,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn a_range_past_the_bank_is_rejected_not_misattributed() {
         let c = Counters::new(2, 2, true, Instrumentation::Eager);
-        c.note_reads(ProcessId::new(0), 1..3);
+        c.note_reads(ProcessId::new(0), 1..3, 2);
     }
 
     #[test]

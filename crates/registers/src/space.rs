@@ -745,9 +745,9 @@ impl MemorySpace {
         fit(&mut snap.writes, layout.write_cells());
         let mut writes = &mut snap.writes[..];
         for (bank, reads) in registry.banks.iter().zip(snap.reads.chunks_exact_mut(n)) {
-            let counters = bank.counters();
-            let (bank_writes, later) = writes.split_at_mut(counters.write_cells());
-            counters.copy_into(reads, bank_writes);
+            let (counters, len) = (bank.counters(), bank.len());
+            let (bank_writes, later) = writes.split_at_mut(counters.write_cells(len));
+            counters.copy_into(reads, bank_writes, len);
             writes = later;
         }
         snap.n_processes = n;
@@ -764,7 +764,7 @@ impl MemorySpace {
     pub fn total_writes(&self) -> u64 {
         let registry = self.inner.registry.read();
         (registry.banks.iter())
-            .map(|bank| bank.counters().total_writes())
+            .map(|bank| bank.counters().total_writes(bank.len()))
             .sum()
     }
 
@@ -775,9 +775,9 @@ impl MemorySpace {
         let registry = self.inner.registry.read();
         let mut bits = Vec::with_capacity(registry.registers);
         for bank in &registry.banks {
-            let counters = bank.counters();
+            let (counters, len) = (bank.counters(), bank.len());
             bits.extend(
-                (0..counters.len()).map(|slot| (counters.hwm_bits(slot), bank.current_bits(slot))),
+                (0..len).map(|slot| (counters.hwm_bits(slot, len), bank.current_bits(slot))),
             );
         }
         FootprintReport::new(self.layout_for(&registry), bits)

@@ -165,7 +165,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
         let counters = Counters::new(len, spec.n_processes, owned, spec.mode);
         for (slot, cell) in live.iter().enumerate() {
             let value = cell.load();
-            counters.note_initial(slot, value.footprint_bits());
+            counters.note_initial(slot, value.footprint_bits(), len);
             if let Some(block) = &spec.block {
                 // Fresh blocks read as zero; only a non-zero initial value
                 // needs seeding, and seeding is harness-side (no latency,
@@ -197,9 +197,9 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
         })
     }
 
-    /// Number of slots.
+    /// Number of slots: the one place a bank keeps it.
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live.len()
     }
 
@@ -220,7 +220,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
         slots: Range<usize>,
         mut sink: impl FnMut(T),
     ) {
-        self.counters.note_reads(reader, slots.clone());
+        self.counters.note_reads(reader, slots.clone(), self.len());
         let Some(view) = self.mask.view_of(reader) else {
             // No mask, or none that concerns this reader: one live run.
             return self.read_run(slots, false, &mut sink);
@@ -324,10 +324,12 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
     fn book(&self, reader: ProcessId, slots: Range<usize>, except: Option<usize>) {
         match except.filter(|slot| slots.contains(slot)) {
             Some(own) => {
-                self.counters.note_reads(reader, slots.start..own);
-                self.counters.note_reads(reader, own + 1..slots.end);
+                self.counters
+                    .note_reads(reader, slots.start..own, self.len());
+                self.counters
+                    .note_reads(reader, own + 1..slots.end, self.len());
             }
-            None => self.counters.note_reads(reader, slots),
+            None => self.counters.note_reads(reader, slots, self.len()),
         }
     }
 
@@ -373,7 +375,7 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
             None => self.live[slot].store(value),
         }
         self.bump(slot);
-        self.counters.note_write(slot, writer, bits);
+        self.counters.note_write(slot, writer, bits, self.len());
     }
 
     fn peek(&self, slot: usize) -> T {
@@ -396,6 +398,10 @@ impl<T: RegisterValue, C: SharedCell<T>> Bank<T, C> {
 }
 
 impl<T: RegisterValue, C: SharedCell<T>> BankMeta for Bank<T, C> {
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
     fn names(&self) -> &BankNames {
         &self.names
     }
@@ -809,6 +815,16 @@ mod tests {
 
     fn space() -> MemorySpace {
         MemorySpace::new(4)
+    }
+
+    /// A bank keeps its length once, in its live cells, and its counters
+    /// none: 24 B of counters, 136 B an in-memory bank of naturals.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_bank_and_its_counters_keep_their_size() {
+        use crate::cell::AtomicNatCell;
+        assert_eq!(std::mem::size_of::<Counters>(), 24);
+        assert_eq!(std::mem::size_of::<Bank<u64, AtomicNatCell>>(), 136);
     }
 
     /// Whether the bank behind `reg` has allocated its frozen run.
