@@ -338,10 +338,12 @@ fn bench_accounting() {
         black_box(space.stats());
     });
     // A checkpoint of a quiescent run: a `T3` round (n ×
-    // `in_situ/alg1_t3_round`) moves the counters, then a dense snapshot.
+    // `in_situ/alg1_t3_round`) moves the counters, then the newest
+    // checkpoint is refreshed in place, keeping the cells it overwrote.
+    let (mut newest, mut newest_fp) = (space.stats(), space.footprint());
     bench("accounting", &format!("checkpoint_quiescent/{n}"), || {
         t3_round();
-        black_box(space.stats());
+        black_box(space.checkpoint(&mut newest, &mut newest_fp));
     });
     let earlier = space.stats();
     t3_round();

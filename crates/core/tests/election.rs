@@ -247,11 +247,11 @@ fn alg1_bounds_everything_but_leader_progress() {
         .run();
     let leader = report.elected_leader().expect("stabilizes");
     // Compare the footprint of the 3/4 point against the end of the run.
-    let checkpoints = &report.footprints;
+    let checkpoints = &report.windowed;
     assert!(checkpoints.len() >= 4);
-    let mid = &checkpoints[checkpoints.len() * 3 / 4].1;
-    let last = &checkpoints[checkpoints.len() - 1].1;
-    let grown = last.grown_since(mid);
+    let mid = checkpoints.footprint_at(checkpoints.len() * 3 / 4).unwrap();
+    let (.., last) = checkpoints.last().unwrap();
+    let grown = last.grown_since(&mid);
     let allowed = format!("PROGRESS[{}]", leader.index());
     for name in grown {
         assert_eq!(name, allowed, "only the leader's PROGRESS entry may grow");
@@ -273,13 +273,13 @@ fn alg2_all_registers_bounded_and_everyone_writes() {
     let leader = report.elected_leader().expect("stabilizes");
 
     // Boundedness: nothing grows in the last quarter.
-    let checkpoints = &report.footprints;
-    let mid = &checkpoints[checkpoints.len() * 3 / 4].1;
-    let last = &checkpoints[checkpoints.len() - 1].1;
+    let checkpoints = &report.windowed;
+    let mid = checkpoints.footprint_at(checkpoints.len() * 3 / 4).unwrap();
+    let (.., last) = checkpoints.last().unwrap();
     assert!(
-        last.grown_since(mid).is_empty(),
+        last.grown_since(&mid).is_empty(),
         "Algorithm 2 must keep every register bounded, grew: {:?}",
-        last.grown_since(mid)
+        last.grown_since(&mid)
     );
 
     // Everyone writes forever (Corollary 1): every correct process wrote in
@@ -341,7 +341,7 @@ fn deterministic_replay_across_runs() {
     assert_eq!(a.steps_taken, b.steps_taken);
     assert_eq!(a.elected_leader(), b.elected_leader());
     assert_eq!(
-        a.windowed.snapshots().last().unwrap().1.total_writes(),
-        b.windowed.snapshots().last().unwrap().1.total_writes()
+        a.windowed.last().unwrap().1.total_writes(),
+        b.windowed.last().unwrap().1.total_writes()
     );
 }

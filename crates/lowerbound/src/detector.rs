@@ -301,10 +301,9 @@ pub fn theorem5_evidence(n: usize, horizon: u64) -> BoundedMemoryEvidence {
         distinct.len() > 1
     });
     let frugal_hwm_bits = frugal
-        .footprints
+        .windowed
         .last()
-        .map(|(_, fp)| fp.total_hwm_bits())
-        .unwrap_or(0);
+        .map_or(0, |(.., fp)| fp.total_hwm_bits());
 
     // Control: Algorithm 2 under the same schedule.
     let sys = OmegaVariant::Alg2.build(n);

@@ -49,9 +49,9 @@ pub struct FootprintRow<'a> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintReport {
-    layout: Arc<SnapshotLayout>,
+    pub(crate) layout: Arc<SnapshotLayout>,
     /// `(hwm_bits, current_bits)` per register, in creation order.
-    bits: Vec<(u64, u64)>,
+    pub(crate) bits: Vec<(u64, u64)>,
 }
 
 impl FootprintReport {

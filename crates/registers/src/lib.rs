@@ -52,6 +52,7 @@ pub mod sync;
 mod array;
 mod block;
 mod chaos;
+mod checkpoint;
 mod error;
 mod footprint;
 mod matrix;
@@ -66,6 +67,7 @@ mod value;
 
 pub use array::{MwmrArray, SwmrArray};
 pub use block::{BlockBinding, BlockDevice, BlockMap};
+pub use checkpoint::Overwritten;
 pub use error::OwnershipError;
 pub use footprint::{FootprintReport, FootprintRow};
 pub use matrix::{OwnedMatrix, OwnerAxis};

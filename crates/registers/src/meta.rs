@@ -196,33 +196,18 @@ impl Counters {
         self.hwm(len)[slot].fetch_max(bits, Ordering::Relaxed);
     }
 
-    /// Copies the counts into a snapshot: the read tallies, indexed by
-    /// process, into `reads`, and each register's write cells (one if
-    /// owned, else one per process), in slot order, into `writes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reads` is not `n_processes` cells or `writes` is not
-    /// [`write_cells`](Self::write_cells) long.
-    pub(crate) fn copy_into(&self, reads: &mut [u64], writes: &mut [u64], len: usize) {
-        for (out, cells) in [(reads, self.reads()), (writes, self.writes(len))] {
-            assert_eq!(out.len(), cells.len(), "one snapshot cell per counter");
-            for (out, cell) in out.iter_mut().zip(cells) {
-                *out = cell.load(Ordering::Relaxed);
-            }
-        }
+    /// The read tallies, indexed by process: a snapshot's cells for the
+    /// bank's reads.
+    pub(crate) fn read_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.reads().iter().map(|cell| cell.load(Ordering::Relaxed))
     }
 
-    /// Every write counted so far: the sum of the write cells.
-    pub(crate) fn total_writes(&self, len: usize) -> u64 {
-        (self.writes(len).iter())
+    /// Each register's write cells (one if owned, else one per process),
+    /// in slot order: a snapshot's cells for the bank's writes.
+    pub(crate) fn write_counts(&self, len: usize) -> impl Iterator<Item = u64> + '_ {
+        self.writes(len)
+            .iter()
             .map(|cell| cell.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Number of write cells [`copy_into`](Self::copy_into) fills.
-    pub(crate) fn write_cells(&self, len: usize) -> usize {
-        self.writes(len).len()
     }
 
     pub(crate) fn hwm_bits(&self, slot: usize, len: usize) -> u64 {
@@ -255,10 +240,7 @@ mod tests {
 
     /// The counts of `c`, the block of a bank of `len` slots.
     fn copied(c: &Counters, len: usize) -> (Vec<u64>, Vec<u64>) {
-        let mut reads = vec![7; c.n()];
-        let mut writes = vec![7; c.write_cells(len)];
-        c.copy_into(&mut reads, &mut writes, len);
-        (reads, writes)
+        (c.read_counts().collect(), c.write_counts(len).collect())
     }
 
     #[test]
@@ -324,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_matches_indexed_reads() {
+    fn counts_match_indexed_reads() {
         // Three slots, two processes, nWnR: reads come out one tally per
         // reader, writes slot-major.
         for mode in MODES {

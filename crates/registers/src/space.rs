@@ -10,6 +10,7 @@ use crate::array::{MwmrArray, SwmrArray};
 use crate::block::{BlockDevice, BlockMap};
 use crate::cell::{AtomicFlagCell, AtomicNatCell, LockCell, SharedCell};
 use crate::chaos::PartitionMask;
+use crate::checkpoint::Overwritten;
 use crate::footprint::FootprintReport;
 use crate::matrix::OwnedMatrix;
 use crate::meta::{BankMeta, Instrumentation};
@@ -728,28 +729,17 @@ impl MemorySpace {
     /// snapshot, or any snapshot to be used as a buffer — whose allocations
     /// are reused where they are large enough.
     pub fn stats_into(&self, snap: &mut StatsSnapshot) {
+        fn fill(buffer: &mut Vec<u64>, len: usize, counts: impl Iterator<Item = u64>) {
+            buffer.clear();
+            buffer.reserve_exact(len);
+            buffer.extend(counts);
+        }
         let registry = self.inner.registry.read();
         let n = self.inner.n_processes;
         let layout = self.layout_for(&registry);
-        // Every cell is overwritten below, so a reused buffer is not even
-        // cleared, and a fresh one comes zeroed from the allocator (`vec!`)
-        // instead of being zero-filled a second time.
-        let fit = |buffer: &mut Vec<u64>, len| {
-            if buffer.capacity() < len {
-                *buffer = vec![0; len];
-            } else {
-                buffer.resize(len, 0);
-            }
-        };
-        fit(&mut snap.reads, registry.banks.len() * n);
-        fit(&mut snap.writes, layout.write_cells());
-        let mut writes = &mut snap.writes[..];
-        for (bank, reads) in registry.banks.iter().zip(snap.reads.chunks_exact_mut(n)) {
-            let (counters, len) = (bank.counters(), bank.len());
-            let (bank_writes, later) = writes.split_at_mut(counters.write_cells(len));
-            counters.copy_into(reads, bank_writes, len);
-            writes = later;
-        }
+        let banks = &registry.banks;
+        fill(&mut snap.reads, banks.len() * n, read_counts(banks));
+        fill(&mut snap.writes, layout.write_cells(), write_counts(banks));
         snap.n_processes = n;
         snap.layout = layout;
         snap.scan = self.inner.scan.snapshot();
@@ -762,10 +752,7 @@ impl MemorySpace {
     /// registry that may hold millions of registers.
     #[must_use]
     pub fn total_writes(&self) -> u64 {
-        let registry = self.inner.registry.read();
-        (registry.banks.iter())
-            .map(|bank| bank.counters().total_writes(bank.len()))
-            .sum()
+        write_counts(&self.inner.registry.read().banks).sum()
     }
 
     /// Reports the bit-footprint of every register: current size and
@@ -774,14 +761,75 @@ impl MemorySpace {
     pub fn footprint(&self) -> FootprintReport {
         let registry = self.inner.registry.read();
         let mut bits = Vec::with_capacity(registry.registers);
-        for bank in &registry.banks {
-            let (counters, len) = (bank.counters(), bank.len());
-            bits.extend(
-                (0..len).map(|slot| (counters.hwm_bits(slot, len), bank.current_bits(slot))),
-            );
-        }
+        bits.extend(footprint_bits(&registry.banks));
         FootprintReport::new(self.layout_for(&registry), bits)
     }
+
+    /// Refreshes `stats` and `footprint` in place — the newest checkpoint
+    /// of a series over this space, as [`stats`](Self::stats) and
+    /// [`footprint`](Self::footprint) took it or an earlier call left it —
+    /// and returns the cells they held where this overwrote them, from
+    /// which [`Overwritten::restore_stats`] and
+    /// [`Overwritten::restore_footprint`] rebuild them. Afterwards both
+    /// equal fresh copies; no fresh copy is taken to compare against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stats` or `footprint` was taken from another space.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use omega_registers::{MemorySpace, ProcessId};
+    ///
+    /// let space = MemorySpace::new(2);
+    /// let arr = space.nat_array("A", |_| 0);
+    /// let p1 = ProcessId::new(1);
+    ///
+    /// let (mut stats, mut footprint) = (space.stats(), space.footprint());
+    /// let first = stats.clone();
+    /// arr.get(p1).write(p1, 9);
+    /// let overwritten = space.checkpoint(&mut stats, &mut footprint);
+    /// assert_eq!(stats, space.stats());
+    /// overwritten.restore_stats(&mut stats);
+    /// assert_eq!(stats, first);
+    /// ```
+    pub fn checkpoint(
+        &self,
+        stats: &mut StatsSnapshot,
+        footprint: &mut FootprintReport,
+    ) -> Overwritten {
+        let registry = self.inner.registry.read();
+        let banks = &registry.banks;
+        Overwritten::refresh(
+            stats,
+            footprint,
+            self.layout_for(&registry),
+            self.inner.scan.snapshot(),
+            || read_counts(banks),
+            || write_counts(banks),
+            || footprint_bits(banks),
+        )
+    }
+}
+
+/// Every bank's read tallies, indexed by process, in creation order.
+fn read_counts(banks: &[Arc<dyn BankMeta>]) -> impl Iterator<Item = u64> + '_ {
+    banks.iter().flat_map(|bank| bank.counters().read_counts())
+}
+
+/// Every register's write cells (one if owned, else one per process), in
+/// creation order.
+fn write_counts(banks: &[Arc<dyn BankMeta>]) -> impl Iterator<Item = u64> + '_ {
+    (banks.iter()).flat_map(|bank| bank.counters().write_counts(bank.len()))
+}
+
+/// Every register's `(hwm_bits, current_bits)`, in creation order.
+fn footprint_bits(banks: &[Arc<dyn BankMeta>]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    banks.iter().flat_map(|bank| {
+        let (counters, len) = (bank.counters(), bank.len());
+        (0..len).map(move |slot| (counters.hwm_bits(slot, len), bank.current_bits(slot)))
+    })
 }
 
 impl std::fmt::Debug for MemorySpace {

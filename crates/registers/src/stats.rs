@@ -35,7 +35,10 @@
 //!
 //! Both are `O(n²)` for every layout in the tree — an Algorithm 1 snapshot
 //! at n = 128 is 130 banks × 128 read cells and 16 640 write cells,
-//! ≈ 266 KB — so a run's checkpoints are plain dense copies.
+//! ≈ 266 KB. A run's checkpoint series keeps only its newest snapshot
+//! dense, and each earlier one as the cells the next one overwrote (the
+//! `checkpoint` module's [`Overwritten`](crate::Overwritten)): in a
+//! quiescent window a few hundred cells move.
 
 use std::fmt;
 use std::ops::Range;
@@ -111,6 +114,12 @@ impl SnapshotLayout {
         self.registers
     }
 
+    /// Number of banks laid out: a snapshot keeps `n_processes` read
+    /// tallies for each.
+    pub(crate) fn bank_count(&self) -> usize {
+        self.banks.len()
+    }
+
     /// Total write cells of a snapshot with this layout.
     pub(crate) fn write_cells(&self) -> usize {
         self.write_cells
@@ -129,7 +138,7 @@ impl SnapshotLayout {
     /// Whether `earlier` is this layout or a prefix of it: the same banks
     /// (by names and owners — owners fix where each register's writes sit),
     /// followed by whatever was created since.
-    fn extends(&self, earlier: &SnapshotLayout) -> bool {
+    pub(crate) fn extends(&self, earlier: &SnapshotLayout) -> bool {
         self.banks.starts_with(&earlier.banks)
     }
 }

@@ -224,6 +224,98 @@ impl AnyRegister {
     }
 }
 
+impl AnyRegister {
+    /// Every process reads every slot, and every slot is written by every
+    /// process that may: a window in which every counter moves.
+    fn touch_all(&self, n: usize, g: &mut Gen) {
+        for p in ProcessId::all(n) {
+            match self {
+                AnyRegister::Scalar(r) => {
+                    let _ = r.read(p);
+                    r.write(r.owner(), g.next());
+                }
+                AnyRegister::Shared(r) => {
+                    let _ = r.read(p);
+                    r.write(p, g.next());
+                }
+                AnyRegister::Array(a) => {
+                    a.read_range_into(p, 0..a.len(), &mut vec![0; a.len()]);
+                    a.get(p).write(p, g.next());
+                }
+                AnyRegister::SharedArray(a) => {
+                    a.read_range_into(p, 0..a.len(), &mut vec![0; a.len()]);
+                    (0..a.len()).for_each(|slot| a.get(slot).write(p, g.next()));
+                }
+            }
+        }
+    }
+}
+
+/// A series kept as its newest checkpoint, refreshed in place by
+/// `MemorySpace::checkpoint`, and the cells each refresh overwrote
+/// rebuilds every checkpoint it took, walking back: statistics and
+/// footprint equal to dense copies taken at the same instants. The
+/// histories create banks between checkpoints (owned, nWnR, arrays), keep
+/// `String` and `Vec` registers whose footprints pass 255 bits, and have
+/// windows in which nothing moves and windows in which everything does.
+#[test]
+fn overwritten_checkpoints_rebuild_the_dense_ones() {
+    let mut g = Gen::new(29);
+    let mut wide = 0;
+    for case in 0..48 {
+        let n = [1, 3, 8, 33][case % 4];
+        let mode = [Instrumentation::Eager, Instrumentation::Deferred][case / 4 % 2];
+        let space = MemorySpace::with_instrumentation(n, mode);
+        let text = space.mwmr::<String>("TEXT", String::new());
+        let mut registers: Vec<AnyRegister> = (0..2)
+            .map(|k| AnyRegister::create(&space, k, &mut g))
+            .collect();
+        let (mut stats, mut footprint) = (space.stats(), space.footprint());
+        let mut dense = vec![(stats.clone(), footprint.clone())];
+        let mut overwritten = Vec::new();
+        for step in 0..10 {
+            let label = format!("case {case} (n = {n}, {mode:?}) step {step}");
+            match g.below(4) {
+                0 => {}
+                1 => {
+                    registers.iter().for_each(|r| r.touch_all(n, &mut g));
+                    let (writer, bytes) = (pid(g.below(n as u64) as usize), g.below(80));
+                    text.write(writer, "t".repeat(bytes as usize));
+                    drop(text.read(writer));
+                }
+                _ => {
+                    for _ in 0..[1, 40][g.below(2) as usize] {
+                        registers[g.below(registers.len() as u64) as usize].access(n, &mut g);
+                    }
+                }
+            }
+            if g.below(3) == 0 {
+                registers.push(AnyRegister::create(&space, registers.len(), &mut g));
+            }
+            if g.below(4) == 0 {
+                let owner = pid(g.below(n as u64) as usize);
+                let list = space.swmr::<Vec<u64>>(&format!("LIST{step}"), owner, Vec::new());
+                list.write(owner, (0..g.below(12)).map(|_| g.next()).collect());
+            }
+            overwritten.push(space.checkpoint(&mut stats, &mut footprint));
+            let taken = (space.stats(), space.footprint());
+            assert_eq!((&stats, &footprint), (&taken.0, &taken.1), "{label}");
+            dense.push(taken);
+        }
+        wide += usize::from(footprint.rows().any(|row| row.hwm_bits > 255));
+        for (back, entry) in overwritten.iter().enumerate().rev() {
+            entry.restore_stats(&mut stats);
+            entry.restore_footprint(&mut footprint);
+            assert_eq!(stats, dense[back].0, "case {case}: checkpoint {back}");
+            assert_eq!(footprint, dense[back].1, "case {case}: checkpoint {back}");
+        }
+    }
+    assert!(
+        wide > 24,
+        "{wide} of 48 histories had a footprint past 255 bits"
+    );
+}
+
 /// A chain of snapshots, each built by `stats_into` on a clone of its
 /// predecessor, is indistinguishable from snapshots taken fresh at the same
 /// instants — rows, banks, totals, `==`, and every pairwise delta, which is

@@ -392,7 +392,9 @@ pub fn stepclock() -> Scenario {
 /// the sim gate's ceiling); the SAN refuses both.
 ///
 /// Statistics checkpoints shrink with `n`: the trend line needs totals,
-/// not fine windows, and one cumulative snapshot is `O(n²)` counters. The
+/// not fine windows, and the newest cumulative snapshot is `O(n²)`
+/// counters. The cadence is part of every record's tail window, so it
+/// stays although an earlier checkpoint now costs only what moved. The
 /// giant probes also shorten the horizon: stabilization lands within the
 /// first few hundred ticks, and a wall run's deadline budget scales with
 /// the horizon — a 100 000-tick allowance at `n ≥ 512` buys nothing but a
@@ -725,8 +727,8 @@ mod tests {
         assert_eq!(sweep[1].n, 32);
         assert_eq!(sweep[1].awb.unwrap().sigma, 32);
         assert!(sweep.iter().all(|s| s.expect_stabilization));
-        // Large members checkpoint coarsely (O(n³) snapshots), small ones
-        // keep the standard cadence.
+        // Large members checkpoint coarsely, small ones keep the standard
+        // cadence.
         assert_eq!(sweep[0].stats_checkpoints, 16);
         assert_eq!(sweep[1].stats_checkpoints, 4);
         // The default registry carries the four-point sweep.
@@ -764,7 +766,7 @@ mod tests {
         assert_eq!(probes[1].stats_checkpoints, 16);
         assert_eq!(
             probes[2].stats_checkpoints, 4,
-            "O(n³) snapshots: large probes checkpoint coarsely"
+            "large probes checkpoint coarsely"
         );
         assert_eq!(probes[4].stats_checkpoints, 2);
         assert_eq!(

@@ -92,13 +92,9 @@ fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> O
     let stabilization = report.stabilization();
     // `Simulation::finish` checkpointed both at the horizon, unless the
     // spec asked for no checkpoint: then the space is asked once, here.
-    let stats = match report.windowed.snapshots().last() {
-        Some((_, at_horizon)) => Cow::Borrowed(at_horizon),
-        None => Cow::Owned(space.stats()),
-    };
-    let footprint = match report.footprints.last() {
-        Some((_, at_horizon)) => Cow::Borrowed(at_horizon),
-        None => Cow::Owned(space.footprint()),
+    let (stats, footprint) = match report.windowed.last() {
+        Some((_, stats, footprint)) => (Cow::Borrowed(stats), Cow::Borrowed(footprint)),
+        None => (Cow::Owned(space.stats()), Cow::Owned(space.footprint())),
     };
     let totals = stats.per_process_totals();
     let n = scenario.n;
@@ -127,13 +123,11 @@ fn outcome_of(scenario: &Scenario, report: &RunReport, space: &MemorySpace) -> O
                 NonElectionWitness::from_timeline(from, until, report.timeline.samples())
             })
     };
-    let grown_in_tail = match report.footprints.len() {
+    let grown_in_tail = match report.windowed.len() {
         0 | 1 => Vec::new(),
         len => {
-            let mid = &report.footprints[len * 3 / 4].1;
-            let last = &report.footprints[len - 1].1;
-            last.grown_since(mid)
-                .into_iter()
+            let mid = report.windowed.footprint_at(len * 3 / 4).expect("taken");
+            (footprint.grown_since(&mid).into_iter())
                 .map(String::from)
                 .collect()
         }
@@ -215,6 +209,43 @@ mod tests {
         assert!(windowed.tail.is_some());
         assert!(bare.tail.is_none(), "no checkpoint, no tail window");
         assert!(bare.grown_in_tail.is_empty());
+    }
+
+    /// The two windows of a record disagree (ROADMAP 28 (a)): the tail
+    /// starts at checkpoint ⌊0.75·(len − 1)⌋ and `grown_in_tail` at
+    /// `len * 3 / 4`. At k = 4 that is checkpoint 3 against checkpoint 4,
+    /// the in-loop horizon checkpoint, which `finish()` takes again at the
+    /// same tick: `grown_in_tail` compares the horizon with itself, and
+    /// misses the leader's `PROGRESS` entry that grew in the tail. This
+    /// test states today's windows, so that the fix flips it on purpose.
+    #[test]
+    fn the_grown_window_starts_one_checkpoint_after_the_tail() {
+        let scenario = Scenario::fault_free(OmegaVariant::Alg1, 4)
+            .horizon(16_000)
+            .stats_checkpoints(4);
+        let sys = scenario.variant.build(scenario.n);
+        let space = sys.space.clone();
+        let report = scenario.sim_builder(sys.actors).memory(space.clone()).run();
+        let outcome = outcome_of(&scenario, &report, &space);
+        let series = &report.windowed;
+        let times: Vec<u64> = (0..series.len())
+            .map(|index| series.time_at(index).unwrap().ticks())
+            .collect();
+        assert_eq!(times, [0, 4_000, 8_000, 12_000, 16_000, 16_000]);
+        let tail = outcome.tail.as_ref().expect("checkpointed");
+        assert_eq!(tail.span_ticks, 4_000, "the tail is [12 000, 16 000]");
+        let (.., last) = series.last().unwrap();
+        let grown_since = |from| -> Vec<String> {
+            let earlier = series.footprint_at(from).unwrap();
+            (last.grown_since(&earlier).into_iter())
+                .map(String::from)
+                .collect()
+        };
+        assert_eq!(grown_since(3), ["PROGRESS[0]"], "grown in the tail");
+        assert!(
+            outcome.grown_in_tail.is_empty() && grown_since(4).is_empty(),
+            "grown_in_tail is [16 000, 16 000]"
+        );
     }
 
     #[test]

@@ -263,15 +263,18 @@ pub const THREAD_MAX_N: usize = 16;
 
 /// Largest system the deterministic simulator admits. No structure of the
 /// literal realization is memory-cubic in n: reads are tallied per
-/// (process, bank) and writes per register, a statistics checkpoint is a
-/// dense copy of those, and the processes share their views of the
-/// suspicion matrix — all `O(n²)`. Nor is the cap time any more: a `T3`
-/// pass over a shard nothing wrote is a version check, and
-/// `n-scaling-1024` runs in ≈ 4–5 s. What the cap stands on is memory:
-/// `n-scaling-1024` peaks at ≈ 243 MB, above the ceiling CI's sim gate
-/// sets on peak RSS (twice the ≈ 89.5 MB of its `n-scaling-512` peak;
-/// ROADMAP open item 3 (d)). Larger systems are exactly what the sharded
-/// cooperative pool exists for, so the sim refuses them loudly.
+/// (process, bank) and writes per register, a run's statistics and
+/// footprint checkpoints keep the newest dense copy of those and each
+/// earlier one as the cells the next one overwrote, and the processes
+/// share their views of the suspicion matrix — all `O(n²)`. Nor is the
+/// cap time any more: a `T3` pass over a shard nothing wrote is a version
+/// check, and `n-scaling-1024` runs in ≈ 4–5 s. What the cap stands on is
+/// memory and the record: `n-scaling-1024` peaks at ≈ 155 MB of RSS, 111
+/// of them the registers' construction, above the ceiling CI's sim gate
+/// sets on peak RSS (twice the ≈ 42 MB of its `n-scaling-512` peak), and
+/// its horizon leaves no post-stable tail to record (ROADMAP open items
+/// 3 (d) and 28). Larger systems are exactly what the sharded cooperative
+/// pool exists for, so the sim refuses them loudly.
 pub const SIM_MAX_N: usize = 512;
 
 /// Largest system the cooperative wall-clock backend records *on a small

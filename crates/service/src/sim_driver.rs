@@ -193,7 +193,7 @@ mod tests {
         let sc = registry::by_name("steady/alg1").unwrap();
         let (space, outcome, report) = simulate(&sc);
         assert!(
-            report.windowed.snapshots().is_empty() && report.footprints.is_empty(),
+            report.windowed.is_empty(),
             "a service run checkpoints nothing, not even at tick 0 or the horizon"
         );
         assert!(outcome.total_writes > 0);
@@ -211,7 +211,7 @@ mod tests {
             let mut windowed = sc.clone();
             windowed.election.stats_checkpoints = 16;
             let (_, mut with, report) = simulate(&windowed);
-            assert!(report.windowed.snapshots().len() >= 16, "{}", sc.name);
+            assert!(report.windowed.len() >= 16, "{}", sc.name);
             let mut without = ServiceSimDriver.run(&sc);
             with.elapsed_ms = 0.0;
             without.elapsed_ms = 0.0;

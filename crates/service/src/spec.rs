@@ -10,10 +10,11 @@
 //! One field of the election half is not inherited: a service scenario
 //! asks for no windowed register statistics (`stats_checkpoints = 0`).
 //! No service record, driver or gate reads them, and on a service run the
-//! register registry grows with the log — 2n registers a slot — so each
-//! checkpoint is a dense copy of O(slots) registers, retained to the end
-//! of the run. With 0 the simulator takes no checkpoint at all, not even
-//! at tick 0 or at the horizon, and both drivers read `total_writes` by
+//! register registry grows with the log — 2n registers a slot — so even
+//! the one checkpoint a series keeps dense, its newest, is a copy of
+//! O(slots) registers. With 0 the simulator takes no checkpoint at all,
+//! not even at tick 0 or at the horizon, and both drivers read
+//! `total_writes` by
 //! [`MemorySpace::total_writes`](omega_registers::MemorySpace::total_writes),
 //! a fold over the live banks that copies nothing.
 

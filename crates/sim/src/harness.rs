@@ -1,7 +1,7 @@
 //! The simulation harness: wires actors, adversary, timers and crashes
 //! together and runs the event loop to a horizon.
 
-use omega_registers::{plurality, FootprintReport, MemorySpace, ProcessId, ProcessSet};
+use omega_registers::{plurality, MemorySpace, ProcessId, ProcessSet};
 
 use crate::adversary::{Adversary, RunView, Synchronous};
 use crate::chaos::{Campaign, ChaosAction, ChaosStats, ChaosTally};
@@ -112,9 +112,8 @@ impl SimulationBuilder {
     /// Number of cumulative statistics/footprint checkpoints spread over the
     /// run (default: 16). Requires [`memory`](Self::memory). A positive
     /// count also checkpoints at tick zero and at the horizon; 0 takes no
-    /// checkpoint at all, leaving [`RunReport::windowed`] and
-    /// [`RunReport::footprints`] empty — a run that only needs totals reads
-    /// them off the space itself.
+    /// checkpoint at all, leaving [`RunReport::windowed`] empty — a run
+    /// that only needs totals reads them off the space itself.
     #[must_use]
     pub fn stats_checkpoints(mut self, count: usize) -> Self {
         self.stats_checkpoints = count;
@@ -329,14 +328,15 @@ impl Simulation {
     }
 
     /// Takes a statistics and footprint checkpoint, unless the run asked
-    /// for none.
+    /// for none: the first one dense, each later one refreshing the newest
+    /// in place and keeping only the cells it overwrote
+    /// ([`WindowedStats::take`]).
     fn checkpoint(&mut self, now: SimTime) {
         if self.stats_checkpoints == 0 {
             return;
         }
         if let Some(space) = &self.memory {
-            self.report.windowed.push(now, space.stats());
-            self.report.footprints.push((now, space.footprint()));
+            self.report.windowed.take(now, space);
         }
     }
 
@@ -606,11 +606,11 @@ pub struct RunReport {
     pub horizon: SimTime,
     /// Sampled leader estimates.
     pub timeline: LeaderTimeline,
-    /// Cumulative statistics checkpoints (empty without an attached memory
-    /// or with [`SimulationBuilder::stats_checkpoints`] at 0).
+    /// Cumulative statistics and footprint checkpoints, the newest dense
+    /// and each earlier one as the cells the next one overwrote (empty
+    /// without an attached memory or with
+    /// [`SimulationBuilder::stats_checkpoints`] at 0).
     pub windowed: WindowedStats,
-    /// Footprint checkpoints (empty when [`windowed`](Self::windowed) is).
-    pub footprints: Vec<(SimTime, FootprintReport)>,
     /// Complete binary-encodable event recording (only with
     /// [`SimulationBuilder::record_trace`] enabled).
     pub recording: Option<Trace>,
@@ -636,7 +636,6 @@ impl RunReport {
             horizon,
             timeline: LeaderTimeline::new(),
             windowed: WindowedStats::new(),
-            footprints: Vec::new(),
             recording: None,
             crashed: ProcessSet::new(n),
             correct: ProcessSet::full(n),
@@ -730,7 +729,7 @@ impl RunReport {
                 tail.stats.total_reads()
             );
         }
-        if let Some((_, last)) = self.windowed.snapshots().last() {
+        if let Some((_, last, _)) = self.windowed.last() {
             let scan = last.scan();
             if scan.reads_skipped > 0 || scan.shard_passes > 0 {
                 let _ = writeln!(
@@ -855,8 +854,10 @@ mod tests {
             .stats_checkpoints(4)
             .horizon(400)
             .run();
-        assert!(report.windowed.snapshots().len() >= 4);
-        assert_eq!(report.windowed.snapshots().len(), report.footprints.len());
+        assert!(report.windowed.len() >= 4);
+        let (at, stats, footprint) = report.windowed.last().unwrap();
+        assert_eq!((at.ticks(), stats.register_count()), (400, 1));
+        assert_eq!(footprint.rows().len(), 1);
     }
 
     #[test]
@@ -869,8 +870,7 @@ mod tests {
             .stats_checkpoints(0)
             .horizon(400)
             .run();
-        assert!(report.windowed.snapshots().is_empty());
-        assert!(report.footprints.is_empty());
+        assert!(report.windowed.is_empty());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! cadence and [`LeaderTimeline::stabilization`] reports the suffix over
 //! which all correct processes agreed on one correct leader.
 
-use omega_registers::{ProcessId, ProcessSet, StatsSnapshot};
+use omega_registers::{
+    FootprintReport, MemorySpace, Overwritten, ProcessId, ProcessSet, StatsSnapshot,
+};
 
 use crate::time::SimTime;
 
@@ -336,11 +338,21 @@ impl Window {
     }
 }
 
-/// Cumulative statistics snapshots taken on the checkpoint cadence,
-/// sliceable into per-window deltas.
+/// The cumulative statistics and footprint checkpoints of a run, taken on
+/// the checkpoint cadence and sliceable into per-window deltas.
+///
+/// The newest checkpoint is kept dense and each earlier one as the cells
+/// the next one overwrote ([`Overwritten`]), so a checkpoint of a
+/// quiescent window costs what moved, not a copy of every counter and
+/// footprint. Reading an earlier checkpoint rebuilds it from the newest,
+/// walking back through the entries after it.
 #[derive(Debug, Clone, Default)]
 pub struct WindowedStats {
-    snapshots: Vec<(SimTime, StatsSnapshot)>,
+    /// The newest checkpoint: its time, statistics and footprint.
+    newest: Option<(SimTime, StatsSnapshot, FootprintReport)>,
+    /// Each earlier checkpoint, oldest first: its time, and its cells the
+    /// next checkpoint overwrote.
+    earlier: Vec<(SimTime, Overwritten)>,
 }
 
 impl WindowedStats {
@@ -350,47 +362,129 @@ impl WindowedStats {
         WindowedStats::default()
     }
 
-    /// Appends a cumulative snapshot taken at `time`.
-    pub fn push(&mut self, time: SimTime, snapshot: StatsSnapshot) {
-        self.snapshots.push((time, snapshot));
-    }
-
-    /// Raw cumulative snapshots.
-    #[must_use]
-    pub fn snapshots(&self) -> &[(SimTime, StatsSnapshot)] {
-        &self.snapshots
-    }
-
-    /// Splits the run into `buckets` equal windows of snapshots and returns
-    /// the per-window access deltas.
+    /// Checkpoints `space`'s statistics and footprint at `time`: the first
+    /// checkpoint is dense copies, each later one refreshes the newest in
+    /// place and keeps what it overwrote.
     ///
-    /// Returns an empty vector if fewer than two snapshots were taken.
+    /// # Panics
+    ///
+    /// Panics if an earlier checkpoint was taken of another space.
+    pub fn take(&mut self, time: SimTime, space: &MemorySpace) {
+        match &mut self.newest {
+            None => self.newest = Some((time, space.stats(), space.footprint())),
+            Some((at, stats, footprint)) => {
+                let overwritten = space.checkpoint(stats, footprint);
+                self.earlier
+                    .push((std::mem::replace(at, time), overwritten));
+            }
+        }
+    }
+
+    /// Number of checkpoints taken.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.earlier.len() + usize::from(self.newest.is_some())
+    }
+
+    /// Whether no checkpoint was taken.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.newest.is_none()
+    }
+
+    /// The newest checkpoint, borrowed: its time, statistics and footprint.
+    #[must_use]
+    pub fn last(&self) -> Option<(SimTime, &StatsSnapshot, &FootprintReport)> {
+        (self.newest.as_ref()).map(|(at, stats, footprint)| (*at, stats, footprint))
+    }
+
+    /// Time of checkpoint `index`, if taken.
+    #[must_use]
+    pub fn time_at(&self, index: usize) -> Option<SimTime> {
+        match self.earlier.get(index) {
+            Some(&(at, _)) => Some(at),
+            None => self
+                .last()
+                .filter(|_| index == self.earlier.len())
+                .map(|(at, ..)| at),
+        }
+    }
+
+    /// The statistics of checkpoint `index`, rebuilt from the newest.
+    #[must_use]
+    pub fn stats_at(&self, index: usize) -> Option<StatsSnapshot> {
+        let (_, newest, _) = self.last().filter(|_| index < self.len())?;
+        let mut stats = newest.clone();
+        self.rewind_stats(&mut stats, self.len() - 1, index);
+        Some(stats)
+    }
+
+    /// The footprint of checkpoint `index`, rebuilt from the newest.
+    #[must_use]
+    pub fn footprint_at(&self, index: usize) -> Option<FootprintReport> {
+        let (.., newest) = self.last().filter(|_| index < self.len())?;
+        let mut footprint = newest.clone();
+        for (_, overwritten) in self.earlier[index..].iter().rev() {
+            overwritten.restore_footprint(&mut footprint);
+        }
+        Some(footprint)
+    }
+
+    /// Every checkpoint in order, each one's statistics and footprint
+    /// rebuilt from the newest as it is reached.
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (SimTime, StatsSnapshot, FootprintReport)> + '_ {
+        (0..self.len()).map(|index| {
+            let at = self.time_at(index).expect("taken");
+            let stats = self.stats_at(index).expect("taken");
+            (at, stats, self.footprint_at(index).expect("taken"))
+        })
+    }
+
+    /// Turns `stats`, the statistics of checkpoint `from`, into those of
+    /// the earlier checkpoint `to`.
+    fn rewind_stats(&self, stats: &mut StatsSnapshot, from: usize, to: usize) {
+        for (_, overwritten) in self.earlier[to..from].iter().rev() {
+            overwritten.restore_stats(stats);
+        }
+    }
+
+    /// Splits the run into `buckets` equal windows of checkpoints and
+    /// returns the per-window access deltas.
+    ///
+    /// Returns an empty vector if fewer than two checkpoints were taken.
     #[must_use]
     pub fn windows(&self, buckets: usize) -> Vec<Window> {
-        if self.snapshots.len() < 2 || buckets == 0 {
+        let Some((_, newest, _)) = self.last().filter(|_| self.len() >= 2 && buckets > 0) else {
             return Vec::new();
-        }
-        let span = self.snapshots.len() - 1;
+        };
+        let span = self.len() - 1;
         let per = span.div_ceil(buckets).max(1);
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < span {
-            let j = (i + per).min(span);
-            let (start, ref base) = self.snapshots[i];
-            let (end, ref late) = self.snapshots[j];
+        // The windows' bounds are 0, per, 2·per, … and span: walked from
+        // the newest back, each start a rewind of the window's end.
+        let mut out = Vec::with_capacity(span.div_ceil(per));
+        let (mut late, mut base) = (newest.clone(), newest.clone());
+        let mut end = span;
+        while end > 0 {
+            let start = (end - 1) / per * per;
+            self.rewind_stats(&mut base, end, start);
             out.push(Window {
-                start,
-                end,
-                stats: late.delta_since(base),
+                start: self.time_at(start).expect("taken"),
+                end: self.time_at(end).expect("taken"),
+                stats: late.delta_since(&base),
             });
-            i = j;
+            late.clone_from(&base);
+            end = start;
         }
+        out.reverse();
         out
     }
 
     /// The delta over the trailing `fraction` of the run (e.g. `0.25` for
     /// the final quarter) — the "post-stabilization" view used by the
-    /// write-optimality experiments.
+    /// write-optimality experiments. It starts at checkpoint
+    /// ⌊(len − 1)·(1 − `fraction`)⌋ and ends at the newest.
     ///
     /// # Panics
     ///
@@ -401,17 +495,12 @@ impl WindowedStats {
             fraction > 0.0 && fraction <= 1.0,
             "fraction must be in (0,1]"
         );
-        if self.snapshots.len() < 2 {
-            return None;
-        }
-        let last = self.snapshots.len() - 1;
-        let from = ((last as f64) * (1.0 - fraction)).floor() as usize;
-        let (start, ref base) = self.snapshots[from];
-        let (end, ref late) = self.snapshots[last];
+        let (end, late, _) = self.last().filter(|_| self.len() >= 2)?;
+        let from = ((self.len() - 1) as f64 * (1.0 - fraction)).floor() as usize;
         Some(Window {
-            start,
+            start: self.time_at(from).expect("taken"),
             end,
-            stats: late.delta_since(base),
+            stats: late.delta_since(&self.stats_at(from).expect("taken")),
         })
     }
 }
@@ -547,12 +636,12 @@ mod tests {
         let space = MemorySpace::new(2);
         let reg = space.nat_register("R", p(0), 0);
         let mut ws = WindowedStats::new();
-        ws.push(t(0), space.stats());
+        ws.take(t(0), &space);
         reg.write(p(0), 1);
-        ws.push(t(10), space.stats());
+        ws.take(t(10), &space);
         reg.write(p(0), 2);
         reg.write(p(0), 3);
-        ws.push(t(20), space.stats());
+        ws.take(t(20), &space);
 
         let windows = ws.windows(2);
         assert_eq!(windows.len(), 2);
@@ -564,7 +653,126 @@ mod tests {
 
         let tail = ws.tail(0.5).unwrap();
         assert_eq!(tail.stats.total_writes(), 2);
-        assert_eq!(ws.snapshots().len(), 3);
+        assert_eq!(ws.len(), 3);
+    }
+
+    /// The series as it was kept before checkpoints were compact: a dense
+    /// statistics snapshot and footprint per checkpoint.
+    type Dense = Vec<(SimTime, StatsSnapshot, FootprintReport)>;
+
+    /// `windows` over dense checkpoints.
+    fn dense_windows(dense: &Dense, buckets: usize) -> Vec<(SimTime, SimTime, StatsSnapshot)> {
+        if dense.len() < 2 || buckets == 0 {
+            return Vec::new();
+        }
+        let span = dense.len() - 1;
+        let per = span.div_ceil(buckets).max(1);
+        let (mut out, mut i) = (Vec::new(), 0);
+        while i < span {
+            let j = (i + per).min(span);
+            out.push((dense[i].0, dense[j].0, dense[j].1.delta_since(&dense[i].1)));
+            i = j;
+        }
+        out
+    }
+
+    /// `tail` over dense checkpoints.
+    fn dense_tail(dense: &Dense, fraction: f64) -> Option<(SimTime, SimTime, StatsSnapshot)> {
+        let last = dense.len().checked_sub(1).filter(|&last| last > 0)?;
+        let from = ((last as f64) * (1.0 - fraction)).floor() as usize;
+        Some((
+            dense[from].0,
+            dense[last].0,
+            dense[last].1.delta_since(&dense[from].1),
+        ))
+    }
+
+    fn parts(window: Window) -> (SimTime, SimTime, StatsSnapshot) {
+        (window.start, window.end, window.stats)
+    }
+
+    #[test]
+    fn compact_series_reads_as_the_dense_one() {
+        use crate::rng::SmallRng;
+        use omega_registers::MemorySpace;
+        let mut rng = SmallRng::seed_from_u64(41);
+        for case in 0..24_u64 {
+            let n = [1, 4, 9][case as usize % 3];
+            let space = MemorySpace::new(n);
+            let mut nat = vec![space.nat_array("A", |_| 0)];
+            let mut shared = vec![space.nat_mwmr_array("W", 3, |_| 0)];
+            let text = space.mwmr::<String>("TEXT", String::new());
+            let (mut series, mut dense) = (WindowedStats::new(), Dense::new());
+            let k = rng.gen_range(0..=12) as usize;
+            for step in 0..k {
+                let any = |rng: &mut SmallRng| p(rng.gen_range(0..=n as u64 - 1) as usize);
+                match rng.gen_range(0..=3) {
+                    // Nothing moves.
+                    0 => {}
+                    // Everything moves.
+                    1 => {
+                        for q in ProcessId::all(n) {
+                            for a in &nat {
+                                a.read_range_into(q, 0..n, &mut vec![0; n]);
+                                a.get(q).write(q, rng.next_u64());
+                            }
+                            for w in &shared {
+                                w.read_range_into(q, 0..3, &mut [0; 3]);
+                                (0..3).for_each(|slot| w.get(slot).write(q, rng.next_u64()));
+                            }
+                            text.write(q, "x".repeat(rng.gen_range(0..=60) as usize));
+                        }
+                    }
+                    _ => {
+                        let q = any(&mut rng);
+                        nat[0].get(q).write(q, rng.gen_range(0..=1 << 20));
+                        shared[0].get(1).write(q, 1);
+                        drop(text.read(any(&mut rng)));
+                    }
+                }
+                // Banks created between checkpoints.
+                match rng.gen_range(0..=5) {
+                    0 => nat.push(space.nat_array(&format!("B{step}"), |_| 1)),
+                    1 => shared.push(space.nat_mwmr_array(&format!("V{step}"), 3, |_| 0)),
+                    _ => {}
+                }
+                let at = t(10 * step as u64);
+                series.take(at, &space);
+                dense.push((at, space.stats(), space.footprint()));
+            }
+            assert_eq!(series.len(), dense.len(), "case {case}");
+            assert_eq!(series.iter().len(), dense.len(), "case {case}");
+            for (index, (at, stats, footprint)) in series.iter().enumerate() {
+                let (then, dense_stats, dense_footprint) = &dense[index];
+                assert_eq!(at, *then, "case {case}: checkpoint {index}");
+                assert_eq!(&stats, dense_stats, "case {case}: checkpoint {index}");
+                assert_eq!(
+                    &footprint, dense_footprint,
+                    "case {case}: checkpoint {index}"
+                );
+            }
+            assert_eq!(series.stats_at(k), None);
+            assert_eq!(series.footprint_at(k), None);
+            assert_eq!(series.time_at(k), None);
+            let newest = series.last().map(|(at, s, f)| (at, s.clone(), f.clone()));
+            assert_eq!(newest, dense.last().cloned(), "case {case}");
+            for buckets in 0..=k {
+                let windows: Vec<_> = series.windows(buckets).into_iter().map(parts).collect();
+                assert_eq!(
+                    windows,
+                    dense_windows(&dense, buckets),
+                    "case {case}: {buckets}"
+                );
+            }
+            for fraction in [0.25, 0.5, 1.0] {
+                let tail = series.tail(fraction).map(parts);
+                assert_eq!(
+                    tail,
+                    dense_tail(&dense, fraction),
+                    "case {case}: {fraction}"
+                );
+            }
+        }
     }
 
     #[test]

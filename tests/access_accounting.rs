@@ -53,10 +53,10 @@ fn totals_match_queries_after_a_sim_run_of_each_variant() {
         let space = sys.space.clone();
         let report = scenario.sim_builder(sys.actors).memory(space.clone()).run();
 
-        let checkpoints = report.windowed.snapshots();
+        let checkpoints = report.windowed.iter();
         assert!(checkpoints.len() >= 2, "{variant}: scenario checkpoints");
-        for (at, snap) in checkpoints {
-            assert_totals_match(&format!("{variant} @ {at}"), snap);
+        for (at, snap, _) in checkpoints {
+            assert_totals_match(&format!("{variant} @ {at}"), &snap);
         }
         let tail = report.windowed.tail(0.25).expect("checkpoints exist");
         assert_totals_match(&format!("{variant} tail"), &tail.stats);

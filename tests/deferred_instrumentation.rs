@@ -34,11 +34,10 @@ fn assert_parity(name: &str) {
     assert_eq!(eager.steps_taken, deferred.steps_taken, "{name}");
 
     // Every statistics checkpoint, tick-for-tick.
-    let a = eager.windowed.snapshots();
-    let b = deferred.windowed.snapshots();
+    let (a, b) = (eager.windowed.iter(), deferred.windowed.iter());
     assert_eq!(a.len(), b.len(), "{name}: checkpoint counts");
     assert!(a.len() >= 2, "{name}: scenario must checkpoint");
-    for ((ta, sa), (tb, sb)) in a.iter().zip(b) {
+    for ((ta, sa, fa), (tb, sb, fb)) in a.zip(b) {
         assert_eq!(ta, tb, "{name}: checkpoint times");
         assert_eq!(sa.total_reads(), sb.total_reads(), "{name} @ {ta}");
         assert_eq!(sa.total_writes(), sb.total_writes(), "{name} @ {ta}");
@@ -46,12 +45,7 @@ fn assert_parity(name: &str) {
             sa, sb,
             "{name} @ {ta}: full per-register, per-process equality"
         );
-    }
-
-    // Footprint checkpoints: high-water marks flush through scratch too.
-    assert_eq!(eager.footprints.len(), deferred.footprints.len(), "{name}");
-    for ((ta, fa), (tb, fb)) in eager.footprints.iter().zip(&deferred.footprints) {
-        assert_eq!(ta, tb, "{name}: footprint times");
+        // Footprint checkpoints: high-water marks flush through scratch too.
         assert_eq!(fa, fb, "{name} @ {ta}: footprints (hwm bits)");
     }
 

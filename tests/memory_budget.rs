@@ -106,26 +106,35 @@ fn reading() -> (usize, usize) {
 }
 
 /// The benchmark's `elect-wide` input: Alg1 at n = 128, 99 % quiescent,
-/// four windowed checkpoints (six snapshots with tick zero and the
-/// horizon). It peaks at 5.1 MB of live heap, every part of it quadratic
-/// in n: the 16 640 registers' values and write and high-water cells, the
-/// 130 banks' names (one block each) and read tallies, the shared layout
-/// (an entry per bank), six snapshots of ≈ 266 KB each and six footprint
-/// reports of 16 B a register, and the processes' shared views of the
-/// suspicion matrix. The budget is that reading + 25 %, rounded up: a read
-/// cell per (process, register) does not fit (17.2 MB), nor the 17 MB of
-/// private per-process mirrors, nor the 32 MB the per-slot ring buffers
-/// grew to, nor the 7.1 MB of a name and a handle per register and frozen
-/// cells in every bank.
+/// four windowed checkpoints (six with tick zero and the horizon). It
+/// peaks at 2.76 MB of live heap, every part of it quadratic in n: the
+/// 16 640 registers' values and write and high-water cells, the 130 banks'
+/// names (one block each) and read tallies, the shared layout (an entry
+/// per bank), the processes' shared views of the suspicion matrix, and the
+/// checkpoints — the newest a dense ≈ 266 KB snapshot and a 16 B a
+/// register footprint, each earlier one the cells the next one overwrote
+/// (the first window's whole read tallies, a few hundred cells after
+/// that). The budget is that reading + 25 %, rounded up: six dense
+/// checkpoints do not fit (5.1 MB), nor a read cell per (process,
+/// register) (17.2 MB), nor the 17 MB of private per-process mirrors, nor
+/// the 32 MB the per-slot ring buffers grew to, nor the 7.1 MB of a name
+/// and a handle per register and frozen cells in every bank. The same run
+/// at 16 checkpoints peaks within 256 KB of it at 4 (2.79 against
+/// 2.74 MB, each measured from its own start): a checkpoint of a quiescent
+/// window costs what moved, where twelve more dense ones cost 6.1 MB
+/// (5.14 against 11.24 MB).
 ///
 /// Then the election's steady state (ROADMAP open item 1 (f)): the same
 /// `elect-wide` run makes as many allocator calls over 24 000 ticks as
 /// over 12 000 — every buffer a run grows with its length (the leader
 /// timeline's three columns) is sized once, up front, and the sampling
-/// cadence is no queue of events. It reads 2 041 calls at both (2 043
-/// while an epoch table took two allocations, 2 290 while a matrix
-/// formatted each row's name prefix into an allocation of its own); while each sample kept two heap rows and sat pre-scheduled
-/// in the event wheel, every sample added 3. And the benchmark's
+/// cadence is no queue of events; a checkpoint's entries are one
+/// allocation an array whatever moved. It reads 2 037 calls at both
+/// (2 041 while every checkpoint was two fresh dense copies, 2 043 while
+/// an epoch table took two allocations, 2 290 while a matrix formatted
+/// each row's name prefix into an allocation of its own); while each
+/// sample kept two heap rows and sat pre-scheduled in the event wheel,
+/// every sample added 3. And the benchmark's
 /// `elect-small` input (n = 5, 2 000 000 ticks, 20 001 samples, two
 /// leader crashes) peaks at 1.8 MB of live heap, against a 2.2 MB budget:
 /// a sample is its time and two rows of five entries in flat columns,
@@ -187,20 +196,38 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
     let (peak, after) = (PEAK.load(Ordering::Relaxed), LIVE.load(Ordering::Relaxed));
     outcome.assert_election();
     println!(
-        "live heap: {:.1} MB before, {:.1} MB at the peak, {:.1} MB with the outcome in hand",
+        "live heap: {:.1} MB before, {:.2} MB at the peak, {:.1} MB with the outcome in hand",
         before as f64 / MB as f64,
         peak as f64 / MB as f64,
         after as f64 / MB as f64
     );
     assert!(before < MB, "the harness itself holds {before} bytes");
     assert!(
-        peak < 13 * MB / 2,
-        "SimDriver.run of elect-wide peaked at {:.1} MB of live heap",
+        peak < 7 * MB / 2,
+        "SimDriver.run of elect-wide peaked at {:.2} MB of live heap",
         peak as f64 / MB as f64
     );
     assert!(
         after < MB,
         "an Outcome is per-process totals, not counters: {after} bytes"
+    );
+
+    let peak_at = |checkpoints| {
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        drop(SimDriver.run(&scenario.clone().stats_checkpoints(checkpoints)));
+        PEAK.load(Ordering::Relaxed) - before
+    };
+    let (four, sixteen) = (peak_at(4), peak_at(16));
+    println!(
+        "live heap of elect-wide at 4 and 16 checkpoints: {:.2} and {:.2} MB at the peak",
+        four as f64 / MB as f64,
+        sixteen as f64 / MB as f64
+    );
+    assert!(
+        sixteen <= four + 256 * 1024,
+        "twelve more checkpoints of a quiescent run cost {:.2} MB",
+        (sixteen as f64 - four as f64) / MB as f64
     );
 
     let calls_over = |horizon| {
