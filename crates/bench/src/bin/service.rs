@@ -140,6 +140,9 @@ fn list() {
 
 fn main() {
     let opts = SUITE.options_from_env();
+    if let Some((old, new)) = &opts.diff {
+        return SUITE.print_diff(old, new);
+    }
     if opts.list {
         return list();
     }

@@ -34,6 +34,9 @@
 //!   default artifact; set `$BENCH_OUT` to export its records.
 //! * **`--list`** — prints the registry with the backends that admit each
 //!   scenario, and exits.
+//! * **`--diff OLD NEW`** — runs nothing: prints what moved from one
+//!   artifact of the suite to another ([`diff`]), and exits. CI's
+//!   byte-identity check prints it when its `diff` fails.
 //!
 //! The baseline parser reads the records back through the one parser that
 //! reads the current run's own records, so a name survives any characters.
@@ -43,7 +46,9 @@
 //! hard error naming its line: dropping it would let its scenario pass as
 //! "new" and wave a regression through.
 
-use omega_scenario::record::{self, Record};
+use std::fmt::Write as _;
+
+use omega_scenario::record::{self, Record, Value};
 use omega_scenario::{Backend, Scenario};
 
 /// Wall-clock delta (either direction) beyond which the gate collects a
@@ -132,7 +137,7 @@ pub struct Suite {
     pub timing: &'static str,
 }
 
-/// The six flags of a suite bin.
+/// The seven flags of a suite bin.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Options {
     /// `--driver`.
@@ -147,6 +152,8 @@ pub struct Options {
     pub only: Option<String>,
     /// `--list`.
     pub list: bool,
+    /// `--diff`: the old and the new artifact.
+    pub diff: Option<(String, String)>,
 }
 
 impl Options {
@@ -191,14 +198,102 @@ pub fn timing_delta(before: Option<f64>, now: Option<f64>) -> Option<f64> {
     }
 }
 
+/// The record fields that read the host's wall clock: what the
+/// byte-identity check strips, and what [`diff`] lists apart from the
+/// model's fields.
+pub const WALL_CLOCK_FIELDS: [&str; 3] = ["elapsed_ms", "events_per_sec", "wall_ms"];
+
+/// What moved from the records `old` to the records `new`, one line each:
+/// a field added, removed or changed (`field old -> new`, `none` on the
+/// side without it), or a record on one side only. Records are grouped by
+/// family, the name before its `/`, with a blank line between families;
+/// the wall-clock fields follow under a `wall clock:` line of their own.
+/// "no record moved" when nothing did.
+#[must_use]
+pub fn diff(old: &[Record], new: &[Record]) -> String {
+    fn name(r: &Record) -> &str {
+        r.str("scenario").unwrap_or_default()
+    }
+    fn family(name: &str) -> &str {
+        name.split('/').next().unwrap_or(name)
+    }
+    fn find<'a>(records: &'a [Record], n: &str) -> Option<&'a Record> {
+        records.iter().find(|r| name(r) == n)
+    }
+    fn shown(value: Option<&Value>) -> String {
+        match value {
+            None => "none".into(),
+            Some(Value::Str(s)) => format!("{s:?}"),
+            Some(Value::Literal(l)) => l.clone(),
+        }
+    }
+    let mut names: Vec<&str> = Vec::new();
+    for n in new.iter().chain(old).map(name) {
+        if !names.contains(&n) {
+            names.push(n);
+        }
+    }
+    let mut families: Vec<&str> = Vec::new();
+    for f in names.iter().map(|n| family(n)) {
+        if !families.contains(&f) {
+            families.push(f);
+        }
+    }
+    let (mut model, mut wall) = (Vec::new(), Vec::new());
+    for f in families {
+        let mut lines = Vec::new();
+        for &n in names.iter().filter(|n| family(n) == f) {
+            let (before, after) = match (find(old, n), find(new, n)) {
+                (Some(before), Some(after)) => (before, after),
+                (None, _) => {
+                    lines.push(format!("{n}: record added"));
+                    continue;
+                }
+                (_, None) => {
+                    lines.push(format!("{n}: record dropped"));
+                    continue;
+                }
+            };
+            let only_before = before.fields().filter(|(k, _)| after.get(k).is_none());
+            for (field, _) in after.fields().chain(only_before) {
+                let (was, is) = (before.get(field), after.get(field));
+                if was == is {
+                    continue;
+                }
+                let line = format!("{n}: {field} {} -> {}", shown(was), shown(is));
+                match WALL_CLOCK_FIELDS.contains(&field) {
+                    true => wall.push(line),
+                    false => lines.push(line),
+                }
+            }
+        }
+        if !lines.is_empty() && !model.is_empty() {
+            model.push(String::new());
+        }
+        model.extend(lines);
+    }
+    let mut out = match (model.is_empty(), wall.is_empty()) {
+        (true, true) => return "no record moved\n".into(),
+        (true, false) => "no model field moved\n".to_string(),
+        (false, _) => model.iter().map(|l| format!("{l}\n")).collect(),
+    };
+    if !wall.is_empty() {
+        out.push_str("\nwall clock:\n");
+        for line in wall {
+            let _ = writeln!(out, "  {line}");
+        }
+    }
+    out
+}
+
 /// The count `field` (`a+b` sums) of a record.
 fn read(record: &Record, field: &str) -> Option<u64> {
     field.split('+').map(|key| record.u64(key)).sum()
 }
 
 impl Suite {
-    /// Parses the flags; `None` on anything but the six. `--list` ends the
-    /// parse, as it ends the run.
+    /// Parses the flags; `None` on anything but the seven. `--list` and
+    /// `--diff` end the parse, as they end the run.
     #[must_use]
     pub fn options(&self, args: impl IntoIterator<Item = String>) -> Option<Options> {
         let mut args = args.into_iter();
@@ -220,6 +315,10 @@ impl Suite {
                     o.list = true;
                     break;
                 }
+                "--diff" => {
+                    o.diff = Some((args.next()?, args.next()?));
+                    break;
+                }
                 _ => return None,
             }
         }
@@ -234,7 +333,7 @@ impl Suite {
         let Some(o) = self.options(std::env::args().skip(1)) else {
             let drivers: Vec<&str> = self.drivers.iter().map(|b| b.name()).collect();
             eprintln!(
-                "usage: {} [--driver {}] [--workers N] [--check BASELINE.json] [--strict-timing] [--only SUBSTRING] [--list]",
+                "usage: {} [--driver {}] [--workers N] [--check BASELINE.json] [--strict-timing] [--only SUBSTRING] [--list] [--diff OLD.json NEW.json]",
                 self.name,
                 drivers.join("|")
             );
@@ -332,6 +431,20 @@ impl Suite {
             return Err(format!("baseline {path} holds no records"));
         }
         Ok(baseline)
+    }
+
+    /// `--diff`: prints [`diff`] of the artifacts at `old` and `new`, or
+    /// exits 2 on one it cannot read.
+    pub fn print_diff(&self, old: &str, new: &str) {
+        let load = |path: &str| {
+            self.load_baseline(path).unwrap_or_else(|e| {
+                eprintln!("diff FAILED: {e}");
+                std::process::exit(2);
+            })
+        };
+        let (before, after) = (load(old), load(new));
+        println!("== {} records: {old} -> {new} ==", self.name);
+        print!("{}", diff(&before, &after));
     }
 
     /// Diffs the current run's records against the baseline's and returns
@@ -458,5 +571,108 @@ impl Suite {
             eprintln!("  {violation}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OLD: &str = r#"[
+  {"scenario":"fault-free/alg1","backend":"sim","total_writes":500,"elapsed_ms":1.5},
+  {"scenario":"fault-free/alg2","backend":"sim","total_writes":70,"elapsed_ms":2.0},
+  {"scenario":"chaos/storm","backend":"sim","total_writes":9,"elapsed_ms":3.0}
+]
+"#;
+
+    fn records(json: &str) -> Vec<Record> {
+        let suite = Suite {
+            name: "test",
+            drivers: &[Backend::Sim],
+            required: &["total_writes"],
+            gates: &[],
+            timing: "elapsed_ms",
+        };
+        suite.parse_baseline(json).unwrap()
+    }
+
+    /// [`diff`] of [`OLD`] against `OLD` with `from` replaced by `to`.
+    fn moved(from: &str, to: &str) -> String {
+        assert!(OLD.contains(from));
+        diff(&records(OLD), &records(&OLD.replace(from, to)))
+    }
+
+    #[test]
+    fn a_file_against_itself_moves_nothing() {
+        assert_eq!(diff(&records(OLD), &records(OLD)), "no record moved\n");
+        assert_eq!(diff(&[], &[]), "no record moved\n");
+    }
+
+    #[test]
+    fn each_move_prints_its_own_line() {
+        assert_eq!(
+            moved(r#""total_writes":70"#, r#""total_writes":71"#),
+            "fault-free/alg2: total_writes 70 -> 71\n"
+        );
+        assert_eq!(
+            moved(
+                r#""total_writes":9,"#,
+                r#""total_writes":9,"shard_passes":4,"#
+            ),
+            "chaos/storm: shard_passes none -> 4\n"
+        );
+        assert_eq!(
+            moved(r#""backend":"sim","total_writes":9"#, r#""total_writes":9"#),
+            "chaos/storm: backend \"sim\" -> none\n"
+        );
+        let dropped = OLD.replace(
+            "  {\"scenario\":\"fault-free/alg2\",\"backend\":\"sim\",\"total_writes\":70,\"elapsed_ms\":2.0},\n",
+            "",
+        );
+        assert_eq!(
+            diff(&records(OLD), &records(&dropped)),
+            "fault-free/alg2: record dropped\n"
+        );
+        assert_eq!(
+            diff(&records(&dropped), &records(OLD)),
+            "fault-free/alg2: record added\n"
+        );
+    }
+
+    #[test]
+    fn families_group_and_wall_clock_stands_apart() {
+        let new = OLD
+            .replace(r#""total_writes":500"#, r#""total_writes":501"#)
+            .replace(r#""total_writes":9"#, r#""total_writes":8"#)
+            .replace(r#""total_writes":70"#, r#""total_writes":72"#)
+            .replace(r#""elapsed_ms":3.0"#, r#""elapsed_ms":3.5"#);
+        assert_eq!(
+            diff(&records(OLD), &records(&new)),
+            "fault-free/alg1: total_writes 500 -> 501\n\
+             fault-free/alg2: total_writes 70 -> 72\n\
+             \n\
+             chaos/storm: total_writes 9 -> 8\n\
+             \n\
+             wall clock:\n  chaos/storm: elapsed_ms 3.0 -> 3.5\n"
+        );
+        assert_eq!(
+            moved(r#""elapsed_ms":1.5"#, r#""elapsed_ms":1.25"#),
+            "no model field moved\n\nwall clock:\n  fault-free/alg1: elapsed_ms 1.5 -> 1.25\n"
+        );
+    }
+
+    #[test]
+    fn diff_takes_two_artifacts_and_ends_the_parse() {
+        let suite = Suite {
+            name: "test",
+            drivers: &[Backend::Sim],
+            required: &[],
+            gates: &[],
+            timing: "elapsed_ms",
+        };
+        let parse = |args: &[&str]| suite.options(args.iter().map(|a| a.to_string()));
+        let o = parse(&["--diff", "A.json", "B.json", "--anything"]).unwrap();
+        assert_eq!(o.diff, Some(("A.json".into(), "B.json".into())));
+        assert_eq!(parse(&["--diff", "A.json"]), None);
     }
 }

@@ -104,6 +104,11 @@ impl Record {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
+    /// The fields in the order they were written.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.0.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
     /// The string field `key`.
     #[must_use]
     pub fn str(&self, key: &str) -> Option<&str> {

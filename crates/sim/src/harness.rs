@@ -356,10 +356,12 @@ impl Simulation {
         } else {
             0
         };
-        // The timeline is sized for the cadence up front: grown by
-        // doubling, its columns — the run's largest buffers — would be
-        // reallocated mid-run wherever the heap has room by then, and peak
-        // RSS would follow the heap layout instead of the run.
+        // The timeline's step counts, the one column with a row per
+        // sample, are sized for the cadence up front: grown by doubling,
+        // the run's largest buffer would be reallocated mid-run wherever
+        // the heap has room by then, and peak RSS would follow the heap
+        // layout instead of the run. Its estimate rows and sample times
+        // grow only where an estimate changes or the cadence breaks.
         let samples = (self.horizon.ticks() / self.sample_every).saturating_add(1);
         self.report
             .timeline

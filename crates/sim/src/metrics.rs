@@ -13,8 +13,9 @@ use omega_registers::{
 
 use crate::time::SimTime;
 
-/// One sampling point: every process's leader estimate at `time`, as a
-/// row borrowed from the [`LeaderTimeline`]'s columns.
+/// One sampling point: every process's leader estimate at `time`, the
+/// estimate row in force at that sample and its step counts, borrowed
+/// from the [`LeaderTimeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelineSample<'a> {
     /// When the sample was taken.
@@ -41,22 +42,89 @@ pub struct StabilizationReport {
     pub stable_samples: usize,
 }
 
-/// Sampled leader estimates over a whole run, in three flat columns: the
-/// sample times, an n-wide row of estimates per sample, and an n-wide row
-/// of cumulative step counts per sample (empty when the producer does not
-/// track steps). A sample therefore costs what it records — no row is an
-/// allocation of its own — and the harness sizes all three columns once,
-/// from the sampling cadence, before the run starts.
+/// Sampled leader estimates over a whole run, kept as what changed. An
+/// n-wide estimate row is stored only at the samples where some estimate
+/// changed, each with the sample it starts at, and the sample times as
+/// cadence runs — a first sample, its time and a step. Only the
+/// cumulative step counts keep an n-wide row per sample (empty when the
+/// producer does not track steps); the harness sizes that column once,
+/// from the sampling cadence, before the run starts. A run whose
+/// estimates settle therefore costs its step counts and a few rows.
 ///
-/// [`samples`](Self::samples) hands out the rows as borrowed
-/// [`TimelineSample`]s.
+/// [`samples`](Self::samples) hands out every sample as a borrowed
+/// [`TimelineSample`], its `leaders` the row in force at that sample.
 #[derive(Debug, Clone, Default)]
 pub struct LeaderTimeline {
     /// Processes per row; fixed by the first sample.
     width: usize,
-    times: Vec<SimTime>,
+    /// Samples pushed.
+    len: usize,
+    /// The sample times, as cadence runs in sample order.
+    times: Vec<Cadence>,
+    /// The sample each stored estimate row starts at: 0, then every sample
+    /// whose row differs from the one before.
+    starts: Vec<usize>,
+    /// The stored estimate rows, `width` entries each, one per `starts`.
     leaders: Vec<Option<ProcessId>>,
+    /// `width` cumulative step counts per sample, or none at all.
     steps: Vec<u64>,
+}
+
+/// A run of samples taken `step` ticks apart: sample `first + k` was
+/// taken at `at + k·step`, up to the next run's `first`.
+#[derive(Debug, Clone, Copy)]
+struct Cadence {
+    first: usize,
+    at: SimTime,
+    step: u64,
+}
+
+impl Cadence {
+    /// The time of this run's `k`-th sample, if it fits in a tick count.
+    fn time(&self, k: usize) -> Option<SimTime> {
+        let offset = self.step.checked_mul(u64::try_from(k).ok()?)?;
+        self.at.ticks().checked_add(offset).map(SimTime::from_ticks)
+    }
+}
+
+/// Where sample `i` finds its stored row and its cadence run.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    row: usize,
+    run: usize,
+}
+
+impl Cursor {
+    /// The cursor of sample `i`, found by binary search.
+    fn at(timeline: &LeaderTimeline, i: usize) -> Cursor {
+        let (starts, times) = (&timeline.starts, &timeline.times);
+        Cursor {
+            row: starts.partition_point(|&s| s <= i).saturating_sub(1),
+            run: times.partition_point(|r| r.first <= i).saturating_sub(1),
+        }
+    }
+
+    /// Moves a cursor of a sample before `i` forward to `i`.
+    fn forward(&mut self, timeline: &LeaderTimeline, i: usize) {
+        let (starts, times) = (&timeline.starts, &timeline.times);
+        while starts.get(self.row + 1).is_some_and(|&s| s <= i) {
+            self.row += 1;
+        }
+        while times.get(self.run + 1).is_some_and(|r| r.first <= i) {
+            self.run += 1;
+        }
+    }
+
+    /// Moves a cursor of a sample after `i` back to `i`.
+    fn back(&mut self, timeline: &LeaderTimeline, i: usize) {
+        let (starts, times) = (&timeline.starts, &timeline.times);
+        while starts[self.row] > i {
+            self.row -= 1;
+        }
+        while times[self.run].first > i {
+            self.run -= 1;
+        }
+    }
 }
 
 impl LeaderTimeline {
@@ -66,12 +134,11 @@ impl LeaderTimeline {
         LeaderTimeline::default()
     }
 
-    /// Sizes the columns for exactly `samples` more rows of `width`
-    /// processes, each with step counts.
+    /// Sizes the step counts for `samples` more rows of `width` processes,
+    /// when the allocator grants that much up front; a run too long for it
+    /// grows the column as it samples instead.
     pub(crate) fn reserve(&mut self, width: usize, samples: usize) {
-        self.times.reserve_exact(samples);
-        self.leaders.reserve_exact(samples.saturating_mul(width));
-        self.steps.reserve_exact(samples.saturating_mul(width));
+        let _ = self.steps.try_reserve_exact(samples.saturating_mul(width));
     }
 
     /// Appends a sample without step counts.
@@ -97,7 +164,7 @@ impl LeaderTimeline {
     pub fn push_with_steps(&mut self, time: SimTime, leaders: &[Option<ProcessId>], steps: &[u64]) {
         assert_eq!(
             self.steps.len(),
-            self.leaders.len(),
+            self.len * self.width,
             "a timeline tracks steps on every sample or on none"
         );
         self.push_row(time, leaders);
@@ -106,7 +173,7 @@ impl LeaderTimeline {
     }
 
     fn push_row(&mut self, time: SimTime, leaders: &[Option<ProcessId>]) {
-        if self.times.is_empty() {
+        if self.len == 0 {
             self.width = leaders.len();
         }
         assert_eq!(
@@ -114,8 +181,30 @@ impl LeaderTimeline {
             self.width,
             "every sample is as wide as the first"
         );
-        self.times.push(time);
-        self.leaders.extend_from_slice(leaders);
+        let i = self.len;
+        let continues = self
+            .times
+            .last_mut()
+            .is_some_and(|run| match i - run.first {
+                // A run's second sample sets its step.
+                1 if time >= run.at => {
+                    run.step = time - run.at;
+                    true
+                }
+                k => run.time(k) == Some(time),
+            });
+        if !continues {
+            self.times.push(Cadence {
+                first: i,
+                at: time,
+                step: 0,
+            });
+        }
+        if self.starts.is_empty() || self.leaders[self.leaders.len() - self.width..] != *leaders {
+            self.starts.push(i);
+            self.leaders.extend_from_slice(leaders);
+        }
+        self.len += 1;
     }
 
     /// All samples in time order.
@@ -124,44 +213,47 @@ impl LeaderTimeline {
         Samples {
             timeline: self,
             start: 0,
-            end: self.times.len(),
+            end: self.len,
         }
     }
 
-    /// Sample `i`'s row.
-    fn row(&self, i: usize) -> TimelineSample<'_> {
-        let cells = i * self.width..(i + 1) * self.width;
+    /// Sample `i`, whose stored row and cadence run `at` points to.
+    fn sample(&self, i: usize, at: Cursor) -> TimelineSample<'_> {
+        let run = &self.times[at.run];
+        let steps = i * self.width..(i + 1) * self.width;
         TimelineSample {
-            time: self.times[i],
-            leaders: &self.leaders[cells.clone()],
-            steps: self.steps.get(cells).unwrap_or(&[]),
+            time: run.time(i - run.first).expect("a pushed time"),
+            leaders: self.row(at.row),
+            steps: self.steps.get(steps).unwrap_or(&[]),
         }
     }
 
-    /// `pid`'s estimate in sample `i`; `None` past the row's width too.
-    fn estimate(&self, i: usize, pid: ProcessId) -> Option<ProcessId> {
-        if pid.index() < self.width {
-            self.leaders[i * self.width + pid.index()]
-        } else {
-            None
-        }
+    /// Stored row `r`.
+    fn row(&self, r: usize) -> &[Option<ProcessId>] {
+        &self.leaders[r * self.width..(r + 1) * self.width]
     }
 
-    /// Whether sample `i` shows all `correct` processes agreeing on
+    /// `pid`'s estimate in stored row `r`; `None` past the row's width too.
+    fn estimate(&self, r: usize, pid: ProcessId) -> Option<ProcessId> {
+        self.row(r).get(pid.index()).copied().flatten()
+    }
+
+    /// Whether stored row `r` shows all `correct` processes agreeing on
     /// `leader`.
-    fn agrees(&self, i: usize, correct: &ProcessSet, leader: ProcessId) -> bool {
-        correct.iter().all(|p| self.estimate(i, p) == Some(leader))
+    fn agrees(&self, r: usize, correct: &ProcessSet, leader: ProcessId) -> bool {
+        correct.iter().all(|p| self.estimate(r, p) == Some(leader))
     }
 
     /// Detects the stabilized suffix: the maximal run of trailing samples in
     /// which every process in `correct` reports the same leader, and that
-    /// leader is itself in `correct`.
+    /// leader is itself in `correct`. It walks the stored rows, not the
+    /// samples.
     ///
     /// Returns `None` if the final sample already shows disagreement, a
     /// missing estimate, or a crashed leader.
     #[must_use]
     pub fn stabilization(&self, correct: &ProcessSet) -> Option<StabilizationReport> {
-        let last = self.times.len().checked_sub(1)?;
+        let last = self.starts.len().checked_sub(1)?;
         let mut estimates = correct.iter().map(|p| self.estimate(last, p));
         let leader = estimates.next().flatten()?;
         if !estimates.all(|e| e == Some(leader)) || !correct.contains(leader) {
@@ -169,16 +261,17 @@ impl LeaderTimeline {
         }
         let suffix_start = (0..last)
             .rev()
-            .find(|&i| !self.agrees(i, correct, leader))
-            .map_or(0, |i| i + 1);
+            .find(|&r| !self.agrees(r, correct, leader))
+            .map_or(0, |r| self.starts[r + 1]);
         Some(StabilizationReport {
             leader,
-            stable_from: self.times[suffix_start],
-            stable_samples: self.times.len() - suffix_start,
+            stable_from: self.samples().get(suffix_start).expect("a sample").time,
+            stable_samples: self.len - suffix_start,
         })
     }
 
-    /// Number of times `pid`'s estimate changed between consecutive samples.
+    /// Number of times `pid`'s estimate changed between consecutive samples:
+    /// between consecutive stored rows.
     #[must_use]
     pub fn changes_of(&self, pid: ProcessId) -> usize {
         if pid.index() >= self.width {
@@ -194,15 +287,14 @@ impl LeaderTimeline {
     /// The estimate most recently sampled for `pid`.
     #[must_use]
     pub fn last_estimate_of(&self, pid: ProcessId) -> Option<ProcessId> {
-        let last = self.times.len().checked_sub(1)?;
+        let last = self.starts.len().checked_sub(1)?;
         self.estimate(last, pid)
     }
 }
 
 /// A contiguous run of a [`LeaderTimeline`]'s samples, each handed out as
-/// a borrowed [`TimelineSample`] row: what
-/// [`LeaderTimeline::samples`] returns, and what
-/// [`slice`](Self::slice) narrows.
+/// a borrowed [`TimelineSample`]: what [`LeaderTimeline::samples`]
+/// returns, and what [`slice`](Self::slice) narrows.
 #[derive(Clone, Copy)]
 pub struct Samples<'a> {
     timeline: &'a LeaderTimeline,
@@ -224,10 +316,12 @@ impl<'a> Samples<'a> {
     }
 
     /// Sample `i` of this run, if there is one: the timeline's indexing
-    /// (a row is built on demand, so there is no `[i]`).
+    /// (a sample is built on demand, its row found by binary search, so
+    /// there is no `[i]`).
     #[must_use]
     pub fn get(&self, i: usize) -> Option<TimelineSample<'a>> {
-        (i < self.len()).then(|| self.timeline.row(self.start + i))
+        let i = self.start + i;
+        (i < self.end).then(|| self.timeline.sample(i, Cursor::at(self.timeline, i)))
     }
 
     /// The first sample.
@@ -245,9 +339,12 @@ impl<'a> Samples<'a> {
     /// The samples in time order.
     #[must_use]
     pub fn iter(&self) -> SampleIter<'a> {
+        let timeline = self.timeline;
         SampleIter {
-            timeline: self.timeline,
+            timeline,
             rows: self.start..self.end,
+            front: Cursor::at(timeline, self.start),
+            back: Cursor::at(timeline, self.end.saturating_sub(1)),
         }
     }
 
@@ -280,18 +377,24 @@ impl<'a> IntoIterator for Samples<'a> {
     }
 }
 
-/// Iterator over the rows of [`Samples`], in time order.
+/// Iterator over the samples of [`Samples`], in time order. Each end
+/// carries a cursor to its sample's stored row and cadence run, so a step
+/// in either direction costs O(1).
 #[derive(Debug, Clone)]
 pub struct SampleIter<'a> {
     timeline: &'a LeaderTimeline,
     rows: std::ops::Range<usize>,
+    front: Cursor,
+    back: Cursor,
 }
 
 impl<'a> Iterator for SampleIter<'a> {
     type Item = TimelineSample<'a>;
 
     fn next(&mut self) -> Option<TimelineSample<'a>> {
-        self.rows.next().map(|i| self.timeline.row(i))
+        let i = self.rows.next()?;
+        self.front.forward(self.timeline, i);
+        Some(self.timeline.sample(i, self.front))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -301,7 +404,9 @@ impl<'a> Iterator for SampleIter<'a> {
 
 impl DoubleEndedIterator for SampleIter<'_> {
     fn next_back(&mut self) -> Option<Self::Item> {
-        self.rows.next_back().map(|i| self.timeline.row(i))
+        let i = self.rows.next_back()?;
+        self.back.back(self.timeline, i);
+        Some(self.timeline.sample(i, self.back))
     }
 }
 
@@ -628,6 +733,227 @@ mod tests {
         let mut tl = LeaderTimeline::new();
         tl.push(t(0), &[Some(p(0))]);
         tl.push_with_steps(t(1), &[Some(p(0))], &[1]);
+    }
+
+    #[test]
+    fn a_reservation_the_allocator_refuses_leaves_the_steps_to_grow() {
+        for samples in [usize::MAX, 1 << 40] {
+            let mut tl = LeaderTimeline::new();
+            tl.reserve(4, samples);
+            tl.push_with_steps(t(7), &[Some(p(1)); 4], &[1, 2, 3, 4]);
+            let only = tl.samples().last().unwrap();
+            assert_eq!((only.time, only.steps), (t(7), &[1, 2, 3, 4][..]));
+        }
+    }
+
+    /// The timeline as it was kept before it kept only what changed: a
+    /// time, an estimate row and a step row per sample.
+    #[derive(Default)]
+    struct DenseTimeline {
+        width: usize,
+        times: Vec<SimTime>,
+        leaders: Vec<Option<ProcessId>>,
+        steps: Vec<u64>,
+    }
+
+    impl DenseTimeline {
+        fn len(&self) -> usize {
+            self.times.len()
+        }
+
+        fn sample(&self, i: usize) -> TimelineSample<'_> {
+            let cells = i * self.width..(i + 1) * self.width;
+            TimelineSample {
+                time: self.times[i],
+                leaders: &self.leaders[cells.clone()],
+                steps: self.steps.get(cells).unwrap_or(&[]),
+            }
+        }
+
+        fn samples(&self, range: std::ops::Range<usize>) -> Vec<TimelineSample<'_>> {
+            range.map(|i| self.sample(i)).collect()
+        }
+
+        fn estimate(&self, i: usize, pid: ProcessId) -> Option<ProcessId> {
+            self.sample(i).leaders.get(pid.index()).copied().flatten()
+        }
+
+        fn stabilization(&self, correct: &ProcessSet) -> Option<StabilizationReport> {
+            let last = self.len().checked_sub(1)?;
+            let mut estimates = correct.iter().map(|p| self.estimate(last, p));
+            let leader = estimates.next().flatten()?;
+            if !estimates.all(|e| e == Some(leader)) || !correct.contains(leader) {
+                return None;
+            }
+            let agrees = |i| correct.iter().all(|p| self.estimate(i, p) == Some(leader));
+            let suffix_start = (0..last).rev().find(|&i| !agrees(i)).map_or(0, |i| i + 1);
+            Some(StabilizationReport {
+                leader,
+                stable_from: self.times[suffix_start],
+                stable_samples: self.len() - suffix_start,
+            })
+        }
+
+        fn changes_of(&self, pid: ProcessId) -> usize {
+            (1..self.len())
+                .filter(|&i| self.estimate(i - 1, pid) != self.estimate(i, pid))
+                .count()
+        }
+
+        fn last_estimate_of(&self, pid: ProcessId) -> Option<ProcessId> {
+            self.len()
+                .checked_sub(1)
+                .and_then(|i| self.estimate(i, pid))
+        }
+    }
+
+    /// A random timeline and its dense copy: `width` processes, estimates
+    /// changing at `rate` per mille of the samples, times in `cadence`'s
+    /// pattern.
+    fn random_timeline(
+        rng: &mut crate::rng::SmallRng,
+        width: usize,
+        samples: usize,
+        rate: u64,
+        cadence: u64,
+        with_steps: bool,
+    ) -> (LeaderTimeline, DenseTimeline) {
+        let (mut tl, mut dense) = (LeaderTimeline::new(), DenseTimeline::default());
+        dense.width = width;
+        let every = rng.gen_range(1..=50);
+        let mut now = match cadence {
+            // Near the end of the tick range: a step past it breaks the run.
+            5 => u64::MAX - rng.gen_range(0..=3 * every),
+            _ => rng.gen_range(0..=1_000),
+        };
+        let mut row = vec![None; width];
+        let mut steps = vec![0; width];
+        for i in 0..samples {
+            if i > 0 {
+                now = match cadence {
+                    // Keeps one cadence.
+                    0 | 5 => now.saturating_add(every),
+                    // Breaks it now and then.
+                    1 if rng.gen_range(0..=9) == 0 => now + rng.gen_range(0..=3 * every),
+                    1 => now + every,
+                    // Repeats a tick now and then.
+                    2 if rng.gen_range(0..=2) == 0 => now,
+                    2 => now + every,
+                    // Any tick, earlier ones too.
+                    3 => rng.gen_range(0..=4 * every),
+                    // Never a cadence for long.
+                    _ => now + rng.gen_range(1..=every),
+                };
+            }
+            if rng.gen_range(1..=1_000) <= rate {
+                let j = rng.gen_range(0..=width as u64 - 1) as usize;
+                let was = row[j];
+                while row[j] == was {
+                    row[j] = match rng.gen_range(0..=width as u64) as usize {
+                        0 => None,
+                        q => Some(p(q - 1)),
+                    };
+                }
+            }
+            (steps.iter_mut()).for_each(|s| *s += rng.gen_range(0..=2));
+            dense.times.push(t(now));
+            dense.leaders.extend_from_slice(&row);
+            if with_steps {
+                tl.push_with_steps(t(now), &row, &steps);
+                dense.steps.extend_from_slice(&steps);
+            } else {
+                tl.push(t(now), &row);
+            }
+        }
+        (tl, dense)
+    }
+
+    /// Every read of `samples` against the dense samples `rows`.
+    fn reads_as(samples: Samples<'_>, rows: &[TimelineSample<'_>], rng: &mut crate::rng::SmallRng) {
+        assert_eq!(samples.len(), rows.len());
+        assert_eq!(samples.is_empty(), rows.is_empty());
+        for i in 0..=rows.len() {
+            assert_eq!(samples.get(i).as_ref(), rows.get(i), "sample {i}");
+        }
+        assert_eq!(samples.first().as_ref(), rows.first());
+        assert_eq!(samples.last().as_ref(), rows.last());
+        assert!(samples.iter().eq(rows.iter().copied()));
+        assert!(samples.iter().rev().eq(rows.iter().rev().copied()));
+        assert_eq!(format!("{samples:?}"), format!("{rows:?}"));
+        // Both ends at once, in a random order.
+        let (mut iter, mut front, mut back) = (samples.iter(), 0, rows.len());
+        while front < back {
+            assert_eq!(iter.len(), back - front);
+            if rng.gen_range(0..=1) == 0 {
+                assert_eq!(iter.next().as_ref(), rows.get(front));
+                front += 1;
+            } else {
+                back -= 1;
+                assert_eq!(iter.next_back().as_ref(), rows.get(back));
+            }
+        }
+        assert_eq!((iter.next(), iter.next_back()), (None, None));
+    }
+
+    #[test]
+    fn compact_timeline_reads_as_the_dense_one() {
+        use crate::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(52);
+        let mut case = 0;
+        for width in 1..=9 {
+            for with_steps in [false, true] {
+                for rate in [0, 10, 300, 1_000] {
+                    for cadence in 0..=5 {
+                        case += 1;
+                        let samples = match rng.gen_range(0..=3) {
+                            0 => rng.gen_range(0..=1) as usize,
+                            _ => rng.gen_range(2..=120) as usize,
+                        };
+                        let (tl, dense) =
+                            random_timeline(&mut rng, width, samples, rate, cadence, with_steps);
+                        let all = dense.samples(0..samples);
+                        reads_as(tl.samples(), &all, &mut rng);
+                        for _ in 0..8 {
+                            let a = rng.gen_range(0..=samples as u64) as usize;
+                            let b = rng.gen_range(a as u64..=samples as u64) as usize;
+                            let slice = tl.samples().slice(a..b);
+                            reads_as(slice, &all[a..b], &mut rng);
+                            let c = rng.gen_range(0..=(b - a) as u64) as usize;
+                            let d = rng.gen_range(c as u64..=(b - a) as u64) as usize;
+                            reads_as(slice.slice(c..d), &all[a + c..a + d], &mut rng);
+                            let (e, f) = (a + rng.gen_range(0..=1) as usize, b);
+                            let other = tl.samples().slice(e.min(f)..f);
+                            assert_eq!(
+                                slice == other,
+                                all[a..b] == all[e.min(f)..f],
+                                "case {case}: {a}..{b} == {e}..{f}"
+                            );
+                        }
+                        for pid in ProcessId::all(width + 1) {
+                            assert_eq!(tl.changes_of(pid), dense.changes_of(pid), "case {case}");
+                            assert_eq!(
+                                tl.last_estimate_of(pid),
+                                dense.last_estimate_of(pid),
+                                "case {case}"
+                            );
+                        }
+                        for _ in 0..8 {
+                            let mut correct = ProcessSet::new(width + 1);
+                            for pid in ProcessId::all(width + 1) {
+                                if rng.gen_range(0..=3) > 0 {
+                                    correct.insert(pid);
+                                }
+                            }
+                            assert_eq!(
+                                tl.stabilization(&correct),
+                                dense.stabilization(&correct),
+                                "case {case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -107,39 +107,47 @@ fn reading() -> (usize, usize) {
 
 /// The benchmark's `elect-wide` input: Alg1 at n = 128, 99 % quiescent,
 /// four windowed checkpoints (six with tick zero and the horizon). It
-/// peaks at 2.76 MB of live heap, every part of it quadratic in n: the
+/// peaks at 2.64 MB of live heap, every part of it quadratic in n: the
 /// 16 640 registers' values and write and high-water cells, the 130 banks'
 /// names (one block each) and read tallies, the shared layout (an entry
 /// per bank), the processes' shared views of the suspicion matrix, and the
 /// checkpoints — the newest a dense ≈ 266 KB snapshot and a 16 B a
 /// register footprint, each earlier one the cells the next one overwrote
 /// (the first window's whole read tallies, a few hundred cells after
-/// that). The budget is that reading + 25 %, rounded up: six dense
-/// checkpoints do not fit (5.1 MB), nor a read cell per (process,
+/// that). It read 2.76 MB while the leader timeline kept a dense row of
+/// estimates a sample; the budget is that reading + 25 %, rounded up:
+/// six dense checkpoints do not fit (5.1 MB), nor a read cell per (process,
 /// register) (17.2 MB), nor the 17 MB of private per-process mirrors, nor
 /// the 32 MB the per-slot ring buffers grew to, nor the 7.1 MB of a name
 /// and a handle per register and frozen cells in every bank. The same run
-/// at 16 checkpoints peaks within 256 KB of it at 4 (2.79 against
-/// 2.74 MB, each measured from its own start): a checkpoint of a quiescent
+/// at 16 checkpoints peaks within 256 KB of it at 4 (2.68 against
+/// 2.63 MB, each measured from its own start): a checkpoint of a quiescent
 /// window costs what moved, where twelve more dense ones cost 6.1 MB
 /// (5.14 against 11.24 MB).
 ///
 /// Then the election's steady state (ROADMAP open item 1 (f)): the same
 /// `elect-wide` run makes as many allocator calls over 24 000 ticks as
-/// over 12 000 — every buffer a run grows with its length (the leader
-/// timeline's three columns) is sized once, up front, and the sampling
-/// cadence is no queue of events; a checkpoint's entries are one
-/// allocation an array whatever moved. It reads 2 037 calls at both
-/// (2 041 while every checkpoint was two fresh dense copies, 2 043 while
-/// an epoch table took two allocations, 2 290 while a matrix formatted
-/// each row's name prefix into an allocation of its own); while each
-/// sample kept two heap rows and sat pre-scheduled in the event wheel,
-/// every sample added 3. And the benchmark's
-/// `elect-small` input (n = 5, 2 000 000 ticks, 20 001 samples, two
-/// leader crashes) peaks at 1.8 MB of live heap, against a 2.2 MB budget:
-/// a sample is its time and two rows of five entries in flat columns,
-/// 88 B. It read 3.7 MB, 3.0 of them the timeline, while every sample
-/// made three allocator calls and kept two heap rows.
+/// over 12 000 — the one buffer a run grows with its length (the leader
+/// timeline's step counts) is sized once, up front, the timeline's
+/// estimate rows and cadence runs grow where an estimate changes or the
+/// cadence breaks, not with the run, and the sampling cadence is no
+/// queue of events; a checkpoint's entries are one allocation an array
+/// whatever moved. It reads 2 039 calls at both (2 037 while the
+/// timeline reserved three dense columns, 2 041 while every checkpoint
+/// was two fresh dense copies, 2 043 while an epoch table took two
+/// allocations, 2 290 while a matrix formatted each row's name prefix
+/// into an allocation of its own); while each sample kept two heap rows
+/// and sat pre-scheduled in the event wheel, every sample added 3. And
+/// the benchmark's `elect-small` input (n = 5, 2 000 000 ticks, 20 001
+/// samples, two leader crashes) peaks at 0.83 MB of live heap, against a
+/// budget of that + 25 %, 1.04 MB: a sample is its five step counts,
+/// 40 B, and its estimates and its time are kept only where they change.
+/// The same spec at 1 000 000 ticks peaks at 0.45 MB, and the pin holds
+/// the 10 000 samples between them to `8·n + 8` = 48 B each. It read
+/// 1.74 MB (0.90 MB at 1 000 000 ticks: 87 B a sample) while every sample
+/// kept its time and a dense row of estimates beside its step counts,
+/// 88 B, and 3.7 MB while every sample made three allocator calls and
+/// kept two heap rows.
 ///
 /// Then Alg1 at n = 512, the sim's ceiling (`SIM_MAX_N`), built and
 /// dropped: its construction peaks at 27.5 MB (42.7 MB with a name and a
@@ -248,18 +256,32 @@ fn a_wide_run_keeps_one_copy_of_what_did_not_move() {
         .crash_leader_at(400_000)
         .crash_leader_at(1_000_000)
         .seed(11);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    SimDriver.run(&small).assert_election();
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak_of = |scenario: &Scenario| {
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        let outcome = SimDriver.run(scenario);
+        (PEAK.load(Ordering::Relaxed) - before, outcome)
+    };
+    let (peak, outcome) = peak_of(&small);
+    outcome.assert_election();
+    drop(outcome);
+    // Its second leader crash falls on this horizon: no election to show.
+    let (half, _) = peak_of(&small.clone().horizon(1_000_000));
     println!(
-        "live heap of elect-small: {:.2} MB at the peak",
-        peak as f64 / MB as f64
+        "live heap of elect-small: {:.2} MB at the peak, {:.2} MB over half its horizon",
+        peak as f64 / MB as f64,
+        half as f64 / MB as f64
     );
     assert!(
-        peak <= 22 * MB / 10,
+        peak <= 26 * MB / 25,
         "SimDriver.run of elect-small peaked at {:.2} MB of live heap",
         peak as f64 / MB as f64
+    );
+    let per_sample = 8 * 5 + 8;
+    assert!(
+        peak <= half + per_sample * 10_000,
+        "the 10 000 samples of elect-small's second half cost {} B each",
+        (peak - half.min(peak)) / 10_000
     );
 
     let after = LIVE.load(Ordering::Relaxed);
